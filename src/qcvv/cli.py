@@ -548,7 +548,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="job-level parallelism (merge order deterministic)")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as f:

@@ -240,6 +240,43 @@ def gate_tableau(name: str) -> CliffordTableau:
     return tableau_from_unitary(GATE_UNITARIES[name])
 
 
+# 2-bit letter codes ``x << 1 | z`` of the base-4 Pauli digits I, X, Y, Z
+PAULI_DIGIT_CODES = (0, 2, 3, 1)
+
+
+def conjugation_table(tab: CliffordTableau):
+    """(image codes, phase exponents) of conjugation by a k-qubit tableau.
+
+    Local Paulis are coded in ``4**k`` integers: bits ``2i + 1`` and ``2i``
+    hold the x and z bits of qubit i of the support.  Entry ``c`` gives the
+    code of the image of ``X^x Z^z`` (phase exponent 0) and that image's
+    phase exponent.
+    """
+    k = tab.n
+    codes = np.zeros(4**k, dtype=np.int64)
+    phases = np.zeros(4**k, dtype=np.int64)
+    for code in range(4**k):
+        x = z = 0
+        for i in range(k):
+            x |= ((code >> (2 * i + 1)) & 1) << i
+            z |= ((code >> (2 * i)) & 1) << i
+        img = tab.conjugate(PauliString(k, x, z, 0))
+        c = 0
+        for i in range(k):
+            c |= ((img.xbits >> i) & 1) << (2 * i + 1)
+            c |= ((img.zbits >> i) & 1) << (2 * i)
+        codes[code] = c
+        phases[code] = img.phase
+    codes.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return codes, phases
+
+
+@lru_cache(maxsize=None)
+def gate_conjugation_table(name: str):
+    """:func:`conjugation_table` of a builtin gate; unknown names raise KeyError."""
+    return conjugation_table(gate_tableau(name))
+
+
 def tableau_run(layers, p: PauliString) -> PauliString:
     """Propagate ``p`` through a circuit given as layers of (gate name, qubits).
 
@@ -304,6 +341,35 @@ def clifford_group_1q():
     elems = [CliffordElement(t, u, w) for t, u, w in seen.values()]
     elems.sort(key=lambda e: (len(e.word), e.tableau.key()))
     return tuple(elems)
+
+
+@dataclass(frozen=True)
+class OneQubitTables:
+    """Index tables of the enumerated 24-element single-qubit group.
+
+    ``compose[a, b]`` is the element "apply a, then b", ``inverse[a]`` the
+    inverse of a, ``gate_index`` maps each builtin single-qubit gate name to
+    its element and ``identity`` is the identity's index.
+    """
+
+    compose: np.ndarray
+    inverse: np.ndarray
+    gate_index: dict
+    identity: int
+
+
+@lru_cache(maxsize=None)
+def clifford_1q_tables() -> OneQubitTables:
+    """Build the :class:`OneQubitTables` once from the tableau enumeration."""
+    tabs = [e.tableau for e in clifford_group_1q()]
+    index = {t.key(): i for i, t in enumerate(tabs)}
+    compose = np.array([[index[a.then(b).key()] for b in tabs] for a in tabs], dtype=np.int64)
+    inverse = np.array([index[t.inverse().key()] for t in tabs], dtype=np.int64)
+    gate_index = {
+        name: index[gate_tableau(name).key()] for name, u in GATE_UNITARIES.items() if u.shape == (2, 2)
+    }
+    compose.flags.writeable = inverse.flags.writeable = False  # shared by every caller
+    return OneQubitTables(compose, inverse, gate_index, index[CliffordTableau.identity(1).key()])
 
 
 # The three-element axis-cycling set used in the standard 2-qubit

@@ -30,8 +30,11 @@ import numpy as np
 from .channels import Channel
 from .cliffords import (
     GATE_UNITARIES,
+    PAULI_DIGIT_CODES,
     CliffordTableau,
     clifford_gate_factory,
+    conjugation_table,
+    gate_conjugation_table,
     gate_tableau,
     tableau_from_unitary,
 )
@@ -385,17 +388,106 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 
 # -- stochastic-Pauli fast path ------------------------------------------------
 
+# Frames hold one 2-bit letter code per qubit, ``x << 1 | z`` (I=0, Z=1,
+# X=2, Y=3); a k-qubit gate reads the codes of its support as one 2k-bit
+# index, qubit i of the support in bits 2i+1 (x) and 2i (z), which is the
+# layout of :func:`qcvv.cliffords.conjugation_table`.
+
+def _pack(layers):
+    """Flatten per-layer ``(qubits, item)`` operations by arity k.
+
+    Items are numbered per arity by identity.  Returns, per layer, the spans
+    ``(k, start, stop)`` of its k-qubit operations in the flat arrays; per
+    arity, the (N, k) supports, the (N,) item numbers and the (N,) positions
+    of the operations in their layer's order; and per arity, the distinct
+    items.
+    """
+    numbers, items, flat, spans = {}, {}, {}, []
+    for ops in layers:
+        starts = {k: len(f[1]) for k, f in flat.items()}
+        for row, (qubits, item) in enumerate(ops):
+            k = len(qubits)
+            f = flat.get(k)
+            if f is None:
+                f = flat[k] = ([], [], [])
+                items[k] = []
+                starts[k] = 0
+            slot = numbers.get(id(item))
+            if slot is None:
+                slot = numbers[id(item)] = len(items[k])
+                items[k].append(item)
+            f[0].extend(qubits)
+            f[1].append(slot)
+            f[2].append(row)
+        spans.append([(k, a, len(flat[k][1])) for k, a in starts.items() if len(flat[k][1]) > a])
+    arrays = {
+        k: (np.array(qs, dtype=np.intp).reshape(-1, k), np.array(slots, dtype=np.intp), np.array(rows, dtype=np.intp))
+        for k, (qs, slots, rows) in flat.items()
+    }
+    return spans, arrays, items
+
+
+def _compile_gates(model: GateSetModel, circuit: Circuit):
+    """Per layer, the gates grouped by arity k as ``(qubits, offsets, codes,
+    phases)``: the (g, k) supports, each gate's offset into the flat image-code
+    and phase-exponent tables of the circuit's distinct k-qubit gates, and
+    those tables.  Each distinct label's table is looked up once."""
+    tables = {}
+    layers = []
+    for layer in circuit.layers:
+        ops = []
+        for label, qubits in layer:
+            key = (label, len(qubits))
+            if key not in tables:
+                tables[key] = _conj_table(model, label, qubits, circuit.gate_defs)
+            ops.append((qubits, tables[key]))
+        layers.append(ops)
+    spans, arrays, items = _pack(layers)
+    flat = {
+        k: (
+            supports,
+            slots * 4**k,
+            np.concatenate([codes for codes, _ in items[k]]),
+            np.concatenate([phases for _, phases in items[k]]),
+        )
+        for k, (supports, slots, _) in arrays.items()
+    }
+    return [
+        [(flat[k][0][a:b], flat[k][1][a:b], flat[k][2], flat[k][3]) for k, a, b in layer_spans]
+        for layer_spans in spans
+    ]
+
+
+def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
+    """Conjugate every row of a (rows, n) code frame by one compiled layer,
+    adding the image phase exponents to ``phase`` when it is given."""
+    for qubits, offsets, codes, phases in groups:
+        index = offsets + frame[:, qubits[:, 0]]
+        for i in range(1, qubits.shape[1]):
+            index += frame[:, qubits[:, i]].astype(np.intp) << (2 * i)
+        if phase is not None:
+            phase += phases[index].sum(axis=1)
+        image = codes[index]
+        for i in range(qubits.shape[1]):
+            frame[:, qubits[:, i]] = (image >> (2 * i)) & 3
+
+
 class _FastPathProgram:
-    """Preprocessed circuit: per layer, the gate list plus one sampled fault
-    distribution per noisy gate (drawn from the gate's *error* channel)."""
+    """Compiled circuit: per layer, the gate groups of :func:`_compile_gates`
+    and the layer's noisy operations (gate errors in gate order, then idle
+    qubits in qubit order) grouped by arity k as ``(rows, qubits, cdfs,
+    faults, offsets)``: each operation's row in the layer's random draw, the
+    (g, k) supports, the (4**k - 1, 1, g) cumulative fault probabilities
+    without the last entry, the flat fault letter codes of the circuit's
+    distinct k-qubit distributions and each operation's offset into them.
+    Faults are drawn from each gate's *error* channel."""
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
         if circuit.width != model.n:
             raise ValueError("circuit width does not match the model")
         self.n = model.n
-        self.model = model
-        self.circuit = circuit
-        self.layers = []
+        self.pre_gate_noise = model.pre_gate_noise
+        self.gates = _compile_gates(model, circuit)
         if not hasattr(model, "_noise_dist_cache"):
             model._noise_dist_cache = {}
         cache = model._noise_dist_cache
@@ -404,9 +496,9 @@ class _FastPathProgram:
             if "idle" not in cache:
                 cache["idle"] = _noise_dist(model.idle.ptm, "idle")
             idle_dist = cache["idle"]
+        layers = []
         for layer in circuit.layers:
-            gate_ops = []
-            noise_ops = []
+            ops = []
             busy = set()
             for label, qubits in layer:
                 key = (label, len(qubits))
@@ -418,18 +510,87 @@ class _FastPathProgram:
                         cache[key] = dist
                 else:
                     dist = cache[key]
-                gate_ops.append((label, qubits))
                 if dist is not None:
-                    noise_ops.append((qubits, dist))
+                    ops.append((qubits, dist))
                 busy.update(qubits)
             if idle_dist is not None:
-                for q in range(model.n):
-                    if q not in busy:
-                        noise_ops.append(((q,), idle_dist))
-            self.layers.append((gate_ops, noise_ops, model.pre_gate_noise))
+                ops.extend(((q,), idle_dist) for q in range(model.n) if q not in busy)
+            layers.append(ops)
+        spans, arrays, items = _pack(layers)
+        cdfs = {k: np.array([cdf[:-1] for cdf, _ in items[k]]).T for k in items}
+        faults = {k: np.concatenate([codes for _, codes in items[k]]) for k in items}
+        self.noise = []
+        for ops, layer_spans in zip(layers, spans):
+            groups = []
+            for k, a, b in layer_spans:
+                supports, slots, rows = arrays[k]
+                slots = slots[a:b]
+                groups.append((rows[a:b], supports[a:b], cdfs[k][:, None, slots], faults[k], slots * 4**k))
+            self.noise.append((len(ops), groups))
 
-    def ideal_bits(self):
-        return ideal_outcome_bits(self.model, self.circuit)
+
+def _inject_faults(frame: np.ndarray, noise, gen):
+    """Multiply one layer's sampled Pauli faults into the frame.
+
+    A single ``(ops, shots)`` draw consumes the generator exactly as one
+    ``gen.random(shots)`` call per operation in order would.  A fault's
+    index is the number of cdf entries but the last at or below its draw,
+    which equals ``min(searchsorted(cdf, draw, side="right"), len(cdf) - 1)``.
+    """
+    n_ops, groups = noise
+    if not n_ops:
+        return
+    draws = gen.random((n_ops, frame.shape[0]))
+    for rows, qubits, cdfs, faults, offsets in groups:
+        draw = draws[rows].T
+        if cdfs.shape[0] <= 15:
+            # one- and two-qubit faults: compare every draw with every entry
+            idx = (draw >= cdfs).sum(axis=0)
+        else:
+            # wider faults: 4**k entries per draw would not fit; search per operation
+            idx = np.stack([np.searchsorted(c, d, side="right") for c, d in zip(cdfs[:, 0].T, draw.T)], axis=1)
+        codes = faults[idx + offsets]
+        for i in range(qubits.shape[1]):
+            frame[:, qubits[:, i]] ^= (codes >> (2 * i)) & 3
+
+
+def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
+    """Per-shot x bits (shots, n) of the propagated fault frame."""
+    frame = np.zeros((shots, program.n), dtype=np.uint8)
+    pre = program.pre_gate_noise
+    for groups, noise in zip(program.gates, program.noise):
+        if pre:
+            _inject_faults(frame, noise, gen)
+        _apply_gate_layer(frame, groups)
+        if not pre:
+            _inject_faults(frame, noise, gen)
+    return frame >> 1
+
+
+def _frame_of(paulis, n: int) -> np.ndarray:
+    frame = np.zeros((len(paulis), n), dtype=np.uint8)
+    for r, p in enumerate(paulis):
+        for q in range(n):
+            frame[r, q] = (((p.xbits >> q) & 1) << 1) | ((p.zbits >> q) & 1)
+    return frame
+
+
+def _paulis_of(frame: np.ndarray, phase: np.ndarray):
+    n = frame.shape[1]
+    out = []
+    for row, k in zip(frame.tolist(), phase.tolist()):
+        x = sum(((c >> 1) & 1) << q for q, c in enumerate(row))
+        z = sum((c & 1) << q for q, c in enumerate(row))
+        out.append(PauliString(n, x, z, k))
+    return out
+
+
+def _propagate_paulis(model: GateSetModel, circuit: Circuit, paulis):
+    frame = _frame_of(paulis, model.n)
+    phase = np.array([p.phase for p in paulis], dtype=np.int64)
+    for groups in _compile_gates(model, circuit):
+        _apply_gate_layer(frame, groups, phase)
+    return _paulis_of(frame, phase)
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
@@ -440,7 +601,7 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     follow by solving for each +-Z_q in the group over GF(2).
     """
     n = model.n
-    imgs = [propagate_pauli(model, circuit, PauliString(n, 0, 1 << q, 0)) for q in range(n)]
+    imgs = _propagate_paulis(model, circuit, [PauliString(n, 0, 1 << q, 0) for q in range(n)])
     if any(img.xbits for img in imgs):
         return None
     bits = np.zeros(n, dtype=np.uint8)
@@ -482,19 +643,7 @@ def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> Pa
     Cost is O(depth * gates); uses per-gate lookup tables, so it stays cheap
     at large width.
     """
-    x, z, k = p.xbits, p.zbits, p.phase
-    for layer in circuit.layers:
-        for label, qubits in layer:
-            codes, phases = _conj_table(model, label, qubits, circuit.gate_defs)
-            c = 0
-            for i, q in enumerate(qubits):
-                c |= (((x >> q) & 1) << (2 * i + 1)) | (((z >> q) & 1) << (2 * i))
-            k = (k + int(phases[c])) % 4
-            c2 = int(codes[c])
-            for i, q in enumerate(qubits):
-                x = (x & ~(1 << q)) | (((c2 >> (2 * i + 1)) & 1) << q)
-                z = (z & ~(1 << q)) | (((c2 >> (2 * i)) & 1) << q)
-    return PauliString(model.n, x, z, k)
+    return _propagate_paulis(model, circuit, [p])[0]
 
 
 _TAB_CACHE = {}
@@ -510,7 +659,7 @@ def _tableau_for(u: np.ndarray, label: str) -> CliffordTableau:
 
 
 def _noise_dist(err_ptm: np.ndarray, label: str):
-    """(cdf, x codes, z codes) over local Pauli faults of an error channel."""
+    """(cdf, fault letter codes) over local Pauli faults of an error channel."""
     diag = np.diag(err_ptm)
     if not np.allclose(err_ptm - np.diag(diag), 0, atol=1e-8):
         raise ValueError(f"noise on gate {label!r} is not stochastic Pauli")
@@ -524,19 +673,15 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
     if probs[0] > 1 - 1e-15:
         return None
     k = (probs.size.bit_length() - 1) // 2
-    xs = np.zeros(probs.size, dtype=np.uint8)
-    zs = np.zeros(probs.size, dtype=np.uint8)
-    # base-4 index, leftmost qubit most significant; bit i of the codes is
-    # the i-th qubit of the local support
+    codes = np.zeros(probs.size, dtype=np.uint16)
+    # base-4 index, leftmost qubit most significant; qubit i of the local
+    # support sits in bits 2i+1, 2i of the code
     for idx in range(probs.size):
         rem = idx
         for i in range(k - 1, -1, -1):
-            axis = rem % 4
+            codes[idx] |= PAULI_DIGIT_CODES[rem % 4] << (2 * i)
             rem //= 4
-            x, z = ((0, 0), (1, 0), (1, 1), (0, 1))[axis]
-            xs[idx] |= x << i
-            zs[idx] |= z << i
-    return np.cumsum(probs), xs, zs
+    return np.cumsum(probs), codes
 
 
 _CONJ_CACHE = {}
@@ -544,68 +689,13 @@ _CONJ_CACHE = {}
 
 def _conj_table(model: GateSetModel, label: str, qubits, gate_defs):
     """(image codes, phase exponents) of local-Pauli conjugation by a gate."""
-    arity = len(qubits)
     if label in GATE_UNITARIES:
-        key = (label, arity)
-        u = None
-    else:
-        u = model.ideal_unitary(label, gate_defs)
-        key = (label, arity, u.tobytes())
-    if key in _CONJ_CACHE:
-        return _CONJ_CACHE[key]
-    tab = _tableau_for(GATE_UNITARIES[label] if u is None else u, label)
-    size = 4**arity
-    codes = np.zeros(size, dtype=np.int64)
-    phases = np.zeros(size, dtype=np.int64)
-    for code in range(size):
-        x = z = 0
-        for i in range(arity):
-            x |= ((code >> (2 * i + 1)) & 1) << i
-            z |= ((code >> (2 * i)) & 1) << i
-        img = tab.conjugate(PauliString(arity, x, z, 0))
-        c = 0
-        for i in range(arity):
-            c |= ((img.xbits >> i) & 1) << (2 * i + 1)
-            c |= ((img.zbits >> i) & 1) << (2 * i)
-        codes[code] = c
-        phases[code] = img.phase
-    _CONJ_CACHE[key] = (codes, phases)
+        return gate_conjugation_table(label)
+    u = model.ideal_unitary(label, gate_defs)
+    key = (label, len(qubits), u.tobytes())
+    if key not in _CONJ_CACHE:
+        _CONJ_CACHE[key] = conjugation_table(tableau_from_unitary(u))
     return _CONJ_CACHE[key]
-
-
-def _inject_faults(fx, fz, qubits, dist, gen):
-    cdf, xs, zs = dist
-    shots = fx.shape[0]
-    idx = np.minimum(np.searchsorted(cdf, gen.random(shots), side="right"), len(cdf) - 1)
-    for i, q in enumerate(qubits):
-        fx[:, q] ^= (xs[idx] >> i) & 1
-        fz[:, q] ^= (zs[idx] >> i) & 1
-
-
-def _propagate_faults(model: GateSetModel, program: _FastPathProgram, shots: int, gen):
-    n = program.n
-    fx = np.zeros((shots, n), dtype=np.uint8)
-    fz = np.zeros((shots, n), dtype=np.uint8)
-    gate_defs = program.circuit.gate_defs
-    for gate_ops, noise_ops, pre in program.layers:
-        if pre:
-            for qubits, dist in noise_ops:
-                _inject_faults(fx, fz, qubits, dist, gen)
-        for label, qubits in gate_ops:
-            table, _ = _conj_table(model, label, qubits, gate_defs)
-            code = np.zeros(shots, dtype=np.int64)
-            for i, q in enumerate(qubits):
-                code |= (fx[:, q].astype(np.int64) << (2 * i + 1)) | (
-                    fz[:, q].astype(np.int64) << (2 * i)
-                )
-            code = table[code]
-            for i, q in enumerate(qubits):
-                fx[:, q] = (code >> (2 * i + 1)) & 1
-                fz[:, q] = (code >> (2 * i)) & 1
-        if not pre:
-            for qubits, dist in noise_ops:
-                _inject_faults(fx, fz, qubits, dist, gen)
-    return fx, fz
 
 
 def pauli_fastpath_sample(
@@ -623,12 +713,11 @@ def pauli_fastpath_sample(
     if shots <= 0:
         raise ValueError("shots must be positive")
     program = _FastPathProgram(model, circuit)
-    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else program.ideal_bits()
+    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else ideal_outcome_bits(model, circuit)
     if bits0 is None:
         raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
     gen = rng(seed)
-    fx, _ = _propagate_faults(model, program, shots, gen)
-    bits = bits0[None, :] ^ fx
+    bits = bits0[None, :] ^ _propagate_faults(program, shots, gen)
     for q in range(model.n):
         if q in model.confusion:
             c = model.confusion[q]
@@ -652,21 +741,27 @@ def pauli_fastpath_signs(
     circuit's final layer) and its ideal eigenvalue ``ideal_sign`` on the
     noiseless output state; returned samples are absolute measured parities,
     matching what the dense backend's counts would give.  Readout confusion
-    is applied as a symmetric flip at the mean of the two error rates.
+    on a measured qubit must be symmetric (``c[0, 1] == c[1, 0]``): a parity
+    sample does not carry the qubit's true bit, so an asymmetric flip cannot
+    be applied here, and a ValueError points to :func:`sample_counts`.
     """
     if measured.xbits != 0:
         raise ValueError("measured Pauli must be Z-type")
+    read = [q for q in range(model.n) if (measured.zbits >> q) & 1]
+    for q in read:
+        c = model.confusion.get(q)
+        if c is not None and c[0, 1] != c[1, 0]:
+            raise ValueError(
+                f"asymmetric readout confusion on qubit {q} needs each shot's outcome; use sample_counts"
+            )
     program = _FastPathProgram(model, circuit)
     gen = rng(seed)
-    fx, _ = _propagate_faults(model, program, shots, gen)
+    fx = _propagate_faults(program, shots, gen)
     signs = np.full(shots, ideal_sign, dtype=np.int8)
-    for q in range(model.n):
-        if not (measured.zbits >> q) & 1:
-            continue
+    for q in read:
         signs *= 1 - 2 * fx[:, q].astype(np.int8)
         if q in model.confusion:
-            c = model.confusion[q]
-            pflip = (c[1, 0] + c[0, 1]) / 2
+            pflip = model.confusion[q][0, 1]
             signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)
     return signs
 

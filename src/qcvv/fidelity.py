@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .cliffords import INVERSE_LABEL, measurement_rotation_gate
+from .cliffords import INVERSE_LABEL, clifford_1q_tables, measurement_rotation_gate
 from .device import (
     Circuit,
     GateSetModel,
+    ideal_outcome_bits,
     pauli_fastpath_sample,
     pauli_fastpath_signs,
     sample_counts,
@@ -21,7 +22,6 @@ from .metrics import convert_metric
 from .paulis import PauliString
 from .rb import (
     _compose_1q_layers,
-    _group_index,
     _identity_index,
     _invert_1q_layer,
     _randomized_compile,
@@ -343,24 +343,18 @@ def _trap_oneq_layers(n, rounds):
     """Compose each round's {I,H,S} pick with the inverse of the previous
     round's accumulated single-qubit action, closing with a full inversion
     round, so the trap's 1q gates alone compose to the identity per qubit."""
-    from .cliffords import CliffordTableau, gate_tableau
-
-    idx1 = _group_index(1)
-    per_qubit = [CliffordTableau.identity(1) for _ in range(n)]
+    tables = clifford_1q_tables()
+    per_qubit = [tables.identity] * n
     out = []
     for pick in rounds:
         layer = []
         for q in range(n):
-            w = gate_tableau(pick[q])
-            tab = per_qubit[q].inverse().then(w)
-            layer.append((clifford_label(1, idx1[tab.key()]), (q,)))
+            w = tables.gate_index[pick[q]]
+            idx = tables.compose[tables.inverse[per_qubit[q]], w]
+            layer.append((clifford_label(1, idx), (q,)))
             per_qubit[q] = w
         out.append(tuple(layer))
-    out.append(
-        tuple(
-            (clifford_label(1, idx1[per_qubit[q].inverse().key()]), (q,)) for q in range(n)
-        )
-    )
+    out.append(tuple((clifford_label(1, tables.inverse[per_qubit[q]]), (q,)) for q in range(n)))
     return out
 
 
@@ -414,9 +408,7 @@ def _bits_array(bits: str) -> np.ndarray:
 
 
 def _ideal_bits_string(model, circ) -> str:
-    from .device import _FastPathProgram
-
-    bits = _FastPathProgram(model, circ).ideal_bits()
+    bits = ideal_outcome_bits(model, circ)
     if bits is None:
         raise RuntimeError("trap circuit does not have a definite outcome")
     return "".join(str(int(b)) for b in bits)

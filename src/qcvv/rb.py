@@ -18,11 +18,14 @@ import scipy.stats
 
 from .cliffords import (
     INVERSE_LABEL,
+    PAULI_DIGIT_CODES,
     CliffordTableau,
+    clifford_1q_tables,
     clifford_gate_factory,
     clifford_label,
     eigenprep_gate,
     enumerate_clifford_group,
+    gate_conjugation_table,
     gate_tableau,
     measurement_rotation_gate,
 )
@@ -151,32 +154,11 @@ def epc(fit: FitResult, d: int, metric: str = "e_F") -> float:
     return convert_metric(fit.f, "f", metric, d)
 
 
-def epc_err(fit: FitResult, d: int, metric: str = "e_F") -> float:
-    scale = abs(convert_metric(1.0, "f", metric, d) - convert_metric(0.0, "f", metric, d))
-    return scale * fit.f_err
-
-
 # -- Clifford labels and models -----------------------------------------------
 
 @lru_cache(maxsize=None)
 def _group_index(n: int) -> dict:
     return {e.tableau.key(): i for i, e in enumerate(enumerate_clifford_group(n))}
-
-
-def compose_clifford_labels(n: int, indices) -> int:
-    group = enumerate_clifford_group(n)
-    tab = CliffordTableau.identity(n)
-    for i in indices:
-        tab = tab.then(group[i].tableau)
-    return _group_index(n)[tab.key()]
-
-
-def pauli_times_clifford(n: int, pauli: PauliString, index: int, side: str) -> int:
-    """Group index of ``P o C`` (side="left") or ``C o P`` (side="right")."""
-    group = enumerate_clifford_group(n)
-    ptab = _pauli_tableau(pauli)
-    tab = group[index].tableau.then(ptab) if side == "left" else ptab.then(group[index].tableau)
-    return _group_index(n)[tab.key()]
 
 
 def _pauli_tableau(p: PauliString) -> CliffordTableau:
@@ -551,14 +533,19 @@ class LayerSampler:
         return (d**2 * fe - 1) / (d**2 - 1)
 
 
+def _oneq_index(label: str) -> int:
+    """Group index of a ``c1_<i>`` label or a builtin single-qubit gate name."""
+    if label.startswith("c1_"):
+        return int(label[3:])
+    return clifford_1q_tables().gate_index[label]
+
+
 def _invert_1q_layer(layer, n):
+    inverse = clifford_1q_tables().inverse
     inv = []
     for lbl, qs in layer:
         if lbl.startswith("c1_"):
-            group = enumerate_clifford_group(1)
-            idx = int(lbl.split("_")[1])
-            inv_idx = _group_index(1)[group[idx].tableau.inverse().key()]
-            inv.append((clifford_label(1, inv_idx), qs))
+            inv.append((clifford_label(1, inverse[_oneq_index(lbl)]), qs))
         else:
             inv.append((INVERSE_LABEL[lbl], qs))
     return tuple(inv)
@@ -676,64 +663,65 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
 
 def _compose_1q_layers(first, second, n):
     """Single 1q layer equal to applying ``first`` then ``second``."""
-    group = enumerate_clifford_group(1)
-    idx = _group_index(1)
-    per_qubit = {q: CliffordTableau.identity(1) for q in range(n)}
+    tables = clifford_1q_tables()
+    per_qubit = [tables.identity] * n
     for layer in (first, second):
         for lbl, (q,) in layer:
-            if lbl.startswith("c1_"):
-                tab = group[int(lbl.split("_")[1])].tableau
-            else:
-                tab = gate_tableau(lbl)
-            per_qubit[q] = per_qubit[q].then(tab)
-    return tuple((clifford_label(1, idx[per_qubit[q].key()]), (q,)) for q in range(n))
+            per_qubit[q] = tables.compose[per_qubit[q], _oneq_index(lbl)]
+    return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
+
+
+# Pauli letter of each 2-bit code x << 1 | z
+_LETTER_OF_CODE = ("I", "Z", "X", "Y")
 
 
 def _randomized_compile(oneq_layers, twoq_layers, n, gen, which_layers=None):
     """Dress 2q sublayers E as C E D with D a random Pauli layer and
     C = E D E^dag; C and D are compiled into the neighboring 1q layers so
     the ideal action and depth are unchanged.  ``which_layers`` restricts
-    the dressing to the listed 2q-layer indices (default: all)."""
-    from .device import _tableau_for
-    from .cliffords import GATE_UNITARIES
+    the dressing to the listed 2q-layer indices (default: all).
 
+    The letters of C follow from pushing D's letters through each gate's
+    local conjugation table; C's sign is irrelevant up to global phase."""
     oneq_layers = [list(l) for l in oneq_layers]
     targets = set(range(len(twoq_layers))) if which_layers is None else set(which_layers)
     for i, twoq in enumerate(twoq_layers):
         if i not in targets:
             continue
-        d_pauli = PauliString.from_index(int(gen.integers(4**n)), n)
-        tab = CliffordTableau.identity(n)
+        k = int(gen.integers(4**n))
+        d_codes = [PAULI_DIGIT_CODES[(k >> (2 * (n - 1 - q))) & 3] for q in range(n)]
+        c_codes = list(d_codes)
         for label, qubits in twoq:
-            tab = tab.then(_tableau_for(GATE_UNITARIES[label], label).embed(n, qubits))
-        c_pauli = tab.conjugate(d_pauli).hermitian()
+            codes, _ = gate_conjugation_table(label)
+            local = 0
+            for j, q in enumerate(qubits):
+                local |= d_codes[q] << (2 * j)
+            image = int(codes[local])
+            for j, q in enumerate(qubits):
+                c_codes[q] = (image >> (2 * j)) & 3
         # D composed after layer i's 1q gates; C composed before layer i+1's
-        oneq_layers[i] = list(_compose_1q_with_pauli(tuple(oneq_layers[i]), d_pauli, n, before=False))
-        oneq_layers[i + 1] = list(_compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_pauli, n, before=True))
+        oneq_layers[i] = list(_compose_1q_with_pauli(tuple(oneq_layers[i]), d_codes, n, before=False))
+        oneq_layers[i + 1] = list(_compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_codes, n, before=True))
     return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
 
 
-def _compose_1q_with_pauli(layer, pauli: PauliString, n, before: bool):
-    group = enumerate_clifford_group(1)
-    idx = _group_index(1)
-    by_qubit = {qs[0]: lbl for lbl, qs in layer}
+def _compose_1q_with_pauli(layer, pauli_codes, n, before: bool):
+    """Full-width c1 layer of ``layer`` with the Pauli (per-qubit letter
+    codes) applied before or after it."""
+    tables = clifford_1q_tables()
+    per_qubit = [tables.identity] * n
+    for lbl, (q,) in layer:
+        per_qubit[q] = _oneq_index(lbl)
     out = []
     for q in range(n):
-        lbl = by_qubit.get(q, clifford_label(1, _identity_index()))
-        base = group[int(lbl.split("_")[1])].tableau if lbl.startswith("c1_") else gate_tableau(lbl)
-        letter = pauli.letter(q)
-        ptab = gate_tableau(letter) if letter != "I" else None
-        if ptab is None:
-            tab = base
-        else:
-            tab = ptab.then(base) if before else base.then(ptab)
-        out.append((clifford_label(1, idx[tab.key()]), (q,)))
+        p = tables.gate_index[_LETTER_OF_CODE[pauli_codes[q]]]
+        idx = tables.compose[p, per_qubit[q]] if before else tables.compose[per_qubit[q], p]
+        out.append((clifford_label(1, idx), (q,)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _identity_index() -> int:
-    return _group_index(1)[CliffordTableau.identity(1).key()]
+    return clifford_1q_tables().identity
 
 
 def adjusted_success_probability(counts: dict, target: str, n: int) -> float:

@@ -165,6 +165,19 @@ def test_fastpath_confusion():
     assert rec.counts["1"] / rec.shots == pytest.approx(0.95, abs=0.005)
 
 
+def test_fastpath_signs_rejects_asymmetric_confusion():
+    circ = Circuit(2, ((("X", (0,)),),))
+    z0 = PauliString.from_label("ZI")
+    asym = [[0.99, 0.05], [0.01, 0.95]]
+    with pytest.raises(ValueError, match="sample_counts"):
+        dv.pauli_fastpath_signs(dv.ideal_model(2).with_confusion({0: asym}), circ, z0, 100, seed=1, ideal_sign=-1)
+    # an unmeasured qubit's readout does not enter the parity
+    dv.pauli_fastpath_signs(dv.ideal_model(2).with_confusion({1: asym}), circ, z0, 100, seed=1, ideal_sign=-1)
+    sym = dv.ideal_model(2).with_confusion({0: [[0.97, 0.03], [0.03, 0.97]]})
+    signs = dv.pauli_fastpath_signs(sym, circ, z0, 100000, seed=1, ideal_sign=-1)
+    assert signs.mean() == pytest.approx(-0.94, abs=0.01)
+
+
 def test_propagate_pauli_signs():
     model = dv.ideal_model(2)
     circ = Circuit(2, ((("CNOT", (0, 1)),),))
