@@ -241,7 +241,14 @@ def gate_tableau(name: str) -> CliffordTableau:
 
 
 # 2-bit letter codes ``x << 1 | z`` of the base-4 Pauli digits I, X, Y, Z
-PAULI_DIGIT_CODES = (0, 2, 3, 1)
+_PAULI_DIGIT_CODES = (0, 2, 3, 1)
+
+
+def pauli_codes(index: int, n: int) -> list:
+    """Per-qubit letter codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3) of the
+    n-qubit Pauli with base-4 index ``index``; qubit 0 is the most
+    significant digit, as in :meth:`PauliString.from_index`."""
+    return [_PAULI_DIGIT_CODES[(index >> (2 * (n - 1 - q))) & 3] for q in range(n)]
 
 
 def conjugation_table(tab: CliffordTableau):
@@ -275,6 +282,23 @@ def conjugation_table(tab: CliffordTableau):
 def gate_conjugation_table(name: str):
     """:func:`conjugation_table` of a builtin gate; unknown names raise KeyError."""
     return conjugation_table(gate_tableau(name))
+
+
+@lru_cache(maxsize=None)
+def _image_codes(name: str) -> tuple:
+    images, _ = gate_conjugation_table(name)
+    k = (len(images).bit_length() - 1) // 2
+    return tuple(tuple((int(c) >> (2 * j)) & 3 for j in range(k)) for c in images)
+
+
+def conjugate_codes(name: str, codes) -> tuple:
+    """Per-qubit letter codes of the image, up to sign, of the local Pauli
+    with letter codes ``codes`` (one per qubit of the support) under the
+    builtin gate ``name``."""
+    local = 0
+    for j, c in enumerate(codes):
+        local |= c << (2 * j)
+    return _image_codes(name)[local]
 
 
 def tableau_run(layers, p: PauliString) -> PauliString:
@@ -349,12 +373,14 @@ class OneQubitTables:
 
     ``compose[a, b]`` is the element "apply a, then b", ``inverse[a]`` the
     inverse of a, ``gate_index`` maps each builtin single-qubit gate name to
-    its element and ``identity`` is the identity's index.
+    its element, ``pauli_index[c]`` is the element of the Pauli with letter
+    code c (see :func:`pauli_codes`) and ``identity`` is the identity's index.
     """
 
     compose: np.ndarray
     inverse: np.ndarray
     gate_index: dict
+    pauli_index: tuple
     identity: int
 
 
@@ -368,8 +394,9 @@ def clifford_1q_tables() -> OneQubitTables:
     gate_index = {
         name: index[gate_tableau(name).key()] for name, u in GATE_UNITARIES.items() if u.shape == (2, 2)
     }
+    pauli_index = tuple(gate_index[letter] for letter in "IZXY")
     compose.flags.writeable = inverse.flags.writeable = False  # shared by every caller
-    return OneQubitTables(compose, inverse, gate_index, index[CliffordTableau.identity(1).key()])
+    return OneQubitTables(compose, inverse, gate_index, pauli_index, index[CliffordTableau.identity(1).key()])
 
 
 # The three-element axis-cycling set used in the standard 2-qubit

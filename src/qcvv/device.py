@@ -30,12 +30,12 @@ import numpy as np
 from .channels import Channel
 from .cliffords import (
     GATE_UNITARIES,
-    PAULI_DIGIT_CODES,
     CliffordTableau,
     clifford_gate_factory,
     conjugation_table,
     gate_conjugation_table,
     gate_tableau,
+    pauli_codes,
     tableau_from_unitary,
 )
 from .linalg import child_seeds, kron_all, rng
@@ -476,11 +476,14 @@ class _FastPathProgram:
     """Compiled circuit: per layer, the gate groups of :func:`_compile_gates`
     and the layer's noisy operations (gate errors in gate order, then idle
     qubits in qubit order) grouped by arity k as ``(rows, qubits, cdfs,
-    faults, offsets)``: each operation's row in the layer's random draw, the
-    (g, k) supports, the (4**k - 1, 1, g) cumulative fault probabilities
-    without the last entry, the flat fault letter codes of the circuit's
-    distinct k-qubit distributions and each operation's offset into them.
-    Faults are drawn from each gate's *error* channel."""
+    bases, top, faults, offsets)``: each operation's row in the layer's
+    random draw; the (g, k) supports; the cumulative fault probabilities,
+    without the last entry, of the circuit's distinct k-qubit distributions
+    laid end to end, and each operation's offset into them less one; the
+    (3, 1, g) entries that the first level of the fault search compares (see
+    :func:`_inject_faults`); the distributions' fault letter codes laid end
+    to end, and each operation's offset into them.  Faults are drawn from
+    each gate's *error* channel."""
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
         if circuit.width != model.n:
@@ -517,16 +520,23 @@ class _FastPathProgram:
                 ops.extend(((q,), idle_dist) for q in range(model.n) if q not in busy)
             layers.append(ops)
         spans, arrays, items = _pack(layers)
-        cdfs = {k: np.array([cdf[:-1] for cdf, _ in items[k]]).T for k in items}
-        faults = {k: np.concatenate([codes for _, codes in items[k]]) for k in items}
+        per_arity = {}
+        for k, (supports, slots, rows) in arrays.items():
+            cdfs = np.concatenate([cdf[:-1] for cdf, _ in items[k]])
+            bases = slots * (4**k - 1) - 1
+            top = cdfs[bases + _DIGITS * 4 ** (k - 1)]
+            faults = np.concatenate([codes for _, codes in items[k]])
+            per_arity[k] = (rows, supports, cdfs, bases, top, faults, slots * 4**k)
         self.noise = []
         for ops, layer_spans in zip(layers, spans):
             groups = []
             for k, a, b in layer_spans:
-                supports, slots, rows = arrays[k]
-                slots = slots[a:b]
-                groups.append((rows[a:b], supports[a:b], cdfs[k][:, None, slots], faults[k], slots * 4**k))
+                rows, supports, cdfs, bases, top, faults, offsets = per_arity[k]
+                groups.append((rows[a:b], supports[a:b], cdfs, bases[a:b], top[..., a:b], faults, offsets[a:b]))
             self.noise.append((len(ops), groups))
+
+
+_DIGITS = np.arange(1, 4).reshape(3, 1, 1)
 
 
 def _inject_faults(frame: np.ndarray, noise, gen):
@@ -536,19 +546,22 @@ def _inject_faults(frame: np.ndarray, noise, gen):
     ``gen.random(shots)`` call per operation in order would.  A fault's
     index is the number of cdf entries but the last at or below its draw,
     which equals ``min(searchsorted(cdf, draw, side="right"), len(cdf) - 1)``.
+    A k-qubit distribution has 4**k - 1 such entries, searched in k base-4
+    levels: each level counts how many of three entries, a quarter of the
+    remaining range apart, lie at or below the draw.  Operations with
+    different distributions share every step, an operation costs O(k) at any
+    arity, and the search holds O(ops * shots) memory.
     """
     n_ops, groups = noise
     if not n_ops:
         return
     draws = gen.random((n_ops, frame.shape[0]))
-    for rows, qubits, cdfs, faults, offsets in groups:
+    for rows, qubits, cdfs, bases, top, faults, offsets in groups:
         draw = draws[rows].T
-        if cdfs.shape[0] <= 15:
-            # one- and two-qubit faults: compare every draw with every entry
-            idx = (draw >= cdfs).sum(axis=0)
-        else:
-            # wider faults: 4**k entries per draw would not fit; search per operation
-            idx = np.stack([np.searchsorted(c, d, side="right") for c, d in zip(cdfs[:, 0].T, draw.T)], axis=1)
+        idx = (top <= draw).sum(axis=0)
+        for level in range(qubits.shape[1] - 2, -1, -1):
+            idx *= 4
+            idx += (cdfs[bases + (idx + _DIGITS) * 4**level] <= draw).sum(axis=0)
         codes = faults[idx + offsets]
         for i in range(qubits.shape[1]):
             frame[:, qubits[:, i]] ^= (codes >> (2 * i)) & 3
@@ -585,10 +598,11 @@ def _paulis_of(frame: np.ndarray, phase: np.ndarray):
     return out
 
 
-def _propagate_paulis(model: GateSetModel, circuit: Circuit, paulis):
-    frame = _frame_of(paulis, model.n)
+def _propagate_paulis(gates, n: int, paulis):
+    """Images, with phases, of ``paulis`` under the compiled gate layers."""
+    frame = _frame_of(paulis, n)
     phase = np.array([p.phase for p in paulis], dtype=np.int64)
-    for groups in _compile_gates(model, circuit):
+    for groups in gates:
         _apply_gate_layer(frame, groups, phase)
     return _paulis_of(frame, phase)
 
@@ -600,8 +614,12 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     Z_q; the outcome is definite iff every image is Z-type, and the bits
     follow by solving for each +-Z_q in the group over GF(2).
     """
-    n = model.n
-    imgs = _propagate_paulis(model, circuit, [PauliString(n, 0, 1 << q, 0) for q in range(n)])
+    return _ideal_bits(_compile_gates(model, circuit), model.n)
+
+
+def _ideal_bits(gates, n: int):
+    """:func:`ideal_outcome_bits` of the compiled gate layers of an n-qubit circuit."""
+    imgs = _propagate_paulis(gates, n, [PauliString(n, 0, 1 << q, 0) for q in range(n)])
     if any(img.xbits for img in imgs):
         return None
     bits = np.zeros(n, dtype=np.uint8)
@@ -643,7 +661,7 @@ def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> Pa
     Cost is O(depth * gates); uses per-gate lookup tables, so it stays cheap
     at large width.
     """
-    return _propagate_paulis(model, circuit, [p])[0]
+    return _propagate_paulis(_compile_gates(model, circuit), model.n, [p])[0]
 
 
 _TAB_CACHE = {}
@@ -674,13 +692,10 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
         return None
     k = (probs.size.bit_length() - 1) // 2
     codes = np.zeros(probs.size, dtype=np.uint16)
-    # base-4 index, leftmost qubit most significant; qubit i of the local
-    # support sits in bits 2i+1, 2i of the code
+    # qubit i of the local support sits in bits 2i+1, 2i of the code
     for idx in range(probs.size):
-        rem = idx
-        for i in range(k - 1, -1, -1):
-            codes[idx] |= PAULI_DIGIT_CODES[rem % 4] << (2 * i)
-            rem //= 4
+        for i, c in enumerate(pauli_codes(idx, k)):
+            codes[idx] |= c << (2 * i)
     return np.cumsum(probs), codes
 
 
@@ -713,7 +728,7 @@ def pauli_fastpath_sample(
     if shots <= 0:
         raise ValueError("shots must be positive")
     program = _FastPathProgram(model, circuit)
-    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else ideal_outcome_bits(model, circuit)
+    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else _ideal_bits(program.gates, model.n)
     if bits0 is None:
         raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
     gen = rng(seed)

@@ -18,16 +18,16 @@ import scipy.stats
 
 from .cliffords import (
     INVERSE_LABEL,
-    PAULI_DIGIT_CODES,
     CliffordTableau,
     clifford_1q_tables,
     clifford_gate_factory,
     clifford_label,
+    conjugate_codes,
     eigenprep_gate,
     enumerate_clifford_group,
-    gate_conjugation_table,
     gate_tableau,
     measurement_rotation_gate,
+    pauli_codes,
 )
 from .device import (
     Circuit,
@@ -671,10 +671,6 @@ def _compose_1q_layers(first, second, n):
     return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
 
 
-# Pauli letter of each 2-bit code x << 1 | z
-_LETTER_OF_CODE = ("I", "Z", "X", "Y")
-
-
 def _randomized_compile(oneq_layers, twoq_layers, n, gen, which_layers=None):
     """Dress 2q sublayers E as C E D with D a random Pauli layer and
     C = E D E^dag; C and D are compiled into the neighboring 1q layers so
@@ -688,33 +684,27 @@ def _randomized_compile(oneq_layers, twoq_layers, n, gen, which_layers=None):
     for i, twoq in enumerate(twoq_layers):
         if i not in targets:
             continue
-        k = int(gen.integers(4**n))
-        d_codes = [PAULI_DIGIT_CODES[(k >> (2 * (n - 1 - q))) & 3] for q in range(n)]
+        d_codes = pauli_codes(int(gen.integers(4**n)), n)
         c_codes = list(d_codes)
         for label, qubits in twoq:
-            codes, _ = gate_conjugation_table(label)
-            local = 0
-            for j, q in enumerate(qubits):
-                local |= d_codes[q] << (2 * j)
-            image = int(codes[local])
-            for j, q in enumerate(qubits):
-                c_codes[q] = (image >> (2 * j)) & 3
+            for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
+                c_codes[q] = c
         # D composed after layer i's 1q gates; C composed before layer i+1's
         oneq_layers[i] = list(_compose_1q_with_pauli(tuple(oneq_layers[i]), d_codes, n, before=False))
         oneq_layers[i + 1] = list(_compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_codes, n, before=True))
     return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
 
 
-def _compose_1q_with_pauli(layer, pauli_codes, n, before: bool):
+def _compose_1q_with_pauli(layer, codes, n, before: bool):
     """Full-width c1 layer of ``layer`` with the Pauli (per-qubit letter
-    codes) applied before or after it."""
+    codes, see :func:`pauli_codes`) applied before or after it."""
     tables = clifford_1q_tables()
     per_qubit = [tables.identity] * n
     for lbl, (q,) in layer:
         per_qubit[q] = _oneq_index(lbl)
     out = []
     for q in range(n):
-        p = tables.gate_index[_LETTER_OF_CODE[pauli_codes[q]]]
+        p = tables.pauli_index[codes[q]]
         idx = tables.compose[p, per_qubit[q]] if before else tables.compose[per_qubit[q], p]
         out.append((clifford_label(1, idx), (q,)))
     return tuple(out)

@@ -12,6 +12,7 @@ from qcvv.cliffords import (
     clifford_1q_tables,
     clifford_group_1q,
     gate_tableau,
+    pauli_codes,
     tableau_run,
 )
 from qcvv.device import Circuit
@@ -51,6 +52,18 @@ def test_every_builtin_oneq_name_indexed():
     assert sorted(tables.gate_index) == ONEQ_NAMES
     for name in ONEQ_NAMES:
         assert tabs[tables.gate_index[name]].key() == gate_tableau(name).key()
+
+
+def test_pauli_codes_and_index_match_pauli_strings():
+    tables = clifford_1q_tables()
+    tabs = [e.tableau for e in clifford_group_1q()]
+    n = 3
+    for idx in range(4**n):
+        p = PauliString.from_index(idx, n)
+        codes = pauli_codes(idx, n)
+        assert codes == [((p.xbits >> q) & 1) << 1 | ((p.zbits >> q) & 1) for q in range(n)]
+        for q, c in enumerate(codes):
+            assert tabs[tables.pauli_index[c]].key() == gate_tableau(p.letter(q)).key()
 
 
 def _reference_c_letters(d_index, n, twoq):
