@@ -128,14 +128,6 @@ def choi_to_kraus(choi: np.ndarray, tol: float = 1e-9):
     return kraus
 
 
-def kraus_to_chi(kraus) -> np.ndarray:
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    d = ks[0].shape[0]
-    paulis = pauli_matrices(d.bit_length() - 1)
-    coeffs = np.array([[np.trace(p.conj().T @ k) / d for p in paulis] for k in ks])
-    return coeffs.T @ coeffs.conj()
-
-
 def choi_chi_overlap(choi: np.ndarray) -> np.ndarray:
     """Evaluate ``(1/d) <phi_i|C|phi_j>`` over the entangled Pauli basis.
 

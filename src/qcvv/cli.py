@@ -87,7 +87,6 @@ def build_model(cfg, pointer="/model") -> device.GateSetModel:
         noise_rule if compiled else (lambda l, a: None),
         confusion=confusion or None,
         idle=idle,
-        gate_factory=rb.clifford_gate_factory,
     )
 
 

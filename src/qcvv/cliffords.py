@@ -423,7 +423,6 @@ def _compose_2q(parts):
     u = np.eye(4, dtype=complex)
     word = ()
     for elem, qubits in parts:
-        local_tab = elem.tableau if elem.n == 2 else elem.tableau
         if elem.n == 1:
             tab = tab.then(elem.tableau.embed(2, qubits))
             full = [np.eye(2, dtype=complex)] * 2
@@ -431,7 +430,7 @@ def _compose_2q(parts):
             u = kron_all(full) @ u
             word = word + tuple((name, (qubits[0],)) for name, _ in elem.word)
         else:
-            tab = tab.then(local_tab)
+            tab = tab.then(elem.tableau)
             u = elem.unitary @ u
             word = word + elem.word
     return CliffordElement(tab, u, word)

@@ -21,7 +21,7 @@ from .cliffords import (
     eigenprep_gate,
     measurement_rotation_gate,
 )
-from .device import Circuit, pauli_fastpath_signs, sample_counts, _tableau_for
+from .device import Circuit, pauli_fastpath_signs, sample_counts
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 
@@ -189,7 +189,7 @@ def cycle_order(cycle_tableau: CliffordTableau, max_order: int = 24) -> int:
 def cycle_tableau(model, cycle_layer, gate_defs=None) -> CliffordTableau:
     tab = CliffordTableau.identity(model.n)
     for label, qubits in cycle_layer:
-        tab = tab.then(_tableau_for(model.ideal_unitary(label, gate_defs), label).embed(model.n, qubits))
+        tab = tab.then(model.record(label, len(qubits), gate_defs).tableau.embed(model.n, qubits))
     return tab
 
 

@@ -10,11 +10,16 @@ Three backends cover complementary regimes:
   propagation through Clifford circuits for models whose noise is
   stochastic-Pauli, vectorized over shots (tens of qubits).
 
-Noise attaches to gate labels: a model resolves each label to a noisy
-channel, composed as post-gate error by default (``G = E Gbar``), pre-gate
-behind a flag.  Idle qubits in a layer receive the model's explicit idle
-channel (default: identity).  Barriers between layers are hard; nothing is
-ever compiled across them.
+Noise attaches to gate labels: a model resolves each label into one
+:class:`GateRecord` (ideal unitary, noisy channel, error channel), which all
+three backends read.  Labels resolve in one order: the model's explicit
+``gates``, its ``gate_factory``, the circuit's ``gate_defs``, the builtin
+names.  The error channel of a gate outside ``gates`` is the model's
+``noise_rule`` channel itself, composed as post-gate error by default
+(``G = E Gbar``), pre-gate behind a flag; an explicit gate's is derived from
+its channel and ideal unitary.  Idle qubits in a layer receive the model's
+explicit idle channel (default: identity).  Barriers between layers are hard;
+nothing is ever compiled across them.
 
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
@@ -24,17 +29,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, identity_channel
 from .cliffords import (
     GATE_UNITARIES,
     CliffordTableau,
     clifford_gate_factory,
     conjugation_table,
-    gate_conjugation_table,
-    gate_tableau,
     pauli_codes,
     tableau_from_unitary,
 )
@@ -118,15 +122,80 @@ class ShotRecord:
         return cls(**json.loads(text))
 
 
+class GateRecord:
+    """One gate label resolved under a model.
+
+    ``ideal`` is the target unitary and ``error`` the error channel relative
+    to it: ``noisy = error ideal`` (``ideal error`` with pre-gate noise).  An
+    explicit gate supplies ``noisy`` and derives ``error``; any other gate
+    takes ``error`` from the noise rule (identity when the rule gives None).
+    Every field past ``ideal`` is built on first use, so the statevector
+    backend builds no channel and the dense backend no ``tableau``,
+    ``conjugation`` or ``faults``.
+    """
+
+    def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool):
+        self.label = label
+        self.arity = arity
+        self._ideal = ideal
+        self._explicit = explicit
+        self._noise_rule = noise_rule
+        self._pre = pre_gate_noise
+
+    @property
+    def ideal(self) -> np.ndarray:
+        if self._ideal is None:
+            raise KeyError(f"gate {self.label!r} has no known unitary")
+        return self._ideal
+
+    @cached_property
+    def _noise(self) -> Channel:
+        return self._noise_rule(self.label, self.arity) if self._noise_rule else None
+
+    @cached_property
+    def noisy(self) -> Channel:
+        if self._explicit is not None:
+            return self._explicit
+        ideal = Channel.from_unitary(self.ideal)
+        if self._noise is None:
+            return ideal
+        return ideal.compose(self._noise) if self._pre else self._noise.compose(ideal)
+
+    @cached_property
+    def error(self) -> Channel:
+        if self._explicit is None:
+            return identity_channel(self.arity) if self._noise is None else self._noise
+        ideal = Channel.from_unitary(self.ideal).ptm
+        noisy = self._explicit.ptm
+        return Channel(ideal.T @ noisy if self._pre else noisy @ ideal.T)
+
+    @cached_property
+    def tableau(self) -> CliffordTableau:
+        return tableau_from_unitary(self.ideal)
+
+    @cached_property
+    def conjugation(self):
+        return conjugation_table(self.tableau)
+
+    @cached_property
+    def faults(self):
+        return _noise_dist(self.error.ptm, self.label)
+
+
 class GateSetModel:
     """Native preparation, labeled gate channels, POVM, optional confusion.
 
-    ``gates`` maps label -> (Channel, arity) for explicitly modeled gates.
-    Labels absent from the dict resolve through ``gate_factory`` (default:
-    the enumerated-Clifford ``c1_<i>``/``c2_<i>`` factory), then a circuit's
-    inline ``gate_defs``, then the builtin Clifford names; in the fallback
-    cases ``noise_rule(label, arity)`` supplies the error channel attached
-    to the ideal unitary.
+    Each label resolves into one :class:`GateRecord`, through one order:
+    ``gates`` (label -> (Channel, arity), explicitly modeled gates), then
+    ``gate_factory`` (label -> unitary or None; default: the
+    enumerated-Clifford ``c1_<i>``/``c2_<i>`` factory), then a circuit's
+    inline ``gate_defs``, then the builtin Clifford names.  The model keeps
+    each record, except for labels that the circuit's ``gate_defs`` name,
+    which are resolved afresh.  Outside ``gates`` the error channel is
+    ``noise_rule(label, arity)`` itself (identity when it returns None),
+    attached to the ideal unitary.  An explicit gate's ideal unitary is its
+    channel's ``unitary`` or, failing that, the one the rest of the order
+    gives; its error channel is derived as noisy * ideal^-1.
     """
 
     def __init__(
@@ -147,7 +216,7 @@ class GateSetModel:
         self.confusion = {}
         self.idle = idle
         self.pre_gate_noise = pre_gate_noise
-        self._resolved = {}
+        self._records = {}
         self._prep = None if preparation is None else np.asarray(preparation, dtype=float).reshape(-1)
         self._effect_transform = None
         for q, c in (confusion or {}).items():
@@ -157,61 +226,54 @@ class GateSetModel:
             self.confusion[int(q)] = c
 
     # -- resolution --------------------------------------------------------
-    def _attach_noise(self, ideal: Channel, label: str, arity: int) -> Channel:
-        noise = self.noise_rule(label, arity) if self.noise_rule else None
-        if noise is None:
-            return ideal
-        return ideal.compose(noise) if self.pre_gate_noise else noise.compose(ideal)
+    def record(self, label: str, arity: int = None, gate_defs: dict = None) -> GateRecord:
+        """The label's :class:`GateRecord`, checked against ``arity`` when given."""
+        adhoc = bool(gate_defs) and label in gate_defs
+        rec = None if adhoc else self._records.get(label)
+        if rec is None:
+            rec = self._build(label, gate_defs)
+            if not adhoc:
+                self._records[label] = rec
+        if arity is not None and arity != rec.arity:
+            raise ValueError(f"gate {label!r} acts on {rec.arity} qubits, used on {arity}")
+        return rec
+
+    def _unitary(self, label: str, gate_defs):
+        """The label's unitary from ``gate_factory``, ``gate_defs`` or the
+        builtin names, in that order, or None."""
+        u = self.gate_factory(label) if self.gate_factory else None
+        if u is None and gate_defs and label in gate_defs:
+            u = gate_defs[label]
+        return GATE_UNITARIES.get(label) if u is None else u
+
+    def _build(self, label: str, gate_defs) -> GateRecord:
+        explicit = None
+        if label in self.gates:
+            explicit, arity = self.gates[label]
+            if explicit.dim != 2**arity:
+                raise ValueError(f"gate {label!r} dimension does not match its support")
+            u = self._unitary(label, gate_defs) if explicit.unitary is None else explicit.unitary
+        else:
+            u = self._unitary(label, gate_defs)
+            if u is None:
+                raise KeyError(f"unknown gate label {label!r}")
+            arity = len(u).bit_length() - 1
+        u = None if u is None else np.asarray(u, dtype=complex)
+        return GateRecord(label, arity, u, explicit, self.noise_rule, self.pre_gate_noise)
+
+    @cached_property
+    def _idle_faults(self):
+        return None if self.idle is None else _noise_dist(self.idle.ptm, "idle")
 
     def resolve(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
-        key = (label, arity)
-        if key in self._resolved:
-            return self._resolved[key]
-        adhoc = False
-        if label in self.gates:
-            ch, ar = self.gates[label]
-            if ar != arity:
-                raise ValueError(f"gate {label!r} has arity {ar}, used on {arity} qubits")
-        else:
-            made = self.gate_factory(label) if self.gate_factory else None
-            if made is not None:
-                ch = made if isinstance(made, Channel) else Channel.from_unitary(made)
-                ch = self._attach_noise(ch, label, arity)
-            elif gate_defs and label in gate_defs:
-                ch = self._attach_noise(Channel.from_unitary(gate_defs[label]), label, arity)
-                adhoc = True
-            elif label in GATE_UNITARIES:
-                ch = self._attach_noise(Channel.from_unitary(GATE_UNITARIES[label]), label, arity)
-            else:
-                raise KeyError(f"unknown gate label {label!r}")
-        if ch.dim != 2**arity:
-            raise ValueError(f"gate {label!r} dimension does not match its support")
-        if not adhoc:
-            self._resolved[key] = ch
-        return ch
+        return self.record(label, arity, gate_defs).noisy
 
     def ideal_unitary(self, label: str, gate_defs: dict = None) -> np.ndarray:
-        if gate_defs and label in gate_defs:
-            return np.asarray(gate_defs[label], dtype=complex)
-        if label in self.gates and self.gates[label][0].unitary is not None:
-            return self.gates[label][0].unitary
-        if label in GATE_UNITARIES:
-            return GATE_UNITARIES[label]
-        if self.gate_factory is not None:
-            made = self.gate_factory(label)
-            if made is not None:
-                u = made.unitary if isinstance(made, Channel) else np.asarray(made, dtype=complex)
-                if u is not None:
-                    return u
-        raise KeyError(f"gate {label!r} has no known unitary")
+        return self.record(label, None, gate_defs).ideal
 
     def error_channel(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
         """The gate's error channel relative to its ideal unitary."""
-        noisy = self.resolve(label, arity, gate_defs)
-        ideal_ptm = Channel.from_unitary(self.ideal_unitary(label, gate_defs)).ptm
-        if self.pre_gate_noise:
-            return Channel(ideal_ptm.T @ noisy.ptm)
-        return Channel(noisy.ptm @ ideal_ptm.T)
+        return self.record(label, arity, gate_defs).error
 
     # -- variants ----------------------------------------------------------
     def replace(self, **kwargs) -> "GateSetModel":
@@ -358,18 +420,13 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
     n = circuit.width
     if n > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"statevector backend capped at width {STATEVECTOR_WIDTH_CAP}")
+    if model is None:
+        model = GateSetModel(n)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     for layer in circuit.layers:
         for label, qubits in layer:
-            if model is not None:
-                u = model.ideal_unitary(label, circuit.gate_defs)
-            elif label in circuit.gate_defs:
-                u = np.asarray(circuit.gate_defs[label], dtype=complex)
-            elif label in GATE_UNITARIES:
-                u = GATE_UNITARIES[label]
-            else:
-                raise KeyError(f"unknown gate label {label!r}")
+            u = model.record(label, len(qubits), circuit.gate_defs).ideal
             k = len(qubits)
             op = u.reshape((2,) * (2 * k))
             psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), list(qubits)))
@@ -427,22 +484,29 @@ def _pack(layers):
     return spans, arrays, items
 
 
-def _compile_gates(model: GateSetModel, circuit: Circuit):
-    """Per layer, the gates grouped by arity k as ``(qubits, offsets, codes,
-    phases)``: the (g, k) supports, each gate's offset into the flat image-code
-    and phase-exponent tables of the circuit's distinct k-qubit gates, and
-    those tables.  Each distinct label's table is looked up once."""
-    tables = {}
+def _gate_layers(model: GateSetModel, circuit: Circuit):
+    """Per layer, ``(qubits, record)`` for each gate, with one
+    :class:`GateRecord` per distinct label of the circuit."""
+    records = {}
     layers = []
     for layer in circuit.layers:
         ops = []
         for label, qubits in layer:
             key = (label, len(qubits))
-            if key not in tables:
-                tables[key] = _conj_table(model, label, qubits, circuit.gate_defs)
-            ops.append((qubits, tables[key]))
+            rec = records.get(key)
+            if rec is None:
+                rec = records[key] = model.record(label, len(qubits), circuit.gate_defs)
+            ops.append((qubits, rec))
         layers.append(ops)
-    spans, arrays, items = _pack(layers)
+    return layers
+
+
+def _compile_gates(gate_layers):
+    """Per layer of :func:`_gate_layers`, the gates grouped by arity k as
+    ``(qubits, offsets, codes, phases)``: the (g, k) supports, each gate's
+    offset into the flat image-code and phase-exponent tables of the
+    circuit's distinct k-qubit gates, and those tables."""
+    spans, arrays, items = _pack([[(qubits, rec.conjugation) for qubits, rec in ops] for ops in gate_layers])
     flat = {
         k: (
             supports,
@@ -490,34 +554,15 @@ class _FastPathProgram:
             raise ValueError("circuit width does not match the model")
         self.n = model.n
         self.pre_gate_noise = model.pre_gate_noise
-        self.gates = _compile_gates(model, circuit)
-        if not hasattr(model, "_noise_dist_cache"):
-            model._noise_dist_cache = {}
-        cache = model._noise_dist_cache
-        idle_dist = None
-        if model.idle is not None:
-            if "idle" not in cache:
-                cache["idle"] = _noise_dist(model.idle.ptm, "idle")
-            idle_dist = cache["idle"]
+        gate_layers = _gate_layers(model, circuit)
+        self.gates = _compile_gates(gate_layers)
+        idle = model._idle_faults
         layers = []
-        for layer in circuit.layers:
-            ops = []
-            busy = set()
-            for label, qubits in layer:
-                key = (label, len(qubits))
-                adhoc = label in circuit.gate_defs
-                if adhoc or key not in cache:
-                    err = model.error_channel(label, len(qubits), circuit.gate_defs)
-                    dist = _noise_dist(err.ptm, label)
-                    if not adhoc:
-                        cache[key] = dist
-                else:
-                    dist = cache[key]
-                if dist is not None:
-                    ops.append((qubits, dist))
-                busy.update(qubits)
-            if idle_dist is not None:
-                ops.extend(((q,), idle_dist) for q in range(model.n) if q not in busy)
+        for gates in gate_layers:
+            ops = [(qubits, rec.faults) for qubits, rec in gates if rec.faults is not None]
+            if idle is not None:
+                busy = {q for qubits, _ in gates for q in qubits}
+                ops.extend(((q,), idle) for q in range(model.n) if q not in busy)
             layers.append(ops)
         spans, arrays, items = _pack(layers)
         per_arity = {}
@@ -614,7 +659,7 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     Z_q; the outcome is definite iff every image is Z-type, and the bits
     follow by solving for each +-Z_q in the group over GF(2).
     """
-    return _ideal_bits(_compile_gates(model, circuit), model.n)
+    return _ideal_bits(_compile_gates(_gate_layers(model, circuit)), model.n)
 
 
 def _ideal_bits(gates, n: int):
@@ -661,19 +706,7 @@ def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> Pa
     Cost is O(depth * gates); uses per-gate lookup tables, so it stays cheap
     at large width.
     """
-    return _propagate_paulis(_compile_gates(model, circuit), model.n, [p])[0]
-
-
-_TAB_CACHE = {}
-
-
-def _tableau_for(u: np.ndarray, label: str) -> CliffordTableau:
-    if label in GATE_UNITARIES:
-        return gate_tableau(label)
-    key = (label, u.tobytes())
-    if key not in _TAB_CACHE:
-        _TAB_CACHE[key] = tableau_from_unitary(u)
-    return _TAB_CACHE[key]
+    return _propagate_paulis(_compile_gates(_gate_layers(model, circuit)), model.n, [p])[0]
 
 
 def _noise_dist(err_ptm: np.ndarray, label: str):
@@ -697,20 +730,6 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
         for i, c in enumerate(pauli_codes(idx, k)):
             codes[idx] |= c << (2 * i)
     return np.cumsum(probs), codes
-
-
-_CONJ_CACHE = {}
-
-
-def _conj_table(model: GateSetModel, label: str, qubits, gate_defs):
-    """(image codes, phase exponents) of local-Pauli conjugation by a gate."""
-    if label in GATE_UNITARIES:
-        return gate_conjugation_table(label)
-    u = model.ideal_unitary(label, gate_defs)
-    key = (label, len(qubits), u.tobytes())
-    if key not in _CONJ_CACHE:
-        _CONJ_CACHE[key] = conjugation_table(tableau_from_unitary(u))
-    return _CONJ_CACHE[key]
 
 
 def pauli_fastpath_sample(

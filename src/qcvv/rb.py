@@ -36,6 +36,7 @@ from .device import (
     ideal_probabilities,
     pauli_fastpath_sample,
     pauli_fastpath_signs,
+    propagate_pauli,
     sample_counts,
 )
 from .linalg import child_seeds, rng
@@ -586,8 +587,6 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
                 body.append(oneq)
                 body.append(twoq)
             layers.extend(body)
-            from .device import propagate_pauli
-
             current = propagate_pauli(model, Circuit(n, tuple(body)), p)
             sgn = current.sign
             if abs(sgn.imag) > 1e-9:

@@ -508,14 +508,6 @@ class LinearGSTResult:
     gram_condition: float
 
 
-def lgst_circuits(n: int, gate_labels):
-    """The LGST circuit families: fiducial pairs, per-gate sandwiches, and
-    SPAM rows, as layer tuples."""
-    preps = prep_fiducial_circuits(n)
-    meas = meas_setting_circuits(n)
-    return preps, meas
-
-
 def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -> LinearGSTResult:
     """Linear-inversion gate set tomography in the B = identity gauge frame.
 

@@ -136,12 +136,6 @@ def periodic_mirror_circuit(sampler: LayerSampler, germ_layers, depth: int, gen)
     return Circuit(n, tuple(layers))
 
 
-def _identity_layer(n):
-    from .rb import _identity_index, clifford_label
-
-    return tuple((clifford_label(1, _identity_index()), (q,)) for q in range(n))
-
-
 def volumetric_run(
     model_builder,
     family: str,

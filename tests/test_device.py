@@ -264,3 +264,52 @@ def test_randomized_compiling_distribution_invariance_under_pauli_noise():
         dist = dv.circuit_probabilities(model, circ).as_dict()
         vals.append(dist["00"])
     assert vals[0] == pytest.approx(vals[1], abs=1e-12)
+
+
+def _one_gate(label, gate_defs=None):
+    return Circuit(1, (((label, (0,)),),), gate_defs or {})
+
+
+def test_factory_label_in_gate_defs_resolves_alike_on_every_backend():
+    # the factory resolves c1_5 before the circuit's gate_defs, so every
+    # backend runs the enumerated Clifford, not the inline H
+    model = dv.ideal_model(1)
+    circ = _one_gate("c1_5", {"c1_5": dv.GATE_UNITARIES["H"]})
+    dense = dv.circuit_probabilities(model, circ).probs
+    assert np.allclose(dv.ideal_probabilities(circ, model).probs, dense, atol=1e-12)
+    assert np.allclose(dv.ideal_probabilities(circ).probs, dense, atol=1e-12)
+    assert np.array_equal(model.error_channel("c1_5", 1, circ.gate_defs).ptm, np.eye(4))
+    assert dv.pauli_fastpath_sample(model, circ, 100, seed=1).counts == {"1": 100}
+    assert dense[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_explicit_gate_shadows_gate_defs():
+    x = ch.Channel.from_unitary(dv.GATE_UNITARIES["X"])
+    model = GateSetModel(1, gates={"H": (x, 1)})
+    circ = _one_gate("H", {"H": dv.GATE_UNITARIES["H"]})
+    assert np.array_equal(model.ideal_unitary("H", circ.gate_defs), dv.GATE_UNITARIES["X"])
+    assert dv.circuit_probabilities(model, circ).as_dict()["1"] == pytest.approx(1.0, abs=1e-12)
+    assert dv.ideal_probabilities(circ, model).as_dict()["1"] == pytest.approx(1.0, abs=1e-12)
+    assert dv.pauli_fastpath_sample(model, circ, 100, seed=1).counts == {"1": 100}
+
+
+def test_gate_defs_override_builtin_name_after_it_was_resolved():
+    # a builtin name resolved earlier is not reused for a circuit whose
+    # gate_defs define it, and the inline definition is not kept afterwards
+    model = dv.ideal_model(1)
+    plain = _one_gate("H")
+    inline = _one_gate("H", {"H": dv.GATE_UNITARIES["X"]})
+    for circ, p1 in ((plain, 0.5), (inline, 1.0), (plain, 0.5)):
+        assert dv.circuit_probabilities(model, circ).as_dict()["1"] == pytest.approx(p1, abs=1e-12)
+        assert dv.ideal_probabilities(circ, model).as_dict()["1"] == pytest.approx(p1, abs=1e-12)
+
+
+@pytest.mark.parametrize("pre", [False, True])
+def test_rule_error_channel_is_the_rule_channel(pre):
+    def rule(label, arity):
+        return ch.stochastic_pauli((4e-4, 3e-4, 5e-4))
+
+    model = dv.noisy_model(1, rule, pre_gate_noise=pre)
+    expected = rule("c1_0", 1).ptm
+    for i in range(24):
+        assert np.array_equal(model.error_channel(f"c1_{i}", 1).ptm, expected)
