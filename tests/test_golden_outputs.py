@@ -16,6 +16,7 @@ from qcvv import cycles as cy
 from qcvv import device as dv
 from qcvv import fidelity as fd
 from qcvv import rb
+from qcvv import volumetrics as vm
 from qcvv.linalg import rng
 
 
@@ -138,3 +139,164 @@ def test_cycle_benchmark_estimates_with_three_qubit_faults():
     model = dv.GateSetModel(3, gates={"CYC": (c, 3)})
     ds = cy.cycle_benchmark(model, (("CYC", (0, 1, 2)),), ["IYZ", "XIX", "ZZI"], (2, 4), 3, 60, seed=340)
     assert {p: [float(v) for v in d.estimates] for p, d in sorted(ds.decays.items())} == CB_3Q_ESTIMATES
+
+
+# Pins of the dense paths and the remaining protocol call sites, recorded
+# while each protocol still chose its simulator itself; they hold once the
+# protocols reach the simulators through ``device.sample`` and
+# ``device.parity_mean``.
+
+BIRB_N3_DENSE = {0: [1.0, 1.0, 0.6], 2: [0.8, 0.55, 0.75], 4: [0.65, 0.55, 0.6]}
+XRB_N1 = {
+    0: [0.6919540229885058, 1.174712643678161],
+    2: [0.8896551724137933, 1.1149425287356323],
+    4: [1.1333333333333335, 0.8758620689655174],
+}
+SRB_DENSE = {
+    (0,): (
+        {0: [1.0, 1.0, 0.9666666666666667], 2: [0.9666666666666667, 1.0, 0.9666666666666667],
+         6: [0.9333333333333333, 0.9, 0.9666666666666667]},
+        {0: [0.9666666666666667, 1.0, 0.9333333333333333], 2: [1.0, 0.9333333333333333, 0.9666666666666667],
+         6: [1.0, 0.9666666666666667, 0.9]},
+    ),
+    (2,): (
+        {0: [0.9666666666666667, 1.0, 1.0], 2: [0.9333333333333333, 0.9666666666666667, 1.0],
+         6: [0.9666666666666667, 0.9666666666666667, 1.0]},
+        {0: [1.0, 1.0, 1.0], 2: [0.9, 0.9, 0.9666666666666667], 6: [1.0, 0.9333333333333333, 0.9]},
+    ),
+}
+SRB_FAST = {
+    (0,): (
+        {0: [1.0, 0.9666666666666667, 1.0], 2: [0.9666666666666667, 1.0, 0.9666666666666667],
+         6: [0.9666666666666667, 0.9333333333333333, 0.9666666666666667]},
+        {0: [1.0, 1.0, 0.9666666666666667], 2: [1.0, 1.0, 1.0],
+         6: [0.9666666666666667, 0.9333333333333333, 0.9666666666666667]},
+    ),
+    (2,): (
+        {0: [1.0, 1.0, 1.0], 2: [1.0, 0.9666666666666667, 0.9666666666666667],
+         6: [0.9666666666666667, 0.9333333333333333, 0.9666666666666667]},
+        {0: [1.0, 0.9666666666666667, 1.0], 2: [1.0, 0.9666666666666667, 1.0],
+         6: [1.0, 1.0, 0.9333333333333333]},
+    ),
+}
+CB_2Q_DENSE = {
+    "XI": [0.9733333333333333, 0.96],
+    "YX": [0.8266666666666667, 0.8133333333333334],
+    "ZZ": [0.9466666666666667, 0.84],
+}
+ACES_FAST = (
+    [
+        0.989320094346693, 0.98, 0.98, 0.9666564704527002, 0.98, 1.0, 1.0069338233882295,
+        0.9419433086195583, 0.98, 0.96, 0.9615671275491324, 0.94, 0.9691298883396176, 0.88, 0.98,
+        0.9997612115196649, 1.0011136592846694, 1.0001022492043437, 0.9998896083521607,
+        0.9902042056555477, 1.010252024413251,
+    ],
+    [
+        0.024181047167829355, 0.027729677693590127, 0.027729677693590134, 0.025408769717168867,
+        0.027729677693590127, 0.01970563847278602, 0.020046540191285097, 0.029611716206306114,
+        0.02772967769359012, 0.033791544979635456, 0.027391976782909146, 0.03882154877102612,
+        0.027380546560641632, 0.050563909640108325, 0.027729677693590124, 0.012566321171634165,
+        0.006126108088632806, 0.011450196632406574, 0.0048192658319205816, 0.013173638290341717,
+        0.015383611511570796,
+    ],
+)
+ACES_DENSE = (
+    [
+        0.9410034728502934, 0.98, 0.98, 1.0000767916570292, 0.96, 0.9400000000000001,
+        1.0000767916570292, 0.9817276569898069, 0.88, 0.9, 0.9616923986838926, 0.88,
+        1.002373264557921, 0.94, 1.0, 1.0020437097621053, 1.0031490612200011, 0.9962106178055147,
+        0.9997696604061357, 0.9938839879771076, 1.0094179745451204,
+    ],
+    [
+        0.03405423598480161, 0.027729677693590127, 0.027729677693590134, 0.01616903642328061,
+        0.03379154497963547, 0.03882154877102612, 0.016169036423280627, 0.025411087800499194,
+        0.05056390964010832, 0.04705882352941175, 0.02798443053734168, 0.05056390964010833,
+        0.025892803727407463, 0.03882154877102612, 0.019705638472786023, 0.012598192701897973,
+        0.006245524175003575, 0.011426047760911141, 0.00476389911125897, 0.012745734998902972,
+        0.01539627503175475,
+    ],
+)
+DFE_GHZ2_DENSE = (0.8239999999999998, 0.004902021464989396, 4, 500)
+MCFE_N3_DENSE = (
+    0.807290075511361, 0.810301168081496, 0.6285714285714287, 0.6228571428571428, 0.9733333333333333,
+    0.04238968339476649,
+)
+ACCREDIT_N3_DENSE = (3, 0.8421052631578947, 0.9210526315789473)
+PERIODIC_MIRROR_FAST = {
+    (2, 2): [0.904, 0.888, 0.872],
+    (2, 4): [0.84, 0.952, 0.9359999999999999],
+    (3, 2): [0.7561904761904761, 0.8476190476190475, 0.9085714285714284],
+    (3, 4): [0.7561904761904761, 0.817142857142857, 0.8476190476190475],
+}
+
+
+def _cz_target(n, seed):
+    sampler = rb.LayerSampler(n, twoq_density=0.6, twoq_gate="CZ")
+    g = rng(seed)
+    layers = []
+    for _ in range(3):
+        oneq, twoq = sampler.sample(g)
+        layers.extend([oneq, twoq])
+    layers.append(tuple((rb.clifford_label(1, int(g.integers(24))), (q,)) for q in range(n)))
+    return layers
+
+
+def _czd_model():
+    noise = ch.stochastic_pauli({"XI": 0.02, "IZ": 0.01, "YY": 0.01})
+    czn = ch.Channel(noise.ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["CZ"]).ptm)
+    czn.unitary = dv.GATE_UNITARIES["CZ"]
+    return dv.GateSetModel(2, gates={"CZD": (czn, 2)})
+
+
+def test_birb_values_dense_backend_with_asymmetric_readout():
+    model = dv.noisy_model(3, _noise, confusion={1: [[0.95, 0.1], [0.05, 0.9]]})
+    design = rb.RBDesign((0,), (0, 2, 4), 3, 40, seed=350)
+    res = rb.birb(model, design, rb.LayerSampler(3, twoq_density=0.5), backend="dense")
+    assert _values(res["data"]) == BIRB_N3_DENSE
+
+
+def test_xrb_values():
+    design = rb.RBDesign((0,), (0, 2, 4), 2, 30, seed=351)
+    assert _values(rb.xrb(dv.noisy_model(1, _noise), design)["data"]) == XRB_N1
+
+
+def test_simultaneous_rb_values_dense_and_fast():
+    model = dv.noisy_model(3, _noise)
+    design = rb.RBDesign((0,), (0, 2, 6), 3, 30, seed=352)
+    for backend, pinned in (("dense", SRB_DENSE), ("fast", SRB_FAST)):
+        res = rb.simultaneous_rb(model, [(0,), (2,)], design, backend=backend)
+        got = {sub: (_values(r["isolated_data"]), _values(r["simultaneous_data"])) for sub, r in res.items()}
+        assert got == pinned, backend
+
+
+def test_cycle_benchmark_estimates_dense_backend():
+    ds = cy.cycle_benchmark(
+        _czd_model(), (("CZD", (0, 1)),), ["XI", "ZZ", "YX"], (2, 4), 3, 50, seed=353, backend="dense"
+    )
+    assert {p: [float(v) for v in d.estimates] for p, d in ds.decays.items()} == CB_2Q_DENSE
+
+
+def test_aces_estimates_and_stderrs_fast_and_dense():
+    layers = [(("CZD", (0, 1)),), (("X90", (0,)), ("H", (1,)))]
+    for backend, pinned in (("fast", ACES_FAST), ("dense", ACES_DENSE)):
+        res = cy.aces(
+            _czd_model(), layers, n_circuits=4, depth=2, paulis_per_circuit=3, shots=100, seed=354, backend=backend
+        )
+        assert ([float(v) for v in res.estimates], [float(v) for v in res.stderrs]) == pinned, backend
+
+
+def test_dfe_mcfe_accredit_dense_backend():
+    model = dv.noisy_model(2, lambda lbl, ar: ch.depolarizing(0.1, n=ar))
+    res = fd.dfe(model, fd.ghz_circuit(2), fd.ghz_stabilizers(2), epsilon=0.1, delta=0.2, seed=355)
+    assert (res.estimate, res.stderr, res.sampled_bases, res.total_shots) == DFE_GHZ2_DENSE
+    model = dv.noisy_model(3, _noise)
+    res = fd.mcfe(model, _cz_target(3, 356), k_ensemble=4, shots=50, seed=357, backend="dense")
+    assert (res.f, res.f_e, res.gamma_m1, res.gamma_m2, res.gamma_m3, res.stderr) == MCFE_N3_DENSE
+    res = fd.accredit(model, _cz_target(3, 358), theta=0.4, alpha=0.9, seed=359, backend="dense")
+    assert (res.n_unsuccessful, res.f_lower, res.f_upper) == ACCREDIT_N3_DENSE
+
+
+def test_periodic_mirror_volumetric_values_fast_backend():
+    builder = lambda w: dv.noisy_model(w, _noise)  # noqa: E731
+    grid = vm.volumetric_run(builder, "periodic-mirror", (2, 3), (2, 4), 3, 50, seed=360)
+    assert {key: [float(v) for v in cell.values] for key, cell in grid.items()} == PERIODIC_MIRROR_FAST
