@@ -21,7 +21,7 @@ from .cliffords import (
     eigenprep_gate,
     measurement_rotation_gate,
 )
-from .device import Circuit, pauli_fastpath_signs, sample_counts
+from .device import Circuit, parity_mean, propagate_pauli
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 
@@ -222,14 +222,6 @@ def _ztype(p: PauliString) -> PauliString:
     return PauliString(p.n, 0, p.pattern, 0)
 
 
-def _pauli_parity_mean(rec, p: PauliString, n: int) -> float:
-    val = 0.0
-    for bstr, c in rec.counts.items():
-        par = sum(int(bstr[q]) for q in range(n) if (p.zbits >> q) & 1) % 2
-        val += c * (1 - 2 * par)
-    return val / rec.shots
-
-
 def cycle_benchmark(
     model,
     cycle,
@@ -275,8 +267,6 @@ def cycle_benchmark(
                     if dressing:
                         body.append(dressing)
                     body.append(cycle)
-                from .device import propagate_pauli
-
                 current = propagate_pauli(model, Circuit(n, tuple(body)), p)
                 layers = [prep_layer] + body
                 sgn = current.sign
@@ -289,12 +279,7 @@ def cycle_benchmark(
                 measured = _ztype(current)
                 circ = Circuit(n, tuple(layers))
                 sub = int(gen.integers(2**62))
-                if backend == "fast":
-                    vals = pauli_fastpath_signs(model, circ, measured, shots, sub, ideal_sign=sign)
-                    samples.append(sign * vals.mean())
-                else:
-                    rec = sample_counts(model, circ, shots, sub)
-                    samples.append(sign * _pauli_parity_mean(rec, measured, n))
+                samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign))
             arr = np.asarray(samples)
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)
@@ -507,13 +492,8 @@ def aces(
         circ = Circuit(n, layers)
         measured = _ztype(current)
         sub = int(gen.integers(2**62))
-        if backend == "fast":
-            est = prep_sign * ideal_sign * pauli_fastpath_signs(
-                model, circ, measured, shots, sub, ideal_sign=prep_sign * ideal_sign
-            ).mean()
-        else:
-            rec = sample_counts(model, circ, shots, sub)
-            est = prep_sign * ideal_sign * _pauli_parity_mean(rec, measured, n)
+        sign = prep_sign * ideal_sign
+        est = sign * parity_mean(model, circ, measured, shots, sub, backend, sign)
         if est <= 0:
             warnings.warn("ACES decay estimate <= 0 floored at 1e-6 (data insufficient)")
             est = 1e-6

@@ -10,6 +10,11 @@ Three backends cover complementary regimes:
   propagation through Clifford circuits for models whose noise is
   stochastic-Pauli, vectorized over shots (tens of qubits).
 
+Protocols reach the dense and fast backends through two calls that take the
+backend by name, ``"dense"`` or ``"fast"``, and raise a ValueError for any
+other name: ``sample`` returns a circuit's bit-string counts and
+``parity_mean`` the mean measured +/-1 parity of a Z-type Pauli.
+
 Noise attaches to gate labels: a model resolves each label into one
 :class:`GateRecord` (ideal unitary, noisy channel, error channel), which all
 three backends read.  Labels resolve in one order: the model's explicit
@@ -380,7 +385,7 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit):
     return ProbDist(labels, probs)
 
 
-def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, timestamp_index=0) -> ShotRecord:
+def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed) -> ShotRecord:
     """Multinomial draw from the dense backend's distribution."""
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -389,7 +394,7 @@ def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, times
     draws = gen.multinomial(shots, dist.probs)
     counts = {lbl: int(c) for lbl, c in zip(dist.outcomes, draws) if c}
     seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
-    return ShotRecord(circuit.to_json(), counts, shots, seed_val, timestamp_index)
+    return ShotRecord(circuit.to_json(), counts, shots, seed_val)
 
 
 def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segments: int = 16) -> ShotRecord:
@@ -767,7 +772,7 @@ def pauli_fastpath_sample(
 
 
 def pauli_fastpath_signs(
-    model: GateSetModel, circuit: Circuit, measured: PauliString, shots: int, seed, ideal_sign: int = 1
+    model: GateSetModel, circuit: Circuit, measured: PauliString, shots: int, seed, ideal_sign: int
 ) -> np.ndarray:
     """Per-shot +/-1 parity samples of a Z-type Pauli after a Clifford circuit.
 
@@ -798,6 +803,53 @@ def pauli_fastpath_signs(
             pflip = model.confusion[q][0, 1]
             signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)
     return signs
+
+
+# -- protocol-facing calls ---------------------------------------------------------
+
+def _check_backend(backend: str):
+    if backend not in ("dense", "fast"):
+        raise ValueError(f"unknown backend {backend!r}; use 'dense' or 'fast'")
+
+
+def sample(model: GateSetModel, circuit: Circuit, shots: int, seed, backend: str, ideal_bits=None) -> ShotRecord:
+    """Bit-string counts of a circuit: :func:`sample_counts` on ``"dense"``,
+    :func:`pauli_fastpath_sample` on ``"fast"``, which takes the circuit's
+    definite ideal outcome from ``ideal_bits`` when given (the dense
+    backend does not use it)."""
+    _check_backend(backend)
+    if backend == "fast":
+        return pauli_fastpath_sample(model, circuit, shots, seed, ideal_bits=ideal_bits)
+    return sample_counts(model, circuit, shots, seed)
+
+
+def parity_from_counts(record: ShotRecord, pauli: PauliString) -> float:
+    """Mean +/-1 parity of the bits on ``pauli``'s support over a record's counts."""
+    val = 0.0
+    for bstr, c in record.counts.items():
+        par = sum(int(bstr[q]) for q in range(pauli.n) if (pauli.pattern >> q) & 1) % 2
+        val += c * (1 - 2 * par)
+    return val / record.shots
+
+
+def parity_mean(
+    model: GateSetModel, circuit: Circuit, measured: PauliString, shots: int, seed, backend: str, ideal_sign
+) -> float:
+    """Mean measured +/-1 parity of the Z-type Pauli ``measured`` after a circuit.
+
+    ``ideal_sign`` is the parity's value on the noiseless output.  The dense
+    backend reads parities off :func:`sample_counts` and does not use it.
+    The fast backend (:func:`pauli_fastpath_signs`) starts every shot from
+    it, so it must be +1 or -1, as it is when the noiseless output is an
+    eigenstate of ``measured``; any other value raises a ValueError.
+    """
+    _check_backend(backend)
+    if backend == "dense":
+        return parity_from_counts(sample_counts(model, circuit, shots, seed), measured)
+    if abs(abs(ideal_sign) - 1) > 1e-9:
+        raise ValueError(f"ideal parity {ideal_sign} is not +1 or -1; the fast path needs an eigenstate")
+    sign = 1 if ideal_sign > 0 else -1
+    return pauli_fastpath_signs(model, circuit, measured, shots, seed, ideal_sign=sign).mean()
 
 
 # -- gauge transformations -------------------------------------------------------

@@ -9,14 +9,7 @@ import numpy as np
 
 from .channels import Channel
 from .cliffords import INVERSE_LABEL, clifford_1q_tables, measurement_rotation_gate
-from .device import (
-    Circuit,
-    GateSetModel,
-    ideal_outcome_bits,
-    pauli_fastpath_sample,
-    pauli_fastpath_signs,
-    sample_counts,
-)
+from .device import Circuit, GateSetModel, parity_mean, sample
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
@@ -122,7 +115,9 @@ def dfe(
     ``m_k = ceil(2 ln(2/delta) / (d chi_psi(k)**2 l eps**2))`` shots, and
     averages the estimators ``X = chi_rho(k) / chi_psi(k)``.  For stabilizer
     targets the chi weights are uniform, so the number of sampled bases is
-    independent of n.
+    independent of n.  The fast backend needs each sampled
+    ``sqrt(d) chi_psi(k)``, the ideal parity, to be +1 or -1 (a stabilizer
+    target) and raises a ValueError otherwise.
     """
     n = model.n
     d = 2**n
@@ -147,15 +142,7 @@ def dfe(
         circ = prep_circuit.then(Circuit(n, (meas_layer,))) if meas_layer else prep_circuit
         measured = PauliString(n, 0, p.pattern, 0)
         sub = int(gen.integers(2**62))
-        if backend == "fast":
-            mean = float(pauli_fastpath_signs(model, circ, measured, m_k, sub).mean())
-        else:
-            rec = sample_counts(model, circ, m_k, sub)
-            mean = 0.0
-            for bstr, c in rec.counts.items():
-                par = sum(int(bstr[q]) for q in range(n) if (measured.zbits >> q) & 1) % 2
-                mean += c * (1 - 2 * par)
-            mean /= m_k
+        mean = float(parity_mean(model, circ, measured, m_k, sub, backend, chi[k] * np.sqrt(d)))
         values.extend([(mean / np.sqrt(d)) / chi[k]] * int(rep))
     values = np.asarray(values)
     est = float(values.mean())
@@ -251,10 +238,7 @@ def mcfe(
             layers.append(_invert_1q_layer(l0, n))
             circ = Circuit(n, tuple(lay for lay in layers if lay))
             sub = int(gen.integers(2**62))
-            if backend == "fast":
-                rec = pauli_fastpath_sample(model, circ, shots, sub, ideal_bits=np.zeros(n, dtype=np.uint8))
-            else:
-                rec = sample_counts(model, circ, shots, sub)
+            rec = sample(model, circ, shots, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
             gammas[which].append(adjusted_success_probability(rec.counts, "0" * n, n))
     g1, g2, g3 = (float(np.mean(gammas[i])) for i in (1, 2, 3))
     if g2 * g3 <= 0:
@@ -373,9 +357,9 @@ def accredit(
     the ``N_c = trap_count(theta, alpha)`` traps keeps the target's width
     and entangling-gate placement, substitutes {I, H, S} draws for the 1q
     gates with inverses compiled into the next round, and is randomly
-    compiled.  A trap is unsuccessful when it misses its all-zeros outcome
-    in the logical frame (i.e. its tracked definite outcome); the fraction
-    bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2 N_uns/N_c``.
+    compiled.  A trap is unsuccessful when it misses its ideal all-zeros
+    outcome; the fraction bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2
+    N_uns/N_c``.
     """
     n = model.n
     gen = rng(seed)
@@ -387,28 +371,19 @@ def accredit(
     n_traps = trap_count(theta, alpha)
     n_uns = 0
     for _ in range(n_traps):
-        rounds = _trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
-        oneq = _trap_oneq_layers(n, rounds)
-        oneq, twoq = _randomized_compile(oneq, [tuple(l) for l in twoq_t], n, gen)
-        circ = _stitch(oneq, twoq, n)
+        circ = _trap_circuit(n, twoq_t, gen)
         sub = int(gen.integers(2**62))
-        target_bits = _ideal_bits_string(model, circ)
-        if backend == "fast":
-            rec = pauli_fastpath_sample(model, circ, shots_per_trap, sub, ideal_bits=_bits_array(target_bits))
-        else:
-            rec = sample_counts(model, circ, shots_per_trap, sub)
-        if rec.counts.get(target_bits, 0) < shots_per_trap:
+        rec = sample(model, circ, shots_per_trap, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
+        if rec.counts.get("0" * n, 0) < shots_per_trap:
             n_uns += 1
     frac = n_uns / n_traps
     return AccreditationResult(max(1 - 2 * frac, 0.0), 1 - frac, n_uns, n_traps, theta, alpha)
 
 
-def _bits_array(bits: str) -> np.ndarray:
-    return np.array([int(b) for b in bits], dtype=np.uint8)
-
-
-def _ideal_bits_string(model, circ) -> str:
-    bits = ideal_outcome_bits(model, circ)
-    if bits is None:
-        raise RuntimeError("trap circuit does not have a definite outcome")
-    return "".join(str(int(b)) for b in bits)
+def _trap_circuit(n, twoq_t, gen) -> Circuit:
+    """A randomly compiled trap over the CZ layers ``twoq_t``.  Its 1q gates
+    compose to the identity and every CZ meets a qubit in |0>, where it acts
+    as the identity, so the trap's ideal outcome is all zeros."""
+    rounds = _trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
+    oneq, twoq = _randomized_compile(_trap_oneq_layers(n, rounds), [tuple(l) for l in twoq_t], n, gen)
+    return _stitch(oneq, twoq, n)

@@ -23,20 +23,21 @@ from .cliffords import (
     clifford_gate_factory,
     clifford_label,
     conjugate_codes,
-    eigenprep_gate,
     enumerate_clifford_group,
     gate_tableau,
     measurement_rotation_gate,
     pauli_codes,
 )
+from .cycles import _meas_layer, _prep_layer, _ztype
 from .device import (
     Circuit,
     GateSetModel,
     circuit_probabilities,
     ideal_probabilities,
-    pauli_fastpath_sample,
-    pauli_fastpath_signs,
+    parity_from_counts,
+    parity_mean,
     propagate_pauli,
+    sample,
     sample_counts,
 )
 from .linalg import child_seeds, rng
@@ -215,10 +216,7 @@ def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "d
     values = {m: [] for m in design.depths}
     seeds = child_seeds(design.seed + 1, len(circuits))
     for (m, circ, bits), s in zip(circuits, seeds):
-        if backend == "fast":
-            rec = pauli_fastpath_sample(model, circ, design.shots, s)
-        else:
-            rec = sample_counts(model, circ, design.shots, s)
+        rec = sample(model, circ, design.shots, s, backend)
         values[m].append(rec.counts.get(bits, 0) / design.shots)
     return DecayDataset(list(design.depths), values, design.variant)
 
@@ -304,7 +302,7 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
         seeds = child_seeds(gen_seeds[i] + 7, len(per_subset_circuits[sub]))
         for (m, circ, bits), s in zip(per_subset_circuits[sub], seeds):
             emb = _embed_circuit(circ, n_total, sub)
-            rec = sample_counts(isolated_model, emb, design.shots, s) if backend == "dense" else pauli_fastpath_sample(isolated_model, emb, design.shots, s)
+            rec = sample(isolated_model, emb, design.shots, s, backend)
             values[m].append(_marginal_success(rec, bits, sub, n_total))
         data = DecayDataset(list(design.depths), values, "srb-isolated")
         fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=1 / 2 ** len(sub))
@@ -331,7 +329,7 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
                             layer.append((lbl, tuple(sub[q] for q in qs)))
                 layers.append(tuple(layer))
             joint = Circuit(n_total, tuple(layers))
-            rec = sample_counts(model, joint, design.shots, next(seeds)) if backend == "dense" else pauli_fastpath_sample(model, joint, design.shots, next(seeds))
+            rec = sample(model, joint, design.shots, next(seeds), backend)
             for sub in subsets:
                 sim_values[sub][m].append(_marginal_success(rec, pieces[sub][2], sub, n_total))
     for sub in subsets:
@@ -449,7 +447,7 @@ def xrb(model: GateSetModel, design: RBDesign, reference_fit: FitResult = None):
                     p = PauliString.from_index(pidx, n)
                     if not _setting_covers(setting, p):
                         continue
-                    mean = _pauli_mean_from_counts(rec, p, n)
+                    mean = parity_from_counts(rec, p)
                     per_pauli.setdefault(pidx, []).append(mean)
             for pidx, means in per_pauli.items():
                 mhat = float(np.mean(means))
@@ -478,14 +476,6 @@ def _all_settings(n):
 
 def _setting_covers(setting, p: PauliString) -> bool:
     return all(p.letter(q) in ("I", setting[q]) for q in range(p.n))
-
-
-def _pauli_mean_from_counts(rec, p: PauliString, n: int) -> float:
-    val = 0.0
-    for bstr, c in rec.counts.items():
-        par = sum(int(bstr[q]) for q in range(n) if p.letter(q) != "I") % 2
-        val += c * (1 - 2 * par)
-    return val / rec.shots
 
 
 # -- layer samplers for native-gate RB ----------------------------------------------
@@ -566,48 +556,20 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     values = {m: [] for m in design.depths}
     for m in design.depths:
         for _ in range(design.circuits_per_depth):
-            pidx = int(gen.integers(1, 4**n))
-            p = PauliString.from_index(pidx, n)
-            layers = []
-            prep = []
-            sign_total = 1
-            for q in range(n):
-                letter = p.letter(q)
-                if letter == "I":
-                    continue
-                s = 1 if gen.random() < 0.5 else -1
-                sign_total *= s
-                g = eigenprep_gate(letter, s)
-                if g != "I":
-                    prep.append((g, (q,)))
-            layers.append(tuple(prep))
+            p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+            prep, sign = _prep_layer(p, gen)
             body = []
             for _i in range(m):
-                oneq, twoq = sampler.sample(gen)
-                body.append(oneq)
-                body.append(twoq)
-            layers.extend(body)
+                body.extend(sampler.sample(gen))
             current = propagate_pauli(model, Circuit(n, tuple(body)), p)
             sgn = current.sign
             if abs(sgn.imag) > 1e-9:
                 raise RuntimeError("propagated Pauli has a complex sign")
-            sign_total *= 1 if sgn.real > 0 else -1
-            meas_layer = []
-            for q in range(n):
-                letter = current.letter(q)
-                g = measurement_rotation_gate(letter)
-                if g != "I":
-                    meas_layer.append((g, (q,)))
-            layers.append(tuple(meas_layer))
-            measured = PauliString(n, 0, current.pattern, 0)
-            circ = Circuit(n, tuple(layers))
+            sign *= 1 if sgn.real > 0 else -1
+            # the rotation layer stays when empty: idle qubits still get noise
+            circ = Circuit(n, (prep, *body, _meas_layer(current)))
             sub = int(gen.integers(2**62))
-            if backend == "fast":
-                signs = pauli_fastpath_signs(model, circ, measured, design.shots, sub, ideal_sign=sign_total)
-                values[m].append(sign_total * signs.mean())
-            else:
-                rec = sample_counts(model, circ, design.shots, sub)
-                values[m].append(sign_total * _pauli_mean_from_counts(rec, measured, n))
+            values[m].append(sign * parity_mean(model, circ, _ztype(current), design.shots, sub, backend, sign))
     data = DecayDataset(list(design.depths), values, "birb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)
     return {"data": data, "fit": fit, "f": fit.f, "f_err": fit.f_err}
@@ -670,19 +632,15 @@ def _compose_1q_layers(first, second, n):
     return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
 
 
-def _randomized_compile(oneq_layers, twoq_layers, n, gen, which_layers=None):
+def _randomized_compile(oneq_layers, twoq_layers, n, gen):
     """Dress 2q sublayers E as C E D with D a random Pauli layer and
     C = E D E^dag; C and D are compiled into the neighboring 1q layers so
-    the ideal action and depth are unchanged.  ``which_layers`` restricts
-    the dressing to the listed 2q-layer indices (default: all).
+    the ideal action and depth are unchanged.
 
     The letters of C follow from pushing D's letters through each gate's
     local conjugation table; C's sign is irrelevant up to global phase."""
     oneq_layers = [list(l) for l in oneq_layers]
-    targets = set(range(len(twoq_layers))) if which_layers is None else set(which_layers)
     for i, twoq in enumerate(twoq_layers):
-        if i not in targets:
-            continue
         d_codes = pauli_codes(int(gen.integers(4**n)), n)
         c_codes = list(d_codes)
         for label, qubits in twoq:
@@ -738,10 +696,7 @@ def mrb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="f
         for _ in range(design.circuits_per_depth):
             circ = mirror_circuit(sampler, m, gen)
             sub = int(gen.integers(2**62))
-            if backend == "fast":
-                rec = pauli_fastpath_sample(model, circ, design.shots, sub, ideal_bits=np.zeros(n, dtype=np.uint8))
-            else:
-                rec = sample_counts(model, circ, design.shots, sub)
+            rec = sample(model, circ, design.shots, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
             values[m].append(adjusted_success_probability(rec.counts, target, n))
     data = DecayDataset(list(design.depths), values, "mrb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import Circuit, GateSetModel, ideal_probabilities, pauli_fastpath_sample, sample_counts
+from .device import Circuit, GateSetModel, ideal_probabilities, sample, sample_counts
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
 from .rb import LayerSampler, mirror_circuit, adjusted_success_probability
@@ -198,10 +198,7 @@ def _mirror_polarization(model, circ, shots, seed, backend, target=None):
             raise ValueError("mirror circuit does not have a definite outcome")
         target = "".join(str(int(b)) for b in bits)
     bits_arr = np.array([int(b) for b in target], dtype=np.uint8)
-    if backend == "fast":
-        rec = pauli_fastpath_sample(model, circ, shots, seed, ideal_bits=bits_arr)
-    else:
-        rec = sample_counts(model, circ, shots, seed)
+    rec = sample(model, circ, shots, seed, backend, ideal_bits=bits_arr)
     return adjusted_success_probability(rec.counts, target, n)
 
 

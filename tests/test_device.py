@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcvv import channels as ch
+from qcvv import cycles as cy
 from qcvv import device as dv
+from qcvv import fidelity as fd
 from qcvv import rb
 from qcvv.device import Circuit, GateSetModel, ShotRecord
 from qcvv.linalg import rng
@@ -313,3 +315,29 @@ def test_rule_error_channel_is_the_rule_channel(pre):
     expected = rule("c1_0", 1).ptm
     for i in range(24):
         assert np.array_equal(model.error_channel(f"c1_{i}", 1).ptm, expected)
+
+
+def _crb_design():
+    return rb.RBDesign((0,), (0, 1, 2), 1, 5, seed=1)
+
+
+def _cz_target(n):
+    return [tuple(("H", (q,)) for q in range(n)), (("CZ", (0, 1)),), tuple(("H", (q,)) for q in range(n))]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda be: rb.run_crb(dv.ideal_model(1), _crb_design(), backend=be),
+        lambda be: rb.simultaneous_rb(dv.ideal_model(2), [(0,), (1,)], _crb_design(), backend=be),
+        lambda be: rb.birb(dv.ideal_model(2), _crb_design(), rb.LayerSampler(2), backend=be),
+        lambda be: cy.cycle_benchmark(dv.ideal_model(2), (("CZ", (0, 1)),), ["XI"], (2, 4, 6), 1, 5, 1, backend=be),
+        lambda be: fd.dfe(dv.ideal_model(2), fd.ghz_circuit(2), fd.ghz_stabilizers(2), 0.5, 0.5, 1, backend=be),
+        lambda be: fd.accredit(dv.ideal_model(2), _cz_target(2), 0.5, 0.5, 1, backend=be),
+    ],
+    ids=["run_crb", "simultaneous_rb", "birb", "cycle_benchmark", "dfe", "accredit"],
+)
+def test_protocols_reject_unknown_backend_name(run):
+    with pytest.raises(ValueError, match="unknown backend"):
+        run("Fast")
+    run("dense")

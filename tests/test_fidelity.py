@@ -77,6 +77,25 @@ def test_dfe_ghz_under_depolarizing():
     assert abs(res.estimate - f_true) <= res.epsilon
 
 
+def test_dfe_fast_backend_matches_dense_on_ghz():
+    # GHZ stabilizers such as -YY enter with their sign on both backends
+    n = 3
+    model = dv.noisy_model(n, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
+    circ = fd.ghz_circuit(n)
+    est = {
+        backend: fd.dfe(model, circ, fd.ghz_stabilizers(n), epsilon=0.05, delta=0.1, seed=31, backend=backend).estimate
+        for backend in ("dense", "fast")
+    }
+    assert abs(est["fast"] - est["dense"]) <= 0.05
+
+
+def test_dfe_fast_backend_rejects_non_stabilizer_target():
+    psi = np.cos(np.pi / 8) * ket("0") + np.sin(np.pi / 8) * ket("1")
+    circ = Circuit(1, ((("I", (0,)),),))
+    with pytest.raises(ValueError):
+        fd.dfe(dv.ideal_model(1), circ, projector(psi), epsilon=0.2, delta=0.2, seed=3, backend="fast")
+
+
 def test_dfe_stabilizer_basis_count_independent_of_n():
     # flat chi**2 for stabilizer targets: sampled-bases count is set by
     # (epsilon, delta), not n
@@ -192,6 +211,17 @@ def test_accreditation_traps_have_target_shape():
     assert circ.width == n
     trap_twoq = [layer for layer in circ.layers if any(len(qs) == 2 for _, qs in layer)]
     assert [tuple(l) for l in trap_twoq] == [tuple(l) for l in twoq_t]
+
+
+def test_accreditation_traps_end_in_all_zeros():
+    # accredit scores every trap against the all-zeros outcome
+    for n in (2, 3, 4, 5):
+        for target_seed in (41, 42, 43):
+            _, twoq_t = fd.split_alternating(random_target_layers(n, 1 + target_seed % 3, target_seed), n)
+            gen = rng(100 * n + target_seed)
+            for _ in range(20):
+                bits = dv.ideal_outcome_bits(dv.ideal_model(n), fd._trap_circuit(n, twoq_t, gen))
+                assert bits is not None and not bits.any()
 
 
 def test_accreditation_brackets_true_fidelity():

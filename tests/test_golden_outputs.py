@@ -297,6 +297,8 @@ def test_dfe_mcfe_accredit_dense_backend():
 
 
 def test_periodic_mirror_volumetric_values_fast_backend():
-    builder = lambda w: dv.noisy_model(w, _noise)  # noqa: E731
+    def builder(w):
+        return dv.noisy_model(w, _noise)
+
     grid = vm.volumetric_run(builder, "periodic-mirror", (2, 3), (2, 4), 3, 50, seed=360)
     assert {key: [float(v) for v in cell.values] for key, cell in grid.items()} == PERIODIC_MIRROR_FAST
