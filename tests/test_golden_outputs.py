@@ -302,3 +302,64 @@ def test_periodic_mirror_volumetric_values_fast_backend():
 
     grid = vm.volumetric_run(builder, "periodic-mirror", (2, 3), (2, 4), 3, 50, seed=360)
     assert {key: [float(v) for v in cell.values] for key, cell in grid.items()} == PERIODIC_MIRROR_FAST
+
+
+# Pins of the Clifford group builders, the 1q tables and CRB generation,
+# recorded while group elements were identified by composing tableaux;
+# they hold once every element is identified from its unitary.
+
+GROUP_1Q_DIGEST = "7edaffde698c7fa2796166e9fb7b66495a603d7d8877b22b17c4c33bc0bf8a43"
+GROUP_2Q_DIGEST = "5a42366a4640346a5c9919ca1d5c35c67850aa76339cab48063a091f49f107d0"
+TABLES_1Q_DIGEST = "515f1e5615bd7bcf57dd8d2dc4aea669539bebbb138077d1a9deedd3777e0599"
+CRB_DIGESTS = {
+    ((0,), None, 370): "fa5a51018dc6d77fdd7f9881f36bd6d1aff3e05f8e170f4ae0fe3559a086a01e",
+    ((0,), "S", 371): "3195cbaa7f5e68cf0a8c0fe12e1904c7d7e2949ef8515755a372a7fcad5e2167",
+    ((0, 1), None, 372): "f70a3965d21479e2785109a919aea042e8ef47d561fd2185284ec0237d719ef4",
+    ((0, 1), "CNOT", 373): "86ae62664b13b4d6f2437a29f3f38eed3cd7246845ceb74f13a4e00232fd2e05",
+}
+RUN_CRB_2Q_DENSE = (
+    {0: [0.975, 1.0, 0.95], 2: [0.95, 0.95, 0.975], 4: [0.925, 0.85, 0.875]},
+    (0.7345603053209663, 0.9677296710418011, 0.022733910837870706),
+)
+IRB_1Q_DENSE = (0.9999962115049286, 0.9762301994780189, 0.01782457654850267, 0.011883051032335112, 0.003148560037679976)
+
+
+def _group_digest(group):
+    h = hashlib.sha256()
+    for e in group:
+        h.update(e.unitary.tobytes())
+        h.update(repr(e.word).encode())
+        h.update(repr(e.tableau.key()).encode())
+    return h.hexdigest()
+
+
+def test_clifford_groups_and_1q_tables_byte_identical():
+    from qcvv import cliffords as cl
+
+    assert _group_digest(cl.clifford_group_1q()) == GROUP_1Q_DIGEST
+    assert _group_digest(cl.clifford_group_2q()) == GROUP_2Q_DIGEST
+    t = cl.clifford_1q_tables()
+    h = hashlib.sha256()
+    h.update(t.compose.tobytes())
+    h.update(t.inverse.tobytes())
+    h.update(repr(sorted(t.gate_index.items())).encode())
+    h.update(repr((t.pauli_index, t.identity)).encode())
+    assert h.hexdigest() == TABLES_1Q_DIGEST
+
+
+def test_crb_circuits_byte_identical():
+    for (qubits, interleave, seed), digest in CRB_DIGESTS.items():
+        design = rb.RBDesign(qubits, (0, 1, 3, 6), 5, 10, seed=seed)
+        h = hashlib.sha256()
+        for m, circ, bits in rb.crb_circuits(design, interleave=interleave):
+            h.update(f"{m}|{bits}|".encode())
+            h.update(circ.to_json().encode())
+        assert h.hexdigest() == digest, (qubits, interleave)
+
+
+def test_run_crb_2q_and_interleaved_rb_1q_dense_values():
+    data, fit = rb.run_crb(dv.noisy_model(2, _noise), rb.RBDesign((0, 1), (0, 2, 4), 3, 40, seed=374))
+    assert (_values(data), (fit.a, fit.f, fit.f_err)) == RUN_CRB_2Q_DENSE
+    res = rb.interleaved_rb(dv.noisy_model(1, _noise), rb.RBDesign((0,), (0, 4, 8), 3, 40, seed=375), "S")
+    got = (res["reference_fit"].f, res["interleaved_fit"].f, res["e_F"], res["r"], float(res["stat_err_r"]))
+    assert got == IRB_1Q_DENSE
