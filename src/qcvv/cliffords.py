@@ -9,6 +9,13 @@ The 24-element single-qubit group and the 11,520-element two-qubit group are
 enumerated with a unitary realization and a decomposition into physical
 gates ({X90, Y90} words for one qubit, the standard single-qubit-dressed
 CNOT/iSWAP/SWAP classes for two qubits).
+
+A Clifford is identified from its unitary in one place: a vectorised pass
+conjugates the generators by a stack of unitaries and matches each image to
+the Pauli of largest overlap.  Every tableau key, the group builders, the 1q
+index tables and :func:`clifford_index` (the group element proportional to a
+unitary, as CRB needs for its closing element) come from that pass; the
+group algebra composes unitaries, never tableaux.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import kron_all, pauli_matrices
-from .paulis import PauliString, _popcount
+from .paulis import PauliString, _popcount, all_paulis
 
 
 @dataclass(frozen=True)
@@ -88,16 +95,6 @@ class CliffordTableau:
             (xs if col < n else zs).append(cand)
         return CliffordTableau(n, tuple(xs), tuple(zs))
 
-    def is_pauli(self) -> bool:
-        """True when the tableau is conjugation by a Pauli (letters unchanged)."""
-        for q in range(self.n):
-            px, pz = self.x_images[q], self.z_images[q]
-            if px.xbits != (1 << q) or px.zbits != 0:
-                return False
-            if pz.xbits != 0 or pz.zbits != (1 << q):
-                return False
-        return True
-
     def embed(self, n: int, qubits) -> "CliffordTableau":
         """Embed an m-qubit tableau on the listed qubits of an n-qubit register."""
         qubits = list(qubits)
@@ -132,28 +129,56 @@ def _gf2_inv(m: np.ndarray) -> np.ndarray:
 
 def tableau_from_unitary(u: np.ndarray) -> CliffordTableau:
     """Tableau of a (small) Clifford unitary by dense conjugation of X_q, Z_q."""
-    d = u.shape[0]
+    u = np.asarray(u, dtype=complex)
+    n = u.shape[0].bit_length() - 1
+    return _tableau(n, _keys(_generator_images(u[None]))[0])
+
+
+# unitaries per chunk of the conjugation pass; bounds its working memory
+_CHUNK = 1024
+
+
+@lru_cache(maxsize=None)
+def _pauli_rows(n: int) -> np.ndarray:
+    """(x bits, z bits, phase) of each Hermitian n-qubit Pauli, in index order."""
+    return np.array([(p.xbits, p.zbits, p.phase) for p in all_paulis(n)], dtype=np.int64)
+
+
+def _generator_images(us: np.ndarray) -> np.ndarray:
+    """Generator images of a stack of n-qubit Clifford unitaries.
+
+    Entry ``[k, g]`` holds the x bits, z bits and phase exponent of
+    ``U_k G U_k^dag`` for the generators G = X_0..X_{n-1}, Z_0..Z_{n-1}, in
+    the layout of :meth:`CliffordTableau.key`.  Each image is matched to
+    the Pauli of largest overlap ``Tr[P img] / d``.
+    """
+    d = us.shape[-1]
     n = d.bit_length() - 1
     paulis = pauli_matrices(n)
-    xs, zs = [], []
-    for q in range(n):
-        for kind, store in (("X", xs), ("Z", zs)):
-            p = PauliString.from_label("".join(kind if i == q else "I" for i in range(n)))
-            img = u @ p.to_matrix() @ u.conj().T
-            store.append(_match_pauli(img, paulis, n))
-    return CliffordTableau(n, tuple(xs), tuple(zs))
+    gens = paulis[[4 ** (n - 1 - q) for q in range(n)] + [3 * 4 ** (n - 1 - q) for q in range(n)]]
+    out = np.empty((len(us), 2 * n, 3), dtype=np.int64)
+    for lo in range(0, len(us), _CHUNK):
+        u = us[lo : lo + _CHUNK, None]
+        images = u @ gens @ u.conj().swapaxes(-1, -2)
+        overlaps = np.einsum("pij,kgji->kgp", paulis, images) / d
+        best = np.argmax(np.abs(overlaps), axis=-1)
+        coeff = np.take_along_axis(overlaps, best[..., None], axis=-1)[..., 0]
+        if not np.all(np.abs(np.abs(coeff) - 1) <= 1e-8):
+            raise ValueError("matrix does not conjugate Paulis to Paulis")
+        rows = _pauli_rows(n)[best]
+        rows[..., 2] = (rows[..., 2] + np.rint(np.angle(coeff) / (np.pi / 2)).astype(np.int64)) % 4
+        out[lo : lo + _CHUNK] = rows
+    return out
 
 
-def _match_pauli(m: np.ndarray, paulis: np.ndarray, n: int) -> PauliString:
-    d = 2**n
-    overlaps = np.einsum("kij,ji->k", paulis, m) / d  # Tr[P_k m] / d
-    k = int(np.argmax(np.abs(overlaps)))
-    coeff = overlaps[k]
-    if abs(abs(coeff) - 1) > 1e-8:
-        raise ValueError("matrix does not conjugate Paulis to Paulis")
-    base = PauliString.from_index(k, n)
-    phase = int(round(np.angle(coeff) / (np.pi / 2))) % 4
-    return PauliString(n, base.xbits, base.zbits, base.phase + phase)
+def _keys(images: np.ndarray) -> list:
+    """:meth:`CliffordTableau.key` of each entry of :func:`_generator_images`."""
+    return [tuple(map(tuple, rows)) for rows in images.tolist()]
+
+
+def _tableau(n: int, key) -> CliffordTableau:
+    ps = tuple(PauliString(n, x, z, phase) for x, z, phase in key)
+    return CliffordTableau(n, ps[:n], ps[n:])
 
 
 # -- named gates -------------------------------------------------------------
@@ -251,8 +276,10 @@ def pauli_codes(index: int, n: int) -> list:
     return [_PAULI_DIGIT_CODES[(index >> (2 * (n - 1 - q))) & 3] for q in range(n)]
 
 
+@lru_cache(maxsize=None)
 def conjugation_table(tab: CliffordTableau):
-    """(image codes, phase exponents) of conjugation by a k-qubit tableau.
+    """(image codes, phase exponents) of conjugation by a k-qubit tableau,
+    built once per distinct tableau.
 
     Local Paulis are coded in ``4**k`` integers: bits ``2i + 1`` and ``2i``
     hold the x and z bits of qubit i of the support.  Entry ``c`` gives the
@@ -279,14 +306,8 @@ def conjugation_table(tab: CliffordTableau):
 
 
 @lru_cache(maxsize=None)
-def gate_conjugation_table(name: str):
-    """:func:`conjugation_table` of a builtin gate; unknown names raise KeyError."""
-    return conjugation_table(gate_tableau(name))
-
-
-@lru_cache(maxsize=None)
 def _image_codes(name: str) -> tuple:
-    images, _ = gate_conjugation_table(name)
+    images, _ = conjugation_table(gate_tableau(name))
     k = (len(images).bit_length() - 1) // 2
     return tuple(tuple((int(c) >> (2 * j)) & 3 for j in range(k)) for c in images)
 
@@ -347,22 +368,17 @@ def clifford_group_1q():
     Elements are canonical up to global phase; the unitary stored is the one
     produced by the recorded word.
     """
-    seen = {}
-    frontier = [(CliffordTableau.identity(1), np.eye(2, dtype=complex), ())]
-    seen[frontier[0][0].key()] = frontier[0]
-    gens = [("X90", (0,)), ("Y90", (0,))]
+    start = (np.eye(2, dtype=complex), ())
+    seen = {_keys(_generator_images(start[0][None]))[0]: start}
+    frontier = [start]
     while frontier:
-        nxt = []
-        for tab, u, word in frontier:
-            for name, qubits in gens:
-                t2 = tab.then(gate_tableau(name))
-                if t2.key() in seen:
-                    continue
-                entry = (t2, GATE_UNITARIES[name] @ u, word + ((name, qubits),))
-                seen[t2.key()] = entry
-                nxt.append(entry)
-        frontier = nxt
-    elems = [CliffordElement(t, u, w) for t, u, w in seen.values()]
+        cands = [(GATE_UNITARIES[name] @ u, word + ((name, (0,)),)) for u, word in frontier for name in ("X90", "Y90")]
+        frontier = []
+        for key, cand in zip(_keys(_generator_images(np.array([u for u, _ in cands]))), cands):
+            if key not in seen:
+                seen[key] = cand
+                frontier.append(cand)
+    elems = [CliffordElement(_tableau(1, key), u, word) for key, (u, word) in seen.items()]
     elems.sort(key=lambda e: (len(e.word), e.tableau.key()))
     return tuple(elems)
 
@@ -386,17 +402,15 @@ class OneQubitTables:
 
 @lru_cache(maxsize=None)
 def clifford_1q_tables() -> OneQubitTables:
-    """Build the :class:`OneQubitTables` once from the tableau enumeration."""
-    tabs = [e.tableau for e in clifford_group_1q()]
-    index = {t.key(): i for i, t in enumerate(tabs)}
-    compose = np.array([[index[a.then(b).key()] for b in tabs] for a in tabs], dtype=np.int64)
-    inverse = np.array([index[t.inverse().key()] for t in tabs], dtype=np.int64)
-    gate_index = {
-        name: index[gate_tableau(name).key()] for name, u in GATE_UNITARIES.items() if u.shape == (2, 2)
-    }
+    """Build the :class:`OneQubitTables` once from the element unitaries."""
+    us = np.array([e.unitary for e in clifford_group_1q()])
+    compose = np.array(clifford_index(1, us[None, :] @ us[:, None]), dtype=np.int64).reshape(24, 24)
+    inverse = np.array(clifford_index(1, us.conj().swapaxes(1, 2)), dtype=np.int64)
+    names = [name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2)]
+    gate_index = dict(zip(names, clifford_index(1, [GATE_UNITARIES[name] for name in names])))
     pauli_index = tuple(gate_index[letter] for letter in "IZXY")
     compose.flags.writeable = inverse.flags.writeable = False  # shared by every caller
-    return OneQubitTables(compose, inverse, gate_index, pauli_index, index[CliffordTableau.identity(1).key()])
+    return OneQubitTables(compose, inverse, gate_index, pauli_index, gate_index["I"])
 
 
 # The three-element axis-cycling set used in the standard 2-qubit
@@ -412,28 +426,26 @@ def _axis_cycle_1q():
     out = []
     u = np.eye(2, dtype=complex)
     for k in range(3):
-        out.append(CliffordElement(tableau_from_unitary(u), u, words[k]))
+        out.append((u, words[k]))
         u = a_u @ u
     return tuple(out)
 
 
+def _on_qubit(q, u, word):
+    """A single-qubit (unitary, word) placed on qubit q of two."""
+    full = [np.eye(2, dtype=complex)] * 2
+    full[q] = u
+    return kron_all(full), tuple((name, (q,)) for name, _ in word)
+
+
 def _compose_2q(parts):
-    """Compose CliffordElements given as (element, qubits) applied in order."""
-    tab = CliffordTableau.identity(2)
+    """Unitary and word of two-qubit (unitary, word) parts applied in order."""
     u = np.eye(4, dtype=complex)
     word = ()
-    for elem, qubits in parts:
-        if elem.n == 1:
-            tab = tab.then(elem.tableau.embed(2, qubits))
-            full = [np.eye(2, dtype=complex)] * 2
-            full[qubits[0]] = elem.unitary
-            u = kron_all(full) @ u
-            word = word + tuple((name, (qubits[0],)) for name, _ in elem.word)
-        else:
-            tab = tab.then(elem.tableau)
-            u = elem.unitary @ u
-            word = word + elem.word
-    return CliffordElement(tab, u, word)
+    for part_u, part_word in parts:
+        u = part_u @ u
+        word = word + part_word
+    return u, word
 
 
 @lru_cache(maxsize=None)
@@ -444,27 +456,37 @@ def clifford_group_2q():
     and (A1 x A2) SWAP, with A from the 24 single-qubit Cliffords and S1 the
     three axis-cycling elements.  Sizes 576 + 5184 + 5184 + 576 = 11520.
     """
-    c1 = clifford_group_1q()
-    s1 = _axis_cycle_1q()
-    mid = {
-        None: None,
-        "CNOT": CliffordElement(gate_tableau("CNOT"), GATE_UNITARIES["CNOT"], (("CNOT", (0, 1)),)),
-        "ISWAP": CliffordElement(gate_tableau("ISWAP"), GATE_UNITARIES["ISWAP"], (("ISWAP", (0, 1)),)),
-        "SWAP": CliffordElement(gate_tableau("SWAP"), GATE_UNITARIES["SWAP"], (("SWAP", (0, 1)),)),
-    }
-    elems = []
-    for a in c1:
-        for b in c1:
-            elems.append(_compose_2q([(mid["SWAP"], (0, 1)), (a, (0,)), (b, (1,))]))
-            elems.append(_compose_2q([(a, (0,)), (b, (1,))]))
+    c1 = [(e.unitary, e.word) for e in clifford_group_1q()]
+    a0, a1 = [_on_qubit(0, *e) for e in c1], [_on_qubit(1, *e) for e in c1]
+    s0, s1 = [_on_qubit(0, *e) for e in _axis_cycle_1q()], [_on_qubit(1, *e) for e in _axis_cycle_1q()]
+    mid = {name: (GATE_UNITARIES[name], ((name, (0, 1)),)) for name in ("CNOT", "ISWAP", "SWAP")}
+    built = []
+    for a in a0:
+        for b in a1:
+            built.append(_compose_2q([mid["SWAP"], a, b]))
+            built.append(_compose_2q([a, b]))
     for middle in ("CNOT", "ISWAP"):
-        for sa in s1:
+        for sa in s0:
             for sb in s1:
-                tail = [(sa, (0,)), (sb, (1,)), (mid[middle], (0, 1))]
-                for a in c1:
-                    for b in c1:
-                        elems.append(_compose_2q(tail + [(a, (0,)), (b, (1,))]))
-    return tuple(elems)
+                tail = [sa, sb, mid[middle]]
+                for a in a0:
+                    for b in a1:
+                        built.append(_compose_2q(tail + [a, b]))
+    keys = _keys(_generator_images(np.array([u for u, _ in built])))
+    return tuple(CliffordElement(_tableau(2, key), u, word) for key, (u, word) in zip(keys, built))
+
+
+@lru_cache(maxsize=None)
+def _group_index(n: int) -> dict:
+    return {e.tableau.key(): i for i, e in enumerate(enumerate_clifford_group(n))}
+
+
+def clifford_index(n: int, unitaries) -> list:
+    """Indices in the enumerated n-qubit group (n = 1, 2) of the elements
+    proportional to a stack of Clifford unitaries."""
+    us = np.asarray(unitaries, dtype=complex).reshape(-1, 2**n, 2**n)
+    index = _group_index(n)
+    return [index[key] for key in _keys(_generator_images(us))]
 
 
 def enumerate_clifford_group(n: int):

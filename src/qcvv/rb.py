@@ -10,21 +10,20 @@ degeneracy at saturated depths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
 import scipy.stats
 
 from .cliffords import (
+    GATE_UNITARIES,
     INVERSE_LABEL,
-    CliffordTableau,
     clifford_1q_tables,
     clifford_gate_factory,
+    clifford_index,
     clifford_label,
     conjugate_codes,
     enumerate_clifford_group,
-    gate_tableau,
     measurement_rotation_gate,
     pauli_codes,
 )
@@ -156,24 +155,6 @@ def epc(fit: FitResult, d: int, metric: str = "e_F") -> float:
     return convert_metric(fit.f, "f", metric, d)
 
 
-# -- Clifford labels and models -----------------------------------------------
-
-@lru_cache(maxsize=None)
-def _group_index(n: int) -> dict:
-    return {e.tableau.key(): i for i, e in enumerate(enumerate_clifford_group(n))}
-
-
-def _pauli_tableau(p: PauliString) -> CliffordTableau:
-    n = p.n
-    xs, zs = [], []
-    for q in range(n):
-        x_gen = PauliString(n, 1 << q, 0, 0)
-        z_gen = PauliString(n, 0, 1 << q, 0)
-        xs.append(x_gen if p.commutes(x_gen) else PauliString(n, 1 << q, 0, 2))
-        zs.append(z_gen if p.commutes(z_gen) else PauliString(n, 0, 1 << q, 2))
-    return CliffordTableau(n, tuple(xs), tuple(zs))
-
-
 # -- standard (Clifford-group) RB ------------------------------------------------
 
 def crb_circuits(design: RBDesign, interleave: str = None):
@@ -187,28 +168,29 @@ def crb_circuits(design: RBDesign, interleave: str = None):
     if n not in (1, 2):
         raise ValueError("standard RB is enumerated for 1 or 2 qubits")
     group = enumerate_clifford_group(n)
-    index = _group_index(n)
     gen = rng(design.seed)
-    inter_tab = gate_tableau(interleave) if interleave else None
-    out = []
+    inter_u = GATE_UNITARIES[interleave] if interleave else None
+    drawn, targets = [], []
     for m in design.depths:
         for _ in range(design.circuits_per_depth):
             layers = []
-            comp = CliffordTableau.identity(n)
+            u = np.eye(2**n, dtype=complex)
             for _i in range(m + 1):
                 k = int(gen.integers(len(group)))
                 layers.append(((clifford_label(n, k), tuple(range(n))),))
-                comp = comp.then(group[k].tableau)
-                if inter_tab is not None:
+                u = group[k].unitary @ u
+                if inter_u is not None:
                     layers.append(((interleave, tuple(range(n))),))
-                    comp = comp.then(inter_tab)
+                    u = inter_u @ u
             p = PauliString.from_index(int(gen.integers(4**n)), n)
-            target = comp.inverse().then(_pauli_tableau(p))
-            inv_idx = index[target.key()]
-            layers.append(((clifford_label(n, inv_idx), tuple(range(n))),))
+            targets.append(p.to_matrix() @ u.conj().T)  # the closing element, up to phase
             bits = "".join("1" if (p.xbits >> q) & 1 else "0" for q in range(n))
-            out.append((m, Circuit(n, tuple(layers)), bits))
-    return out
+            drawn.append((m, layers, bits))
+    closing = clifford_index(n, targets)
+    return [
+        (m, Circuit(n, (*layers, ((clifford_label(n, k), tuple(range(n))),))), bits)
+        for (m, layers, bits), k in zip(drawn, closing)
+    ]
 
 
 def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "dense") -> DecayDataset:

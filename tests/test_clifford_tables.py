@@ -1,8 +1,13 @@
-"""Differential tests of the single-qubit index tables and the table-driven
-Pauli propagation against the CliffordTableau algebra they replace."""
+"""Differential tests of the single-qubit index tables, the table-driven
+Pauli propagation and the identification of Clifford unitaries against the
+CliffordTableau algebra they replace."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcvv import cliffords as cl
 from qcvv import device as dv
 from qcvv import fidelity as fd
 from qcvv import rb
@@ -16,7 +21,7 @@ from qcvv.cliffords import (
     tableau_run,
 )
 from qcvv.device import Circuit
-from qcvv.linalg import rng
+from qcvv.linalg import kron_all, rng
 from qcvv.paulis import PauliString
 
 ONEQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2))
@@ -126,3 +131,76 @@ def test_propagate_pauli_matches_tableau_run():
         p = PauliString.from_index(int(gen.integers(4**n)), n)
         p = PauliString(n, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
         assert dv.propagate_pauli(model, Circuit(n, tuple(layers)), p) == tableau_run(layers, p)
+
+
+# -- identification from unitaries against tableau composition ------------------
+
+TWOQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (4, 4))
+_SWAP = GATE_UNITARIES["SWAP"]
+
+
+def _step_unitary(n, name, qubits):
+    u = GATE_UNITARIES[name]
+    if len(qubits) == 1:
+        full = [np.eye(2, dtype=complex)] * n
+        full[qubits[0]] = u
+        return kron_all(full)
+    return u if qubits == (0, 1) else _SWAP @ u @ _SWAP
+
+
+@st.composite
+def _clifford_products(draw):
+    n = draw(st.sampled_from((1, 2)))
+    group = cl.enumerate_clifford_group(n)
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        if n == 2 and draw(st.booleans()):
+            steps.append((draw(st.sampled_from(TWOQ_NAMES)), draw(st.sampled_from(((0, 1), (1, 0))))))
+        elif draw(st.booleans()):
+            steps.append((draw(st.sampled_from(ONEQ_NAMES)), (draw(st.integers(0, n - 1)),)))
+        else:
+            steps.append((draw(st.integers(0, len(group) - 1)), None))
+    return n, steps
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_clifford_products())
+def test_unitary_keys_match_tableau_composition(case):
+    n, steps = case
+    group = cl.enumerate_clifford_group(n)
+    u = np.eye(2**n, dtype=complex)
+    tab = CliffordTableau.identity(n)
+    for what, qubits in steps:
+        if qubits is None:
+            u = group[what].unitary @ u
+            tab = tab.then(group[what].tableau)
+        else:
+            u = _step_unitary(n, what, qubits) @ u
+            tab = tab.then(gate_tableau(what).embed(n, qubits))
+    assert cl._keys(cl._generator_images(u[None])) == [tab.key()]
+    (k,) = cl.clifford_index(n, [u * np.exp(0.7j)])
+    assert group[k].tableau.key() == tab.key()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.sampled_from(((0,), (0, 1))),
+    st.lists(st.integers(0, 6), min_size=3, max_size=4, unique=True),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_crb_sequences_compose_to_their_pauli(qubits, depths, interleaved, seed):
+    n = len(qubits)
+    interleave = ("S" if n == 1 else "CNOT") if interleaved else None
+    group = cl.enumerate_clifford_group(n)
+    design = rb.RBDesign(qubits, tuple(depths), 2, 10, seed=seed)
+    for _, circ, bits in rb.crb_circuits(design, interleave=interleave):
+        tab = CliffordTableau.identity(n)
+        for ((label, _),) in circ.layers:
+            step = group[int(label.split("_")[1])].tableau if label.startswith("c") else gate_tableau(label)
+            tab = tab.then(step)
+        # conjugation by a Pauli: letters kept, Z_q flips sign where its x bit is set
+        for q in range(n):
+            assert (tab.x_images[q].xbits, tab.x_images[q].zbits) == (1 << q, 0)
+            assert tab.x_images[q].phase in (0, 2)
+            assert tab.z_images[q] == PauliString(n, 0, 1 << q, 2 if bits[q] == "1" else 0)
