@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .channels import Channel
+from .channels import Channel, transfer_to_choi
 from .cliffords import GATE_UNITARIES, measurement_rotation_gate
 from .device import Circuit, GateSetModel, circuit_probabilities, sample_counts
 from .linalg import (
@@ -28,6 +28,7 @@ from .linalg import (
     child_seeds,
     kron_all,
     pauli_matrices,
+    pauli_vec_basis,
     rng,
     unvectorize,
     vectorize,
@@ -80,26 +81,6 @@ def pauli_eigenstate_effects(n: int):
                 mats.append((np.eye(2) + (1 - 2 * bit) * p) / 2)
             effects.append((setting, format(outcome, f"0{n}b"), kron_all(mats)))
     return effects
-
-
-@dataclass
-class TomographyDesign:
-    """Fiducials plus shot budget; ``gram_rank`` flags informational completeness."""
-
-    prep_circuits: list
-    meas_settings: list
-    shots: int
-    target: str = "state"
-
-    def design_matrix(self, n: int) -> np.ndarray:
-        rows = []
-        for _, bits, e in pauli_eigenstate_effects(n):
-            rows.append(vectorize(e, NORMALIZED_PAULI).coeffs.real)
-        return np.array(rows)
-
-    def is_informationally_complete(self, n: int, tol: float = 1e-8) -> bool:
-        t = self.design_matrix(n)
-        return np.linalg.matrix_rank(t, tol=tol) >= 4**n
 
 
 def gram_rank(effects, tol: float = 1e-8) -> int:
@@ -277,12 +258,14 @@ def _prep_states(n):
     return states
 
 
-def qpt(dataset, n: int, method: str = "mle", seed=0) -> Channel:
+def qpt(dataset, n: int, method: str = "mle") -> Channel:
     """Reconstruct a channel from prep-fiducial x measurement-setting counts.
 
     ``linear`` solves the real least-squares system over PTM entries; ``mle``
     refines it over a CP parameterization (chi = M M^dag) with trace
-    preservation enforced by projection after the optimization.
+    preservation enforced by projection after the optimization.  That
+    projection pins the PTM's first row, so the ``mle`` estimate can be
+    slightly non-CP (Choi eigenvalues of order -1e-3 at 1,000 shots).
     """
     if n > 3:
         raise ValueError("process tomography supported up to 3 qubits")
@@ -293,7 +276,7 @@ def qpt(dataset, n: int, method: str = "mle", seed=0) -> Channel:
     preps = _prep_states(n)
     if set(dataset) != set(range(len(preps))):
         raise ValueError("dataset must cover every preparation fiducial")
-    rows, ys, ws = [], [], []
+    rows, ys, ns, owner, vins = [], [], [], [], []
     for i, rho_in in enumerate(preps):
         vin = vectorize(rho_in, NORMALIZED_PAULI).coeffs.real
         effects, freqs, counts = _effects_and_freqs(dataset[i], n)
@@ -301,6 +284,9 @@ def qpt(dataset, n: int, method: str = "mle", seed=0) -> Channel:
             vout = vectorize(e, NORMALIZED_PAULI).coeffs.real
             rows.append(np.kron(vin, vout))  # p = <<E| L |rho>> = (vin kron vout) . vec(L)
             ys.append(fr)
+        ns.extend(counts)
+        owner.extend([i] * len(effects))
+        vins.append(vin)
     a = np.array(rows)
     if np.linalg.matrix_rank(a, tol=1e-8) < 16**n:
         raise ValueError("design not informationally complete for a process")
@@ -315,48 +301,67 @@ def qpt(dataset, n: int, method: str = "mle", seed=0) -> Channel:
         raise ValueError(f"unknown method {method!r}")
     if lin.is_cptp(cp_tol=1e-9):
         return lin
-    return _mle_process(dataset, preps, lin, n, seed)
+    return _mle_process(a, np.array(ns), np.array(owner), np.array(vins), lin)
 
 
-def _mle_process(dataset, preps, lin: Channel, n: int, seed):
+def _chi_ptm(x: np.ndarray, d: int) -> np.ndarray:
+    """The linear map chi -> PTM, ``d V^dag R(V x V^dag) V`` with V the
+    normalized-Pauli basis and R the Choi/transfer reshuffle; the map is its
+    own Hilbert-Schmidt adjoint, so it also pulls PTM gradients back to chi."""
+    v = pauli_vec_basis(d)
+    return d * (v.conj().T @ transfer_to_choi(v @ x @ v.conj().T) @ v)
+
+
+def _process_nll(params, a, counts, owner, vins):
+    """Objective of the process MLE and its gradient in ``params``.
+
+    ``params`` holds the real and imaginary parts of M with chi = M M^dag.
+    The objective is the negative log-likelihood of each preparation's
+    counts, normalized by that preparation's output trace, plus a 1e4
+    penalty on the PTM's first row leaving (1, 0, ..., 0).  ``a`` is the
+    design matrix (p = a . vec(PTM), column stacking), ``owner[r]`` the
+    preparation of row r and ``vins[i]`` preparation i's Pauli vector.
+    """
+    d2 = vins.shape[1]
+    d = int(round(np.sqrt(d2)))
+    half = d2 * d2
+    m = params[:half].reshape(d2, d2) + 1j * params[half:].reshape(d2, d2)
+    ptm = _chi_ptm(m @ m.conj().T, d).real
+    p = a @ ptm.ravel(order="F")
+    norm = np.sqrt(d) * (vins @ ptm[0])  # Tr of each preparation's output
+    pc, nc = np.clip(p, 1e-12, None), np.clip(norm, 1e-9, None)
+    row = ptm[0] - np.eye(1, d2).ravel()
+    value = -float(np.sum(counts * np.log(pc / nc[owner]))) + 1e4 * float(row @ row)
+    dp = np.where(p > 1e-12, -counts / pc, 0.0)
+    dnorm = np.where(norm > 1e-9, np.bincount(owner, counts, len(vins)) / nc, 0.0)
+    g = (a.T @ dp).reshape(d2, d2, order="F")
+    g[0] += np.sqrt(d) * (dnorm @ vins) + 2e4 * row
+    g_chi = _chi_ptm(g, d)
+    grad = (g_chi + g_chi.conj().T) @ m
+    return value, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+
+def _mle_process(a, counts, owner, vins, lin: Channel) -> Channel:
     """CP-constrained MLE over chi = M M^dag with TP projection."""
-    d = 2**n
-    d2 = d * d
     chi0 = lin.to_chi()
     evals, evecs = np.linalg.eigh((chi0 + chi0.conj().T) / 2)
     evals = np.clip(evals, 1e-8, None)
     m0 = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    effect_cache = []
-    for i, rho_in in enumerate(preps):
-        effects, freqs, counts = _effects_and_freqs(dataset[i], n)
-        effect_cache.append((rho_in, effects, counts))
-
-    paulis = pauli_matrices(n)
-
-    def chi_to_channel(chi):
-        return Channel.from_chi(chi)
-
-    def objective(params):
-        m = params[: d2 * d2].reshape(d2, d2) + 1j * params[d2 * d2 :].reshape(d2, d2)
-        chi = m @ m.conj().T
-        ch = chi_to_channel(chi)
-        ll = 0.0
-        for rho_in, effects, counts in effect_cache:
-            out = ch.apply(rho_in)
-            ps = np.clip(np.einsum("kij,ji->k", np.array(effects), out).real, 1e-12, None)
-            norm = np.clip(np.trace(out).real, 1e-9, None)
-            ll += float(np.sum(counts * np.log(ps / norm)))
-        # soft TP penalty keeps the search near the physical manifold
-        row = ch.ptm[0]
-        tp_pen = np.sum((row - np.eye(1, d2).ravel()) ** 2)
-        return -ll + 1e4 * tp_pen
-
     x0 = np.concatenate([m0.real.ravel(), m0.imag.ravel()])
-    res = scipy.optimize.minimize(objective, x0, method="L-BFGS-B", options={"maxiter": 300})
+    res = scipy.optimize.minimize(
+        _process_nll,
+        x0,
+        args=(a, counts, owner, vins),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-8},
+    )
+    if not res.success:
+        raise RuntimeError(f"process MLE did not converge: {res.message}")
+    d2 = vins.shape[1]
     m = res.x[: d2 * d2].reshape(d2, d2) + 1j * res.x[d2 * d2 :].reshape(d2, d2)
-    ch = chi_to_channel(m @ m.conj().T)
     # exact TP projection: pin the PTM's first row
-    ptm = ch.ptm.copy()
+    ptm = _chi_ptm(m @ m.conj().T, int(round(np.sqrt(d2)))).real
     ptm[0] = 0.0
     ptm[0, 0] = 1.0
     return Channel(ptm)

@@ -106,6 +106,61 @@ def test_qpt_closed_loop_random_channel():
     assert fe >= 0.995
 
 
+def _cnot_process_fit(monkeypatch):
+    """The 2q CNOT process MLE at 2% depolarizing, 1,000 shots, seed 5, with
+    the arguments of its optimizer call and the optimizer's result."""
+    import scipy.optimize
+
+    seen = {}
+    minimize = scipy.optimize.minimize
+
+    def spy(fun, x0, args=(), **kw):
+        seen["args"] = args
+        seen["res"] = minimize(fun, x0, args=args, **kw)
+        return seen["res"]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    model = dv.noisy_model(2, lambda l, a: ch.depolarizing(0.02, n=2) if l == "CNOT" else None)
+    ds = tg.qpt_dataset(model, Circuit(2, ((("CNOT", (0, 1)),),)), shots=1000, seed=5)
+    return tg.qpt(ds, 2, method="mle"), seen
+
+
+def test_qpt_mle_converges_on_cnot_data(monkeypatch):
+    chan, seen = _cnot_process_fit(monkeypatch)
+    assert seen["res"].success
+    # the objective the finite-difference fit stopped at (evaluation limit)
+    assert seen["res"].fun <= 149446.260443
+    assert chan.is_tp()
+    truth = ch.depolarizing(0.02, n=2).ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"]).ptm
+    assert np.abs(chan.ptm - truth).max() < 0.05
+
+
+def test_qpt_mle_gradient_matches_central_differences(monkeypatch):
+    _, seen = _cnot_process_fit(monkeypatch)
+    a, counts, owner, vins = seen["args"]
+    gen = rng(12)
+    x = gen.normal(scale=0.1, size=2 * 16**2)
+    _, grad = tg._process_nll(x, a, counts, owner, vins)
+    eps = 1e-6
+    for i in gen.choice(x.size, size=40, replace=False):
+        step = np.zeros_like(x)
+        step[i] = eps
+        hi, _ = tg._process_nll(x + step, a, counts, owner, vins)
+        lo, _ = tg._process_nll(x - step, a, counts, owner, vins)
+        assert grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4, abs=1e-2)
+
+
+def test_qpt_mle_raises_when_the_fit_fails(monkeypatch):
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: minimize(*a, **{**kw, "options": {"maxiter": 1}}))
+    model = dv.noisy_model(1, lambda l, a: ch.dephasing(0.1))
+    ds = tg.qpt_dataset(model, Circuit(1, ((("X90", (0,)),),)), shots=300, seed=11)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        tg.qpt(ds, 1, method="mle")
+
+
 def test_qpt_incomplete_design_raises():
     model = dv.ideal_model(1)
     ds = tg.qpt_dataset(model, Circuit(1, ()), shots=100, seed=1)
