@@ -74,9 +74,6 @@ class PatternTransformGraph:
         if not self.nodes:
             self.nodes = sorted({u for _, u, _ in self.edges} | {v for _, _, v in self.edges})
 
-    def self_loops(self):
-        return {p for p, u, v in self.edges if u == v}
-
     def components(self) -> int:
         parent = {v: v for v in self.nodes}
 

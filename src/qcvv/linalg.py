@@ -142,11 +142,6 @@ class Superket:
         self._check_compatible(other)
         return complex(np.vdot(self.coeffs, other.coeffs))
 
-    def to_basis(self, basis: str) -> "Superket":
-        if basis == self.basis:
-            return self
-        return vectorize(unvectorize(self), basis)
-
 
 def vectorize(m: np.ndarray, basis: str = MATRIX_UNITS) -> Superket:
     """Vectorize a square matrix into a :class:`Superket` in the given basis."""
