@@ -131,7 +131,7 @@ def tableau_from_unitary(u: np.ndarray) -> CliffordTableau:
     """Tableau of a (small) Clifford unitary by dense conjugation of X_q, Z_q."""
     u = np.asarray(u, dtype=complex)
     n = u.shape[0].bit_length() - 1
-    return _tableau(n, _keys(_generator_images(u[None]))[0])
+    return _tableau(n, _tableau_keys(u[None])[0])
 
 
 # unitaries per chunk of the conjugation pass; bounds its working memory
@@ -144,13 +144,12 @@ def _pauli_rows(n: int) -> np.ndarray:
     return np.array([(p.xbits, p.zbits, p.phase) for p in all_paulis(n)], dtype=np.int64)
 
 
-def _generator_images(us: np.ndarray) -> np.ndarray:
-    """Generator images of a stack of n-qubit Clifford unitaries.
+def _tableau_keys(us: np.ndarray) -> list:
+    """:meth:`CliffordTableau.key` of each unitary in a stack of n-qubit Cliffords.
 
-    Entry ``[k, g]`` holds the x bits, z bits and phase exponent of
-    ``U_k G U_k^dag`` for the generators G = X_0..X_{n-1}, Z_0..Z_{n-1}, in
-    the layout of :meth:`CliffordTableau.key`.  Each image is matched to
-    the Pauli of largest overlap ``Tr[P img] / d``.
+    Entry ``[k][g]`` holds the x bits, z bits and phase exponent of
+    ``U_k G U_k^dag`` for the generators G = X_0..X_{n-1}, Z_0..Z_{n-1}.
+    Each image is matched to the Pauli of largest overlap ``Tr[P img] / d``.
     """
     d = us.shape[-1]
     n = d.bit_length() - 1
@@ -168,12 +167,7 @@ def _generator_images(us: np.ndarray) -> np.ndarray:
         rows = _pauli_rows(n)[best]
         rows[..., 2] = (rows[..., 2] + np.rint(np.angle(coeff) / (np.pi / 2)).astype(np.int64)) % 4
         out[lo : lo + _CHUNK] = rows
-    return out
-
-
-def _keys(images: np.ndarray) -> list:
-    """:meth:`CliffordTableau.key` of each entry of :func:`_generator_images`."""
-    return [tuple(map(tuple, rows)) for rows in images.tolist()]
+    return [tuple(map(tuple, rows)) for rows in out.tolist()]
 
 
 def _tableau(n: int, key) -> CliffordTableau:
@@ -369,12 +363,12 @@ def clifford_group_1q():
     produced by the recorded word.
     """
     start = (np.eye(2, dtype=complex), ())
-    seen = {_keys(_generator_images(start[0][None]))[0]: start}
+    seen = {_tableau_keys(start[0][None])[0]: start}
     frontier = [start]
     while frontier:
         cands = [(GATE_UNITARIES[name] @ u, word + ((name, (0,)),)) for u, word in frontier for name in ("X90", "Y90")]
         frontier = []
-        for key, cand in zip(_keys(_generator_images(np.array([u for u, _ in cands]))), cands):
+        for key, cand in zip(_tableau_keys(np.array([u for u, _ in cands])), cands):
             if key not in seen:
                 seen[key] = cand
                 frontier.append(cand)
@@ -472,7 +466,7 @@ def clifford_group_2q():
                 for a in a0:
                     for b in a1:
                         built.append(_compose_2q(tail + [a, b]))
-    keys = _keys(_generator_images(np.array([u for u, _ in built])))
+    keys = _tableau_keys(np.array([u for u, _ in built]))
     return tuple(CliffordElement(_tableau(2, key), u, word) for key, (u, word) in zip(keys, built))
 
 
@@ -486,7 +480,7 @@ def clifford_index(n: int, unitaries) -> list:
     proportional to a stack of Clifford unitaries."""
     us = np.asarray(unitaries, dtype=complex).reshape(-1, 2**n, 2**n)
     index = _group_index(n)
-    return [index[key] for key in _keys(_generator_images(us))]
+    return [index[key] for key in _tableau_keys(us)]
 
 
 def enumerate_clifford_group(n: int):
