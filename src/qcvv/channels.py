@@ -56,7 +56,7 @@ def kraus_to_transfer(kraus) -> np.ndarray:
     for k in ks:
         if k.shape != (d, d):
             raise ValueError("Kraus operators must share one square shape")
-        out += np.kron(k.conj(), k)
+        out += (k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(d * d, d * d)
     return out
 
 
@@ -65,7 +65,7 @@ def transfer_to_ptm(transfer: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(d2)))
     v = pauli_vec_basis(d)
     ptm = v.conj().T @ transfer @ v
-    return ptm.real if np.allclose(ptm.imag, 0, atol=1e-12) else ptm
+    return ptm.real if np.all(np.abs(ptm.imag) <= 1e-12) else ptm
 
 
 def ptm_to_transfer(ptm: np.ndarray) -> np.ndarray:

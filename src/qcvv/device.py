@@ -28,13 +28,20 @@ nothing is ever compiled across them.
 
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
+
+The dense and statevector backends share one local-operator kernel,
+``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
+product over the gate's axes.  Every backend call simulates one circuit; the
+benchmark's tracer counts circuits per ``circuit_probabilities``,
+``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
+ensemble entry point first needs its own benchmark change.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -270,6 +277,20 @@ class GateSetModel:
     def _idle_faults(self):
         return None if self.idle is None else _noise_dist(self.idle.ptm, "idle")
 
+    @cached_property
+    def _superket(self) -> np.ndarray:
+        """The read-only initial state, shaped ``(4,) * n``."""
+        state = _initial_state(self)
+        state.flags.writeable = False
+        return state
+
+    @cached_property
+    def _effects(self) -> np.ndarray:
+        """The read-only effect rows of :func:`_effect_rows`."""
+        rows = _effect_rows(self.n, self.confusion)
+        rows.flags.writeable = False
+        return rows
+
     def resolve(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
         return self.record(label, arity, gate_defs).noisy
 
@@ -326,23 +347,37 @@ DENSE_WIDTH_CAP = 6
 STATEVECTOR_WIDTH_CAP = 14
 
 
-def _apply_local_ptm(state: np.ndarray, ptm: np.ndarray, qubits) -> np.ndarray:
-    k = len(qubits)
-    op = ptm.reshape((4,) * (2 * k))
-    state = np.tensordot(op, state, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(state, list(range(k)), list(qubits))
+@lru_cache(maxsize=None)
+def _axis_order(ndim: int, qubits: tuple):
+    """The transpose that brings ``qubits`` to the front, and its inverse."""
+    perm = qubits + tuple(a for a in range(ndim) if a not in qubits)
+    return perm, tuple(int(a) for a in np.argsort(perm))
+
+
+def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
+    """Apply the (d^k, d^k) matrix ``op`` to the axes ``qubits`` of a tensor
+    whose every axis has size d, as one matrix product.
+
+    ``np.dot`` copies a strided operand before its gemm, as a tensor
+    contraction over those axes does, so the result is the same to the bit;
+    ``@`` would run a non-BLAS loop on such an operand and round otherwise.
+    """
+    perm, inverse = _axis_order(state.ndim, tuple(qubits))
+    moved = state.transpose(perm)
+    out = np.dot(op, moved.reshape(op.shape[1], -1))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def _layer_apply(model: GateSetModel, state: np.ndarray, layer, gate_defs) -> np.ndarray:
     busy = set()
     for label, qubits in layer:
         ch = model.resolve(label, len(qubits), gate_defs)
-        state = _apply_local_ptm(state, ch.ptm, qubits)
+        state = _apply_local(state, ch.ptm, qubits)
         busy.update(qubits)
     if model.idle is not None:
         for q in range(model.n):
             if q not in busy:
-                state = _apply_local_ptm(state, model.idle.ptm, (q,))
+                state = _apply_local(state, model.idle.ptm, (q,))
     return state
 
 
@@ -367,13 +402,13 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit):
         raise ValueError("circuit width does not match the model")
     if model.n > DENSE_WIDTH_CAP:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
-    state = _initial_state(model)
+    state = model._superket
     for layer in circuit.layers:
         state = _layer_apply(model, state, layer, circuit.gate_defs)
     flat = state.reshape(-1)
     if model._effect_transform is not None:
         flat = model._effect_transform @ flat
-    probs = _effect_rows(model.n, model.confusion) @ flat
+    probs = model._effects @ flat
     total = probs.sum()
     if abs(total - 1.0) > 1e-7:
         raise ValueError(f"distribution normalizes to {total}; model is not TP")
@@ -432,10 +467,7 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
     for layer in circuit.layers:
         for label, qubits in layer:
             u = model.record(label, len(qubits), circuit.gate_defs).ideal
-            k = len(qubits)
-            op = u.reshape((2,) * (2 * k))
-            psi = np.tensordot(op, psi, axes=(list(range(k, 2 * k)), list(qubits)))
-            psi = np.moveaxis(psi, list(range(k)), list(qubits))
+            psi = _apply_local(psi, u, qubits)
     return psi.reshape(-1)
 
 
@@ -877,7 +909,7 @@ def apply_gauge(model: GateSetModel, m: np.ndarray) -> GateSetModel:
         gates[label] = (Channel(m @ ch.ptm @ minv), ar)
     if model.noise_rule is not None:
         raise ValueError("gauge transforms require fully explicit gate dictionaries")
-    prep = _initial_state(model).reshape(-1)
+    prep = model._superket.reshape(-1)
     out = GateSetModel(model.n, gates=gates, confusion=model.confusion, preparation=m @ prep)
     out._effect_transform = minv
     return out

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import Channel
 from .cliffords import INVERSE_LABEL, clifford_1q_tables, measurement_rotation_gate
-from .device import Circuit, GateSetModel, parity_mean, sample
+from .device import Circuit, GateSetModel, _apply_local, parity_mean, sample
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
@@ -272,12 +272,8 @@ def circuit_polarization_oracle(model: GateSetModel, layers) -> float:
 
 
 def _embed_ptm(ptm, qubits, n):
-    k = len(qubits)
-    op = ptm.reshape((4,) * (2 * k))
     t = np.eye(4**n).reshape((4,) * (2 * n))
-    t = np.tensordot(op, t, axes=(list(range(k, 2 * k)), list(qubits)))
-    t = np.moveaxis(t, list(range(k)), list(qubits))
-    return t.reshape(4**n, 4**n)
+    return _apply_local(t, ptm, qubits).reshape(4**n, 4**n)
 
 
 # -- circuit output accreditation ---------------------------------------------------

@@ -21,6 +21,31 @@ def test_identity_kraus_transfer():
     assert np.abs(c.to_ptm() - np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_kraus_to_transfer_equals_sum_of_krons(d):
+    gen = rng(d)
+    for r in (1, 2, 3):
+        ks = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(r)]
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for k in ks:
+            ref += np.kron(k.conj(), k)
+        assert np.array_equal(ch.kraus_to_transfer(ks), ref)
+
+
+@pytest.mark.parametrize("imag, real", [(1e-12, True), (-1e-12, True), (2e-12, False), (np.nan, False)])
+def test_transfer_to_ptm_drops_imaginary_part_up_to_1e12(monkeypatch, imag, real):
+    # With the Pauli basis swapped for the identity the PTM is the transfer
+    # matrix itself, so its imaginary part is exactly the one put in.
+    monkeypatch.setattr(ch, "pauli_vec_basis", lambda d: np.eye(d * d))
+    transfer = np.eye(4, dtype=complex)
+    transfer[1, 2] += 1j * imag
+    ptm = ch.transfer_to_ptm(transfer)
+    assert np.iscomplexobj(ptm) is not real
+    assert real == np.allclose(transfer.imag, 0, atol=1e-12)
+    if real:
+        assert np.array_equal(ptm, np.eye(4))
+
+
 def test_dephasing_matches_paper_forms():
     p = 0.1
     c = ch.dephasing(p)

@@ -227,6 +227,96 @@ def test_gauge_identity_is_noop():
         dv.apply_gauge(model, np.zeros((4, 4)))
 
 
+def test_model_constants_are_per_model():
+    def rule(label, arity):
+        return ch.depolarizing(0.03, n=arity)
+
+    model = dv.noisy_model(2, rule)
+    circ = Circuit(2, ((("H", (0,)), ("X90", (1,))), (("CNOT", (0, 1)),), (("Y90", (1,)),)))
+    before = dv.circuit_probabilities(model, circ).probs
+    assert not model._superket.flags.writeable
+    with pytest.raises(ValueError):
+        model._superket[(0, 0)] = 0.0
+    conf = {1: [[0.9, 0.2], [0.1, 0.8]]}
+    variant = model.with_confusion(conf)
+    fresh = dv.noisy_model(2, rule, confusion=conf)
+    assert np.array_equal(
+        dv.circuit_probabilities(variant, circ).probs, dv.circuit_probabilities(fresh, circ).probs
+    )
+    assert not np.array_equal(variant._effects, model._effects)
+    assert np.array_equal(dv.circuit_probabilities(model, circ).probs, before)
+
+
+def test_gauge_transformed_model_keeps_parent_probabilities_after_caching():
+    gates = {
+        "G0": (ch.Channel(ch.dephasing(0.05).ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["X90"]).ptm), 1),
+        "G1": (ch.Channel.from_unitary(dv.GATE_UNITARIES["Y90"]), 1),
+    }
+    model = GateSetModel(1, gates=gates, confusion={0: [[0.95, 0.1], [0.05, 0.9]]})
+    circ = Circuit(1, ((("G0", (0,)),), (("G1", (0,)),), (("G0", (0,)),)))
+    p0 = dv.circuit_probabilities(model, circ).probs
+    prep = model._superket.copy()
+    m = np.eye(4) + 0.1 * rng(3).normal(size=(4, 4))
+    gauged = dv.apply_gauge(model, m)
+    assert np.allclose(dv.circuit_probabilities(gauged, circ).probs, p0, atol=1e-12)
+    assert np.allclose(gauged._superket.reshape(-1), m @ prep.reshape(-1), atol=1e-15)
+    assert np.array_equal(model._superket, prep)
+    assert np.array_equal(dv.circuit_probabilities(model, circ).probs, p0)
+
+
+def _tensordot_reference(state, op, qubits):
+    """The tensordot + moveaxis contraction that ``_apply_local`` replaced."""
+    k = len(qubits)
+    t = op.reshape((state.shape[0],) * (2 * k))
+    out = np.tensordot(t, state, axes=(list(range(k, 2 * k)), list(qubits)))
+    return np.moveaxis(out, list(range(k)), list(qubits))
+
+
+def _layouts(tensor):
+    """The tensor as a C-ordered array, as a column-major one and, when
+    real, as the strided real part of a complex array (the layout of the
+    dense initial state)."""
+    yield tensor
+    yield tensor.T.copy().T
+    if not np.iscomplexobj(tensor):
+        yield tensor.astype(complex).real
+
+
+@pytest.mark.parametrize("d, widths, dtype", [(4, range(1, 7), float), (2, range(1, 9), complex)])
+def test_apply_local_matches_tensordot_bit_for_bit(d, widths, dtype):
+    gen = rng(d)
+
+    def draw(shape):
+        x = gen.normal(size=shape)
+        return x + 1j * gen.normal(size=shape) if dtype is complex else x
+
+    cases = 0
+    for n in widths:
+        for k in range(1, min(n, 3) + 1):
+            supports = {tuple(range(k)), tuple(range(k))[::-1], tuple(range(n - k, n))[::-1]}
+            supports.update(tuple(int(q) for q in gen.permutation(n)[:k]) for _ in range(3))
+            for qubits in sorted(supports):
+                op = draw((d**k, d**k))
+                for state in _layouts(draw((d,) * n)):
+                    out = dv._apply_local(state, op, qubits)
+                    assert np.array_equal(out, _tensordot_reference(state, op, qubits)), (n, qubits)
+                    cases += 1
+    assert cases > 100
+
+
+def test_embed_ptm_is_the_identity_embedding():
+    ptm = ch.amplitude_damping(0.2).compose(ch.coherent("x", 0.3)).ptm
+    eye = np.eye(4**3).reshape((4,) * 6)
+    for qubits in [(0,), (2,), (1,)]:
+        ref = _tensordot_reference(eye, ptm, qubits).reshape(64, 64)
+        assert np.array_equal(fd._embed_ptm(ptm, qubits, 3), ref)
+    assert np.array_equal(fd._embed_ptm(ptm, (0,), 3), np.kron(ptm, np.eye(16)))
+    two = ch.depolarizing(0.1, n=2).compose(ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"])).ptm
+    for qubits in [(0, 1), (1, 0), (2, 0)]:
+        ref = _tensordot_reference(eye, two, qubits).reshape(64, 64)
+        assert np.array_equal(fd._embed_ptm(two, qubits, 3), ref)
+
+
 def test_drift_fixture_changes_counts():
     def model_at(t):
         return dv.noisy_model(1, lambda l, a: ch.depolarizing(0.02 + 0.3 * t))
