@@ -29,6 +29,7 @@ import json
 import numpy as np
 
 from . import linalg
+from .cliffords import enumerate_clifford_group
 from .linalg import (
     MATRIX_UNITS,
     NORMALIZED_PAULI,
@@ -38,7 +39,6 @@ from .linalg import (
     pauli_vec_basis,
     rng,
     unvec,
-    vec,
 )
 from .paulis import PauliString, all_paulis
 
@@ -388,12 +388,44 @@ def stochastic_pauli(probs) -> Channel:
     return Channel(np.diag(diag))
 
 
+# rows P in I, X, Y, Z order; columns Q; entry (-1)^{P, Q anticommute}
+_WH_KERNEL = np.array(
+    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
+)
+
+
+def walsh_hadamard(values, direction: str) -> np.ndarray:
+    """Transform between Pauli error rates and Pauli eigenvalues.
+
+    The transform is the symplectic one over Pauli indices: ``lambda_P =
+    sum_Q (-1)^{<P,Q>} p_Q`` with ``<P,Q> = 0`` when P and Q commute and 1
+    otherwise.  It factorizes per qubit into a 4x4 kernel applied along each
+    base-4 index axis and squares to ``4**n`` times the identity.
+    ``direction`` is ``"rates-to-eigenvalues"`` (forward) or
+    ``"eigenvalues-to-rates"`` (inverse, with the 4**-n factor).
+    """
+    v = np.asarray(values, dtype=float)
+    size = v.size
+    n = 0
+    while 4**n < size:
+        n += 1
+    if 4**n != size:
+        raise ValueError("length must be a power of 4")
+    t = v.reshape((4,) * n) if n else v.copy()
+    for axis in range(n):
+        t = np.tensordot(_WH_KERNEL, t, axes=(1, axis))
+        t = np.moveaxis(t, 0, axis)
+    out = t.reshape(-1)
+    if direction == "rates-to-eigenvalues":
+        return out
+    if direction == "eigenvalues-to-rates":
+        return out / size
+    raise ValueError(f"unknown direction {direction!r}")
+
+
 def pauli_channel_from_dist(probs: np.ndarray) -> Channel:
     """Pauli channel from a full length-4**n probability vector (index order)."""
     probs = np.asarray(probs, dtype=float)
-    n = (probs.size.bit_length() - 1) // 2
-    from .cycles import walsh_hadamard
-
     return Channel(np.diag(walsh_hadamard(probs, "rates-to-eigenvalues")))
 
 
@@ -502,8 +534,6 @@ def twirl_exact(channel: Channel, group: str) -> Channel:
 
 def twirl_sampled(channel: Channel, group: str, nsamples: int, seed) -> Channel:
     """Monte-Carlo twirl by ``nsamples`` uniformly sampled group elements."""
-    from .cliffords import enumerate_clifford_group
-
     gen = rng(seed)
     n = channel.n
     if group == "pauli":

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from . import channels, cycles, device, fidelity, rb, timedomain, tomography, volumetrics
 from .linalg import pauli_label
+from .paulis import PauliString
 
 
 class ConfigError(Exception):
@@ -152,16 +153,11 @@ def cmd_simulate(cfg, out, config_text):
     shots = _need(cfg, "", "shots", int)
     seed = _need(cfg, "", "seed", int)
     backend = cfg.get("backend", "dense")
-    if backend == "dense":
-        rec = device.sample_counts(model, circ, shots, seed)
-    elif backend == "pauli-fast":
-        rec = device.pauli_fastpath_sample(model, circ, shots, seed)
-    elif backend == "statevector":
+    if backend == "statevector":
         amps = device.statevector_run(circ, model)
         _report({"amplitudes": [[z.real, z.imag] for z in amps]}, config_text, os.path.join(out, "statevector.json"))
         return
-    else:
-        raise ConfigError("/backend", f"unknown backend {backend!r}")
+    rec = device.sample(model, circ, shots, seed, backend)
     _report({"counts": rec.counts, "shots": rec.shots}, config_text, os.path.join(out, "counts.json"))
 
 
@@ -280,8 +276,6 @@ def cmd_cer(cfg, out, config_text):
     bodies = [tuple(b) for b in _need(cfg, "", "bodies", list)]
     design = _need(cfg, "", "design", dict)
     need = set()
-    from .paulis import PauliString
-
     for b in bodies:
         for i in range(1, 4 ** len(b)):
             need.add(PauliString.from_index(i, len(b)).embed(model.n, b).label)
@@ -465,9 +459,9 @@ def cmd_volumetric(cfg, out, config_text):
     model_cfg = _need(cfg, "", "model", dict)
 
     def builder(w):
-        local = dict(model_cfg)
-        local["n"] = w
-        return build_model(local)
+        # a device-wide confusion config covers every width of the sweep
+        confusion = {q: c for q, c in model_cfg.get("confusion", {}).items() if int(q) < w}
+        return build_model(dict(model_cfg, n=w, confusion=confusion))
 
     grid = volumetrics.volumetric_run(
         builder,

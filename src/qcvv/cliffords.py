@@ -16,6 +16,12 @@ the Pauli of largest overlap.  Every tableau key, the group builders, the 1q
 index tables and :func:`clifford_index` (the group element proportional to a
 unitary, as CRB needs for its closing element) come from that pass; the
 group algebra composes unitaries, never tableaux.
+
+The protocols build their circuits from one set of Clifford-layer helpers
+kept here: the Pauli-eigenstate preparation layer, the readout rotation
+onto Z and the Z-type Pauli it leaves, the inverse of a layer, and the 1q
+layer algebra over the ``c1_<i>`` index tables (composition, Pauli frames
+and randomized compiling of two-qubit sublayers).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import kron_all, pauli_matrices
+from .linalg import kron_all, pauli_matrices, rng
 from .paulis import PauliString, _popcount, all_paulis
 
 
@@ -407,6 +413,105 @@ def clifford_1q_tables() -> OneQubitTables:
     return OneQubitTables(compose, inverse, gate_index, pauli_index, gate_index["I"])
 
 
+# -- Clifford layers ---------------------------------------------------------
+# A layer is a tuple of (gate label, qubits) pairs with disjoint supports.
+# Single-qubit layers hold builtin names or ``c1_<i>`` labels; the helpers
+# that draw from ``gen`` keep one fixed draw order, so seeded circuits are
+# reproducible.
+
+def eigenstate_layer(p: PauliString, gen):
+    """1q layer preparing a random tensor eigenstate of p from |0...0>.
+
+    Draws one eigenvalue per non-identity letter; returns (layer, sign), the
+    sign being the product of the drawn eigenvalues.
+    """
+    layer = []
+    total = 1
+    for q in range(p.n):
+        letter = p.letter(q)
+        s = 1
+        if letter != "I":
+            s = 1 if gen.random() < 0.5 else -1
+            total *= s
+        gate = eigenprep_gate(letter, s)
+        if gate != "I":
+            layer.append((gate, (q,)))
+    return tuple(layer), total
+
+
+def readout_layer(p: PauliString):
+    """1q layer rotating each letter of p onto +Z for computational readout."""
+    gates = ((measurement_rotation_gate(p.letter(q)), (q,)) for q in range(p.n))
+    return tuple(g for g in gates if g[0] != "I")
+
+
+def readout_pauli(p: PauliString) -> PauliString:
+    """The Z-type Pauli on p's support: p after :func:`readout_layer`, up to sign."""
+    return PauliString(p.n, 0, p.pattern, 0)
+
+
+def _oneq_index(label: str) -> int:
+    """Group index of a ``c1_<i>`` label or a builtin single-qubit gate name."""
+    if label.startswith("c1_"):
+        return int(label[3:])
+    return clifford_1q_tables().gate_index[label]
+
+
+def inverse_layer(layer):
+    """The layer of inverse gates: ``c1_<i>`` labels through the 1q inverse
+    table, builtin names through :data:`INVERSE_LABEL`."""
+    inverse = clifford_1q_tables().inverse
+    return tuple(
+        (clifford_label(1, inverse[int(lbl[3:])]) if lbl.startswith("c1_") else INVERSE_LABEL[lbl], qs)
+        for lbl, qs in layer
+    )
+
+
+def compose_1q_layers(first, second, n):
+    """Full-width ``c1`` layer equal to applying ``first`` then ``second``."""
+    tables = clifford_1q_tables()
+    per_qubit = [tables.identity] * n
+    for layer in (first, second):
+        for lbl, (q,) in layer:
+            per_qubit[q] = tables.compose[per_qubit[q], _oneq_index(lbl)]
+    return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
+
+
+def compose_1q_with_pauli(layer, codes, n, before: bool):
+    """Full-width ``c1`` layer of ``layer`` with the Pauli (per-qubit letter
+    codes, see :func:`pauli_codes`) applied before or after it."""
+    tables = clifford_1q_tables()
+    per_qubit = [tables.identity] * n
+    for lbl, (q,) in layer:
+        per_qubit[q] = _oneq_index(lbl)
+    out = []
+    for q in range(n):
+        p = tables.pauli_index[codes[q]]
+        idx = tables.compose[p, per_qubit[q]] if before else tables.compose[per_qubit[q], p]
+        out.append((clifford_label(1, idx), (q,)))
+    return tuple(out)
+
+
+def randomized_compile(oneq_layers, twoq_layers, n, gen):
+    """Dress 2q sublayers E as C E D with D a random Pauli layer and
+    C = E D E^dag; C and D are compiled into the neighboring 1q layers so
+    the ideal action and depth are unchanged.
+
+    The letters of C follow from pushing D's letters through each gate's
+    local conjugation table; C's sign is irrelevant up to global phase."""
+    oneq_layers = [list(l) for l in oneq_layers]
+    for i, twoq in enumerate(twoq_layers):
+        d_codes = pauli_codes(int(gen.integers(4**n)), n)
+        c_codes = list(d_codes)
+        for label, qubits in twoq:
+            for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
+                c_codes[q] = c
+        # D composed after layer i's 1q gates; C composed before layer i+1's
+        oneq_layers[i] = list(compose_1q_with_pauli(tuple(oneq_layers[i]), d_codes, n, before=False))
+        oneq_layers[i + 1] = list(compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_codes, n, before=True))
+    return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
+
+
 # The three-element axis-cycling set used in the standard 2-qubit
 # decomposition: I, A, A**2 with A: X -> Z -> Y -> X (A = S o H as maps).
 @lru_cache(maxsize=None)
@@ -493,8 +598,6 @@ def enumerate_clifford_group(n: int):
 
 def random_clifford(n: int, seed) -> CliffordElement:
     """Uniformly random element of the enumerated 1- or 2-qubit group."""
-    from .linalg import rng
-
     group = enumerate_clifford_group(n)
     return group[int(rng(seed).integers(len(group)))]
 

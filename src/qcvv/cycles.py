@@ -1,11 +1,11 @@
 """Cycle benchmarking, Walsh-Hadamard Pauli-noise reconstruction, ACES, and
 the pattern-transform learnability analysis.
 
-The Walsh-Hadamard transform used throughout is the symplectic one over
-Pauli indices: ``lambda_P = sum_Q (-1)^{<P,Q>} p_Q`` with ``<P,Q> = 0`` when
-P and Q commute and 1 otherwise.  It factorizes per qubit into a 4x4 kernel
-applied along each base-4 index axis and squares to ``4**n`` times the
-identity, so the inverse carries a ``4**-n`` normalization.
+Cycle error reconstruction inverts Pauli eigenvalues to error rates with
+:func:`qcvv.channels.walsh_hadamard`, re-exported here.  The circuits are
+built from the Clifford-layer helpers of :mod:`qcvv.cliffords`: a random
+Pauli-eigenstate preparation, the benchmarked layers, and a readout rotation
+of the propagated Pauli onto Z.
 """
 
 from __future__ import annotations
@@ -15,46 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import walsh_hadamard
 from .cliffords import (
     INVERSE_LABEL,
     CliffordTableau,
-    eigenprep_gate,
-    measurement_rotation_gate,
+    eigenstate_layer,
+    inverse_layer,
+    readout_layer,
+    readout_pauli,
 )
 from .device import Circuit, parity_mean, propagate_pauli
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
-
-# rows P in I, X, Y, Z order; columns Q; entry (-1)^{P, Q anticommute}
-_WH_KERNEL = np.array(
-    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
-)
-
-
-def walsh_hadamard(values, direction: str) -> np.ndarray:
-    """Transform between Pauli error rates and Pauli eigenvalues.
-
-    ``direction`` is ``"rates-to-eigenvalues"`` (forward) or
-    ``"eigenvalues-to-rates"`` (inverse, with the 4**-n factor).
-    """
-    v = np.asarray(values, dtype=float)
-    size = v.size
-    n = 0
-    while 4**n < size:
-        n += 1
-    if 4**n != size:
-        raise ValueError("length must be a power of 4")
-    t = v.reshape((4,) * n) if n else v.copy()
-    for axis in range(n):
-        t = np.tensordot(_WH_KERNEL, t, axes=(1, axis))
-        t = np.moveaxis(t, 0, axis)
-    out = t.reshape(-1)
-    if direction == "rates-to-eigenvalues":
-        return out
-    if direction == "eigenvalues-to-rates":
-        return out / size
-    raise ValueError(f"unknown direction {direction!r}")
-
+from .rb import fit_decay
 
 # -- learnability via the pattern-transform graph --------------------------------
 
@@ -183,40 +156,11 @@ def cycle_order(cycle_tableau: CliffordTableau, max_order: int = 24) -> int:
     )
 
 
-def cycle_tableau(model, cycle_layer, gate_defs=None) -> CliffordTableau:
+def cycle_tableau(model, cycle_layer) -> CliffordTableau:
     tab = CliffordTableau.identity(model.n)
     for label, qubits in cycle_layer:
-        tab = tab.then(model.record(label, len(qubits), gate_defs).tableau.embed(model.n, qubits))
+        tab = tab.then(model.record(label, len(qubits)).tableau.embed(model.n, qubits))
     return tab
-
-
-def _prep_layer(p: PauliString, gen):
-    """1q layer preparing a random tensor eigenstate of p; returns (layer, sign)."""
-    layer = []
-    total = 1
-    for q in range(p.n):
-        letter = p.letter(q)
-        s = 1
-        if letter != "I":
-            s = 1 if gen.random() < 0.5 else -1
-            total *= s
-        gate = eigenprep_gate(letter, s)
-        if gate != "I":
-            layer.append((gate, (q,)))
-    return tuple(layer), total
-
-
-def _meas_layer(p: PauliString):
-    layer = []
-    for q in range(p.n):
-        g = measurement_rotation_gate(p.letter(q))
-        if g != "I":
-            layer.append((g, (q,)))
-    return tuple(layer)
-
-
-def _ztype(p: PauliString) -> PauliString:
-    return PauliString(p.n, 0, p.pattern, 0)
 
 
 def cycle_benchmark(
@@ -252,7 +196,7 @@ def cycle_benchmark(
             samples = []
             for _ in range(circuits_per_depth):
                 body = []
-                prep_layer, sign = _prep_layer(p, gen)
+                prep_layer, sign = eigenstate_layer(p, gen)
                 for _rep in range(m):
                     dressing = tuple(
                         (lab, (q,))
@@ -270,18 +214,16 @@ def cycle_benchmark(
                 if abs(sgn.imag) > 1e-12:
                     raise RuntimeError("propagated Pauli acquired a complex phase")
                 sign *= 1 if sgn.real > 0 else -1
-                meas = _meas_layer(current)
+                meas = readout_layer(current)
                 if meas:
                     layers.append(meas)
-                measured = _ztype(current)
+                measured = readout_pauli(current)
                 circ = Circuit(n, tuple(layers))
                 sub = int(gen.integers(2**62))
                 samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign))
             arr = np.asarray(samples)
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)
-        from .rb import fit_decay
-
         decay = PauliDecay(p.label, list(depths), means, errs)
         fit = fit_decay(list(depths), means, errs, fix_b=0.0)
         decay.a, decay.f, decay.f_err = fit.a, fit.f, fit.f_err
@@ -483,11 +425,11 @@ def aces(
                     row[col[("MEAS", (q,), a1)]] += 1
         sgn = current.sign
         ideal_sign = 1 if sgn.real > 0 else -1
-        prep_layer, prep_sign = _prep_layer(prepared, gen)
-        meas = _meas_layer(current)
+        prep_layer, prep_sign = eigenstate_layer(prepared, gen)
+        meas = readout_layer(current)
         layers = (prep_layer,) + tuple(prefix_layers) + ((meas,) if meas else ())
         circ = Circuit(n, layers)
-        measured = _ztype(current)
+        measured = readout_pauli(current)
         sub = int(gen.integers(2**62))
         sign = prep_sign * ideal_sign
         est = sign * parity_mean(model, circ, measured, shots, sub, backend, sign)
@@ -524,7 +466,7 @@ def aces(
         seq.append(dress[depth])
         for i in range(depth - 1, -1, -1):
             seq.append(tuple((INVERSE_LABEL.get(lbl, lbl), qs) for lbl, qs in half[i]))
-            seq.append(tuple((INVERSE_LABEL[lbl], qs) for lbl, qs in dress[i]))
+            seq.append(inverse_layer(dress[i]))
         seq.append(_random_1q_layer(n, gen))  # terminal randomizing layer
         for _ in range(paulis_per_circuit):
             p = PauliString.from_index(int(gen.integers(1, 4**n)), n)

@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channels import Channel, identity_channel
+from .channels import Channel, identity_channel, walsh_hadamard
 from .cliffords import (
     GATE_UNITARIES,
     CliffordTableau,
@@ -55,6 +55,7 @@ from .cliffords import (
     tableau_from_unitary,
 )
 from .linalg import child_seeds, kron_all, rng
+from .metrics import ProbDist
 from .paulis import PauliString
 
 
@@ -207,7 +208,8 @@ class GateSetModel:
     ``noise_rule(label, arity)`` itself (identity when it returns None),
     attached to the ideal unitary.  An explicit gate's ideal unitary is its
     channel's ``unitary`` or, failing that, the one the rest of the order
-    gives; its error channel is derived as noisy * ideal^-1.
+    gives; its error channel is derived as noisy * ideal^-1.  ``confusion``
+    maps qubits ``0..n-1`` to readout matrices; any other key is a ValueError.
     """
 
     def __init__(
@@ -232,10 +234,12 @@ class GateSetModel:
         self._prep = None if preparation is None else np.asarray(preparation, dtype=float).reshape(-1)
         self._effect_transform = None
         for q, c in (confusion or {}).items():
-            c = np.asarray(c, dtype=float)
+            q, c = int(q), np.asarray(c, dtype=float)
             if c.shape != (2, 2) or np.any(np.abs(c.sum(axis=0) - 1) > 1e-9):
                 raise ValueError(f"confusion matrix for qubit {q} must be 2x2 column-stochastic")
-            self.confusion[int(q)] = c
+            if not 0 <= q < n:
+                raise ValueError(f"confusion matrix for qubit {q} is outside the {n}-qubit register")
+            self.confusion[q] = c
 
     # -- resolution --------------------------------------------------------
     def record(self, label: str, arity: int = None, gate_defs: dict = None) -> GateRecord:
@@ -414,8 +418,6 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit):
         raise ValueError(f"distribution normalizes to {total}; model is not TP")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    from .metrics import ProbDist
-
     labels = [format(i, f"0{model.n}b") for i in range(2**model.n)]
     return ProbDist(labels, probs)
 
@@ -473,8 +475,6 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
 
 def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
     amps = statevector_run(circuit, model)
-    from .metrics import ProbDist
-
     labels = [format(i, f"0{circuit.width}b") for i in range(2**circuit.width)]
     p = np.abs(amps) ** 2
     return ProbDist(labels, p / p.sum())
@@ -751,8 +751,6 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
     diag = np.diag(err_ptm)
     if not np.allclose(err_ptm - np.diag(diag), 0, atol=1e-8):
         raise ValueError(f"noise on gate {label!r} is not stochastic Pauli")
-    from .cycles import walsh_hadamard
-
     probs = walsh_hadamard(diag, "eigenvalues-to-rates")
     if probs.min() < -1e-9:
         raise ValueError(f"gate {label!r} diagonal is not a Pauli channel")

@@ -8,19 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .cliffords import INVERSE_LABEL, clifford_1q_tables, measurement_rotation_gate
+from .cliffords import (
+    clifford_1q_tables,
+    clifford_label,
+    compose_1q_layers,
+    inverse_layer,
+    randomized_compile,
+    readout_layer,
+    readout_pauli,
+)
 from .device import Circuit, GateSetModel, _apply_local, parity_mean, sample
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
-from .rb import (
-    _compose_1q_layers,
-    _identity_index,
-    _invert_1q_layer,
-    _randomized_compile,
-    adjusted_success_probability,
-    clifford_label,
-)
+from .rb import adjusted_success_probability
 
 DFE_DENSE_QUBIT_CAP = 10
 
@@ -134,13 +135,9 @@ def dfe(
         m_k = int(np.ceil(2 * np.log(2 / delta) / (d * chi[k] ** 2 * l * epsilon**2)))
         m_k = max(m_k, 1) * int(rep)
         total_shots += m_k
-        meas_layer = tuple(
-            (measurement_rotation_gate(p.letter(q)), (q,))
-            for q in range(n)
-            if measurement_rotation_gate(p.letter(q)) != "I"
-        )
+        meas_layer = readout_layer(p)
         circ = prep_circuit.then(Circuit(n, (meas_layer,))) if meas_layer else prep_circuit
-        measured = PauliString(n, 0, p.pattern, 0)
+        measured = readout_pauli(p)
         sub = int(gen.integers(2**62))
         mean = float(parity_mean(model, circ, measured, m_k, sub, backend, chi[k] * np.sqrt(d)))
         values.extend([(mean / np.sqrt(d)) / chi[k]] * int(rep))
@@ -165,7 +162,7 @@ class MCFEResult:
 def split_alternating(layers, n):
     """Split a circuit into the alternating form u t u t ... u, padding with
     identity 1q layers where needed.  Returns (oneq list, twoq list)."""
-    ident = tuple((clifford_label(1, _identity_index()), (q,)) for q in range(n))
+    ident = tuple((clifford_label(1, clifford_1q_tables().identity), (q,)) for q in range(n))
     oneq, twoq = [], []
     have_oneq = False
     for layer in layers:
@@ -177,7 +174,7 @@ def split_alternating(layers, n):
             have_oneq = False
         else:
             if have_oneq:
-                oneq[-1] = _compose_1q_layers(oneq[-1], tuple(layer), n)
+                oneq[-1] = compose_1q_layers(oneq[-1], tuple(layer), n)
             else:
                 oneq.append(tuple(layer))
                 have_oneq = True
@@ -224,18 +221,16 @@ def mcfe(
             if which != 3:
                 fw_one, fw_two = list(oneq_t), list(twoq_t)
                 if which == 2:
-                    fw_one, fw_two = _randomized_compile(fw_one, fw_two, n, gen)
-                rv_one = [_invert_1q_layer(u, n) for u in reversed(oneq_t)]
-                rv_two = [
-                    tuple((INVERSE_LABEL[lbl], qs) for lbl, qs in layer) for layer in reversed(twoq_t)
-                ]
-                rv_one, rv_two = _randomized_compile(rv_one, rv_two, n, gen)
+                    fw_one, fw_two = randomized_compile(fw_one, fw_two, n, gen)
+                rv_one = [inverse_layer(u) for u in reversed(oneq_t)]
+                rv_two = [inverse_layer(layer) for layer in reversed(twoq_t)]
+                rv_one, rv_two = randomized_compile(rv_one, rv_two, n, gen)
                 for half_one, half_two in ((fw_one, fw_two), (rv_one, rv_two)):
                     for i, oq in enumerate(half_one):
                         layers.append(tuple(oq))
                         if i < len(half_two) and half_two[i]:
                             layers.append(tuple(half_two[i]))
-            layers.append(_invert_1q_layer(l0, n))
+            layers.append(inverse_layer(l0))
             circ = Circuit(n, tuple(lay for lay in layers if lay))
             sub = int(gen.integers(2**62))
             rec = sample(model, circ, shots, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
@@ -323,18 +318,13 @@ def _trap_oneq_layers(n, rounds):
     """Compose each round's {I,H,S} pick with the inverse of the previous
     round's accumulated single-qubit action, closing with a full inversion
     round, so the trap's 1q gates alone compose to the identity per qubit."""
-    tables = clifford_1q_tables()
-    per_qubit = [tables.identity] * n
     out = []
+    undo = ()
     for pick in rounds:
-        layer = []
-        for q in range(n):
-            w = tables.gate_index[pick[q]]
-            idx = tables.compose[tables.inverse[per_qubit[q]], w]
-            layer.append((clifford_label(1, idx), (q,)))
-            per_qubit[q] = w
-        out.append(tuple(layer))
-    out.append(tuple((clifford_label(1, tables.inverse[per_qubit[q]]), (q,)) for q in range(n)))
+        layer = tuple((g, (q,)) for q, g in enumerate(pick))
+        out.append(compose_1q_layers(undo, layer, n))
+        undo = inverse_layer(layer)
+    out.append(compose_1q_layers(undo, (), n))
     return out
 
 
@@ -381,5 +371,5 @@ def _trap_circuit(n, twoq_t, gen) -> Circuit:
     compose to the identity and every CZ meets a qubit in |0>, where it acts
     as the identity, so the trap's ideal outcome is all zeros."""
     rounds = _trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
-    oneq, twoq = _randomized_compile(_trap_oneq_layers(n, rounds), [tuple(l) for l in twoq_t], n, gen)
+    oneq, twoq = randomized_compile(_trap_oneq_layers(n, rounds), [tuple(l) for l in twoq_t], n, gen)
     return _stitch(oneq, twoq, n)

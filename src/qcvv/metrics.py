@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
+from .linalg import pauli_matrices
 
 NORM_TOL = 1e-9
 
@@ -263,7 +264,5 @@ def readout_fidelity(response: np.ndarray) -> float:
 
 def bloch_vector(rho) -> np.ndarray:
     """Single-qubit Bloch vector (Tr X rho, Tr Y rho, Tr Z rho)."""
-    from .linalg import pauli_matrices
-
     rho = np.asarray(rho, dtype=complex)
     return np.array([np.trace(p @ rho).real for p in pauli_matrices(1)[1:]])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron_all, pauli_matrix_1q
+from .linalg import kron_all, pauli_index, pauli_label, pauli_matrix_1q
 
 # (x, z) pair per qubit: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Y = i * X Z.
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -66,8 +66,6 @@ class PauliString:
     @classmethod
     def from_index(cls, index: int, n: int) -> "PauliString":
         """Pauli from its base-4 index (consistent with linalg.pauli_label)."""
-        from .linalg import pauli_label
-
         return cls.from_label(pauli_label(index, n))
 
     # -- views -------------------------------------------------------------
@@ -80,8 +78,6 @@ class PauliString:
 
     @property
     def index(self) -> int:
-        from .linalg import pauli_index
-
         return pauli_index(self.label)
 
     @property

@@ -9,6 +9,7 @@ degeneracy at saturated depths.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,21 +18,22 @@ import scipy.stats
 
 from .cliffords import (
     GATE_UNITARIES,
-    INVERSE_LABEL,
     clifford_1q_tables,
     clifford_gate_factory,
     clifford_index,
     clifford_label,
-    conjugate_codes,
+    compose_1q_layers,
+    eigenstate_layer,
     enumerate_clifford_group,
-    measurement_rotation_gate,
-    pauli_codes,
+    inverse_layer,
+    randomized_compile,
+    readout_layer,
+    readout_pauli,
 )
-from .cycles import _meas_layer, _prep_layer, _ztype
 from .device import (
     Circuit,
     GateSetModel,
-    circuit_probabilities,
+    ShotRecord,
     ideal_probabilities,
     parity_from_counts,
     parity_mean,
@@ -39,7 +41,7 @@ from .device import (
     sample,
     sample_counts,
 )
-from .linalg import child_seeds, rng
+from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import convert_metric
 from .paulis import PauliString
 
@@ -211,8 +213,6 @@ def write_decay_dataset(path, entries):
     with :func:`load_decay_dataset` + :func:`fit_decay` without the
     simulator.
     """
-    import json
-
     with open(path, "w") as f:
         for depth, record, bits, meta in entries:
             f.write(
@@ -231,10 +231,6 @@ def write_decay_dataset(path, entries):
 
 def load_decay_dataset(path, variant: str = "external") -> DecayDataset:
     """Read a JSON-lines RB dataset into a :class:`DecayDataset`."""
-    import json
-
-    from .device import ShotRecord
-
     values = {}
     meta = {}
     with open(path) as f:
@@ -392,15 +388,6 @@ def systematic_irb_bound(f: float, f_d: float, d: int) -> float:
 
 # -- purity benchmarking (XRB) ---------------------------------------------------------
 
-def _setting_layer(setting: str):
-    layer = []
-    for q, axis in enumerate(setting):
-        g = measurement_rotation_gate(axis)
-        if g != "I":
-            layer.append((g, (q,)))
-    return tuple(layer)
-
-
 def xrb(model: GateSetModel, design: RBDesign, reference_fit: FitResult = None):
     """eXtended RB: CRB circuits without inversion, state tomography appended.
 
@@ -423,7 +410,7 @@ def xrb(model: GateSetModel, design: RBDesign, reference_fit: FitResult = None):
             gamma = 0.0
             per_pauli = {}
             for setting in settings:
-                circ = Circuit(n, tuple(layers) + ((_setting_layer(setting)),))
+                circ = Circuit(n, tuple(layers) + (readout_layer(PauliString.from_label(setting)),))
                 rec = sample_counts(model, circ, design.shots, int(gen.integers(2**62)))
                 for pidx in range(1, 4**n):
                     p = PauliString.from_index(pidx, n)
@@ -506,24 +493,6 @@ class LayerSampler:
         return (d**2 * fe - 1) / (d**2 - 1)
 
 
-def _oneq_index(label: str) -> int:
-    """Group index of a ``c1_<i>`` label or a builtin single-qubit gate name."""
-    if label.startswith("c1_"):
-        return int(label[3:])
-    return clifford_1q_tables().gate_index[label]
-
-
-def _invert_1q_layer(layer, n):
-    inverse = clifford_1q_tables().inverse
-    inv = []
-    for lbl, qs in layer:
-        if lbl.startswith("c1_"):
-            inv.append((clifford_label(1, inverse[_oneq_index(lbl)]), qs))
-        else:
-            inv.append((INVERSE_LABEL[lbl], qs))
-    return tuple(inv)
-
-
 # -- binary RB ----------------------------------------------------------------------
 
 def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="fast"):
@@ -539,7 +508,7 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     for m in design.depths:
         for _ in range(design.circuits_per_depth):
             p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
-            prep, sign = _prep_layer(p, gen)
+            prep, sign = eigenstate_layer(p, gen)
             body = []
             for _i in range(m):
                 body.extend(sampler.sample(gen))
@@ -549,9 +518,9 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
                 raise RuntimeError("propagated Pauli has a complex sign")
             sign *= 1 if sgn.real > 0 else -1
             # the rotation layer stays when empty: idle qubits still get noise
-            circ = Circuit(n, (prep, *body, _meas_layer(current)))
+            circ = Circuit(n, (prep, *body, readout_layer(current)))
             sub = int(gen.integers(2**62))
-            values[m].append(sign * parity_mean(model, circ, _ztype(current), design.shots, sub, backend, sign))
+            values[m].append(sign * parity_mean(model, circ, readout_pauli(current), design.shots, sub, backend, sign))
     data = DecayDataset(list(design.depths), values, "birb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)
     return {"data": data, "fit": fit, "f": fit.f, "f_err": fit.f_err}
@@ -573,84 +542,33 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
     n = sampler.n
     half = [sampler.sample(gen) for _ in range(m // 2)]
     l0 = tuple((clifford_label(1, int(gen.integers(24))), (q,)) for q in range(n))
-    ident = tuple((clifford_label(1, _identity_index()), (q,)) for q in range(n))
+    ident = tuple((clifford_label(1, clifford_1q_tables().identity), (q,)) for q in range(n))
     # flat alternation u[0] t[0] u[1] t[1] ... u[m]; the center and edge 1q
     # layers absorb L0, its inverse, and the turnaround
     oneq_layers = []
     twoq_layers = []
     h = m // 2
     if h == 0:
-        oneq_layers = [_compose_1q_layers(l0, _invert_1q_layer(l0, n), n)]
+        oneq_layers = [compose_1q_layers(l0, inverse_layer(l0), n)]
     else:
-        oneq_layers.append(_compose_1q_layers(l0, half[0][0], n))
+        oneq_layers.append(compose_1q_layers(l0, half[0][0], n))
         twoq_layers.append(half[0][1])
         for i in range(1, h):
             oneq_layers.append(half[i][0])
             twoq_layers.append(half[i][1])
         oneq_layers.append(ident)  # turnaround between t_h and its inverse
         for i in range(h - 1, 0, -1):
-            twoq_layers.append(tuple((INVERSE_LABEL[lbl], qs) for lbl, qs in half[i][1]))
-            oneq_layers.append(_invert_1q_layer(half[i][0], n))
-        twoq_layers.append(tuple((INVERSE_LABEL[lbl], qs) for lbl, qs in half[0][1]))
-        oneq_layers.append(
-            _compose_1q_layers(_invert_1q_layer(half[0][0], n), _invert_1q_layer(l0, n), n)
-        )
-    dressed_oneq, dressed_twoq = _randomized_compile(oneq_layers, twoq_layers, n, gen)
+            twoq_layers.append(inverse_layer(half[i][1]))
+            oneq_layers.append(inverse_layer(half[i][0]))
+        twoq_layers.append(inverse_layer(half[0][1]))
+        oneq_layers.append(compose_1q_layers(inverse_layer(half[0][0]), inverse_layer(l0), n))
+    dressed_oneq, dressed_twoq = randomized_compile(oneq_layers, twoq_layers, n, gen)
     layers = []
     for i, oneq in enumerate(dressed_oneq):
         layers.append(oneq)
         if i < len(dressed_twoq):
             layers.append(dressed_twoq[i])
     return Circuit(n, tuple(layers))
-
-
-def _compose_1q_layers(first, second, n):
-    """Single 1q layer equal to applying ``first`` then ``second``."""
-    tables = clifford_1q_tables()
-    per_qubit = [tables.identity] * n
-    for layer in (first, second):
-        for lbl, (q,) in layer:
-            per_qubit[q] = tables.compose[per_qubit[q], _oneq_index(lbl)]
-    return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
-
-
-def _randomized_compile(oneq_layers, twoq_layers, n, gen):
-    """Dress 2q sublayers E as C E D with D a random Pauli layer and
-    C = E D E^dag; C and D are compiled into the neighboring 1q layers so
-    the ideal action and depth are unchanged.
-
-    The letters of C follow from pushing D's letters through each gate's
-    local conjugation table; C's sign is irrelevant up to global phase."""
-    oneq_layers = [list(l) for l in oneq_layers]
-    for i, twoq in enumerate(twoq_layers):
-        d_codes = pauli_codes(int(gen.integers(4**n)), n)
-        c_codes = list(d_codes)
-        for label, qubits in twoq:
-            for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
-                c_codes[q] = c
-        # D composed after layer i's 1q gates; C composed before layer i+1's
-        oneq_layers[i] = list(_compose_1q_with_pauli(tuple(oneq_layers[i]), d_codes, n, before=False))
-        oneq_layers[i + 1] = list(_compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_codes, n, before=True))
-    return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
-
-
-def _compose_1q_with_pauli(layer, codes, n, before: bool):
-    """Full-width c1 layer of ``layer`` with the Pauli (per-qubit letter
-    codes, see :func:`pauli_codes`) applied before or after it."""
-    tables = clifford_1q_tables()
-    per_qubit = [tables.identity] * n
-    for lbl, (q,) in layer:
-        per_qubit[q] = _oneq_index(lbl)
-    out = []
-    for q in range(n):
-        p = tables.pauli_index[codes[q]]
-        idx = tables.compose[p, per_qubit[q]] if before else tables.compose[per_qubit[q], p]
-        out.append((clifford_label(1, idx), (q,)))
-    return tuple(out)
-
-
-def _identity_index() -> int:
-    return clifford_1q_tables().identity
 
 
 def adjusted_success_probability(counts: dict, target: str, n: int) -> float:
@@ -693,8 +611,6 @@ def haar_su4_layer_sampler(n: int, seed):
     gen = rng(seed)
 
     def sample():
-        from .linalg import haar_random_unitary
-
         perm = list(gen.permutation(n))
         layer = []
         defs = {}

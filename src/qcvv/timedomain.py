@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import rng
+from .linalg import child_seeds, rng
 
 
 @dataclass
@@ -344,8 +344,6 @@ def read_signal_csv(path):
 
 def rpe_trials(theta_true, k_max, shots_per_generation, n_trials, seed, delta_fn=None):
     """RMS error of RPE over repeated trials (wrap-around aware)."""
-    from .linalg import child_seeds
-
     errs = []
     for s in child_seeds(seed, n_trials):
         res = rpe(theta_true, k_max, shots_per_generation, s, delta_fn)

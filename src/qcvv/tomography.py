@@ -20,8 +20,8 @@ import scipy.linalg
 import scipy.optimize
 
 from .channels import Channel, transfer_to_choi
-from .cliffords import GATE_UNITARIES, measurement_rotation_gate
-from .device import Circuit, GateSetModel, circuit_probabilities, sample_counts
+from .cliffords import GATE_UNITARIES, readout_layer
+from .device import Circuit, GateSetModel, circuit_probabilities, sample_counts, statevector_run
 from .linalg import (
     NORMALIZED_PAULI,
     Superket,
@@ -33,6 +33,7 @@ from .linalg import (
     unvectorize,
     vectorize,
 )
+from .paulis import PauliString
 
 
 # -- designs -------------------------------------------------------------------
@@ -58,13 +59,7 @@ def meas_setting_circuits(n: int):
     settings = [""]
     for _ in range(n):
         settings = [s + a for s in settings for a in _MEAS_SETTINGS_1Q]
-    out = []
-    for s in settings:
-        layer = tuple(
-            (measurement_rotation_gate(a), (q,)) for q, a in enumerate(s) if measurement_rotation_gate(a) != "I"
-        )
-        out.append((s, (layer,)))
-    return out
+    return [(s, (readout_layer(PauliString.from_label(s)),)) for s in settings]
 
 
 def pauli_eigenstate_effects(n: int):
@@ -488,8 +483,6 @@ def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed, id
         for bits, c in rec.counts.items():
             s_exp[int(bits, 2), x] = c / shots
     if ideal_unitary is None:
-        from .device import statevector_run
-
         s_ideal = np.zeros((d, d))
         for x in range(d):
             prep_layer = tuple(("X", (q,)) for q in range(n) if (x >> (n - 1 - q)) & 1)

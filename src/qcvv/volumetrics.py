@@ -6,10 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import Circuit, GateSetModel, ideal_probabilities, sample, sample_counts
+from .cliffords import inverse_layer
+from .device import Circuit, GateSetModel, ideal_outcome_bits, ideal_probabilities, sample, sample_counts
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
-from .rb import LayerSampler, mirror_circuit, adjusted_success_probability
+from .paulis import PauliString
+from .rb import LayerSampler, adjusted_success_probability, mirror_circuit
 
 QV_WIDTH_CAP = 12
 
@@ -114,10 +116,6 @@ def periodic_mirror_circuit(sampler: LayerSampler, germ_layers, depth: int, gen)
     single random Pauli layer at the turnaround prevents systematic
     cancellation between the two halves.
     """
-    from .cliffords import INVERSE_LABEL
-    from .paulis import PauliString
-    from .rb import _invert_1q_layer
-
     n = sampler.n
     half = [germ_layers[i % len(germ_layers)] for i in range(depth // 2)]
     layers = []
@@ -131,8 +129,8 @@ def periodic_mirror_circuit(sampler: LayerSampler, germ_layers, depth: int, gen)
         layers.append(pauli_layer)
     for oneq, twoq in reversed(half):
         if twoq:
-            layers.append(tuple((INVERSE_LABEL[lbl], qs) for lbl, qs in twoq))
-        layers.append(_invert_1q_layer(tuple(oneq), n))
+            layers.append(inverse_layer(twoq))
+        layers.append(inverse_layer(oneq))
     return Circuit(n, tuple(layers))
 
 
@@ -189,8 +187,6 @@ def volumetric_run(
 
 
 def _mirror_polarization(model, circ, shots, seed, backend, target=None):
-    from .device import ideal_outcome_bits
-
     n = model.n
     if target is None:
         bits = ideal_outcome_bits(model, circ)

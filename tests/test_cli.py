@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from qcvv.cli import main
+from qcvv import device as dv
+from qcvv.cli import build_model, main
 
 
 def run_cli(tmp_path, command, config, name="cfg.json", env_seed=None, monkeypatch=None):
@@ -85,6 +86,38 @@ def test_simulate_counts_and_statevector(tmp_path):
     code, out = run_cli(tmp_path, "simulate", cfg2, name="cfg2.json")
     amps = json.loads((out / "statevector.json").read_text())["amplitudes"]
     assert abs(amps[0][0] - 1 / np.sqrt(2)) < 1e-9
+
+
+def test_simulate_takes_the_protocol_backend_names(tmp_path):
+    circ = {"width": 2, "layers": [[["X", [0]]], [["CNOT", [0, 1]]], [["X", [1]]]]}
+    model = {"n": 2, "noise": [{"match": "1q", "channel": {"kind": "depolarizing", "p": 0.05}}]}
+    cfg = {"model": model, "circuit": circ, "shots": 500, "seed": 9, "backend": "fast"}
+    code, out = run_cli(tmp_path, "simulate", cfg)
+    assert code == 0
+    counts = json.loads((out / "counts.json").read_text())["counts"]
+    expected = dv.pauli_fastpath_sample(build_model(model), dv.Circuit.from_json(json.dumps(circ)), 500, 9)
+    assert counts == expected.counts
+    code, _ = run_cli(tmp_path, "simulate", dict(cfg, backend="pauli-fast"), name="cfg2.json")
+    assert code == 2
+
+
+def test_confusion_config_outside_register_and_width_sweep(tmp_path):
+    conf = {str(q): [[0.98, 0.02], [0.02, 0.98]] for q in range(3)}
+    circ = {"width": 2, "layers": [[["X", [0]]]]}
+    code, _ = run_cli(tmp_path, "simulate", {"model": {"n": 2, "confusion": conf}, "circuit": circ, "shots": 10, "seed": 1})
+    assert code == 2
+    cfg = {
+        "model": {"n": 3, "confusion": conf},
+        "family": "randomized-mirror",
+        "widths": [2, 3],
+        "depths": [2],
+        "circuits_per_cell": 2,
+        "shots": 20,
+        "seed": 4,
+    }
+    code, out = run_cli(tmp_path, "volumetric", cfg, name="cfg2.json")
+    assert code == 0
+    assert [c["width"] for c in json.loads((out / "volumetric.json").read_text())["cells"]] == [2, 3]
 
 
 def test_tomo_state_and_truth_table(tmp_path):

@@ -93,7 +93,7 @@ def test_randomized_compile_letters_match_tableau_conjugation(gate):
         twoq = tuple((gate, (int(pairs[i]), int(pairs[i + 1]))) for i in range(0, int(gen.integers(1, 4)) * 2, 2))
         seed = 500 + trial
         d_index = int(rng(seed).integers(4**n))
-        oneq, out_twoq = rb._randomized_compile([ident, ident], [twoq], n, rng(seed))
+        oneq, out_twoq = cl.randomized_compile([ident, ident], [twoq], n, rng(seed))
         assert out_twoq == [twoq]
         d_letters = "".join(_letter(lbl) for lbl, _ in oneq[0])
         c_letters = "".join(_letter(lbl) for lbl, _ in oneq[1])
@@ -105,9 +105,9 @@ def test_unknown_labels_still_raise():
     n = 2
     ident = tuple((rb.clifford_label(1, 0), (q,)) for q in range(n))
     with pytest.raises(KeyError):
-        rb._compose_1q_layers(ident, (("FOO", (0,)),), n)
+        cl.compose_1q_layers(ident, (("FOO", (0,)),), n)
     with pytest.raises(KeyError):
-        rb._randomized_compile([ident, ident], [(("FOO2Q", (0, 1)),)], n, rng(1))
+        cl.randomized_compile([ident, ident], [(("FOO2Q", (0, 1)),)], n, rng(1))
     with pytest.raises(KeyError):
         fd._trap_oneq_layers(n, [["I", "FOO"]])
 

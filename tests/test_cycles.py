@@ -5,7 +5,7 @@ from qcvv import channels as ch
 from qcvv import cycles as cy
 from qcvv import device as dv
 from qcvv.channels import pauli_channel_from_dist
-from qcvv.cliffords import CliffordTableau, gate_tableau
+from qcvv.cliffords import CliffordTableau, eigenstate_layer, gate_tableau, readout_layer, readout_pauli
 from qcvv.linalg import pauli_label, rng
 from qcvv.paulis import PauliString, all_paulis
 
@@ -266,11 +266,11 @@ def test_aces_circuit_eigenvalue_is_product_of_gate_eigenvalues():
                 base = lbl.split("@")[0]
                 expected *= np.diag(noise_map[(base, qs)].ptm)[pauli_index(local.label)]
     # measure via many shots
-    prep_layer, sgn = cy._prep_layer(p, rng(7))
-    meas = cy._meas_layer(current.hermitian())
+    prep_layer, sgn = eigenstate_layer(p, rng(7))
+    meas = readout_layer(current.hermitian())
     circ = dv.Circuit(3, (prep_layer,) + tuple(seq) + ((meas,) if meas else ()))
     ideal_sign = 1 if current.sign.real > 0 else -1
-    vals = dv.pauli_fastpath_signs(model, circ, cy._ztype(current), 400000, 11, ideal_sign=sgn * ideal_sign)
+    vals = dv.pauli_fastpath_signs(model, circ, readout_pauli(current), 400000, 11, ideal_sign=sgn * ideal_sign)
     est = sgn * ideal_sign * vals.mean()
     assert est == pytest.approx(expected, abs=0.005)
 

@@ -76,6 +76,18 @@ def test_confusion_matrix_applied_last():
     assert dist.as_dict()["1"] == pytest.approx(0.95, abs=1e-12)
 
 
+def test_confusion_outside_register_rejected():
+    # a confusion matrix keyed to a qubit the model does not have would be
+    # ignored by every backend, so the model refuses it by name
+    conf = [[0.9, 0.2], [0.1, 0.8]]
+    for q in (5, -1, 2):
+        with pytest.raises(ValueError, match=f"qubit {q} is outside"):
+            GateSetModel(2, confusion={q: conf})
+    with pytest.raises(ValueError, match="qubit 2 is outside"):
+        dv.ideal_model(2).with_confusion({1: conf, 2: conf})
+    assert set(GateSetModel(2, confusion={0: conf, 1: conf}).confusion) == {0, 1}
+
+
 def test_idle_channel_applied():
     model = dv.noisy_model(2, lambda l, a: None, idle=ch.stochastic_pauli((0.5, 0, 0)))
     circ = Circuit(2, ((("X", (0,)),),))  # qubit 1 idles once

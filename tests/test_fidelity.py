@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcvv import channels as ch
+from qcvv import cliffords as cl
 from qcvv import device as dv
 from qcvv import fidelity as fd
 from qcvv import rb
@@ -206,7 +207,7 @@ def test_accreditation_traps_have_target_shape():
     gen = rng(5)
     rounds = fd._trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
     oneq = fd._trap_oneq_layers(n, rounds)
-    oneq, twoq = rb._randomized_compile(oneq, [tuple(l) for l in twoq_t], n, gen)
+    oneq, twoq = cl.randomized_compile(oneq, [tuple(l) for l in twoq_t], n, gen)
     circ = fd._stitch(oneq, twoq, n)
     assert circ.width == n
     trap_twoq = [layer for layer in circ.layers if any(len(qs) == 2 for _, qs in layer)]

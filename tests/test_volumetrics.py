@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv import device as dv
 from qcvv import volumetrics as vm
 from qcvv.device import ideal_probabilities
+from qcvv.linalg import rng
 from qcvv.metrics import heavy_outcomes
+from qcvv.rb import LayerSampler
 
 
 def test_qv_circuits_shape():
@@ -137,3 +141,25 @@ def test_capability_region_classes():
     assert region == {(2, 2): "all-pass", (2, 4): "mixed", (2, 8): "all-fail"}
     rows = vm.grid_to_rows(grid)
     assert [r["class"] for r in rows] == ["all-pass", "mixed", "all-fail"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    gate=st.sampled_from(["CZ", "CNOT"]),
+    germ_layers=st.integers(1, 2),
+    depth=st.integers(0, 10),
+    seed=st.integers(0, 2**31),
+)
+def test_periodic_mirror_outcome_bits_match_statevector(width, gate, germ_layers, depth, seed):
+    # the one mirror generator whose target outcome is not all zeros: the
+    # stabilizer derivation must agree with the statevector's basis state
+    gen = rng(seed)
+    sampler = LayerSampler(width, twoq_gate=gate, twoq_density=0.7)
+    germ = [sampler.sample(gen) for _ in range(germ_layers)]
+    circ = vm.periodic_mirror_circuit(sampler, germ, depth, gen)
+    bits = dv.ideal_outcome_bits(dv.ideal_model(width), circ)
+    probs = np.abs(dv.statevector_run(circ)) ** 2
+    assert probs.max() == pytest.approx(1.0, abs=1e-9)
+    assert bits is not None
+    assert "".join(str(int(b)) for b in bits) == format(int(np.argmax(probs)), f"0{width}b")
