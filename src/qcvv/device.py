@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -483,199 +484,219 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 # -- stochastic-Pauli fast path ------------------------------------------------
 
 # Frames hold one 2-bit letter code per qubit, ``x << 1 | z`` (I=0, Z=1,
-# X=2, Y=3); a k-qubit gate reads the codes of its support as one 2k-bit
-# index, qubit i of the support in bits 2i+1 (x) and 2i (z), which is the
-# layout of :func:`qcvv.cliffords.conjugation_table`.
+# X=2, Y=3), as an (n, shots) array, so that a gate's gather reads whole rows;
+# a k-qubit gate reads the codes of its support as one 2k-bit index, qubit i
+# of the support in bits 2i+1 (x) and 2i (z), which is the layout of
+# :func:`qcvv.cliffords.conjugation_table`.
 
-def _pack(layers):
-    """Flatten per-layer ``(qubits, item)`` operations by arity k.
+def _walk(model: GateSetModel, circuit: Circuit):
+    """One pass over a circuit's operations, grouped by arity k.
 
-    Items are numbered per arity by identity.  Returns, per layer, the spans
-    ``(k, start, stop)`` of its k-qubit operations in the flat arrays; per
-    arity, the (N, k) supports, the (N,) item numbers and the (N,) positions
-    of the operations in their layer's order; and per arity, the distinct
-    items.
+    Returns, per k, the circuit's distinct k-qubit :class:`GateRecord` s and,
+    for its N k-qubit operations in circuit order, the (N, k) supports and
+    the (N,) record numbers, layer indices and operation numbers (the
+    operation's place in the whole circuit).
     """
-    numbers, items, flat, spans = {}, {}, {}, []
-    for ops in layers:
-        starts = {k: len(f[1]) for k, f in flat.items()}
-        for row, (qubits, item) in enumerate(ops):
-            k = len(qubits)
-            f = flat.get(k)
-            if f is None:
-                f = flat[k] = ([], [], [])
-                items[k] = []
-                starts[k] = 0
-            slot = numbers.get(id(item))
-            if slot is None:
-                slot = numbers[id(item)] = len(items[k])
-                items[k].append(item)
-            f[0].extend(qubits)
-            f[1].append(slot)
-            f[2].append(row)
-        spans.append([(k, a, len(flat[k][1])) for k, a in starts.items() if len(flat[k][1]) > a])
-    arrays = {
-        k: (np.array(qs, dtype=np.intp).reshape(-1, k), np.array(slots, dtype=np.intp), np.array(rows, dtype=np.intp))
-        for k, (qs, slots, rows) in flat.items()
-    }
-    return spans, arrays, items
+    ops = [op for layer in circuit.layers for op in layer]
+    supports = [qubits for _, qubits in ops]
+    arity = list(map(len, supports))
+    keys = list(zip([label for label, _ in ops], arity))
+    numbers, records = {}, {}
+    for label, k in dict.fromkeys(keys):
+        recs = records.setdefault(k, [])
+        numbers[label, k] = len(recs)
+        recs.append(model.record(label, k, circuit.gate_defs))
+    slots = np.array([numbers[key] for key in keys], dtype=np.intp)
+    arity = np.array(arity, dtype=np.intp)
+    layer_idx = np.repeat(np.arange(circuit.depth), [len(layer) for layer in circuit.layers])
+    flat = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum()))
+    firsts = np.cumsum(arity) - arity
+    out = {}
+    for k, recs in records.items():
+        sel = np.flatnonzero(arity == k)
+        out[k] = (recs, flat[firsts[sel, None] + np.arange(k)], slots[sel], layer_idx[sel], sel)
+    return out
 
 
-def _gate_layers(model: GateSetModel, circuit: Circuit):
-    """Per layer, ``(qubits, record)`` for each gate, with one
-    :class:`GateRecord` per distinct label of the circuit."""
-    records = {}
-    layers = []
-    for layer in circuit.layers:
-        ops = []
-        for label, qubits in layer:
-            key = (label, len(qubits))
-            rec = records.get(key)
-            if rec is None:
-                rec = records[key] = model.record(label, len(qubits), circuit.gate_defs)
-            ops.append((qubits, rec))
-        layers.append(ops)
+def _gate_tables(walk, depth: int):
+    """Per layer, the gates of :func:`_walk` grouped by arity k as ``(qubits,
+    offsets, codes, phases)``: the (g, k) supports, each gate's (g, 1) offset
+    into the flat image-code and phase-exponent tables of the circuit's
+    distinct k-qubit gates, and those tables."""
+    layers = [[] for _ in range(depth)]
+    for k, (records, supports, slots, layer_idx, _) in walk.items():
+        tables = [rec.conjugation for rec in records]
+        codes = np.concatenate([c for c, _ in tables])
+        phases = np.concatenate([p for _, p in tables])
+        offsets = (slots * 4**k)[:, None]
+        bounds = np.searchsorted(layer_idx, np.arange(depth + 1)).tolist()
+        for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if a < b:
+                layers[t].append((supports[a:b], offsets[a:b], codes, phases))
     return layers
 
 
-def _compile_gates(gate_layers):
-    """Per layer of :func:`_gate_layers`, the gates grouped by arity k as
-    ``(qubits, offsets, codes, phases)``: the (g, k) supports, each gate's
-    offset into the flat image-code and phase-exponent tables of the
-    circuit's distinct k-qubit gates, and those tables."""
-    spans, arrays, items = _pack([[(qubits, rec.conjugation) for qubits, rec in ops] for ops in gate_layers])
-    flat = {
-        k: (
-            supports,
-            slots * 4**k,
-            np.concatenate([codes for codes, _ in items[k]]),
-            np.concatenate([phases for _, phases in items[k]]),
-        )
-        for k, (supports, slots, _) in arrays.items()
-    }
-    return [
-        [(flat[k][0][a:b], flat[k][1][a:b], flat[k][2], flat[k][3]) for k, a, b in layer_spans]
-        for layer_spans in spans
-    ]
-
-
 def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
-    """Conjugate every row of a (rows, n) code frame by one compiled layer,
-    adding the image phase exponents to ``phase`` when it is given."""
+    """Conjugate every column of an (n, columns) code frame by one compiled
+    layer, adding the image phase exponents to ``phase`` when it is given."""
     for qubits, offsets, codes, phases in groups:
-        index = offsets + frame[:, qubits[:, 0]]
+        index = offsets + frame[qubits[:, 0]]
         for i in range(1, qubits.shape[1]):
-            index += frame[:, qubits[:, i]].astype(np.intp) << (2 * i)
+            index += frame[qubits[:, i]].astype(np.intp) << (2 * i)
         if phase is not None:
-            phase += phases[index].sum(axis=1)
+            phase += phases[index].sum(axis=0)
         image = codes[index]
         for i in range(qubits.shape[1]):
-            frame[:, qubits[:, i]] = (image >> (2 * i)) & 3
+            frame[qubits[:, i]] = (image >> (2 * i)) & 3
 
 
 class _FastPathProgram:
-    """Compiled circuit: per layer, the gate groups of :func:`_compile_gates`
-    and the layer's noisy operations (gate errors in gate order, then idle
-    qubits in qubit order) grouped by arity k as ``(rows, qubits, cdfs,
-    bases, top, faults, offsets)``: each operation's row in the layer's
-    random draw; the (g, k) supports; the cumulative fault probabilities,
-    without the last entry, of the circuit's distinct k-qubit distributions
-    laid end to end, and each operation's offset into them less one; the
-    (3, 1, g) entries that the first level of the fault search compares (see
-    :func:`_inject_faults`); the distributions' fault letter codes laid end
-    to end, and each operation's offset into them.  Faults are drawn from
-    each gate's *error* channel."""
+    """Compiled circuit, from one :func:`_walk`: per layer, the gate groups of
+    :func:`_gate_tables`, and the circuit's noisy operations as draw rows.
+
+    Faults are drawn from each gate's *error* channel and from the model's
+    idle channel on every qubit that no gate of a layer touches (found
+    through a (layers, n) busy mask).  Rows run
+    layer by layer, and within a layer through the noisy gates in gate order,
+    then the idle qubits in qubit order, which is the order the generator is
+    consumed in.  Per row: ``identity``, its identity probability (the first
+    cdf entry); ``dists``, its distribution's number; ``layer``; and
+    ``qubits``, its support padded to ``levels`` columns with the spare index
+    n.  ``starts[t]`` is layer t's first row.  Per distribution: ``cdfs``,
+    the cumulative probabilities without the last entry, padded with inf to
+    ``4**levels - 1``; ``letters``, the letter code of each fault on each
+    support qubit, padded with zeros.
+    """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
         if circuit.width != model.n:
             raise ValueError("circuit width does not match the model")
-        self.n = model.n
+        n, depth = model.n, circuit.depth
+        self.n = n
         self.pre_gate_noise = model.pre_gate_noise
-        gate_layers = _gate_layers(model, circuit)
-        self.gates = _compile_gates(gate_layers)
-        idle = model._idle_faults
-        layers = []
-        for gates in gate_layers:
-            ops = [(qubits, rec.faults) for qubits, rec in gates if rec.faults is not None]
-            if idle is not None:
-                busy = {q for qubits, _ in gates for q in qubits}
-                ops.extend(((q,), idle) for q in range(model.n) if q not in busy)
-            layers.append(ops)
-        spans, arrays, items = _pack(layers)
-        per_arity = {}
-        for k, (supports, slots, rows) in arrays.items():
-            cdfs = np.concatenate([cdf[:-1] for cdf, _ in items[k]])
-            bases = slots * (4**k - 1) - 1
-            top = cdfs[bases + _DIGITS * 4 ** (k - 1)]
-            faults = np.concatenate([codes for _, codes in items[k]])
-            per_arity[k] = (rows, supports, cdfs, bases, top, faults, slots * 4**k)
-        self.noise = []
-        for ops, layer_spans in zip(layers, spans):
-            groups = []
-            for k, a, b in layer_spans:
-                rows, supports, cdfs, bases, top, faults, offsets = per_arity[k]
-                groups.append((rows[a:b], supports[a:b], cdfs, bases[a:b], top[..., a:b], faults, offsets[a:b]))
-            self.noise.append((len(ops), groups))
+        walk = _walk(model, circuit)
+        self.gates = _gate_tables(walk, depth)
+        busy = np.zeros((depth, n), dtype=bool)
+        dists, groups = [], []  # (distribution numbers, supports, layer indices, sort keys)
+        for records, supports, slots, layer_idx, op_numbers in walk.values():
+            busy[layer_idx[:, None], supports] = True
+            dist_of = []
+            for rec in records:
+                dist_of.append(-1 if rec.faults is None else len(dists))
+                if rec.faults is not None:
+                    dists.append(rec.faults)
+            numbers = np.array(dist_of)[slots]
+            noisy = numbers >= 0
+            groups.append((numbers[noisy], supports[noisy], layer_idx[noisy], op_numbers[noisy]))
+        if model._idle_faults is not None:
+            layer_idx, qubits = np.nonzero(~busy)
+            # an idle row sorts after every gate row of its layer
+            n_ops = sum(len(layer) for layer in circuit.layers)
+            groups.append((np.full(len(qubits), len(dists)), qubits[:, None], layer_idx, n_ops + qubits))
+            dists.append(model._idle_faults)
+        levels = max([supports.shape[1] for _, supports, _, _ in groups] + [1])
+        rows = sum(len(numbers) for numbers, _, _, _ in groups)
+        self.dists = np.zeros(rows, dtype=np.intp)
+        self.layer = np.zeros(rows, dtype=np.intp)
+        self.qubits = np.full((rows, levels), n)
+        keys = np.zeros(rows, dtype=np.intp)
+        r = 0
+        for numbers, supports, layer_idx, sort_keys in groups:
+            span = slice(r, r + len(numbers))
+            self.dists[span], self.layer[span], keys[span] = numbers, layer_idx, sort_keys
+            self.qubits[span, : supports.shape[1]] = supports
+            r = span.stop
+        order = np.lexsort((keys, self.layer))
+        self.dists, self.layer, self.qubits = self.dists[order], self.layer[order], self.qubits[order]
+        self.starts = np.searchsorted(self.layer, np.arange(depth + 1))
+        self.levels = levels
+        self.cdfs = np.full((len(dists), 4**levels - 1), np.inf)
+        self.letters = np.zeros((len(dists), 4**levels, levels), dtype=np.uint8)
+        for d, (cdf, letters) in enumerate(dists):
+            self.cdfs[d, : len(cdf) - 1] = cdf[:-1]
+            self.letters[d, : len(letters), : letters.shape[1]] = letters
+        self.identity = self.cdfs[self.dists, 0]
 
 
-_DIGITS = np.arange(1, 4).reshape(3, 1, 1)
+# Doubles drawn per block of layers in :func:`_propagate_faults`; it also
+# bounds the block's fault frame, in bytes.
+_DRAW_BUDGET = 1 << 18
+
+_DIGITS = np.arange(1, 4).reshape(3, 1)
 
 
-def _inject_faults(frame: np.ndarray, noise, gen):
-    """Multiply one layer's sampled Pauli faults into the frame.
+def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdfs: np.ndarray, levels: int):
+    """Rows, columns and fault indices of the hits of a (rows, shots) draw.
 
-    A single ``(ops, shots)`` draw consumes the generator exactly as one
-    ``gen.random(shots)`` call per operation in order would.  A fault's
-    index is the number of cdf entries but the last at or below its draw,
+    A hit is an entry at or above its row's identity probability; every
+    other entry draws fault index 0, the identity.  A hit's index is the
+    number of its distribution's ``cdfs`` entries at or below its draw,
     which equals ``min(searchsorted(cdf, draw, side="right"), len(cdf) - 1)``.
-    A k-qubit distribution has 4**k - 1 such entries, searched in k base-4
-    levels: each level counts how many of three entries, a quarter of the
-    remaining range apart, lie at or below the draw.  Operations with
-    different distributions share every step, an operation costs O(k) at any
-    arity, and the search holds O(ops * shots) memory.
+    The 4**levels - 1 entries are searched in ``levels`` base-4 levels: each
+    level counts how many of three entries, a quarter of the remaining range
+    apart, lie at or below the draw, so a hit costs O(levels) whatever its
+    distribution.
     """
-    n_ops, groups = noise
-    if not n_ops:
-        return
-    draws = gen.random((n_ops, frame.shape[0]))
-    for rows, qubits, cdfs, bases, top, faults, offsets in groups:
-        draw = draws[rows].T
-        idx = (top <= draw).sum(axis=0)
-        for level in range(qubits.shape[1] - 2, -1, -1):
-            idx *= 4
-            idx += (cdfs[bases + (idx + _DIGITS) * 4**level] <= draw).sum(axis=0)
-        codes = faults[idx + offsets]
-        for i in range(qubits.shape[1]):
-            frame[:, qubits[:, i]] ^= (codes >> (2 * i)) & 3
+    rows, cols = np.nonzero(draws >= identity[:, None])
+    u = draws[rows, cols]
+    d = dists[rows]
+    idx = np.zeros(len(u), dtype=np.intp)
+    for level in range(levels - 1, -1, -1):
+        idx *= 4
+        idx += (cdfs[d, (idx + _DIGITS) * 4**level - 1] <= u).sum(axis=0)
+    return rows, cols, idx
 
 
 def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
-    """Per-shot x bits (shots, n) of the propagated fault frame."""
-    frame = np.zeros((shots, program.n), dtype=np.uint8)
-    pre = program.pre_gate_noise
-    for groups, noise in zip(program.gates, program.noise):
-        if pre:
-            _inject_faults(frame, noise, gen)
-        _apply_gate_layer(frame, groups)
-        if not pre:
-            _inject_faults(frame, noise, gen)
+    """Per-shot x bits (n, shots) of the propagated fault frame.
+
+    Layers run in blocks of ``_DRAW_BUDGET // (n * shots)`` layers (at least
+    one); a layer has at most n draw rows, so a block draws at most that
+    many doubles.  Each block draws all its rows in one ``gen.random((rows,
+    shots))`` call, the same stream as one call per layer, and writes the
+    letters of its hits (see :func:`_search_hits`) into a (layers, n + 1,
+    shots) fault frame, whose spare row n takes the padded support columns.
+    Each layer then XORs its faults into the frame before its gates
+    (pre-gate noise) or after them.
+    """
+    n, depth = program.n, len(program.gates)
+    frame = np.zeros((n, shots), dtype=np.uint8)
+    span = max(1, _DRAW_BUDGET // (n * shots))
+    for t0 in range(0, depth, span):
+        t1 = min(t0 + span, depth)
+        r0, r1 = program.starts[t0], program.starts[t1]
+        draws = gen.random((r1 - r0, shots))
+        rows, cols, idx = _search_hits(
+            draws, program.identity[r0:r1], program.dists[r0:r1], program.cdfs, program.levels
+        )
+        rows += r0
+        faults = np.zeros((t1 - t0, n + 1, shots), dtype=np.uint8)
+        faults[(program.layer[rows] - t0)[:, None], program.qubits[rows], cols[:, None]] = program.letters[
+            program.dists[rows], idx
+        ]
+        for t in range(t0, t1):
+            if program.pre_gate_noise:
+                frame ^= faults[t - t0, :n]
+            _apply_gate_layer(frame, program.gates[t])
+            if not program.pre_gate_noise:
+                frame ^= faults[t - t0, :n]
     return frame >> 1
 
 
 def _frame_of(paulis, n: int) -> np.ndarray:
-    frame = np.zeros((len(paulis), n), dtype=np.uint8)
+    frame = np.zeros((n, len(paulis)), dtype=np.uint8)
     for r, p in enumerate(paulis):
         for q in range(n):
-            frame[r, q] = (((p.xbits >> q) & 1) << 1) | ((p.zbits >> q) & 1)
+            frame[q, r] = (((p.xbits >> q) & 1) << 1) | ((p.zbits >> q) & 1)
     return frame
 
 
 def _paulis_of(frame: np.ndarray, phase: np.ndarray):
-    n = frame.shape[1]
+    n = frame.shape[0]
     out = []
-    for row, k in zip(frame.tolist(), phase.tolist()):
-        x = sum(((c >> 1) & 1) << q for q, c in enumerate(row))
-        z = sum((c & 1) << q for q, c in enumerate(row))
+    for col, k in zip(frame.T.tolist(), phase.tolist()):
+        x = sum(((c >> 1) & 1) << q for q, c in enumerate(col))
+        z = sum((c & 1) << q for q, c in enumerate(col))
         out.append(PauliString(n, x, z, k))
     return out
 
@@ -696,7 +717,7 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     Z_q; the outcome is definite iff every image is Z-type, and the bits
     follow by solving for each +-Z_q in the group over GF(2).
     """
-    return _ideal_bits(_compile_gates(_gate_layers(model, circuit)), model.n)
+    return _ideal_bits(_gate_tables(_walk(model, circuit), circuit.depth), model.n)
 
 
 def _ideal_bits(gates, n: int):
@@ -743,11 +764,12 @@ def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> Pa
     Cost is O(depth * gates); uses per-gate lookup tables, so it stays cheap
     at large width.
     """
-    return _propagate_paulis(_compile_gates(_gate_layers(model, circuit)), model.n, [p])[0]
+    return _propagate_paulis(_gate_tables(_walk(model, circuit), circuit.depth), model.n, [p])[0]
 
 
 def _noise_dist(err_ptm: np.ndarray, label: str):
-    """(cdf, fault letter codes) over local Pauli faults of an error channel."""
+    """(cdf, letters) over the local Pauli faults of an error channel:
+    ``letters[f, i]`` is fault f's letter code on qubit i of the support."""
     diag = np.diag(err_ptm)
     if not np.allclose(err_ptm - np.diag(diag), 0, atol=1e-8):
         raise ValueError(f"noise on gate {label!r} is not stochastic Pauli")
@@ -759,12 +781,8 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
     if probs[0] > 1 - 1e-15:
         return None
     k = (probs.size.bit_length() - 1) // 2
-    codes = np.zeros(probs.size, dtype=np.uint16)
-    # qubit i of the local support sits in bits 2i+1, 2i of the code
-    for idx in range(probs.size):
-        for i, c in enumerate(pauli_codes(idx, k)):
-            codes[idx] |= c << (2 * i)
-    return np.cumsum(probs), codes
+    letters = np.array([pauli_codes(idx, k) for idx in range(probs.size)], dtype=np.uint8)
+    return np.cumsum(probs), letters
 
 
 def pauli_fastpath_sample(
@@ -786,15 +804,15 @@ def pauli_fastpath_sample(
     if bits0 is None:
         raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
     gen = rng(seed)
-    bits = bits0[None, :] ^ _propagate_faults(program, shots, gen)
+    bits = bits0[:, None] ^ _propagate_faults(program, shots, gen)
     for q in range(model.n):
         if q in model.confusion:
             c = model.confusion[q]
-            pflip = np.where(bits[:, q] == 1, c[0, 1], c[1, 0])
-            bits[:, q] ^= (gen.random(shots) < pflip).astype(np.uint8)
+            pflip = np.where(bits[q] == 1, c[0, 1], c[1, 0])
+            bits[q] ^= (gen.random(shots) < pflip).astype(np.uint8)
     ints = np.zeros(shots, dtype=np.int64)
     for q in range(model.n):
-        ints = (ints << 1) | bits[:, q]
+        ints = (ints << 1) | bits[q]
     labels, cts = np.unique(ints, return_counts=True)
     counts = {format(int(v), f"0{model.n}b"): int(c) for v, c in zip(labels, cts)}
     seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
@@ -828,7 +846,7 @@ def pauli_fastpath_signs(
     fx = _propagate_faults(program, shots, gen)
     signs = np.full(shots, ideal_sign, dtype=np.int8)
     for q in read:
-        signs *= 1 - 2 * fx[:, q].astype(np.int8)
+        signs *= 1 - 2 * fx[q].astype(np.int8)
         if q in model.confusion:
             pflip = model.confusion[q][0, 1]
             signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)

@@ -19,7 +19,6 @@ import scipy.stats
 from .cliffords import (
     GATE_UNITARIES,
     clifford_1q_tables,
-    clifford_gate_factory,
     clifford_index,
     clifford_label,
     compose_1q_layers,

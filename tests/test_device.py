@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from qcvv import channels as ch
+from qcvv import cliffords as cl
 from qcvv import cycles as cy
 from qcvv import device as dv
 from qcvv import fidelity as fd
@@ -153,7 +157,7 @@ def test_fastpath_matches_dense_on_mirror_circuit():
             return ch.stochastic_pauli((0.01, 0.005, 0.02))
         return ch.stochastic_pauli({"XX": 0.01, "ZI": 0.01})
 
-    model = dv.noisy_model(3, nr, gate_factory=rb.clifford_gate_factory)
+    model = dv.noisy_model(3, nr, gate_factory=cl.clifford_gate_factory)
     sampler = rb.LayerSampler(3, twoq_density=0.7)
     circ = rb.mirror_circuit(sampler, 8, rng(55))
     rec = dv.pauli_fastpath_sample(model, circ, 100000, seed=77)
@@ -359,7 +363,7 @@ def test_randomized_compiling_distribution_invariance_under_pauli_noise():
     def nr(lbl, ar):
         return ch.stochastic_pauli((0.02, 0.01, 0.015)) if ar == 1 else ch.stochastic_pauli({"ZZ": 0.02})
 
-    model = dv.noisy_model(2, nr, gate_factory=rb.clifford_gate_factory)
+    model = dv.noisy_model(2, nr, gate_factory=cl.clifford_gate_factory)
     sampler = rb.LayerSampler(2, twoq_density=1.0)
     vals = []
     for seed in (3, 4):
@@ -443,3 +447,114 @@ def test_protocols_reject_unknown_backend_name(run):
     with pytest.raises(ValueError, match="unknown backend"):
         run("Fast")
     run("dense")
+
+
+# -- fast-path fault sampling ----------------------------------------------------
+
+
+def _rate_channel(probs) -> ch.Channel:
+    """The Pauli channel with error rates ``probs`` in Pauli index order."""
+    return ch.Channel(np.diag(ch.walsh_hadamard(probs, "rates-to-eigenvalues")))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    arities=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
+    identity=st.sampled_from([0.0, 1.0, 50.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
+    gen = rng(seed)
+    rates, ops, defs, q = {}, [], {}, 0
+    for i, k in enumerate(arities):
+        probs = gen.random(4**k) * (gen.random(4**k) >= zero_frac)
+        probs[0] += identity * probs.sum()
+        if not probs[1:].any():
+            probs[gen.integers(1, 4**k)] = 1.0
+        label = f"g{i}"
+        rates[label] = probs / probs.sum()
+        defs[label] = np.eye(2**k)
+        ops.append((label, tuple(range(q, q + k))))
+        q += k
+    model = dv.noisy_model(q, lambda label, k: _rate_channel(rates[label]))
+    circuit = Circuit(q, (tuple(ops),), defs)
+    program = dv._FastPathProgram(model, circuit)
+    # one draw row per gate, in gate order
+    cdfs = [model.record(label, len(qubits), defs).faults[0] for label, qubits in ops]
+    rows = []
+    for cdf in cdfs:
+        exact = cdf[cdf < 1.0]
+        row = np.concatenate([[0.0], exact, np.nextafter(exact, 0.0), gen.random(40)])
+        rows.append(row)
+    width = max(len(row) for row in rows)
+    draws = np.array([np.concatenate([row, gen.random(width - len(row))]) for row in rows])
+    hit_rows, hit_cols, idx = dv._search_hits(draws, program.identity, program.dists, program.cdfs, program.levels)
+    got = np.zeros(draws.shape, dtype=np.intp)
+    got[hit_rows, hit_cols] = idx
+    expected = np.array(
+        [[min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1) for u in row] for cdf, row in zip(cdfs, draws)]
+    )
+    assert np.array_equal(got, expected)
+    for cdf, row, found in zip(cdfs, draws, got):
+        assert not found[row < cdf[0]].any()  # identity draws give fault 0
+
+
+def _fast_outputs(model, circ, shots):
+    bits = dv.ideal_outcome_bits(model, circ)
+    sign = -1 if (int(bits[0]) + int(bits[2])) % 2 else 1
+    counts = dv.pauli_fastpath_sample(model, circ, shots, 21).counts
+    signs = dv.pauli_fastpath_signs(model, circ, PauliString(circ.width, 0, 0b101, 0), shots, 22, sign)
+    return counts, signs.tobytes()
+
+
+@pytest.mark.parametrize("pre", [False, True], ids=["post", "pre"])
+def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
+    def nr(lbl, ar):
+        return ch.stochastic_pauli((0.01, 0.005, 0.02)) if ar == 1 else ch.stochastic_pauli({"XZ": 0.02, "YI": 0.01})
+
+    n, shots = 5, 10_000
+    model = dv.noisy_model(n, nr, idle=ch.stochastic_pauli((0.004, 0.002, 0.006)), pre_gate_noise=pre)
+    circ = rb.mirror_circuit(rb.LayerSampler(n, twoq_density=0.7), 10, rng(9))
+    assert circ.depth > 2 * (dv._DRAW_BUDGET // (n * shots))  # several blocks at the default budget
+    default = _fast_outputs(model, circ, shots)
+    for budget in (1, 2**40):  # one layer per block; the whole circuit in one block
+        monkeypatch.setattr(dv, "_DRAW_BUDGET", budget)
+        assert _fast_outputs(model, circ, shots) == default
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    depth=st.sampled_from([0, 2, 4]),
+    pre=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(width, depth, pre, seed):
+    def nr(lbl, ar):
+        if ar == 1:
+            return ch.stochastic_pauli((0.02, 0.01, 0.03))
+        return ch.stochastic_pauli({"XI": 0.03, "ZZ": 0.02, "YX": 0.015})
+
+    model = dv.noisy_model(width, nr, idle=ch.stochastic_pauli((0.01, 0.0, 0.02)), pre_gate_noise=pre)
+    gen = rng(seed)
+    circ = rb.mirror_circuit(rb.LayerSampler(width, twoq_density=0.8), depth, gen)
+    shots = 4000
+    dense = dv.sample(model, circ, shots, seed + 1, "dense").counts
+    fast = dv.sample(model, circ, shots, seed + 2, "fast").counts
+    # two-sample chi-square over the outcomes, pooling those seen fewer
+    # than 10 times in both samples together
+    outcomes = sorted(set(dense) | set(fast))
+    table = np.array([[dense.get(o, 0) for o in outcomes], [fast.get(o, 0) for o in outcomes]])
+    rare = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] > 1:
+        assert chi2_contingency(table).pvalue > 1e-4
+    bits = dv.ideal_outcome_bits(model, circ)
+    mask = int(gen.integers(1, 2**width))
+    sign = -1 if sum(int(bits[q]) for q in range(width) if (mask >> q) & 1) % 2 else 1
+    measured = PauliString(width, 0, mask, 0)
+    d = dv.parity_mean(model, circ, measured, shots, seed + 3, "dense", sign)
+    f = dv.parity_mean(model, circ, measured, shots, seed + 4, "fast", sign)
+    assert abs(d - f) <= 5 * np.sqrt((2 - d * d - f * f) / shots) + 1e-12

@@ -1,6 +1,6 @@
 """Import structure of the package: every intra-package import sits at module
-level, no protocol module reaches into another's private helpers, and the
-module import graph has no cycles."""
+level and is used, no protocol module reaches into another's private helpers,
+and the module import graph has no cycles."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,20 @@ def test_no_function_level_relative_imports(path):
     tree = ast.parse(path.read_text(), str(path))
     nested = [f"{path.name}:{node.lineno}" for node, inside in _relative_imports(tree) if inside]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_relative_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+        for node, inside in _relative_imports(tree)
+        if not inside
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
