@@ -278,16 +278,17 @@ def pauli_codes(index: int, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def conjugation_table(tab: CliffordTableau):
-    """(image codes, phase exponents) of conjugation by a k-qubit tableau,
-    built once per distinct tableau.
+    """(images, phases) of conjugation by a k-qubit tableau, built once per
+    distinct tableau.
 
     Local Paulis are coded in ``4**k`` integers: bits ``2i + 1`` and ``2i``
-    hold the x and z bits of qubit i of the support.  Entry ``c`` gives the
-    code of the image of ``X^x Z^z`` (phase exponent 0) and that image's
-    phase exponent.
+    hold the x and z bits of qubit i of the support.  ``images`` is a
+    (k, 4**k) uint8 table: ``images[i, c]`` is the letter code ``x << 1 | z``
+    on support qubit i of the image of ``X^x Z^z`` (code c, phase exponent
+    0), and ``phases[c]`` is that image's phase exponent.
     """
     k = tab.n
-    codes = np.zeros(4**k, dtype=np.int64)
+    images = np.zeros((k, 4**k), dtype=np.uint8)
     phases = np.zeros(4**k, dtype=np.int64)
     for code in range(4**k):
         x = z = 0
@@ -295,21 +296,17 @@ def conjugation_table(tab: CliffordTableau):
             x |= ((code >> (2 * i + 1)) & 1) << i
             z |= ((code >> (2 * i)) & 1) << i
         img = tab.conjugate(PauliString(k, x, z, 0))
-        c = 0
         for i in range(k):
-            c |= ((img.xbits >> i) & 1) << (2 * i + 1)
-            c |= ((img.zbits >> i) & 1) << (2 * i)
-        codes[code] = c
+            images[i, code] = ((img.xbits >> i) & 1) << 1 | ((img.zbits >> i) & 1)
         phases[code] = img.phase
-    codes.flags.writeable = phases.flags.writeable = False  # shared by every caller
-    return codes, phases
+    images.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return images, phases
 
 
 @lru_cache(maxsize=None)
 def _image_codes(name: str) -> tuple:
     images, _ = conjugation_table(gate_tableau(name))
-    k = (len(images).bit_length() - 1) // 2
-    return tuple(tuple((int(c) >> (2 * j)) & 3 for j in range(k)) for c in images)
+    return tuple(zip(*images.tolist()))
 
 
 def conjugate_codes(name: str, codes) -> tuple:
@@ -391,6 +388,13 @@ class OneQubitTables:
     inverse of a, ``gate_index`` maps each builtin single-qubit gate name to
     its element, ``pauli_index[c]`` is the element of the Pauli with letter
     code c (see :func:`pauli_codes`) and ``identity`` is the identity's index.
+
+    The 1q layer algebra reads the same group through plain Python tables,
+    which per-qubit loops index faster than arrays: ``labels[i]`` is element
+    i's ``c1_<i>`` label, ``element`` maps each ``c1_<i>`` label and builtin
+    single-qubit name to its element, ``inverse_label`` maps each ``c1_<i>``
+    label and builtin name (of any arity) to the label of its inverse, and
+    ``products[a][b]`` equals ``compose[a, b]``.
     """
 
     compose: np.ndarray
@@ -398,6 +402,10 @@ class OneQubitTables:
     gate_index: dict
     pauli_index: tuple
     identity: int
+    labels: tuple
+    element: dict
+    inverse_label: dict
+    products: tuple
 
 
 @lru_cache(maxsize=None)
@@ -410,14 +418,22 @@ def clifford_1q_tables() -> OneQubitTables:
     gate_index = dict(zip(names, clifford_index(1, [GATE_UNITARIES[name] for name in names])))
     pauli_index = tuple(gate_index[letter] for letter in "IZXY")
     compose.flags.writeable = inverse.flags.writeable = False  # shared by every caller
-    return OneQubitTables(compose, inverse, gate_index, pauli_index, gate_index["I"])
+    labels = tuple(clifford_label(1, i) for i in range(len(us)))
+    element = {**dict(zip(labels, range(len(us)))), **gate_index}
+    inverse_label = {**dict(zip(labels, (labels[i] for i in inverse.tolist()))), **INVERSE_LABEL}
+    products = tuple(map(tuple, compose.tolist()))
+    return OneQubitTables(
+        compose, inverse, gate_index, pauli_index, gate_index["I"], labels, element, inverse_label, products
+    )
 
 
 # -- Clifford layers ---------------------------------------------------------
 # A layer is a tuple of (gate label, qubits) pairs with disjoint supports.
-# Single-qubit layers hold builtin names or ``c1_<i>`` labels; the helpers
-# that draw from ``gen`` keep one fixed draw order, so seeded circuits are
-# reproducible.
+# Single-qubit layers hold builtin names or ``c1_<i>`` labels.  The 1q layer
+# algebra reads each label once through the label tables of
+# :class:`OneQubitTables`, works on per-qubit element lists, and writes
+# full-width layers back through :func:`oneq_layer`.  The helpers that draw
+# from ``gen`` keep one fixed draw order, so seeded circuits are reproducible.
 
 def eigenstate_layer(p: PauliString, gen):
     """1q layer preparing a random tensor eigenstate of p from |0...0>.
@@ -450,46 +466,54 @@ def readout_pauli(p: PauliString) -> PauliString:
     return PauliString(p.n, 0, p.pattern, 0)
 
 
-def _oneq_index(label: str) -> int:
-    """Group index of a ``c1_<i>`` label or a builtin single-qubit gate name."""
-    if label.startswith("c1_"):
-        return int(label[3:])
-    return clifford_1q_tables().gate_index[label]
+def oneq_layer(elements):
+    """Full-width 1q layer with element ``elements[q]``, as its ``c1_<i>``
+    label, on qubit q."""
+    labels = clifford_1q_tables().labels
+    return tuple([(labels[e], (q,)) for q, e in enumerate(elements)])
+
+
+def _elements(layer, n: int) -> list:
+    """Per-qubit elements of a 1q layer of c1 labels or builtin names on n
+    qubits, the identity where the layer has no gate."""
+    tables = clifford_1q_tables()
+    out = [tables.identity] * n
+    element = tables.element
+    for lbl, (q,) in layer:
+        out[q] = element[lbl]
+    return out
 
 
 def inverse_layer(layer):
-    """The layer of inverse gates: ``c1_<i>`` labels through the 1q inverse
-    table, builtin names through :data:`INVERSE_LABEL`."""
-    inverse = clifford_1q_tables().inverse
-    return tuple(
-        (clifford_label(1, inverse[int(lbl[3:])]) if lbl.startswith("c1_") else INVERSE_LABEL[lbl], qs)
-        for lbl, qs in layer
-    )
+    """The layer of inverse gates, ``c1_<i>`` labels and builtin names alike."""
+    inverse = clifford_1q_tables().inverse_label
+    return tuple([(inverse[lbl], qs) for lbl, qs in layer])
 
 
 def compose_1q_layers(first, second, n):
     """Full-width ``c1`` layer equal to applying ``first`` then ``second``."""
     tables = clifford_1q_tables()
-    per_qubit = [tables.identity] * n
-    for layer in (first, second):
-        for lbl, (q,) in layer:
-            per_qubit[q] = tables.compose[per_qubit[q], _oneq_index(lbl)]
-    return tuple((clifford_label(1, per_qubit[q]), (q,)) for q in range(n))
+    products, element = tables.products, tables.element
+    per_qubit = _elements(first, n)
+    for lbl, (q,) in second:
+        per_qubit[q] = products[per_qubit[q]][element[lbl]]
+    return oneq_layer(per_qubit)
+
+
+def _with_pauli(per_qubit, codes, before: bool) -> list:
+    """Per-qubit elements with the Pauli of letter codes ``codes`` applied
+    before or after them."""
+    tables = clifford_1q_tables()
+    products, pauli = tables.products, tables.pauli_index
+    if before:
+        return [products[pauli[c]][e] for e, c in zip(per_qubit, codes)]
+    return [products[e][pauli[c]] for e, c in zip(per_qubit, codes)]
 
 
 def compose_1q_with_pauli(layer, codes, n, before: bool):
     """Full-width ``c1`` layer of ``layer`` with the Pauli (per-qubit letter
     codes, see :func:`pauli_codes`) applied before or after it."""
-    tables = clifford_1q_tables()
-    per_qubit = [tables.identity] * n
-    for lbl, (q,) in layer:
-        per_qubit[q] = _oneq_index(lbl)
-    out = []
-    for q in range(n):
-        p = tables.pauli_index[codes[q]]
-        idx = tables.compose[p, per_qubit[q]] if before else tables.compose[per_qubit[q], p]
-        out.append((clifford_label(1, idx), (q,)))
-    return tuple(out)
+    return oneq_layer(_with_pauli(_elements(layer, n), codes, before))
 
 
 def randomized_compile(oneq_layers, twoq_layers, n, gen):
@@ -499,7 +523,10 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
 
     The letters of C follow from pushing D's letters through each gate's
     local conjugation table; C's sign is irrelevant up to global phase."""
-    oneq_layers = [list(l) for l in oneq_layers]
+    oneq_layers = list(oneq_layers)
+    # only the 1q layers next to a 2q sublayer are dressed; the rest keep their labels
+    touched = len(twoq_layers) + 1 if twoq_layers else 0
+    dressed = [_elements(layer, n) for layer in oneq_layers[:touched]]
     for i, twoq in enumerate(twoq_layers):
         d_codes = pauli_codes(int(gen.integers(4**n)), n)
         c_codes = list(d_codes)
@@ -507,8 +534,9 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
             for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
                 c_codes[q] = c
         # D composed after layer i's 1q gates; C composed before layer i+1's
-        oneq_layers[i] = list(compose_1q_with_pauli(tuple(oneq_layers[i]), d_codes, n, before=False))
-        oneq_layers[i + 1] = list(compose_1q_with_pauli(tuple(oneq_layers[i + 1]), c_codes, n, before=True))
+        dressed[i] = _with_pauli(dressed[i], d_codes, before=False)
+        dressed[i + 1] = _with_pauli(dressed[i + 1], c_codes, before=True)
+    oneq_layers[: len(dressed)] = map(oneq_layer, dressed)
     return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
 
 

@@ -74,25 +74,30 @@ class Circuit:
     gate_defs: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
-        norm = []
-        for layer in self.layers:
-            layer = tuple((str(lbl), tuple(int(q) for q in qs)) for lbl, qs in layer)
-            used = [q for _, qs in layer for q in qs]
-            if len(used) != len(set(used)):
-                raise ValueError("overlapping gate supports within a layer")
-            if used and (min(used) < 0 or max(used) >= self.width):
-                raise ValueError("qubit index out of range")
-            norm.append(layer)
-        object.__setattr__(self, "layers", tuple(norm))
+        layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in self.layers])
+        used = [list(chain.from_iterable([qs for _, qs in layer])) for layer in layers]
+        if any(len(qubits) != len(set(qubits)) for qubits in used):
+            raise ValueError("overlapping gate supports within a layer")
+        flat = list(chain.from_iterable(used))
+        if flat and (min(flat) < 0 or max(flat) >= self.width):
+            raise ValueError("qubit index out of range")
+        object.__setattr__(self, "layers", layers)
 
     @property
     def depth(self) -> int:
         return len(self.layers)
 
     def then(self, other: "Circuit") -> "Circuit":
+        """``self`` followed by ``other``.  Each was checked when it was built,
+        against a width no larger than the result's, so the joined layers are
+        not checked again."""
         defs = dict(self.gate_defs)
         defs.update(other.gate_defs)
-        return Circuit(max(self.width, other.width), self.layers + other.layers, defs)
+        out = object.__new__(Circuit)
+        object.__setattr__(out, "width", max(self.width, other.width))
+        object.__setattr__(out, "layers", self.layers + other.layers)
+        object.__setattr__(out, "gate_defs", defs)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(
@@ -484,10 +489,11 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 # -- stochastic-Pauli fast path ------------------------------------------------
 
 # Frames hold one 2-bit letter code per qubit, ``x << 1 | z`` (I=0, Z=1,
-# X=2, Y=3), as an (n, shots) array, so that a gate's gather reads whole rows;
-# a k-qubit gate reads the codes of its support as one 2k-bit index, qubit i
-# of the support in bits 2i+1 (x) and 2i (z), which is the layout of
-# :func:`qcvv.cliffords.conjugation_table`.
+# X=2, Y=3), as an (n, shots) uint8 array, so that a gate's gather reads and
+# writes whole rows.  A k-qubit gate reads the codes of its support as one
+# 2k-bit index, qubit i of the support in bits 2i+1 (x) and 2i (z), and
+# gathers each support qubit's new code from that qubit's uint8 image table,
+# the layout of :func:`qcvv.cliffords.conjugation_table`.
 
 def _walk(model: GateSetModel, circuit: Circuit):
     """One pass over a circuit's operations, grouped by arity k.
@@ -519,35 +525,40 @@ def _walk(model: GateSetModel, circuit: Circuit):
 
 
 def _gate_tables(walk, depth: int):
-    """Per layer, the gates of :func:`_walk` grouped by arity k as ``(qubits,
-    offsets, codes, phases)``: the (g, k) supports, each gate's (g, 1) offset
-    into the flat image-code and phase-exponent tables of the circuit's
-    distinct k-qubit gates, and those tables."""
+    """Per layer, the gates of :func:`_walk` grouped by arity k as ``(rows,
+    offsets, images, phases)``: k row arrays of the g gates' support qubits,
+    row i holding each gate's support qubit i; each gate's (g, 1) offset into
+    the flat tables of the circuit's distinct k-qubit gates; and those
+    tables, as k uint8 image tables, table i holding the new letter code of
+    support qubit i, and the phase exponents."""
     layers = [[] for _ in range(depth)]
     for k, (records, supports, slots, layer_idx, _) in walk.items():
         tables = [rec.conjugation for rec in records]
-        codes = np.concatenate([c for c, _ in tables])
+        images = tuple(np.concatenate([i for i, _ in tables], axis=1))
         phases = np.concatenate([p for _, p in tables])
         offsets = (slots * 4**k)[:, None]
+        rows = list(np.ascontiguousarray(supports.T))
         bounds = np.searchsorted(layer_idx, np.arange(depth + 1)).tolist()
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:
-                layers[t].append((supports[a:b], offsets[a:b], codes, phases))
+                layers[t].append((tuple([row[a:b] for row in rows]), offsets[a:b], images, phases))
     return layers
 
 
 def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
     """Conjugate every column of an (n, columns) code frame by one compiled
-    layer, adding the image phase exponents to ``phase`` when it is given."""
-    for qubits, offsets, codes, phases in groups:
-        index = offsets + frame[qubits[:, 0]]
-        for i in range(1, qubits.shape[1]):
-            index += frame[qubits[:, i]].astype(np.intp) << (2 * i)
+    layer, adding the image phase exponents to ``phase`` when it is given.
+
+    Each gate's support codes form its table index; every support qubit's
+    new code is then one gather from that qubit's image table."""
+    for rows, offsets, images, phases in groups:
+        index = offsets + frame[rows[0]]
+        for i in range(1, len(rows)):
+            index += frame[rows[i]].astype(np.intp) << (2 * i)
         if phase is not None:
             phase += phases[index].sum(axis=0)
-        image = codes[index]
-        for i in range(qubits.shape[1]):
-            frame[qubits[:, i]] = (image >> (2 * i)) & 3
+        for row, image in zip(rows, images):
+            frame[row] = image[index]
 
 
 class _FastPathProgram:

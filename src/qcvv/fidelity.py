@@ -10,9 +10,9 @@ import numpy as np
 from .channels import Channel
 from .cliffords import (
     clifford_1q_tables,
-    clifford_label,
     compose_1q_layers,
     inverse_layer,
+    oneq_layer,
     randomized_compile,
     readout_layer,
     readout_pauli,
@@ -162,7 +162,7 @@ class MCFEResult:
 def split_alternating(layers, n):
     """Split a circuit into the alternating form u t u t ... u, padding with
     identity 1q layers where needed.  Returns (oneq list, twoq list)."""
-    ident = tuple((clifford_label(1, clifford_1q_tables().identity), (q,)) for q in range(n))
+    ident = oneq_layer([clifford_1q_tables().identity] * n)
     oneq, twoq = [], []
     have_oneq = False
     for layer in layers:
@@ -216,7 +216,7 @@ def mcfe(
     gammas = {1: [], 2: [], 3: []}
     for which in (1, 2, 3):
         for _ in range(k_ensemble):
-            l0 = tuple((clifford_label(1, int(gen.integers(24))), (q,)) for q in range(n))
+            l0 = oneq_layer(gen.integers(24, size=n).tolist())
             layers = [l0]
             if which != 3:
                 fw_one, fw_two = list(oneq_t), list(twoq_t)
@@ -301,7 +301,7 @@ def _trap_rounds(n, n_rounds, twoq_layers, gen):
     choices = ("I", "H", "S")
     for t in range(n_rounds):
         while True:
-            pick = [choices[int(gen.integers(3))] for _ in range(n)]
+            pick = [choices[i] for i in gen.integers(3, size=n).tolist()]
             ok = True
             if t < len(twoq_layers):
                 for _, qs in twoq_layers[t]:

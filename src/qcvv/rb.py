@@ -25,6 +25,7 @@ from .cliffords import (
     eigenstate_layer,
     enumerate_clifford_group,
     inverse_layer,
+    oneq_layer,
     randomized_compile,
     readout_layer,
     readout_pauli,
@@ -463,8 +464,8 @@ class LayerSampler:
         self.twoq_density = twoq_density
 
     def sample(self, gen):
-        oneq = tuple((clifford_label(1, int(gen.integers(24))), (q,)) for q in range(self.n))
-        order = list(gen.permutation(len(self.edges)))
+        oneq = oneq_layer(gen.integers(24, size=self.n).tolist())
+        order = gen.permutation(len(self.edges)).tolist()
         busy = set()
         twoq = []
         for ei in order:
@@ -508,16 +509,17 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
         for _ in range(design.circuits_per_depth):
             p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
             prep, sign = eigenstate_layer(p, gen)
-            body = []
+            layers = []
             for _i in range(m):
-                body.extend(sampler.sample(gen))
-            current = propagate_pauli(model, Circuit(n, tuple(body)), p)
+                layers.extend(sampler.sample(gen))
+            body = Circuit(n, tuple(layers))
+            current = propagate_pauli(model, body, p)
             sgn = current.sign
             if abs(sgn.imag) > 1e-9:
                 raise RuntimeError("propagated Pauli has a complex sign")
             sign *= 1 if sgn.real > 0 else -1
             # the rotation layer stays when empty: idle qubits still get noise
-            circ = Circuit(n, (prep, *body, readout_layer(current)))
+            circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),)))
             sub = int(gen.integers(2**62))
             values[m].append(sign * parity_mean(model, circ, readout_pauli(current), design.shots, sub, backend, sign))
     data = DecayDataset(list(design.depths), values, "birb")
@@ -540,8 +542,8 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
         raise ValueError("mirror benchmark depth must be even")
     n = sampler.n
     half = [sampler.sample(gen) for _ in range(m // 2)]
-    l0 = tuple((clifford_label(1, int(gen.integers(24))), (q,)) for q in range(n))
-    ident = tuple((clifford_label(1, clifford_1q_tables().identity), (q,)) for q in range(n))
+    l0 = oneq_layer(gen.integers(24, size=n).tolist())
+    ident = oneq_layer([clifford_1q_tables().identity] * n)
     # flat alternation u[0] t[0] u[1] t[1] ... u[m]; the center and edge 1q
     # layers absorb L0, its inverse, and the turnaround
     oneq_layers = []
@@ -610,7 +612,7 @@ def haar_su4_layer_sampler(n: int, seed):
     gen = rng(seed)
 
     def sample():
-        perm = list(gen.permutation(n))
+        perm = gen.permutation(n).tolist()
         layer = []
         defs = {}
         for i in range(0, n - 1, 2):

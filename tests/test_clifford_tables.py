@@ -101,6 +101,78 @@ def test_randomized_compile_letters_match_tableau_conjugation(gate):
         assert c_letters == _reference_c_letters(d_index, n, twoq)
 
 
+# -- 1q layer algebra against per-qubit unitary products --------------------------
+
+_LETTER_OF_CODE = "IZXY"  # letter codes x << 1 | z, see pauli_codes
+
+
+def _gate_unitary(label):
+    u = cl.clifford_gate_factory(label)
+    return GATE_UNITARIES[label] if u is None else u
+
+
+def _qubit_unitaries(layer, n):
+    us = [np.eye(2, dtype=complex)] * n
+    for label, (q,) in layer:
+        us[q] = _gate_unitary(label)
+    return us
+
+
+def _same_up_to_phase(a, b):
+    return abs(abs(np.trace(a.conj().T @ b)) - 2) < 1e-9
+
+
+def _assert_full_width(layer, n):
+    assert [qs for _, qs in layer] == [(q,) for q in range(n)]
+    assert all(label.startswith("c1_") for label, _ in layer)
+
+
+@st.composite
+def _partial_1q_layers(draw, n):
+    """A 1q layer on a subset of n qubits, in any order, mixing builtin names
+    and ``c1_<i>`` labels."""
+    layer = []
+    for q in range(n):
+        kind = draw(st.sampled_from(("none", "name", "c1")))
+        if kind == "name":
+            layer.append((draw(st.sampled_from(ONEQ_NAMES)), (q,)))
+        elif kind == "c1":
+            layer.append((rb.clifford_label(1, draw(st.integers(0, 23))), (q,)))
+    return tuple(draw(st.permutations(layer)))
+
+
+@st.composite
+def _layer_algebra_cases(draw):
+    n = draw(st.integers(1, 6))
+    codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, draw(_partial_1q_layers(n)), draw(_partial_1q_layers(n)), codes
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_layer_algebra_cases())
+def test_1q_layer_algebra_matches_unitary_products(case):
+    n, a, b, codes = case
+    ua, ub = _qubit_unitaries(a, n), _qubit_unitaries(b, n)
+
+    ab = cl.compose_1q_layers(a, b, n)
+    _assert_full_width(ab, n)
+    for q, u in enumerate(_qubit_unitaries(ab, n)):
+        assert _same_up_to_phase(u, ub[q] @ ua[q])
+
+    paulis = [GATE_UNITARIES[_LETTER_OF_CODE[c]] for c in codes]
+    for before in (True, False):
+        dressed = cl.compose_1q_with_pauli(a, codes, n, before)
+        _assert_full_width(dressed, n)
+        for q, u in enumerate(_qubit_unitaries(dressed, n)):
+            assert _same_up_to_phase(u, ua[q] @ paulis[q] if before else paulis[q] @ ua[q])
+
+    inv = cl.inverse_layer(a)
+    assert [qs for _, qs in inv] == [qs for _, qs in a]
+    for layers in ((a, inv), (inv, a)):
+        for u in _qubit_unitaries(cl.compose_1q_layers(*layers, n), n):
+            assert _same_up_to_phase(u, np.eye(2))
+
+
 def test_unknown_labels_still_raise():
     n = 2
     ident = tuple((rb.clifford_label(1, 0), (q,)) for q in range(n))
@@ -131,6 +203,36 @@ def test_propagate_pauli_matches_tableau_run():
         p = PauliString.from_index(int(gen.integers(4**n)), n)
         p = PauliString(n, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
         assert dv.propagate_pauli(model, Circuit(n, tuple(layers)), p) == tableau_run(layers, p)
+
+
+def _three_qubit_clifford():
+    """H on qubit 0, then CNOT(0, 1), then CZ(1, 2), as one 8x8 unitary;
+    qubit 0 is the most significant factor, as in a gate's support order."""
+    eye = np.eye(2, dtype=complex)
+    steps = [
+        kron_all([GATE_UNITARIES["H"], eye, eye]),
+        kron_all([GATE_UNITARIES["CNOT"], eye]),
+        kron_all([eye, GATE_UNITARIES["CZ"]]),
+    ]
+    return steps[2] @ steps[1] @ steps[0]
+
+
+def test_propagate_pauli_through_a_three_qubit_gate_def_matches_its_decomposition():
+    n = 6
+    defs = {"HCC": _three_qubit_clifford()}
+    gen = rng(403)
+    model = dv.ideal_model(n)
+    for _ in range(40):
+        layers, reference = [], []
+        for _ in range(5):
+            perm = [int(q) for q in gen.permutation(n)]
+            a, b, c = perm[:3]
+            rest = [(ONEQ_NAMES[int(gen.integers(len(ONEQ_NAMES)))], (q,)) for q in perm[3:]]
+            layers.append((("HCC", (a, b, c)), *rest))
+            reference += [(("H", (a,)), *rest), (("CNOT", (a, b)),), (("CZ", (b, c)),)]
+        p = PauliString.from_index(int(gen.integers(4**n)), n)
+        p = PauliString(n, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
+        assert dv.propagate_pauli(model, Circuit(n, tuple(layers), defs), p) == tableau_run(reference, p)
 
 
 # -- identification from unitaries against tableau composition ------------------

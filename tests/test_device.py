@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,67 @@ def test_circuit_validation_and_json():
     c = Circuit(2, ((("H", (0,)),), (("CNOT", (0, 1)),)))
     back = Circuit.from_json(c.to_json())
     assert back == c and back.depth == 2
+
+
+def test_circuit_normalizes_supports_to_python_int_tuples():
+    layers = (
+        [("H", [np.int64(0)]), ("CNOT", np.array([2, 1]))],
+        ((np.str_("X"), (np.int32(1),)), ("I", range(2, 3))),
+    )
+    c = Circuit(3, layers)
+    assert c.layers == ((("H", (0,)), ("CNOT", (2, 1))), (("X", (1,)), ("I", (2,))))
+    for label, qubits in (op for layer in c.layers for op in layer):
+        assert type(label) is str and type(qubits) is tuple
+        assert all(type(q) is int for q in qubits)
+    assert json.loads(c.to_json()) == {"width": 3, "layers": [[["H", [0]], ["CNOT", [2, 1]]], [["X", [1]], ["I", [2]]]]}
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        ((("H", (0,)),), (("CNOT", (0, 1)), ("X", (1,)))),
+        ((("CNOT", (1, 1)),),),
+        ((("H", (0,)),), (("X", (2,)),)),
+        ((("X", (-1,)),), (("H", (0,)),)),
+        ((("CNOT", (0, np.int64(5))),),),
+    ],
+    ids=["overlap-in-second-layer", "repeated-qubit", "above-width", "negative", "numpy-above-width"],
+)
+def test_circuit_rejects_overlaps_and_out_of_range_qubits(layers):
+    with pytest.raises(ValueError):
+        Circuit(2, layers)
+
+
+@st.composite
+def _small_circuits(draw, name):
+    width = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        free = draw(st.permutations(range(width)))
+        layer = []
+        while free:
+            if len(free) >= 2 and draw(st.booleans()):
+                layer.append((draw(st.sampled_from(("CNOT", "CZ", f"{name}_u2"))), (free.pop(), free.pop())))
+            else:
+                layer.append((draw(st.sampled_from(("H", "S", f"{name}_u1"))), (free.pop(),)))
+        layers.append(tuple(layer))
+    # "shared" is defined by both circuits: the second one's definition wins
+    defs = {f"{name}_u1": np.eye(2), f"{name}_u2": np.eye(4), "shared": np.eye(2)}
+    return Circuit(width, tuple(layers), defs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_small_circuits("a"), _small_circuits("b"))
+def test_then_equals_the_checked_joined_circuit(a, b):
+    joined = a.then(b)
+    merged = {**a.gate_defs, **b.gate_defs}
+    built = Circuit(max(a.width, b.width), a.layers + b.layers, merged)
+    assert joined == built
+    assert joined.to_json() == built.to_json()
+    assert joined.gate_defs.keys() == built.gate_defs.keys()
+    assert all(joined.gate_defs[k] is merged[k] for k in merged)
+    assert joined.gate_defs["shared"] is b.gate_defs["shared"]
+    assert hash(joined) == hash(built)
 
 
 def test_shot_record_counts_must_sum():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import linalg
 from qcvv.linalg import (
@@ -182,3 +184,26 @@ def test_rng_is_deterministic_and_counter_based():
     b = rng(42).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert isinstance(rng(1).bit_generator, np.random.Philox)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(
+        st.tuples(st.sampled_from(("integers", "random", "permutation")), st.sampled_from((3, 24)), st.integers(1, 32)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_array_integer_draw_matches_scalar_draws(seed, steps):
+    """``integers(k, size=n)`` consumes the stream as n scalar ``integers(k)``
+    calls, also between other draws; seeded circuits rely on it."""
+    array_gen, scalar_gen = rng(seed), rng(seed)
+    for kind, k, n in steps:
+        if kind == "integers":
+            assert array_gen.integers(k, size=n).tolist() == [int(scalar_gen.integers(k)) for _ in range(n)]
+        elif kind == "random":
+            assert array_gen.random() == scalar_gen.random()
+        else:
+            assert array_gen.permutation(n).tolist() == scalar_gen.permutation(n).tolist()
+    assert array_gen.random() == scalar_gen.random()
