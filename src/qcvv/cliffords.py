@@ -358,13 +358,9 @@ class CliffordElement:
         return self.tableau.n
 
 
-@lru_cache(maxsize=None)
-def clifford_group_1q():
-    """The 24 single-qubit Cliffords, each with an {X90, Y90} word.
-
-    Elements are canonical up to global phase; the unitary stored is the one
-    produced by the recorded word.
-    """
+def _enumerate_1q():
+    """(unitary, word) of each single-qubit Clifford, in element order: by
+    word length, then tableau key."""
     start = (np.eye(2, dtype=complex), ())
     seen = {_tableau_keys(start[0][None])[0]: start}
     frontier = [start]
@@ -375,9 +371,17 @@ def clifford_group_1q():
             if key not in seen:
                 seen[key] = cand
                 frontier.append(cand)
-    elems = [CliffordElement(_tableau(1, key), u, word) for key, (u, word) in seen.items()]
-    elems.sort(key=lambda e: (len(e.word), e.tableau.key()))
-    return tuple(elems)
+    return [cand for _, cand in sorted(seen.items(), key=lambda item: (len(item[1][1]), item[0]))]
+
+
+@lru_cache(maxsize=None)
+def clifford_group_1q():
+    """The 24 single-qubit Cliffords, each with an {X90, Y90} word.
+
+    Elements are canonical up to global phase; the unitary stored is the one
+    produced by the recorded word.
+    """
+    return _group_elements(1)
 
 
 @dataclass(frozen=True)
@@ -411,7 +415,7 @@ class OneQubitTables:
 @lru_cache(maxsize=None)
 def clifford_1q_tables() -> OneQubitTables:
     """Build the :class:`OneQubitTables` once from the element unitaries."""
-    us = np.array([e.unitary for e in clifford_group_1q()])
+    us = group_unitaries(1)
     compose = np.array(clifford_index(1, us[None, :] @ us[:, None]), dtype=np.int64).reshape(24, 24)
     inverse = np.array(clifford_index(1, us.conj().swapaxes(1, 2)), dtype=np.int64)
     names = [name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2)]
@@ -575,14 +579,8 @@ def _compose_2q(parts):
     return u, word
 
 
-@lru_cache(maxsize=None)
-def clifford_group_2q():
-    """The 11,520 two-qubit Cliffords via the four-class decomposition.
-
-    Classes: (A1 x A2), (A1 x A2) CNOT (S1 x S1'), (A1 x A2) iSWAP (S1 x S1'),
-    and (A1 x A2) SWAP, with A from the 24 single-qubit Cliffords and S1 the
-    three axis-cycling elements.  Sizes 576 + 5184 + 5184 + 576 = 11520.
-    """
+def _enumerate_2q():
+    """(unitary, word) of each two-qubit Clifford, in element order."""
     c1 = [(e.unitary, e.word) for e in clifford_group_1q()]
     a0, a1 = [_on_qubit(0, *e) for e in c1], [_on_qubit(1, *e) for e in c1]
     s0, s1 = [_on_qubit(0, *e) for e in _axis_cycle_1q()], [_on_qubit(1, *e) for e in _axis_cycle_1q()]
@@ -599,8 +597,45 @@ def clifford_group_2q():
                 for a in a0:
                     for b in a1:
                         built.append(_compose_2q(tail + [a, b]))
-    keys = _tableau_keys(np.array([u for u, _ in built]))
-    return tuple(CliffordElement(_tableau(2, key), u, word) for key, (u, word) in zip(keys, built))
+    return built
+
+
+@lru_cache(maxsize=None)
+def clifford_group_2q():
+    """The 11,520 two-qubit Cliffords via the four-class decomposition.
+
+    Classes: (A1 x A2), (A1 x A2) CNOT (S1 x S1'), (A1 x A2) iSWAP (S1 x S1'),
+    and (A1 x A2) SWAP, with A from the 24 single-qubit Cliffords and S1 the
+    three axis-cycling elements.  Sizes 576 + 5184 + 5184 + 576 = 11520.
+    """
+    return _group_elements(2)
+
+
+@lru_cache(maxsize=None)
+def _enumeration(n: int):
+    """The enumerated n-qubit group as a read-only (K, d, d) stack of
+    unitaries and a tuple of words, both in element order."""
+    if n == 1:
+        built = _enumerate_1q()
+    elif n == 2:
+        built = _enumerate_2q()
+    else:
+        raise ValueError("only the 1- and 2-qubit groups are enumerated")
+    us = np.array([u for u, _ in built])
+    us.flags.writeable = False
+    return us, tuple(word for _, word in built)
+
+
+def _group_elements(n: int) -> tuple:
+    us, words = _enumeration(n)
+    return tuple(CliffordElement(_tableau(n, key), u, word) for key, u, word in zip(_tableau_keys(us), us, words))
+
+
+def group_unitaries(n: int) -> np.ndarray:
+    """The enumerated n-qubit group's unitaries (n = 1, 2) as one read-only
+    (K, d, d) stack in element order; element i's ``unitary`` is a view of
+    row i, so the stack costs no copy."""
+    return _enumeration(n)[0]
 
 
 @lru_cache(maxsize=None)

@@ -26,12 +26,22 @@ its channel and ideal unitary.  Idle qubits in a layer receive the model's
 explicit idle channel (default: identity).  Barriers between layers are hard;
 nothing is ever compiled across them.
 
+The ideal channel of a fixed label, a builtin name or a ``c1_<i>`` label
+that the default factory resolves, is built once per process and shared,
+read-only, by every model (``_fixed_ideal``); a label that ``gates``, a
+custom ``gate_factory`` or a circuit's ``gate_defs`` defines never reads it.
+The 11,520 ``c2_<i>`` labels are built per model, as a process-wide table of
+their PTMs would take about 24 MB.
+
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
-product over the gate's axes.  Every backend call simulates one circuit; the
+product over the gate's axes.  A gate on the leading axes in order, as a
+gate on the whole register is, skips the identity transpose, and a layer
+looks for idle qubits only when the model has an idle channel; both give the
+same bits as the general path.  Every backend call simulates one circuit; the
 benchmark's tracer counts circuits per ``circuit_probabilities``,
 ``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
 ensemble entry point first needs its own benchmark change.
@@ -150,16 +160,19 @@ class GateRecord:
     takes ``error`` from the noise rule (identity when the rule gives None).
     Every field past ``ideal`` is built on first use, so the statevector
     backend builds no channel and the dense backend no ``tableau``,
-    ``conjugation`` or ``faults``.
+    ``conjugation`` or ``faults``.  A ``fixed`` record (a builtin name or a
+    ``c1_<i>`` label of the default factory) takes its ideal channel from
+    the process-wide :func:`_fixed_ideal`.
     """
 
-    def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool):
+    def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool, fixed: bool):
         self.label = label
         self.arity = arity
         self._ideal = ideal
         self._explicit = explicit
         self._noise_rule = noise_rule
         self._pre = pre_gate_noise
+        self._fixed = fixed
 
     @property
     def ideal(self) -> np.ndarray:
@@ -171,11 +184,14 @@ class GateRecord:
     def _noise(self) -> Channel:
         return self._noise_rule(self.label, self.arity) if self._noise_rule else None
 
+    def _ideal_channel(self) -> Channel:
+        return _fixed_ideal(self.label) if self._fixed else Channel.from_unitary(self.ideal)
+
     @cached_property
     def noisy(self) -> Channel:
         if self._explicit is not None:
             return self._explicit
-        ideal = Channel.from_unitary(self.ideal)
+        ideal = self._ideal_channel()
         if self._noise is None:
             return ideal
         return ideal.compose(self._noise) if self._pre else self._noise.compose(ideal)
@@ -184,7 +200,7 @@ class GateRecord:
     def error(self) -> Channel:
         if self._explicit is None:
             return identity_channel(self.arity) if self._noise is None else self._noise
-        ideal = Channel.from_unitary(self.ideal).ptm
+        ideal = self._ideal_channel().ptm
         noisy = self._explicit.ptm
         return Channel(ideal.T @ noisy if self._pre else noisy @ ideal.T)
 
@@ -262,26 +278,31 @@ class GateSetModel:
 
     def _unitary(self, label: str, gate_defs):
         """The label's unitary from ``gate_factory``, ``gate_defs`` or the
-        builtin names, in that order, or None."""
+        builtin names, in that order, or None; and whether the label is fixed
+        (see :func:`_fixed_ideal`)."""
         u = self.gate_factory(label) if self.gate_factory else None
-        if u is None and gate_defs and label in gate_defs:
-            u = gate_defs[label]
-        return GATE_UNITARIES.get(label) if u is None else u
+        if u is not None:
+            return u, self.gate_factory is clifford_gate_factory and label.startswith("c1_")
+        u = gate_defs.get(label) if gate_defs else None
+        if u is not None:
+            return u, False
+        u = GATE_UNITARIES.get(label)
+        return u, u is not None
 
     def _build(self, label: str, gate_defs) -> GateRecord:
-        explicit = None
+        explicit, fixed = None, False
         if label in self.gates:
             explicit, arity = self.gates[label]
             if explicit.dim != 2**arity:
                 raise ValueError(f"gate {label!r} dimension does not match its support")
-            u = self._unitary(label, gate_defs) if explicit.unitary is None else explicit.unitary
+            u = self._unitary(label, gate_defs)[0] if explicit.unitary is None else explicit.unitary
         else:
-            u = self._unitary(label, gate_defs)
+            u, fixed = self._unitary(label, gate_defs)
             if u is None:
                 raise KeyError(f"unknown gate label {label!r}")
             arity = len(u).bit_length() - 1
         u = None if u is None else np.asarray(u, dtype=complex)
-        return GateRecord(label, arity, u, explicit, self.noise_rule, self.pre_gate_noise)
+        return GateRecord(label, arity, u, explicit, self.noise_rule, self.pre_gate_noise, fixed)
 
     @cached_property
     def _idle_faults(self):
@@ -324,10 +345,23 @@ class GateSetModel:
             preparation=self._prep,
         )
         base.update(kwargs)
-        return GateSetModel(**base)
+        out = GateSetModel(**base)
+        out._effect_transform = self._effect_transform  # a gauged model stays gauged
+        return out
 
     def with_confusion(self, confusion: dict) -> "GateSetModel":
         return self.replace(confusion=confusion)
+
+
+@lru_cache(maxsize=None)
+def _fixed_ideal(label: str) -> Channel:
+    """The ideal channel of a builtin name or of a ``c1_<i>`` label as the
+    default factory resolves it, built once per process and shared by every
+    model.  Its PTM is read-only, so no model can change it for another."""
+    u = GATE_UNITARIES.get(label)
+    chan = Channel.from_unitary(clifford_gate_factory(label) if u is None else u)
+    chan.ptm.flags.writeable = False
+    return chan
 
 
 def ideal_model(n: int) -> GateSetModel:
@@ -359,8 +393,11 @@ STATEVECTOR_WIDTH_CAP = 14
 
 @lru_cache(maxsize=None)
 def _axis_order(ndim: int, qubits: tuple):
-    """The transpose that brings ``qubits`` to the front, and its inverse."""
+    """The transpose that brings ``qubits`` to the front, and its inverse;
+    None when ``qubits`` are already the leading axes, in order."""
     perm = qubits + tuple(a for a in range(ndim) if a not in qubits)
+    if perm == tuple(range(ndim)):
+        return None
     return perm, tuple(int(a) for a in np.argsort(perm))
 
 
@@ -371,20 +408,24 @@ def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
     ``np.dot`` copies a strided operand before its gemm, as a tensor
     contraction over those axes does, so the result is the same to the bit;
     ``@`` would run a non-BLAS loop on such an operand and round otherwise.
+    On the leading axes in order (a gate on the whole register, for one) the
+    transpose is the identity and is skipped: the same product on the same
+    memory.
     """
-    perm, inverse = _axis_order(state.ndim, tuple(qubits))
+    order = _axis_order(state.ndim, tuple(qubits))
+    if order is None:
+        return np.dot(op, state.reshape(op.shape[1], -1)).reshape(state.shape)
+    perm, inverse = order
     moved = state.transpose(perm)
     out = np.dot(op, moved.reshape(op.shape[1], -1))
     return out.reshape(moved.shape).transpose(inverse)
 
 
 def _layer_apply(model: GateSetModel, state: np.ndarray, layer, gate_defs) -> np.ndarray:
-    busy = set()
     for label, qubits in layer:
-        ch = model.resolve(label, len(qubits), gate_defs)
-        state = _apply_local(state, ch.ptm, qubits)
-        busy.update(qubits)
+        state = _apply_local(state, model.resolve(label, len(qubits), gate_defs).ptm, qubits)
     if model.idle is not None:
+        busy = set(chain.from_iterable([qubits for _, qubits in layer]))
         for q in range(model.n):
             if q not in busy:
                 state = _apply_local(state, model.idle.ptm, (q,))
@@ -917,9 +958,10 @@ def apply_gauge(model: GateSetModel, m: np.ndarray) -> GateSetModel:
     """Similarity-transform a full-width model by an invertible PTM-basis matrix.
 
     Gates map to ``M G M^-1``, the preparation to ``M |rho>>`` and effects to
-    ``<<E| M^-1``; all circuit probabilities are unchanged.  Only models
-    whose explicit gates span the full register are supported (local gates
-    would need a tensor-product gauge).
+    ``<<E| M^-1``; all circuit probabilities are unchanged.  Gauging a
+    gauged model composes the two transforms.  Only models whose explicit
+    gates span the full register are supported (local gates would need a
+    tensor-product gauge).
     """
     m = np.asarray(m, dtype=float)
     d2 = 4**model.n
@@ -938,5 +980,6 @@ def apply_gauge(model: GateSetModel, m: np.ndarray) -> GateSetModel:
         raise ValueError("gauge transforms require fully explicit gate dictionaries")
     prep = model._superket.reshape(-1)
     out = GateSetModel(model.n, gates=gates, confusion=model.confusion, preparation=m @ prep)
-    out._effect_transform = minv
+    prior = model._effect_transform
+    out._effect_transform = minv if prior is None else prior @ minv
     return out

@@ -24,6 +24,7 @@ from .cliffords import (
     compose_1q_layers,
     eigenstate_layer,
     enumerate_clifford_group,
+    group_unitaries,
     inverse_layer,
     oneq_layer,
     randomized_compile,
@@ -41,7 +42,7 @@ from .device import (
     sample,
     sample_counts,
 )
-from .linalg import child_seeds, haar_random_unitary, rng
+from .linalg import child_seeds, haar_random_unitary, pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
 
@@ -159,38 +160,63 @@ def epc(fit: FitResult, d: int, metric: str = "e_F") -> float:
 
 # -- standard (Clifford-group) RB ------------------------------------------------
 
+def _clifford_sequence(gen, n: int, m: int, interleave: str = None):
+    """Draw one RB sequence of m + 1 uniformly random n-qubit Cliffords.
+
+    The element indices come from one array call, which gives the same
+    stream as m + 1 scalar draws.  Returns the indices and the sequence's
+    full-register layers, with ``interleave`` after every element when given.
+    """
+    ks = gen.integers(len(enumerate_clifford_group(n)), size=m + 1)
+    qubits = tuple(range(n))
+    layers = []
+    for k in ks.tolist():
+        layers.append(((clifford_label(n, k), qubits),))
+        if interleave:
+            layers.append(((interleave, qubits),))
+    return ks, layers
+
+
 def crb_circuits(design: RBDesign, interleave: str = None):
     """Motion-reversal circuits with a uniformly random final Pauli.
 
     Yields ``(depth, Circuit, success_bits)`` triples; the composed unitary
     of every circuit is proportional to the sampled Pauli, so noiseless
     execution returns ``success_bits`` with probability 1.
+
+    Draw order, per circuit in depth order: the m + 1 element indices, then
+    the index of the final Pauli.  The circuits of one depth are composed
+    together, one stacked product per sequence position, and one pass over
+    all circuits identifies each closing element (the Pauli times the
+    inverse of the composed sequence).
     """
     n = len(design.qubits)
     if n not in (1, 2):
         raise ValueError("standard RB is enumerated for 1 or 2 qubits")
-    group = enumerate_clifford_group(n)
-    gen = rng(design.seed)
+    group_us = group_unitaries(n)
+    paulis = pauli_matrices(n)
     inter_u = GATE_UNITARIES[interleave] if interleave else None
+    gen = rng(design.seed)
     drawn, targets = [], []
     for m in design.depths:
+        seqs, pidx = [], []
         for _ in range(design.circuits_per_depth):
-            layers = []
-            u = np.eye(2**n, dtype=complex)
-            for _i in range(m + 1):
-                k = int(gen.integers(len(group)))
-                layers.append(((clifford_label(n, k), tuple(range(n))),))
-                u = group[k].unitary @ u
-                if inter_u is not None:
-                    layers.append(((interleave, tuple(range(n))),))
-                    u = inter_u @ u
-            p = PauliString.from_index(int(gen.integers(4**n)), n)
-            targets.append(p.to_matrix() @ u.conj().T)  # the closing element, up to phase
-            bits = "".join("1" if (p.xbits >> q) & 1 else "0" for q in range(n))
-            drawn.append((m, layers, bits))
-    closing = clifford_index(n, targets)
+            ks, layers = _clifford_sequence(gen, n, m, interleave)
+            p = int(gen.integers(4**n))
+            seqs.append(ks)
+            pidx.append(p)
+            x = PauliString.from_index(p, n).xbits
+            drawn.append((m, layers, "".join("1" if (x >> q) & 1 else "0" for q in range(n))))
+        u = np.broadcast_to(np.eye(2**n, dtype=complex), (len(seqs), 2**n, 2**n))
+        for column in np.array(seqs).reshape(-1, m + 1).T:
+            u = group_us[column] @ u
+            if inter_u is not None:
+                u = inter_u @ u
+        targets.append(paulis[pidx] @ u.conj().swapaxes(-1, -2))  # the closing elements, up to phase
+    closing = clifford_index(n, np.concatenate(targets))
+    full = tuple(range(n))
     return [
-        (m, Circuit(n, (*layers, ((clifford_label(n, k), tuple(range(n))),))), bits)
+        (m, Circuit(n, (*layers, ((clifford_label(n, k), full),))), bits)
         for (m, layers, bits), k in zip(drawn, closing)
     ]
 
@@ -397,16 +423,12 @@ def xrb(model: GateSetModel, design: RBDesign, reference_fit: FitResult = None):
     """
     n = len(design.qubits)
     d = 2**n
-    group = enumerate_clifford_group(n)
     gen = rng(design.seed)
     settings = _all_settings(n)
     values = {m: [] for m in design.depths}
     for m in design.depths:
         for _ in range(design.circuits_per_depth):
-            layers = []
-            for _i in range(m + 1):
-                k = int(gen.integers(len(group)))
-                layers.append(((clifford_label(n, k), tuple(range(n))),))
+            _, layers = _clifford_sequence(gen, n, m)
             gamma = 0.0
             per_pauli = {}
             for setting in settings:

@@ -621,3 +621,135 @@ def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(width, depth, pr
     d = dv.parity_mean(model, circ, measured, shots, seed + 3, "dense", sign)
     f = dv.parity_mean(model, circ, measured, shots, seed + 4, "fast", sign)
     assert abs(d - f) <= 5 * np.sqrt((2 - d * d - f * f) / shots) + 1e-12
+
+
+# -- full-register dense step, shared ideal channels, composed gauges ------------
+
+def _general_apply(state, op, qubits):
+    """``_apply_local``'s general path: transpose ``qubits`` to the front,
+    one ``np.dot``, transpose back."""
+    perm = tuple(qubits) + tuple(a for a in range(state.ndim) if a not in qubits)
+    moved = state.transpose(perm)
+    out = np.dot(op, moved.reshape(op.shape[1], -1))
+    return out.reshape(moved.shape).transpose(tuple(int(a) for a in np.argsort(perm)))
+
+
+def test_full_register_step_matches_the_general_path_bit_for_bit():
+    gen = rng(11)
+    for n in (1, 2, 3):
+        full = tuple(range(n))
+        assert dv._axis_order(n, full) is None
+        for _ in range(3):
+            op = ch.random_cptp(2 ** min(n, 2), seed=gen).ptm
+            if n == 3:
+                op = np.kron(op, ch.random_cptp(2, seed=gen).ptm)
+            for state in _layouts(gen.normal(size=(4,) * n)):
+                assert np.array_equal(dv._apply_local(state, op, full), _general_apply(state, op, full))
+    # a whole-register gate with its qubits out of order transposes
+    assert dv._axis_order(2, (1, 0)) is not None
+    op = ch.depolarizing(0.1, n=2).compose(ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"])).ptm
+    state = gen.normal(size=(4, 4))
+    assert np.array_equal(dv._apply_local(state, op, (1, 0)), _general_apply(state, op, (1, 0)))
+    assert not np.array_equal(dv._apply_local(state, op, (1, 0)), dv._apply_local(state, op, (0, 1)))
+
+
+def test_layer_step_applies_idle_noise_only_to_idle_qubits():
+    idle = ch.stochastic_pauli((0.1, 0.0, 0.05))
+    model = dv.noisy_model(2, lambda label, arity: None, idle=idle)
+    state = np.asarray(model._superket)
+    x = ch.Channel.from_unitary(dv.GATE_UNITARIES["X"]).ptm
+    cnot = ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"]).ptm
+    one = dv._layer_apply(model, state, (("X", (0,)),), {})
+    assert np.array_equal(one, _general_apply(_general_apply(state, x, (0,)), idle.ptm, (1,)))
+    both = dv._layer_apply(model, state, (("CNOT", (1, 0)),), {})
+    assert np.array_equal(both, _general_apply(state, cnot, (1, 0)))
+    circ = Circuit(2, ((("X", (0,)),),))
+    assert dv.circuit_probabilities(model, circ).as_dict()["11"] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_fixed_ideal_channels_are_shared_and_read_only():
+    a, b = dv.ideal_model(1), dv.ideal_model(2)
+    for label in ("c1_3", "H", "X90"):
+        assert a.resolve(label, 1) is b.resolve(label, 1) is dv._fixed_ideal(label)
+    assert b.resolve("CNOT", 2) is dv._fixed_ideal("CNOT")
+    shared = a.resolve("c1_3", 1)
+    assert np.array_equal(shared.ptm, ch.Channel.from_unitary(cl.clifford_gate_factory("c1_3")).ptm)
+    with pytest.raises(ValueError):
+        shared.ptm[0, 0] = 2.0
+    # two-qubit group elements are built per model
+    assert dv.ideal_model(2).resolve("c2_5", 2) is not dv.ideal_model(2).resolve("c2_5", 2)
+    # a noisy model composes its noise onto the shared channel and leaves it intact
+    noisy = dv.noisy_model(1, lambda label, arity: ch.depolarizing(0.2))
+    assert not np.array_equal(noisy.resolve("c1_3", 1).ptm, shared.ptm)
+    assert a.resolve("c1_3", 1) is shared
+
+
+def test_fixed_ideal_table_never_serves_a_label_defined_elsewhere():
+    h, x = dv.GATE_UNITARIES["H"], dv.GATE_UNITARIES["X"]
+    p_h = ch.Channel.from_unitary(h).ptm
+    # a custom factory, an explicit gate and a circuit's gate_defs each define c1_3
+    custom = GateSetModel(1, gate_factory=lambda label: h if label == "c1_3" else None)
+    explicit = GateSetModel(1, gates={"c1_3": (ch.Channel.from_unitary(h), 1)})
+    inline = GateSetModel(1, gate_factory=lambda label: None)
+    defs = {"c1_3": h, "X": h}
+    assert not np.array_equal(dv._fixed_ideal("c1_3").ptm, p_h)
+    for model, gate_defs in ((custom, None), (explicit, None), (inline, defs)):
+        chan = model.resolve("c1_3", 1, gate_defs)
+        assert chan is not dv._fixed_ideal("c1_3")
+        assert np.array_equal(chan.ptm, p_h)
+    # gate_defs shadowing a builtin name
+    assert inline.resolve("X", 1, defs) is not dv._fixed_ideal("X")
+    assert np.array_equal(inline.resolve("X", 1, defs).ptm, p_h)
+    # a custom factory that leaves a builtin name alone gets the builtin
+    assert custom.resolve("X", 1) is dv._fixed_ideal("X")
+    assert np.array_equal(dv._fixed_ideal("X").ptm, ch.Channel.from_unitary(x).ptm)
+
+
+def _depolarized_h_model():
+    gate = ch.depolarizing(0.1).compose(ch.Channel.from_unitary(dv.GATE_UNITARIES["H"]))
+    return GateSetModel(1, gates={"G": (gate, 1)})
+
+
+def test_gauges_compose_and_survive_replace():
+    model = _depolarized_h_model()
+    circ = Circuit(1, ((("G", (0,)),),))
+    p0 = dv.circuit_probabilities(model, circ).probs
+    assert np.allclose(p0, [0.5, 0.5], atol=1e-12)
+    gen = rng(8)
+    m1, m2 = (np.eye(4) + 0.2 * gen.normal(size=(4, 4)) for _ in range(2))
+    once = dv.apply_gauge(model, m1)
+    for variant in (dv.apply_gauge(once, m2), once.replace(), dv.apply_gauge(once.replace(), m2)):
+        assert np.allclose(dv.circuit_probabilities(variant, circ).probs, p0, atol=1e-12)
+    # readout confusion on a gauged model acts as on the parent
+    conf = {0: [[0.9, 0.2], [0.1, 0.8]]}
+    assert np.allclose(
+        dv.circuit_probabilities(once.with_confusion(conf), circ).probs,
+        dv.circuit_probabilities(model.with_confusion(conf), circ).probs,
+        atol=1e-12,
+    )
+
+
+def _random_clifford_circuit(width, depth, gen):
+    oneq = ["H", "S", "SDG", "X90", "Y90M", "Z"] + [f"c1_{i}" for i in range(24)]
+    twoq = ["CNOT", "CZ", "SWAP", "ISWAP", "c2_17", "c2_4000", "c2_11519"]
+    layers = []
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(width)]
+        layer = []
+        while order:
+            if len(order) > 1 and gen.random() < 0.5:
+                layer.append((twoq[int(gen.integers(len(twoq)))], (order.pop(), order.pop())))
+            else:
+                layer.append((oneq[int(gen.integers(len(oneq)))], (order.pop(),)))
+        layers.append(tuple(layer))
+    return Circuit(width, tuple(layers))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(width=st.integers(1, 3), depth=st.integers(0, 6), seed=st.integers(0, 2**31))
+def test_statevector_and_dense_agree_on_ideal_clifford_circuits(width, depth, seed):
+    circ = _random_clifford_circuit(width, depth, rng(seed))
+    sv = dv.ideal_probabilities(circ)
+    dense = dv.circuit_probabilities(dv.ideal_model(width), circ)
+    assert sv.outcomes == dense.outcomes
+    assert np.abs(sv.probs - dense.probs).max() < 1e-10
