@@ -41,10 +41,19 @@ The dense and statevector backends share one local-operator kernel,
 product over the gate's axes.  A gate on the leading axes in order, as a
 gate on the whole register is, skips the identity transpose, and a layer
 looks for idle qubits only when the model has an idle channel; both give the
-same bits as the general path.  Every backend call simulates one circuit; the
-benchmark's tracer counts circuits per ``circuit_probabilities``,
-``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
-ensemble entry point first needs its own benchmark change.
+same bits as the general path.
+
+The fast path pays per fault, not per layer: a circuit's compile builds its
+draw rows, and its per-layer gate tables only on first use.  The frame stays
+the all-identity frame, which every gate maps to itself, until the first
+layer that draws a fault, so a circuit that draws none builds no gate table
+and conjugates nothing.
+
+Every backend call simulates one circuit; the benchmark's tracer counts
+circuits per ``circuit_probabilities``, ``pauli_fastpath_sample`` and
+``pauli_fastpath_signs`` call, so a stacked or ensemble entry point (one
+compile for a whole ensemble of circuits) first needs its own benchmark
+change.
 """
 
 from __future__ import annotations
@@ -110,10 +119,8 @@ class Circuit:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"width": self.width, "layers": [[[lbl, list(qs)] for lbl, qs in layer] for layer in self.layers]},
-            sort_keys=True,
-        )
+        # the layers are normalised tuples, which json writes as it writes lists
+        return json.dumps({"width": self.width, "layers": self.layers}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
@@ -232,6 +239,8 @@ class GateSetModel:
     channel's ``unitary`` or, failing that, the one the rest of the order
     gives; its error channel is derived as noisy * ideal^-1.  ``confusion``
     maps qubits ``0..n-1`` to readout matrices; any other key is a ValueError.
+    A gauged model (:func:`apply_gauge`) resolves only its explicit gates and
+    takes no idle channel.
     """
 
     def __init__(
@@ -291,6 +300,8 @@ class GateSetModel:
 
     def _build(self, label: str, gate_defs) -> GateRecord:
         explicit, fixed = None, False
+        if self._effect_transform is not None and label not in self.gates:
+            raise ValueError(f"a gauged model resolves only its explicit gates, not {label!r}")
         if label in self.gates:
             explicit, arity = self.gates[label]
             if explicit.dim != 2**arity:
@@ -345,6 +356,8 @@ class GateSetModel:
             preparation=self._prep,
         )
         base.update(kwargs)
+        if self._effect_transform is not None and base["idle"] is not None:
+            raise ValueError("a gauged model cannot take an idle channel")
         out = GateSetModel(**base)
         out._effect_transform = self._effect_transform  # a gauged model stays gauged
         return out
@@ -537,32 +550,29 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 # the layout of :func:`qcvv.cliffords.conjugation_table`.
 
 def _walk(model: GateSetModel, circuit: Circuit):
-    """One pass over a circuit's operations, grouped by arity k.
+    """One pass over a circuit's operations, in circuit order.
 
-    Returns, per k, the circuit's distinct k-qubit :class:`GateRecord` s and,
-    for its N k-qubit operations in circuit order, the (N, k) supports and
-    the (N,) record numbers, layer indices and operation numbers (the
-    operation's place in the whole circuit).
+    Returns the circuit's distinct :class:`GateRecord` s, in order of first
+    use, and, for its N operations, the (N,) record numbers, arities and
+    layer indices and the (N, levels) supports, padded with the spare index
+    n; ``levels`` is the largest arity, at least 1.
     """
     ops = [op for layer in circuit.layers for op in layer]
     supports = [qubits for _, qubits in ops]
     arity = list(map(len, supports))
     keys = list(zip([label for label, _ in ops], arity))
-    numbers, records = {}, {}
-    for label, k in dict.fromkeys(keys):
-        recs = records.setdefault(k, [])
-        numbers[label, k] = len(recs)
-        recs.append(model.record(label, k, circuit.gate_defs))
-    slots = np.array([numbers[key] for key in keys], dtype=np.intp)
+    numbers = {key: g for g, key in enumerate(dict.fromkeys(keys))}
+    records = [model.record(label, k, circuit.gate_defs) for label, k in numbers]
+    slots = np.fromiter(map(numbers.__getitem__, keys), dtype=np.intp, count=len(keys))
+    levels = max(arity, default=1)
     arity = np.array(arity, dtype=np.intp)
     layer_idx = np.repeat(np.arange(circuit.depth), [len(layer) for layer in circuit.layers])
-    flat = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum()))
-    firsts = np.cumsum(arity) - arity
-    out = {}
-    for k, recs in records.items():
-        sel = np.flatnonzero(arity == k)
-        out[k] = (recs, flat[firsts[sel, None] + np.arange(k)], slots[sel], layer_idx[sel], sel)
-    return out
+    padded = np.full((len(keys), levels), circuit.width, dtype=np.intp)
+    # a boolean-mask write fills the supports row by row, in circuit order
+    padded[np.arange(levels) < arity[:, None]] = np.fromiter(
+        chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum())
+    )
+    return records, slots, arity, layer_idx, padded
 
 
 def _gate_tables(walk, depth: int):
@@ -571,15 +581,21 @@ def _gate_tables(walk, depth: int):
     row i holding each gate's support qubit i; each gate's (g, 1) offset into
     the flat tables of the circuit's distinct k-qubit gates; and those
     tables, as k uint8 image tables, table i holding the new letter code of
-    support qubit i, and the phase exponents."""
+    support qubit i, and the phase exponents.  Gates in one layer act on
+    disjoint qubits, so the order of a layer's groups does not matter."""
+    records, slots, arity, layer_idx, supports = walk
     layers = [[] for _ in range(depth)]
-    for k, (records, supports, slots, layer_idx, _) in walk.items():
-        tables = [rec.conjugation for rec in records]
+    local = np.zeros(len(records), dtype=np.intp)  # a record's number among those of its arity
+    for k in sorted({rec.arity for rec in records}):
+        numbers = [g for g, rec in enumerate(records) if rec.arity == k]
+        local[numbers] = np.arange(len(numbers))
+        tables = [records[g].conjugation for g in numbers]
         images = tuple(np.concatenate([i for i, _ in tables], axis=1))
         phases = np.concatenate([p for _, p in tables])
-        offsets = (slots * 4**k)[:, None]
-        rows = list(np.ascontiguousarray(supports.T))
-        bounds = np.searchsorted(layer_idx, np.arange(depth + 1)).tolist()
+        sel = np.flatnonzero(arity == k)
+        offsets = (local[slots[sel]] * 4**k)[:, None]
+        rows = list(np.ascontiguousarray(supports[sel, :k].T))
+        bounds = np.searchsorted(layer_idx[sel], np.arange(depth + 1)).tolist()
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:
                 layers[t].append((tuple([row[a:b] for row in rows]), offsets[a:b], images, phases))
@@ -603,12 +619,12 @@ def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
 
 
 class _FastPathProgram:
-    """Compiled circuit, from one :func:`_walk`: per layer, the gate groups of
-    :func:`_gate_tables`, and the circuit's noisy operations as draw rows.
+    """Compiled circuit, from one :func:`_walk`: the circuit's noisy
+    operations as draw rows and, built on first use, per layer the gate
+    groups of :func:`_gate_tables` (``gates``).
 
     Faults are drawn from each gate's *error* channel and from the model's
-    idle channel on every qubit that no gate of a layer touches (found
-    through a (layers, n) busy mask).  Rows run
+    idle channel on every qubit that no gate of a layer touches.  Rows run
     layer by layer, and within a layer through the noisy gates in gate order,
     then the idle qubits in qubit order, which is the order the generator is
     consumed in.  Per row: ``identity``, its identity probability (the first
@@ -625,41 +641,33 @@ class _FastPathProgram:
             raise ValueError("circuit width does not match the model")
         n, depth = model.n, circuit.depth
         self.n = n
+        self.depth = depth
         self.pre_gate_noise = model.pre_gate_noise
-        walk = _walk(model, circuit)
-        self.gates = _gate_tables(walk, depth)
-        busy = np.zeros((depth, n), dtype=bool)
-        dists, groups = [], []  # (distribution numbers, supports, layer indices, sort keys)
-        for records, supports, slots, layer_idx, op_numbers in walk.values():
-            busy[layer_idx[:, None], supports] = True
-            dist_of = []
-            for rec in records:
-                dist_of.append(-1 if rec.faults is None else len(dists))
-                if rec.faults is not None:
-                    dists.append(rec.faults)
-            numbers = np.array(dist_of)[slots]
-            noisy = numbers >= 0
-            groups.append((numbers[noisy], supports[noisy], layer_idx[noisy], op_numbers[noisy]))
+        self._walk = records, slots, _, layer_idx, supports = _walk(model, circuit)
+        dists, dist_of = [], []
+        for rec in records:
+            dist_of.append(-1 if rec.faults is None else len(dists))
+            if rec.faults is not None:
+                dists.append(rec.faults)
+        numbers = np.array(dist_of, dtype=np.intp)[slots]
+        noisy = numbers >= 0
+        self.dists, self.layer, self.qubits = numbers[noisy], layer_idx[noisy], supports[noisy]
+        levels = supports.shape[1]
         if model._idle_faults is not None:
-            layer_idx, qubits = np.nonzero(~busy)
-            # an idle row sorts after every gate row of its layer
-            n_ops = sum(len(layer) for layer in circuit.layers)
-            groups.append((np.full(len(qubits), len(dists)), qubits[:, None], layer_idx, n_ops + qubits))
+            busy = np.zeros((depth, n + 1), dtype=bool)
+            busy[layer_idx[:, None], supports] = True
+            idle_layer, idle_qubits = np.nonzero(~busy[:, :n])
+            idle_supports = np.full((len(idle_qubits), levels), n)
+            idle_supports[:, 0] = idle_qubits
+            # the gate rows come first, in circuit order, and the idle rows in
+            # (layer, qubit) order, so a stable sort by layer puts each idle
+            # row after every gate row of its layer
+            layer = np.concatenate([self.layer, idle_layer])
+            order = np.argsort(layer, kind="stable")
+            self.layer = layer[order]
+            self.dists = np.concatenate([self.dists, np.full(len(idle_qubits), len(dists))])[order]
+            self.qubits = np.concatenate([self.qubits, idle_supports])[order]
             dists.append(model._idle_faults)
-        levels = max([supports.shape[1] for _, supports, _, _ in groups] + [1])
-        rows = sum(len(numbers) for numbers, _, _, _ in groups)
-        self.dists = np.zeros(rows, dtype=np.intp)
-        self.layer = np.zeros(rows, dtype=np.intp)
-        self.qubits = np.full((rows, levels), n)
-        keys = np.zeros(rows, dtype=np.intp)
-        r = 0
-        for numbers, supports, layer_idx, sort_keys in groups:
-            span = slice(r, r + len(numbers))
-            self.dists[span], self.layer[span], keys[span] = numbers, layer_idx, sort_keys
-            self.qubits[span, : supports.shape[1]] = supports
-            r = span.stop
-        order = np.lexsort((keys, self.layer))
-        self.dists, self.layer, self.qubits = self.dists[order], self.layer[order], self.qubits[order]
         self.starts = np.searchsorted(self.layer, np.arange(depth + 1))
         self.levels = levels
         self.cdfs = np.full((len(dists), 4**levels - 1), np.inf)
@@ -668,6 +676,10 @@ class _FastPathProgram:
             self.cdfs[d, : len(cdf) - 1] = cdf[:-1]
             self.letters[d, : len(letters), : letters.shape[1]] = letters
         self.identity = self.cdfs[self.dists, 0]
+
+    @cached_property
+    def gates(self):
+        return _gate_tables(self._walk, self.depth)
 
 
 # Doubles drawn per block of layers in :func:`_propagate_faults`; it also
@@ -690,6 +702,8 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     distribution.
     """
     rows, cols = np.nonzero(draws >= identity[:, None])
+    if not len(rows):
+        return rows, cols, rows  # no hit: the empty rows serve as the empty indices
     u = draws[rows, cols]
     d = dists[rows]
     idx = np.zeros(len(u), dtype=np.intp)
@@ -709,11 +723,14 @@ def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
     letters of its hits (see :func:`_search_hits`) into a (layers, n + 1,
     shots) fault frame, whose spare row n takes the padded support columns.
     Each layer then XORs its faults into the frame before its gates
-    (pre-gate noise) or after them.
+    (pre-gate noise) or after them.  Gates map the all-identity frame to
+    itself, so the layers before the first hit are skipped, and a circuit
+    without a hit never builds its gate tables.
     """
-    n, depth = program.n, len(program.gates)
+    n, depth = program.n, program.depth
     frame = np.zeros((n, shots), dtype=np.uint8)
     span = max(1, _DRAW_BUDGET // (n * shots))
+    hit = False
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
         r0, r1 = program.starts[t0], program.starts[t1]
@@ -722,6 +739,11 @@ def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
             draws, program.identity[r0:r1], program.dists[r0:r1], program.cdfs, program.levels
         )
         rows += r0
+        if not hit:
+            if not len(rows):
+                continue
+            hit = True
+            t0 = int(program.layer[rows[0]])  # hits come in row order, so this is the first hit's layer
         faults = np.zeros((t1 - t0, n + 1, shots), dtype=np.uint8)
         faults[(program.layer[rows] - t0)[:, None], program.qubits[rows], cols[:, None]] = program.letters[
             program.dists[rows], idx
@@ -862,9 +884,7 @@ def pauli_fastpath_sample(
             c = model.confusion[q]
             pflip = np.where(bits[q] == 1, c[0, 1], c[1, 0])
             bits[q] ^= (gen.random(shots) < pflip).astype(np.uint8)
-    ints = np.zeros(shots, dtype=np.int64)
-    for q in range(model.n):
-        ints = (ints << 1) | bits[q]
+    ints = (1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)) @ bits  # qubit 0 is the leading bit
     labels, cts = np.unique(ints, return_counts=True)
     counts = {format(int(v), f"0{model.n}b"): int(c) for v, c in zip(labels, cts)}
     seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
@@ -961,7 +981,10 @@ def apply_gauge(model: GateSetModel, m: np.ndarray) -> GateSetModel:
     ``<<E| M^-1``; all circuit probabilities are unchanged.  Gauging a
     gauged model composes the two transforms.  Only models whose explicit
     gates span the full register are supported (local gates would need a
-    tensor-product gauge).
+    tensor-product gauge), so a model with a noise rule or an idle channel
+    is a ValueError, and the gauged model resolves no label outside its
+    explicit gates: a builtin name, a ``c1_<i>`` label or a circuit's
+    ``gate_defs`` gate would act ungauged.
     """
     m = np.asarray(m, dtype=float)
     d2 = 4**model.n
@@ -978,6 +1001,8 @@ def apply_gauge(model: GateSetModel, m: np.ndarray) -> GateSetModel:
         gates[label] = (Channel(m @ ch.ptm @ minv), ar)
     if model.noise_rule is not None:
         raise ValueError("gauge transforms require fully explicit gate dictionaries")
+    if model.idle is not None:
+        raise ValueError("gauge transforms do not cover an idle channel")
     prep = model._superket.reshape(-1)
     out = GateSetModel(model.n, gates=gates, confusion=model.confusion, preparation=m @ prep)
     prior = model._effect_transform

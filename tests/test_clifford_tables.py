@@ -25,6 +25,7 @@ from qcvv.linalg import kron_all, rng
 from qcvv.paulis import PauliString
 
 ONEQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2))
+TWOQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (4, 4))
 
 
 def _key_index():
@@ -235,9 +236,62 @@ def test_propagate_pauli_through_a_three_qubit_gate_def_matches_its_decompositio
         assert dv.propagate_pauli(model, Circuit(n, tuple(layers), defs), p) == tableau_run(reference, p)
 
 
+def _embedded(u, support, n):
+    """The 2**n x 2**n operator of ``u`` on ``support``: entry [r, c] is
+    ``u[support bits of r, support bits of c]`` when r and c agree off the
+    support, else 0.  Qubit 0 is the most significant bit, and support qubit
+    0 the most significant bit of ``u``'s index."""
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    local = sum(bits[:, q] << (len(support) - 1 - i) for i, q in enumerate(support))
+    rest = np.delete(bits, list(support), axis=1) @ (1 << np.arange(n - len(support)))
+    return np.where(rest[:, None] == rest[None, :], u[local[:, None], local[None, :]], 0)
+
+
+def _random_clifford_unitary(k, gen):
+    """A product of 2k random builtin gates on k qubits, times a random phase."""
+    names = {1: ONEQ_NAMES, 2: TWOQ_NAMES}
+    u = np.eye(2**k, dtype=complex)
+    for _ in range(2 * k):
+        arity = 1 if k == 1 else int(gen.integers(1, 3))
+        support = tuple(int(q) for q in gen.permutation(k)[:arity])
+        u = _embedded(GATE_UNITARIES[names[arity][int(gen.integers(len(names[arity])))]], support, k) @ u
+    return np.exp(2j * np.pi * gen.random()) * u
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(width=st.integers(1, 4), depth=st.integers(0, 5), seed=st.integers(0, 2**31))
+def test_propagate_pauli_matches_unitary_conjugation(width, depth, seed):
+    """``propagate_pauli`` of a random Pauli, phase included, equals U P U^dag
+    for random circuits of 1-, 2- and 3-qubit gates: builtin names, ``c1_<i>``
+    and ``c2_<i>`` labels, and inline ``gate_defs`` Cliffords of every arity."""
+    gen = rng(seed)
+    labels = {1: ONEQ_NAMES + ["c1_5", "c1_17"], 2: TWOQ_NAMES + ["c2_9", "c2_7777"], 3: []}
+    defs = {}
+    for k in (1, 2, 3):
+        for i in range(2):
+            defs[f"def{k}_{i}"] = _random_clifford_unitary(k, gen)
+            labels[k].append(f"def{k}_{i}")
+    model = dv.ideal_model(width)
+    layers = []
+    u = np.eye(2**width, dtype=complex)
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(width)]
+        layer = []
+        while order:
+            k = int(gen.integers(1, min(3, len(order)) + 1))
+            support = tuple(order.pop() for _ in range(k))
+            label = labels[k][int(gen.integers(len(labels[k])))]
+            layer.append((label, support))
+            u = _embedded(model.ideal_unitary(label, defs), support, width) @ u
+        layers.append(tuple(layer))
+    p = PauliString.from_index(int(gen.integers(4**width)), width)
+    p = PauliString(width, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
+    image = dv.propagate_pauli(model, Circuit(width, tuple(layers), defs), p)
+    assert np.allclose(image.to_matrix(), u @ p.to_matrix() @ u.conj().T, atol=1e-9)
+
+
 # -- identification from unitaries against tableau composition ------------------
 
-TWOQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (4, 4))
 _SWAP = GATE_UNITARIES["SWAP"]
 
 

@@ -586,6 +586,76 @@ def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
         assert _fast_outputs(model, circ, shots) == default
 
 
+def _propagate_every_layer(model, circuit, shots, gen):
+    """The x bits of :func:`dv._propagate_faults`, drawn one layer at a time
+    and pushed through the gates of every layer."""
+    program = dv._FastPathProgram(model, circuit)
+    gates = dv._gate_tables(dv._walk(model, circuit), circuit.depth)
+    n = model.n
+    frame = np.zeros((n, shots), dtype=np.uint8)
+    for t in range(circuit.depth):
+        r0, r1 = program.starts[t], program.starts[t + 1]
+        draws = gen.random((r1 - r0, shots))
+        rows, cols, idx = dv._search_hits(draws, program.identity[r0:r1], program.dists[r0:r1], program.cdfs, program.levels)
+        faults = np.zeros((n + 1, shots), dtype=np.uint8)
+        faults[program.qubits[r0 + rows], cols[:, None]] = program.letters[program.dists[r0 + rows], idx]
+        if model.pre_gate_noise:
+            frame ^= faults[:n]
+        dv._apply_gate_layer(frame, gates[t])
+        if not model.pre_gate_noise:
+            frame ^= faults[:n]
+    return frame >> 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    depth=st.sampled_from([0, 3, 8, 12]),
+    shots=st.sampled_from([1, 100]),
+    noise=st.sampled_from(["gates", "gates+idle", "idle", "none"]),
+    pre=st.booleans(),
+    budget=st.sampled_from([None, 1, 150]),
+    seed=st.integers(0, 2**31),
+)
+def test_hit_driven_propagation_matches_every_layer_reference(width, depth, shots, noise, pre, budget, seed):
+    def nr(lbl, ar):
+        if "gates" not in noise:
+            return None
+        return ch.stochastic_pauli((0.02, 0.01, 0.03)) if ar == 1 else ch.stochastic_pauli({"XZ": 0.03, "YI": 0.02})
+
+    idle = ch.stochastic_pauli((0.01, 0.0, 0.02)) if "idle" in noise else None
+    model = dv.noisy_model(width, nr, idle=idle, pre_gate_noise=pre)
+    for sub in range(4):
+        circ = _random_clifford_circuit(width, depth, rng(8 * seed + sub))
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:  # 1: a block per layer; 150: one or two layers per block at 100 shots
+                mp.setattr(dv, "_DRAW_BUDGET", budget)
+            fast_gen, ref_gen = rng(8 * seed + 4 + sub), rng(8 * seed + 4 + sub)
+            got = dv._propagate_faults(dv._FastPathProgram(model, circ), shots, fast_gen)
+        expected = _propagate_every_layer(model, circ, shots, ref_gen)
+        assert got.tobytes() == expected.tobytes()
+        assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
+
+
+def test_fault_free_samples_build_no_gate_tables(monkeypatch):
+    circ = rb.mirror_circuit(rb.LayerSampler(3, twoq_density=0.7), 4, rng(2))
+    bits = dv.ideal_outcome_bits(dv.ideal_model(3), circ)
+    built = []
+    tables = dv._gate_tables
+    monkeypatch.setattr(dv, "_gate_tables", lambda *args: built.append(1) or tables(*args))
+
+    def rule(rate):
+        return lambda lbl, ar: ch.depolarizing(rate, n=ar)
+
+    # noiseless, then noisy with no fault drawn in 5 shots
+    for model in (dv.ideal_model(3), dv.noisy_model(3, rule(1e-12))):
+        rec = dv.pauli_fastpath_sample(model, circ, 5, 3, ideal_bits=bits)
+        assert rec.counts == {"".join(map(str, bits)): 5}
+    assert not built
+    dv.pauli_fastpath_sample(dv.noisy_model(3, rule(0.5)), circ, 5, 3, ideal_bits=bits)
+    assert built == [1]
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     width=st.integers(1, 4),
@@ -727,6 +797,27 @@ def test_gauges_compose_and_survive_replace():
         dv.circuit_probabilities(model.with_confusion(conf), circ).probs,
         atol=1e-12,
     )
+
+
+def test_gauge_rejects_what_it_cannot_transform():
+    x_on_0 = ch.Channel.from_unitary(np.kron(dv.GATE_UNITARIES["X"], np.eye(2)))
+    idle = ch.stochastic_pauli((0.2, 0, 0))
+    model = GateSetModel(2, gates={"XI": (x_on_0, 2)}, idle=idle)
+    circ = Circuit(2, ((("X", (0,)),),))
+    assert np.allclose(dv.circuit_probabilities(model, circ).probs, [0, 0, 0.8, 0.2], atol=1e-12)
+    # the idle channel acts on a single qubit, which a full-register gauge does not reach
+    with pytest.raises(ValueError, match="idle"):
+        dv.apply_gauge(model, np.eye(16))
+    gauged = dv.apply_gauge(model.replace(idle=None), np.eye(16))
+    with pytest.raises(ValueError, match="idle"):
+        gauged.replace(idle=idle)
+    # labels outside the explicit gates would act ungauged
+    defs = {"u": np.eye(2)}
+    for label in ("X", "c1_3", "u"):
+        with pytest.raises(ValueError, match="explicit gates"):
+            dv.circuit_probabilities(gauged, Circuit(2, (((label, (0,)),),), defs))
+    p0 = dv.circuit_probabilities(model.replace(idle=None), Circuit(2, ((("XI", (0, 1)),),))).probs
+    assert np.allclose(dv.circuit_probabilities(gauged, Circuit(2, ((("XI", (0, 1)),),))).probs, p0, atol=1e-12)
 
 
 def _random_clifford_circuit(width, depth, gen):
