@@ -6,6 +6,13 @@ Cycle error reconstruction inverts Pauli eigenvalues to error rates with
 built from the Clifford-layer helpers of :mod:`qcvv.cliffords`: a random
 Pauli-eigenstate preparation, the benchmarked layers, and a readout rotation
 of the propagated Pauli onto Z.
+
+ACES builds no tableau per layer.  It compiles each circuit prefix once into
+a :class:`qcvv.device.CliffordProgram`, the fast path's per-layer gate
+tables: once per gate layer for the systematic rows, and once per random
+circuit for the ``paulis_per_circuit`` rows that share it.  A row then
+propagates its prepared Pauli as one frame column with its phase, and reads
+each gate-set gate's local letters off the frame after the gate's layer.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, parity_mean, propagate_pauli
+from .device import Circuit, CliffordProgram, parity_mean, propagate_pauli
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -147,8 +154,9 @@ class PauliDecaySet:
 
 def cycle_order(cycle_tableau: CliffordTableau, max_order: int = 24) -> int:
     t = cycle_tableau
+    identity = CliffordTableau.identity(cycle_tableau.n).key()
     for j in range(1, max_order + 1):
-        if t.key() == CliffordTableau.identity(cycle_tableau.n).key():
+        if t.key() == identity:
             return j
         t = t.then(cycle_tableau)
     raise ValueError(
@@ -387,48 +395,20 @@ def aces(
     n = model.n
     gate_layers = [tuple(layer) for layer in gate_layers]
     gate_set = {(label, tuple(qubits)) for layer in gate_layers for label, qubits in layer}
-    params = []
-    for label, qubits in sorted(gate_set):
-        for idx in range(1, 4 ** len(qubits)):
-            params.append((label, qubits, pauli_label(idx, len(qubits))))
-    spam_params = []
-    if not assume_ideal_spam:
-        for kind in ("PREP", "MEAS"):
-            for q in range(n):
-                for axis in "XYZ":
-                    spam_params.append((kind, (q,), axis))
-    all_params = params + spam_params
-    col = {p: i for i, p in enumerate(all_params)}
+    all_params, first, spam = _aces_parameters(gate_set, n, assume_ideal_spam)
     gen = rng(seed)
 
     rows, vals, variances = [], [], []
 
-    def add_measurement(prefix_layers, prepared: PauliString):
-        row = np.zeros(len(all_params))
-        current = prepared
-        for layer in prefix_layers:
-            tab = cycle_tableau(model, layer)
-            nxt = tab.conjugate(current)
-            for label, qubits in layer:
-                if (label, tuple(qubits)) in gate_set:
-                    local = nxt.restrict(qubits).hermitian()
-                    if local.weight:
-                        row[col[(label, tuple(qubits), local.label)]] += 1
-            current = nxt
-        if not assume_ideal_spam:
-            for q in range(n):
-                a0 = prepared.letter(q)
-                if a0 != "I":
-                    row[col[("PREP", (q,), a0)]] += 1
-                a1 = current.hermitian().letter(q)
-                if a1 != "I":
-                    row[col[("MEAS", (q,), a1)]] += 1
+    def add_measurement(prefix: _ACESPrefix, prepared: PauliString):
+        row, current = prefix.row(prepared, len(all_params), spam)
         sgn = current.sign
         ideal_sign = 1 if sgn.real > 0 else -1
         prep_layer, prep_sign = eigenstate_layer(prepared, gen)
         meas = readout_layer(current)
-        layers = (prep_layer,) + tuple(prefix_layers) + ((meas,) if meas else ())
-        circ = Circuit(n, layers)
+        circ = Circuit(n, (prep_layer,)).then(prefix.circuit)
+        if meas:
+            circ = circ.then(Circuit(n, (meas,)))
         measured = readout_pauli(current)
         sub = int(gen.integers(2**62))
         sign = prep_sign * ideal_sign
@@ -444,13 +424,13 @@ def aces(
 
     # systematic depth-1 rows: every gate, every local Pauli (via a preimage)
     for layer in gate_layers:
-        tab = cycle_tableau(model, layer)
-        inv = tab.inverse()
+        inv = cycle_tableau(model, layer).inverse()
+        prefix = _ACESPrefix(model, [layer], first)
         for label, qubits in layer:
             for idx in range(1, 4 ** len(qubits)):
                 local = PauliString.from_index(idx, len(qubits))
                 target = local.embed(n, qubits)
-                add_measurement([layer], inv.conjugate(target).hermitian())
+                add_measurement(prefix, inv.conjugate(target).hermitian())
 
     # random mirror-structured circuits with a terminal randomizing layer
     for circuit_index in range(n_circuits):
@@ -468,9 +448,10 @@ def aces(
             seq.append(tuple((INVERSE_LABEL.get(lbl, lbl), qs) for lbl, qs in half[i]))
             seq.append(inverse_layer(dress[i]))
         seq.append(_random_1q_layer(n, gen))  # terminal randomizing layer
+        prefix = _ACESPrefix(model, seq, first)
         for _ in range(paulis_per_circuit):
             p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
-            add_measurement(seq, p)
+            add_measurement(prefix, p)
 
     a = np.array(rows)
     b = np.array(vals)
@@ -491,6 +472,83 @@ def aces(
         null,
         reduced_chi2,
     )
+
+
+def _aces_parameters(gate_set, n: int, assume_ideal_spam: bool):
+    """ACES's design columns: every nontrivial local Pauli of every gate in
+    ``gate_set``, gate by gate in sorted order, then, without ideal SPAM,
+    the PREP and the MEAS columns of every (qubit, axis).  Returns the
+    parameters, each gate's first column and the first SPAM column (None
+    with ideal SPAM)."""
+    params, first = [], {}
+    for label, qubits in sorted(gate_set):
+        first[(label, qubits)] = len(params)
+        for idx in range(1, 4 ** len(qubits)):
+            params.append((label, qubits, pauli_label(idx, len(qubits))))
+    if assume_ideal_spam:
+        return params, first, None
+    spam = len(params)
+    for kind in ("PREP", "MEAS"):
+        for q in range(n):
+            for axis in "XYZ":
+                params.append((kind, (q,), axis))
+    return params, first, spam
+
+
+# letter code ``x << 1 | z`` -> base-4 Pauli digit (I, Z, X, Y -> 0, 3, 1, 2)
+_DIGIT_OF_CODE = np.array([0, 3, 1, 2], dtype=np.intp)
+
+
+class _ACESPrefix:
+    """An ACES circuit prefix, compiled once for all of its rows.
+
+    ``program`` is the prefix's :class:`qcvv.device.CliffordProgram`.  Per
+    occurrence of a gate-set gate, in circuit order: ``layer``, its layer;
+    ``qubits``, its support, padded with qubit 0; ``place``, the base-4 place
+    value of each support qubit's digit in the gate's local Pauli index
+    (qubit 0 of the support most significant, 0 on the padding); and
+    ``first``, the design column of the gate's local Pauli index 1.
+    """
+
+    def __init__(self, model, layers, first: dict):
+        self.circuit = Circuit(model.n, tuple(layers))
+        self.program = CliffordProgram(model, self.circuit)
+        found = [
+            (t, qubits, first[(label, qubits)])
+            for t, layer in enumerate(self.circuit.layers)
+            for label, qubits in layer
+            if (label, qubits) in first
+        ]
+        levels = max([len(qubits) for _, qubits, _ in found], default=1)
+        self.layer = np.array([t for t, _, _ in found], dtype=np.intp)
+        self.qubits = np.zeros((len(found), levels), dtype=np.intp)
+        self.place = np.zeros((len(found), levels), dtype=np.intp)
+        for g, (_, qubits, _) in enumerate(found):
+            k = len(qubits)
+            self.qubits[g, :k] = qubits
+            self.place[g, :k] = 4 ** np.arange(k - 1, -1, -1)
+        self.first = np.array([col for _, _, col in found], dtype=np.intp)
+
+    def row(self, prepared: PauliString, width: int, spam):
+        """The design row of ``prepared`` through the prefix, ``width``
+        columns long, and its image with phase.
+
+        Each gate-set gate counts the local Pauli it leaves behind, read off
+        the frame after its layer; with ``spam``, the first SPAM column, each
+        qubit also counts the prepared letter (PREP) and the final one
+        (MEAS)."""
+        (image,), codes = self.program.propagate([prepared], history=True)
+        local = (_DIGIT_OF_CODE[codes[self.layer[:, None], self.qubits, 0]] * self.place).sum(axis=1)
+        hit = local > 0
+        row = np.bincount(self.first[hit] + local[hit] - 1, minlength=width).astype(float)
+        if spam is not None:
+            n = prepared.n
+            for q in range(n):
+                for col, p in ((spam, prepared), (spam + 3 * n, image)):
+                    letter = p.letter(q)
+                    if letter != "I":
+                        row[col + 3 * q + "XYZ".index(letter)] += 1
+        return row, image
 
 
 def _random_1q_layer(n, gen):

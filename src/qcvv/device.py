@@ -49,6 +49,15 @@ the all-identity frame, which every gate maps to itself, until the first
 layer that draws a fault, so a circuit that draws none builds no gate table
 and conjugates nothing.
 
+One Pauli propagator serves every ideal-action question:
+:class:`CliffordProgram` compiles a Clifford circuit once into the fast
+path's per-layer gate tables and propagates Paulis through them with exact
+phase, recording the frame after every layer when asked.
+:func:`propagate_pauli` goes through it, the fast path's ideal outcome runs
+the same tables through the same loop, and ACES (:func:`qcvv.cycles.aces`)
+compiles each circuit prefix once and reads its design rows off the
+recorded frames.
+
 Every backend call simulates one circuit; the benchmark's tracer counts
 circuits per ``circuit_probabilities``, ``pauli_fastpath_sample`` and
 ``pauli_fastpath_signs`` call, so a stacked or ensemble entry point (one
@@ -775,13 +784,42 @@ def _paulis_of(frame: np.ndarray, phase: np.ndarray):
     return out
 
 
-def _propagate_paulis(gates, n: int, paulis):
-    """Images, with phases, of ``paulis`` under the compiled gate layers."""
+def _propagate_paulis(gates, n: int, paulis, history: np.ndarray = None):
+    """Images, with phases, of ``paulis`` under the compiled gate layers,
+    writing each layer's output frame into ``history[t]`` when it is given."""
     frame = _frame_of(paulis, n)
     phase = np.array([p.phase for p in paulis], dtype=np.int64)
-    for groups in gates:
+    for t, groups in enumerate(gates):
         _apply_gate_layer(frame, groups, phase)
+        if history is not None:
+            history[t] = frame
     return _paulis_of(frame, phase)
+
+
+class CliffordProgram:
+    """A Clifford circuit's ideal action, compiled once into the per-layer
+    gate tables of :func:`_gate_tables` (``gates``), through which Paulis
+    propagate with exact phase.
+
+    Compile a circuit once and propagate as many Paulis through it as
+    needed: ACES compiles each prefix once for all of its rows.  This is the
+    one Pauli propagator; :func:`propagate_pauli` goes through it, and
+    :func:`ideal_outcome_bits` and the fast path's ideal outcome run the
+    same tables through the same loop.
+    """
+
+    def __init__(self, model: GateSetModel, circuit: Circuit):
+        self.n = model.n
+        self.gates = _gate_tables(_walk(model, circuit), circuit.depth)
+
+    def propagate(self, paulis, history: bool = False):
+        """Images, with phases, of ``paulis``.  With ``history``, also each
+        image's letter codes after every layer, as a (depth, n, len(paulis))
+        uint8 array of codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3)."""
+        if not history:
+            return _propagate_paulis(self.gates, self.n, paulis)
+        codes = np.empty((len(self.gates), self.n, len(paulis)), dtype=np.uint8)
+        return _propagate_paulis(self.gates, self.n, paulis, codes), codes
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
@@ -791,7 +829,7 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     Z_q; the outcome is definite iff every image is Z-type, and the bits
     follow by solving for each +-Z_q in the group over GF(2).
     """
-    return _ideal_bits(_gate_tables(_walk(model, circuit), circuit.depth), model.n)
+    return _ideal_bits(CliffordProgram(model, circuit).gates, model.n)
 
 
 def _ideal_bits(gates, n: int):
@@ -836,9 +874,10 @@ def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> Pa
     """Conjugate a Pauli through a Clifford circuit's ideal action, with sign.
 
     Cost is O(depth * gates); uses per-gate lookup tables, so it stays cheap
-    at large width.
+    at large width.  To propagate several Paulis through one circuit,
+    compile it once as a :class:`CliffordProgram`.
     """
-    return _propagate_paulis(_gate_tables(_walk(model, circuit), circuit.depth), model.n, [p])[0]
+    return CliffordProgram(model, circuit).propagate([p])[0]
 
 
 def _noise_dist(err_ptm: np.ndarray, label: str):

@@ -8,12 +8,15 @@ so design matrices are real.
 
 The default fiducials follow the minimal informationally complete choice:
 preparations {|0>, |1>, |+>, |i+>} per qubit and the 3**n Pauli measurement
-settings.
+settings.  Their 6**n effect matrices and normalized-Pauli superbras are
+built once per width (:func:`_effect_table`) and shared, read-only, by QST,
+QPT, LGST and gauge optimization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -78,6 +81,20 @@ def pauli_eigenstate_effects(n: int):
     return effects
 
 
+@lru_cache(maxsize=None)
+def _effect_table(n: int):
+    """The effects of :func:`pauli_eigenstate_effects`, built once per width:
+    their ``(setting, outcome bits)`` keys, their matrices stacked as a
+    (6**n, 2**n, 2**n) array and their normalized-Pauli superbras as a
+    (6**n, 4**n) array.  Both arrays are read-only: every caller shares them."""
+    effects = pauli_eigenstate_effects(n)
+    keys = tuple([(setting, bits) for setting, bits, _ in effects])
+    mats = np.array([e for _, _, e in effects])
+    bras = np.array([vectorize(e, NORMALIZED_PAULI).coeffs.real for _, _, e in effects])
+    mats.flags.writeable = bras.flags.writeable = False
+    return keys, mats, bras
+
+
 def gram_rank(effects, tol: float = 1e-8) -> int:
     """Rank of the stacked effect superbras (Fisher-information surrogate)."""
     rows = [vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects]
@@ -100,16 +117,19 @@ def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
 
 
 def _effects_and_freqs(dataset, n):
-    effects, freqs, counts = [], [], []
-    for setting, bits, e in pauli_eigenstate_effects(n):
+    """The effect matrices and superbras of the settings in ``dataset``, in
+    :func:`_effect_table` order, with each effect's frequency and count."""
+    keys, mats, bras = _effect_table(n)
+    rows, freqs, counts = [], [], []
+    for r, (setting, bits) in enumerate(keys):
         if setting not in dataset:
             continue
         c = dataset[setting]
         total = sum(c.values())
-        effects.append(e)
+        rows.append(r)
         counts.append(c.get(bits, 0))
         freqs.append(c.get(bits, 0) / total)
-    return effects, np.array(freqs, dtype=float), np.array(counts, dtype=float)
+    return mats[rows], bras[rows], np.array(freqs, dtype=float), np.array(counts, dtype=float)
 
 
 def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=None, seed=0):
@@ -121,8 +141,9 @@ def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=N
     design is square); ``mle`` maximizes the likelihood over rho = LL+/Tr.
     """
     if effects is None:
-        effects, freqs, counts = _effects_and_freqs(dataset, n)
-    t = np.array([vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects])
+        effects, t, freqs, counts = _effects_and_freqs(dataset, n)
+    else:
+        t = np.array([vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects])
     rank = np.linalg.matrix_rank(t, tol=1e-8)
     if rank < 4**n:
         raise ValueError(f"effect set is rank deficient ({rank} < {4**n}); not informationally complete")
@@ -142,25 +163,41 @@ def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=N
     return _mle_state(effects, counts, rho_lin, seed)
 
 
-def _chol_params_to_l(params, d):
-    l = np.zeros((d, d), dtype=complex)
-    idx = 0
+@lru_cache(maxsize=None)
+def _chol_layout(d: int):
+    """Where the d**2 real parameters of a lower-triangular d x d factor L
+    sit: row by row, L[i, i], then the real and imaginary parts of L[i, j]
+    for j < i.  Returns the positions of the diagonal, of the real parts and
+    of the imaginary parts, and the rows and columns of the strictly lower
+    entries, as read-only index arrays."""
+    diag, re, rows, cols = [], [], [], []
     for i in range(d):
-        l[i, i] = params[idx]
-        idx += 1
+        diag.append(i * i)
         for j in range(i):
-            l[i, j] = params[idx] + 1j * params[idx + 1]
-            idx += 2
+            re.append(i * i + 1 + 2 * j)
+            rows.append(i)
+            cols.append(j)
+    out = tuple(np.array(a, dtype=np.intp) for a in (diag, re, np.add(re, 1), rows, cols))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _chol_params_to_l(params, d):
+    diag, re, im, rows, cols = _chol_layout(d)
+    l = np.zeros((d, d), dtype=complex)
+    l[np.arange(d), np.arange(d)] = params[diag]
+    l[rows, cols] = params[re] + 1j * params[im]
     return l
 
 
 def _l_to_params(l, d):
-    out = []
-    for i in range(d):
-        out.append(l[i, i].real)
-        for j in range(i):
-            out.extend([l[i, j].real, l[i, j].imag])
-    return np.array(out)
+    diag, re, im, rows, cols = _chol_layout(d)
+    out = np.zeros(d * d)
+    out[diag] = l.diagonal().real
+    out[re] = l[rows, cols].real
+    out[im] = l[rows, cols].imag
+    return out
 
 
 def _mle_state(effects, counts, rho0, seed, max_iter=500, grad_tol=1e-8):
@@ -181,15 +218,7 @@ def _mle_state(effects, counts, rho0, seed, max_iter=500, grad_tol=1e-8):
         aa = np.einsum("k,kij->ij", ns / ps, es)
         b = (aa - np.trace(aa @ rho).real * np.eye(d)) / tau
         grad_l = 2 * (b @ l)  # Wirtinger gradient wrt conj(L), mapped to re/im
-        grad = np.zeros_like(params)
-        idx = 0
-        for i in range(d):
-            grad[idx] = grad_l[i, i].real
-            idx += 1
-            for j in range(i):
-                grad[idx] = grad_l[i, j].real
-                grad[idx + 1] = grad_l[i, j].imag
-                idx += 2
+        grad = _l_to_params(grad_l, d)
         return -ll, -grad
 
     # multi-start to hedge the non-convexity of the Cholesky parameterization
@@ -274,15 +303,14 @@ def qpt(dataset, n: int, method: str = "mle") -> Channel:
     rows, ys, ns, owner, vins = [], [], [], [], []
     for i, rho_in in enumerate(preps):
         vin = vectorize(rho_in, NORMALIZED_PAULI).coeffs.real
-        effects, freqs, counts = _effects_and_freqs(dataset[i], n)
-        for e, fr in zip(effects, freqs):
-            vout = vectorize(e, NORMALIZED_PAULI).coeffs.real
-            rows.append(np.kron(vin, vout))  # p = <<E| L |rho>> = (vin kron vout) . vec(L)
-            ys.append(fr)
+        _, vouts, freqs, counts = _effects_and_freqs(dataset[i], n)
+        # p = <<E| L |rho>> = (vin kron vout) . vec(L), one row per effect
+        rows.append((vin[None, :, None] * vouts[:, None, :]).reshape(len(vouts), -1))
+        ys.extend(freqs)
         ns.extend(counts)
-        owner.extend([i] * len(effects))
+        owner.extend([i] * len(vouts))
         vins.append(vin)
-    a = np.array(rows)
+    a = np.concatenate(rows)
     if np.linalg.matrix_rank(a, tol=1e-8) < 16**n:
         raise ValueError("design not informationally complete for a process")
     sol, *_ = np.linalg.lstsq(a, np.array(ys), rcond=None)
@@ -528,7 +556,7 @@ def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -
         rec = sample_counts(model, circ, shots, next(seeds))
         return {k: v / shots for k, v in rec.counts.items()}
 
-    effects_list = pauli_eigenstate_effects(n)
+    effect_keys = _effect_table(n)[0]
 
     def freq_vector(prefix_layers):
         """Stacked probabilities over every (setting, outcome) effect."""
@@ -536,7 +564,7 @@ def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -
         by_setting = {}
         for setting, rot in meas:
             by_setting[setting] = measure(tuple(prefix_layers) + tuple(rot))
-        for setting, bits, _ in effects_list:
+        for setting, bits in effect_keys:
             vec.append(by_setting[setting].get(bits, 0.0))
         return np.array(vec)
 
@@ -555,8 +583,8 @@ def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -
         gates[label] = gram_pinv @ pk
     rho_vec = gram_pinv @ gram[:, 0]  # prep fiducial 0 is the empty circuit
     effects = {}
-    for row_idx, (setting, bits, _) in enumerate(effects_list):
-        effects[(setting, bits)] = gram[row_idx].copy()
+    for row_idx, key in enumerate(effect_keys):
+        effects[key] = gram[row_idx].copy()
     return LinearGSTResult(gates, rho_vec, effects, gram, cond)
 
 
@@ -572,10 +600,10 @@ def lgst_predict(result: LinearGSTResult, prep_index: int, gate_sequence, settin
 # -- gauge optimization ------------------------------------------------------------
 
 def ideal_effect_superbras(n: int):
-    out = {}
-    for setting, bits, e in pauli_eigenstate_effects(n):
-        out[(setting, bits)] = vectorize(e, NORMALIZED_PAULI).coeffs.real
-    return out
+    """{(setting, outcome bits): normalized-Pauli superbra} of the ideal
+    effects, as writable copies of :func:`_effect_table`'s rows."""
+    keys, _, bras = _effect_table(n)
+    return dict(zip(keys, bras.copy()))
 
 
 def gauge_optimize(result: LinearGSTResult, targets: dict, n: int, spam_weight: float = 100.0, maxiter: int = 800):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv import cycles as cy
@@ -331,3 +333,73 @@ def test_aces_residual_flags_coherent_noise_without_rc():
     assert res_pauli.reduced_chi2 < 3
     assert res_norc.reduced_chi2 > 3 * res_pauli.reduced_chi2
     assert res_rc.reduced_chi2 < res_norc.reduced_chi2
+
+
+_DRESSINGS = ("X", "Y", "Z", "H", "S", "SDG", "X90", "Y90", "c1_5", "c1_17")
+
+
+def _tableau_aces_row(model, layers, prepared, gate_set, params):
+    """The ACES design row and image of ``prepared`` by tableau algebra: each
+    layer's full-register tableau conjugates the current Pauli, and each
+    gate-set gate counts its local letters after the layer."""
+    n = model.n
+    col = {p: i for i, p in enumerate(params)}
+    row = np.zeros(len(params))
+    current = prepared
+    for layer in layers:
+        current = cy.cycle_tableau(model, layer).conjugate(current)
+        for label, qubits in layer:
+            if (label, qubits) in gate_set:
+                local = current.restrict(qubits).hermitian()
+                if local.weight:
+                    row[col[(label, qubits, local.label)]] += 1
+    if ("PREP", (0,), "X") in col:
+        for q in range(n):
+            if prepared.letter(q) != "I":
+                row[col[("PREP", (q,), prepared.letter(q))]] += 1
+            if current.letter(q) != "I":
+                row[col[("MEAS", (q,), current.letter(q))]] += 1
+    return row, current
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    depth=st.integers(1, 6),
+    ideal_spam=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_compiled_aces_rows_match_tableau_conjugation(width, depth, ideal_spam, seed):
+    """The compiled prefix's design row, image (exact phase) and PREP/MEAS
+    columns equal those of per-layer tableau conjugation, on random prefixes
+    of CNOT, CZ and ``c2_<i>`` gate-set gates with 1q dressings."""
+    gen = rng(seed)
+    model = dv.ideal_model(width)
+    twoq = ["CNOT", "CZ", f"c2_{int(gen.integers(11520))}", f"c2_{int(gen.integers(11520))}"]
+    layers = []
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(width)]
+        layer = []
+        while order:
+            if len(order) > 1 and gen.random() < 0.6:
+                layer.append((twoq[int(gen.integers(len(twoq)))], (order.pop(), order.pop())))
+            elif gen.random() < 0.8:
+                layer.append((_DRESSINGS[int(gen.integers(len(_DRESSINGS)))], (order.pop(),)))
+            else:
+                order.pop()  # an idle qubit
+        layers.append(tuple(layer))
+    ops = sorted({op for layer in layers for op in layer})
+    # every 2q gate of the prefix and some of its dressings, plus one gate it never uses
+    gate_set = {op for op in ops if len(op[1]) == 2 or gen.random() < 0.3} | {("CZ@absent", (0,))}
+    params, first, spam = cy._aces_parameters(gate_set, width, ideal_spam)
+    prefix = cy._ACESPrefix(model, layers, first)
+    for _ in range(4):
+        p = PauliString.from_index(int(gen.integers(1, 4**width)), width)
+        p = PauliString(width, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
+        row, image = prefix.row(p, len(params), spam)
+        expected_row, expected_image = _tableau_aces_row(model, layers, p, gate_set, params)
+        assert row.dtype == expected_row.dtype and np.array_equal(row, expected_row)
+        assert image == expected_image  # letters and phase exponent
+        if not ideal_spam:
+            assert np.array_equal(row[spam:], expected_row[spam:])
+            assert row[spam:].sum() == p.weight + image.weight

@@ -53,7 +53,7 @@ def test_qst_mle_loglikelihood_dominates_linear():
     model = dv.ideal_model(1)
     circ = Circuit(1, ((("H", (0,)),),))  # pure |+>: linear estimate often unphysical
     ds = tg.qst_dataset(model, circ, shots=300, seed=21)
-    effects, freqs, counts = tg._effects_and_freqs(ds, 1)
+    effects, _, freqs, counts = tg._effects_and_freqs(ds, 1)
     lin = tg.qst(ds, 1, method="linear")
     mle = tg.qst(ds, 1, method="mle")
     evals = np.linalg.eigvalsh(lin)
@@ -365,3 +365,54 @@ def test_design_gram_rank():
     effects = [e for _, _, e in tg.pauli_eigenstate_effects(1)]
     assert tg.gram_rank(effects) == 4
     assert tg.gram_rank(effects[:2]) < 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_effect_table_is_a_read_only_copy_of_a_fresh_build(n):
+    keys, mats, bras = tg._effect_table(n)
+    fresh = tg.pauli_eigenstate_effects(n)
+    assert keys == tuple((setting, bits) for setting, bits, _ in fresh)
+    assert mats.tobytes() == np.array([e for _, _, e in fresh]).tobytes()
+    expected = np.array([tg.vectorize(e, "normalized-pauli").coeffs.real for _, _, e in fresh])
+    assert bras.dtype == expected.dtype and bras.tobytes() == expected.tobytes()
+    assert tg._effect_table(n) is tg._effect_table(n)
+    for table in (mats, bras):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    superbras = tg.ideal_effect_superbras(n)
+    assert list(superbras) == list(keys)
+    for row, v in zip(bras, superbras.values()):
+        assert v.flags.writeable and not np.shares_memory(v, bras)
+        assert v.tobytes() == row.tobytes()
+    next(iter(superbras.values()))[:] = 7.0
+    assert bras.tobytes() == expected.tobytes()
+    assert tg.ideal_effect_superbras(n)[keys[0]].tobytes() == expected[0].tobytes()
+
+
+def _loop_chol_params_to_l(params, d):
+    l = np.zeros((d, d), dtype=complex)
+    idx = 0
+    for i in range(d):
+        l[i, i] = params[idx]
+        idx += 1
+        for j in range(i):
+            l[i, j] = params[idx] + 1j * params[idx + 1]
+            idx += 2
+    return l
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_cholesky_packing_matches_the_loop_layout(d):
+    """The index-array packing of the state MLE's Cholesky factor equals the
+    row-by-row loop bit for bit, and unpacking inverts it."""
+    params = rng(d).normal(size=d * d)
+    l = tg._chol_params_to_l(params, d)
+    assert l.tobytes() == _loop_chol_params_to_l(params, d).tobytes()
+    assert tg._l_to_params(l, d).tobytes() == params.tobytes()
+    full = rng(d + 1).normal(size=(d, d)) + 1j * rng(d + 2).normal(size=(d, d))
+    loop = []
+    for i in range(d):
+        loop.append(full[i, i].real)
+        for j in range(i):
+            loop.extend([full[i, j].real, full[i, j].imag])
+    assert tg._l_to_params(full, d).tobytes() == np.array(loop).tobytes()
