@@ -8,7 +8,10 @@ circuit of L layers costs O(n L).
 The 24-element single-qubit group and the 11,520-element two-qubit group are
 enumerated with a unitary realization and a decomposition into physical
 gates ({X90, Y90} words for one qubit, the standard single-qubit-dressed
-CNOT/iSWAP/SWAP classes for two qubits).
+CNOT/iSWAP/SWAP classes for two qubits).  Each two-qubit class is one
+stacked unitary product over the 24 x 24 local pairs.  An element carries
+its tableau key; its :class:`CliffordTableau` is built from the key on first
+use, as the RB paths read only unitaries, words and keys.
 
 A Clifford is identified from its unitary in one place: a vectorised pass
 conjugates the generators by a stack of unitaries and matches each image to
@@ -27,7 +30,7 @@ and randomized compiling of two-qubit sublayers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -347,20 +350,25 @@ def tableau_run(layers, p: PauliString) -> PauliString:
 
 @dataclass(frozen=True)
 class CliffordElement:
-    """One enumerated group element: tableau, unitary, and a physical-gate word."""
+    """One enumerated group element: its tableau key, unitary, and a
+    physical-gate word.  The tableau is built from the key on first use."""
 
-    tableau: CliffordTableau
+    key: tuple  # CliffordTableau.key() of the element
     unitary: np.ndarray
     word: tuple  # sequence of (gate name, qubits)
 
     @property
     def n(self):
-        return self.tableau.n
+        return len(self.key) // 2
+
+    @cached_property
+    def tableau(self) -> CliffordTableau:
+        return _tableau(self.n, self.key)
 
 
 def _enumerate_1q():
-    """(unitary, word) of each single-qubit Clifford, in element order: by
-    word length, then tableau key."""
+    """Unitaries, words and tableau keys of the single-qubit Cliffords, in
+    element order: by word length, then tableau key."""
     start = (np.eye(2, dtype=complex), ())
     seen = {_tableau_keys(start[0][None])[0]: start}
     frontier = [start]
@@ -371,7 +379,8 @@ def _enumerate_1q():
             if key not in seen:
                 seen[key] = cand
                 frontier.append(cand)
-    return [cand for _, cand in sorted(seen.items(), key=lambda item: (len(item[1][1]), item[0]))]
+    ordered = sorted(seen.items(), key=lambda item: (len(item[1][1]), item[0]))
+    return np.array([u for _, (u, _) in ordered]), [word for _, (_, word) in ordered], [key for key, _ in ordered]
 
 
 @lru_cache(maxsize=None)
@@ -562,42 +571,41 @@ def _axis_cycle_1q():
     return tuple(out)
 
 
-def _on_qubit(q, u, word):
-    """A single-qubit (unitary, word) placed on qubit q of two."""
-    full = [np.eye(2, dtype=complex)] * 2
-    full[q] = u
-    return kron_all(full), tuple((name, (q,)) for name, _ in word)
-
-
-def _compose_2q(parts):
-    """Unitary and word of two-qubit (unitary, word) parts applied in order."""
-    u = np.eye(4, dtype=complex)
-    word = ()
-    for part_u, part_word in parts:
-        u = part_u @ u
-        word = word + part_word
-    return u, word
+def _on_qubit(q, elements):
+    """Single-qubit (unitary, word) pairs placed on qubit q of two, as one
+    stack of unitaries and a list of words."""
+    eye = np.eye(2, dtype=complex)
+    us = np.array([kron_all([u, eye] if q == 0 else [eye, u]) for u, _ in elements])
+    return us, [tuple((name, (q,)) for name, _ in word) for _, word in elements]
 
 
 def _enumerate_2q():
-    """(unitary, word) of each two-qubit Clifford, in element order."""
+    """Unitaries, words and tableau keys of the two-qubit Cliffords, in
+    element order.
+
+    Each class is one stacked product ``b @ (a @ prefix)`` over the 24 x 24
+    local pairs, a on qubit 0 (outer) and b on qubit 1 (inner); the SWAP
+    and plain classes alternate element by element."""
     c1 = [(e.unitary, e.word) for e in clifford_group_1q()]
-    a0, a1 = [_on_qubit(0, *e) for e in c1], [_on_qubit(1, *e) for e in c1]
-    s0, s1 = [_on_qubit(0, *e) for e in _axis_cycle_1q()], [_on_qubit(1, *e) for e in _axis_cycle_1q()]
-    mid = {name: (GATE_UNITARIES[name], ((name, (0, 1)),)) for name in ("CNOT", "ISWAP", "SWAP")}
-    built = []
-    for a in a0:
-        for b in a1:
-            built.append(_compose_2q([mid["SWAP"], a, b]))
-            built.append(_compose_2q([a, b]))
-    for middle in ("CNOT", "ISWAP"):
-        for sa in s0:
-            for sb in s1:
-                tail = [sa, sb, mid[middle]]
-                for a in a0:
-                    for b in a1:
-                        built.append(_compose_2q(tail + [a, b]))
-    return built
+    (a0, w0), (a1, w1) = _on_qubit(0, c1), _on_qubit(1, c1)
+    (s0, v0), (s1, v1) = _on_qubit(0, _axis_cycle_1q()), _on_qubit(1, _axis_cycle_1q())
+    eye = np.eye(4, dtype=complex)
+
+    def dressed(prefix, prefix_word):
+        us = (a1[None] @ (a0 @ prefix)[:, None]).reshape(-1, 4, 4)
+        return us, [prefix_word + wa + wb for wa in w0 for wb in w1]
+
+    swap, plain = dressed(GATE_UNITARIES["SWAP"] @ eye, (("SWAP", (0, 1)),)), dressed(eye, ())
+    us = [np.stack([swap[0], plain[0]], axis=1).reshape(-1, 4, 4)]
+    words = [w for pair in zip(swap[1], plain[1]) for w in pair]
+    for name in ("CNOT", "ISWAP"):
+        for sa, va in zip(s0, v0):
+            for sb, vb in zip(s1, v1):
+                u, w = dressed(GATE_UNITARIES[name] @ (sb @ (sa @ eye)), va + vb + ((name, (0, 1)),))
+                us.append(u)
+                words += w
+    us = np.concatenate(us)
+    return us, words, _tableau_keys(us)
 
 
 @lru_cache(maxsize=None)
@@ -614,21 +622,21 @@ def clifford_group_2q():
 @lru_cache(maxsize=None)
 def _enumeration(n: int):
     """The enumerated n-qubit group as a read-only (K, d, d) stack of
-    unitaries and a tuple of words, both in element order."""
+    unitaries, a tuple of words and a tuple of tableau keys, all in element
+    order."""
     if n == 1:
-        built = _enumerate_1q()
+        us, words, keys = _enumerate_1q()
     elif n == 2:
-        built = _enumerate_2q()
+        us, words, keys = _enumerate_2q()
     else:
         raise ValueError("only the 1- and 2-qubit groups are enumerated")
-    us = np.array([u for u, _ in built])
     us.flags.writeable = False
-    return us, tuple(word for _, word in built)
+    return us, tuple(words), tuple(keys)
 
 
 def _group_elements(n: int) -> tuple:
-    us, words = _enumeration(n)
-    return tuple(CliffordElement(_tableau(n, key), u, word) for key, u, word in zip(_tableau_keys(us), us, words))
+    us, words, keys = _enumeration(n)
+    return tuple(CliffordElement(key, u, word) for key, u, word in zip(keys, us, words))
 
 
 def group_unitaries(n: int) -> np.ndarray:
@@ -640,7 +648,7 @@ def group_unitaries(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _group_index(n: int) -> dict:
-    return {e.tableau.key(): i for i, e in enumerate(enumerate_clifford_group(n))}
+    return {e.key: i for i, e in enumerate(enumerate_clifford_group(n))}
 
 
 def clifford_index(n: int, unitaries) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
-import scipy.stats
+import scipy.special
 
 from .cliffords import (
     GATE_UNITARIES,
@@ -97,7 +97,7 @@ class FitResult:
     def chi2_pvalue(self) -> float:
         if self.dof <= 0:
             return float("nan")
-        return float(scipy.stats.chi2.sf(self.chi2, self.dof))
+        return float(scipy.special.chdtrc(self.dof, self.chi2))  # the chi-squared survival function
 
 
 def fit_decay(depths, means, stderrs=None, fix_b=None, variance_floor=None) -> FitResult:

@@ -1,8 +1,12 @@
 """Import structure of the package: every intra-package import sits at module
 level and is used, no protocol module reaches into another's private helpers,
-and the module import graph has no cycles."""
+the module import graph has no cycles, and importing the CLI leaves out
+``scipy.stats``, which costs about half a second of cold start."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,11 @@ def test_module_import_graph_is_acyclic():
     for name in sorted(graph):
         if name not in state:
             assert cycle_from(name, []) is None
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import qcvv.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

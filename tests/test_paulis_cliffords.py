@@ -5,8 +5,10 @@ from qcvv.cliffords import (
     GATE_UNITARIES,
     CliffordTableau,
     average_gate_counts,
+    clifford_index,
     enumerate_clifford_group,
     gate_tableau,
+    group_unitaries,
     random_clifford,
     tableau_from_unitary,
     tableau_run,
@@ -200,6 +202,14 @@ def test_group_words_realize_tableaux():
         for _ in range(5):
             e = random_clifford(n, gen)
             assert tableau_from_unitary(e.unitary).key() == e.tableau.key()
+
+
+def test_element_keys_match_their_tableaux_and_unitaries():
+    g2 = enumerate_clifford_group(2)
+    sample = rng(35).choice(len(g2), size=200, replace=False)
+    for e in [*enumerate_clifford_group(1), *(g2[i] for i in sample.tolist())]:
+        assert e.key == e.tableau.key() == tableau_from_unitary(e.unitary).key()
+    assert clifford_index(2, group_unitaries(2)) == list(range(11520))
 
 
 def test_average_gate_counts_reported():

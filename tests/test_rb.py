@@ -118,6 +118,24 @@ def test_chi2_flags_drifting_decay():
     assert fit2.chi2_pvalue < 1e-6
 
 
+def _fit_with_chi2(chi2, dof):
+    return rb.FitResult(0.5, 0.99, 0.5, np.zeros((2, 2)), True, 0.0, np.zeros(3), chi2, dof)
+
+
+def test_chi2_pvalue_matches_scipy_stats_bit_for_bit():
+    import scipy.stats
+
+    gen = rng(41)
+    for dof in range(1, 201):
+        typical = gen.uniform(0, 3 * dof, size=3)
+        for chi2 in (0.0, 1e-300, 1e-12, *typical, 1e4, np.inf, np.nan):
+            got = _fit_with_chi2(float(chi2), dof).chi2_pvalue
+            want = float(scipy.stats.chi2.sf(chi2, dof))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (chi2, dof)
+    for dof in (0, -1):
+        assert np.isnan(_fit_with_chi2(1.0, dof).chi2_pvalue)
+
+
 def test_simultaneous_rb_crosstalk_free():
     p = 3e-3
     model = depol_model(2, p)
