@@ -1,9 +1,10 @@
 """Clifford tableaux, the 1- and 2-qubit Clifford groups, and Pauli propagation.
 
-A :class:`CliffordTableau` stores the conjugation images of the 2n generators
-X_i and Z_i as :class:`~qcvv.paulis.PauliString` objects with exact signs.
-Conjugating an arbitrary Pauli costs O(n * weight); propagating through a
-circuit of L layers costs O(n L).
+A :class:`CliffordTableau` is a (2n, 2n) GF(2) matrix of the generator
+images' x|z bits plus their phase vector (Aaronson and Gottesman).  One
+batched conjugation, a matrix product mod 2 with an exact phase rule, serves
+conjugation, composition and the inverse, which the symplectic form gives
+without elimination.
 
 The 24-element single-qubit group and the 11,520-element two-qubit group are
 enumerated with a unitary realization and a decomposition into physical
@@ -35,105 +36,130 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import kron_all, pauli_matrices, rng
-from .paulis import PauliString, _popcount, all_paulis
+from .paulis import PauliString, all_paulis
 
 
-@dataclass(frozen=True)
+def _unpack(values, n: int) -> np.ndarray:
+    """(len(values), n) uint8 bits of non-negative ints, column q holding bit q."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(int(v).to_bytes(width, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(values), width), axis=1, count=n, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> list:
+    """The rows of a 0/1 array as ints, column q giving bit q: :func:`_unpack` reversed."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=-1, bitorder="little")]
+
+
+def _images(rows: np.ndarray, phases: np.ndarray) -> list:
+    """(x bits, z bits, phase exponent) of each Pauli of a batch of bit rows."""
+    n = rows.shape[1] // 2
+    return list(zip(_pack(rows[:, :n]), _pack(rows[:, n:]), phases.tolist()))
+
+
+def _bit_rows(paulis, n: int):
+    """(m, 2n) uint8 rows, x bits then z bits, and (m,) phase exponents of n-qubit Paulis."""
+    rows = np.hstack([_unpack([p.xbits for p in paulis], n), _unpack([p.zbits for p in paulis], n)])
+    return rows, np.array([p.phase for p in paulis], dtype=np.int64)
+
+
 class CliffordTableau:
-    n: int
-    x_images: tuple  # image of X_q under conjugation, q = 0..n-1
-    z_images: tuple  # image of Z_q under conjugation
+    """Symplectic tableau of an n-qubit Clifford C, exact signs included.
 
-    def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
+    ``bits`` is a read-only (2n, 2n) uint8 matrix over GF(2): row g holds
+    the x bits and then the z bits of ``C G C^dag`` for the generators G =
+    X_0..X_{n-1}, Z_0..Z_{n-1}.  ``phases[g]`` is that image's phase
+    exponent, in the convention of :class:`~qcvv.paulis.PauliString`.
+    Tableaux compare and hash by :meth:`key`.
+    """
+
+    def __init__(self, bits, phases):
+        bits = np.array(bits, dtype=np.uint8) & 1
+        phases = np.array(phases, dtype=np.int64) % 4
+        if phases.ndim != 1 or len(phases) % 2 or bits.shape != (len(phases), len(phases)):
             raise ValueError("need one image per generator")
+        bits.flags.writeable = phases.flags.writeable = False
+        self.n = len(phases) // 2
+        self.bits = bits
+        self.phases = phases
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        xs = tuple(PauliString(n, 1 << q, 0, 0) for q in range(n))
-        zs = tuple(PauliString(n, 0, 1 << q, 0) for q in range(n))
-        return cls(n, xs, zs)
+        return cls(np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.int64))
 
     def key(self):
-        """Hashable canonical form (images with exact phases)."""
-        return tuple((p.xbits, p.zbits, p.phase) for p in self.x_images + self.z_images)
+        """Hashable canonical form: per generator image, its x bits, z bits
+        and phase exponent, as in :meth:`PauliString`."""
+        return tuple(_images(self.bits, self.phases))
+
+    def __eq__(self, other):
+        return isinstance(other, CliffordTableau) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    @property
+    def x_images(self) -> tuple:
+        """Images of X_q, q = 0..n-1, as PauliStrings."""
+        return tuple(PauliString(self.n, *image) for image in self.key()[: self.n])
+
+    @property
+    def z_images(self) -> tuple:
+        """Images of Z_q, q = 0..n-1, as PauliStrings."""
+        return tuple(PauliString(self.n, *image) for image in self.key()[self.n :])
+
+    def _conjugate_rows(self, rows: np.ndarray, phases: np.ndarray):
+        """Bit rows and phase exponents of ``C P C^dag`` for a batch of Paulis
+        P given as (m, 2n) bit rows and (m,) phase exponents.
+
+        P is ``i**k`` times the product of the generators its row selects, in
+        generator order, so its image multiplies their images in that order.
+        Moving each image's Z part past the X parts of the later ones gives
+        the sign ``(-1)**(r^T U r)``, with ``U[j, l]`` (j < l) the parity of
+        image j's z bits against image l's x bits.  uint8 products wrap
+        modulo 256, which keeps their parity.
+        """
+        n = self.n
+        upper = np.triu(self.bits[:, n:] @ self.bits[:, :n].T, 1) & 1
+        cross = ((rows @ upper) & 1 & rows).sum(axis=1, dtype=np.int64)
+        return rows @ self.bits & 1, (phases + rows @ self.phases + 2 * cross) % 4
 
     def conjugate(self, p: PauliString) -> PauliString:
         """Image ``C p C^dagger`` with the sign tracked exactly."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        out = PauliString(self.n, 0, 0, p.phase)
-        for q in range(self.n):
-            if (p.xbits >> q) & 1:
-                out = out * self.x_images[q]
-        for q in range(self.n):
-            if (p.zbits >> q) & 1:
-                out = out * self.z_images[q]
-        return out
+        rows, phases = self._conjugate_rows(*_bit_rows([p], self.n))
+        return PauliString(self.n, *_images(rows, phases)[0])
 
     def then(self, second: "CliffordTableau") -> "CliffordTableau":
         """Tableau of ``second o self`` (apply self first)."""
-        xs = tuple(second.conjugate(p) for p in self.x_images)
-        zs = tuple(second.conjugate(p) for p in self.z_images)
-        return CliffordTableau(self.n, xs, zs)
+        return CliffordTableau(*second._conjugate_rows(self.bits, self.phases))
 
     def inverse(self) -> "CliffordTableau":
-        """Inverse tableau via the symplectic-adjoint construction."""
+        """Inverse tableau via the symplectic form.
+
+        A symplectic M has the inverse ``Omega M^T Omega``, Omega swapping
+        the x and z halves.  The phases follow from one forward conjugation
+        of the unsigned rows: each must map back to its generator with phase
+        0.  Raises ValueError when M is not symplectic, singular M included.
+        """
         n = self.n
-        # Build the inverse images by solving C^-1 P C for each generator:
-        # the (x|z) rows of the inverse are determined by the symplectic
-        # inverse of this tableau's binary matrix; signs follow by checking
-        # C (C^-1 P C) C^-1 = P through a forward conjugation.
-        rows = []
-        for p in list(self.x_images) + list(self.z_images):
-            rows.append([(p.xbits >> q) & 1 for q in range(n)] + [(p.zbits >> q) & 1 for q in range(n)])
-        m = np.array(rows, dtype=np.uint8).T  # columns are generator images
-        inv = _gf2_inv(m)
-        xs, zs = [], []
-        for col in range(2 * n):
-            x = z = 0
-            for q in range(n):
-                x |= int(inv[q, col]) << q
-                z |= int(inv[n + q, col]) << q
-            cand = PauliString(n, x, z, _popcount(x & z))
-            # fix the sign so that conjugating back returns the generator
-            target = PauliString(n, 1 << col, 0, 0) if col < n else PauliString(n, 0, 1 << (col - n), 0)
-            forward = self.conjugate(cand)
-            phase_fix = (target.phase - forward.phase) % 4
-            cand = PauliString(n, x, z, cand.phase + phase_fix)
-            (xs if col < n else zs).append(cand)
-        return CliffordTableau(n, tuple(xs), tuple(zs))
+        swap = np.r_[n : 2 * n, 0:n]
+        rows = self.bits.T[np.ix_(swap, swap)]
+        forward, phases = self._conjugate_rows(rows, np.zeros(2 * n, dtype=np.int64))
+        if not np.array_equal(forward, np.eye(2 * n, dtype=np.uint8)):
+            raise ValueError("tableau matrix is not symplectic over GF(2)")
+        return CliffordTableau(rows, -phases)
 
     def embed(self, n: int, qubits) -> "CliffordTableau":
         """Embed an m-qubit tableau on the listed qubits of an n-qubit register."""
         qubits = list(qubits)
-        xs = list(CliffordTableau.identity(n).x_images)
-        zs = list(CliffordTableau.identity(n).z_images)
-        for i, q in enumerate(qubits):
-            xs[q] = self.x_images[i].embed(n, qubits)
-            zs[q] = self.z_images[i].embed(n, qubits)
-        return CliffordTableau(n, tuple(xs), tuple(zs))
-
-
-def _gf2_inv(m: np.ndarray) -> np.ndarray:
-    m = m.copy() % 2
-    k = m.shape[0]
-    aug = np.concatenate([m, np.eye(k, dtype=np.uint8)], axis=1)
-    row = 0
-    for col in range(k):
-        pivot = None
-        for r in range(row, k):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("tableau matrix is singular over GF(2)")
-        aug[[row, pivot]] = aug[[pivot, row]]
-        for r in range(k):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        row += 1
-    return aug[:, k:]
+        index = np.array(qubits + [n + q for q in qubits], dtype=np.intp)
+        bits = np.eye(2 * n, dtype=np.uint8)
+        bits[np.ix_(index, index)] = self.bits
+        phases = np.zeros(2 * n, dtype=np.int64)
+        phases[index] = self.phases
+        return CliffordTableau(bits, phases)
 
 
 def tableau_from_unitary(u: np.ndarray) -> CliffordTableau:
@@ -180,8 +206,8 @@ def _tableau_keys(us: np.ndarray) -> list:
 
 
 def _tableau(n: int, key) -> CliffordTableau:
-    ps = tuple(PauliString(n, x, z, phase) for x, z, phase in key)
-    return CliffordTableau(n, ps[:n], ps[n:])
+    xs, zs, phases = zip(*key)
+    return CliffordTableau(np.hstack([_unpack(xs, n), _unpack(zs, n)]), phases)
 
 
 # -- named gates -------------------------------------------------------------
@@ -291,17 +317,11 @@ def conjugation_table(tab: CliffordTableau):
     0), and ``phases[c]`` is that image's phase exponent.
     """
     k = tab.n
-    images = np.zeros((k, 4**k), dtype=np.uint8)
-    phases = np.zeros(4**k, dtype=np.int64)
-    for code in range(4**k):
-        x = z = 0
-        for i in range(k):
-            x |= ((code >> (2 * i + 1)) & 1) << i
-            z |= ((code >> (2 * i)) & 1) << i
-        img = tab.conjugate(PauliString(k, x, z, 0))
-        for i in range(k):
-            images[i, code] = ((img.xbits >> i) & 1) << 1 | ((img.zbits >> i) & 1)
-        phases[code] = img.phase
+    shifts = 2 * np.arange(k)
+    codes = np.arange(4**k)[:, None]
+    rows = np.hstack([codes >> (shifts + 1), codes >> shifts]).astype(np.uint8) & 1
+    rows, phases = tab._conjugate_rows(rows, np.zeros(4**k, dtype=np.int64))
+    images = np.ascontiguousarray((rows[:, :k] << 1 | rows[:, k:]).T)
     images.flags.writeable = phases.flags.writeable = False  # shared by every caller
     return images, phases
 

@@ -26,6 +26,8 @@ from .channels import walsh_hadamard
 from .cliffords import (
     INVERSE_LABEL,
     CliffordTableau,
+    _bit_rows,
+    _pack,
     eigenstate_layer,
     inverse_layer,
     readout_layer,
@@ -99,12 +101,11 @@ def learnability(cycle: CliffordTableau) -> LearnabilityReport:
     """Classify each Pauli fidelity of a Clifford cycle as SPAM-robustly
     learnable (pattern-preserving) or not."""
     n = cycle.n
-    edges = []
-    learnable = {}
-    for p in all_paulis(n):
-        img = cycle.conjugate(p)
-        edges.append((p.index, p.pattern, img.pattern))
-        learnable[p.label] = p.pattern == img.pattern
+    paulis = all_paulis(n)
+    images, _ = cycle._conjugate_rows(*_bit_rows(paulis, n))
+    targets = _pack(images[:, :n] | images[:, n:])
+    edges = [(p.index, p.pattern, target) for p, target in zip(paulis, targets)]
+    learnable = {p.label: p.pattern == target for p, target in zip(paulis, targets)}
     graph = PatternTransformGraph(n, edges)
     return LearnabilityReport(graph, learnable, graph.cycle_space_dim())
 
@@ -113,21 +114,9 @@ def relabel_cycle(cycle: CliffordTableau, perm) -> CliffordTableau:
     """The cycle with qubits permuted (q -> perm[q]); used to check that the
     learnability classification is invariant under relabeling."""
     n = cycle.n
-    inverse = {perm[q]: q for q in range(n)}
-
-    def remap(p: PauliString) -> PauliString:
-        x = z = 0
-        for q in range(n):
-            x |= ((p.xbits >> q) & 1) << perm[q]
-            z |= ((p.zbits >> q) & 1) << perm[q]
-        return PauliString(n, x, z, p.phase)
-
-    xs = [None] * n
-    zs = [None] * n
-    for q in range(n):
-        xs[perm[q]] = remap(cycle.x_images[q])
-        zs[perm[q]] = remap(cycle.z_images[q])
-    return CliffordTableau(n, tuple(xs), tuple(zs))
+    moved = [perm[q] for q in range(n)]
+    source = np.argsort(moved + [n + q for q in moved])  # generator of the cycle behind each new one
+    return CliffordTableau(cycle.bits[np.ix_(source, source)], cycle.phases[source])
 
 
 # -- cycle benchmarking -----------------------------------------------------------

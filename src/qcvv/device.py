@@ -805,7 +805,8 @@ class CliffordProgram:
     needed: ACES compiles each prefix once for all of its rows.  This is the
     one Pauli propagator; :func:`propagate_pauli` goes through it, and
     :func:`ideal_outcome_bits` and the fast path's ideal outcome run the
-    same tables through the same loop.
+    2n generators through the same tables into the circuit's
+    :class:`~qcvv.cliffords.CliffordTableau`.
     """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
@@ -823,51 +824,28 @@ class CliffordProgram:
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
-    """Definite ideal outcome bits of a Clifford circuit on |0...0>, or None.
+    """Definite ideal outcome bits of a Clifford circuit C on |0...0>, or None.
 
-    The output state's stabilizer generators are the forward images of the
-    Z_q; the outcome is definite iff every image is Z-type, and the bits
-    follow by solving for each +-Z_q in the group over GF(2).
+    The outcome is definite iff every row ``C^dag Z_j C`` of the inverse of
+    the circuit's tableau is Z-type.  |0...0> is then an eigenstate of each,
+    and bit j is 1 where that eigenvalue is -1 (phase exponent 2).
     """
     return _ideal_bits(CliffordProgram(model, circuit).gates, model.n)
 
 
 def _ideal_bits(gates, n: int):
-    """:func:`ideal_outcome_bits` of the compiled gate layers of an n-qubit circuit."""
-    imgs = _propagate_paulis(gates, n, [PauliString(n, 0, 1 << q, 0) for q in range(n)])
-    if any(img.xbits for img in imgs):
+    """:func:`ideal_outcome_bits` of the compiled gate layers of an n-qubit
+    circuit: the 2n generators X_0..X_{n-1}, Z_0..Z_{n-1} propagate as one
+    frame into the circuit's :class:`CliffordTableau`."""
+    eye = np.eye(n, dtype=np.uint8)
+    frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
+    phase = np.zeros(2 * n, dtype=np.int64)
+    for groups in gates:
+        _apply_gate_layer(frame, groups, phase)
+    inverse = CliffordTableau(np.vstack([frame >> 1, frame & 1]).T, phase).inverse()
+    if inverse.bits[n:, :n].any():
         return None
-    bits = np.zeros(n, dtype=np.uint8)
-    # Gaussian elimination over GF(2) with pivot tracking; the member mask
-    # records which images multiply into each reduced row
-    work = [(img.zbits, 1 << i) for i, img in enumerate(imgs)]
-    pivots = []
-    for col in range(n):
-        pidx = None
-        for i, (zb, _) in enumerate(work):
-            if (zb >> col) & 1 and all(p != i for p, _ in pivots):
-                pidx = i
-                break
-        if pidx is None:
-            return None
-        pivots.append((pidx, col))
-        pz, pm = work[pidx]
-        for i in range(len(work)):
-            if i != pidx and (work[i][0] >> col) & 1:
-                work[i] = (work[i][0] ^ pz, work[i][1] ^ pm)
-    for pidx, col in pivots:
-        zb, mask = work[pidx]
-        if zb != (1 << col):
-            return None
-        acc = PauliString.identity(n)
-        for i in range(n):
-            if (mask >> i) & 1:
-                acc = acc * imgs[i]
-        sign = acc.sign
-        if abs(sign.imag) > 1e-12:
-            return None
-        bits[col] = 1 if sign.real < 0 else 0
-    return bits
+    return (inverse.phases[n:] // 2).astype(np.uint8)
 
 
 def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> PauliString:

@@ -338,6 +338,42 @@ def test_unitary_keys_match_tableau_composition(case):
     assert group[k].tableau.key() == tab.key()
 
 
+@st.composite
+def _embedded_products(draw):
+    """A width n <= 3 and two products of 1-5 random steps each, every step a
+    builtin gate or an enumerated 1q/2q element on a random support, as
+    (tableau, unitary) pairs built by ``embed`` and ``then``."""
+    n = draw(st.integers(1, 3))
+    products = []
+    for _ in range(2):
+        tab, u = CliffordTableau.identity(n), np.eye(2**n, dtype=complex)
+        for _ in range(draw(st.integers(1, 5))):
+            k = draw(st.integers(1, min(n, 2)))
+            support = tuple(draw(st.permutations(range(n)))[:k])
+            if draw(st.booleans()):
+                name = draw(st.sampled_from(ONEQ_NAMES if k == 1 else TWOQ_NAMES))
+                step, v = gate_tableau(name), GATE_UNITARIES[name]
+            else:
+                group = cl.enumerate_clifford_group(k)
+                element = group[draw(st.integers(0, len(group) - 1))]
+                step, v = element.tableau, element.unitary
+            tab, u = tab.then(step.embed(n, support)), _embedded(v, support, n) @ u
+        products.append((tab, u))
+    pauli = PauliString.from_index(draw(st.integers(0, 4**n - 1)), n)
+    return products, PauliString(n, pauli.xbits, pauli.zbits, pauli.phase + draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_embedded_products())
+def test_tableau_algebra_matches_unitary_conjugation(case):
+    """``conjugate``, ``then`` and ``inverse`` of products of embedded
+    tableaux against the unitaries they stand for, exact phases included."""
+    ((tab1, u1), (tab2, u2)), p = case
+    assert np.allclose(tab1.conjugate(p).to_matrix(), u1 @ p.to_matrix() @ u1.conj().T, atol=1e-9)
+    assert tab1.then(tab2).key() == cl._tableau_keys((u2 @ u1)[None])[0]
+    assert tab1.inverse().key() == cl._tableau_keys(u1.conj().T[None])[0]
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(
     st.sampled_from(((0,), (0, 1))),

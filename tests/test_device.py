@@ -239,6 +239,44 @@ def test_fastpath_rejects_non_pauli_noise_and_indefinite_outcome():
         dv.pauli_fastpath_sample(clean, Circuit(1, ((("H", (0,)),),)), 10, seed=1)
 
 
+def _random_clifford_circuit(n, depth, gen):
+    """Random layers of builtin 1q and 2q Cliffords on n qubits, no mirror structure."""
+    names = {k: sorted(name for name, u in cl.GATE_UNITARIES.items() if u.shape == (2**k, 2**k)) for k in (1, 2)}
+    layers = []
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(n)]
+        layer = []
+        while order:
+            k = 2 if len(order) > 1 and gen.random() < 0.4 else 1
+            support = tuple(order.pop() for _ in range(k))
+            layer.append((names[k][int(gen.integers(len(names[k])))], support))
+        layers.append(tuple(layer))
+    return Circuit(n, tuple(layers))
+
+
+def test_ideal_outcome_bits_match_the_statevector_and_gate_the_fast_path():
+    """On random non-mirror circuits, ``ideal_outcome_bits`` is None exactly
+    when the ideal output is not a basis state, and is its bit string
+    otherwise; the fast path refuses to derive an outcome it lacks."""
+    gen = rng(41)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        n = int(gen.integers(1, 6))
+        circ = _random_clifford_circuit(n, int(gen.integers(1, 5)), gen)
+        model = dv.ideal_model(n)
+        bits = dv.ideal_outcome_bits(model, circ)
+        probs = np.abs(dv.statevector_run(circ, model)) ** 2
+        definite = probs.max() >= 1 - 1e-9
+        seen[definite] += 1
+        assert (bits is not None) == definite
+        if definite:
+            assert "".join(map(str, bits.tolist())) == format(int(np.argmax(probs)), f"0{n}b")
+        else:
+            with pytest.raises(ValueError, match="not definite"):
+                dv.pauli_fastpath_sample(model, circ, 5, seed=1)
+    assert min(seen.values()) >= 20
+
+
 def test_fastpath_confusion():
     conf = [[0.99, 0.05], [0.01, 0.95]]
     model = dv.ideal_model(1).with_confusion({0: conf})

@@ -266,3 +266,16 @@ def test_pattern_preservation_cnot_matches_learnability():
     for p in all_paulis(2):
         preserved = cnot.conjugate(p).pattern == p.pattern
         assert rep.learnable[p.label] == preserved
+
+
+def test_tableau_inverse_rejects_non_symplectic_and_singular_matrices():
+    # X_0 -> X_0, X_1 -> X_1, Z_0 -> Z_0, Z_1 -> X_0 Z_1: invertible over GF(2),
+    # but the images of Z_0 and Z_1 anticommute, so no Clifford has this tableau
+    bits = np.eye(4, dtype=np.uint8)
+    bits[3, 0] = 1
+    with pytest.raises(ValueError, match="not symplectic"):
+        CliffordTableau(bits, np.zeros(4)).inverse()
+    singular = np.eye(4, dtype=np.uint8)
+    singular[3] = singular[2]
+    with pytest.raises(ValueError, match="not symplectic"):
+        CliffordTableau(singular, np.zeros(4)).inverse()
