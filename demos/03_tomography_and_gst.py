@@ -1,7 +1,7 @@
 """State, process, measurement, and linear gate-set tomography closed loops.
 
-Reconstructs a Bell state, a dephasing process, and a confused readout from
-simulated counts; then runs linear GST on a gate set with an injected
+Reconstructs a Bell state, a dephasing process, and a confused readout (its
+response matrix and its MLE POVM) from simulated counts; then runs linear GST on a gate set with an injected
 1-degree coherent error and recovers the error-generator coefficient after
 gauge optimization.
 
@@ -42,6 +42,8 @@ dm = tg.qmt_dataset(conf_model, shots=50000, seed=11)
 r = tg.response_matrix(dm, 1)
 print("response matrix:\n", r)
 print(f"readout fidelity Tr(R)/d = {mt.readout_fidelity(r):.4f}")
+povm = tg.qmt(dm, 1, method="mle")
+print("MLE effect of outcome 0 (PSD; the effects sum to I):\n", povm["0"].real)
 
 print("\n== truth-table tomography of CNOT with a 2% target-bit flip ==")
 tt_model = dv.noisy_model(

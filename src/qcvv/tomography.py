@@ -1,10 +1,13 @@
 """State, process, measurement, and linear gate-set tomography.
 
-Estimators: ``linear`` (pseudo-)inversion, ``lstsq`` (same normal equations,
-kept as an explicit alias), and ``mle`` (Cholesky-parameterized likelihood
-maximization with analytic gradients and a small multi-start).  Probabilities
-and operators live in the normalized-Pauli superket convention throughout,
-so design matrices are real.
+Estimators: ``linear`` least-squares inversion (``lstsq`` is an alias) and
+``mle``, one likelihood fit shared by states, processes and measurements.
+It runs over Choi matrices J = (S^-1/2 kron I) A A^dag (S^-1/2 kron I) with
+S = Tr_out(A A^dag), which are CP and TP by construction, with an analytic
+gradient.  A state is a channel from a one-dimensional input and a POVM a
+channel to classical outcomes (Jezek, Fiurasek & Hradil, PRA 68, 012305,
+2003).  Probabilities and operators live in the normalized-Pauli superket
+convention throughout, so linear designs are real.
 
 The default fiducials follow the minimal informationally complete choice:
 preparations {|0>, |1>, |+>, |i+>} per qubit and the 3**n Pauli measurement
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .channels import Channel, transfer_to_choi
+from .channels import Channel
 from .cliffords import GATE_UNITARIES, readout_layer
 from .device import Circuit, GateSetModel, circuit_probabilities, sample_counts, statevector_run
 from .linalg import (
@@ -31,8 +34,6 @@ from .linalg import (
     child_seeds,
     kron_all,
     pauli_matrices,
-    pauli_vec_basis,
-    rng,
     unvectorize,
     vectorize,
 )
@@ -101,6 +102,112 @@ def gram_rank(effects, tol: float = 1e-8) -> int:
     return int(np.linalg.matrix_rank(np.array(rows), tol=tol))
 
 
+# -- the likelihood fit ------------------------------------------------------------
+
+_METHODS = ("linear", "lstsq", "mle")
+
+
+def _check_method(method):
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _cptp_choi(x, d_in: int, d_out: int):
+    """The Choi matrix J = (S^-1/2 kron I) A A^dag (S^-1/2 kron I), with
+    S = Tr_out(A A^dag) and A the square matrix whose real and imaginary parts
+    are the two halves of ``x``.  J is CP and TP for every full-rank A.
+    Returns J, then A, A A^dag, S^-1/2 kron I and the square roots and
+    eigenvectors of S, which the gradient reuses."""
+    d = d_in * d_out
+    a = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+    b = a @ a.conj().T
+    evals, u = np.linalg.eigh(b.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3))
+    r = np.sqrt(evals)
+    t = np.kron((u / r) @ u.conj().T, np.eye(d_out))
+    return t @ b @ t, a, b, t, r, u
+
+
+def _cptp_nll(x, preps, effects, counts):
+    """Negative log-likelihood of the Choi matrix :func:`_cptp_choi` makes of
+    ``x``, and its gradient in ``x``.
+
+    The design is the product of ``preps`` (P, d_in, d_in) and ``effects``
+    (K, d_out, d_out): effect k after preparation i has probability
+    Tr[(preps[i]^T kron effects[k]) J] and count ``counts[i, k]``.  Effects
+    without counts drop out (0 log 0 = 0).  The part of the gradient that
+    passes through S^-1/2 is the Daleckii-Krein derivative of s^-1/2 in the
+    eigenbasis of S.
+    """
+    d_in, d_out = preps.shape[1], effects.shape[1]
+    j, a, b, t, r, u = _cptp_choi(x, d_in, d_out)
+    rho = preps.reshape(len(preps), -1)
+    eff = effects.reshape(len(effects), -1)
+    # each preparation's output state, Tr_in[(rho^T kron I) J], flattened
+    outs = rho @ j.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(d_in**2, d_out**2)
+    p = np.where(counts > 0, np.clip((outs @ eff.conj().T).real, 1e-12, None), 1.0)
+    # G = d(nll)/dJ = -sum_ik (n / p)[i, k] preps[i]^T kron effects[k]
+    g = -(rho.T @ ((counts / p) @ eff)).reshape(d_in, d_in, d_out, d_out).transpose(1, 2, 0, 3).reshape(j.shape)
+    k = b @ t @ g
+    k_in = (k + k.conj().T).reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
+    gamma = -1 / (np.outer(r, r) * np.add.outer(r, r))  # divided differences of s^-1/2
+    dk = u @ (gamma * (u.conj().T @ k_in @ u)) @ u.conj().T
+    z = 2 * (t @ g @ t + np.kron(dk, np.eye(d_out))) @ a
+    return -float(np.sum(counts * np.log(p))), np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def _fit_cptp(preps, effects, counts, j0):
+    """The maximum-likelihood CP and TP Choi matrix for the design of
+    :func:`_cptp_nll`: one L-BFGS run, started from ``j0`` (a linear
+    estimate) with its eigenvalues clipped from below."""
+    evals, evecs = np.linalg.eigh((j0 + j0.conj().T) / 2)
+    a0 = (evecs * np.sqrt(np.clip(evals, 1e-6 * evals.max(), None))) @ evecs.conj().T
+    res = scipy.optimize.minimize(
+        _cptp_nll,
+        np.concatenate([a0.real.ravel(), a0.imag.ravel()]),
+        args=(preps, effects, counts),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-8},
+    )
+    if not res.success:
+        raise RuntimeError(f"MLE did not converge: {res.message}")
+    return _cptp_choi(res.x, preps.shape[1], effects.shape[1])[0]
+
+
+def _pinv(t, rank_needed: int):
+    """Pseudo-inverse of the superbra rows ``t``; raises ValueError when
+    their rank is below ``rank_needed`` (not informationally complete)."""
+    u, s, vh = np.linalg.svd(t, full_matrices=False)
+    rank = int(np.sum(s > 1e-8))
+    if rank < rank_needed:
+        raise ValueError(f"effect set is rank deficient ({rank} < {rank_needed}); not informationally complete")
+    return (vh.T / s) @ u.T
+
+
+@lru_cache(maxsize=64)
+def _settings_pinv(n: int, rows: bytes):
+    """:func:`_pinv` of the :func:`_effect_table` superbras that the boolean
+    mask ``rows`` (as bytes) selects, read-only.  Cached per mask, so
+    complete datasets check completeness once per width."""
+    out = _pinv(_effect_table(n)[2][np.frombuffer(rows, dtype=bool)], 4**n)
+    out.flags.writeable = False
+    return out
+
+
+def _tally(dataset, n: int):
+    """One state's Pauli-setting counts read against :func:`_effect_table`:
+    every effect's count (zero where the dataset lacks its setting), then the
+    least-squares normalized-Pauli vector of the state and the norm of its
+    frequency residual."""
+    keys, _, bras = _effect_table(n)
+    counts = np.array([dataset.get(s, {}).get(bits, 0) for s, bits in keys], dtype=float)
+    totals = np.array([sum(dataset.get(s, {}).values()) for s, _ in keys], dtype=float)
+    rows = totals > 0
+    freqs = counts[rows] / totals[rows]
+    sol = _settings_pinv(n, rows.tobytes()) @ freqs
+    return counts, sol, float(np.linalg.norm(bras[rows] @ sol - freqs))
+
+
 # -- quantum state tomography -----------------------------------------------------
 
 def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
@@ -116,137 +223,36 @@ def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
     return out
 
 
-def _effects_and_freqs(dataset, n):
-    """The effect matrices and superbras of the settings in ``dataset``, in
-    :func:`_effect_table` order, with each effect's frequency and count."""
-    keys, mats, bras = _effect_table(n)
-    rows, freqs, counts = [], [], []
-    for r, (setting, bits) in enumerate(keys):
-        if setting not in dataset:
-            continue
-        c = dataset[setting]
-        total = sum(c.values())
-        rows.append(r)
-        counts.append(c.get(bits, 0))
-        freqs.append(c.get(bits, 0) / total)
-    return mats[rows], bras[rows], np.array(freqs, dtype=float), np.array(counts, dtype=float)
-
-
-def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=None, seed=0):
+def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=None):
     """Reconstruct a density matrix from Pauli-setting counts.
 
     ``dataset`` maps setting labels to counts dicts (see :func:`qst_dataset`);
     alternatively pass explicit ``effects``/``freqs`` (+ optional counts).
-    ``linear`` returns the pseudo-inverse solution (exact inverse when the
-    design is square); ``mle`` maximizes the likelihood over rho = LL+/Tr.
+    ``linear`` (or its alias ``lstsq``) returns the least-squares inversion
+    (exact when the design is square); ``mle`` maximizes the likelihood over
+    density matrices, as the CPTP fit of a channel from a one-dimensional
+    input.  Where the linear estimate is PSD and reproduces every frequency
+    (saturated designs such as the 1q Pauli settings) it is the MLE, and
+    ``mle`` returns it normalized.
     """
+    _check_method(method)
     if effects is None:
-        effects, t, freqs, counts = _effects_and_freqs(dataset, n)
+        counts, sol, resid = _tally(dataset, n)
+        effects = _effect_table(n)[1]
     else:
+        effects, freqs = np.asarray(effects), np.asarray(freqs, dtype=float)
         t = np.array([vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects])
-    rank = np.linalg.matrix_rank(t, tol=1e-8)
-    if rank < 4**n:
-        raise ValueError(f"effect set is rank deficient ({rank} < {4**n}); not informationally complete")
-    sol, *_ = np.linalg.lstsq(t, freqs, rcond=None)
+        sol = _pinv(t, 4**n) @ freqs
+        resid = float(np.linalg.norm(t @ sol - freqs))
+        counts = freqs * 1000 if counts is None else np.asarray(counts, dtype=float)
     rho_lin = unvectorize(Superket(2**n, sol, NORMALIZED_PAULI))
     rho_lin = (rho_lin + rho_lin.conj().T) / 2
-    if method in ("linear", "lstsq"):
-        return rho_lin
     if method != "mle":
-        raise ValueError(f"unknown method {method!r}")
-    if counts is None:
-        counts = freqs * 1000
-    evals = np.linalg.eigvalsh(rho_lin)
-    if evals.min() >= -1e-10:
-        # the physical linear estimate is already the MLE
+        return rho_lin
+    if resid <= 1e-9 and np.linalg.eigvalsh(rho_lin).min() >= -1e-10:
         return rho_lin / np.trace(rho_lin).real
-    return _mle_state(effects, counts, rho_lin, seed)
-
-
-@lru_cache(maxsize=None)
-def _chol_layout(d: int):
-    """Where the d**2 real parameters of a lower-triangular d x d factor L
-    sit: row by row, L[i, i], then the real and imaginary parts of L[i, j]
-    for j < i.  Returns the positions of the diagonal, of the real parts and
-    of the imaginary parts, and the rows and columns of the strictly lower
-    entries, as read-only index arrays."""
-    diag, re, rows, cols = [], [], [], []
-    for i in range(d):
-        diag.append(i * i)
-        for j in range(i):
-            re.append(i * i + 1 + 2 * j)
-            rows.append(i)
-            cols.append(j)
-    out = tuple(np.array(a, dtype=np.intp) for a in (diag, re, np.add(re, 1), rows, cols))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _chol_params_to_l(params, d):
-    diag, re, im, rows, cols = _chol_layout(d)
-    l = np.zeros((d, d), dtype=complex)
-    l[np.arange(d), np.arange(d)] = params[diag]
-    l[rows, cols] = params[re] + 1j * params[im]
-    return l
-
-
-def _l_to_params(l, d):
-    diag, re, im, rows, cols = _chol_layout(d)
-    out = np.zeros(d * d)
-    out[diag] = l.diagonal().real
-    out[re] = l[rows, cols].real
-    out[im] = l[rows, cols].imag
-    return out
-
-
-def _mle_state(effects, counts, rho0, seed, max_iter=500, grad_tol=1e-8):
-    d = effects[0].shape[0]
-    es = np.array(effects)
-    ns = np.asarray(counts, dtype=float)
-
-    def unpack(params):
-        l = _chol_params_to_l(params, d)
-        s = l @ l.conj().T
-        tau = np.trace(s).real
-        return l, s / tau, tau
-
-    def neg_loglike_and_grad(params):
-        l, rho, tau = unpack(params)
-        ps = np.clip(np.einsum("kij,ji->k", es, rho).real, 1e-12, None)
-        ll = float(np.sum(ns * np.log(ps)))
-        aa = np.einsum("k,kij->ij", ns / ps, es)
-        b = (aa - np.trace(aa @ rho).real * np.eye(d)) / tau
-        grad_l = 2 * (b @ l)  # Wirtinger gradient wrt conj(L), mapped to re/im
-        grad = _l_to_params(grad_l, d)
-        return -ll, -grad
-
-    # multi-start to hedge the non-convexity of the Cholesky parameterization
-    evals, evecs = np.linalg.eigh((rho0 + rho0.conj().T) / 2)
-    evals = np.clip(evals, 1e-6, None)
-    best = None
-    starts = [(evecs * np.sqrt(evals)) @ evecs.conj().T]
-    gen = rng(seed + 1)
-    for _ in range(2):
-        z = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
-        starts.append(starts[0] + 0.05 * z)
-    for start in starts:
-        l0 = np.linalg.cholesky(start @ start.conj().T + 1e-9 * np.eye(d))
-        res = scipy.optimize.minimize(
-            neg_loglike_and_grad,
-            _l_to_params(l0, d),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": max_iter, "gtol": grad_tol},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if not best.success and np.linalg.norm(best.jac) > 1e-4:
-        raise RuntimeError(
-            f"MLE did not converge; final gradient norm {np.linalg.norm(best.jac):.2e}"
-        )
-    _, rho, _ = unpack(best.x)
-    return rho
+    # a state is a channel from a one-dimensional input
+    return _fit_cptp(np.ones((1, 1, 1)), effects, counts[None], rho_lin)
 
 
 def loglikelihood(effects, counts, rho) -> float:
@@ -285,12 +291,14 @@ def _prep_states(n):
 def qpt(dataset, n: int, method: str = "mle") -> Channel:
     """Reconstruct a channel from prep-fiducial x measurement-setting counts.
 
-    ``linear`` solves the real least-squares system over PTM entries; ``mle``
-    refines it over a CP parameterization (chi = M M^dag) with trace
-    preservation enforced by projection after the optimization.  That
-    projection pins the PTM's first row, so the ``mle`` estimate can be
-    slightly non-CP (Choi eigenvalues of order -1e-3 at 1,000 shots).
+    ``linear`` (or ``lstsq``) fits each preparation's output state by least
+    squares and solves for the PTM that maps the preparations onto them;
+    the design is complete exactly when every preparation's settings are.
+    ``mle`` maximizes the likelihood over Choi matrices that are CP and TP
+    by construction.  Where the linear estimate is CPTP and reproduces every
+    frequency (the 1q design) it is the MLE and is returned as is.
     """
+    _check_method(method)
     if n > 3:
         raise ValueError("process tomography supported up to 3 qubits")
     if n == 3:
@@ -300,94 +308,13 @@ def qpt(dataset, n: int, method: str = "mle") -> Channel:
     preps = _prep_states(n)
     if set(dataset) != set(range(len(preps))):
         raise ValueError("dataset must cover every preparation fiducial")
-    rows, ys, ns, owner, vins = [], [], [], [], []
-    for i, rho_in in enumerate(preps):
-        vin = vectorize(rho_in, NORMALIZED_PAULI).coeffs.real
-        _, vouts, freqs, counts = _effects_and_freqs(dataset[i], n)
-        # p = <<E| L |rho>> = (vin kron vout) . vec(L), one row per effect
-        rows.append((vin[None, :, None] * vouts[:, None, :]).reshape(len(vouts), -1))
-        ys.extend(freqs)
-        ns.extend(counts)
-        owner.extend([i] * len(vouts))
-        vins.append(vin)
-    a = np.concatenate(rows)
-    if np.linalg.matrix_rank(a, tol=1e-8) < 16**n:
-        raise ValueError("design not informationally complete for a process")
-    sol, *_ = np.linalg.lstsq(a, np.array(ys), rcond=None)
-    d2 = 4**n
-    # rows are kron(vin, vout), so sol[j * d2 + i] = PTM[i, j]
-    ptm = sol.reshape(d2, d2).T
-    lin = Channel(ptm)
-    if method in ("linear", "lstsq"):
+    counts, outs, resids = zip(*(_tally(dataset[i], n) for i in range(len(preps))))
+    vins = np.array([vectorize(rho, NORMALIZED_PAULI).coeffs.real for rho in preps])
+    # outs[i] = PTM @ vins[i]
+    lin = Channel(np.linalg.solve(vins, np.array(outs)).T)
+    if method != "mle" or (max(resids) <= 1e-9 and lin.is_cptp(cp_tol=1e-9)):
         return lin
-    if method != "mle":
-        raise ValueError(f"unknown method {method!r}")
-    if lin.is_cptp(cp_tol=1e-9):
-        return lin
-    return _mle_process(a, np.array(ns), np.array(owner), np.array(vins), lin)
-
-
-def _chi_ptm(x: np.ndarray, d: int) -> np.ndarray:
-    """The linear map chi -> PTM, ``d V^dag R(V x V^dag) V`` with V the
-    normalized-Pauli basis and R the Choi/transfer reshuffle; the map is its
-    own Hilbert-Schmidt adjoint, so it also pulls PTM gradients back to chi."""
-    v = pauli_vec_basis(d)
-    return d * (v.conj().T @ transfer_to_choi(v @ x @ v.conj().T) @ v)
-
-
-def _process_nll(params, a, counts, owner, vins):
-    """Objective of the process MLE and its gradient in ``params``.
-
-    ``params`` holds the real and imaginary parts of M with chi = M M^dag.
-    The objective is the negative log-likelihood of each preparation's
-    counts, normalized by that preparation's output trace, plus a 1e4
-    penalty on the PTM's first row leaving (1, 0, ..., 0).  ``a`` is the
-    design matrix (p = a . vec(PTM), column stacking), ``owner[r]`` the
-    preparation of row r and ``vins[i]`` preparation i's Pauli vector.
-    """
-    d2 = vins.shape[1]
-    d = int(round(np.sqrt(d2)))
-    half = d2 * d2
-    m = params[:half].reshape(d2, d2) + 1j * params[half:].reshape(d2, d2)
-    ptm = _chi_ptm(m @ m.conj().T, d).real
-    p = a @ ptm.ravel(order="F")
-    norm = np.sqrt(d) * (vins @ ptm[0])  # Tr of each preparation's output
-    pc, nc = np.clip(p, 1e-12, None), np.clip(norm, 1e-9, None)
-    row = ptm[0] - np.eye(1, d2).ravel()
-    value = -float(np.sum(counts * np.log(pc / nc[owner]))) + 1e4 * float(row @ row)
-    dp = np.where(p > 1e-12, -counts / pc, 0.0)
-    dnorm = np.where(norm > 1e-9, np.bincount(owner, counts, len(vins)) / nc, 0.0)
-    g = (a.T @ dp).reshape(d2, d2, order="F")
-    g[0] += np.sqrt(d) * (dnorm @ vins) + 2e4 * row
-    g_chi = _chi_ptm(g, d)
-    grad = (g_chi + g_chi.conj().T) @ m
-    return value, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
-
-
-def _mle_process(a, counts, owner, vins, lin: Channel) -> Channel:
-    """CP-constrained MLE over chi = M M^dag with TP projection."""
-    chi0 = lin.to_chi()
-    evals, evecs = np.linalg.eigh((chi0 + chi0.conj().T) / 2)
-    evals = np.clip(evals, 1e-8, None)
-    m0 = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    x0 = np.concatenate([m0.real.ravel(), m0.imag.ravel()])
-    res = scipy.optimize.minimize(
-        _process_nll,
-        x0,
-        args=(a, counts, owner, vins),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-8},
-    )
-    if not res.success:
-        raise RuntimeError(f"process MLE did not converge: {res.message}")
-    d2 = vins.shape[1]
-    m = res.x[: d2 * d2].reshape(d2, d2) + 1j * res.x[d2 * d2 :].reshape(d2, d2)
-    # exact TP projection: pin the PTM's first row
-    ptm = _chi_ptm(m @ m.conj().T, int(round(np.sqrt(d2)))).real
-    ptm[0] = 0.0
-    ptm[0, 0] = 1.0
-    return Channel(ptm)
+    return Channel.from_choi(_fit_cptp(np.array(preps), _effect_table(n)[1], np.array(counts), lin.to_choi()))
 
 
 # -- measurement tomography ----------------------------------------------------------
@@ -407,66 +334,34 @@ def qmt_dataset(model: GateSetModel, shots: int, seed):
 def qmt(dataset, n: int, method: str = "lstsq"):
     """Reconstruct the POVM effects from known input states.
 
-    ``lstsq`` inverts per effect; the constrained variant (default for
-    ``method="mle"``) parameterizes E_i = S^-1/2 M_i M_i^dag S^-1/2 with
-    S the sum, guaranteeing PSD effects resolving the identity.
+    ``lstsq`` (or ``linear``) inverts per effect.  ``mle`` maximizes the
+    likelihood over POVMs, as the CPTP fit of a channel to the classical
+    outcomes: effect o is the transposed o-th diagonal block of its Choi
+    matrix, so the effects are PSD and sum to the identity.
     """
+    _check_method(method)
     preps = _prep_states(n)
     d = 2**n
     outcomes = sorted({o for c in dataset.values() for o in c})
     if len(dataset) < 4**n:
         raise ValueError("need 4**n preparations for measurement tomography")
     t = np.array([vectorize(rho, NORMALIZED_PAULI).coeffs.real for rho in preps])
+    counts = np.array([[dataset[i].get(o, 0) for o in outcomes] for i in range(len(preps))], dtype=float)
+    sol, *_ = np.linalg.lstsq(t, counts / counts.sum(axis=1, keepdims=True), rcond=None)
     effects = {}
-    for o in outcomes:
-        y = np.array([dataset[i].get(o, 0) / sum(dataset[i].values()) for i in range(len(preps))])
-        sol, *_ = np.linalg.lstsq(t, y, rcond=None)
-        e = unvectorize(Superket(d, sol, NORMALIZED_PAULI))
+    for o, col in zip(outcomes, sol.T):
+        e = unvectorize(Superket(d, col, NORMALIZED_PAULI))
         effects[o] = (e + e.conj().T) / 2
-    if method == "lstsq":
+    if method != "mle":
         return effects
-    return _qmt_constrained(dataset, preps, effects, n)
-
-
-def _qmt_constrained(dataset, preps, effects0, n):
-    d = 2**n
-    outcomes = sorted(effects0)
     k = len(outcomes)
-
-    def unpack(params):
-        ms = []
-        step = 2 * d * d
-        for i in range(k):
-            chunk = params[i * step : (i + 1) * step]
-            m = chunk[: d * d].reshape(d, d) + 1j * chunk[d * d :].reshape(d, d)
-            ms.append(m @ m.conj().T)
-        s = sum(ms)
-        evals, evecs = np.linalg.eigh(s)
-        inv_sqrt = (evecs * (1 / np.sqrt(np.clip(evals, 1e-12, None)))) @ evecs.conj().T
-        return [inv_sqrt @ m @ inv_sqrt for m in ms]
-
-    counts = []
-    for i in range(len(preps)):
-        counts.append([dataset[i].get(o, 0) for o in outcomes])
-    counts = np.array(counts, dtype=float)
-
-    def objective(params):
-        es = unpack(params)
-        ll = 0.0
-        for i, rho in enumerate(preps):
-            ps = np.clip([np.trace(e @ rho).real for e in es], 1e-12, None)
-            ll += float(np.dot(counts[i], np.log(ps)))
-        return -ll
-
-    x0 = []
-    for o in outcomes:
-        e = effects0[o]
-        evals, evecs = np.linalg.eigh((e + e.conj().T) / 2)
-        m = (evecs * np.sqrt(np.clip(evals, 1e-6, None))) @ evecs.conj().T
-        x0.extend([m.real.ravel(), m.imag.ravel()])
-    res = scipy.optimize.minimize(objective, np.concatenate(x0), method="L-BFGS-B", options={"maxiter": 200})
-    es = unpack(res.x)
-    return dict(zip(outcomes, es))
+    j0 = np.zeros((d, k, d, k), dtype=complex)
+    for i, o in enumerate(outcomes):
+        j0[:, i, :, i] = effects[o].T
+    classical = np.eye(k)[:, :, None] * np.eye(k)[:, None, :]  # |o><o| for each outcome
+    j = _fit_cptp(np.array(preps), classical, counts, j0.reshape(d * k, d * k))
+    j = j.reshape(d, k, d, k)
+    return {o: j[:, i, :, i].T for i, o in enumerate(outcomes)}
 
 
 def response_matrix(dataset, n: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv.channels import Channel
@@ -30,6 +32,22 @@ def test_kraus_to_transfer_equals_sum_of_krons(d):
         for k in ks:
             ref += np.kron(k.conj(), k)
         assert np.array_equal(ch.kraus_to_transfer(ks), ref)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_kraus_transfer_ptm_choi_chi_kraus_round_trip(d, seed):
+    kraus = ch.random_cptp(d, seed).to_kraus()  # the Stinespring Kraus set
+    transfer = ch.kraus_to_transfer(kraus)
+    ptm = ch.transfer_to_ptm(transfer)
+    choi = ch.transfer_to_choi(ch.ptm_to_transfer(ptm))
+    chi = ch.choi_to_chi(choi)
+    assert np.abs(chi - ch.choi_chi_overlap(choi)).max() < 1e-12
+    back = ch.choi_to_kraus(ch.chi_to_choi(chi))
+    assert np.abs(ch.kraus_to_transfer(back) - transfer).max() < 1e-10
+    assert np.abs(sum(k.conj().T @ k for k in back) - np.eye(d)).max() < 1e-10
+    overlaps = np.array([[np.vdot(a, b) for b in back] for a in back])
+    assert np.abs(overlaps - np.diag(np.diag(overlaps))).max() < 1e-10
 
 
 @pytest.mark.parametrize("imag, real", [(1e-12, True), (-1e-12, True), (2e-12, False), (np.nan, False)])

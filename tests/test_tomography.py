@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv import device as dv
 from qcvv import metrics as mt
 from qcvv import tomography as tg
 from qcvv.device import Circuit, circuit_probabilities, sample_counts, sample_counts_drifting
-from qcvv.linalg import ket, projector, rng
+from qcvv.linalg import haar_random_unitary, ket, projector, rng
 
+BELL = Circuit(2, ((("H", (0,)),), (("CNOT", (0, 1)),)))
 X90_TARGETS = {l: ch.Channel.from_unitary(dv.GATE_UNITARIES[l]).ptm for l in ("X90", "Y90")}
 
 
@@ -53,7 +56,8 @@ def test_qst_mle_loglikelihood_dominates_linear():
     model = dv.ideal_model(1)
     circ = Circuit(1, ((("H", (0,)),),))  # pure |+>: linear estimate often unphysical
     ds = tg.qst_dataset(model, circ, shots=300, seed=21)
-    effects, _, freqs, counts = tg._effects_and_freqs(ds, 1)
+    counts, _, _ = tg._tally(ds, 1)
+    effects = tg._effect_table(1)[1]
     lin = tg.qst(ds, 1, method="linear")
     mle = tg.qst(ds, 1, method="mle")
     evals = np.linalg.eigvalsh(lin)
@@ -78,6 +82,65 @@ def test_qst_error_scaling_with_shots():
         errs.append(np.mean(trial_errs))
     slope = np.polyfit(np.log(shots_list), np.log(errs), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+def test_qst_mle_beats_a_psd_linear_estimate_on_the_2q_design():
+    # 36 effects for 15 parameters: a PSD linear estimate does not reproduce
+    # the frequencies, so it is not the MLE
+    ds = tg.qst_dataset(dv.noisy_model(2, lambda l, a: ch.depolarizing(0.4, n=a)), BELL, shots=300, seed=0)
+    lin = tg.qst(ds, 2, method="linear")
+    assert np.linalg.eigvalsh(lin).min() > 0.05
+    mle = tg.qst(ds, 2, method="mle")
+    counts, effects = tg._tally(ds, 2)[0], tg._effect_table(2)[1]
+    gain = tg.loglikelihood(effects, counts, mle) - tg.loglikelihood(effects, counts, lin / np.trace(lin).real)
+    assert gain > 0.1
+
+
+def _target_circuit(n):
+    return Circuit(n, ((("TGT", tuple(range(n))),),))
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(n=st.sampled_from([1, 2]), pure=st.booleans(), shots=st.sampled_from([20, 500]), seed=st.integers(0, 2**20))
+def test_qst_mle_closed_loop_is_a_state_at_least_as_likely_as_the_truth(n, pure, shots, seed):
+    d = 2**n
+    gate = ch.Channel.from_unitary(haar_random_unitary(d, seed)) if pure else ch.random_cptp(d, seed)
+    truth = gate.apply(tg._zero_state(n))
+    ds = tg.qst_dataset(dv.GateSetModel(n, gates={"TGT": (gate, n)}), _target_circuit(n), shots, seed)
+    rho = tg.qst(ds, n, method="mle")
+    counts, effects = tg._tally(ds, n)[0], tg._effect_table(n)[1]
+    assert tg.loglikelihood(effects, counts, rho) >= tg.loglikelihood(effects, counts, truth) - 1e-9
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    assert abs(np.trace(rho) - 1) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(n=st.sampled_from([1, 2]), shots=st.sampled_from([30, 1000]), seed=st.integers(0, 2**20))
+def test_qpt_mle_closed_loop_is_cptp_and_at_least_as_likely_as_the_truth(n, shots, seed):
+    truth = ch.random_cptp(2**n, seed)
+    ds = tg.qpt_dataset(dv.GateSetModel(n, gates={"TGT": (truth, n)}), _target_circuit(n), shots, seed)
+    chan = tg.qpt(ds, n, method="mle")
+    assert _process_loglikelihood(ds, n, chan) >= _process_loglikelihood(ds, n, truth) - 1e-9
+    _assert_cptp(chan)
+
+
+def _povm_loglikelihood(ds, effects):
+    preps = tg._prep_states(1)
+    return sum(c * np.log(np.trace(effects[o] @ preps[i]).real) for i in ds for o, c in ds[i].items() if c)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(e0=st.sampled_from([0.0, 0.02, 0.2]), e1=st.sampled_from([0.0, 0.05, 0.3]), shots=st.sampled_from([20, 2000]),
+       seed=st.integers(0, 2**20))
+def test_qmt_mle_closed_loop_is_a_povm_at_least_as_likely_as_the_truth(e0, e1, shots, seed):
+    conf = [[1 - e0, e1], [e0, 1 - e1]]
+    ds = tg.qmt_dataset(dv.ideal_model(1).with_confusion({0: conf}), shots, seed)
+    effects = tg.qmt(ds, 1, method="mle")
+    truth = {"0": np.diag([1 - e0, e1]), "1": np.diag([e0, 1 - e1])}
+    assert _povm_loglikelihood(ds, effects) >= _povm_loglikelihood(ds, truth) - 1e-9
+    for e in effects.values():
+        assert np.linalg.eigvalsh(e).min() >= -1e-10
+    assert np.abs(sum(effects.values()) - np.eye(2)).max() <= 1e-10
 
 
 def test_qpt_identity_and_dephasing():
@@ -106,9 +169,9 @@ def test_qpt_closed_loop_random_channel():
     assert fe >= 0.995
 
 
-def _cnot_process_fit(monkeypatch):
-    """The 2q CNOT process MLE at 2% depolarizing, 1,000 shots, seed 5, with
-    the arguments of its optimizer call and the optimizer's result."""
+def _spy_fit(monkeypatch, run):
+    """What ``run`` returns, with the arguments and the result of the
+    optimizer call it makes."""
     import scipy.optimize
 
     seen = {}
@@ -120,34 +183,80 @@ def _cnot_process_fit(monkeypatch):
         return seen["res"]
 
     monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    return run(), seen
+
+
+def _cnot_process_fit(monkeypatch):
+    """The 2q CNOT process MLE at 2% depolarizing, 1,000 shots, seed 5, its
+    dataset, and the arguments and result of its optimizer call."""
     model = dv.noisy_model(2, lambda l, a: ch.depolarizing(0.02, n=2) if l == "CNOT" else None)
     ds = tg.qpt_dataset(model, Circuit(2, ((("CNOT", (0, 1)),),)), shots=1000, seed=5)
-    return tg.qpt(ds, 2, method="mle"), seen
+    chan, seen = _spy_fit(monkeypatch, lambda: tg.qpt(ds, 2, method="mle"))
+    return chan, ds, seen
+
+
+def _process_loglikelihood(ds, n, chan):
+    """Log-likelihood of a channel for prep-fiducial x setting counts."""
+    keys, mats, _ = tg._effect_table(n)
+    ll = 0.0
+    for i, rho in enumerate(tg._prep_states(n)):
+        counts = np.array([ds[i][s].get(b, 0) for s, b in keys], dtype=float)
+        p = np.einsum("kij,ji->k", mats, chan.apply(rho)).real
+        ll += float(np.sum(counts[counts > 0] * np.log(p[counts > 0])))
+    return ll
+
+
+def _assert_cptp(chan, tol=1e-10):
+    assert np.linalg.eigvalsh(chan.to_choi()).min() >= -tol
+    assert np.abs(chan.ptm[0] - np.eye(chan.dim**2)[0]).max() <= tol
 
 
 def test_qpt_mle_converges_on_cnot_data(monkeypatch):
-    chan, seen = _cnot_process_fit(monkeypatch)
+    chan, ds, seen = _cnot_process_fit(monkeypatch)
     assert seen["res"].success
-    # the objective the finite-difference fit stopped at (evaluation limit)
-    assert seen["res"].fun <= 149446.260443
+    # the returned channel is exactly CPTP and beats the penalised fit's
+    # log-likelihood of -149471.4513 on this data
+    assert _process_loglikelihood(ds, 2, chan) >= -149446.46
+    _assert_cptp(chan)
     assert chan.is_tp()
     truth = ch.depolarizing(0.02, n=2).ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"]).ptm
     assert np.abs(chan.ptm - truth).max() < 0.05
 
 
-def test_qpt_mle_gradient_matches_central_differences(monkeypatch):
-    _, seen = _cnot_process_fit(monkeypatch)
-    a, counts, owner, vins = seen["args"]
-    gen = rng(12)
-    x = gen.normal(scale=0.1, size=2 * 16**2)
-    _, grad = tg._process_nll(x, a, counts, owner, vins)
+def _assert_gradient_matches_central_differences(args, seed):
+    preps, effects, _ = args
+    dim = preps.shape[1] * effects.shape[1]
+    gen = rng(seed)
+    x = gen.normal(scale=0.1, size=2 * dim * dim)
+    _, grad = tg._cptp_nll(x, *args)
     eps = 1e-6
-    for i in gen.choice(x.size, size=40, replace=False):
+    for i in gen.choice(x.size, size=min(40, x.size), replace=False):
         step = np.zeros_like(x)
         step[i] = eps
-        hi, _ = tg._process_nll(x + step, a, counts, owner, vins)
-        lo, _ = tg._process_nll(x - step, a, counts, owner, vins)
+        hi, _ = tg._cptp_nll(x + step, *args)
+        lo, _ = tg._cptp_nll(x - step, *args)
         assert grad[i] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4, abs=1e-2)
+
+
+def test_qpt_mle_gradient_matches_central_differences(monkeypatch):
+    _, _, seen = _cnot_process_fit(monkeypatch)
+    assert seen["args"][0].shape == (16, 4, 4) and seen["args"][1].shape == (36, 4, 4)
+    _assert_gradient_matches_central_differences(seen["args"], 12)
+
+
+def test_qst_mle_gradient_matches_central_differences(monkeypatch):
+    ds = tg.qst_dataset(dv.noisy_model(2, lambda l, a: ch.depolarizing(0.1, n=a)), BELL, shots=300, seed=3)
+    args = _spy_fit(monkeypatch, lambda: tg.qst(ds, 2, method="mle"))[1]["args"]
+    assert args[0].shape == (1, 1, 1) and args[1].shape == (36, 4, 4)
+    _assert_gradient_matches_central_differences(args, 13)
+
+
+def test_qmt_mle_gradient_matches_central_differences(monkeypatch):
+    model = dv.ideal_model(2).with_confusion({0: [[0.95, 0.1], [0.05, 0.9]]})
+    ds = tg.qmt_dataset(model, shots=500, seed=4)
+    args = _spy_fit(monkeypatch, lambda: tg.qmt(ds, 2, method="mle"))[1]["args"]
+    assert args[0].shape == (16, 4, 4) and args[1].shape == (4, 4, 4)
+    _assert_gradient_matches_central_differences(args, 14)
 
 
 def test_qpt_mle_raises_when_the_fit_fails(monkeypatch):
@@ -169,6 +278,15 @@ def test_qpt_incomplete_design_raises():
         tg.qpt(ds, 1)
 
 
+def test_qpt_raises_when_every_preparation_lacks_a_setting():
+    ds = tg.qpt_dataset(dv.ideal_model(2), Circuit(2, ()), shots=100, seed=1)
+    settings = [s for s, _ in tg.meas_setting_circuits(2)]
+    for i in ds:
+        del ds[i][settings[i % len(settings)]]
+    with pytest.raises(ValueError, match="not informationally complete"):
+        tg.qpt(ds, 2, method="linear")
+
+
 def test_qmt_perfect_and_confused():
     model = dv.ideal_model(1)
     ds = tg.qmt_dataset(model, shots=200000, seed=3)
@@ -187,6 +305,12 @@ def test_qmt_perfect_and_confused():
             sigma = np.sqrt(conf[i][j] * (1 - conf[i][j]) / 100000)
             assert abs(r[i, j] - conf[i][j]) <= max(3 * sigma, 1e-3)
     assert mt.readout_fidelity(r) == pytest.approx(0.97, abs=0.005)
+
+
+def test_qmt_rejects_an_unknown_method():
+    ds = tg.qmt_dataset(dv.ideal_model(1), shots=100, seed=1)
+    with pytest.raises(ValueError, match="unknown method"):
+        tg.qmt(ds, 1, method="bogus")
 
 
 def test_qmt_insufficient_preps():
@@ -387,32 +511,3 @@ def test_effect_table_is_a_read_only_copy_of_a_fresh_build(n):
     next(iter(superbras.values()))[:] = 7.0
     assert bras.tobytes() == expected.tobytes()
     assert tg.ideal_effect_superbras(n)[keys[0]].tobytes() == expected[0].tobytes()
-
-
-def _loop_chol_params_to_l(params, d):
-    l = np.zeros((d, d), dtype=complex)
-    idx = 0
-    for i in range(d):
-        l[i, i] = params[idx]
-        idx += 1
-        for j in range(i):
-            l[i, j] = params[idx] + 1j * params[idx + 1]
-            idx += 2
-    return l
-
-
-@pytest.mark.parametrize("d", [1, 2, 4, 8])
-def test_cholesky_packing_matches_the_loop_layout(d):
-    """The index-array packing of the state MLE's Cholesky factor equals the
-    row-by-row loop bit for bit, and unpacking inverts it."""
-    params = rng(d).normal(size=d * d)
-    l = tg._chol_params_to_l(params, d)
-    assert l.tobytes() == _loop_chol_params_to_l(params, d).tobytes()
-    assert tg._l_to_params(l, d).tobytes() == params.tobytes()
-    full = rng(d + 1).normal(size=(d, d)) + 1j * rng(d + 2).normal(size=(d, d))
-    loop = []
-    for i in range(d):
-        loop.append(full[i, i].real)
-        for j in range(i):
-            loop.extend([full[i, j].real, full[i, j].imag])
-    assert tg._l_to_params(full, d).tobytes() == np.array(loop).tobytes()
