@@ -694,14 +694,50 @@ def test_fault_free_samples_build_no_gate_tables(monkeypatch):
     assert built == [1]
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+def _family_circuit(family, model, depth, gen):
+    """A noisy-model circuit drawn the way one protocol draws it, with the
+    Z-type Pauli it measures and that Pauli's ideal sign; the Pauli and the
+    sign are None for the definite-outcome families (mirror and trap)."""
+    n = model.n
+    sampler = rb.LayerSampler(n, twoq_gate="CZ" if family == "trap" else "CNOT", twoq_density=0.8)
+    if family == "mirror":
+        return rb.mirror_circuit(sampler, depth, gen), None, None
+    if family == "trap":
+        return fd._trap_circuit(n, [sampler.sample(gen)[1] for _ in range(depth // 2 + 1)], gen), None, None
+    p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+    prep, sign = cl.eigenstate_layer(p, gen)
+    if family == "birb":
+        body = Circuit(n, tuple(layer for _ in range(depth) for layer in sampler.sample(gen)))
+        current = dv.propagate_pauli(model, body, p)
+    elif family == "cb":  # a fixed cycle, each repetition dressed with random Paulis
+        oneq, twoq = sampler.sample(gen)
+        layers = []
+        for _ in range(depth):
+            letters = [("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n)]
+            layers += [tuple((lab, (q,)) for q, lab in enumerate(letters) if lab != "I"), twoq or oneq]
+        body = Circuit(n, tuple(layers))
+        current = dv.propagate_pauli(model, body, p)
+    else:  # an ACES row: prep, a compiled prefix, readout
+        layers = [layer for _ in range(depth) for layer in sampler.sample(gen)]
+        gate_set = {op for layer in layers for op in layer if len(op[1]) == 2}
+        params, first, _ = cy._aces_parameters(gate_set, n, True)
+        prefix = cy._ACESPrefix(model, layers, first)
+        body = prefix.circuit
+        current = prefix.row(p, len(params), None)[1]
+    sign *= 1 if current.sign.real > 0 else -1
+    circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (cl.readout_layer(current),)))
+    return circ, cl.readout_pauli(current), sign
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    width=st.integers(1, 4),
+    family=st.sampled_from(["mirror", "birb", "trap", "cb", "aces"]),
+    width=st.integers(1, 6),
     depth=st.sampled_from([0, 2, 4]),
     pre=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(width, depth, pre, seed):
+def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(family, width, depth, pre, seed):
     def nr(lbl, ar):
         if ar == 1:
             return ch.stochastic_pauli((0.02, 0.01, 0.03))
@@ -709,23 +745,25 @@ def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(width, depth, pr
 
     model = dv.noisy_model(width, nr, idle=ch.stochastic_pauli((0.01, 0.0, 0.02)), pre_gate_noise=pre)
     gen = rng(seed)
-    circ = rb.mirror_circuit(rb.LayerSampler(width, twoq_density=0.8), depth, gen)
+    circ, measured, sign = _family_circuit(family, model, depth, gen)
     shots = 4000
-    dense = dv.sample(model, circ, shots, seed + 1, "dense").counts
-    fast = dv.sample(model, circ, shots, seed + 2, "fast").counts
-    # two-sample chi-square over the outcomes, pooling those seen fewer
-    # than 10 times in both samples together
-    outcomes = sorted(set(dense) | set(fast))
-    table = np.array([[dense.get(o, 0) for o in outcomes], [fast.get(o, 0) for o in outcomes]])
-    rare = table.sum(axis=0) < 10
-    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
-    table = table[:, table.sum(axis=0) > 0]
-    if table.shape[1] > 1:
-        assert chi2_contingency(table).pvalue > 1e-4
     bits = dv.ideal_outcome_bits(model, circ)
-    mask = int(gen.integers(1, 2**width))
-    sign = -1 if sum(int(bits[q]) for q in range(width) if (mask >> q) & 1) % 2 else 1
-    measured = PauliString(width, 0, mask, 0)
+    if bits is not None:
+        dense = dv.sample(model, circ, shots, seed + 1, "dense").counts
+        fast = dv.sample(model, circ, shots, seed + 2, "fast").counts
+        # two-sample chi-square over the outcomes, pooling those seen fewer
+        # than 10 times in both samples together
+        outcomes = sorted(set(dense) | set(fast))
+        table = np.array([[dense.get(o, 0) for o in outcomes], [fast.get(o, 0) for o in outcomes]])
+        rare = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            assert chi2_contingency(table).pvalue > 1e-4
+    if measured is None:
+        mask = int(gen.integers(1, 2**width))
+        sign = -1 if sum(int(bits[q]) for q in range(width) if (mask >> q) & 1) % 2 else 1
+        measured = PauliString(width, 0, mask, 0)
     d = dv.parity_mean(model, circ, measured, shots, seed + 3, "dense", sign)
     f = dv.parity_mean(model, circ, measured, shots, seed + 4, "fast", sign)
     assert abs(d - f) <= 5 * np.sqrt((2 - d * d - f * f) / shots) + 1e-12
