@@ -205,17 +205,17 @@ def cycle_benchmark(
                     if dressing:
                         body.append(dressing)
                     body.append(cycle)
-                current = propagate_pauli(model, Circuit(n, tuple(body)), p)
-                layers = [prep_layer] + body
+                body = Circuit(n, tuple(body))
+                current = propagate_pauli(model, body, p)
                 sgn = current.sign
                 if abs(sgn.imag) > 1e-12:
                     raise RuntimeError("propagated Pauli acquired a complex phase")
                 sign *= 1 if sgn.real > 0 else -1
                 meas = readout_layer(current)
+                circ = Circuit(n, (prep_layer,)).then(body)
                 if meas:
-                    layers.append(meas)
+                    circ = circ.then(Circuit(n, (meas,)))
                 measured = readout_pauli(current)
-                circ = Circuit(n, tuple(layers))
                 sub = int(gen.integers(2**62))
                 samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign))
             arr = np.asarray(samples)
@@ -492,31 +492,31 @@ class _ACESPrefix:
     """An ACES circuit prefix, compiled once for all of its rows.
 
     ``program`` is the prefix's :class:`qcvv.device.CliffordProgram`.  Per
-    occurrence of a gate-set gate, in circuit order: ``layer``, its layer;
-    ``qubits``, its support, padded with qubit 0; ``place``, the base-4 place
-    value of each support qubit's digit in the gate's local Pauli index
-    (qubit 0 of the support most significant, 0 on the padding); and
-    ``first``, the design column of the gate's local Pauli index 1.
+    occurrence of a gate-set gate, in circuit order, read off the circuit's
+    flat form: ``layer``, its layer; ``qubits``, its support, padded with
+    qubit 0; ``place``, the base-4 place value of each support qubit's digit
+    in the gate's local Pauli index (qubit 0 of the support most
+    significant, 0 on the padding); and ``first``, the design column of the
+    gate's local Pauli index 1.
     """
 
     def __init__(self, model, layers, first: dict):
-        self.circuit = Circuit(model.n, tuple(layers))
+        n = model.n
+        self.circuit = Circuit(n, tuple(layers))
         self.program = CliffordProgram(model, self.circuit)
-        found = [
-            (t, qubits, first[(label, qubits)])
-            for t, layer in enumerate(self.circuit.layers)
-            for label, qubits in layer
-            if (label, qubits) in first
-        ]
-        levels = max([len(qubits) for _, qubits, _ in found], default=1)
-        self.layer = np.array([t for t, _, _ in found], dtype=np.intp)
-        self.qubits = np.zeros((len(found), levels), dtype=np.intp)
-        self.place = np.zeros((len(found), levels), dtype=np.intp)
-        for g, (_, qubits, _) in enumerate(found):
-            k = len(qubits)
-            self.qubits[g, :k] = qubits
-            self.place[g, :k] = 4 ** np.arange(k - 1, -1, -1)
-        self.first = np.array([col for _, _, col in found], dtype=np.intp)
+        flat = self.circuit._flat
+        levels = flat.supports.shape[1]
+        # each gate-set gate present as a (key number, padded support) row,
+        # matched against every operation's row
+        wanted = [(label, qs, col) for (label, qs), col in first.items() if (label, len(qs)) in flat.keys]
+        table = [[flat.keys.index((label, len(qs))), *qs] + [n] * (levels - len(qs)) for label, qs, _ in wanted]
+        ops = np.column_stack([flat.key, flat.supports])
+        op, entry = np.nonzero((ops[:, None] == np.reshape(table, (-1, levels + 1))).all(axis=2))
+        self.layer = flat.layer[op]
+        self.qubits = np.where(flat.supports[op] < n, flat.supports[op], 0)
+        power = flat.arity[op, None] - 1 - np.arange(levels)
+        self.place = np.where(power >= 0, 4 ** power.clip(0), 0)
+        self.first = np.array([col for _, _, col in wanted], dtype=np.intp)[entry]
 
     def row(self, prepared: PauliString, width: int, spam):
         """The design row of ``prepared`` through the prefix, ``width``

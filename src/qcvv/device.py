@@ -36,41 +36,46 @@ their PTMs would take about 24 MB.
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
 
+Every circuit carries one flat form, which no model enters: ``Circuit``
+builds it in the same pass that normalises and checks the operations
+(:class:`_Flat`), and ``Circuit.then`` joins two flat forms instead of
+walking the operations again.  It holds the circuit's distinct ``(label,
+arity)`` keys; per operation, its key number, arity, padded support and
+layer; and the mask of each layer's idle qubits.  A backend call resolves
+one :class:`GateRecord` per key and reads everything else off the flat form.
+
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
 product over the gate's axes.  A gate on the leading axes in order, as a
-gate on the whole register is, skips the identity transpose, and a layer
-looks for idle qubits only when the model has an idle channel; both give the
-same bits as the general path.
+gate on the whole register is, skips the identity transpose; both give the
+same bits as the general path.  The dense loop applies the model's idle
+channel only when there is one, to the qubits the flat form's mask marks.
 
-The fast path pays per fault, not per layer: a circuit's compile builds its
-draw rows, and its per-layer gate tables only on first use.  The frame stays
-the all-identity frame, which every gate maps to itself, until the first
-layer that draws a fault, so a circuit that draws none builds no gate table
-and conjugates nothing.
+One compiled program, :class:`CliffordProgram`, serves every Clifford path.
+It compiles a circuit against a model from its flat form and builds two
+parts, each on first use: the per-layer gate tables, through which Paulis
+propagate with exact phase, and the fast path's draw rows.
+:func:`propagate_pauli` and the ideal outcome run Paulis through the gate
+tables, and ACES (:func:`qcvv.cycles.aces`) compiles each circuit prefix
+once and reads its design rows off the recorded frames.  The fast path pays
+per fault, not per layer: the frame stays the all-identity frame, which
+every gate maps to itself, until the first layer that draws a fault, so a
+circuit that draws none builds no gate table and conjugates nothing.
 
-One Pauli propagator serves every ideal-action question:
-:class:`CliffordProgram` compiles a Clifford circuit once into the fast
-path's per-layer gate tables and propagates Paulis through them with exact
-phase, recording the frame after every layer when asked.
-:func:`propagate_pauli` goes through it, the fast path's ideal outcome runs
-the same tables through the same loop, and ACES (:func:`qcvv.cycles.aces`)
-compiles each circuit prefix once and reads its design rows off the
-recorded frames.
-
-Every backend call simulates one circuit; the benchmark's tracer counts
-circuits per ``circuit_probabilities``, ``pauli_fastpath_sample`` and
-``pauli_fastpath_signs`` call, so a stacked or ensemble entry point (one
-compile for a whole ensemble of circuits) first needs its own benchmark
-change.
+Every backend call simulates one circuit, compiled once for that call; the
+benchmark's tracer counts circuits per ``circuit_probabilities``,
+``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
+ensemble entry point (one compile for a whole ensemble of circuits) first
+needs its own benchmark change.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -88,13 +93,73 @@ from .metrics import ProbDist
 from .paulis import PauliString
 
 
+class _Flat(namedtuple("_Flat", "keys key arity supports layer idle")):
+    """A circuit's operations as flat arrays, independent of any model.
+
+    ``keys`` are the distinct ``(label, arity)`` pairs in order of first
+    use.  Per operation, in circuit order: ``key``, its key's number;
+    ``arity``; ``supports``, its qubits padded to ``levels`` columns (the
+    largest arity, at least 1) with the spare index ``width``; and
+    ``layer``, its layer's number.  ``idle`` is the (depth, width) mask of
+    the qubits no gate of a layer touches, with a row for every layer, empty
+    ones included.
+    """
+
+    @classmethod
+    def of(cls, width: int, layers: tuple) -> "_Flat":
+        """The flat form of normalised layers; a qubit outside the register
+        or used twice in one layer is a ValueError."""
+        ops = list(chain.from_iterable(layers))
+        labels, supports = zip(*ops) if ops else ((), ())
+        keys = list(zip(labels, map(len, supports)))
+        number = dict(zip(dict.fromkeys(keys), count()))
+        arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(ops))
+        levels = int(arity.max(initial=1))
+        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum()))
+        # checked before any use as an index, where -1 would pass for the last qubit
+        if len(qubits) and (qubits.min() < 0 or qubits.max() >= width):
+            raise ValueError("qubit index out of range")
+        padded = np.full((len(ops), levels), width, dtype=np.intp)
+        # a boolean-mask write fills the supports row by row, in circuit order
+        padded[np.arange(levels) < arity[:, None]] = qubits
+        layer = np.repeat(np.arange(len(layers)), list(map(len, layers)))
+        uses = np.bincount(np.repeat(layer, arity) * width + qubits, minlength=len(layers) * width)
+        uses = uses.reshape(len(layers), width)
+        if (uses > 1).any():
+            raise ValueError("overlapping gate supports within a layer")
+        key = np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(ops))
+        return cls(tuple(number), key, arity, padded, layer, uses == 0)
+
+    def then(self, other: "_Flat") -> "_Flat":
+        """``self`` followed by ``other``, on the wider of the two registers:
+        ``other``'s keys are renumbered after ``self``'s, and each part's
+        supports are padded anew with the joined width."""
+        keys = tuple(dict.fromkeys(self.keys + other.keys))
+        width = max(self.idle.shape[1], other.idle.shape[1])
+        levels = max(self.supports.shape[1], other.supports.shape[1])
+        supports = np.full((len(self.key) + len(other.key), levels), width, dtype=np.intp)
+        idle = np.ones((len(self.idle) + len(other.idle), width), dtype=bool)
+        for part, row, t in ((self, 0, 0), (other, len(self.key), len(self.idle))):
+            spare, k = part.idle.shape[1], part.supports.shape[1]
+            padded = part.supports if spare == width else np.where(part.supports < spare, part.supports, width)
+            supports[row : row + len(part.key), :k] = padded
+            idle[t : t + len(part.idle), :spare] = part.idle
+        number = dict(zip(keys, count()))
+        renumber = np.array([number[pair] for pair in other.keys], dtype=np.intp)
+        key = np.concatenate([self.key, renumber[other.key]])
+        layer = np.concatenate([self.layer, other.layer + len(self.idle)])
+        return _Flat(keys, key, np.concatenate([self.arity, other.arity]), supports, layer, idle)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered layers of (gate label, qubit tuple) with disjoint supports.
 
     ``gate_defs`` carries inline unitaries for ad-hoc labels (e.g. sampled
     SU(4) gates); it is excluded from equality so circuits compare by
-    structure.
+    structure.  Construction normalises every label and qubit and builds
+    the circuit's :class:`_Flat` form (``_flat``) in the same pass, which
+    every backend reads.
     """
 
     width: int
@@ -103,12 +168,7 @@ class Circuit:
 
     def __post_init__(self):
         layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in self.layers])
-        used = [list(chain.from_iterable([qs for _, qs in layer])) for layer in layers]
-        if any(len(qubits) != len(set(qubits)) for qubits in used):
-            raise ValueError("overlapping gate supports within a layer")
-        flat = list(chain.from_iterable(used))
-        if flat and (min(flat) < 0 or max(flat) >= self.width):
-            raise ValueError("qubit index out of range")
+        object.__setattr__(self, "_flat", _Flat.of(self.width, layers))
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -118,13 +178,14 @@ class Circuit:
     def then(self, other: "Circuit") -> "Circuit":
         """``self`` followed by ``other``.  Each was checked when it was built,
         against a width no larger than the result's, so the joined layers are
-        not checked again."""
+        not checked again, and their flat forms are joined, not rebuilt."""
         defs = dict(self.gate_defs)
         defs.update(other.gate_defs)
         out = object.__new__(Circuit)
         object.__setattr__(out, "width", max(self.width, other.width))
         object.__setattr__(out, "layers", self.layers + other.layers)
         object.__setattr__(out, "gate_defs", defs)
+        object.__setattr__(out, "_flat", self._flat.then(other._flat))
         return out
 
     def to_json(self) -> str:
@@ -331,7 +392,8 @@ class GateSetModel:
     @cached_property
     def _superket(self) -> np.ndarray:
         """The read-only initial state, shaped ``(4,) * n``."""
-        state = _initial_state(self)
+        prep = kron_all([_PREP0.reshape(1, -1)] * self.n).real if self._prep is None else self._prep
+        state = prep.reshape((4,) * self.n).copy()
         state.flags.writeable = False
         return state
 
@@ -443,21 +505,27 @@ def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _layer_apply(model: GateSetModel, state: np.ndarray, layer, gate_defs) -> np.ndarray:
-    for label, qubits in layer:
-        state = _apply_local(state, model.resolve(label, len(qubits), gate_defs).ptm, qubits)
-    if model.idle is not None:
-        busy = set(chain.from_iterable([qubits for _, qubits in layer]))
-        for q in range(model.n):
-            if q not in busy:
-                state = _apply_local(state, model.idle.ptm, (q,))
+def _dense_state(model: GateSetModel, circuit: Circuit) -> np.ndarray:
+    """The superket, shaped ``(4,) * n``, that the circuit leaves.
+
+    Each distinct gate of the circuit's flat form resolves once; each layer
+    applies its gates in order, then the model's idle channel, if any, on
+    the layer's idle qubits in qubit order."""
+    if circuit.width != model.n:
+        raise ValueError("circuit width does not match the model")
+    if model.n > DENSE_WIDTH_CAP:
+        raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
+    flat = circuit._flat
+    ptms = [model.record(label, k, circuit.gate_defs).noisy.ptm for label, k in flat.keys]
+    key = iter(flat.key.tolist())
+    idle = [()] * circuit.depth if model.idle is None else [np.flatnonzero(row).tolist() for row in flat.idle]
+    state = model._superket
+    for layer, idle_qubits in zip(circuit.layers, idle):
+        for (_, qubits), g in zip(layer, key):
+            state = _apply_local(state, ptms[g], qubits)
+        for q in idle_qubits:
+            state = _apply_local(state, model.idle.ptm, (q,))
     return state
-
-
-def _initial_state(model: GateSetModel) -> np.ndarray:
-    if model._prep is not None:
-        return model._prep.reshape((4,) * model.n).copy()
-    return kron_all([_PREP0.reshape(1, -1)] * model.n).real.reshape((4,) * model.n)
 
 
 def _effect_rows(n: int, confusion: dict) -> np.ndarray:
@@ -471,14 +539,7 @@ def _effect_rows(n: int, confusion: dict) -> np.ndarray:
 
 def circuit_probabilities(model: GateSetModel, circuit: Circuit):
     """Outcome distribution over bit strings from the dense PTM backend."""
-    if circuit.width != model.n:
-        raise ValueError("circuit width does not match the model")
-    if model.n > DENSE_WIDTH_CAP:
-        raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
-    state = model._superket
-    for layer in circuit.layers:
-        state = _layer_apply(model, state, layer, circuit.gate_defs)
-    flat = state.reshape(-1)
+    flat = _dense_state(model, circuit).reshape(-1)
     if model._effect_transform is not None:
         flat = model._effect_transform @ flat
     probs = model._effects @ flat
@@ -535,10 +596,9 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
         model = GateSetModel(n)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    for layer in circuit.layers:
-        for label, qubits in layer:
-            u = model.record(label, len(qubits), circuit.gate_defs).ideal
-            psi = _apply_local(psi, u, qubits)
+    unitaries = [model.record(label, k, circuit.gate_defs).ideal for label, k in circuit._flat.keys]
+    for (_, qubits), g in zip(chain.from_iterable(circuit.layers), circuit._flat.key.tolist()):
+        psi = _apply_local(psi, unitaries[g], qubits)
     return psi.reshape(-1)
 
 
@@ -558,42 +618,16 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 # gathers each support qubit's new code from that qubit's uint8 image table,
 # the layout of :func:`qcvv.cliffords.conjugation_table`.
 
-def _walk(model: GateSetModel, circuit: Circuit):
-    """One pass over a circuit's operations, in circuit order.
-
-    Returns the circuit's distinct :class:`GateRecord` s, in order of first
-    use, and, for its N operations, the (N,) record numbers, arities and
-    layer indices and the (N, levels) supports, padded with the spare index
-    n; ``levels`` is the largest arity, at least 1.
-    """
-    ops = [op for layer in circuit.layers for op in layer]
-    supports = [qubits for _, qubits in ops]
-    arity = list(map(len, supports))
-    keys = list(zip([label for label, _ in ops], arity))
-    numbers = {key: g for g, key in enumerate(dict.fromkeys(keys))}
-    records = [model.record(label, k, circuit.gate_defs) for label, k in numbers]
-    slots = np.fromiter(map(numbers.__getitem__, keys), dtype=np.intp, count=len(keys))
-    levels = max(arity, default=1)
-    arity = np.array(arity, dtype=np.intp)
-    layer_idx = np.repeat(np.arange(circuit.depth), [len(layer) for layer in circuit.layers])
-    padded = np.full((len(keys), levels), circuit.width, dtype=np.intp)
-    # a boolean-mask write fills the supports row by row, in circuit order
-    padded[np.arange(levels) < arity[:, None]] = np.fromiter(
-        chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum())
-    )
-    return records, slots, arity, layer_idx, padded
-
-
-def _gate_tables(walk, depth: int):
-    """Per layer, the gates of :func:`_walk` grouped by arity k as ``(rows,
-    offsets, images, phases)``: k row arrays of the g gates' support qubits,
-    row i holding each gate's support qubit i; each gate's (g, 1) offset into
-    the flat tables of the circuit's distinct k-qubit gates; and those
-    tables, as k uint8 image tables, table i holding the new letter code of
-    support qubit i, and the phase exponents.  Gates in one layer act on
-    disjoint qubits, so the order of a layer's groups does not matter."""
-    records, slots, arity, layer_idx, supports = walk
-    layers = [[] for _ in range(depth)]
+def _gate_tables(records, flat: _Flat):
+    """Per layer, a circuit's gates grouped by arity k as ``(rows, offsets,
+    images, phases)``, from its flat form and one :class:`GateRecord` per
+    key: k row arrays of the g gates' support qubits, row i holding each
+    gate's support qubit i; each gate's (g, 1) offset into the flat tables
+    of the circuit's distinct k-qubit gates; and those tables, as k uint8
+    image tables, table i holding the new letter code of support qubit i,
+    and the phase exponents.  Gates in one layer act on disjoint qubits, so
+    the order of a layer's groups does not matter."""
+    layers = [[] for _ in range(len(flat.idle))]
     local = np.zeros(len(records), dtype=np.intp)  # a record's number among those of its arity
     for k in sorted({rec.arity for rec in records}):
         numbers = [g for g, rec in enumerate(records) if rec.arity == k]
@@ -601,10 +635,10 @@ def _gate_tables(walk, depth: int):
         tables = [records[g].conjugation for g in numbers]
         images = tuple(np.concatenate([i for i, _ in tables], axis=1))
         phases = np.concatenate([p for _, p in tables])
-        sel = np.flatnonzero(arity == k)
-        offsets = (local[slots[sel]] * 4**k)[:, None]
-        rows = list(np.ascontiguousarray(supports[sel, :k].T))
-        bounds = np.searchsorted(layer_idx[sel], np.arange(depth + 1)).tolist()
+        sel = np.flatnonzero(flat.arity == k)
+        offsets = (local[flat.key[sel]] * 4**k)[:, None]
+        rows = list(np.ascontiguousarray(flat.supports[sel, :k].T))
+        bounds = np.searchsorted(flat.layer[sel], np.arange(len(layers) + 1)).tolist()
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:
                 layers[t].append((tuple([row[a:b] for row in rows]), offsets[a:b], images, phases))
@@ -625,70 +659,6 @@ def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
             phase += phases[index].sum(axis=0)
         for row, image in zip(rows, images):
             frame[row] = image[index]
-
-
-class _FastPathProgram:
-    """Compiled circuit, from one :func:`_walk`: the circuit's noisy
-    operations as draw rows and, built on first use, per layer the gate
-    groups of :func:`_gate_tables` (``gates``).
-
-    Faults are drawn from each gate's *error* channel and from the model's
-    idle channel on every qubit that no gate of a layer touches.  Rows run
-    layer by layer, and within a layer through the noisy gates in gate order,
-    then the idle qubits in qubit order, which is the order the generator is
-    consumed in.  Per row: ``identity``, its identity probability (the first
-    cdf entry); ``dists``, its distribution's number; ``layer``; and
-    ``qubits``, its support padded to ``levels`` columns with the spare index
-    n.  ``starts[t]`` is layer t's first row.  Per distribution: ``cdfs``,
-    the cumulative probabilities without the last entry, padded with inf to
-    ``4**levels - 1``; ``letters``, the letter code of each fault on each
-    support qubit, padded with zeros.
-    """
-
-    def __init__(self, model: GateSetModel, circuit: Circuit):
-        if circuit.width != model.n:
-            raise ValueError("circuit width does not match the model")
-        n, depth = model.n, circuit.depth
-        self.n = n
-        self.depth = depth
-        self.pre_gate_noise = model.pre_gate_noise
-        self._walk = records, slots, _, layer_idx, supports = _walk(model, circuit)
-        dists, dist_of = [], []
-        for rec in records:
-            dist_of.append(-1 if rec.faults is None else len(dists))
-            if rec.faults is not None:
-                dists.append(rec.faults)
-        numbers = np.array(dist_of, dtype=np.intp)[slots]
-        noisy = numbers >= 0
-        self.dists, self.layer, self.qubits = numbers[noisy], layer_idx[noisy], supports[noisy]
-        levels = supports.shape[1]
-        if model._idle_faults is not None:
-            busy = np.zeros((depth, n + 1), dtype=bool)
-            busy[layer_idx[:, None], supports] = True
-            idle_layer, idle_qubits = np.nonzero(~busy[:, :n])
-            idle_supports = np.full((len(idle_qubits), levels), n)
-            idle_supports[:, 0] = idle_qubits
-            # the gate rows come first, in circuit order, and the idle rows in
-            # (layer, qubit) order, so a stable sort by layer puts each idle
-            # row after every gate row of its layer
-            layer = np.concatenate([self.layer, idle_layer])
-            order = np.argsort(layer, kind="stable")
-            self.layer = layer[order]
-            self.dists = np.concatenate([self.dists, np.full(len(idle_qubits), len(dists))])[order]
-            self.qubits = np.concatenate([self.qubits, idle_supports])[order]
-            dists.append(model._idle_faults)
-        self.starts = np.searchsorted(self.layer, np.arange(depth + 1))
-        self.levels = levels
-        self.cdfs = np.full((len(dists), 4**levels - 1), np.inf)
-        self.letters = np.zeros((len(dists), 4**levels, levels), dtype=np.uint8)
-        for d, (cdf, letters) in enumerate(dists):
-            self.cdfs[d, : len(cdf) - 1] = cdf[:-1]
-            self.letters[d, : len(letters), : letters.shape[1]] = letters
-        self.identity = self.cdfs[self.dists, 0]
-
-    @cached_property
-    def gates(self):
-        return _gate_tables(self._walk, self.depth)
 
 
 # Doubles drawn per block of layers in :func:`_propagate_faults`; it also
@@ -722,7 +692,7 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     return rows, cols, idx
 
 
-def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
+def _propagate_faults(program: "CliffordProgram", shots: int, gen) -> np.ndarray:
     """Per-shot x bits (n, shots) of the propagated fault frame.
 
     Layers run in blocks of ``_DRAW_BUDGET // (n * shots)`` layers (at least
@@ -736,32 +706,28 @@ def _propagate_faults(program: _FastPathProgram, shots: int, gen) -> np.ndarray:
     itself, so the layers before the first hit are skipped, and a circuit
     without a hit never builds its gate tables.
     """
-    n, depth = program.n, program.depth
+    n, depth, d = program.n, program.depth, program.draws
     frame = np.zeros((n, shots), dtype=np.uint8)
     span = max(1, _DRAW_BUDGET // (n * shots))
     hit = False
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
-        r0, r1 = program.starts[t0], program.starts[t1]
+        r0, r1 = d.starts[t0], d.starts[t1]
         draws = gen.random((r1 - r0, shots))
-        rows, cols, idx = _search_hits(
-            draws, program.identity[r0:r1], program.dists[r0:r1], program.cdfs, program.levels
-        )
+        rows, cols, idx = _search_hits(draws, d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
         rows += r0
         if not hit:
             if not len(rows):
                 continue
             hit = True
-            t0 = int(program.layer[rows[0]])  # hits come in row order, so this is the first hit's layer
+            t0 = int(d.layer[rows[0]])  # hits come in row order, so this is the first hit's layer
         faults = np.zeros((t1 - t0, n + 1, shots), dtype=np.uint8)
-        faults[(program.layer[rows] - t0)[:, None], program.qubits[rows], cols[:, None]] = program.letters[
-            program.dists[rows], idx
-        ]
+        faults[(d.layer[rows] - t0)[:, None], d.qubits[rows], cols[:, None]] = d.letters[d.dists[rows], idx]
         for t in range(t0, t1):
-            if program.pre_gate_noise:
+            if program._model.pre_gate_noise:
                 frame ^= faults[t - t0, :n]
             _apply_gate_layer(frame, program.gates[t])
-            if not program.pre_gate_noise:
+            if not program._model.pre_gate_noise:
                 frame ^= faults[t - t0, :n]
     return frame >> 1
 
@@ -784,22 +750,29 @@ def _paulis_of(frame: np.ndarray, phase: np.ndarray):
     return out
 
 
-def _propagate_paulis(gates, n: int, paulis, history: np.ndarray = None):
-    """Images, with phases, of ``paulis`` under the compiled gate layers,
-    writing each layer's output frame into ``history[t]`` when it is given."""
-    frame = _frame_of(paulis, n)
-    phase = np.array([p.phase for p in paulis], dtype=np.int64)
-    for t, groups in enumerate(gates):
-        _apply_gate_layer(frame, groups, phase)
-        if history is not None:
-            history[t] = frame
-    return _paulis_of(frame, phase)
+class _Draws(namedtuple("_Draws", "identity dists layer qubits starts levels cdfs letters")):
+    """A compiled circuit's noisy operations as the fast path's draw rows.
+
+    Faults are drawn from each gate's *error* channel and from the model's
+    idle channel on every qubit that no gate of a layer touches.  Rows run
+    layer by layer, and within a layer through the noisy gates in gate order,
+    then the idle qubits in qubit order, which is the order the generator is
+    consumed in.  Per row: ``identity``, its identity probability (the first
+    cdf entry); ``dists``, its distribution's number; ``layer``; and
+    ``qubits``, its support padded to ``levels`` columns with the spare index
+    n.  ``starts[t]`` is layer t's first row.  Per distribution: ``cdfs``,
+    the cumulative probabilities without the last entry, padded with inf to
+    ``4**levels - 1``; ``letters``, the letter code of each fault on each
+    support qubit, padded with zeros.
+    """
 
 
 class CliffordProgram:
-    """A Clifford circuit's ideal action, compiled once into the per-layer
-    gate tables of :func:`_gate_tables` (``gates``), through which Paulis
-    propagate with exact phase.
+    """A Clifford circuit compiled against a model: the circuit's flat form
+    and one :class:`GateRecord` per distinct gate, from which two parts are
+    each built on first use.  ``gates`` holds per layer the gate groups of
+    :func:`_gate_tables`, through which Paulis propagate with exact phase;
+    ``draws`` holds the fast path's draw rows (:class:`_Draws`).
 
     Compile a circuit once and propagate as many Paulis through it as
     needed: ACES compiles each prefix once for all of its rows.  This is the
@@ -810,17 +783,77 @@ class CliffordProgram:
     """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
-        self.n = model.n
-        self.gates = _gate_tables(_walk(model, circuit), circuit.depth)
+        if circuit.width != model.n:
+            raise ValueError("circuit width does not match the model")
+        self.n, self.depth, self._model, self._flat = model.n, circuit.depth, model, circuit._flat
+        self._records = [model.record(label, k, circuit.gate_defs) for label, k in self._flat.keys]
+
+    @cached_property
+    def gates(self):
+        return _gate_tables(self._records, self._flat)
+
+    @cached_property
+    def draws(self) -> _Draws:
+        flat, n, idle_faults = self._flat, self.n, self._model._idle_faults
+        dists, dist_of = [], []
+        for rec in self._records:
+            dist_of.append(-1 if rec.faults is None else len(dists))
+            if rec.faults is not None:
+                dists.append(rec.faults)
+        numbers = np.array(dist_of, dtype=np.intp)[flat.key]
+        noisy = numbers >= 0
+        layer = flat.layer[noisy]
+        numbers, qubits = numbers[noisy], flat.supports[noisy]
+        levels = flat.supports.shape[1]
+        if idle_faults is not None:
+            idle_layer, idle_qubits = np.nonzero(flat.idle)
+            idle_supports = np.full((len(idle_qubits), levels), n)
+            idle_supports[:, 0] = idle_qubits
+            # the gate rows come first, in circuit order, and the idle rows in
+            # (layer, qubit) order, so a stable sort by layer puts each idle
+            # row after every gate row of its layer
+            layer = np.concatenate([layer, idle_layer])
+            order = np.argsort(layer, kind="stable")
+            layer = layer[order]
+            numbers = np.concatenate([numbers, np.full(len(idle_qubits), len(dists))])[order]
+            qubits = np.concatenate([qubits, idle_supports])[order]
+            dists.append(idle_faults)
+        cdfs = np.full((len(dists), 4**levels - 1), np.inf)
+        letters = np.zeros((len(dists), 4**levels, levels), dtype=np.uint8)
+        for d, (cdf, codes) in enumerate(dists):
+            cdfs[d, : len(cdf) - 1] = cdf[:-1]
+            letters[d, : len(codes), : codes.shape[1]] = codes
+        starts = np.searchsorted(layer, np.arange(self.depth + 1))
+        return _Draws(cdfs[numbers, 0], numbers, layer, qubits, starts, levels, cdfs, letters)
 
     def propagate(self, paulis, history: bool = False):
         """Images, with phases, of ``paulis``.  With ``history``, also each
         image's letter codes after every layer, as a (depth, n, len(paulis))
         uint8 array of codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3)."""
-        if not history:
-            return _propagate_paulis(self.gates, self.n, paulis)
-        codes = np.empty((len(self.gates), self.n, len(paulis)), dtype=np.uint8)
-        return _propagate_paulis(self.gates, self.n, paulis, codes), codes
+        frame = _frame_of(paulis, self.n)
+        phase = np.array([p.phase for p in paulis], dtype=np.int64)
+        codes = np.empty((self.depth, self.n, len(paulis)), dtype=np.uint8) if history else None
+        for t, groups in enumerate(self.gates):
+            _apply_gate_layer(frame, groups, phase)
+            if history:
+                codes[t] = frame
+        images = _paulis_of(frame, phase)
+        return (images, codes) if history else images
+
+    def _ideal_bits(self):
+        """:func:`ideal_outcome_bits` of the circuit: the 2n generators
+        X_0..X_{n-1}, Z_0..Z_{n-1} propagate as one frame into the circuit's
+        :class:`CliffordTableau`."""
+        n = self.n
+        eye = np.eye(n, dtype=np.uint8)
+        frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
+        phase = np.zeros(2 * n, dtype=np.int64)
+        for groups in self.gates:
+            _apply_gate_layer(frame, groups, phase)
+        inverse = CliffordTableau(np.vstack([frame >> 1, frame & 1]).T, phase).inverse()
+        if inverse.bits[n:, :n].any():
+            return None
+        return (inverse.phases[n:] // 2).astype(np.uint8)
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
@@ -830,22 +863,7 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     the circuit's tableau is Z-type.  |0...0> is then an eigenstate of each,
     and bit j is 1 where that eigenvalue is -1 (phase exponent 2).
     """
-    return _ideal_bits(CliffordProgram(model, circuit).gates, model.n)
-
-
-def _ideal_bits(gates, n: int):
-    """:func:`ideal_outcome_bits` of the compiled gate layers of an n-qubit
-    circuit: the 2n generators X_0..X_{n-1}, Z_0..Z_{n-1} propagate as one
-    frame into the circuit's :class:`CliffordTableau`."""
-    eye = np.eye(n, dtype=np.uint8)
-    frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
-    phase = np.zeros(2 * n, dtype=np.int64)
-    for groups in gates:
-        _apply_gate_layer(frame, groups, phase)
-    inverse = CliffordTableau(np.vstack([frame >> 1, frame & 1]).T, phase).inverse()
-    if inverse.bits[n:, :n].any():
-        return None
-    return (inverse.phases[n:] // 2).astype(np.uint8)
+    return CliffordProgram(model, circuit)._ideal_bits()
 
 
 def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> PauliString:
@@ -890,8 +908,8 @@ def pauli_fastpath_sample(
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    program = _FastPathProgram(model, circuit)
-    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else _ideal_bits(program.gates, model.n)
+    program = CliffordProgram(model, circuit)
+    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else program._ideal_bits()
     if bits0 is None:
         raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
     gen = rng(seed)
@@ -930,9 +948,8 @@ def pauli_fastpath_signs(
             raise ValueError(
                 f"asymmetric readout confusion on qubit {q} needs each shot's outcome; use sample_counts"
             )
-    program = _FastPathProgram(model, circuit)
     gen = rng(seed)
-    fx = _propagate_faults(program, shots, gen)
+    fx = _propagate_faults(CliffordProgram(model, circuit), shots, gen)
     signs = np.full(shots, ideal_sign, dtype=np.int8)
     for q in read:
         signs *= 1 - 2 * fx[q].astype(np.int8)

@@ -515,12 +515,10 @@ def test_criterion_13_mcfe_accreditation_dfe():
 
     model_dep = dv.noisy_model(n, nr_dep)
     circ = fd.ghz_circuit(n)
-    from qcvv.device import _initial_state, _layer_apply
+    from qcvv.device import _dense_state
     from qcvv.linalg import Superket, unvectorize
 
-    state = _initial_state(model_dep)
-    for layer in circ.layers:
-        state = _layer_apply(model_dep, state, layer, circ.gate_defs)
+    state = _dense_state(model_dep, circ)
     rho = unvectorize(Superket(2**n, state.reshape(-1), "normalized-pauli"))
     f_true = mt.state_fidelity(rho, projector((ket("000") + ket("111")) / np.sqrt(2)))
     dres = fd.dfe(model_dep, circ, fd.ghz_stabilizers(n), epsilon=0.05, delta=0.1, seed=1315)

@@ -23,6 +23,8 @@ def test_circuit_validation_and_json():
         Circuit(2, ((("CNOT", (0, 1)), ("X", (1,))),))
     with pytest.raises(ValueError):
         Circuit(1, ((("X", (3,)),),))
+    with pytest.raises(ValueError):  # a -1 past the first layer, where it would index a valid cell
+        Circuit(2, ((("H", (0,)),), (("X", (-1,)),)))
     c = Circuit(2, ((("H", (0,)),), (("CNOT", (0, 1)),)))
     back = Circuit.from_json(c.to_json())
     assert back == c and back.depth == 2
@@ -65,10 +67,14 @@ def _small_circuits(draw, name):
         free = draw(st.permutations(range(width)))
         layer = []
         while free:
-            if len(free) >= 2 and draw(st.booleans()):
+            # a qubit stays idle a third of the time, so some layers are empty
+            arity = draw(st.sampled_from((0, 1, 2) if len(free) >= 2 else (0, 1)))
+            if arity == 2:
                 layer.append((draw(st.sampled_from(("CNOT", "CZ", f"{name}_u2"))), (free.pop(), free.pop())))
-            else:
+            elif arity == 1:
                 layer.append((draw(st.sampled_from(("H", "S", f"{name}_u1"))), (free.pop(),)))
+            else:
+                free.pop()
         layers.append(tuple(layer))
     # "shared" is defined by both circuits: the second one's definition wins
     defs = {f"{name}_u1": np.eye(2), f"{name}_u2": np.eye(4), "shared": np.eye(2)}
@@ -87,6 +93,12 @@ def test_then_equals_the_checked_joined_circuit(a, b):
     assert all(joined.gate_defs[k] is merged[k] for k in merged)
     assert joined.gate_defs["shared"] is b.gate_defs["shared"]
     assert hash(joined) == hash(built)
+    # the joined flat form, with b's keys renumbered and both parts padded
+    # with the joined width, is the one the checked construction builds
+    assert joined._flat.keys == built._flat.keys
+    for name in ("key", "arity", "supports", "layer", "idle"):
+        got, expected = getattr(joined._flat, name), getattr(built._flat, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
 
 def test_shot_record_counts_must_sum():
@@ -580,7 +592,7 @@ def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
         q += k
     model = dv.noisy_model(q, lambda label, k: _rate_channel(rates[label]))
     circuit = Circuit(q, (tuple(ops),), defs)
-    program = dv._FastPathProgram(model, circuit)
+    compiled = dv.CliffordProgram(model, circuit).draws
     # one draw row per gate, in gate order
     cdfs = [model.record(label, len(qubits), defs).faults[0] for label, qubits in ops]
     rows = []
@@ -590,7 +602,7 @@ def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
         rows.append(row)
     width = max(len(row) for row in rows)
     draws = np.array([np.concatenate([row, gen.random(width - len(row))]) for row in rows])
-    hit_rows, hit_cols, idx = dv._search_hits(draws, program.identity, program.dists, program.cdfs, program.levels)
+    hit_rows, hit_cols, idx = dv._search_hits(draws, compiled.identity, compiled.dists, compiled.cdfs, compiled.levels)
     got = np.zeros(draws.shape, dtype=np.intp)
     got[hit_rows, hit_cols] = idx
     expected = np.array(
@@ -627,16 +639,16 @@ def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
 def _propagate_every_layer(model, circuit, shots, gen):
     """The x bits of :func:`dv._propagate_faults`, drawn one layer at a time
     and pushed through the gates of every layer."""
-    program = dv._FastPathProgram(model, circuit)
-    gates = dv._gate_tables(dv._walk(model, circuit), circuit.depth)
+    compiled = dv.CliffordProgram(model, circuit).draws
+    gates = dv.CliffordProgram(model, circuit).gates
     n = model.n
     frame = np.zeros((n, shots), dtype=np.uint8)
     for t in range(circuit.depth):
-        r0, r1 = program.starts[t], program.starts[t + 1]
+        r0, r1 = compiled.starts[t], compiled.starts[t + 1]
         draws = gen.random((r1 - r0, shots))
-        rows, cols, idx = dv._search_hits(draws, program.identity[r0:r1], program.dists[r0:r1], program.cdfs, program.levels)
+        rows, cols, idx = dv._search_hits(draws, compiled.identity[r0:r1], compiled.dists[r0:r1], compiled.cdfs, compiled.levels)
         faults = np.zeros((n + 1, shots), dtype=np.uint8)
-        faults[program.qubits[r0 + rows], cols[:, None]] = program.letters[program.dists[r0 + rows], idx]
+        faults[compiled.qubits[r0 + rows], cols[:, None]] = compiled.letters[compiled.dists[r0 + rows], idx]
         if model.pre_gate_noise:
             frame ^= faults[:n]
         dv._apply_gate_layer(frame, gates[t])
@@ -669,7 +681,7 @@ def test_hit_driven_propagation_matches_every_layer_reference(width, depth, shot
             if budget is not None:  # 1: a block per layer; 150: one or two layers per block at 100 shots
                 mp.setattr(dv, "_DRAW_BUDGET", budget)
             fast_gen, ref_gen = rng(8 * seed + 4 + sub), rng(8 * seed + 4 + sub)
-            got = dv._propagate_faults(dv._FastPathProgram(model, circ), shots, fast_gen)
+            got = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, fast_gen)
         expected = _propagate_every_layer(model, circ, shots, ref_gen)
         assert got.tobytes() == expected.tobytes()
         assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
@@ -805,9 +817,9 @@ def test_layer_step_applies_idle_noise_only_to_idle_qubits():
     state = np.asarray(model._superket)
     x = ch.Channel.from_unitary(dv.GATE_UNITARIES["X"]).ptm
     cnot = ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"]).ptm
-    one = dv._layer_apply(model, state, (("X", (0,)),), {})
+    one = dv._dense_state(model, Circuit(2, ((("X", (0,)),),)))
     assert np.array_equal(one, _general_apply(_general_apply(state, x, (0,)), idle.ptm, (1,)))
-    both = dv._layer_apply(model, state, (("CNOT", (1, 0)),), {})
+    both = dv._dense_state(model, Circuit(2, ((("CNOT", (1, 0)),),)))
     assert np.array_equal(both, _general_apply(state, cnot, (1, 0)))
     circ = Circuit(2, ((("X", (0,)),),))
     assert dv.circuit_probabilities(model, circ).as_dict()["11"] == pytest.approx(0.1, abs=1e-12)

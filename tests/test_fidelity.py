@@ -66,12 +66,10 @@ def test_dfe_ghz_under_depolarizing():
     model = dv.noisy_model(n, nr)
     circ = fd.ghz_circuit(n)
     # dense oracle for the true state fidelity
-    from qcvv.device import _initial_state, _layer_apply
+    from qcvv.device import _dense_state
     from qcvv.linalg import Superket, unvectorize
 
-    state = _initial_state(model)
-    for layer in circ.layers:
-        state = _layer_apply(model, state, layer, circ.gate_defs)
+    state = _dense_state(model, circ)
     rho = unvectorize(Superket(2**n, state.reshape(-1), "normalized-pauli"))
     f_true = state_fidelity(rho, projector((ket("000") + ket("111")) / np.sqrt(2)))
     res = fd.dfe(model, circ, fd.ghz_stabilizers(n), epsilon=0.05, delta=0.1, seed=5)
@@ -119,12 +117,10 @@ def test_dfe_unbiased_under_exact_expectations():
 
     model = dv.noisy_model(n, nr)
     circ = fd.ghz_circuit(n)
-    from qcvv.device import _initial_state, _layer_apply
+    from qcvv.device import _dense_state
     from qcvv.linalg import Superket, unvectorize
 
-    state = _initial_state(model)
-    for layer in circ.layers:
-        state = _layer_apply(model, state, layer, circ.gate_defs)
+    state = _dense_state(model, circ)
     rho = unvectorize(Superket(2**n, state.reshape(-1), "normalized-pauli"))
     f_true = state_fidelity(rho, projector((ket("00") + ket("11")) / np.sqrt(2)))
     ests = [
