@@ -504,12 +504,12 @@ class _ACESPrefix:
         n = model.n
         self.circuit = Circuit(n, tuple(layers))
         self.program = CliffordProgram(model, self.circuit)
-        flat = self.circuit._flat
+        keys, flat = self.circuit._flat.keys, self.circuit._flat.arrays
         levels = flat.supports.shape[1]
         # each gate-set gate present as a (key number, padded support) row,
         # matched against every operation's row
-        wanted = [(label, qs, col) for (label, qs), col in first.items() if (label, len(qs)) in flat.keys]
-        table = [[flat.keys.index((label, len(qs))), *qs] + [n] * (levels - len(qs)) for label, qs, _ in wanted]
+        wanted = [(label, qs, col) for (label, qs), col in first.items() if (label, len(qs)) in keys]
+        table = [[keys.index((label, len(qs))), *qs] + [n] * (levels - len(qs)) for label, qs, _ in wanted]
         ops = np.column_stack([flat.key, flat.supports])
         op, entry = np.nonzero((ops[:, None] == np.reshape(table, (-1, levels + 1))).all(axis=2))
         self.layer = flat.layer[op]

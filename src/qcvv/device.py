@@ -36,20 +36,23 @@ their PTMs would take about 24 MB.
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
 
-Every circuit carries one flat form, which no model enters: ``Circuit``
-builds it in the same pass that normalises and checks the operations
-(:class:`_Flat`), and ``Circuit.then`` joins two flat forms instead of
-walking the operations again.  It holds the circuit's distinct ``(label,
-arity)`` keys; per operation, its key number, arity, padded support and
-layer; and the mask of each layer's idle qubits.  A backend call resolves
-one :class:`GateRecord` per key and reads everything else off the flat form.
+Every circuit carries one flat form, which no model enters
+(:class:`_Flat`): its distinct ``(label, arity)`` keys and, per operation,
+a key number and a support.  ``Circuit`` builds it in the one pass that
+normalises and checks the operations, and ``Circuit.then`` joins two flat
+forms instead of walking the operations again.  The arrays that the
+Clifford paths index (padded supports, layer numbers, the idle-qubit mask)
+are built from the flat form on first use, once per circuit, so a circuit
+that is only joined to another, or that the dense backend runs on a model
+without an idle channel, builds none.  A backend call resolves one :class:`GateRecord` per key and reads
+everything else off the flat form.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
 product over the gate's axes.  A gate on the leading axes in order, as a
 gate on the whole register is, skips the identity transpose; both give the
 same bits as the general path.  The dense loop applies the model's idle
-channel only when there is one, to the qubits the flat form's mask marks.
+channel only when there is one, to the qubits the idle mask marks.
 
 One compiled program, :class:`CliffordProgram`, serves every Clifford path.
 It compiles a circuit against a model from its flat form and builds two
@@ -75,7 +78,8 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, count
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,16 +97,16 @@ from .metrics import ProbDist
 from .paulis import PauliString
 
 
-class _Flat(namedtuple("_Flat", "keys key arity supports layer idle")):
-    """A circuit's operations as flat arrays, independent of any model.
+class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
+    """A circuit's operations in one flat form, independent of any model.
 
     ``keys`` are the distinct ``(label, arity)`` pairs in order of first
-    use.  Per operation, in circuit order: ``key``, its key's number;
-    ``arity``; ``supports``, its qubits padded to ``levels`` columns (the
-    largest arity, at least 1) with the spare index ``width``; and
-    ``layer``, its layer's number.  ``idle`` is the (depth, width) mask of
-    the qubits no gate of a layer touches, with a row for every layer, empty
-    ones included.
+    use; ``key`` holds each operation's key number and ``supports`` its
+    qubits, in circuit order; ``lengths`` counts each layer's operations,
+    empty layers included.  Built from these on first use: the arrays that
+    the Clifford paths index (``arrays``, an :class:`_Arrays`), and
+    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
+    touches.
     """
 
     @classmethod
@@ -110,45 +114,50 @@ class _Flat(namedtuple("_Flat", "keys key arity supports layer idle")):
         """The flat form of normalised layers; a qubit outside the register
         or used twice in one layer is a ValueError."""
         ops = list(chain.from_iterable(layers))
-        labels, supports = zip(*ops) if ops else ((), ())
-        keys = list(zip(labels, map(len, supports)))
-        number = dict(zip(dict.fromkeys(keys), count()))
-        arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(ops))
-        levels = int(arity.max(initial=1))
-        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=int(arity.sum()))
-        # checked before any use as an index, where -1 would pass for the last qubit
-        if len(qubits) and (qubits.min() < 0 or qubits.max() >= width):
+        supports = list(map(itemgetter(1), ops))
+        # each new (label, arity) pair takes the dict's size on its first use
+        # as its number, and no pair outlives its step
+        number = {}
+        key = list(map(number.setdefault, zip(map(itemgetter(0), ops), map(len, supports)), map(len, repeat(number))))
+        qubits = list(chain.from_iterable(supports))
+        if qubits and (min(qubits) < 0 or max(qubits) >= width):
             raise ValueError("qubit index out of range")
-        padded = np.full((len(ops), levels), width, dtype=np.intp)
-        # a boolean-mask write fills the supports row by row, in circuit order
-        padded[np.arange(levels) < arity[:, None]] = qubits
-        layer = np.repeat(np.arange(len(layers)), list(map(len, layers)))
-        uses = np.bincount(np.repeat(layer, arity) * width + qubits, minlength=len(layers) * width)
-        uses = uses.reshape(len(layers), width)
-        if (uses > 1).any():
-            raise ValueError("overlapping gate supports within a layer")
-        key = np.fromiter(map(number.__getitem__, keys), dtype=np.intp, count=len(ops))
-        return cls(tuple(number), key, arity, padded, layer, uses == 0)
+        for layer in layers:
+            used = list(chain.from_iterable(map(itemgetter(1), layer)))
+            if len(set(used)) < len(used):
+                raise ValueError("overlapping gate supports within a layer")
+        return cls(width, tuple(number), key, supports, list(map(len, layers)))
 
     def then(self, other: "_Flat") -> "_Flat":
-        """``self`` followed by ``other``, on the wider of the two registers:
-        ``other``'s keys are renumbered after ``self``'s, and each part's
-        supports are padded anew with the joined width."""
+        """``self`` followed by ``other``, on the wider of the two registers;
+        ``other``'s keys are renumbered after ``self``'s."""
         keys = tuple(dict.fromkeys(self.keys + other.keys))
-        width = max(self.idle.shape[1], other.idle.shape[1])
-        levels = max(self.supports.shape[1], other.supports.shape[1])
-        supports = np.full((len(self.key) + len(other.key), levels), width, dtype=np.intp)
-        idle = np.ones((len(self.idle) + len(other.idle), width), dtype=bool)
-        for part, row, t in ((self, 0, 0), (other, len(self.key), len(self.idle))):
-            spare, k = part.idle.shape[1], part.supports.shape[1]
-            padded = part.supports if spare == width else np.where(part.supports < spare, part.supports, width)
-            supports[row : row + len(part.key), :k] = padded
-            idle[t : t + len(part.idle), :spare] = part.idle
         number = dict(zip(keys, count()))
-        renumber = np.array([number[pair] for pair in other.keys], dtype=np.intp)
-        key = np.concatenate([self.key, renumber[other.key]])
-        layer = np.concatenate([self.layer, other.layer + len(self.idle)])
-        return _Flat(keys, key, np.concatenate([self.arity, other.arity]), supports, layer, idle)
+        renumber = [number[pair] for pair in other.keys]
+        key = self.key + list(map(renumber.__getitem__, other.key))
+        return _Flat(max(self.width, other.width), keys, key, self.supports + other.supports, self.lengths + other.lengths)
+
+    @cached_property
+    def arrays(self) -> "_Arrays":
+        arity = np.fromiter(map(len, self.supports), dtype=np.intp, count=len(self.key))
+        levels = int(arity.max(initial=1))
+        supports = np.full((len(self.key), levels), self.width, dtype=np.intp)
+        # a boolean-mask write fills the supports row by row, in circuit order
+        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
+        layer = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        return _Arrays(np.array(self.key, dtype=np.intp), arity, supports, layer)
+
+    @cached_property
+    def idle(self) -> np.ndarray:
+        busy = np.zeros((len(self.lengths), self.width + 1), dtype=bool)
+        busy[self.arrays.layer[:, None], self.arrays.supports] = True
+        return ~busy[:, : self.width]
+
+
+class _Arrays(namedtuple("_Arrays", "key arity supports layer")):
+    """A flat form as arrays, per operation: its key number, its arity, its
+    support padded to ``levels`` columns (the largest arity, at least 1)
+    with the spare index ``width``, and its layer."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,8 @@ class Circuit:
     ``gate_defs`` carries inline unitaries for ad-hoc labels (e.g. sampled
     SU(4) gates); it is excluded from equality so circuits compare by
     structure.  Construction normalises every label and qubit and builds
-    the circuit's :class:`_Flat` form (``_flat``) in the same pass, which
-    every backend reads.
+    the circuit's :class:`_Flat` form (``_flat``) from them in one pass,
+    which every backend reads.
     """
 
     width: int
@@ -517,7 +526,7 @@ def _dense_state(model: GateSetModel, circuit: Circuit) -> np.ndarray:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
     flat = circuit._flat
     ptms = [model.record(label, k, circuit.gate_defs).noisy.ptm for label, k in flat.keys]
-    key = iter(flat.key.tolist())
+    key = iter(flat.key)
     idle = [()] * circuit.depth if model.idle is None else [np.flatnonzero(row).tolist() for row in flat.idle]
     state = model._superket
     for layer, idle_qubits in zip(circuit.layers, idle):
@@ -597,7 +606,7 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     unitaries = [model.record(label, k, circuit.gate_defs).ideal for label, k in circuit._flat.keys]
-    for (_, qubits), g in zip(chain.from_iterable(circuit.layers), circuit._flat.key.tolist()):
+    for (_, qubits), g in zip(chain.from_iterable(circuit.layers), circuit._flat.key):
         psi = _apply_local(psi, unitaries[g], qubits)
     return psi.reshape(-1)
 
@@ -627,7 +636,7 @@ def _gate_tables(records, flat: _Flat):
     image tables, table i holding the new letter code of support qubit i,
     and the phase exponents.  Gates in one layer act on disjoint qubits, so
     the order of a layer's groups does not matter."""
-    layers = [[] for _ in range(len(flat.idle))]
+    layers, arrays = [[] for _ in flat.lengths], flat.arrays
     local = np.zeros(len(records), dtype=np.intp)  # a record's number among those of its arity
     for k in sorted({rec.arity for rec in records}):
         numbers = [g for g, rec in enumerate(records) if rec.arity == k]
@@ -635,10 +644,10 @@ def _gate_tables(records, flat: _Flat):
         tables = [records[g].conjugation for g in numbers]
         images = tuple(np.concatenate([i for i, _ in tables], axis=1))
         phases = np.concatenate([p for _, p in tables])
-        sel = np.flatnonzero(flat.arity == k)
-        offsets = (local[flat.key[sel]] * 4**k)[:, None]
-        rows = list(np.ascontiguousarray(flat.supports[sel, :k].T))
-        bounds = np.searchsorted(flat.layer[sel], np.arange(len(layers) + 1)).tolist()
+        sel = np.flatnonzero(arrays.arity == k)
+        offsets = (local[arrays.key[sel]] * 4**k)[:, None]
+        rows = list(np.ascontiguousarray(arrays.supports[sel, :k].T))
+        bounds = np.searchsorted(arrays.layer[sel], np.arange(len(layers) + 1)).tolist()
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:
                 layers[t].append((tuple([row[a:b] for row in rows]), offsets[a:b], images, phases))
@@ -794,7 +803,7 @@ class CliffordProgram:
 
     @cached_property
     def draws(self) -> _Draws:
-        flat, n, idle_faults = self._flat, self.n, self._model._idle_faults
+        flat, n, idle_faults = self._flat.arrays, self.n, self._model._idle_faults
         dists, dist_of = [], []
         for rec in self._records:
             dist_of.append(-1 if rec.faults is None else len(dists))
@@ -806,7 +815,7 @@ class CliffordProgram:
         numbers, qubits = numbers[noisy], flat.supports[noisy]
         levels = flat.supports.shape[1]
         if idle_faults is not None:
-            idle_layer, idle_qubits = np.nonzero(flat.idle)
+            idle_layer, idle_qubits = np.nonzero(self._flat.idle)
             idle_supports = np.full((len(idle_qubits), levels), n)
             idle_supports[:, 0] = idle_qubits
             # the gate rows come first, in circuit order, and the idle rows in

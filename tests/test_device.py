@@ -93,12 +93,13 @@ def test_then_equals_the_checked_joined_circuit(a, b):
     assert all(joined.gate_defs[k] is merged[k] for k in merged)
     assert joined.gate_defs["shared"] is b.gate_defs["shared"]
     assert hash(joined) == hash(built)
-    # the joined flat form, with b's keys renumbered and both parts padded
-    # with the joined width, is the one the checked construction builds
-    assert joined._flat.keys == built._flat.keys
-    for name in ("key", "arity", "supports", "layer", "idle"):
-        got, expected = getattr(joined._flat, name), getattr(built._flat, name)
+    # the joined flat form, b's keys renumbered after a's, is the one the
+    # checked construction builds, and so are its arrays, padded with the
+    # joined width, and its idle mask
+    assert joined._flat == built._flat
+    for name, got, expected in zip(built._flat.arrays._fields, joined._flat.arrays, built._flat.arrays):
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert np.array_equal(joined._flat.idle, built._flat.idle)
 
 
 def test_shot_record_counts_must_sum():
