@@ -44,8 +44,8 @@ forms instead of walking the operations again.  The arrays that the
 Clifford paths index (padded supports, layer numbers, the idle-qubit mask)
 are built from the flat form on first use, once per circuit, so a circuit
 that is only joined to another, or that the dense backend runs on a model
-without an idle channel, builds none.  A backend call resolves one :class:`GateRecord` per key and reads
-everything else off the flat form.
+without an idle channel, builds none.  A backend call resolves one
+:class:`GateRecord` per key and reads everything else off the flat form.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
