@@ -116,8 +116,8 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         ops = list(chain.from_iterable(layers))
         supports = list(map(itemgetter(1), ops))
         # each new (label, arity) pair is numbered by the dict's size at its
-        # first use; streamed, the pairs do not pile up for the garbage
-        # collector, which a list of them made run twice as often
+        # first use; the pairs are streamed, not listed, so a wide circuit
+        # leaves the garbage collector no extra objects to track
         number = {}
         key = list(map(number.setdefault, zip(map(itemgetter(0), ops), map(len, supports)), map(len, repeat(number))))
         qubits = list(chain.from_iterable(supports))
