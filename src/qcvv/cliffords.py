@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import kron_all, pauli_matrices, rng
-from .paulis import PauliString, all_paulis
+from .paulis import PauliString
 
 
 def _unpack(values, n: int) -> np.ndarray:
@@ -174,9 +174,12 @@ _CHUNK = 1024
 
 
 @lru_cache(maxsize=None)
-def _pauli_rows(n: int) -> np.ndarray:
-    """(x bits, z bits, phase) of each Hermitian n-qubit Pauli, in index order."""
-    return np.array([(p.xbits, p.zbits, p.phase) for p in all_paulis(n)], dtype=np.int64)
+def _index_bits(n: int):
+    """Per n-qubit basis-state index c (qubit 0 its leading bit): the same
+    bits as a qubit mask (qubit q in bit q), and the parity of c's bits."""
+    c = np.arange(2**n)
+    bits = (c[:, None] >> (n - 1 - np.arange(n))) & 1
+    return bits @ (1 << np.arange(n)), bits.sum(axis=1) & 1
 
 
 def _tableau_keys(us: np.ndarray) -> list:
@@ -184,25 +187,42 @@ def _tableau_keys(us: np.ndarray) -> list:
 
     Entry ``[k][g]`` holds the x bits, z bits and phase exponent of
     ``U_k G U_k^dag`` for the generators G = X_0..X_{n-1}, Z_0..Z_{n-1}.
-    Each image is matched to the Pauli of largest overlap ``Tr[P img] / d``.
+    Each image ``i**k X^x Z^z`` is read off its entries: with qubit 0 the
+    leading bit of a basis-state index, column c holds one nonzero entry,
+    ``i**k (-1)**(z.c)``, in row ``c ^ x``.  So column 0 gives x (the row of
+    its nonzero entry) and k, and the column of each one-qubit basis state
+    gives that qubit's z bit, by its sign against column 0.
     """
     d = us.shape[-1]
     n = d.bit_length() - 1
-    paulis = pauli_matrices(n)
-    gens = paulis[[4 ** (n - 1 - q) for q in range(n)] + [3 * 4 ** (n - 1 - q) for q in range(n)]]
+    mask, parity = _index_bits(n)
+    gens = pauli_matrices(n)[[4 ** (n - 1 - q) for q in range(n)] + [3 * 4 ** (n - 1 - q) for q in range(n)]]
+    cols = np.arange(d)
+    single = 1 << (n - 1 - np.arange(n))  # the basis index of qubit q alone
     out = np.empty((len(us), 2 * n, 3), dtype=np.int64)
     for lo in range(0, len(us), _CHUNK):
         u = us[lo : lo + _CHUNK, None]
         images = u @ gens @ u.conj().swapaxes(-1, -2)
-        overlaps = np.einsum("pij,kgji->kgp", paulis, images) / d
-        best = np.argmax(np.abs(overlaps), axis=-1)
-        coeff = np.take_along_axis(overlaps, best[..., None], axis=-1)[..., 0]
-        if not np.all(np.abs(np.abs(coeff) - 1) <= 1e-8):
+        x = np.argmax(np.abs(images[..., 0]), axis=-1)
+        entries = np.take_along_axis(images, (x[..., None] ^ cols)[..., None, :], axis=-2)[..., 0, :]
+        lead = entries[..., :1]
+        z = (entries[..., single] * lead.conj()).real < 0
+        zbig = z @ single
+        expected = lead * (1 - 2 * parity[zbig[..., None] & cols])
+        # a column's unit entry at row c ^ x leaves no room for another in a
+        # unitary image; the squared norm checks that the image is unitary
+        if not (
+            np.all(np.abs(entries - expected) <= 1e-8)
+            and np.all(np.abs(np.abs(lead) - 1) <= 1e-8)
+            and np.allclose((np.abs(images) ** 2).sum(axis=(-2, -1)), d, atol=1e-8)
+        ):
             raise ValueError("matrix does not conjugate Paulis to Paulis")
-        rows = _pauli_rows(n)[best]
-        rows[..., 2] = (rows[..., 2] + np.rint(np.angle(coeff) / (np.pi / 2)).astype(np.int64)) % 4
-        out[lo : lo + _CHUNK] = rows
-    return [tuple(map(tuple, rows)) for rows in out.tolist()]
+        out[lo : lo + _CHUNK, :, 0] = mask[x]
+        out[lo : lo + _CHUNK, :, 1] = z @ (1 << np.arange(n))
+        out[lo : lo + _CHUNK, :, 2] = np.rint(np.angle(lead[..., 0]) / (np.pi / 2)).astype(np.int64) % 4
+    # one tuple per image, grouped 2n at a time by zipping one iterator
+    rows = iter(map(tuple, out.reshape(-1, 3).tolist()))
+    return list(zip(*[rows] * (2 * n)))
 
 
 def _tableau(n: int, key) -> CliffordTableau:
@@ -486,6 +506,21 @@ def eigenstate_layer(p: PauliString, gen):
         if gate != "I":
             layer.append((gate, (q,)))
     return tuple(layer), total
+
+
+def _pulled_back_rows(history: np.ndarray, readout: bool) -> np.ndarray:
+    """The ``pulled_back`` rows (see :func:`qcvv.device.pauli_fastpath_signs`)
+    of a circuit that prepares an eigenstate of p by :func:`eigenstate_layer`,
+    runs a body and, with ``readout``, ends in the :func:`readout_layer` of
+    p's image.  ``history`` holds p's letter codes before each body layer
+    and after the last, as a (body depth + 1, n) array, p in row 0.
+
+    The measured Pauli pulled back to before the readout layer is the image,
+    up to sign, and to before body layer t it is row t of ``history``; the
+    preparation acts only on p's support, rotating Z onto each letter, so
+    before it the measured Pauli is ``readout_pauli(p)``."""
+    support = (history != 0).astype(np.uint8)  # per row, its readout_pauli's codes (Z = 1)
+    return np.concatenate([support[:1], history] + ([support[-1:]] if readout else []))
 
 
 def readout_layer(p: PauliString):

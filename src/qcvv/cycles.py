@@ -13,6 +13,11 @@ tables: once per gate layer for the systematic rows, and once per random
 circuit for the ``paulis_per_circuit`` rows that share it.  A row then
 propagates its prepared Pauli as one frame column with its phase, and reads
 each gate-set gate's local letters off the frame after the gate's layer.
+
+Cycle benchmarking and ACES hand the fast path the history of that
+propagation as the measured Pauli pulled back through the circuit
+(:func:`qcvv.cliffords._pulled_back_rows`), so the fast path draws each
+row's faults without building gate tables for the joined circuit.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ from .cliffords import (
     CliffordTableau,
     _bit_rows,
     _pack,
+    _pulled_back_rows,
     eigenstate_layer,
     inverse_layer,
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, CliffordProgram, parity_mean, propagate_pauli
+from .device import Circuit, CliffordProgram, parity_mean
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -206,7 +212,7 @@ def cycle_benchmark(
                         body.append(dressing)
                     body.append(cycle)
                 body = Circuit(n, tuple(body))
-                current = propagate_pauli(model, body, p)
+                (current,), history = CliffordProgram(model, body).propagate([p], history=True)
                 sgn = current.sign
                 if abs(sgn.imag) > 1e-12:
                     raise RuntimeError("propagated Pauli acquired a complex phase")
@@ -215,9 +221,10 @@ def cycle_benchmark(
                 circ = Circuit(n, (prep_layer,)).then(body)
                 if meas:
                     circ = circ.then(Circuit(n, (meas,)))
+                rows = _pulled_back_rows(history[:, :, 0], readout=bool(meas))
                 measured = readout_pauli(current)
                 sub = int(gen.integers(2**62))
-                samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign))
+                samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign, rows))
             arr = np.asarray(samples)
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)
@@ -390,7 +397,7 @@ def aces(
     rows, vals, variances = [], [], []
 
     def add_measurement(prefix: _ACESPrefix, prepared: PauliString):
-        row, current = prefix.row(prepared, len(all_params), spam)
+        row, current, history = prefix.row(prepared, len(all_params), spam)
         sgn = current.sign
         ideal_sign = 1 if sgn.real > 0 else -1
         prep_layer, prep_sign = eigenstate_layer(prepared, gen)
@@ -398,10 +405,11 @@ def aces(
         circ = Circuit(n, (prep_layer,)).then(prefix.circuit)
         if meas:
             circ = circ.then(Circuit(n, (meas,)))
+        pulled_back = _pulled_back_rows(history, readout=bool(meas))
         measured = readout_pauli(current)
         sub = int(gen.integers(2**62))
         sign = prep_sign * ideal_sign
-        est = sign * parity_mean(model, circ, measured, shots, sub, backend, sign)
+        est = sign * parity_mean(model, circ, measured, shots, sub, backend, sign, pulled_back)
         if est <= 0:
             warnings.warn("ACES decay estimate <= 0 floored at 1e-6 (data insufficient)")
             est = 1e-6
@@ -520,14 +528,16 @@ class _ACESPrefix:
 
     def row(self, prepared: PauliString, width: int, spam):
         """The design row of ``prepared`` through the prefix, ``width``
-        columns long, and its image with phase.
+        columns long; its image with phase; and its letter codes before
+        each layer and after the last, as a (depth + 1, n) array.
 
         Each gate-set gate counts the local Pauli it leaves behind, read off
         the frame after its layer; with ``spam``, the first SPAM column, each
         qubit also counts the prepared letter (PREP) and the final one
         (MEAS)."""
         (image,), codes = self.program.propagate([prepared], history=True)
-        local = (_DIGIT_OF_CODE[codes[self.layer[:, None], self.qubits, 0]] * self.place).sum(axis=1)
+        codes = codes[:, :, 0]
+        local = (_DIGIT_OF_CODE[codes[self.layer[:, None] + 1, self.qubits]] * self.place).sum(axis=1)
         hit = local > 0
         row = np.bincount(self.first[hit] + local[hit] - 1, minlength=width).astype(float)
         if spam is not None:
@@ -537,7 +547,7 @@ class _ACESPrefix:
                     letter = p.letter(q)
                     if letter != "I":
                         row[col + 3 * q + "XYZ".index(letter)] += 1
-        return row, image
+        return row, image, codes
 
 
 def _random_1q_layer(n, gen):

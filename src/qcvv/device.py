@@ -60,16 +60,26 @@ parts, each on first use: the per-layer gate tables, through which Paulis
 propagate with exact phase, and the fast path's draw rows.
 :func:`propagate_pauli` and the ideal outcome run Paulis through the gate
 tables, and ACES (:func:`qcvv.cycles.aces`) compiles each circuit prefix
-once and reads its design rows off the recorded frames.  The fast path pays
-per fault, not per layer: the frame stays the all-identity frame, which
-every gate maps to itself, until the first layer that draws a fault, so a
-circuit that draws none builds no gate table and conjugates nothing.
+once and reads its design rows off the recorded frames.
+
+The fast path pays per fault, not per layer.  A parity
+(:func:`pauli_fastpath_signs`) needs no frame at all: a fault flips it iff
+it anticommutes with the measured Pauli pulled back to where the fault
+acts, so a shot's parity is a count over its hits.  BiRB, cycle
+benchmarking and ACES propagate the prepared Pauli through their bodies
+anyway, to choose the readout; that propagation's history is the pull-back,
+so they pass it along and their joined circuits build draw rows only.  A
+sample of all n bits (:func:`pauli_fastpath_sample`) propagates a fault
+frame, which stays the all-identity frame, mapped to itself by every gate,
+until the first layer that draws a fault, so a circuit that draws none
+builds no gate table and conjugates nothing.
 
 Every backend call simulates one circuit, compiled once for that call; the
 benchmark's tracer counts circuits per ``circuit_probabilities``,
 ``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
 ensemble entry point (one compile for a whole ensemble of circuits) first
-needs its own benchmark change.
+needs its own benchmark change.  Sharing the pull-back leaves each call one
+circuit, so it needs none.
 """
 
 from __future__ import annotations
@@ -670,8 +680,8 @@ def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
             frame[row] = image[index]
 
 
-# Doubles drawn per block of layers in :func:`_propagate_faults`; it also
-# bounds the block's fault frame, in bytes.
+# Doubles drawn per block of layers in :func:`_hit_blocks`; it also bounds
+# the block's fault frame in :func:`_propagate_faults`, in bytes.
 _DRAW_BUDGET = 1 << 18
 
 _DIGITS = np.arange(1, 4).reshape(3, 1)
@@ -701,30 +711,39 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     return rows, cols, idx
 
 
-def _propagate_faults(program: "CliffordProgram", shots: int, gen) -> np.ndarray:
-    """Per-shot x bits (n, shots) of the propagated fault frame.
+def _hit_blocks(program: "CliffordProgram", shots: int, gen):
+    """The hits (see :func:`_search_hits`) of a circuit's draws, block by block.
 
     Layers run in blocks of ``_DRAW_BUDGET // (n * shots)`` layers (at least
     one); a layer has at most n draw rows, so a block draws at most that
     many doubles.  Each block draws all its rows in one ``gen.random((rows,
-    shots))`` call, the same stream as one call per layer, and writes the
-    letters of its hits (see :func:`_search_hits`) into a (layers, n + 1,
-    shots) fault frame, whose spare row n takes the padded support columns.
-    Each layer then XORs its faults into the frame before its gates
-    (pre-gate noise) or after them.  Gates map the all-identity frame to
-    itself, so the layers before the first hit are skipped, and a circuit
-    without a hit never builds its gate tables.
+    shots))`` call, the same stream as one call per layer, and yields its
+    first and last-plus-one layers and its hits' rows (numbered across the
+    circuit), columns and fault indices.
     """
     n, depth, d = program.n, program.depth, program.draws
-    frame = np.zeros((n, shots), dtype=np.uint8)
     span = max(1, _DRAW_BUDGET // (n * shots))
-    hit = False
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
         r0, r1 = d.starts[t0], d.starts[t1]
-        draws = gen.random((r1 - r0, shots))
-        rows, cols, idx = _search_hits(draws, d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
-        rows += r0
+        rows, cols, idx = _search_hits(gen.random((r1 - r0, shots)), d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
+        yield t0, t1, rows + r0, cols, idx
+
+
+def _propagate_faults(program: "CliffordProgram", shots: int, gen) -> np.ndarray:
+    """Per-shot x bits (n, shots) of the propagated fault frame.
+
+    Each block of :func:`_hit_blocks` writes the letters of its hits into a
+    (layers, n + 1, shots) fault frame, whose spare row n takes the padded
+    support columns.  Each layer then XORs its faults into the frame before
+    its gates (pre-gate noise) or after them.  Gates map the all-identity
+    frame to itself, so the layers before the first hit are skipped, and a
+    circuit without a hit never builds its gate tables.
+    """
+    n, d = program.n, program.draws
+    frame = np.zeros((n, shots), dtype=np.uint8)
+    hit = False
+    for t0, t1, rows, cols, idx in _hit_blocks(program, shots, gen):
         if not hit:
             if not len(rows):
                 continue
@@ -739,6 +758,42 @@ def _propagate_faults(program: "CliffordProgram", shots: int, gen) -> np.ndarray
             if not program._model.pre_gate_noise:
                 frame ^= faults[t - t0, :n]
     return frame >> 1
+
+
+def _fault_parities(program: "CliffordProgram", measured: PauliString, pulled_back, shots: int, gen) -> np.ndarray:
+    """Per-shot parity bits (0 or 1) that the faults of :func:`_hit_blocks`
+    flip in the Z-type ``measured``, whose ``pulled_back`` rows (see
+    :func:`pauli_fastpath_signs`) are derived at the first hit when None,
+    from that hit's layer on, so a circuit without a hit builds no gate
+    tables and the layers before the first hit are not walked.
+
+    A fault flips the parity iff it anticommutes, on its support, with the
+    row of the point where it acts: row t for pre-gate noise at layer t,
+    row t + 1 for post-gate noise.  Idle faults sit on qubits that no gate
+    of their layer touches, where the two rows agree.  A shot's parity is
+    its count of flipping hits, mod 2; no frame is propagated.
+    """
+    d = program.draws
+    shift = 0 if program._model.pre_gate_noise else 1
+    padded = None
+    flips = np.zeros(shots, dtype=np.intp)
+    for _, _, rows, cols, idx in _hit_blocks(program, shots, gen):
+        if not len(rows):
+            continue
+        if padded is None:
+            padded = np.zeros((program.depth + 1, program.n + 1), dtype=np.uint8)  # spare column n: the padding
+            if pulled_back is None:
+                # hits come in row order: no later hit reads a row before this layer
+                t0 = int(d.layer[rows[0]])
+                padded[t0:, : program.n] = program._pulled_back(measured, t0)
+            else:
+                padded[:, : program.n] = pulled_back
+        fault = d.letters[d.dists[rows], idx]
+        row = padded[(d.layer[rows] + shift)[:, None], d.qubits[rows]]
+        # letter codes x << 1 | z anticommute iff x_f z_r + z_f x_r is odd
+        anti = (((fault >> 1) & row) ^ (fault & (row >> 1))).sum(axis=1) & 1
+        flips += np.bincount(cols[anti == 1], minlength=shots)
+    return flips & 1
 
 
 def _frame_of(paulis, n: int) -> np.ndarray:
@@ -786,9 +841,9 @@ class CliffordProgram:
     Compile a circuit once and propagate as many Paulis through it as
     needed: ACES compiles each prefix once for all of its rows.  This is the
     one Pauli propagator; :func:`propagate_pauli` goes through it, and
-    :func:`ideal_outcome_bits` and the fast path's ideal outcome run the
-    2n generators through the same tables into the circuit's
-    :class:`~qcvv.cliffords.CliffordTableau`.
+    :func:`ideal_outcome_bits`, the fast path's ideal outcome and its
+    derived pull-back of a measured Pauli run the 2n generators through the
+    same tables into the circuit's :class:`~qcvv.cliffords.CliffordTableau`.
     """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
@@ -835,34 +890,73 @@ class CliffordProgram:
         starts = np.searchsorted(layer, np.arange(self.depth + 1))
         return _Draws(cdfs[numbers, 0], numbers, layer, qubits, starts, levels, cdfs, letters)
 
-    def propagate(self, paulis, history: bool = False):
-        """Images, with phases, of ``paulis``.  With ``history``, also each
-        image's letter codes after every layer, as a (depth, n, len(paulis))
-        uint8 array of codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3)."""
-        frame = _frame_of(paulis, self.n)
-        phase = np.array([p.phase for p in paulis], dtype=np.int64)
-        codes = np.empty((self.depth, self.n, len(paulis)), dtype=np.uint8) if history else None
-        for t, groups in enumerate(self.gates):
+    def _walk(self, frame: np.ndarray, phase: np.ndarray, history: bool, start: int = 0):
+        """Conjugate an (n, columns) code frame in place by every layer from
+        layer ``start`` on, adding the image phase exponents to ``phase``.
+        With ``history``, return the frame before each of those layers and
+        after the last, as a (depth + 1 - start, n, columns) uint8 array;
+        else None."""
+        codes = np.empty((self.depth + 1 - start,) + frame.shape, dtype=np.uint8) if history else None
+        if history:
+            codes[0] = frame
+        for t, groups in enumerate(self.gates[start:]):
             _apply_gate_layer(frame, groups, phase)
             if history:
-                codes[t] = frame
+                codes[t + 1] = frame
+        return codes
+
+    def propagate(self, paulis, history: bool = False):
+        """Images, with phases, of ``paulis``.  With ``history``, also each
+        Pauli's letter codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3) before
+        every layer and after the last, as a (depth + 1, n, len(paulis))
+        uint8 array: row 0 holds ``paulis``, row depth their images."""
+        frame = _frame_of(paulis, self.n)
+        phase = np.array([p.phase for p in paulis], dtype=np.int64)
+        codes = self._walk(frame, phase, history)
         images = _paulis_of(frame, phase)
         return (images, codes) if history else images
 
-    def _ideal_bits(self):
-        """:func:`ideal_outcome_bits` of the circuit: the 2n generators
-        X_0..X_{n-1}, Z_0..Z_{n-1} propagate as one frame into the circuit's
-        :class:`CliffordTableau`."""
+    def _generators(self, history: bool = False, start: int = 0):
+        """The images U G U^dag of the 2n generators G = X_0..X_{n-1},
+        Z_0..Z_{n-1} under the layers from ``start`` on, which propagate as
+        one frame through the gate tables: their (n, 2n) codes, generator g
+        in column g, and phase exponents; and, with ``history``, the frame's
+        codes of :meth:`_walk`."""
         n = self.n
         eye = np.eye(n, dtype=np.uint8)
         frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
         phase = np.zeros(2 * n, dtype=np.int64)
-        for groups in self.gates:
-            _apply_gate_layer(frame, groups, phase)
+        codes = self._walk(frame, phase, history, start)
+        return frame, phase, codes
+
+    def _ideal_bits(self):
+        """:func:`ideal_outcome_bits` of the circuit, from the inverse of its
+        :class:`CliffordTableau`."""
+        frame, phase, _ = self._generators()
         inverse = CliffordTableau(np.vstack([frame >> 1, frame & 1]).T, phase).inverse()
-        if inverse.bits[n:, :n].any():
+        if inverse.bits[self.n :, : self.n].any():
             return None
-        return (inverse.phases[n:] // 2).astype(np.uint8)
+        return (inverse.phases[self.n :] // 2).astype(np.uint8)
+
+    def _pulled_back(self, measured: PauliString, start: int = 0) -> np.ndarray:
+        """Rows ``start`` to depth of the ``pulled_back`` rows of a Z-type
+        ``measured`` (see :func:`pauli_fastpath_signs`), from one walk of the
+        generators through the layers from ``start`` on.
+
+        Row t is ``measured`` pulled back through layers t..depth-1, which
+        is W_t Q W_t^dag for the input Pauli Q = U^dag measured U, U the
+        layers from ``start`` on and W_t those before layer t.  Up to phase,
+        Q is the product of the generators its bits select, so row t is the
+        XOR of those generators' codes before layer t.  Conjugation keeps
+        the symplectic form, so Q's x bit on qubit q is its form with Z_q,
+        which is the form of ``measured`` with U Z_q U^dag: the parity of
+        that image's x bits on the measured qubits; its z bit on q is the
+        same with X_q."""
+        frame, _, codes = self._generators(history=True, start=start)
+        read = [q for q in range(self.n) if (measured.zbits >> q) & 1]
+        form = ((frame[read] >> 1).sum(axis=0) & 1).astype(bool)  # per generator image
+        select = np.roll(form, self.n)  # X_q is selected by Z_q's image, Z_q by X_q's
+        return np.bitwise_xor.reduce(codes[:, :, select], axis=2)
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
@@ -936,7 +1030,13 @@ def pauli_fastpath_sample(
 
 
 def pauli_fastpath_signs(
-    model: GateSetModel, circuit: Circuit, measured: PauliString, shots: int, seed, ideal_sign: int
+    model: GateSetModel,
+    circuit: Circuit,
+    measured: PauliString,
+    shots: int,
+    seed,
+    ideal_sign: int,
+    pulled_back: np.ndarray = None,
 ) -> np.ndarray:
     """Per-shot +/-1 parity samples of a Z-type Pauli after a Clifford circuit.
 
@@ -947,6 +1047,22 @@ def pauli_fastpath_signs(
     on a measured qubit must be symmetric (``c[0, 1] == c[1, 0]``): a parity
     sample does not carry the qubit's true bit, so an asymmetric flip cannot
     be applied here, and a ValueError points to :func:`sample_counts`.
+
+    Each shot's parity comes from its hits alone: a fault flips it iff the
+    fault anticommutes, on its support, with ``measured`` pulled back to
+    where the fault acts.  ``pulled_back`` gives those Paulis as a (depth +
+    1, n) uint8 array of letter codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3),
+    signs dropped: row t is ``measured`` pulled back through layers t to
+    depth - 1, to just before layer t, and row depth is ``measured`` itself.
+    Pre-gate noise at layer t reads row t and post-gate noise row t + 1.  A
+    caller that has propagated the prepared Pauli through the circuit holds
+    these rows already (see :func:`qcvv.cliffords._pulled_back_rows`); then
+    the circuit is compiled into its draw rows only.  Without them, they
+    come from one walk of the 2n generators through the circuit's gate
+    tables, at the first hit: a circuit without one builds none.  The
+    generator is consumed as :func:`pauli_fastpath_sample`
+    consumes it: the fault draws, block by block, then one readout-flip draw
+    per confused measured qubit, in qubit order.
     """
     if measured.xbits != 0:
         raise ValueError("measured Pauli must be Z-type")
@@ -957,11 +1073,12 @@ def pauli_fastpath_signs(
             raise ValueError(
                 f"asymmetric readout confusion on qubit {q} needs each shot's outcome; use sample_counts"
             )
+    if pulled_back is not None and np.shape(pulled_back) != (circuit.depth + 1, model.n):
+        raise ValueError(f"pulled_back must have shape {(circuit.depth + 1, model.n)}, not {np.shape(pulled_back)}")
     gen = rng(seed)
-    fx = _propagate_faults(CliffordProgram(model, circuit), shots, gen)
     signs = np.full(shots, ideal_sign, dtype=np.int8)
+    signs[_fault_parities(CliffordProgram(model, circuit), measured, pulled_back, shots, gen) == 1] *= -1
     for q in read:
-        signs *= 1 - 2 * fx[q].astype(np.int8)
         if q in model.confusion:
             pflip = model.confusion[q][0, 1]
             signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)
@@ -996,15 +1113,26 @@ def parity_from_counts(record: ShotRecord, pauli: PauliString) -> float:
 
 
 def parity_mean(
-    model: GateSetModel, circuit: Circuit, measured: PauliString, shots: int, seed, backend: str, ideal_sign
+    model: GateSetModel,
+    circuit: Circuit,
+    measured: PauliString,
+    shots: int,
+    seed,
+    backend: str,
+    ideal_sign,
+    pulled_back: np.ndarray = None,
 ) -> float:
     """Mean measured +/-1 parity of the Z-type Pauli ``measured`` after a circuit.
 
     ``ideal_sign`` is the parity's value on the noiseless output.  The dense
-    backend reads parities off :func:`sample_counts` and does not use it.
-    The fast backend (:func:`pauli_fastpath_signs`) starts every shot from
-    it, so it must be +1 or -1, as it is when the noiseless output is an
-    eigenstate of ``measured``; any other value raises a ValueError.
+    backend reads parities off :func:`sample_counts` and uses neither it nor
+    ``pulled_back``.  The fast backend (:func:`pauli_fastpath_signs`) starts
+    every shot from it, so it must be +1 or -1, as it is when the noiseless
+    output is an eigenstate of ``measured``; any other value raises a
+    ValueError.  ``pulled_back``, when given, holds ``measured`` pulled back
+    to before each layer and after the last, as (depth + 1, n) letter codes
+    ``x << 1 | z``: row t is ``measured`` pulled back to just before layer t
+    and row depth is ``measured`` (see :func:`pauli_fastpath_signs`).
     """
     _check_backend(backend)
     if backend == "dense":
@@ -1012,7 +1140,7 @@ def parity_mean(
     if abs(abs(ideal_sign) - 1) > 1e-9:
         raise ValueError(f"ideal parity {ideal_sign} is not +1 or -1; the fast path needs an eigenstate")
     sign = 1 if ideal_sign > 0 else -1
-    return pauli_fastpath_signs(model, circuit, measured, shots, seed, ideal_sign=sign).mean()
+    return pauli_fastpath_signs(model, circuit, measured, shots, seed, sign, pulled_back).mean()
 
 
 # -- gauge transformations -------------------------------------------------------

@@ -66,6 +66,14 @@ def meas_setting_circuits(n: int):
     return [(s, (readout_layer(PauliString.from_label(s)),)) for s in settings]
 
 
+@lru_cache(maxsize=None)
+def _setting_circuits(n: int):
+    """The settings of :func:`meas_setting_circuits` with their rotations as
+    circuits, built once per width and shared by every caller; a joined
+    circuit is new, so none of them changes."""
+    return tuple([(setting, Circuit(n, rot)) for setting, rot in meas_setting_circuits(n)])
+
+
 def pauli_eigenstate_effects(n: int):
     """The 6**n-effect POVM fragment from the 3**n settings: for each setting
     and outcome, the effect matrix; returned as a flat list of (setting,
@@ -216,8 +224,8 @@ def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
     n = model.n
     out = {}
     seeds = child_seeds(seed, 3**n)
-    for (setting, rot), s in zip(meas_setting_circuits(n), seeds):
-        circ = state_circuit.then(Circuit(n, rot))
+    for (setting, rot), s in zip(_setting_circuits(n), seeds):
+        circ = state_circuit.then(rot)
         rec = sample_counts(model, circ, shots, s)
         out[setting] = rec.counts
     return out

@@ -21,8 +21,8 @@ from qcvv.cliffords import (
     tableau_run,
 )
 from qcvv.device import Circuit
-from qcvv.linalg import kron_all, rng
-from qcvv.paulis import PauliString
+from qcvv.linalg import kron_all, pauli_matrices, rng
+from qcvv.paulis import PauliString, all_paulis
 
 ONEQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2))
 TWOQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (4, 4))
@@ -396,3 +396,37 @@ def test_crb_sequences_compose_to_their_pauli(qubits, depths, interleaved, seed)
             assert (tab.x_images[q].xbits, tab.x_images[q].zbits) == (1 << q, 0)
             assert tab.x_images[q].phase in (0, 2)
             assert tab.z_images[q] == PauliString(n, 0, 1 << q, 2 if bits[q] == "1" else 0)
+
+
+def _einsum_tableau_keys(us):
+    """The reference for ``cl._tableau_keys``: each generator image matched
+    to the Pauli of largest overlap ``Tr[P img] / d`` among all 4**n."""
+    d = us.shape[-1]
+    n = d.bit_length() - 1
+    paulis = pauli_matrices(n)
+    gens = paulis[[4 ** (n - 1 - q) for q in range(n)] + [3 * 4 ** (n - 1 - q) for q in range(n)]]
+    images = us[:, None] @ gens @ us[:, None].conj().swapaxes(-1, -2)
+    overlaps = np.einsum("pij,kgji->kgp", paulis, images) / d
+    best = np.argmax(np.abs(overlaps), axis=-1)
+    coeff = np.take_along_axis(overlaps, best[..., None], axis=-1)[..., 0]
+    assert np.all(np.abs(np.abs(coeff) - 1) <= 1e-8)
+    rows = np.array([(p.xbits, p.zbits, p.phase) for p in all_paulis(n)], dtype=np.int64)[best]
+    rows[..., 2] = (rows[..., 2] + np.rint(np.angle(coeff) / (np.pi / 2)).astype(np.int64)) % 4
+    return [tuple(map(tuple, r)) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tableau_keys_read_off_entries_match_the_overlap_search(n):
+    """Every element of the 1q (24) and 2q (11,520) groups, under a global
+    phase too, gets the key of the all-Pauli overlap search."""
+    us = cl.group_unitaries(n)
+    assert len(us) == (24 if n == 1 else 11520)
+    assert cl._tableau_keys(us) == _einsum_tableau_keys(us)
+    assert cl._tableau_keys(us[:50] * np.exp(0.7j)) == _einsum_tableau_keys(us[:50])
+
+
+def test_tableau_keys_reject_non_cliffords():
+    t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
+    for u in (t_gate, np.kron(t_gate, np.eye(2)), 2 * np.eye(2), np.array([[0, 1], [0, 0]])):
+        with pytest.raises(ValueError, match="does not conjugate Paulis"):
+            cl._tableau_keys(np.asarray(u, dtype=complex)[None])

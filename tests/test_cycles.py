@@ -396,7 +396,7 @@ def test_compiled_aces_rows_match_tableau_conjugation(width, depth, ideal_spam, 
     for _ in range(4):
         p = PauliString.from_index(int(gen.integers(1, 4**width)), width)
         p = PauliString(width, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
-        row, image = prefix.row(p, len(params), spam)
+        row, image, _ = prefix.row(p, len(params), spam)
         expected_row, expected_image = _tableau_aces_row(model, layers, p, gate_set, params)
         assert row.dtype == expected_row.dtype and np.array_equal(row, expected_row)
         assert image == expected_image  # letters and phase exponent

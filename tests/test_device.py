@@ -698,10 +698,14 @@ def test_fault_free_samples_build_no_gate_tables(monkeypatch):
     def rule(rate):
         return lambda lbl, ar: ch.depolarizing(rate, n=ar)
 
-    # noiseless, then noisy with no fault drawn in 5 shots
+    # noiseless, then noisy with no fault drawn in 5 shots; a parity
+    # without pulled_back rows derives them only at a hit
+    z0 = PauliString(3, 0, 1, 0)
     for model in (dv.ideal_model(3), dv.noisy_model(3, rule(1e-12))):
         rec = dv.pauli_fastpath_sample(model, circ, 5, 3, ideal_bits=bits)
         assert rec.counts == {"".join(map(str, bits)): 5}
+        sign = -1 if bits[0] else 1
+        assert dv.pauli_fastpath_signs(model, circ, z0, 5, 3, sign).tolist() == [sign] * 5
     assert not built
     dv.pauli_fastpath_sample(dv.noisy_model(3, rule(0.5)), circ, 5, 3, ideal_bits=bits)
     assert built == [1]
@@ -709,19 +713,27 @@ def test_fault_free_samples_build_no_gate_tables(monkeypatch):
 
 def _family_circuit(family, model, depth, gen):
     """A noisy-model circuit drawn the way one protocol draws it, with the
-    Z-type Pauli it measures and that Pauli's ideal sign; the Pauli and the
-    sign are None for the definite-outcome families (mirror and trap)."""
+    Z-type Pauli it measures, that Pauli's ideal sign and the ``pulled_back``
+    rows the protocol passes (:func:`cl._pulled_back_rows`).  The Pauli, the
+    sign and the rows are None for the definite-outcome families (mirror and
+    trap); a DFE circuit's rows are None, as DFE passes none."""
     n = model.n
     sampler = rb.LayerSampler(n, twoq_gate="CZ" if family == "trap" else "CNOT", twoq_density=0.8)
     if family == "mirror":
-        return rb.mirror_circuit(sampler, depth, gen), None, None
+        return rb.mirror_circuit(sampler, depth, gen), None, None, None
     if family == "trap":
-        return fd._trap_circuit(n, [sampler.sample(gen)[1] for _ in range(depth // 2 + 1)], gen), None, None
+        return fd._trap_circuit(n, [sampler.sample(gen)[1] for _ in range(depth // 2 + 1)], gen), None, None, None
+    if family == "dfe":  # a stabilizer state's preparation, then the readout of one of its stabilizers
+        body = Circuit(n, tuple(layer for _ in range(depth) for layer in sampler.sample(gen)))
+        current = dv.propagate_pauli(model, body, PauliString(n, 0, int(gen.integers(1, 2**n)), 0))
+        circ = body.then(Circuit(n, (cl.readout_layer(current),)))
+        return circ, cl.readout_pauli(current), 1 if current.sign.real > 0 else -1, None
     p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
     prep, sign = cl.eigenstate_layer(p, gen)
     if family == "birb":
         body = Circuit(n, tuple(layer for _ in range(depth) for layer in sampler.sample(gen)))
-        current = dv.propagate_pauli(model, body, p)
+        (current,), history = dv.CliffordProgram(model, body).propagate([p], history=True)
+        history = history[:, :, 0]
     elif family == "cb":  # a fixed cycle, each repetition dressed with random Paulis
         oneq, twoq = sampler.sample(gen)
         layers = []
@@ -729,17 +741,18 @@ def _family_circuit(family, model, depth, gen):
             letters = [("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n)]
             layers += [tuple((lab, (q,)) for q, lab in enumerate(letters) if lab != "I"), twoq or oneq]
         body = Circuit(n, tuple(layers))
-        current = dv.propagate_pauli(model, body, p)
+        (current,), history = dv.CliffordProgram(model, body).propagate([p], history=True)
+        history = history[:, :, 0]
     else:  # an ACES row: prep, a compiled prefix, readout
         layers = [layer for _ in range(depth) for layer in sampler.sample(gen)]
         gate_set = {op for layer in layers for op in layer if len(op[1]) == 2}
         params, first, _ = cy._aces_parameters(gate_set, n, True)
         prefix = cy._ACESPrefix(model, layers, first)
         body = prefix.circuit
-        current = prefix.row(p, len(params), None)[1]
+        _, current, history = prefix.row(p, len(params), None)
     sign *= 1 if current.sign.real > 0 else -1
     circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (cl.readout_layer(current),)))
-    return circ, cl.readout_pauli(current), sign
+    return circ, cl.readout_pauli(current), sign, cl._pulled_back_rows(history, readout=True)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -758,7 +771,7 @@ def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(family, width, d
 
     model = dv.noisy_model(width, nr, idle=ch.stochastic_pauli((0.01, 0.0, 0.02)), pre_gate_noise=pre)
     gen = rng(seed)
-    circ, measured, sign = _family_circuit(family, model, depth, gen)
+    circ, measured, sign, pulled_back = _family_circuit(family, model, depth, gen)
     shots = 4000
     bits = dv.ideal_outcome_bits(model, circ)
     if bits is not None:
@@ -778,8 +791,160 @@ def test_dense_and_fast_backends_agree_on_noisy_mirror_circuits(family, width, d
         sign = -1 if sum(int(bits[q]) for q in range(width) if (mask >> q) & 1) % 2 else 1
         measured = PauliString(width, 0, mask, 0)
     d = dv.parity_mean(model, circ, measured, shots, seed + 3, "dense", sign)
-    f = dv.parity_mean(model, circ, measured, shots, seed + 4, "fast", sign)
+    f = dv.parity_mean(model, circ, measured, shots, seed + 4, "fast", sign, pulled_back)
     assert abs(d - f) <= 5 * np.sqrt((2 - d * d - f * f) / shots) + 1e-12
+
+
+def _parity_rule(lbl, ar):
+    if ar == 1:
+        return ch.stochastic_pauli((0.04, 0.02, 0.05))
+    return ch.stochastic_pauli({"XI": 0.05, "ZZ": 0.04, "YX": 0.03, "IY": 0.02})
+
+
+def _symmetric_confusion(width, mask, flip=0.1):
+    return {q: [[1 - flip, flip], [flip, 1 - flip]] for q in range(width) if (mask >> q) & 1}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["birb", "cb", "aces", "dfe"]),
+    supplied=st.booleans(),
+    width=st.integers(1, 6),
+    depth=st.sampled_from([0, 1, 3, 6]),
+    shots=st.sampled_from([1, 100]),
+    idle=st.booleans(),
+    pre=st.booleans(),
+    budget=st.sampled_from([None, 1, 150]),
+    confused=st.integers(0, 63),
+    seed=st.integers(0, 2**31),
+)
+def test_fastpath_parities_match_the_propagated_fault_frame(
+    family, supplied, width, depth, shots, idle, pre, budget, confused, seed
+):
+    """``pauli_fastpath_signs``, which counts the hits that anticommute with
+    the pulled-back Pauli, gives bit for bit the parity of the propagated
+    fault frame's x bits on the read qubits, with each symmetric readout
+    flip after it, and consumes the same draws."""
+    model = dv.noisy_model(
+        width,
+        _parity_rule,
+        confusion=_symmetric_confusion(width, confused),
+        idle=ch.stochastic_pauli((0.03, 0.01, 0.02)) if idle else None,
+        pre_gate_noise=pre,
+    )
+    circ, measured, sign, pulled_back = _family_circuit(family, model, depth, rng(seed))
+    if supplied and pulled_back is None:
+        pulled_back = dv.CliffordProgram(model, circ)._pulled_back(measured)
+    if not supplied:
+        pulled_back = None
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(dv, "_DRAW_BUDGET", budget)
+        fast_gen, ref_gen = rng(seed + 1), rng(seed + 1)
+        signs = dv.pauli_fastpath_signs(model, circ, measured, shots, fast_gen, sign, pulled_back)
+        fx = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, ref_gen)
+    parity = np.zeros(shots, dtype=np.uint8)
+    for q in range(width):
+        if (measured.zbits >> q) & 1:
+            parity ^= fx[q]
+            if q in model.confusion:
+                parity ^= (ref_gen.random(shots) < model.confusion[q][0, 1]).astype(np.uint8)
+    expected = (sign * (1 - 2 * parity.astype(np.int8))).astype(np.int8)
+    assert signs.dtype == np.int8 and signs.tobytes() == expected.tobytes()
+    assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
+
+
+def test_protocol_rows_equal_the_derived_pull_back():
+    """The rows BiRB, CB and ACES pass are the rows the fast path derives
+    from the circuit's generators."""
+    for family in ("birb", "cb", "aces"):
+        for width in range(1, 5):
+            for depth in (0, 1, 3):
+                model = dv.noisy_model(width, _parity_rule)
+                circ, measured, _, rows = _family_circuit(family, model, depth, rng(31 * width + depth))
+                derived = dv.CliffordProgram(model, circ)._pulled_back(measured)
+                assert rows.dtype == derived.dtype == np.uint8
+                assert np.array_equal(rows, derived)
+
+
+def _exact_parity(model, circ, measured, ideal_sign, pulled_back):
+    """The infinite-shot mean of ``pauli_fastpath_signs``: the ideal sign
+    times, per draw (each noisy gate and each idle qubit of every layer),
+    1 - 2 q, q the probability that its fault anticommutes on its support
+    with the pulled-back row where it acts, and per confused measured qubit
+    1 - 2 times its flip probability."""
+    n, shift = model.n, 0 if model.pre_gate_noise else 1
+    value = float(ideal_sign)
+    for t, layer in enumerate(circ.layers):
+        draws = [(model.record(label, len(qs), circ.gate_defs).faults, qs) for label, qs in layer]
+        busy = {q for _, qs in layer for q in qs}
+        draws += [(model._idle_faults, (q,)) for q in range(n) if q not in busy]
+        row = pulled_back[t + shift]
+        for faults, qs in draws:
+            if faults is None:
+                continue
+            cdf, letters = faults
+            r = row[list(qs)]
+            anti = (((letters >> 1) & r) ^ (letters & (r >> 1))).sum(axis=1) % 2
+            value *= 1 - 2 * (np.diff(cdf, prepend=0.0) @ anti)
+    for q in range(n):
+        if (measured.zbits >> q) & 1 and q in model.confusion:
+            value *= 1 - 2 * model.confusion[q][0, 1]
+    return value
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["birb", "cb", "aces", "dfe"]),
+    width=st.integers(1, 5),
+    depth=st.sampled_from([0, 2, 4]),
+    idle=st.booleans(),
+    pre=st.booleans(),
+    confused=st.integers(0, 31),
+    seed=st.integers(0, 2**31),
+)
+def test_exact_parity_matches_the_dense_backend(family, width, depth, idle, pre, confused, seed):
+    """The product over draw rows of the pulled-back anticommutation
+    probabilities is the dense backend's exact parity, to 1e-9, for the rows
+    a protocol passes and for the derived ones."""
+    model = dv.noisy_model(
+        width,
+        _parity_rule,
+        confusion=_symmetric_confusion(width, confused, 0.05),
+        idle=ch.stochastic_pauli((0.03, 0.01, 0.02)) if idle else None,
+        pre_gate_noise=pre,
+    )
+    circ, measured, sign, pulled_back = _family_circuit(family, model, depth, rng(seed))
+    dist = dv.circuit_probabilities(model, circ)
+    read = [q for q in range(width) if (measured.zbits >> q) & 1]
+    dense = sum(p * (-1) ** sum(int(bits[q]) for q in read) for bits, p in zip(dist.outcomes, dist.probs))
+    derived = dv.CliffordProgram(model, circ)._pulled_back(measured)
+    for rows in (pulled_back, derived):
+        if rows is not None:
+            assert abs(_exact_parity(model, circ, measured, sign, rows) - dense) <= 1e-9
+
+
+def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
+    """BiRB builds one set of gate tables per circuit, its body's; a CB
+    circuit's body and an ACES prefix build one each, and their joined
+    circuits, run through the fast path with the rows the protocol passes,
+    build none."""
+    built = []
+    tables = dv._gate_tables
+    monkeypatch.setattr(dv, "_gate_tables", lambda *args: built.append(1) or tables(*args))
+    sampler = rb.LayerSampler(3, twoq_density=0.7)
+    model = dv.noisy_model(3, _parity_rule)
+    design = rb.RBDesign((0, 1, 2), (0, 2, 4), 3, 20, seed=5)
+    rb.birb(model, design, sampler)
+    assert len(built) == 9  # 3 depths x 3 circuits
+    built.clear()
+    two = dv.noisy_model(2, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
+    cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
+    assert len(built) == 2 * 2 * 3  # Paulis x depths x circuits
+    built.clear()
+    layers = [(("CNOT", (0, 1)),), (("H", (0,)), ("S", (1,)))]
+    cy.aces(two, layers, n_circuits=3, depth=2, paulis_per_circuit=4, shots=20, seed=7)
+    assert len(built) == len(layers) + 3  # one prefix per gate layer and per random circuit
 
 
 # -- full-register dense step, shared ideal channels, composed gauges ------------
