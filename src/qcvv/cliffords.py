@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import getitem
 
 import numpy as np
 
@@ -536,9 +537,16 @@ def readout_pauli(p: PauliString) -> PauliString:
 
 def oneq_layer(elements):
     """Full-width 1q layer with element ``elements[q]``, as its ``c1_<i>``
-    label, on qubit q."""
+    label, on qubit q; every layer of a width shares its operations."""
+    return tuple(map(getitem, _oneq_ops(len(elements)), elements))
+
+
+@lru_cache(maxsize=None)
+def _oneq_ops(n: int) -> tuple:
+    """Per qubit q < n, the operations ``(c1_<i>, (q,))`` of the 24
+    elements, in element order."""
     labels = clifford_1q_tables().labels
-    return tuple([(labels[e], (q,)) for q, e in enumerate(elements)])
+    return tuple(tuple((label, (q,)) for label in labels) for q in range(n))
 
 
 def _elements(layer, n: int) -> list:

@@ -39,7 +39,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, CliffordProgram, parity_mean
+from .device import Circuit, CliffordProgram, _propagate_side_by_side, _stack_size, parity_mean
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -182,6 +182,11 @@ def cycle_benchmark(
     multiples of the cycle's order j.  Each tracked Pauli decay fits
     ``A f_P**m``; for a cycle of order j the fitted ``f_P`` estimates the
     geometric mean of the error eigenvalues around P's orbit.
+
+    The bodies of one Pauli and depth propagate side by side, in stacks of
+    :func:`qcvv.device._stack_size` circuits; each circuit draws its
+    eigenstate signs, dressings and shot seed in the order of one circuit at
+    a time.
     """
     n = model.n
     cycle = tuple(cycle)
@@ -197,34 +202,37 @@ def cycle_benchmark(
         means, errs = [], []
         for m in depths:
             samples = []
-            for _ in range(circuits_per_depth):
-                body = []
-                prep_layer, sign = eigenstate_layer(p, gen)
-                for _rep in range(m):
-                    dressing = tuple(
-                        (lab, (q,))
-                        for q, lab in enumerate(
-                            ("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n)
+            size = _stack_size(n, 2 * m)  # a dressing and the cycle per repetition
+            for start in range(0, circuits_per_depth, size):
+                drawn = []
+                for _ in range(min(size, circuits_per_depth - start)):
+                    body = []
+                    prep_layer, sign = eigenstate_layer(p, gen)
+                    for _rep in range(m):
+                        dressing = tuple(
+                            (lab, (q,))
+                            for q, lab in enumerate(
+                                ("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n)
+                            )
+                            if lab != "I"
                         )
-                        if lab != "I"
-                    )
-                    if dressing:
-                        body.append(dressing)
-                    body.append(cycle)
-                body = Circuit(n, tuple(body))
-                (current,), history = CliffordProgram(model, body).propagate([p], history=True)
-                sgn = current.sign
-                if abs(sgn.imag) > 1e-12:
-                    raise RuntimeError("propagated Pauli acquired a complex phase")
-                sign *= 1 if sgn.real > 0 else -1
-                meas = readout_layer(current)
-                circ = Circuit(n, (prep_layer,)).then(body)
-                if meas:
-                    circ = circ.then(Circuit(n, (meas,)))
-                rows = _pulled_back_rows(history[:, :, 0], readout=bool(meas))
-                measured = readout_pauli(current)
-                sub = int(gen.integers(2**62))
-                samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign, rows))
+                        if dressing:
+                            body.append(dressing)
+                        body.append(cycle)
+                    drawn.append((prep_layer, sign, Circuit(n, tuple(body)), int(gen.integers(2**62))))
+                images = _propagate_side_by_side(model, [body for _, _, body, _ in drawn], [p] * len(drawn))
+                for (prep_layer, sign, body, sub), (current, history) in zip(drawn, images):
+                    sgn = current.sign
+                    if abs(sgn.imag) > 1e-12:
+                        raise RuntimeError("propagated Pauli acquired a complex phase")
+                    sign *= 1 if sgn.real > 0 else -1
+                    meas = readout_layer(current)
+                    circ = Circuit(n, (prep_layer,)).then(body)
+                    if meas:
+                        circ = circ.then(Circuit(n, (meas,)))
+                    rows = _pulled_back_rows(history, readout=bool(meas))
+                    measured = readout_pauli(current)
+                    samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign, rows))
             arr = np.asarray(samples)
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)

@@ -39,13 +39,15 @@ true j)``, applied after the ideal POVM.
 Every circuit carries one flat form, which no model enters
 (:class:`_Flat`): its distinct ``(label, arity)`` keys and, per operation,
 a key number and a support.  ``Circuit`` builds it in the one pass that
-normalises and checks the operations, and ``Circuit.then`` joins two flat
-forms instead of walking the operations again.  The arrays that the
-Clifford paths index (padded supports, layer numbers, the idle-qubit mask)
-are built from the flat form on first use, once per circuit, so a circuit
-that is only joined to another, or that the dense backend runs on a model
-without an idle channel, builds none.  A backend call resolves one
-:class:`GateRecord` per key and reads everything else off the flat form.
+checks the operations, which keeps layers the generators built normalised
+as they are and normalises any other input first, and ``Circuit.then``
+joins two flat forms instead of walking the operations again.  The arrays
+that the Clifford paths index (padded supports, layer numbers, the
+idle-qubit mask) are built from the flat form on first use, once per
+circuit, so a circuit that is only joined to another, or that the dense
+backend runs on a model without an idle channel, builds none.  A backend
+call resolves one :class:`GateRecord` per key and reads everything else off
+the flat form.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
@@ -74,18 +76,21 @@ frame, which stays the all-identity frame, mapped to itself by every gate,
 until the first layer that draws a fault, so a circuit that draws none
 builds no gate table and conjugates nothing.
 
-Every backend call simulates one circuit, compiled once for that call; the
-benchmark's tracer counts circuits per ``circuit_probabilities``,
-``pauli_fastpath_sample`` and ``pauli_fastpath_signs`` call, so a stacked or
-ensemble entry point (one compile for a whole ensemble of circuits) first
-needs its own benchmark change.  Sharing the pull-back leaves each call one
-circuit, so it needs none.
+Propagation is stacked, sampling is not.  BiRB and cycle benchmarking
+compile the bodies of one depth side by side, as one program on a register
+of k * n qubits (:meth:`CliffordProgram._side_by_side`), and walk their k
+prepared Paulis through it as one column, in stacks that
+``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
+its own program would give them.  Every fast-path sampling call
+(:func:`pauli_fastpath_sample`, :func:`pauli_fastpath_signs`) still runs
+one circuit, with its own generator, so the seeded stream and the
+benchmark's per-call circuit count are those of one circuit at a time.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import chain, count, repeat
@@ -97,6 +102,8 @@ from .channels import Channel, identity_channel, walsh_hadamard
 from .cliffords import (
     GATE_UNITARIES,
     CliffordTableau,
+    _pack,
+    _unpack,
     clifford_gate_factory,
     conjugation_table,
     pauli_codes,
@@ -120,23 +127,65 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     """
 
     @classmethod
-    def of(cls, width: int, layers: tuple) -> "_Flat":
-        """The flat form of normalised layers; a qubit outside the register
-        or used twice in one layer is a ValueError."""
+    def of(cls, width: int, layers) -> "_Flat":
+        """The flat form of normalised layers, or None when ``layers`` are
+        not normalised: a tuple of tuples of ``(str, tuple of int)`` pairs,
+        each of its exact type.  A qubit outside the register or used twice
+        in one layer is a ValueError.
+
+        Each list's types are checked as one set, the outer tuple's before
+        any layer is iterated, so a generator of layers comes back
+        unconsumed and can be normalised."""
+        if type(layers) is not tuple or set(map(type, layers)) - {tuple}:
+            return None
         ops = list(chain.from_iterable(layers))
+        if set(map(type, ops)) - {tuple} or set(map(len, ops)) - {2}:
+            return None
+        labels = list(map(itemgetter(0), ops))
         supports = list(map(itemgetter(1), ops))
+        if set(map(type, labels)) - {str} or set(map(type, supports)) - {tuple}:
+            return None
+        qubits = list(chain.from_iterable(supports))
+        if set(map(type, qubits)) - {int}:
+            return None
         # each new (label, arity) pair is numbered by the dict's size at its
         # first use; the pairs are streamed, not listed, so a wide circuit
         # leaves the garbage collector no extra objects to track
         number = {}
-        key = list(map(number.setdefault, zip(map(itemgetter(0), ops), map(len, supports)), map(len, repeat(number))))
-        qubits = list(chain.from_iterable(supports))
+        key = list(map(number.setdefault, zip(labels, map(len, supports)), map(len, repeat(number))))
         if qubits and (min(qubits) < 0 or max(qubits) >= width):
             raise ValueError("qubit index out of range")
         # a layer that uses a qubit twice has fewer distinct qubits than uses
         if sum(map(len, map(set, map(chain.from_iterable, map(partial(map, itemgetter(1)), layers))))) < len(qubits):
             raise ValueError("overlapping gate supports within a layer")
         return cls(width, tuple(number), key, supports, list(map(len, layers)))
+
+    @classmethod
+    def side_by_side(cls, flats, n: int) -> "_Flat":
+        """The flat forms of circuits on n qubits each, side by side on one
+        register of ``len(flats) * n`` qubits: circuit i acts on qubits
+        ``i * n`` to ``(i + 1) * n - 1``, and one shorter than the longest
+        ends in empty layers.  The keys are numbered in order of first use
+        across the circuits, and the operations run layer by layer, circuit
+        by circuit within a layer (a stable sort by layer).  Only ``keys``,
+        ``lengths`` and ``arrays`` are built; ``key`` and ``supports`` are
+        None, so the result is never joined."""
+        keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
+        number = dict(zip(keys, count()))
+        width, levels = len(flats) * n, max(flat.arrays.supports.shape[1] for flat in flats)
+        parts = []
+        for i, flat in enumerate(flats):
+            arrays = flat.arrays
+            supports = np.full((len(arrays.key), levels), width, dtype=np.intp)
+            supports[:, : arrays.supports.shape[1]] = np.where(arrays.supports < n, arrays.supports + i * n, width)
+            renumber = np.array([number[pair] for pair in flat.keys], dtype=np.intp)
+            parts.append((renumber[arrays.key], arrays.arity, supports, arrays.layer))
+        key, arity, supports, layer = map(np.concatenate, zip(*parts))
+        order = np.argsort(layer, kind="stable")
+        depth = max(len(flat.lengths) for flat in flats)
+        out = cls(width, keys, None, None, np.bincount(layer, minlength=depth).tolist())
+        out.__dict__["arrays"] = _Arrays(key[order], arity[order], supports[order], layer[order])
+        return out
 
     def then(self, other: "_Flat") -> "_Flat":
         """``self`` followed by ``other``, on the wider of the two registers;
@@ -176,9 +225,11 @@ class Circuit:
 
     ``gate_defs`` carries inline unitaries for ad-hoc labels (e.g. sampled
     SU(4) gates); it is excluded from equality so circuits compare by
-    structure.  Construction normalises every label and qubit and builds
-    the circuit's :class:`_Flat` form (``_flat``) from them in one pass,
-    which every backend reads.
+    structure.  Construction builds the circuit's :class:`_Flat` form
+    (``_flat``), which every backend reads, and checks every operation.
+    Layers that are already normalised, tuples of ``(str, tuple of int)``
+    pairs as the generators build them, are kept as they are; any other
+    input has every label and qubit normalised first.
     """
 
     width: int
@@ -186,9 +237,12 @@ class Circuit:
     gate_defs: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
-        layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in self.layers])
-        object.__setattr__(self, "_flat", _Flat.of(self.width, layers))
-        object.__setattr__(self, "layers", layers)
+        flat = _Flat.of(self.width, self.layers)
+        if flat is None:  # some container, label or qubit is not of its normalised type
+            layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in self.layers])
+            object.__setattr__(self, "layers", layers)
+            flat = _Flat.of(self.width, layers)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def depth(self) -> int:
@@ -666,16 +720,19 @@ def _gate_tables(records, flat: _Flat):
 
 def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
     """Conjugate every column of an (n, columns) code frame by one compiled
-    layer, adding the image phase exponents to ``phase`` when it is given.
+    layer.  When an (n, columns) ``phase`` is given, each gate adds its
+    image phase exponents to the row of its first support qubit, so the
+    exponents of the gates on a block of qubits sum over that block's rows.
 
     Each gate's support codes form its table index; every support qubit's
-    new code is then one gather from that qubit's image table."""
+    new code is then one gather from that qubit's image table.  The gates
+    of a layer act on disjoint qubits, so no two write one phase row."""
     for rows, offsets, images, phases in groups:
         index = offsets + frame[rows[0]]
         for i in range(1, len(rows)):
             index += frame[rows[i]].astype(np.intp) << (2 * i)
         if phase is not None:
-            phase += phases[index].sum(axis=0)
+            phase[rows[0]] += phases[index]
         for row, image in zip(rows, images):
             frame[row] = image[index]
 
@@ -683,6 +740,12 @@ def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
 # Doubles drawn per block of layers in :func:`_hit_blocks`; it also bounds
 # the block's fault frame in :func:`_propagate_faults`, in bytes.
 _DRAW_BUDGET = 1 << 18
+
+# Qubit-layer slots, each holding at most one operation, of the circuits
+# that one stacked program (:func:`_propagate_side_by_side`) holds; it bounds
+# the stack's flat arrays and gate tables, and the circuits a caller keeps
+# alive for one stack.
+_STACK_BUDGET = 1 << 14
 
 _DIGITS = np.arange(1, 4).reshape(3, 1)
 
@@ -797,21 +860,17 @@ def _fault_parities(program: "CliffordProgram", measured: PauliString, pulled_ba
 
 
 def _frame_of(paulis, n: int) -> np.ndarray:
-    frame = np.zeros((n, len(paulis)), dtype=np.uint8)
-    for r, p in enumerate(paulis):
-        for q in range(n):
-            frame[q, r] = (((p.xbits >> q) & 1) << 1) | ((p.zbits >> q) & 1)
-    return frame
+    """The (n, len(paulis)) letter codes ``x << 1 | z`` of n-qubit Paulis,
+    one column each, signs dropped."""
+    x, z = _unpack([p.xbits for p in paulis], n), _unpack([p.zbits for p in paulis], n)
+    return np.ascontiguousarray((x << 1 | z).T)
 
 
 def _paulis_of(frame: np.ndarray, phase: np.ndarray):
-    n = frame.shape[0]
-    out = []
-    for col, k in zip(frame.T.tolist(), phase.tolist()):
-        x = sum(((c >> 1) & 1) << q for q, c in enumerate(col))
-        z = sum((c & 1) << q for q, c in enumerate(col))
-        out.append(PauliString(n, x, z, k))
-    return out
+    """The Paulis of an (n, columns) code frame's columns, with the phase
+    exponents ``phase``: :func:`_frame_of` reversed."""
+    n, columns = frame.shape[0], frame.T
+    return [PauliString(n, x, z, k) for x, z, k in zip(_pack(columns >> 1), _pack(columns & 1), phase.tolist())]
 
 
 class _Draws(namedtuple("_Draws", "identity dists layer qubits starts levels cdfs letters")):
@@ -849,8 +908,28 @@ class CliffordProgram:
     def __init__(self, model: GateSetModel, circuit: Circuit):
         if circuit.width != model.n:
             raise ValueError("circuit width does not match the model")
-        self.n, self.depth, self._model, self._flat = model.n, circuit.depth, model, circuit._flat
-        self._records = [model.record(label, k, circuit.gate_defs) for label, k in self._flat.keys]
+        self._compile(model, circuit._flat, circuit.gate_defs)
+
+    def _compile(self, model: GateSetModel, flat: _Flat, gate_defs):
+        self.n, self.depth, self._model, self._flat = flat.width, len(flat.lengths), model, flat
+        self._records = [model.record(label, k, gate_defs) for label, k in flat.keys]
+
+    @classmethod
+    def _side_by_side(cls, model: GateSetModel, circuits) -> "CliffordProgram":
+        """One program of ``circuits`` side by side (:meth:`_Flat.side_by_side`),
+        on a register of ``len(circuits) * model.n`` qubits.  Its keys resolve
+        through the same ``model.record`` calls as each circuit's own
+        program.  A circuit with ``gate_defs`` is a ValueError: two circuits
+        could define one label differently, and a stack has one record per
+        label."""
+        for circuit in circuits:
+            if circuit.width != model.n:
+                raise ValueError("circuit width does not match the model")
+            if circuit.gate_defs:
+                raise ValueError("circuits with gate_defs cannot be stacked")
+        program = object.__new__(cls)
+        program._compile(model, _Flat.side_by_side([circuit._flat for circuit in circuits], model.n), None)
+        return program
 
     @cached_property
     def gates(self):
@@ -892,10 +971,11 @@ class CliffordProgram:
 
     def _walk(self, frame: np.ndarray, phase: np.ndarray, history: bool, start: int = 0):
         """Conjugate an (n, columns) code frame in place by every layer from
-        layer ``start`` on, adding the image phase exponents to ``phase``.
-        With ``history``, return the frame before each of those layers and
-        after the last, as a (depth + 1 - start, n, columns) uint8 array;
-        else None."""
+        layer ``start`` on, adding the image phase exponents to the (n,
+        columns) ``phase``, each gate's to the row of its first support
+        qubit (see :func:`_apply_gate_layer`).  With ``history``, return the
+        frame before each of those layers and after the last, as a (depth +
+        1 - start, n, columns) uint8 array; else None."""
         codes = np.empty((self.depth + 1 - start,) + frame.shape, dtype=np.uint8) if history else None
         if history:
             codes[0] = frame
@@ -911,9 +991,9 @@ class CliffordProgram:
         every layer and after the last, as a (depth + 1, n, len(paulis))
         uint8 array: row 0 holds ``paulis``, row depth their images."""
         frame = _frame_of(paulis, self.n)
-        phase = np.array([p.phase for p in paulis], dtype=np.int64)
+        phase = np.zeros(frame.shape, dtype=np.int64)
         codes = self._walk(frame, phase, history)
-        images = _paulis_of(frame, phase)
+        images = _paulis_of(frame, np.array([p.phase for p in paulis], dtype=np.int64) + phase.sum(axis=0))
         return (images, codes) if history else images
 
     def _generators(self, history: bool = False, start: int = 0):
@@ -925,9 +1005,9 @@ class CliffordProgram:
         n = self.n
         eye = np.eye(n, dtype=np.uint8)
         frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
-        phase = np.zeros(2 * n, dtype=np.int64)
+        phase = np.zeros((n, 2 * n), dtype=np.int64)
         codes = self._walk(frame, phase, history, start)
-        return frame, phase, codes
+        return frame, phase.sum(axis=0), codes
 
     def _ideal_bits(self):
         """:func:`ideal_outcome_bits` of the circuit, from the inverse of its
@@ -957,6 +1037,30 @@ class CliffordProgram:
         form = ((frame[read] >> 1).sum(axis=0) & 1).astype(bool)  # per generator image
         select = np.roll(form, self.n)  # X_q is selected by Z_q's image, Z_q by X_q's
         return np.bitwise_xor.reduce(codes[:, :, select], axis=2)
+
+
+def _propagate_side_by_side(model: GateSetModel, circuits, paulis):
+    """Per circuit, the image of its Pauli and that Pauli's letter codes
+    before each layer and after the last, as a (depth + 1, n) array: what
+    ``CliffordProgram(model, circuit).propagate([p], history=True)`` gives,
+    with its history's one column.  The circuits run side by side as one
+    program (:meth:`CliffordProgram._side_by_side`), their Paulis as one
+    column on the stacked register, so each layer is walked once for all of
+    them; each circuit's phase is the sum over its block of phase rows."""
+    n, k = model.n, len(circuits)
+    program = CliffordProgram._side_by_side(model, circuits)
+    frame = _frame_of(paulis, n).T.reshape(k * n, 1)  # circuit i's Pauli on rows i * n to (i + 1) * n - 1
+    phase = np.zeros((k * n, 1), dtype=np.int64)
+    codes = program._walk(frame, phase, history=True).reshape(-1, k, n)
+    start = np.array([p.phase for p in paulis], dtype=np.int64)
+    images = _paulis_of(frame.reshape(k, n).T, start + phase.reshape(k, n).sum(axis=1))
+    return [(image, codes[: circuit.depth + 1, i]) for i, (image, circuit) in enumerate(zip(images, circuits))]
+
+
+def _stack_size(n: int, depth: int) -> int:
+    """How many circuits of n qubits and at most ``depth`` layers one stacked
+    program takes: ``_STACK_BUDGET // (n * depth)``, at least one."""
+    return max(1, _STACK_BUDGET // (n * max(depth, 1)))
 
 
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
@@ -1023,8 +1127,8 @@ def pauli_fastpath_sample(
             pflip = np.where(bits[q] == 1, c[0, 1], c[1, 0])
             bits[q] ^= (gen.random(shots) < pflip).astype(np.uint8)
     ints = (1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)) @ bits  # qubit 0 is the leading bit
-    labels, cts = np.unique(ints, return_counts=True)
-    counts = {format(int(v), f"0{model.n}b"): int(c) for v, c in zip(labels, cts)}
+    # in ascending outcome order, which callers that sum over the counts read
+    counts = {format(v, f"0{model.n}b"): c for v, c in sorted(Counter(ints.tolist()).items())}
     seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
     return ShotRecord(circuit.to_json(), counts, shots, seed_val)
 

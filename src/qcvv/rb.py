@@ -34,9 +34,10 @@ from .cliffords import (
 )
 from .device import (
     Circuit,
-    CliffordProgram,
     GateSetModel,
     ShotRecord,
+    _propagate_side_by_side,
+    _stack_size,
     ideal_probabilities,
     parity_from_counts,
     parity_mean,
@@ -477,14 +478,16 @@ class LayerSampler:
 
     Each sample returns a pair of layers: uniformly random single-qubit
     Cliffords on every qubit, then disjoint two-qubit gates placed on edges
-    with the given density.
+    with the given density.  Each edge's 2q operation is built once, so
+    every layer shares it.
     """
 
     def __init__(self, n: int, edges=None, twoq_gate: str = "CNOT", twoq_density: float = 0.5):
         self.n = n
-        self.edges = [tuple(e) for e in (edges if edges is not None else [(i, i + 1) for i in range(n - 1)])]
+        self.edges = [tuple(map(int, e)) for e in (edges if edges is not None else [(i, i + 1) for i in range(n - 1)])]
         self.twoq_gate = twoq_gate
         self.twoq_density = twoq_density
+        self._ops = [(twoq_gate, e) for e in self.edges]
 
     def sample(self, gen):
         oneq = oneq_layer(gen.integers(24, size=self.n).tolist())
@@ -496,7 +499,7 @@ class LayerSampler:
             if a in busy or b in busy:
                 continue
             if gen.random() < self.twoq_density:
-                twoq.append((self.twoq_gate, (a, b)))
+                twoq.append(self._ops[ei])
                 busy.update((a, b))
         return oneq, tuple(twoq)
 
@@ -527,29 +530,37 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     propagation of the Pauli, layer by layer, is also the measured Pauli
     pulled back through the circuit, which the fast path reads instead of
     compiling the joined circuit's gate tables.
+
+    The bodies of one depth propagate side by side, in stacks of
+    :func:`qcvv.device._stack_size` circuits.  Propagation draws nothing,
+    so each circuit draws its Pauli, eigenstate signs, layers and shot seed
+    in the order of one circuit at a time.
     """
     n = sampler.n
     gen = rng(design.seed)
     values = {m: [] for m in design.depths}
     for m in design.depths:
-        for _ in range(design.circuits_per_depth):
-            p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
-            prep, sign = eigenstate_layer(p, gen)
-            layers = []
-            for _i in range(m):
-                layers.extend(sampler.sample(gen))
-            body = Circuit(n, tuple(layers))
-            (current,), history = CliffordProgram(model, body).propagate([p], history=True)
-            sgn = current.sign
-            if abs(sgn.imag) > 1e-9:
-                raise RuntimeError("propagated Pauli has a complex sign")
-            sign *= 1 if sgn.real > 0 else -1
-            # the rotation layer stays when empty: idle qubits still get noise
-            circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),)))
-            rows = _pulled_back_rows(history[:, :, 0], readout=True)
-            sub = int(gen.integers(2**62))
-            measured = readout_pauli(current)
-            values[m].append(sign * parity_mean(model, circ, measured, design.shots, sub, backend, sign, rows))
+        size = _stack_size(n, 2 * m)
+        for start in range(0, design.circuits_per_depth, size):
+            drawn = []
+            for _ in range(min(size, design.circuits_per_depth - start)):
+                p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+                prep, sign = eigenstate_layer(p, gen)
+                layers = []
+                for _i in range(m):
+                    layers.extend(sampler.sample(gen))
+                drawn.append((p, prep, sign, Circuit(n, tuple(layers)), int(gen.integers(2**62))))
+            images = _propagate_side_by_side(model, [body for _, _, _, body, _ in drawn], [p for p, *_ in drawn])
+            for (_, prep, sign, body, sub), (current, history) in zip(drawn, images):
+                sgn = current.sign
+                if abs(sgn.imag) > 1e-9:
+                    raise RuntimeError("propagated Pauli has a complex sign")
+                sign *= 1 if sgn.real > 0 else -1
+                # the rotation layer stays when empty: idle qubits still get noise
+                circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),)))
+                rows = _pulled_back_rows(history, readout=True)
+                measured = readout_pauli(current)
+                values[m].append(sign * parity_mean(model, circ, measured, design.shots, sub, backend, sign, rows))
     data = DecayDataset(list(design.depths), values, "birb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)
     return {"data": data, "fit": fit, "f": fit.f, "f_err": fit.f_err}

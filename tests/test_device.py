@@ -102,6 +102,74 @@ def test_then_equals_the_checked_joined_circuit(a, b):
     assert np.array_equal(joined._flat.idle, built._flat.idle)
 
 
+_NORMALISED = ((("H", (0,)), ("CNOT", (1, 2))), (), (("c1_5", (2,)),))
+
+
+def test_normalised_layers_are_kept_as_they_are():
+    c = Circuit(3, _NORMALISED)
+    assert c.layers is _NORMALISED
+    assert Circuit(3, c.layers + c.layers).layers[0] is _NORMALISED[0]
+    # generated layers share interned operations, which pass as they are,
+    # numpy edges included
+    sampler = rb.LayerSampler(4, edges=np.array([[0, 1], [2, 3]]), twoq_density=1.0)
+    layers = sampler.sample(rng(3)) + sampler.sample(rng(4))
+    assert Circuit(4, layers).layers is layers
+    assert set(map(id, layers[1])) == set(map(id, layers[3])) == set(map(id, sampler._ops))
+    assert all(type(q) is int for _, qubits in sampler._ops for q in qubits)
+    assert cl.oneq_layer([5, 7])[1] is cl.oneq_layer([0, 7])[1]
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        ("H", (np.int64(0),)),
+        ("H", (False,)),
+        ["H", (0,)],
+        ("H", [0]),
+        (np.str_("H"), (0,)),
+    ],
+    ids=["numpy-int-qubit", "bool-qubit", "list-op", "list-support", "numpy-str-label"],
+)
+def test_one_unnormalised_entry_normalises_the_layers(odd):
+    layers = ((odd, ("CNOT", (1, 2))),) + _NORMALISED[1:]
+    c = Circuit(3, layers)
+    assert c.layers is not layers
+    assert c == Circuit(3, _NORMALISED) and c._flat == Circuit(3, _NORMALISED)._flat
+    for label, qubits in (op for layer in c.layers for op in layer):
+        assert type(label) is str and type(qubits) is tuple
+        assert all(type(q) is int for q in qubits)
+    assert type(c.layers) is tuple and all(type(layer) is tuple for layer in c.layers)
+
+
+def test_unnormalised_containers_are_normalised_and_checked():
+    # a list of layers, a list layer and a generator of layers all come
+    # back as the same tuples, and the checks still run on them
+    expected = Circuit(3, _NORMALISED)
+    assert Circuit(3, list(_NORMALISED)) == expected
+    assert Circuit(3, (list(_NORMALISED[0]),) + _NORMALISED[1:]) == expected
+    assert Circuit(3, (layer for layer in _NORMALISED)) == expected
+    with pytest.raises(ValueError):
+        Circuit(3, ((("H", (np.int64(3),)),),))
+    with pytest.raises(ValueError):
+        Circuit(3, [(("H", (0,)), ("X", (0,)))])
+
+
+@pytest.mark.parametrize("n", [1, 20, 70])
+def test_letter_code_frames_round_trip_past_63_qubits(n):
+    gen = rng(n)
+    paulis = [PauliString(n, int(x), int(z), int(k)) for x, z, k in zip(
+        (int.from_bytes(gen.bytes(9), "little") & ((1 << n) - 1) for _ in range(6)),
+        (int.from_bytes(gen.bytes(9), "little") & ((1 << n) - 1) for _ in range(6)),
+        gen.integers(4, size=6),
+    )]
+    paulis.append(PauliString(n, (1 << n) - 1, 1 << (n - 1), 3))  # the top qubit set
+    frame = dv._frame_of(paulis, n)
+    assert frame.shape == (n, len(paulis)) and frame.dtype == np.uint8 and frame.flags.c_contiguous
+    for col, p in enumerate(paulis):
+        assert frame[:, col].tolist() == [((p.xbits >> q) & 1) << 1 | ((p.zbits >> q) & 1) for q in range(n)]
+    assert dv._paulis_of(frame, np.array([p.phase for p in paulis])) == paulis
+
+
 def test_shot_record_counts_must_sum():
     with pytest.raises(ValueError):
         ShotRecord("c", {"0": 3}, 4, 1)
@@ -924,23 +992,87 @@ def test_exact_parity_matches_the_dense_backend(family, width, depth, idle, pre,
             assert abs(_exact_parity(model, circ, measured, sign, rows) - dense) <= 1e-9
 
 
+@st.composite
+def _side_by_side_stacks(draw):
+    """1 to 5 circuits of one width (1 to 6) and depth 0 to 8, empty layers
+    included, mixing builtin, ``c1_<i>`` and ``c2_<i>`` gates, each with a
+    Pauli of any phase; the circuits' key sets mostly differ."""
+    n = draw(st.integers(1, 6))
+    circuits, paulis = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        layers = []
+        for _ in range(draw(st.integers(0, 8))):
+            free = draw(st.permutations(range(n)))
+            layer = []
+            while free:
+                arity = draw(st.sampled_from((0, 1, 2) if len(free) >= 2 else (0, 1)))
+                if arity == 2:
+                    label = draw(st.sampled_from(("CNOT", "CZ", "ISWAP", "c2_7", "c2_5000", "c2_11519")))
+                    layer.append((label, (free.pop(), free.pop())))
+                elif arity == 1:
+                    layer.append((draw(st.sampled_from(("H", "S", "Y90M", "c1_3", "c1_17", "c1_23"))), (free.pop(),)))
+                else:
+                    free.pop()
+            layers.append(tuple(layer))
+        circuits.append(Circuit(n, tuple(layers)))
+        bits = st.integers(0, 2**n - 1)
+        paulis.append(PauliString(n, draw(bits), draw(bits), draw(st.integers(0, 3))))
+    return circuits, paulis
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_side_by_side_stacks())
+def test_side_by_side_propagation_matches_each_circuits_own(stack):
+    circuits, paulis = stack
+    model = dv.ideal_model(circuits[0].width)
+    got = dv._propagate_side_by_side(model, circuits, paulis)
+    assert len(got) == len(circuits)
+    for circuit, p, (image, history) in zip(circuits, paulis, got):
+        (expected,), codes = dv.CliffordProgram(model, circuit).propagate([p], history=True)
+        assert image == expected  # letters and phase
+        assert history.dtype == np.uint8 and history.shape == (circuit.depth + 1, circuit.width)
+        assert np.array_equal(history, codes[:, :, 0])
+
+
+def test_side_by_side_refuses_gate_defs_and_other_widths():
+    model = dv.ideal_model(2)
+    plain = Circuit(2, ((("H", (0,)),),))
+    defined = Circuit(2, ((("u", (0,)),),), {"u": np.eye(2)})
+    with pytest.raises(ValueError, match="gate_defs"):
+        dv._propagate_side_by_side(model, [plain, defined], [PauliString.from_label("XZ")] * 2)
+    with pytest.raises(ValueError, match="width"):
+        dv._propagate_side_by_side(model, [plain, Circuit(3, ())], [PauliString.from_label("XZ")] * 2)
+
+
 def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
-    """BiRB builds one set of gate tables per circuit, its body's; a CB
-    circuit's body and an ACES prefix build one each, and their joined
-    circuits, run through the fast path with the rows the protocol passes,
-    build none."""
+    """BiRB and CB build one set of gate tables per stack of bodies
+    (:func:`dv._stack_size` circuits of one depth), an ACES prefix one, and
+    their joined circuits, run through the fast path with the rows the
+    protocol passes, build none.  The stack size changes no result."""
     built = []
     tables = dv._gate_tables
     monkeypatch.setattr(dv, "_gate_tables", lambda *args: built.append(1) or tables(*args))
     sampler = rb.LayerSampler(3, twoq_density=0.7)
     model = dv.noisy_model(3, _parity_rule)
     design = rb.RBDesign((0, 1, 2), (0, 2, 4), 3, 20, seed=5)
-    rb.birb(model, design, sampler)
-    assert len(built) == 9  # 3 depths x 3 circuits
-    built.clear()
     two = dv.noisy_model(2, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
-    cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
-    assert len(built) == 2 * 2 * 3  # Paulis x depths x circuits
+    whole = rb.birb(model, design, sampler)
+    assert len(built) == 3  # one stack per depth
+    built.clear()
+    cb = cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
+    assert len(built) == 2 * 2  # Paulis x depths
+    monkeypatch.setattr(dv, "_STACK_BUDGET", 2 * 3 * 8)
+    assert [dv._stack_size(3, 2 * m) for m in (1, 2, 4)] == [8, 4, 2]
+    built.clear()
+    split = rb.birb(model, design, sampler)
+    assert len(built) == 1 + 1 + 2  # depths 0 and 2 in one stack, depth 4 in two
+    assert split["data"].values == whole["data"].values
+    monkeypatch.setattr(dv, "_STACK_BUDGET", 2 * 2 * 8)
+    assert [dv._stack_size(2, 2 * m) for m in (2, 4)] == [4, 2]
+    built.clear()
+    cb_split = cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
+    assert len(built) == 2 * (1 + 2)  # per Pauli, depth 4 in two stacks
+    assert [d.estimates for d in cb_split.decays.values()] == [d.estimates for d in cb.decays.values()]
     built.clear()
     layers = [(("CNOT", (0, 1)),), (("H", (0,)), ("S", (1,)))]
     cy.aces(two, layers, n_circuits=3, depth=2, paulis_per_circuit=4, shots=20, seed=7)
