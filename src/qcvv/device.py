@@ -1126,9 +1126,11 @@ def pauli_fastpath_sample(
             c = model.confusion[q]
             pflip = np.where(bits[q] == 1, c[0, 1], c[1, 0])
             bits[q] ^= (gen.random(shots) < pflip).astype(np.uint8)
-    ints = (1 << np.arange(model.n - 1, -1, -1, dtype=np.int64)) @ bits  # qubit 0 is the leading bit
-    # in ascending outcome order, which callers that sum over the counts read
-    counts = {format(v, f"0{model.n}b"): c for v, c in sorted(Counter(ints.tolist()).items())}
+    # each shot's outcome as a Python int, qubit 0 the leading bit, so any
+    # width fits; the counts run in ascending outcome order, which callers
+    # that sum over them read
+    tally = Counter(_pack(bits[::-1].T))
+    counts = {format(v, f"0{model.n}b"): c for v, c in sorted(tally.items())}
     seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
     return ShotRecord(circuit.to_json(), counts, shots, seed_val)
 

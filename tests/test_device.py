@@ -170,6 +170,17 @@ def test_letter_code_frames_round_trip_past_63_qubits(n):
     assert dv._paulis_of(frame, np.array([p.phase for p in paulis])) == paulis
 
 
+def test_fast_samples_keep_every_bit_past_63_qubits():
+    n = 70
+    circuit = Circuit(n, ((("X", (0,)), ("X", (1,)), ("X", (n - 1,))),))
+    counts = dv.pauli_fastpath_sample(dv.ideal_model(n), circuit, 5, 3).counts
+    assert counts == {"11" + "0" * (n - 3) + "1": 5}
+    # noisy outcomes are tallied in ascending order
+    noisy = dv.noisy_model(3, lambda label, k: ch.depolarizing(0.3, n=k))
+    counts = dv.pauli_fastpath_sample(noisy, Circuit(3, ((("X", (1,)),),)), 400, 4).counts
+    assert list(counts) == sorted(counts) and len(counts) > 1 and sum(counts.values()) == 400
+
+
 def test_shot_record_counts_must_sum():
     with pytest.raises(ValueError):
         ShotRecord("c", {"0": 3}, 4, 1)
