@@ -25,6 +25,7 @@ stacking convention above; it is exercised verbatim in the test suite.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -58,6 +59,26 @@ def kraus_to_transfer(kraus) -> np.ndarray:
             raise ValueError("Kraus operators must share one square shape")
         out += (k.conj()[:, None, :, None] * k[None, :, None, :]).reshape(d * d, d * d)
     return out
+
+
+def unitary_ptms(us) -> np.ndarray:
+    """The real PTMs, shaped (m, d**2, d**2), of an (m, d, d) stack of
+    unitaries: slice for slice ``Channel.from_kraus([u]).ptm``, to the bit.
+
+    The transfer matrices are one broadcast outer product added into zeros,
+    as :func:`kraus_to_transfer` builds them, so the signs of zeros agree,
+    and ``v^dag T v`` runs on every slice.  A slice keeps its real part, as
+    :class:`Channel` keeps it; an imaginary part above its tolerance raises.
+    """
+    us = np.asarray(us, dtype=complex)
+    m, d = us.shape[:2]
+    transfer = np.zeros((m, d * d, d * d), dtype=complex)
+    transfer += (us.conj()[:, :, None, :, None] * us[:, None, :, None, :]).reshape(m, d * d, d * d)
+    v = pauli_vec_basis(d)
+    ptms = v.conj().T @ transfer @ v
+    if not np.all(np.abs(ptms.imag) <= 1e-10):
+        raise ValueError("PTM entries must be real")
+    return np.ascontiguousarray(ptms.real)
 
 
 def transfer_to_ptm(transfer: np.ndarray) -> np.ndarray:
@@ -151,7 +172,7 @@ class Channel:
         ptm = np.asarray(ptm)
         if ptm.ndim != 2 or ptm.shape[0] != ptm.shape[1]:
             raise ValueError("PTM must be square")
-        d = int(round(np.sqrt(ptm.shape[0])))
+        d = math.isqrt(ptm.shape[0])
         if d * d != ptm.shape[0]:
             raise ValueError("PTM side must be a perfect square")
         if np.iscomplexobj(ptm):
@@ -187,8 +208,8 @@ class Channel:
     @classmethod
     def from_unitary(cls, u) -> "Channel":
         u = np.asarray(u, dtype=complex)
-        ch = cls.from_kraus([u])
-        ch.unitary = u
+        ch = cls(unitary_ptms(u[None])[0], u)
+        ch._cache["kraus"] = [u]
         return ch
 
     @classmethod

@@ -49,6 +49,12 @@ backend runs on a model without an idle channel, builds none.  A backend
 call resolves one :class:`GateRecord` per key and reads everything else off
 the flat form.
 
+The dense backend builds the noisy channels a circuit's records still lack
+in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
+PTMs from the unitaries (:func:`qcvv.channels.unitary_ptms`) and one
+stacked product with the noise PTMs.  A fresh model's ``c2_<i>`` labels and
+a circuit's inline ``gate_defs`` are thus built as one batch per circuit.
+
 The dense and statevector backends share one local-operator kernel,
 ``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
 product over the gate's axes.  A gate on the leading axes in order, as a
@@ -98,7 +104,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channels import Channel, identity_channel, walsh_hadamard
+from .channels import Channel, identity_channel, unitary_ptms, walsh_hadamard
 from .cliffords import (
     GATE_UNITARIES,
     CliffordTableau,
@@ -310,9 +316,12 @@ class GateRecord:
     takes ``error`` from the noise rule (identity when the rule gives None).
     Every field past ``ideal`` is built on first use, so the statevector
     backend builds no channel and the dense backend no ``tableau``,
-    ``conjugation`` or ``faults``.  A ``fixed`` record (a builtin name or a
-    ``c1_<i>`` label of the default factory) takes its ideal channel from
-    the process-wide :func:`_fixed_ideal`.
+    ``conjugation`` or ``faults``.  The dense backend builds ``noisy`` per
+    circuit, for every record that has none yet, in one stacked pass
+    (:func:`_build_noisy`); read alone, ``noisy`` runs the same pass on its
+    one record.  A ``fixed`` record (a builtin name or a ``c1_<i>`` label of
+    the default factory) takes its ideal channel from the process-wide
+    :func:`_fixed_ideal`.
     """
 
     def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool, fixed: bool):
@@ -323,6 +332,7 @@ class GateRecord:
         self._noise_rule = noise_rule
         self._pre = pre_gate_noise
         self._fixed = fixed
+        self._noisy = None
 
     @property
     def ideal(self) -> np.ndarray:
@@ -334,23 +344,17 @@ class GateRecord:
     def _noise(self) -> Channel:
         return self._noise_rule(self.label, self.arity) if self._noise_rule else None
 
-    def _ideal_channel(self) -> Channel:
-        return _fixed_ideal(self.label) if self._fixed else Channel.from_unitary(self.ideal)
-
-    @cached_property
+    @property
     def noisy(self) -> Channel:
-        if self._explicit is not None:
-            return self._explicit
-        ideal = self._ideal_channel()
-        if self._noise is None:
-            return ideal
-        return ideal.compose(self._noise) if self._pre else self._noise.compose(ideal)
+        if self._noisy is None:
+            _build_noisy([self])
+        return self._noisy
 
     @cached_property
     def error(self) -> Channel:
         if self._explicit is None:
             return identity_channel(self.arity) if self._noise is None else self._noise
-        ideal = self._ideal_channel().ptm
+        ideal = unitary_ptms(self.ideal[None])[0]  # an explicit record is never fixed
         noisy = self._explicit.ptm
         return Channel(ideal.T @ noisy if self._pre else noisy @ ideal.T)
 
@@ -521,6 +525,40 @@ def _fixed_ideal(label: str) -> Channel:
     return chan
 
 
+def _build_noisy(records):
+    """Build the noisy channel of each record that has none yet, in one pass.
+
+    An explicit record's channel is its own, and a record whose noise rule
+    gives None takes its ideal channel: :func:`_fixed_ideal`'s shared one,
+    or :meth:`Channel.from_unitary`.  Per arity, the ideal PTMs of the rest
+    come from one stacked :func:`unitary_ptms` call, fixed labels taking
+    :func:`_fixed_ideal`'s, and one stacked product composes them with the
+    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise).
+    Each record gets a channel carrying the unitary that
+    :meth:`Channel.compose` gives.
+    """
+    groups = {}
+    for rec in records:
+        if rec._noisy is not None:
+            continue
+        if rec._explicit is not None:
+            rec._noisy = rec._explicit
+        elif rec._noise is None:
+            rec._noisy = _fixed_ideal(rec.label) if rec._fixed else Channel.from_unitary(rec.ideal)
+        else:
+            groups.setdefault((rec.arity, rec._pre), []).append(rec)
+    for (_, pre), recs in groups.items():
+        fresh = [rec.ideal for rec in recs if not rec._fixed]
+        fresh = iter(unitary_ptms(np.stack(fresh)) if fresh else ())
+        ideals = np.stack([_fixed_ideal(rec.label).ptm if rec._fixed else next(fresh) for rec in recs])
+        noises = np.stack([rec._noise.ptm for rec in recs])
+        for rec, ptm in zip(recs, ideals @ noises if pre else noises @ ideals):
+            u = rec._noise.unitary
+            if u is not None:
+                u = rec.ideal @ u if pre else u @ rec.ideal
+            rec._noisy = Channel(ptm, u)
+
+
 def ideal_model(n: int) -> GateSetModel:
     return GateSetModel(n)
 
@@ -589,7 +627,9 @@ def _dense_state(model: GateSetModel, circuit: Circuit) -> np.ndarray:
     if model.n > DENSE_WIDTH_CAP:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
     flat = circuit._flat
-    ptms = [model.record(label, k, circuit.gate_defs).noisy.ptm for label, k in flat.keys]
+    records = [model.record(label, k, circuit.gate_defs) for label, k in flat.keys]
+    _build_noisy(records)
+    ptms = [rec.noisy.ptm for rec in records]
     key = iter(flat.key)
     idle = [()] * circuit.depth if model.idle is None else [np.flatnonzero(row).tolist() for row in flat.idle]
     state = model._superket
@@ -760,9 +800,9 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     The 4**levels - 1 entries are searched in ``levels`` base-4 levels: each
     level counts how many of three entries, a quarter of the remaining range
     apart, lie at or below the draw, so a hit costs O(levels) whatever its
-    distribution.
+    distribution.  Hits come in row-major order, as ``np.nonzero`` gives them.
     """
-    rows, cols = np.nonzero(draws >= identity[:, None])
+    rows, cols = divmod(np.flatnonzero(draws >= identity[:, None]), draws.shape[1])
     if not len(rows):
         return rows, cols, rows  # no hit: the empty rows serve as the empty indices
     u = draws[rows, cols]

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qcvv import device as dv
 from qcvv import fidelity as fd
 from qcvv import rb
 from qcvv.device import Circuit, GateSetModel, ShotRecord
-from qcvv.linalg import rng
+from qcvv.linalg import haar_random_unitary, rng
 from qcvv.metrics import tvd
 from qcvv.paulis import PauliString
 
@@ -683,6 +684,9 @@ def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
     width = max(len(row) for row in rows)
     draws = np.array([np.concatenate([row, gen.random(width - len(row))]) for row in rows])
     hit_rows, hit_cols, idx = dv._search_hits(draws, compiled.identity, compiled.dists, compiled.cdfs, compiled.levels)
+    # the hits come in row order, as callers rely on
+    want_rows, want_cols = np.nonzero(draws >= compiled.identity[:, None])
+    assert np.array_equal(hit_rows, want_rows) and np.array_equal(hit_cols, want_cols)
     got = np.zeros(draws.shape, dtype=np.intp)
     got[hit_rows, hit_cols] = idx
     expected = np.array(
@@ -1170,6 +1174,63 @@ def test_fixed_ideal_table_never_serves_a_label_defined_elsewhere():
     # a custom factory that leaves a builtin name alone gets the builtin
     assert custom.resolve("X", 1) is dv._fixed_ideal("X")
     assert np.array_equal(dv._fixed_ideal("X").ptm, ch.Channel.from_unitary(x).ptm)
+
+
+_STACKED_GATES = st.one_of(
+    st.integers(0, 11519).map(lambda i: (f"c2_{i}", 2)),
+    st.integers(0, 23).map(lambda i: (f"c1_{i}", 1)),
+    st.sampled_from(["H", "X90", "S", "CNOT", "CZ", "ISWAP"]).map(lambda name: (name, len(dv.GATE_UNITARIES[name]).bit_length() - 1)),
+    st.tuples(st.integers(0, 2), st.integers(1, 2)).map(lambda ik: (f"u{ik[1]}_{ik[0]}", ik[1])),  # inline gate_defs
+)
+
+
+def _label_noise(kind: str):
+    """A noise rule that builds a fresh channel on every call, fixed per label."""
+
+    def rule(label, k):
+        if kind == "none" or (kind == "mixed" and k == 1):
+            return None
+        seed = zlib.crc32(label.encode())
+        if kind == "coherent":
+            return ch.Channel.from_unitary(haar_random_unitary(2**k, seed))
+        return ch.random_cptp(2**k, seed)
+
+    return rule
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    gates=st.lists(_STACKED_GATES, min_size=1, max_size=8),
+    noise=st.sampled_from(["none", "fresh", "coherent", "mixed"]),
+    pre=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_noisy_channels_match_the_per_record_reference(gates, noise, pre, seed):
+    """The dense backend's one stacked pass builds, bit for bit, what
+    ``from_kraus([u])`` composed with the label's noise gives, for every mix
+    of fixed, ``c2_<i>`` and inline labels, arities and noise placements."""
+    gen = rng(seed)
+    defs = {label: haar_random_unitary(2**k, seed + i) for i, (label, k) in enumerate(gates) if label[0] == "u"}
+    layers = tuple(((label, tuple(int(q) for q in gen.permutation(3)[:k])),) for label, k in gates)
+    circuit = Circuit(3, layers, defs or None)
+    rule = _label_noise(noise)
+    model = dv.noisy_model(3, rule, pre_gate_noise=pre)
+    state = dv._dense_state(model, circuit)
+    assert not set(defs) & set(model._records)  # labels that gate_defs name are not kept
+    records = [model.record(label, k, defs) for label, k in circuit._flat.keys]
+    dv._build_noisy(records)  # builds the inline labels afresh, in their own stacked pass
+    reference = {}
+    for rec in records:
+        ideal = ch.Channel.from_kraus([rec.ideal])
+        ideal.unitary = rec.ideal
+        error = rule(rec.label, rec.arity)
+        want = ideal if error is None else ideal.compose(error) if pre else error.compose(ideal)
+        assert np.array_equal(rec.noisy.ptm, want.ptm)
+        assert (rec.noisy.unitary is None) == (want.unitary is None)
+        assert want.unitary is None or np.array_equal(rec.noisy.unitary, want.unitary)
+        reference[rec.label] = (want, rec.arity)
+    # the dense run applied those channels: the references, given as explicit gates, give its bits
+    assert np.array_equal(dv._dense_state(GateSetModel(3, gates=reference), circuit), state)
 
 
 def _depolarized_h_model():
