@@ -82,24 +82,41 @@ frame, which stays the all-identity frame, mapped to itself by every gate,
 until the first layer that draws a fault, so a circuit that draws none
 builds no gate table and conjugates nothing.
 
-Propagation is stacked, sampling is not.  BiRB and cycle benchmarking
-compile the bodies of one depth side by side, as one program on a register
-of k * n qubits (:meth:`CliffordProgram._side_by_side`), and walk their k
-prepared Paulis through it as one column, in stacks that
+Dense sampling of an ensemble is stacked.  RB decay runs and simultaneous
+RB hand the circuits of a design, with their seeds, to
+:func:`_sample_ensemble`.  It resolves each circuit's records in circuit
+order, groups the circuits by shape (layer lengths and per-operation
+supports, hence idle qubits) and evolves each group as one stack of
+superkets, one ``np.matmul`` per operation on the circuits' gathered PTMs
+(:func:`_dense_states`), each item bit for bit its circuit's own state.  A
+circuit with ``gate_defs``, with a PTM that is not C-ordered, or alone in
+its shape runs :func:`_dense_state` instead.  Each superket then goes back
+through :func:`sample_counts` and :func:`circuit_probabilities`, so each
+circuit draws from its own generator, as a call per circuit does, and a
+run still makes one ``circuit_probabilities`` call, with its shots, per
+circuit, which is what a tracer that wraps those two names counts.
+
+Propagation is stacked, fast-path sampling is not.  BiRB and cycle
+benchmarking compile the bodies of one depth side by side, as one program
+on a register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
+walk their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
 its own program would give them.  Every fast-path sampling call
 (:func:`pauli_fastpath_sample`, :func:`pauli_fastpath_signs`) still runs
 one circuit, with its own generator, so the seeded stream and the
 benchmark's per-call circuit count are those of one circuit at a time.
+
+A :class:`ShotRecord` keeps the circuit it was sampled from and writes the
+circuit's JSON only when ``circuit_id`` is read.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -278,17 +295,49 @@ class Circuit:
         return cls(payload["width"], layers)
 
 
-@dataclass(frozen=True)
 class ShotRecord:
-    circuit_id: str
-    counts: dict
-    shots: int
-    seed: int
-    timestamp_index: int = 0
+    """One circuit's sampled counts: ``circuit_id`` (the circuit's JSON),
+    ``counts``, ``shots``, ``seed`` and ``timestamp_index``.
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+    The samplers pass the :class:`Circuit` itself as ``circuit_id``; the
+    record keeps it and writes its JSON on first read, so a record that is
+    never read or written never serialises its circuit.  Records are
+    immutable and compare by their five fields, ``circuit_id`` as text.
+    """
+
+    __slots__ = ("_circuit", "counts", "shots", "seed", "timestamp_index")
+
+    def __init__(self, circuit_id: "str | Circuit", counts: dict, shots: int, seed: int, timestamp_index: int = 0):
+        if sum(counts.values()) != shots:
             raise ValueError("counts do not sum to shots")
+        for name, value in zip(self.__slots__, (circuit_id, counts, shots, seed, timestamp_index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__, which __setattr__ leaves the only way in
+        return ShotRecord, (self._circuit, self.counts, self.shots, self.seed, self.timestamp_index)
+
+    @property
+    def circuit_id(self) -> str:
+        if isinstance(self._circuit, Circuit):
+            object.__setattr__(self, "_circuit", self._circuit.to_json())
+        return self._circuit
+
+    def _fields(self) -> tuple:
+        return self.circuit_id, self.counts, self.shots, self.seed, self.timestamp_index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # the counts are a dict
+
+    def __repr__(self) -> str:
+        names = ("circuit_id",) + self.__slots__[1:]
+        return "ShotRecord(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -600,9 +649,10 @@ def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
     """Apply the (d^k, d^k) matrix ``op`` to the axes ``qubits`` of a tensor
     whose every axis has size d, as one matrix product.
 
-    ``np.dot`` copies a strided operand before its gemm, as a tensor
-    contraction over those axes does, so the result is the same to the bit;
-    ``@`` would run a non-BLAS loop on such an operand and round otherwise.
+    The moved state reshapes to a C-ordered operand, or to an F-ordered
+    view after some transposes, which ``np.dot`` hands BLAS as a transposed
+    operand; a C-ordered copy of it would round otherwise, so a stacked
+    product that mirrors this one keeps the view (:func:`_apply_stacked`).
     On the leading axes in order (a gate on the whole register, for one) the
     transpose is the identity and is skipped: the same product on the same
     memory.
@@ -616,29 +666,93 @@ def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _dense_state(model: GateSetModel, circuit: Circuit) -> np.ndarray:
-    """The superket, shaped ``(4,) * n``, that the circuit leaves.
-
-    Each distinct gate of the circuit's flat form resolves once; each layer
-    applies its gates in order, then the model's idle channel, if any, on
-    the layer's idle qubits in qubit order."""
+def _dense_records(model: GateSetModel, circuit: Circuit):
+    """The circuit's records, one per key of its flat form, each with its
+    noisy channel built; a circuit the dense backend cannot run raises."""
     if circuit.width != model.n:
         raise ValueError("circuit width does not match the model")
     if model.n > DENSE_WIDTH_CAP:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
-    flat = circuit._flat
-    records = [model.record(label, k, circuit.gate_defs) for label, k in flat.keys]
+    records = [model.record(label, k, circuit.gate_defs) for label, k in circuit._flat.keys]
     _build_noisy(records)
+    return records
+
+
+def _idle_qubits(model: GateSetModel, flat: _Flat):
+    """Per layer, the qubits that take the model's idle channel, in qubit
+    order: none without one."""
+    if model.idle is None:
+        return [()] * len(flat.lengths)
+    return [np.flatnonzero(row).tolist() for row in flat.idle]
+
+
+def _dense_state(model: GateSetModel, circuit: Circuit, records=None) -> np.ndarray:
+    """The superket, shaped ``(4,) * n``, that the circuit leaves.
+
+    Each distinct gate of the circuit's flat form resolves once, unless its
+    ``records`` (:func:`_dense_records`) are given; each layer applies its
+    gates in order, then the model's idle channel, if any, on the layer's
+    idle qubits in qubit order."""
+    if records is None:
+        records = _dense_records(model, circuit)
     ptms = [rec.noisy.ptm for rec in records]
-    key = iter(flat.key)
-    idle = [()] * circuit.depth if model.idle is None else [np.flatnonzero(row).tolist() for row in flat.idle]
+    key = iter(circuit._flat.key)
     state = model._superket
-    for layer, idle_qubits in zip(circuit.layers, idle):
+    for layer, idle_qubits in zip(circuit.layers, _idle_qubits(model, circuit._flat)):
         for (_, qubits), g in zip(layer, key):
             state = _apply_local(state, ptms[g], qubits)
         for q in idle_qubits:
             state = _apply_local(state, model.idle.ptm, (q,))
     return state
+
+
+def _apply_stacked(states: np.ndarray, ops: np.ndarray, qubits) -> np.ndarray:
+    """:func:`_apply_local` on each item of a ``(k,) + (4,) * n`` superket
+    stack, item i taking ``ops[i]`` of a (k, d, d) stack (or one (d, d)
+    ``ops`` for every item), as one ``np.matmul``.
+
+    The stack is transposed and reshaped as one state is, behind its stack
+    axis, so each item's operand has the layout that one circuit's state
+    has there: C-ordered, or F-ordered after some transposes.  ``np.matmul``
+    hands BLAS an F-ordered operand as a transposed one, as ``np.dot`` does,
+    so each item's product is the one-circuit product to the bit; a
+    C-ordered copy of that operand would round otherwise."""
+    k, d = len(states), ops.shape[-1]
+    order = _axis_order(states.ndim - 1, tuple(qubits))
+    if order is None:
+        return np.matmul(ops, states.reshape(k, d, -1)).reshape(states.shape)
+    perm, inverse = order
+    moved = states.transpose((0,) + tuple(a + 1 for a in perm))
+    out = np.matmul(ops, moved.reshape(k, d, -1))
+    return out.reshape(moved.shape).transpose((0,) + tuple(a + 1 for a in inverse))
+
+
+def _dense_states(model: GateSetModel, circuits, records) -> np.ndarray:
+    """The superkets, shaped ``(k,) + (4,) * n``, that k circuits of one
+    shape (the same layer lengths and per-operation supports) leave, given
+    each circuit's :func:`_dense_records`, whose PTMs are C-ordered.
+
+    The stack evolves as :func:`_dense_state` evolves one superket: at each
+    operation, the circuits' PTMs are gathered into a C-ordered (k, d, d)
+    stack from one table per arity and applied by :func:`_apply_stacked`;
+    the model's idle channel, if any, follows on the shape's idle qubits.
+    Each item is the superket its circuit's own run gives, to the bit."""
+    flat, k = circuits[0]._flat, len(circuits)
+    tables, number = {}, {}
+    for rec in chain.from_iterable(records):
+        if rec not in number:
+            number[rec] = len(tables.setdefault(rec.arity, []))
+            tables[rec.arity].append(rec.noisy.ptm)
+    tables = {arity: np.stack(ptms) for arity, ptms in tables.items()}
+    index = np.array([[number[recs[g]] for g in c._flat.key] for c, recs in zip(circuits, records)], dtype=np.intp)
+    states = np.repeat(model._superket[None], k, axis=0)
+    ops = iter(enumerate(flat.supports))
+    for length, idle_qubits in zip(flat.lengths, _idle_qubits(model, flat)):
+        for j, qubits in islice(ops, length):
+            states = _apply_stacked(states, tables[len(qubits)][index[:, j]], qubits)
+        for q in idle_qubits:
+            states = _apply_stacked(states, model.idle.ptm, (q,))
+    return states
 
 
 def _effect_rows(n: int, confusion: dict) -> np.ndarray:
@@ -650,9 +764,12 @@ def _effect_rows(n: int, confusion: dict) -> np.ndarray:
     return out
 
 
-def circuit_probabilities(model: GateSetModel, circuit: Circuit):
-    """Outcome distribution over bit strings from the dense PTM backend."""
-    flat = _dense_state(model, circuit).reshape(-1)
+def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np.ndarray = None):
+    """Outcome distribution over bit strings from the dense PTM backend.
+
+    ``superket`` is the state the circuit leaves, when the caller evolved it
+    already (:func:`_sample_ensemble`)."""
+    flat = (_dense_state(model, circuit) if superket is None else superket).reshape(-1)
     if model._effect_transform is not None:
         flat = model._effect_transform @ flat
     probs = model._effects @ flat
@@ -665,16 +782,66 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit):
     return ProbDist(labels, probs)
 
 
-def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed) -> ShotRecord:
-    """Multinomial draw from the dense backend's distribution."""
+def _seed_value(seed) -> int:
+    """The seed a :class:`ShotRecord` stores: the integer, or -1 for a Generator."""
+    return -1 if isinstance(seed, np.random.Generator) else int(seed)
+
+
+def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, *, superket: np.ndarray = None) -> ShotRecord:
+    """Multinomial draw from the dense backend's distribution; ``superket``
+    passes to :func:`circuit_probabilities`."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    dist = circuit_probabilities(model, circuit)
+    dist = circuit_probabilities(model, circuit, superket=superket)
     gen = rng(seed)
     draws = gen.multinomial(shots, dist.probs)
     counts = {lbl: int(c) for lbl, c in zip(dist.outcomes, draws) if c}
-    seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
-    return ShotRecord(circuit.to_json(), counts, shots, seed_val)
+    return ShotRecord(circuit, counts, shots, _seed_value(seed))
+
+
+# Doubles that one stack of :func:`_sample_ensemble` holds per array: its
+# superkets, or the PTMs gathered for one operation.
+_ENSEMBLE_BUDGET = 1 << 16
+
+
+def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
+    """:func:`sample_counts` of each circuit with its seed, as a list in
+    circuit order, with the dense states evolved side by side.
+
+    The circuits' records resolve first, circuit by circuit in order, as
+    one call per circuit resolves them.  Circuits of one shape, the same
+    layer lengths and per-operation supports and hence the same idle
+    qubits, then evolve as one superket stack
+    (:func:`_dense_states`), in stacks that ``_ENSEMBLE_BUDGET`` bounds.  A
+    circuit runs :func:`_dense_state` alone when it has ``gate_defs`` (its
+    inline gates are records of its own), when a PTM of its records is not
+    C-ordered (a gathered stack is), or when no other circuit has its shape.
+    Each superket then goes through :func:`sample_counts`, which draws from
+    the circuit's own generator, so each record is the one that a call per
+    circuit gives, and each circuit is one ``circuit_probabilities`` call.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    records = [_dense_records(model, circuit) for circuit in circuits]
+    groups = {}
+    for i, (circuit, recs) in enumerate(zip(circuits, records)):
+        alone = circuit.gate_defs or not all(rec.noisy.ptm.flags.c_contiguous for rec in recs)
+        shape = i if alone else (tuple(circuit._flat.lengths), tuple(circuit._flat.supports))
+        groups.setdefault(shape, []).append(i)
+    out = [None] * len(circuits)
+    for members in groups.values():
+        if len(members) == 1:
+            i = members[0]
+            out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=_dense_state(model, circuits[i], records[i]))
+            continue
+        arity = max(map(len, circuits[members[0]]._flat.supports), default=0)
+        size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            states = _dense_states(model, [circuits[i] for i in chunk], [records[i] for i in chunk])
+            for i, state in zip(chunk, states):
+                out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=state)
+    return out
 
 
 def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segments: int = 16) -> ShotRecord:
@@ -695,7 +862,7 @@ def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segment
         rec = sample_counts(model_at(i / max(segments - 1, 1)), circuit, n_i, s)
         for k, v in rec.counts.items():
             counts[k] = counts.get(k, 0) + v
-    return ShotRecord(circuit.to_json(), counts, shots, seed)
+    return ShotRecord(circuit, counts, shots, _seed_value(seed))
 
 
 # -- statevector backend ------------------------------------------------------
@@ -1171,8 +1338,7 @@ def pauli_fastpath_sample(
     # that sum over them read
     tally = Counter(_pack(bits[::-1].T))
     counts = {format(v, f"0{model.n}b"): c for v, c in sorted(tally.items())}
-    seed_val = int(seed) if not isinstance(seed, np.random.Generator) else -1
-    return ShotRecord(circuit.to_json(), counts, shots, seed_val)
+    return ShotRecord(circuit, counts, shots, _seed_value(seed))
 
 
 def pauli_fastpath_signs(

@@ -37,6 +37,7 @@ from .device import (
     GateSetModel,
     ShotRecord,
     _propagate_side_by_side,
+    _sample_ensemble,
     _stack_size,
     ideal_probabilities,
     parity_from_counts,
@@ -223,12 +224,21 @@ def crb_circuits(design: RBDesign, interleave: str = None):
     ]
 
 
+def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str):
+    """:func:`~qcvv.device.sample` of each circuit with its seed: on the dense
+    backend as one ensemble (:func:`~qcvv.device._sample_ensemble`), which
+    gives each circuit the record of its own call."""
+    if backend == "dense":
+        return _sample_ensemble(model, circuits, shots, seeds)
+    return [sample(model, circ, shots, s, backend) for circ, s in zip(circuits, seeds)]
+
+
 def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "dense") -> DecayDataset:
     """Execute success-string circuits and collect per-circuit frequencies."""
     values = {m: [] for m in design.depths}
     seeds = child_seeds(design.seed + 1, len(circuits))
-    for (m, circ, bits), s in zip(circuits, seeds):
-        rec = sample(model, circ, design.shots, s, backend)
+    records = _sample_all(model, [circ for _, circ, _ in circuits], design.shots, seeds, backend)
+    for (m, _, bits), rec in zip(circuits, records):
         values[m].append(rec.counts.get(bits, 0) / design.shots)
     return DecayDataset(list(design.depths), values, design.variant)
 
@@ -306,9 +316,9 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
     for i, sub in enumerate(subsets):
         values = {m: [] for m in design.depths}
         seeds = child_seeds(gen_seeds[i] + 7, len(per_subset_circuits[sub]))
-        for (m, circ, bits), s in zip(per_subset_circuits[sub], seeds):
-            emb = _embed_circuit(circ, n_total, sub)
-            rec = sample(isolated_model, emb, design.shots, s, backend)
+        embedded = [_embed_circuit(circ, n_total, sub) for _, circ, _ in per_subset_circuits[sub]]
+        records = _sample_all(isolated_model, embedded, design.shots, seeds, backend)
+        for (m, _, bits), rec in zip(per_subset_circuits[sub], records):
             values[m].append(_marginal_success(rec, bits, sub, n_total))
         data = DecayDataset(list(design.depths), values, "srb-isolated")
         fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=1 / 2 ** len(sub))
@@ -317,10 +327,11 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
     # simultaneous: splice the i-th circuit of every subset together
     counts = {m: min(len([c for c in per_subset_circuits[s] if c[0] == m]) for s in subsets) for m in design.depths}
     sim_values = {sub: {m: [] for m in design.depths} for sub in subsets}
-    seeds = iter(child_seeds(gen_seeds[-1], sum(counts.values()) * design.circuits_per_depth + 64))
+    seeds = child_seeds(gen_seeds[-1], sum(counts.values()) * design.circuits_per_depth + 64)
     by_depth = {
         sub: {m: [c for c in per_subset_circuits[sub] if c[0] == m] for m in design.depths} for sub in subsets
     }
+    joints, joint_pieces = [], []
     for m in design.depths:
         for j in range(counts[m]):
             pieces = {sub: by_depth[sub][m][j] for sub in subsets}
@@ -334,10 +345,12 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
                         for lbl, qs in circ.layers[li]:
                             layer.append((lbl, tuple(sub[q] for q in qs)))
                 layers.append(tuple(layer))
-            joint = Circuit(n_total, tuple(layers))
-            rec = sample(model, joint, design.shots, next(seeds), backend)
-            for sub in subsets:
-                sim_values[sub][m].append(_marginal_success(rec, pieces[sub][2], sub, n_total))
+            joints.append(Circuit(n_total, tuple(layers)))
+            joint_pieces.append((m, pieces))
+    records = _sample_all(model, joints, design.shots, seeds[: len(joints)], backend)
+    for (m, pieces), rec in zip(joint_pieces, records):
+        for sub in subsets:
+            sim_values[sub][m].append(_marginal_success(rec, pieces[sub][2], sub, n_total))
     for sub in subsets:
         data = DecayDataset(list(design.depths), sim_values[sub], "srb-simultaneous")
         fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=1 / 2 ** len(sub))

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import zlib
 
 import numpy as np
@@ -1302,3 +1304,164 @@ def test_statevector_and_dense_agree_on_ideal_clifford_circuits(width, depth, se
     dense = dv.circuit_probabilities(dv.ideal_model(width), circ)
     assert sv.outcomes == dense.outcomes
     assert np.abs(sv.probs - dense.probs).max() < 1e-10
+
+
+def test_shot_record_keeps_its_circuit_until_read():
+    circ = Circuit(2, ((("H", (0,)), ("X", (1,))), (("CNOT", (0, 1)),)))
+    lazy = ShotRecord(circ, {"00": 3, "11": 1}, 4, 7)
+    eager = ShotRecord(circ.to_json(), {"11": 1, "00": 3}, 4, 7)
+    assert lazy._circuit is circ  # nothing serialised yet
+    assert lazy == eager and eager == lazy
+    assert lazy.circuit_id == circ.to_json() and lazy._circuit == circ.to_json()
+    assert ShotRecord(circ, {"00": 4}, 4, 7).to_json() == ShotRecord(circ.to_json(), {"00": 4}, 4, 7).to_json()
+    assert ShotRecord.from_json(lazy.to_json()) == lazy
+    assert ShotRecord(**json.loads(ShotRecord(circ, {"00": 4}, 4, 7, 2).to_json())).timestamp_index == 2
+    assert ShotRecord(circ, {"00": 4}, 4, 7) != ShotRecord(circ, {"00": 4}, 4, 8)
+    assert repr(lazy) == f"ShotRecord(circuit_id={circ.to_json()!r}, counts={lazy.counts!r}, shots=4, seed=7, timestamp_index=0)"
+    with pytest.raises(AttributeError):
+        lazy.shots = 5
+    with pytest.raises(TypeError):
+        hash(lazy)
+    fresh = ShotRecord(circ, {"00": 4}, 4, 7)
+    clone = copy.copy(fresh)
+    assert clone._circuit is circ  # a copy keeps the circuit, unserialised
+    assert pickle.loads(pickle.dumps(fresh)) == clone == fresh
+    # the samplers hand over the circuit and write the same record
+    model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.05, n=k))
+    rec = dv.sample_counts(model, circ, 50, 3)
+    assert rec.to_json() == ShotRecord(circ.to_json(), rec.counts, 50, 3).to_json()
+
+
+def test_drifting_sampler_stores_a_normalised_seed():
+    def model_at(t):
+        return dv.noisy_model(1, lambda l, a: ch.depolarizing(0.02 + 0.3 * t))
+
+    circ = Circuit(1, tuple((("X90", (0,)),) for _ in range(4)))
+    plain = dv.sample_counts_drifting(model_at, circ, 400, 3, segments=4)
+    wide = dv.sample_counts_drifting(model_at, circ, 400, np.int64(3), segments=4)
+    assert type(wide.seed) is int and wide == plain and wide.to_json() == plain.to_json()
+    drawn = dv.sample_counts_drifting(model_at, circ, 400, np.random.default_rng(3), segments=4)
+    assert drawn.seed == -1 and json.loads(drawn.to_json())["seed"] == -1
+
+
+def _splice(width, pieces):
+    """Circuits on disjoint qubit subsets, layer by layer, as simultaneous RB joins them."""
+    depth = max(circ.depth for circ, _ in pieces)
+    layers = []
+    for t in range(depth):
+        layers.append(tuple((lbl, tuple(sub[q] for q in qs)) for circ, sub in pieces if t < circ.depth for lbl, qs in circ.layers[t]))
+    return Circuit(width, tuple(layers))
+
+
+def _ensemble_case(kind, n, seed):
+    """Circuits of one ensemble call: RB designs, embedded and spliced
+    simultaneous-RB circuits, circuits with gate_defs or of mixed shapes."""
+    gen = rng(seed)
+    per = int(gen.integers(1, 4))
+    if kind in ("crb", "irb", "gauged"):
+        width = 1 if kind == "gauged" else min(n, 2)
+        gate = None if kind != "irb" else ("S" if width == 1 else "CZ")
+        design = rb.RBDesign(tuple(range(width)), (0, 1, 3), per, 10, seed)
+        return [circ for _, circ, _ in rb.crb_circuits(design, interleave=gate)]
+    if kind == "srb":
+        order = [int(q) for q in gen.permutation(n)]
+        subs = [tuple(order[:1]), tuple(order[1:3])] if n > 2 else [tuple(order[:1]), tuple(order[1:])]
+        sets = [rb.crb_circuits(rb.RBDesign(sub, (0, 1, 2), per, 10, seed + i)) for i, sub in enumerate(subs)]
+        embedded = [rb._embed_circuit(circ, n, sub) for sub, cs in zip(subs, sets) for _, circ, _ in cs]
+        joint = [_splice(n, [(cs[j][1], sub) for sub, cs in zip(subs, sets)]) for j in range(len(sets[0]))]
+        return embedded + joint
+    shapes = [_random_clifford_circuit(n, int(gen.integers(0, 4)), gen) for _ in range(3)]
+    circuits = []
+    for t in gen.integers(0, 3, size=2 * per + 1).tolist():  # some shapes repeat, some stay alone
+        layers = tuple(tuple((f"c{len(qs)}_{int(gen.integers(24 if len(qs) == 1 else 11520))}", qs) for _, qs in layer) for layer in shapes[t].layers)
+        circuits.append(Circuit(n, layers))
+    if kind == "defs":
+        layers = tuple(tuple(("u" if len(qs) == 1 else lbl, qs) for lbl, qs in layer) for layer in shapes[0].layers)
+        circuits += [Circuit(n, layers, {"u": haar_random_unitary(2, seed + i)}) for i in range(2)]
+    return circuits
+
+
+def _ensemble_model(kind, n, noise, idle, confusion, pre):
+    if kind == "gauged":
+        gates = {}
+        for i in range(24):
+            label = f"c1_{i}"
+            chan = ch.random_cptp(2, zlib.crc32(label.encode())).compose(ch.Channel.from_unitary(cl.clifford_gate_factory(label)))
+            gates[label] = (chan, 1)
+        gauge = np.eye(4) + 0.1 * rng(5).normal(size=(4, 4))
+        return dv.apply_gauge(GateSetModel(1, gates=gates, confusion={0: [[0.9, 0.2], [0.1, 0.8]]} if confusion else None), gauge)
+    rule = {
+        "depolarizing": lambda label, k: ch.depolarizing(0.02 * k, n=k),
+        "coherent": lambda label, k: ch.Channel.from_unitary(haar_random_unitary(2**k, zlib.crc32(label.encode()))),
+        "cptp": _label_noise("fresh"),
+    }[noise]
+    conf = {q: [[0.95 - 0.01 * q, 0.1], [0.05 + 0.01 * q, 0.9]] for q in range(n)} if confusion else None
+    return dv.noisy_model(n, rule, confusion=conf, idle=ch.stochastic_pauli((0.01, 0.02, 0.005)) if idle else None, pre_gate_noise=pre)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["crb", "irb", "srb", "gauged", "defs", "mixed"]),
+    n=st.integers(1, 4),
+    noise=st.sampled_from(["depolarizing", "coherent", "cptp"]),
+    idle=st.booleans(),
+    confusion=st.booleans(),
+    pre=st.booleans(),
+    budget=st.sampled_from([None, 64]),
+    seed=st.integers(0, 2**31),
+)
+def test_ensemble_sampling_matches_per_circuit_sample_counts(kind, n, noise, idle, confusion, pre, budget, seed):
+    """``_sample_ensemble`` gives every circuit the record of its own
+    ``sample_counts`` call, through one ``circuit_probabilities`` call with a
+    superket equal, to the bit, to the circuit's own dense state: stacked
+    full-register and embedded (partially supported) RB circuits, idle
+    noise, readout confusion, pre-gate noise, a gauged model, circuits with
+    gate_defs and lists of mixed shapes, in whole and split stacks."""
+    if kind == "srb":
+        n = max(n, 2)
+    elif kind in ("crb", "irb"):
+        n = min(n, 2)
+    circuits = _ensemble_case(kind, n, seed)
+    n = circuits[0].width
+    seeds = [int(s) for s in rng(seed + 1).integers(2**62, size=len(circuits))]
+    model = _ensemble_model(kind, n, noise, idle, confusion, pre)
+    reference = _ensemble_model(kind, n, noise, idle, confusion, pre)
+    size = dv._ENSEMBLE_BUDGET
+    dv._ENSEMBLE_BUDGET = budget or size
+    try:
+        _check_ensemble(model, reference, circuits, seeds)
+    finally:
+        dv._ENSEMBLE_BUDGET = size
+
+
+def _check_ensemble(model, reference, circuits, seeds, shots=25):
+    """``_sample_ensemble`` on ``model`` gives each circuit the record of its
+    own ``sample_counts`` call on ``reference``, through one
+    ``circuit_probabilities`` call whose superket is, to the bit, the
+    circuit's own dense state."""
+    seen, original = [], dv.circuit_probabilities
+
+    def spy(model, circuit, *, superket=None):
+        seen.append((circuit, superket))
+        return original(model, circuit, superket=superket)
+
+    dv.circuit_probabilities = spy
+    try:
+        records = dv._sample_ensemble(model, circuits, shots, seeds)
+    finally:
+        dv.circuit_probabilities = original
+    assert records == [dv.sample_counts(reference, c, shots, s) for c, s in zip(circuits, seeds)]
+    assert sorted(map(id, circuits)) == sorted(id(c) for c, _ in seen)  # one call per circuit
+    for circuit, superket in seen:
+        assert np.array_equal(superket.reshape(-1), dv._dense_state(reference, circuit).reshape(-1))
+
+
+def test_ensemble_runs_a_circuit_with_a_non_c_ordered_ptm_alone():
+    gen = rng(4)
+    gates = {label: (ch.Channel(np.asfortranarray(ch.random_cptp(4, i).ptm)), 2) for i, label in enumerate("AB")}
+    gates["C"] = (ch.random_cptp(4, 9), 2)
+    model = GateSetModel(2, gates=gates)
+    assert not model.record("A", 2).noisy.ptm.flags.c_contiguous
+    for support in ((0, 1), (1, 0)):
+        circuits = [Circuit(2, tuple(((str(gen.choice(list(labels))), support),) for _ in range(4))) for labels in ("AC", "C", "C", "BC")]
+        _check_ensemble(model, model, circuits, [1, 2, 3, 4])

@@ -106,6 +106,7 @@ def test_synth_dispatch_and_unknown_kind():
 def test_rpe_exact_probabilities_machine_precision():
     res = td.rpe(0.8, 64, None, seed=1)
     assert res.theta_hat == pytest.approx(0.8, abs=1e-12)
+    assert res.rms_bound == np.pi / 128  # pi / (2 k_max), the bound the perturbed trials meet
 
 
 def test_rpe_requires_power_of_two():
