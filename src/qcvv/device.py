@@ -56,11 +56,13 @@ stacked product with the noise PTMs.  A fresh model's ``c2_<i>`` labels and
 a circuit's inline ``gate_defs`` are thus built as one batch per circuit.
 
 The dense and statevector backends share one local-operator kernel,
-``_apply_local``: a k-qubit operator acts on a state tensor as one matrix
-product over the gate's axes.  A gate on the leading axes in order, as a
-gate on the whole register is, skips the identity transpose; both give the
-same bits as the general path.  The dense loop applies the model's idle
-channel only when there is one, to the qubits the idle mask marks.
+``_apply_stacked``: a k-qubit operator acts on every item of a stack of
+state tensors as one ``np.matmul`` over the gate's axes, each item taking
+its own operator or all of them one.  A single state is a one-item stack.
+A gate on the leading axes in order, as a gate on the whole register is,
+skips the identity transpose; both give the same bits as the general path.
+The dense loop applies the model's idle channel only when there is one, to
+the qubits the idle mask marks.
 
 One compiled program, :class:`CliffordProgram`, serves every Clifford path.
 It compiles a circuit against a model from its flat form and builds two
@@ -82,19 +84,20 @@ frame, which stays the all-identity frame, mapped to itself by every gate,
 until the first layer that draws a fault, so a circuit that draws none
 builds no gate table and conjugates nothing.
 
-Dense sampling of an ensemble is stacked.  RB decay runs and simultaneous
-RB hand the circuits of a design, with their seeds, to
-:func:`_sample_ensemble`.  It resolves each circuit's records in circuit
-order, groups the circuits by shape (layer lengths and per-operation
-supports, hence idle qubits) and evolves each group as one stack of
-superkets, one ``np.matmul`` per operation on the circuits' gathered PTMs
-(:func:`_dense_states`), each item bit for bit its circuit's own state.  A
-circuit with ``gate_defs``, with a PTM that is not C-ordered, or alone in
-its shape runs :func:`_dense_state` instead.  Each superket then goes back
-through :func:`sample_counts` and :func:`circuit_probabilities`, so each
-circuit draws from its own generator, as a call per circuit does, and a
-run still makes one ``circuit_probabilities`` call, with its shots, per
-circuit, which is what a tracer that wraps those two names counts.
+The dense backend has one superket loop, :func:`_dense_states`.  It
+evolves a stack of circuits of one shape (layer lengths and per-operation
+supports, hence idle qubits), one ``np.matmul`` per operation on the
+circuits' PTMs, gathered from C-ordered tables keyed by gate record; a
+single circuit (:func:`circuit_probabilities`) is a one-item stack.  RB
+decay runs, simultaneous RB and state tomography's settings hand the
+circuits of a design, with their seeds, to :func:`_sample_ensemble`.  It
+resolves each circuit's records in circuit order, groups the circuits by
+shape and evolves each group as one stack, each item bit for bit the state
+that the circuit's own call gives.  Each superket then goes back through
+:func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
+draws from its own generator, as a call per circuit does, and a run still
+makes one ``circuit_probabilities`` call, with its shots, per circuit,
+which is what a tracer that wraps those two names counts.
 
 Propagation is stacked, fast-path sampling is not.  BiRB and cycle
 benchmarking compile the bodies of one depth side by side, as one program
@@ -637,33 +640,14 @@ STATEVECTOR_WIDTH_CAP = 14
 
 @lru_cache(maxsize=None)
 def _axis_order(ndim: int, qubits: tuple):
-    """The transpose that brings ``qubits`` to the front, and its inverse;
-    None when ``qubits`` are already the leading axes, in order."""
+    """The transpose of a ``(k,) + (d,) * ndim`` stack that brings ``qubits``
+    to the front behind the stack axis, and its inverse; None when
+    ``qubits`` are already the leading axes, in order."""
     perm = qubits + tuple(a for a in range(ndim) if a not in qubits)
     if perm == tuple(range(ndim)):
         return None
+    perm = (0,) + tuple(a + 1 for a in perm)
     return perm, tuple(int(a) for a in np.argsort(perm))
-
-
-def _apply_local(state: np.ndarray, op: np.ndarray, qubits) -> np.ndarray:
-    """Apply the (d^k, d^k) matrix ``op`` to the axes ``qubits`` of a tensor
-    whose every axis has size d, as one matrix product.
-
-    The moved state reshapes to a C-ordered operand, or to an F-ordered
-    view after some transposes, which ``np.dot`` hands BLAS as a transposed
-    operand; a C-ordered copy of it would round otherwise, so a stacked
-    product that mirrors this one keeps the view (:func:`_apply_stacked`).
-    On the leading axes in order (a gate on the whole register, for one) the
-    transpose is the identity and is skipped: the same product on the same
-    memory.
-    """
-    order = _axis_order(state.ndim, tuple(qubits))
-    if order is None:
-        return np.dot(op, state.reshape(op.shape[1], -1)).reshape(state.shape)
-    perm, inverse = order
-    moved = state.transpose(perm)
-    out = np.dot(op, moved.reshape(op.shape[1], -1))
-    return out.reshape(moved.shape).transpose(inverse)
 
 
 def _dense_records(model: GateSetModel, circuit: Circuit):
@@ -686,57 +670,39 @@ def _idle_qubits(model: GateSetModel, flat: _Flat):
     return [np.flatnonzero(row).tolist() for row in flat.idle]
 
 
-def _dense_state(model: GateSetModel, circuit: Circuit, records=None) -> np.ndarray:
-    """The superket, shaped ``(4,) * n``, that the circuit leaves.
-
-    Each distinct gate of the circuit's flat form resolves once, unless its
-    ``records`` (:func:`_dense_records`) are given; each layer applies its
-    gates in order, then the model's idle channel, if any, on the layer's
-    idle qubits in qubit order."""
-    if records is None:
-        records = _dense_records(model, circuit)
-    ptms = [rec.noisy.ptm for rec in records]
-    key = iter(circuit._flat.key)
-    state = model._superket
-    for layer, idle_qubits in zip(circuit.layers, _idle_qubits(model, circuit._flat)):
-        for (_, qubits), g in zip(layer, key):
-            state = _apply_local(state, ptms[g], qubits)
-        for q in idle_qubits:
-            state = _apply_local(state, model.idle.ptm, (q,))
-    return state
-
-
 def _apply_stacked(states: np.ndarray, ops: np.ndarray, qubits) -> np.ndarray:
-    """:func:`_apply_local` on each item of a ``(k,) + (4,) * n`` superket
-    stack, item i taking ``ops[i]`` of a (k, d, d) stack (or one (d, d)
-    ``ops`` for every item), as one ``np.matmul``.
+    """Apply an operator on the axes ``qubits`` to each item of a
+    ``(k,) + (d,) * n`` stack of state tensors, as one ``np.matmul``: item i
+    takes ``ops[i]`` of a (k, D, D) stack, or every item one (D, D) ``ops``,
+    with D = d ** len(qubits).
 
-    The stack is transposed and reshaped as one state is, behind its stack
-    axis, so each item's operand has the layout that one circuit's state
-    has there: C-ordered, or F-ordered after some transposes.  ``np.matmul``
-    hands BLAS an F-ordered operand as a transposed one, as ``np.dot`` does,
-    so each item's product is the one-circuit product to the bit; a
-    C-ordered copy of that operand would round otherwise."""
+    Behind the stack axis, the moved items reshape to C-ordered operands, or
+    to F-ordered views after some transposes, which ``np.matmul`` hands BLAS
+    as transposed operands; a C-ordered copy would round otherwise, so the
+    views are kept.  On the leading axes in order (a gate on the whole
+    register, for one) the transpose is the identity and is skipped: the
+    same product on the same memory."""
     k, d = len(states), ops.shape[-1]
     order = _axis_order(states.ndim - 1, tuple(qubits))
     if order is None:
         return np.matmul(ops, states.reshape(k, d, -1)).reshape(states.shape)
     perm, inverse = order
-    moved = states.transpose((0,) + tuple(a + 1 for a in perm))
+    moved = states.transpose(perm)
     out = np.matmul(ops, moved.reshape(k, d, -1))
-    return out.reshape(moved.shape).transpose((0,) + tuple(a + 1 for a in inverse))
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def _dense_states(model: GateSetModel, circuits, records) -> np.ndarray:
     """The superkets, shaped ``(k,) + (4,) * n``, that k circuits of one
     shape (the same layer lengths and per-operation supports) leave, given
-    each circuit's :func:`_dense_records`, whose PTMs are C-ordered.
+    each circuit's :func:`_dense_records`; one circuit is a one-item stack.
 
-    The stack evolves as :func:`_dense_state` evolves one superket: at each
-    operation, the circuits' PTMs are gathered into a C-ordered (k, d, d)
-    stack from one table per arity and applied by :func:`_apply_stacked`;
-    the model's idle channel, if any, follows on the shape's idle qubits.
-    Each item is the superket its circuit's own run gives, to the bit."""
+    Each record's PTM enters one C-ordered table per arity, keyed by the
+    record, so circuits whose ``gate_defs`` give one label different gates
+    keep their own.  At each operation the circuits' PTMs are gathered from
+    the table into a (k, d, d) stack and applied by :func:`_apply_stacked`;
+    each layer's gates apply in order, then the model's idle channel, if
+    any, on the shape's idle qubits in qubit order."""
     flat, k = circuits[0]._flat, len(circuits)
     tables, number = {}, {}
     for rec in chain.from_iterable(records):
@@ -764,12 +730,20 @@ def _effect_rows(n: int, confusion: dict) -> np.ndarray:
     return out
 
 
+def _outcome_labels(n: int):
+    """The 2**n bit strings of n qubits, in outcome order."""
+    return [format(i, f"0{n}b") for i in range(2**n)]
+
+
 def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np.ndarray = None):
     """Outcome distribution over bit strings from the dense PTM backend.
 
     ``superket`` is the state the circuit leaves, when the caller evolved it
-    already (:func:`_sample_ensemble`)."""
-    flat = (_dense_state(model, circuit) if superket is None else superket).reshape(-1)
+    already (:func:`_sample_ensemble`); otherwise the circuit evolves as a
+    one-item stack (:func:`_dense_states`)."""
+    if superket is None:
+        superket = _dense_states(model, [circuit], [_dense_records(model, circuit)])[0]
+    flat = superket.reshape(-1)
     if model._effect_transform is not None:
         flat = model._effect_transform @ flat
     probs = model._effects @ flat
@@ -778,8 +752,7 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np
         raise ValueError(f"distribution normalizes to {total}; model is not TP")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    labels = [format(i, f"0{model.n}b") for i in range(2**model.n)]
-    return ProbDist(labels, probs)
+    return ProbDist(_outcome_labels(model.n), probs)
 
 
 def _seed_value(seed) -> int:
@@ -811,29 +784,21 @@ def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
     The circuits' records resolve first, circuit by circuit in order, as
     one call per circuit resolves them.  Circuits of one shape, the same
     layer lengths and per-operation supports and hence the same idle
-    qubits, then evolve as one superket stack
-    (:func:`_dense_states`), in stacks that ``_ENSEMBLE_BUDGET`` bounds.  A
-    circuit runs :func:`_dense_state` alone when it has ``gate_defs`` (its
-    inline gates are records of its own), when a PTM of its records is not
-    C-ordered (a gathered stack is), or when no other circuit has its shape.
-    Each superket then goes through :func:`sample_counts`, which draws from
-    the circuit's own generator, so each record is the one that a call per
-    circuit gives, and each circuit is one ``circuit_probabilities`` call.
+    qubits, then evolve as one superket stack (:func:`_dense_states`), in
+    stacks that ``_ENSEMBLE_BUDGET`` bounds; a circuit alone in its shape is
+    a one-item stack.  Each superket then goes through :func:`sample_counts`,
+    which draws from the circuit's own generator, so each record is the one
+    that a call per circuit gives, and each circuit is one
+    ``circuit_probabilities`` call.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     records = [_dense_records(model, circuit) for circuit in circuits]
     groups = {}
-    for i, (circuit, recs) in enumerate(zip(circuits, records)):
-        alone = circuit.gate_defs or not all(rec.noisy.ptm.flags.c_contiguous for rec in recs)
-        shape = i if alone else (tuple(circuit._flat.lengths), tuple(circuit._flat.supports))
-        groups.setdefault(shape, []).append(i)
+    for i, circuit in enumerate(circuits):
+        groups.setdefault((tuple(circuit._flat.lengths), tuple(circuit._flat.supports)), []).append(i)
     out = [None] * len(circuits)
     for members in groups.values():
-        if len(members) == 1:
-            i = members[0]
-            out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=_dense_state(model, circuits[i], records[i]))
-            continue
         arity = max(map(len, circuits[members[0]]._flat.supports), default=0)
         size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
         for start in range(0, len(members), size):
@@ -874,19 +839,18 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
         raise ValueError(f"statevector backend capped at width {STATEVECTOR_WIDTH_CAP}")
     if model is None:
         model = GateSetModel(n)
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
+    psi = np.zeros((1,) + (2,) * n, dtype=complex)
+    psi.flat[0] = 1.0
     unitaries = [model.record(label, k, circuit.gate_defs).ideal for label, k in circuit._flat.keys]
-    for (_, qubits), g in zip(chain.from_iterable(circuit.layers), circuit._flat.key):
-        psi = _apply_local(psi, unitaries[g], qubits)
+    for qubits, g in zip(circuit._flat.supports, circuit._flat.key):
+        psi = _apply_stacked(psi, unitaries[g], qubits)
     return psi.reshape(-1)
 
 
 def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
     amps = statevector_run(circuit, model)
-    labels = [format(i, f"0{circuit.width}b") for i in range(2**circuit.width)]
     p = np.abs(amps) ** 2
-    return ProbDist(labels, p / p.sum())
+    return ProbDist(_outcome_labels(circuit.width), p / p.sum())
 
 
 # -- stochastic-Pauli fast path ------------------------------------------------

@@ -17,7 +17,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, GateSetModel, _apply_local, parity_mean, sample
+from .device import Circuit, GateSetModel, _apply_stacked, parity_mean, sample
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
@@ -267,8 +267,8 @@ def circuit_polarization_oracle(model: GateSetModel, layers) -> float:
 
 
 def _embed_ptm(ptm, qubits, n):
-    t = np.eye(4**n).reshape((4,) * (2 * n))
-    return _apply_local(t, ptm, qubits).reshape(4**n, 4**n)
+    t = np.eye(4**n).reshape((1,) + (4,) * (2 * n))
+    return _apply_stacked(t, ptm, qubits).reshape(4**n, 4**n)
 
 
 # -- circuit output accreditation ---------------------------------------------------

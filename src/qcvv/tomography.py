@@ -27,7 +27,7 @@ import scipy.optimize
 
 from .channels import Channel
 from .cliffords import GATE_UNITARIES, readout_layer
-from .device import Circuit, GateSetModel, circuit_probabilities, sample_counts, statevector_run
+from .device import Circuit, GateSetModel, _sample_ensemble, circuit_probabilities, sample_counts, statevector_run
 from .linalg import (
     NORMALIZED_PAULI,
     Superket,
@@ -219,16 +219,12 @@ def _tally(dataset, n: int):
 # -- quantum state tomography -----------------------------------------------------
 
 def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
-    """Measure a prepared state in all Pauli settings; returns
-    {setting: counts dict}."""
-    n = model.n
-    out = {}
-    seeds = child_seeds(seed, 3**n)
-    for (setting, rot), s in zip(_setting_circuits(n), seeds):
-        circ = state_circuit.then(rot)
-        rec = sample_counts(model, circ, shots, s)
-        out[setting] = rec.counts
-    return out
+    """Measure a prepared state in all Pauli settings, sampled as one dense
+    ensemble; returns {setting: counts dict}."""
+    settings = _setting_circuits(model.n)
+    circuits = [state_circuit.then(rot) for _, rot in settings]
+    records = _sample_ensemble(model, circuits, shots, child_seeds(seed, len(settings)))
+    return {setting: rec.counts for (setting, _), rec in zip(settings, records)}
 
 
 def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=None):

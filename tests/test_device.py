@@ -477,25 +477,28 @@ def test_gauge_transformed_model_keeps_parent_probabilities_after_caching():
 
 
 def _tensordot_reference(state, op, qubits):
-    """The tensordot + moveaxis contraction that ``_apply_local`` replaced."""
+    """The tensordot + moveaxis contraction of ``op`` on the axes ``qubits``."""
     k = len(qubits)
     t = op.reshape((state.shape[0],) * (2 * k))
     out = np.tensordot(t, state, axes=(list(range(k, 2 * k)), list(qubits)))
     return np.moveaxis(out, list(range(k)), list(qubits))
 
 
-def _layouts(tensor):
-    """The tensor as a C-ordered array, as a column-major one and, when
-    real, as the strided real part of a complex array (the layout of the
-    dense initial state)."""
-    yield tensor
-    yield tensor.T.copy().T
-    if not np.iscomplexobj(tensor):
-        yield tensor.astype(complex).real
+def _layouts(stack):
+    """A stack of tensors with C-ordered items and with column-major ones,
+    its stack axis outermost in both, as in every stack the dense backend
+    evolves.  The strided real part of a complex array is left out: no
+    caller produces it, since the dense initial state is a C-ordered copy."""
+    yield stack
+    axes = (0,) + tuple(range(stack.ndim - 1, 0, -1))
+    yield stack.transpose(axes).copy().transpose(axes)
 
 
 @pytest.mark.parametrize("d, widths, dtype", [(4, range(1, 7), float), (2, range(1, 9), complex)])
-def test_apply_local_matches_tensordot_bit_for_bit(d, widths, dtype):
+def test_apply_stacked_matches_tensordot_bit_for_bit(d, widths, dtype):
+    """Every item of a one-item or three-item stack, its items C- or
+    F-ordered, taking its own operator or one shared by all, is the
+    tensordot contraction of that item, to the bit."""
     gen = rng(d)
 
     def draw(shape):
@@ -508,11 +511,15 @@ def test_apply_local_matches_tensordot_bit_for_bit(d, widths, dtype):
             supports = {tuple(range(k)), tuple(range(k))[::-1], tuple(range(n - k, n))[::-1]}
             supports.update(tuple(int(q) for q in gen.permutation(n)[:k]) for _ in range(3))
             for qubits in sorted(supports):
-                op = draw((d**k, d**k))
-                for state in _layouts(draw((d,) * n)):
-                    out = dv._apply_local(state, op, qubits)
-                    assert np.array_equal(out, _tensordot_reference(state, op, qubits)), (n, qubits)
-                    cases += 1
+                for items in (1, 3):
+                    ops = draw((items, d**k, d**k))
+                    for states in _layouts(draw((items,) + (d,) * n)):
+                        for op in (ops, ops[0]):
+                            out = dv._apply_stacked(states, op, qubits)
+                            for i in range(items):
+                                want = _tensordot_reference(states[i], op if op.ndim == 2 else op[i], qubits)
+                                assert np.array_equal(out[i], want), (n, qubits, items)
+                            cases += 1
     assert cases > 100
 
 
@@ -1099,12 +1106,33 @@ def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
 # -- full-register dense step, shared ideal channels, composed gauges ------------
 
 def _general_apply(state, op, qubits):
-    """``_apply_local``'s general path: transpose ``qubits`` to the front,
-    one ``np.dot``, transpose back."""
+    """The general path of ``_apply_stacked`` on one state: transpose
+    ``qubits`` to the front, one ``np.dot``, transpose back."""
     perm = tuple(qubits) + tuple(a for a in range(state.ndim) if a not in qubits)
     moved = state.transpose(perm)
     out = np.dot(op, moved.reshape(op.shape[1], -1))
     return out.reshape(moved.shape).transpose(tuple(int(a) for a in np.argsort(perm)))
+
+
+def dense_reference_state(model, circuit):
+    """The superket, shaped ``(4,) * n``, that a per-operation ``np.dot``
+    loop leaves on C-ordered copies of the circuit's PTMs: each layer applies
+    its gates in order, then the model's idle channel, if any, on the layer's
+    idle qubits.  The dense backend's stacked loop gives these bits."""
+    ptms = [np.ascontiguousarray(rec.noisy.ptm) for rec in dv._dense_records(model, circuit)]
+    key = iter(circuit._flat.key)
+    state = np.array(model._superket)
+    for layer, idle_qubits in zip(circuit.layers, dv._idle_qubits(model, circuit._flat)):
+        for (_, qubits), g in zip(layer, key):
+            state = _general_apply(state, ptms[g], qubits)
+        for q in idle_qubits:
+            state = _general_apply(state, model.idle.ptm, (q,))
+    return state
+
+
+def _one_circuit_state(model, circuit):
+    """The superket that ``circuit_probabilities`` evolves for one circuit."""
+    return dv._dense_states(model, [circuit], [dv._dense_records(model, circuit)])[0]
 
 
 def test_full_register_step_matches_the_general_path_bit_for_bit():
@@ -1116,14 +1144,14 @@ def test_full_register_step_matches_the_general_path_bit_for_bit():
             op = ch.random_cptp(2 ** min(n, 2), seed=gen).ptm
             if n == 3:
                 op = np.kron(op, ch.random_cptp(2, seed=gen).ptm)
-            for state in _layouts(gen.normal(size=(4,) * n)):
-                assert np.array_equal(dv._apply_local(state, op, full), _general_apply(state, op, full))
+            for states in _layouts(gen.normal(size=(1,) + (4,) * n)):
+                assert np.array_equal(dv._apply_stacked(states, op, full)[0], _general_apply(states[0], op, full))
     # a whole-register gate with its qubits out of order transposes
     assert dv._axis_order(2, (1, 0)) is not None
     op = ch.depolarizing(0.1, n=2).compose(ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"])).ptm
     state = gen.normal(size=(4, 4))
-    assert np.array_equal(dv._apply_local(state, op, (1, 0)), _general_apply(state, op, (1, 0)))
-    assert not np.array_equal(dv._apply_local(state, op, (1, 0)), dv._apply_local(state, op, (0, 1)))
+    assert np.array_equal(dv._apply_stacked(state[None], op, (1, 0))[0], _general_apply(state, op, (1, 0)))
+    assert not np.array_equal(dv._apply_stacked(state[None], op, (1, 0)), dv._apply_stacked(state[None], op, (0, 1)))
 
 
 def test_layer_step_applies_idle_noise_only_to_idle_qubits():
@@ -1132,9 +1160,9 @@ def test_layer_step_applies_idle_noise_only_to_idle_qubits():
     state = np.asarray(model._superket)
     x = ch.Channel.from_unitary(dv.GATE_UNITARIES["X"]).ptm
     cnot = ch.Channel.from_unitary(dv.GATE_UNITARIES["CNOT"]).ptm
-    one = dv._dense_state(model, Circuit(2, ((("X", (0,)),),)))
+    one = _one_circuit_state(model, Circuit(2, ((("X", (0,)),),)))
     assert np.array_equal(one, _general_apply(_general_apply(state, x, (0,)), idle.ptm, (1,)))
-    both = dv._dense_state(model, Circuit(2, ((("CNOT", (1, 0)),),)))
+    both = _one_circuit_state(model, Circuit(2, ((("CNOT", (1, 0)),),)))
     assert np.array_equal(both, _general_apply(state, cnot, (1, 0)))
     circ = Circuit(2, ((("X", (0,)),),))
     assert dv.circuit_probabilities(model, circ).as_dict()["11"] == pytest.approx(0.1, abs=1e-12)
@@ -1217,7 +1245,7 @@ def test_stacked_noisy_channels_match_the_per_record_reference(gates, noise, pre
     circuit = Circuit(3, layers, defs or None)
     rule = _label_noise(noise)
     model = dv.noisy_model(3, rule, pre_gate_noise=pre)
-    state = dv._dense_state(model, circuit)
+    state = _one_circuit_state(model, circuit)
     assert not set(defs) & set(model._records)  # labels that gate_defs name are not kept
     records = [model.record(label, k, defs) for label, k in circuit._flat.keys]
     dv._build_noisy(records)  # builds the inline labels afresh, in their own stacked pass
@@ -1232,7 +1260,7 @@ def test_stacked_noisy_channels_match_the_per_record_reference(gates, noise, pre
         assert want.unitary is None or np.array_equal(rec.noisy.unitary, want.unitary)
         reference[rec.label] = (want, rec.arity)
     # the dense run applied those channels: the references, given as explicit gates, give its bits
-    assert np.array_equal(dv._dense_state(GateSetModel(3, gates=reference), circuit), state)
+    assert np.array_equal(dense_reference_state(GateSetModel(3, gates=reference), circuit), state)
 
 
 def _depolarized_h_model():
@@ -1438,7 +1466,7 @@ def _check_ensemble(model, reference, circuits, seeds, shots=25):
     """``_sample_ensemble`` on ``model`` gives each circuit the record of its
     own ``sample_counts`` call on ``reference``, through one
     ``circuit_probabilities`` call whose superket is, to the bit, the
-    circuit's own dense state."""
+    ``np.dot`` reference state and the circuit's own one-item stack."""
     seen, original = [], dv.circuit_probabilities
 
     def spy(model, circuit, *, superket=None):
@@ -1453,15 +1481,44 @@ def _check_ensemble(model, reference, circuits, seeds, shots=25):
     assert records == [dv.sample_counts(reference, c, shots, s) for c, s in zip(circuits, seeds)]
     assert sorted(map(id, circuits)) == sorted(id(c) for c, _ in seen)  # one call per circuit
     for circuit, superket in seen:
-        assert np.array_equal(superket.reshape(-1), dv._dense_state(reference, circuit).reshape(-1))
+        assert np.array_equal(superket, dense_reference_state(reference, circuit))
+        assert np.array_equal(superket, _one_circuit_state(reference, circuit))
 
 
-def test_ensemble_runs_a_circuit_with_a_non_c_ordered_ptm_alone():
+def test_f_ordered_ptm_evolves_as_its_c_ordered_copy():
+    """An explicit gate whose PTM is F-ordered gives, per circuit and in a
+    stack, the superket that a C-ordered copy of its PTM gives."""
     gen = rng(4)
-    gates = {label: (ch.Channel(np.asfortranarray(ch.random_cptp(4, i).ptm)), 2) for i, label in enumerate("AB")}
-    gates["C"] = (ch.random_cptp(4, 9), 2)
-    model = GateSetModel(2, gates=gates)
-    assert not model.record("A", 2).noisy.ptm.flags.c_contiguous
+    ptms = {label: np.ascontiguousarray(ch.random_cptp(4, seed).ptm) for label, seed in zip("ABC", (0, 1, 9))}
+    fortran = GateSetModel(2, gates={label: (ch.Channel(np.asfortranarray(p) if label != "C" else p), 2) for label, p in ptms.items()})
+    c_ordered = GateSetModel(2, gates={label: (ch.Channel(p), 2) for label, p in ptms.items()})
+    assert not fortran.record("A", 2).noisy.ptm.flags.c_contiguous
     for support in ((0, 1), (1, 0)):
         circuits = [Circuit(2, tuple(((str(gen.choice(list(labels))), support),) for _ in range(4))) for labels in ("AC", "C", "C", "BC")]
-        _check_ensemble(model, model, circuits, [1, 2, 3, 4])
+        for circuit in circuits:
+            assert np.array_equal(_one_circuit_state(fortran, circuit), _one_circuit_state(c_ordered, circuit))
+        stacked = dv._dense_states(fortran, circuits, [dv._dense_records(fortran, c) for c in circuits])
+        assert np.array_equal(stacked, dv._dense_states(c_ordered, circuits, [dv._dense_records(c_ordered, c) for c in circuits]))
+        _check_ensemble(fortran, c_ordered, circuits, [1, 2, 3, 4])
+
+
+def test_ensemble_keeps_each_circuits_gate_defs(monkeypatch):
+    """Circuits of one shape whose ``gate_defs`` give the label ``u``
+    different unitaries share one stack, whose tables are keyed by record,
+    not by label: with one seed, each gets the record of its own
+    ``sample_counts`` call, and no two get the same counts."""
+    model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.02 * k, n=k))
+    layers = ((("u", (0,)), ("H", (1,))), (("CNOT", (0, 1)),), (("u", (1,)),))
+    circuits = [Circuit(2, layers, {"u": haar_random_unitary(2, seed)}) for seed in range(5)]
+    stacks, original = [], dv._dense_states
+
+    def spy(model, circuits, records):
+        stacks.append(len(circuits))
+        return original(model, circuits, records)
+
+    monkeypatch.setattr(dv, "_dense_states", spy)
+    records = dv._sample_ensemble(model, circuits, 400, [7] * 5)
+    assert stacks == [5]
+    monkeypatch.undo()
+    assert records == [dv.sample_counts(model, c, 400, 7) for c in circuits]
+    assert len({tuple(sorted(r.counts.items())) for r in records}) == 5
