@@ -603,6 +603,15 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
     # only the 1q layers next to a 2q sublayer are dressed; the rest keep their labels
     touched = len(twoq_layers) + 1 if twoq_layers else 0
     dressed = [_elements(layer, n) for layer in oneq_layers[:touched]]
+    _dress_elements(dressed, twoq_layers, n, gen)
+    oneq_layers[: len(dressed)] = map(oneq_layer, dressed)
+    return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
+
+
+def _dress_elements(elements, twoq_layers, n, gen):
+    """:func:`randomized_compile` on per-qubit element lists, in place:
+    ``elements[i]`` takes D after it and ``elements[i + 1]`` takes C before
+    it, for 2q sublayer i, with the same draws."""
     for i, twoq in enumerate(twoq_layers):
         d_codes = pauli_codes(int(gen.integers(4**n)), n)
         c_codes = list(d_codes)
@@ -610,10 +619,8 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
             for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
                 c_codes[q] = c
         # D composed after layer i's 1q gates; C composed before layer i+1's
-        dressed[i] = _with_pauli(dressed[i], d_codes, before=False)
-        dressed[i + 1] = _with_pauli(dressed[i + 1], c_codes, before=True)
-    oneq_layers[: len(dressed)] = map(oneq_layer, dressed)
-    return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
+        elements[i] = _with_pauli(elements[i], d_codes, before=False)
+        elements[i + 1] = _with_pauli(elements[i + 1], c_codes, before=True)
 
 
 # The three-element axis-cycling set used in the standard 2-qubit

@@ -89,25 +89,32 @@ evolves a stack of circuits of one shape (layer lengths and per-operation
 supports, hence idle qubits), one ``np.matmul`` per operation on the
 circuits' PTMs, gathered from C-ordered tables keyed by gate record; a
 single circuit (:func:`circuit_probabilities`) is a one-item stack.  RB
-decay runs, simultaneous RB and state tomography's settings hand the
-circuits of a design, with their seeds, to :func:`_sample_ensemble`.  It
-resolves each circuit's records in circuit order, groups the circuits by
-shape and evolves each group as one stack, each item bit for bit the state
-that the circuit's own call gives.  Each superket then goes back through
-:func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
-draws from its own generator, as a call per circuit does, and a run still
-makes one ``circuit_probabilities`` call, with its shots, per circuit,
-which is what a tracer that wraps those two names counts.
+decay runs, simultaneous RB, MRB, MCFE, accreditation and state
+tomography's settings hand the circuits of a design, with their seeds, to
+:func:`_sample_ensemble`.  It resolves each circuit's records in circuit
+order, groups the circuits by shape and evolves each group as one stack,
+each item bit for bit the state that the circuit's own call gives.  Each
+superket then goes back through :func:`sample_counts` and
+:func:`circuit_probabilities`, so each circuit draws from its own
+generator, as a call per circuit does, and a run still makes one
+``circuit_probabilities`` call, with its shots, per circuit, which is what
+a tracer that wraps those two names counts.
 
-Propagation is stacked, fast-path sampling is not.  BiRB and cycle
+Propagation and fast-path sampling are stacked.  BiRB and cycle
 benchmarking compile the bodies of one depth side by side, as one program
 on a register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
 walk their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
-its own program would give them.  Every fast-path sampling call
-(:func:`pauli_fastpath_sample`, :func:`pauli_fastpath_signs`) still runs
-one circuit, with its own generator, so the seeded stream and the
-benchmark's per-call circuit count are those of one circuit at a time.
+its own program would give them.  Accreditation, MCFE, MRB and RB decays
+on the fast backend hand their circuits, with their seeds, to
+:func:`_fast_ensemble`, which compiles the circuits of one depth side by
+side, lets each draw its rows from its own generator and propagates one
+fault frame for the stack.  Each circuit's x bits and generator then go
+back through :func:`pauli_fastpath_sample`, which draws the readout flips
+and tallies, so the seeded stream and the per-call circuit count are
+those of one circuit at a time.  A single circuit is a one-item stack on
+its own program.  :func:`_sample_all` is the one ensemble entry point of
+both backends.  :func:`pauli_fastpath_signs` still runs one circuit.
 
 A :class:`ShotRecord` keeps the circuit it was sampled from and writes the
 circuit's JSON only when ``circuit_id`` is read.
@@ -194,23 +201,32 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         ends in empty layers.  The keys are numbered in order of first use
         across the circuits, and the operations run layer by layer, circuit
         by circuit within a layer (a stable sort by layer).  Only ``keys``,
-        ``lengths`` and ``arrays`` are built; ``key`` and ``supports`` are
-        None, so the result is never joined."""
+        ``lengths`` and ``arrays`` are built, in one pass over the
+        circuits' lists, as ``arrays`` builds one circuit's; ``key`` and
+        ``supports`` are None, so the result is never joined."""
         keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
         number = dict(zip(keys, count()))
-        width, levels = len(flats) * n, max(flat.arrays.supports.shape[1] for flat in flats)
-        parts = []
-        for i, flat in enumerate(flats):
-            arrays = flat.arrays
-            supports = np.full((len(arrays.key), levels), width, dtype=np.intp)
-            supports[:, : arrays.supports.shape[1]] = np.where(arrays.supports < n, arrays.supports + i * n, width)
-            renumber = np.array([number[pair] for pair in flat.keys], dtype=np.intp)
-            parts.append((renumber[arrays.key], arrays.arity, supports, arrays.layer))
-        key, arity, supports, layer = map(np.concatenate, zip(*parts))
-        order = np.argsort(layer, kind="stable")
+        # circuit i's key numbers index its own run of ``renumber``, which
+        # starts at ``first[i]``
+        renumber = np.fromiter(map(number.__getitem__, chain.from_iterable(flat.keys for flat in flats)), dtype=np.intp)
+        first = np.cumsum([0] + [len(flat.keys) for flat in flats[:-1]])
+        ops = [len(flat.key) for flat in flats]
+        circuit = np.repeat(np.arange(len(flats)), ops)
+        local = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
+        supports = list(chain.from_iterable(flat.supports for flat in flats))
+        arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
+        width, levels = len(flats) * n, int(arity.max(initial=1))
+        padded = np.full((len(circuit), levels), width, dtype=np.intp)
+        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
+        padded[np.arange(levels) < arity[:, None]] = qubits + np.repeat(circuit * n, arity)
         depth = max(len(flat.lengths) for flat in flats)
+        layer = np.repeat(
+            np.fromiter(chain.from_iterable(map(range, (len(flat.lengths) for flat in flats))), dtype=np.intp),
+            np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
+        )
+        order = np.argsort(layer, kind="stable")
         out = cls(width, keys, None, None, np.bincount(layer, minlength=depth).tolist())
-        out.__dict__["arrays"] = _Arrays(key[order], arity[order], supports[order], layer[order])
+        out.__dict__["arrays"] = _Arrays(renumber[local + first[circuit]][order], arity[order], padded[order], layer[order])
         return out
 
     def then(self, other: "_Flat") -> "_Flat":
@@ -945,52 +961,76 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     return rows, cols, idx
 
 
-def _hit_blocks(program: "CliffordProgram", shots: int, gen):
-    """The hits (see :func:`_search_hits`) of a circuit's draws, block by block.
+def _hit_blocks(program: "CliffordProgram", shots: int, gens):
+    """The hits (see :func:`_search_hits`) of a stack's draws, block by block.
 
-    Layers run in blocks of ``_DRAW_BUDGET // (n * shots)`` layers (at least
-    one); a layer has at most n draw rows, so a block draws at most that
-    many doubles.  Each block draws all its rows in one ``gen.random((rows,
-    shots))`` call, the same stream as one call per layer, and yields its
-    first and last-plus-one layers and its hits' rows (numbered across the
-    circuit), columns and fault indices.
+    ``program`` holds ``len(gens)`` circuits of ``program._model.n`` qubits
+    each, side by side (:meth:`CliffordProgram._side_by_side`), all of one
+    depth; one circuit is a one-item stack on its own program.  Layers run
+    in blocks of ``_DRAW_BUDGET // (width * shots)`` layers (at least one),
+    width the stacked register's; a layer has at most width draw rows, so
+    a block draws at most that many doubles.  In each block every circuit
+    draws its own rows from its own generator, in one ``gen.random((rows,
+    shots))`` call, the same stream as one call per layer: each circuit
+    draws what its own program draws.  A stable partition of the stacked
+    rows by block (``qubits[:, 0] // n``) gives each circuit's rows in its
+    own order, since within a layer the stacked rows run through the gates
+    circuit by circuit, then through the idle qubits in qubit order.  Each
+    block yields its first and last-plus-one layers and its hits' rows
+    (numbered across the stack), columns and fault indices.
     """
-    n, depth, d = program.n, program.depth, program.draws
-    span = max(1, _DRAW_BUDGET // (n * shots))
+    width, depth, d = program.n, program.depth, program.draws
+    span = max(1, _DRAW_BUDGET // (width * shots))
+    owner = d.qubits[:, 0] // program._model.n if len(gens) > 1 else None
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
         r0, r1 = d.starts[t0], d.starts[t1]
-        rows, cols, idx = _search_hits(gen.random((r1 - r0, shots)), d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
+        if owner is None:
+            draws = gens[0].random((r1 - r0, shots))
+        else:
+            # each circuit's draws go straight to its rows, so the block
+            # holds one array of draws, not a second, permuted copy
+            block = owner[r0:r1]
+            order = np.argsort(block, kind="stable")
+            bounds = np.cumsum(np.bincount(block, minlength=len(gens))).tolist()
+            draws = np.empty((r1 - r0, shots))
+            for g, a, b in zip(gens, [0] + bounds, bounds):
+                draws[order[a:b]] = g.random((b - a, shots))
+        rows, cols, idx = _search_hits(draws, d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
+        del draws  # freed before the next block's are drawn, so one block's draws are held at a time
         yield t0, t1, rows + r0, cols, idx
 
 
-def _propagate_faults(program: "CliffordProgram", shots: int, gen) -> np.ndarray:
-    """Per-shot x bits (n, shots) of the propagated fault frame.
+def _propagate_faults(program: "CliffordProgram", shots: int, gens) -> np.ndarray:
+    """Per-shot x bits (width, shots) of the propagated fault frame of a
+    stack of circuits, each drawing from its generator in ``gens`` (see
+    :func:`_hit_blocks`); circuit i's bits are rows ``i * n`` to ``(i + 1)
+    * n - 1``, as its own program gives them.
 
     Each block of :func:`_hit_blocks` writes the letters of its hits into a
-    (layers, n + 1, shots) fault frame, whose spare row n takes the padded
-    support columns.  Each layer then XORs its faults into the frame before
-    its gates (pre-gate noise) or after them.  Gates map the all-identity
-    frame to itself, so the layers before the first hit are skipped, and a
-    circuit without a hit never builds its gate tables.
+    (layers, width + 1, shots) fault frame, whose spare row width takes the
+    padded support columns.  Each layer then XORs its faults into the frame
+    before its gates (pre-gate noise) or after them.  Gates map the
+    all-identity frame to itself, so the layers before the first hit are
+    skipped, and a stack without a hit never builds its gate tables.
     """
-    n, d = program.n, program.draws
-    frame = np.zeros((n, shots), dtype=np.uint8)
+    width, d = program.n, program.draws
+    frame = np.zeros((width, shots), dtype=np.uint8)
     hit = False
-    for t0, t1, rows, cols, idx in _hit_blocks(program, shots, gen):
+    for t0, t1, rows, cols, idx in _hit_blocks(program, shots, gens):
         if not hit:
             if not len(rows):
                 continue
             hit = True
             t0 = int(d.layer[rows[0]])  # hits come in row order, so this is the first hit's layer
-        faults = np.zeros((t1 - t0, n + 1, shots), dtype=np.uint8)
+        faults = np.zeros((t1 - t0, width + 1, shots), dtype=np.uint8)
         faults[(d.layer[rows] - t0)[:, None], d.qubits[rows], cols[:, None]] = d.letters[d.dists[rows], idx]
         for t in range(t0, t1):
             if program._model.pre_gate_noise:
-                frame ^= faults[t - t0, :n]
+                frame ^= faults[t - t0, :width]
             _apply_gate_layer(frame, program.gates[t])
             if not program._model.pre_gate_noise:
-                frame ^= faults[t - t0, :n]
+                frame ^= faults[t - t0, :width]
     return frame >> 1
 
 
@@ -1011,7 +1051,7 @@ def _fault_parities(program: "CliffordProgram", measured: PauliString, pulled_ba
     shift = 0 if program._model.pre_gate_noise else 1
     padded = None
     flips = np.zeros(shots, dtype=np.intp)
-    for _, _, rows, cols, idx in _hit_blocks(program, shots, gen):
+    for _, _, rows, cols, idx in _hit_blocks(program, shots, [gen]):
         if not len(rows):
             continue
         if padded is None:
@@ -1273,7 +1313,7 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
 
 
 def pauli_fastpath_sample(
-    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None
+    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None, *, faults=None
 ) -> ShotRecord:
     """Fault-propagation sampler for definite-outcome Clifford circuits.
 
@@ -1283,15 +1323,22 @@ def pauli_fastpath_sample(
     outcome distribution matches the dense backend's.  Callers that know
     the ideal outcome (e.g. mirror generators) may pass ``ideal_bits`` to
     skip its derivation.
+
+    ``faults`` is the circuit's (n, shots) fault-frame x bits and the
+    generator, seeded by ``seed``, that drew them, when the caller
+    propagated them already (:func:`_fast_ensemble`); otherwise the circuit
+    propagates its faults as a one-item stack (:func:`_propagate_faults`).
+    Either way the generator then draws the readout flips.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    program = CliffordProgram(model, circuit)
-    bits0 = np.asarray(ideal_bits, dtype=np.uint8) if ideal_bits is not None else program._ideal_bits()
-    if bits0 is None:
-        raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
-    gen = rng(seed)
-    bits = bits0[:, None] ^ _propagate_faults(program, shots, gen)
+    program = CliffordProgram(model, circuit) if faults is None or ideal_bits is None else None
+    bits0 = _definite_bits(program) if ideal_bits is None else np.asarray(ideal_bits, dtype=np.uint8)
+    if faults is None:
+        gen = rng(seed)
+        faults = _propagate_faults(program, shots, [gen]), gen
+    x, gen = faults
+    bits = bits0[:, None] ^ x
     for q in range(model.n):
         if q in model.confusion:
             c = model.confusion[q]
@@ -1303,6 +1350,58 @@ def pauli_fastpath_sample(
     tally = Counter(_pack(bits[::-1].T))
     counts = {format(v, f"0{model.n}b"): c for v, c in sorted(tally.items())}
     return ShotRecord(circuit, counts, shots, _seed_value(seed))
+
+
+def _definite_bits(program: "CliffordProgram") -> np.ndarray:
+    """The program's ideal outcome bits (:func:`ideal_outcome_bits`); an
+    outcome that is not definite is a ValueError."""
+    bits = program._ideal_bits()
+    if bits is None:
+        raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
+    return bits
+
+
+def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=None):
+    """:func:`pauli_fastpath_sample` of each circuit with its seed, as a list
+    in circuit order, with the fault frames propagated side by side.
+    ``ideal_bits`` are the ideal outcome bits that every circuit shares, as
+    mirror circuits and traps do; when None, each circuit's are derived.
+
+    The derived ideal bits come first, in circuit order, so an indefinite
+    outcome raises before anything is drawn.  Circuits of one depth then
+    run as one stacked program (:meth:`CliffordProgram._side_by_side`), in
+    stacks of at most :func:`_stack_size` circuits whose one layer of
+    draws fits ``_DRAW_BUDGET``; circuits of other depths never share a
+    stack, as a shorter circuit's padded layers would draw idle faults.  A
+    circuit with ``gate_defs`` runs alone, on its own program.  Each stack draws and
+    propagates once (:func:`_propagate_faults`), every circuit from its own
+    generator, then each circuit's x bits and generator go back through
+    :func:`pauli_fastpath_sample`, which draws its readout flips.  Each
+    record is thus the one a call per circuit gives, and each circuit is
+    one ``pauli_fastpath_sample`` call with its shots.  The seeds are
+    integers, or one generator per circuit.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    if ideal_bits is None:
+        bits = [_definite_bits(CliffordProgram(model, c)) for c in circuits]
+    else:
+        bits = [ideal_bits] * len(circuits)
+    groups = {}
+    for i, circuit in enumerate(circuits):
+        groups.setdefault((circuit.depth, i if circuit.gate_defs else -1), []).append(i)
+    out = [None] * len(circuits)
+    for (depth, _), members in groups.items():
+        size = max(1, min(_stack_size(model.n, depth), _DRAW_BUDGET // (model.n * shots)))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            stack = [circuits[i] for i in chunk]
+            program = CliffordProgram(model, stack[0]) if len(stack) == 1 else CliffordProgram._side_by_side(model, stack)
+            gens = [rng(seeds[i]) for i in chunk]
+            x = _propagate_faults(program, shots, gens).reshape(len(chunk), model.n, shots)
+            for i, xi, gen in zip(chunk, x, gens):
+                out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=(xi, gen))
+    return out
 
 
 def pauli_fastpath_signs(
@@ -1377,6 +1476,19 @@ def sample(model: GateSetModel, circuit: Circuit, shots: int, seed, backend: str
     if backend == "fast":
         return pauli_fastpath_sample(model, circuit, shots, seed, ideal_bits=ideal_bits)
     return sample_counts(model, circuit, shots, seed)
+
+
+def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str, ideal_bits=None):
+    """:func:`sample` of each circuit with its seed, as a list in circuit
+    order: on ``"dense"`` one ensemble (:func:`_sample_ensemble`), on
+    ``"fast"`` one fast-path ensemble (:func:`_fast_ensemble`), which reads
+    the ``ideal_bits`` all the circuits share, if given.  Each circuit gets the
+    record of its own call, and no seed is drawn here, so a protocol draws
+    all its circuits and seeds first and then samples them in one call."""
+    _check_backend(backend)
+    if backend == "fast":
+        return _fast_ensemble(model, circuits, shots, seeds, ideal_bits)
+    return _sample_ensemble(model, circuits, shots, seeds)
 
 
 def parity_from_counts(record: ShotRecord, pauli: PauliString) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .channels import Channel
 from .cliffords import (
+    _dress_elements,
     clifford_1q_tables,
     compose_1q_layers,
     inverse_layer,
@@ -17,7 +18,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, GateSetModel, _apply_stacked, parity_mean, sample
+from .device import Circuit, GateSetModel, _apply_stacked, _sample_all, parity_mean
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
@@ -183,11 +184,12 @@ def split_alternating(layers, n):
     return oneq, twoq
 
 
-def _stitch(oneq_layers, twoq_layers, n):
+def _stitch(oneq_elements, twoq_layers, n):
+    """The circuit of full-width 1q layers, given as per-qubit elements,
+    alternating with ``twoq_layers``; the 1q labels are built here, once."""
     layers = []
-    for i, oq in enumerate(oneq_layers):
-        if oq:
-            layers.append(tuple(oq))
+    for i, elements in enumerate(oneq_elements):
+        layers.append(oneq_layer(elements))
         if i < len(twoq_layers) and twoq_layers[i]:
             layers.append(tuple(twoq_layers[i]))
     return Circuit(n, tuple(layers))
@@ -207,13 +209,16 @@ def mcfe(
     a randomly compiled layer-by-layer inverse, M2 randomly compiles both
     halves, M3 is the SPAM-only reference.  Estimates
     ``f(C) = E gamma(M1) / sqrt(E gamma(M2) E gamma(M3))`` with gamma the
-    Hamming-weighted polarization estimator, then converts to F_e.
+    Hamming-weighted polarization estimator, then converts to F_e.  All
+    3 * ``k_ensemble`` circuits and their shot seeds are drawn first, in
+    ensemble order, then sampled as one ensemble
+    (:func:`qcvv.device._sample_all`), which draws nothing from ``seed``'s
+    generator.
     """
     n = model.n
     gen = rng(seed)
     oneq_t, twoq_t = split_alternating([tuple(l) for l in target_layers], n)
-    k = len(twoq_t)
-    gammas = {1: [], 2: [], 3: []}
+    circuits, seeds, which_of = [], [], []
     for which in (1, 2, 3):
         for _ in range(k_ensemble):
             l0 = oneq_layer(gen.integers(24, size=n).tolist())
@@ -231,10 +236,13 @@ def mcfe(
                         if i < len(half_two) and half_two[i]:
                             layers.append(tuple(half_two[i]))
             layers.append(inverse_layer(l0))
-            circ = Circuit(n, tuple(lay for lay in layers if lay))
-            sub = int(gen.integers(2**62))
-            rec = sample(model, circ, shots, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
-            gammas[which].append(adjusted_success_probability(rec.counts, "0" * n, n))
+            circuits.append(Circuit(n, tuple(lay for lay in layers if lay)))
+            seeds.append(int(gen.integers(2**62)))
+            which_of.append(which)
+    gammas = {1: [], 2: [], 3: []}
+    records = _sample_all(model, circuits, shots, seeds, backend, np.zeros(n, dtype=np.uint8))
+    for which, rec in zip(which_of, records):
+        gammas[which].append(adjusted_success_probability(rec.counts, "0" * n, n))
     g1, g2, g3 = (float(np.mean(gammas[i])) for i in (1, 2, 3))
     if g2 * g3 <= 0:
         raise ValueError(f"negative radicand: ensemble means gamma2={g2}, gamma3={g3}")
@@ -314,17 +322,20 @@ def _trap_rounds(n, n_rounds, twoq_layers, gen):
     return rounds
 
 
-def _trap_oneq_layers(n, rounds):
+def _trap_oneq_elements(n, rounds):
     """Compose each round's {I,H,S} pick with the inverse of the previous
     round's accumulated single-qubit action, closing with a full inversion
-    round, so the trap's 1q gates alone compose to the identity per qubit."""
+    round, so the trap's 1q gates alone compose to the identity per qubit.
+    Each layer comes as its per-qubit elements (see
+    :func:`qcvv.cliffords.clifford_1q_tables`)."""
+    tables = clifford_1q_tables()
+    products, element, inverse = tables.products, tables.element, tables.inverse_label
     out = []
-    undo = ()
+    undo = [tables.identity] * n
     for pick in rounds:
-        layer = tuple((g, (q,)) for q, g in enumerate(pick))
-        out.append(compose_1q_layers(undo, layer, n))
-        undo = inverse_layer(layer)
-    out.append(compose_1q_layers(undo, (), n))
+        out.append([products[u][element[g]] for u, g in zip(undo, pick)])
+        undo = [element[inverse[g]] for g in pick]
+    out.append(undo)
     return out
 
 
@@ -345,7 +356,9 @@ def accredit(
     gates with inverses compiled into the next round, and is randomly
     compiled.  A trap is unsuccessful when it misses its ideal all-zeros
     outcome; the fraction bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2
-    N_uns/N_c``.
+    N_uns/N_c``.  All traps and their shot seeds are drawn first, trap by
+    trap, then sampled as one ensemble (:func:`qcvv.device._sample_all`),
+    which draws nothing from ``seed``'s generator.
     """
     n = model.n
     gen = rng(seed)
@@ -355,13 +368,12 @@ def accredit(
             if len(qs) == 2 and lbl != "CZ":
                 raise ValueError("accreditation traps assume CZ entangling layers")
     n_traps = trap_count(theta, alpha)
-    n_uns = 0
+    circuits, seeds = [], []
     for _ in range(n_traps):
-        circ = _trap_circuit(n, twoq_t, gen)
-        sub = int(gen.integers(2**62))
-        rec = sample(model, circ, shots_per_trap, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
-        if rec.counts.get("0" * n, 0) < shots_per_trap:
-            n_uns += 1
+        circuits.append(_trap_circuit(n, twoq_t, gen))
+        seeds.append(int(gen.integers(2**62)))
+    records = _sample_all(model, circuits, shots_per_trap, seeds, backend, np.zeros(n, dtype=np.uint8))
+    n_uns = sum(rec.counts.get("0" * n, 0) < shots_per_trap for rec in records)
     frac = n_uns / n_traps
     return AccreditationResult(max(1 - 2 * frac, 0.0), 1 - frac, n_uns, n_traps, theta, alpha)
 
@@ -371,5 +383,6 @@ def _trap_circuit(n, twoq_t, gen) -> Circuit:
     compose to the identity and every CZ meets a qubit in |0>, where it acts
     as the identity, so the trap's ideal outcome is all zeros."""
     rounds = _trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
-    oneq, twoq = randomized_compile(_trap_oneq_layers(n, rounds), [tuple(l) for l in twoq_t], n, gen)
-    return _stitch(oneq, twoq, n)
+    oneq = _trap_oneq_elements(n, rounds)
+    _dress_elements(oneq, twoq_t, n, gen)
+    return _stitch(oneq, twoq_t, n)

@@ -37,12 +37,11 @@ from .device import (
     GateSetModel,
     ShotRecord,
     _propagate_side_by_side,
-    _sample_ensemble,
+    _sample_all,
     _stack_size,
     ideal_probabilities,
     parity_from_counts,
     parity_mean,
-    sample,
     sample_counts,
 )
 from .linalg import child_seeds, haar_random_unitary, pauli_matrices, rng
@@ -222,15 +221,6 @@ def crb_circuits(design: RBDesign, interleave: str = None):
         (m, Circuit(n, (*layers, ((clifford_label(n, k), full),))), bits)
         for (m, layers, bits), k in zip(drawn, closing)
     ]
-
-
-def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str):
-    """:func:`~qcvv.device.sample` of each circuit with its seed: on the dense
-    backend as one ensemble (:func:`~qcvv.device._sample_ensemble`), which
-    gives each circuit the record of its own call."""
-    if backend == "dense":
-        return _sample_ensemble(model, circuits, shots, seeds)
-    return [sample(model, circ, shots, s, backend) for circ, s in zip(circuits, seeds)]
 
 
 def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "dense") -> DecayDataset:
@@ -640,16 +630,20 @@ def mrb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="f
 
     The randomized compiling in :func:`mirror_circuit` preserves the exact
     ideal action, so every mirror circuit's target string is all zeros.
+    Each depth draws all its circuits and shot seeds first, circuit by
+    circuit, then samples them as one ensemble
+    (:func:`qcvv.device._sample_all`), which draws nothing from ``gen``.
     """
     n = sampler.n
     gen = rng(design.seed)
     target = "0" * n
     values = {m: [] for m in design.depths}
     for m in design.depths:
+        circuits, seeds = [], []
         for _ in range(design.circuits_per_depth):
-            circ = mirror_circuit(sampler, m, gen)
-            sub = int(gen.integers(2**62))
-            rec = sample(model, circ, design.shots, sub, backend, ideal_bits=np.zeros(n, dtype=np.uint8))
+            circuits.append(mirror_circuit(sampler, m, gen))
+            seeds.append(int(gen.integers(2**62)))
+        for rec in _sample_all(model, circuits, design.shots, seeds, backend, np.zeros(n, dtype=np.uint8)):
             values[m].append(adjusted_success_probability(rec.counts, target, n))
     data = DecayDataset(list(design.depths), values, "mrb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)

@@ -729,9 +729,11 @@ def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
         assert _fast_outputs(model, circ, shots) == default
 
 
-def _propagate_every_layer(model, circuit, shots, gen):
-    """The x bits of :func:`dv._propagate_faults`, drawn one layer at a time
-    and pushed through the gates of every layer."""
+def propagate_faults_reference(model, circuit, shots, gen):
+    """The per-shot x bits (n, shots) of one circuit's propagated fault
+    frame, drawn from ``gen`` one layer at a time and pushed through the
+    gates of every layer: the reference that the stacked, hit-driven
+    :func:`dv._propagate_faults` must match bit for bit."""
     compiled = dv.CliffordProgram(model, circuit).draws
     gates = dv.CliffordProgram(model, circuit).gates
     n = model.n
@@ -774,8 +776,8 @@ def test_hit_driven_propagation_matches_every_layer_reference(width, depth, shot
             if budget is not None:  # 1: a block per layer; 150: one or two layers per block at 100 shots
                 mp.setattr(dv, "_DRAW_BUDGET", budget)
             fast_gen, ref_gen = rng(8 * seed + 4 + sub), rng(8 * seed + 4 + sub)
-            got = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, fast_gen)
-        expected = _propagate_every_layer(model, circ, shots, ref_gen)
+            got = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, [fast_gen])
+        expected = propagate_faults_reference(model, circ, shots, ref_gen)
         assert got.tobytes() == expected.tobytes()
         assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
 
@@ -934,7 +936,7 @@ def test_fastpath_parities_match_the_propagated_fault_frame(
             mp.setattr(dv, "_DRAW_BUDGET", budget)
         fast_gen, ref_gen = rng(seed + 1), rng(seed + 1)
         signs = dv.pauli_fastpath_signs(model, circ, measured, shots, fast_gen, sign, pulled_back)
-        fx = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, ref_gen)
+    fx = propagate_faults_reference(model, circ, shots, ref_gen)
     parity = np.zeros(shots, dtype=np.uint8)
     for q in range(width):
         if (measured.zbits >> q) & 1:
@@ -1522,3 +1524,121 @@ def test_ensemble_keeps_each_circuits_gate_defs(monkeypatch):
     monkeypatch.undo()
     assert records == [dv.sample_counts(model, c, 400, 7) for c in circuits]
     assert len({tuple(sorted(r.counts.items())) for r in records}) == 5
+
+
+# -- fast-path ensembles ------------------------------------------------------------
+
+
+class _Handed(Exception):
+    """Carries the circuits a protocol hands to ``_sample_all``."""
+
+
+def _fast_ensemble_case(family, n, seed):
+    """Circuits of one fast-path ensemble call, drawn as the protocols draw
+    them: accreditation traps over a CZ target, mirror circuits of mixed
+    depths in shuffled order (one with ``gate_defs``), or the M1-M3
+    circuits that one MCFE call hands over, of mixed depths."""
+    gen = rng(seed)
+    sampler = rb.LayerSampler(n, twoq_gate="CZ", twoq_density=0.8)
+    target = [layer for _ in range(int(gen.integers(1, 4))) for layer in sampler.sample(gen)]
+    if family == "trap":
+        _, twoq = fd.split_alternating(target, n)
+        return [fd._trap_circuit(n, twoq, gen) for _ in range(int(gen.integers(2, 12)))]
+    if family == "mirror":
+        circuits = [rb.mirror_circuit(sampler, m, gen) for m in (0, 2, 4, 6) for _ in range(int(gen.integers(1, 4)))]
+        x = (("u", (n - 1,)),)
+        circuits.append(Circuit(n, circuits[-1].layers + (x, x), {"u": cl.GATE_UNITARIES["X"]}))
+        return [circuits[i] for i in gen.permutation(len(circuits))]
+
+    def hand(model, circuits, *args):
+        raise _Handed(circuits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fd, "_sample_all", hand)
+        with pytest.raises(_Handed) as handed:
+            fd.mcfe(dv.ideal_model(n), target, int(gen.integers(1, 4)), 1, seed)
+    return handed.value.args[0]
+
+
+def _fast_ensemble_model(n, noise, idle, confusion, pre):
+    rate = {"pauli": 1.0, "tiny": 1e-9}[noise]
+
+    def rule(label, k):
+        return ch.stochastic_pauli(tuple(rate * p for p in (0.02, 0.01, 0.03))) if k == 1 else ch.depolarizing(0.05 * rate, n=2)
+
+    conf = {
+        "none": None,
+        "symmetric": {q: [[0.9, 0.1], [0.1, 0.9]] for q in range(0, n, 2)},
+        "asymmetric": {q: [[0.95 - 0.02 * q, 0.15], [0.05 + 0.02 * q, 0.85]] for q in range(n)},
+    }[confusion]
+    idle = ch.stochastic_pauli(tuple(rate * p for p in (0.01, 0.0, 0.02))) if idle else None
+    return dv.noisy_model(n, rule, confusion=conf, idle=idle, pre_gate_noise=pre)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["trap", "mirror", "mcfe"]),
+    n=st.integers(2, 4),
+    noise=st.sampled_from(["pauli", "pauli", "tiny"]),
+    idle=st.booleans(),
+    confusion=st.sampled_from(["none", "symmetric", "asymmetric"]),
+    pre=st.booleans(),
+    shots=st.sampled_from([1, 7, 60]),
+    budgets=st.sampled_from([(None, None), (150, None), (600, 40)]),
+    derive=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_fast_ensemble_matches_per_circuit_samples(family, n, noise, idle, confusion, pre, shots, budgets, derive, seed):
+    """``_sample_all`` on the fast backend gives every circuit the record of
+    its own ``pauli_fastpath_sample`` call, through one such call with its
+    shots, whose fault bits are, to the bit, the per-layer reference's:
+    traps, mirror circuits and MCFE circuits of mixed depths, idle and
+    pre-gate noise, symmetric and asymmetric readout confusion, stacks that
+    span several draw blocks or several stacks per depth, stacks without a
+    hit, and ideal bits given or derived."""
+    circuits = _fast_ensemble_case(family, n, seed)
+    seeds = [int(s) for s in rng(seed + 1).integers(2**62, size=len(circuits))]
+    bits = None if derive else np.zeros(n, dtype=np.uint8)
+    model = _fast_ensemble_model(n, noise, idle, confusion, pre)
+    reference = _fast_ensemble_model(n, noise, idle, confusion, pre)
+    seen, original = [], dv.pauli_fastpath_sample
+
+    def spy(model, circuit, shots, seed, ideal_bits=None, *, faults=None):
+        seen.append((circuit, shots, seed, faults[0].copy()))
+        return original(model, circuit, shots, seed, ideal_bits, faults=faults)
+
+    draw, stack = budgets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dv, "pauli_fastpath_sample", spy)
+        if draw is not None:
+            mp.setattr(dv, "_DRAW_BUDGET", draw)
+        if stack is not None:
+            mp.setattr(dv, "_STACK_BUDGET", stack)
+        records = dv._sample_all(model, circuits, shots, seeds, "fast", bits)
+    assert records == [dv.pauli_fastpath_sample(reference, c, shots, s) for c, s in zip(circuits, seeds)]
+    assert sorted(map(id, circuits)) == sorted(id(c) for c, *_ in seen)  # one call per circuit
+    for circuit, got_shots, s, x in seen:
+        assert got_shots == shots
+        assert np.array_equal(x, propagate_faults_reference(reference, circuit, shots, rng(s)))
+
+
+def test_fast_ensemble_without_hits_builds_no_gate_tables(monkeypatch):
+    """A stack in which no shot draws a fault conjugates nothing; one fault
+    anywhere builds the stack's tables once."""
+    circuits = [rb.mirror_circuit(rb.LayerSampler(3, twoq_density=0.7), 4, rng(s)) for s in range(6)]
+    built, tables = [], dv._gate_tables
+    monkeypatch.setattr(dv, "_gate_tables", lambda *args: built.append(1) or tables(*args))
+    bits = np.zeros(3, dtype=np.uint8)
+    quiet = dv.noisy_model(3, lambda lbl, ar: ch.depolarizing(1e-12, n=ar))
+    records = dv._sample_all(quiet, circuits, 5, list(range(6)), "fast", bits)
+    assert [r.counts for r in records] == [{"000": 5}] * 6 and not built
+    dv._sample_all(dv.noisy_model(3, lambda lbl, ar: ch.depolarizing(0.5, n=ar)), circuits, 5, list(range(6)), "fast", bits)
+    assert built == [1]
+
+
+def test_fast_ensemble_raises_on_an_indefinite_outcome_before_drawing(monkeypatch):
+    model = dv.noisy_model(1, lambda lbl, ar: ch.depolarizing(0.1, n=ar))
+    circuits = [Circuit(1, ((("X", (0,)),),)), Circuit(1, ((("H", (0,)),),))]
+    monkeypatch.setattr(dv, "_propagate_faults", lambda *args: pytest.fail("drew before checking outcomes"))
+    with pytest.raises(ValueError, match="not definite"):
+        dv._sample_all(model, circuits, 10, [1, 2], "fast")

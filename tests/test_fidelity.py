@@ -194,20 +194,33 @@ def test_accreditation_rejects_non_cz_entanglers():
         fd.accredit(model, layers, theta=0.3, alpha=0.9, seed=3)
 
 
-def test_accreditation_traps_have_target_shape():
-    # width and 2q placement match the target circuit
-    n = 3
-    model = pauli_noise_model(n)
-    layers = random_target_layers(n, 3, seed=17)
-    _, twoq_t = fd.split_alternating([tuple(l) for l in layers], n)
-    gen = rng(5)
+def _label_built_trap(n, twoq_t, gen):
+    """A trap drawn as :func:`fd._trap_circuit` draws it, with every 1q layer
+    composed and randomly compiled through the label-layer helpers."""
     rounds = fd._trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
-    oneq = fd._trap_oneq_layers(n, rounds)
+    oneq, undo = [], ()
+    for pick in rounds:
+        layer = tuple((g, (q,)) for q, g in enumerate(pick))
+        oneq.append(cl.compose_1q_layers(undo, layer, n))
+        undo = cl.inverse_layer(layer)
+    oneq.append(cl.compose_1q_layers(undo, (), n))
     oneq, twoq = cl.randomized_compile(oneq, [tuple(l) for l in twoq_t], n, gen)
-    circ = fd._stitch(oneq, twoq, n)
-    assert circ.width == n
-    trap_twoq = [layer for layer in circ.layers if any(len(qs) == 2 for _, qs in layer)]
-    assert [tuple(l) for l in trap_twoq] == [tuple(l) for l in twoq_t]
+    return tuple(layer for i, oq in enumerate(oneq) for layer in (oq, twoq[i] if i < len(twoq) else ()) if layer)
+
+
+def test_accreditation_traps_have_target_shape():
+    # width and 2q placement match the target circuit, and the traps built
+    # on per-qubit elements have the labels of the label-built ones
+    for n, depth in ((3, 3), (2, 0), (4, 2)):
+        layers = random_target_layers(n, depth, seed=17) if depth else [tuple(("H", (q,)) for q in range(n))]
+        _, twoq_t = fd.split_alternating([tuple(l) for l in layers], n)
+        gen, ref = rng(5), rng(5)
+        for _ in range(10):
+            circ = fd._trap_circuit(n, twoq_t, gen)
+            assert circ.width == n
+            trap_twoq = [layer for layer in circ.layers if any(len(qs) == 2 for _, qs in layer)]
+            assert [tuple(l) for l in trap_twoq] == [tuple(l) for l in twoq_t]
+            assert circ.layers == _label_built_trap(n, twoq_t, ref)
 
 
 def test_accreditation_traps_end_in_all_zeros():
