@@ -10,14 +10,17 @@ of the propagated Pauli onto Z.
 ACES builds no tableau per layer.  It compiles each circuit prefix once into
 a :class:`qcvv.device.CliffordProgram`, the fast path's per-layer gate
 tables: once per gate layer for the systematic rows, and once per random
-circuit for the ``paulis_per_circuit`` rows that share it.  A row then
-propagates its prepared Pauli as one frame column with its phase, and reads
-each gate-set gate's local letters off the frame after the gate's layer.
+circuit for the ``paulis_per_circuit`` rows that share it.  A prefix's rows
+draw their Paulis, eigenstate signs and shot seeds first, then propagate
+their prepared Paulis as one column block, each with its phase, and read
+each gate-set gate's local letters off the frames after the gate's layer.
 
-Cycle benchmarking and ACES hand the fast path the history of that
-propagation as the measured Pauli pulled back through the circuit
-(:func:`qcvv.cliffords._pulled_back_rows`), so the fast path draws each
-row's faults without building gate tables for the joined circuit.
+Cycle benchmarking and ACES hand the parity sampler
+(:func:`qcvv.device._parity_all`) the history of that propagation as the
+measured Pauli pulled back through the circuit
+(:func:`qcvv.cliffords._pulled_back_rows`): one call per stack of bodies
+or per prefix, in which the fast path draws the rows' faults side by side
+without building gate tables for the joined circuits.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, CliffordProgram, _propagate_side_by_side, _stack_size, parity_mean
+from .device import Circuit, CliffordProgram, _parity_all, _propagate_side_by_side, _stack_size
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -184,9 +187,10 @@ def cycle_benchmark(
     geometric mean of the error eigenvalues around P's orbit.
 
     The bodies of one Pauli and depth propagate side by side, in stacks of
-    :func:`qcvv.device._stack_size` circuits; each circuit draws its
-    eigenstate signs, dressings and shot seed in the order of one circuit at
-    a time.
+    :func:`qcvv.device._stack_size` circuits, and each stack's circuits are
+    sampled in one :func:`qcvv.device._parity_all` call; each circuit draws
+    its eigenstate signs, dressings and shot seed in the order of one
+    circuit at a time.
     """
     n = model.n
     cycle = tuple(cycle)
@@ -221,18 +225,20 @@ def cycle_benchmark(
                         body.append(cycle)
                     drawn.append((prep_layer, sign, Circuit(n, tuple(body)), int(gen.integers(2**62))))
                 images = _propagate_side_by_side(model, [body for _, _, body, _ in drawn], [p] * len(drawn))
-                for (prep_layer, sign, body, sub), (current, history) in zip(drawn, images):
+                circuits, measured, signs, rows = [], [], [], []
+                for (prep_layer, sign, body, _), (current, history) in zip(drawn, images):
                     sgn = current.sign
                     if abs(sgn.imag) > 1e-12:
                         raise RuntimeError("propagated Pauli acquired a complex phase")
-                    sign *= 1 if sgn.real > 0 else -1
+                    signs.append(sign * (1 if sgn.real > 0 else -1))
                     meas = readout_layer(current)
                     circ = Circuit(n, (prep_layer,)).then(body)
-                    if meas:
-                        circ = circ.then(Circuit(n, (meas,)))
-                    rows = _pulled_back_rows(history, readout=bool(meas))
-                    measured = readout_pauli(current)
-                    samples.append(sign * parity_mean(model, circ, measured, shots, sub, backend, sign, rows))
+                    circuits.append(circ.then(Circuit(n, (meas,))) if meas else circ)
+                    rows.append(_pulled_back_rows(history, readout=bool(meas)))
+                    measured.append(readout_pauli(current))
+                subs = [sub for *_, sub in drawn]
+                parities = _parity_all(model, circuits, measured, shots, subs, backend, signs, rows)
+                samples.extend(sign * mean for sign, mean in zip(signs, parities))
             arr = np.asarray(samples)
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)
@@ -395,6 +401,10 @@ def aces(
     ``Var(log est) = 4 p (1 - p) / shots / est**2``.  It stays positive when
     a circuit eigenvalue is exactly 1 and every shot agrees.  The fit itself
     is unweighted; these variances set ``stderrs`` and ``reduced_chi2`` only.
+
+    Each prefix's rows draw their Pauli, eigenstate signs and shot seed in
+    turn, then propagate as one column block (:meth:`_ACESPrefix.rows`) and
+    are sampled in one :func:`qcvv.device._parity_all` call.
     """
     n = model.n
     gate_layers = [tuple(layer) for layer in gate_layers]
@@ -404,38 +414,42 @@ def aces(
 
     rows, vals, variances = [], [], []
 
-    def add_measurement(prefix: _ACESPrefix, prepared: PauliString):
-        row, current, history = prefix.row(prepared, len(all_params), spam)
-        sgn = current.sign
-        ideal_sign = 1 if sgn.real > 0 else -1
-        prep_layer, prep_sign = eigenstate_layer(prepared, gen)
-        meas = readout_layer(current)
-        circ = Circuit(n, (prep_layer,)).then(prefix.circuit)
-        if meas:
-            circ = circ.then(Circuit(n, (meas,)))
-        pulled_back = _pulled_back_rows(history, readout=bool(meas))
-        measured = readout_pauli(current)
-        sub = int(gen.integers(2**62))
-        sign = prep_sign * ideal_sign
-        est = sign * parity_mean(model, circ, measured, shots, sub, backend, sign, pulled_back)
-        if est <= 0:
-            warnings.warn("ACES decay estimate <= 0 floored at 1e-6 (data insufficient)")
-            est = 1e-6
-        rows.append(row)
-        vals.append(np.log(est))
-        # add-one estimate of P(+1) stays inside (0, 1), even when est == 1
-        p_plus = (shots * (1 + est) / 2 + 1) / (shots + 2)
-        variances.append(4 * p_plus * (1 - p_plus) / shots / est**2)
+    def add_measurements(prefix: _ACESPrefix, prepared):
+        # each row draws its Pauli (when ``prepared`` draws it), eigenstate
+        # signs and shot seed in turn; propagation draws nothing, so every
+        # row of the prefix is drawn first and then propagated as one block
+        drawn = [(p, *eigenstate_layer(p, gen), int(gen.integers(2**62))) for p in prepared]
+        design, images, codes = prefix.rows([p for p, *_ in drawn], len(all_params), spam)
+        circuits, measured, signs, pulled_back = [], [], [], []
+        for j, ((_, prep_layer, prep_sign, _), image) in enumerate(zip(drawn, images)):
+            meas = readout_layer(image)
+            circ = Circuit(n, (prep_layer,)).then(prefix.circuit)
+            circuits.append(circ.then(Circuit(n, (meas,))) if meas else circ)
+            pulled_back.append(_pulled_back_rows(codes[:, :, j], readout=bool(meas)))
+            measured.append(readout_pauli(image))
+            signs.append(prep_sign * (1 if image.sign.real > 0 else -1))
+        subs = [sub for *_, sub in drawn]
+        parities = _parity_all(model, circuits, measured, shots, subs, backend, signs, pulled_back)
+        for row, sign, mean in zip(design, signs, parities):
+            est = sign * mean
+            if est <= 0:
+                warnings.warn("ACES decay estimate <= 0 floored at 1e-6 (data insufficient)")
+                est = 1e-6
+            rows.append(row)
+            vals.append(np.log(est))
+            # add-one estimate of P(+1) stays inside (0, 1), even when est == 1
+            p_plus = (shots * (1 + est) / 2 + 1) / (shots + 2)
+            variances.append(4 * p_plus * (1 - p_plus) / shots / est**2)
 
     # systematic depth-1 rows: every gate, every local Pauli (via a preimage)
     for layer in gate_layers:
         inv = cycle_tableau(model, layer).inverse()
-        prefix = _ACESPrefix(model, [layer], first)
-        for label, qubits in layer:
-            for idx in range(1, 4 ** len(qubits)):
-                local = PauliString.from_index(idx, len(qubits))
-                target = local.embed(n, qubits)
-                add_measurement(prefix, inv.conjugate(target).hermitian())
+        prepared = [
+            inv.conjugate(PauliString.from_index(idx, len(qubits)).embed(n, qubits)).hermitian()
+            for label, qubits in layer
+            for idx in range(1, 4 ** len(qubits))
+        ]
+        add_measurements(_ACESPrefix(model, [layer], first), prepared)
 
     # random mirror-structured circuits with a terminal randomizing layer
     for circuit_index in range(n_circuits):
@@ -453,10 +467,9 @@ def aces(
             seq.append(tuple((INVERSE_LABEL.get(lbl, lbl), qs) for lbl, qs in half[i]))
             seq.append(inverse_layer(dress[i]))
         seq.append(_random_1q_layer(n, gen))  # terminal randomizing layer
-        prefix = _ACESPrefix(model, seq, first)
-        for _ in range(paulis_per_circuit):
-            p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
-            add_measurement(prefix, p)
+        # a generator: each row's Pauli is drawn just before its eigenstate signs
+        prepared = (PauliString.from_index(int(gen.integers(1, 4**n)), n) for _ in range(paulis_per_circuit))
+        add_measurements(_ACESPrefix(model, seq, first), prepared)
 
     a = np.array(rows)
     b = np.array(vals)
@@ -502,10 +515,13 @@ def _aces_parameters(gate_set, n: int, assume_ideal_spam: bool):
 
 # letter code ``x << 1 | z`` -> base-4 Pauli digit (I, Z, X, Y -> 0, 3, 1, 2)
 _DIGIT_OF_CODE = np.array([0, 3, 1, 2], dtype=np.intp)
+# letter code -> its SPAM column within a qubit's X, Y, Z (Z, X, Y -> 2, 0, 1)
+_AXIS_OF_CODE = np.array([-1, 2, 0, 1], dtype=np.intp)
 
 
 class _ACESPrefix:
-    """An ACES circuit prefix, compiled once for all of its rows.
+    """An ACES circuit prefix, compiled once for all of its rows, whose
+    Paulis propagate through it as one column block (:meth:`rows`).
 
     ``program`` is the prefix's :class:`qcvv.device.CliffordProgram`.  Per
     occurrence of a gate-set gate, in circuit order, read off the circuit's
@@ -534,28 +550,29 @@ class _ACESPrefix:
         self.place = np.where(power >= 0, 4 ** power.clip(0), 0)
         self.first = np.array([col for _, _, col in wanted], dtype=np.intp)[entry]
 
-    def row(self, prepared: PauliString, width: int, spam):
-        """The design row of ``prepared`` through the prefix, ``width``
-        columns long; its image with phase; and its letter codes before
-        each layer and after the last, as a (depth + 1, n) array.
+    def rows(self, prepared, width: int, spam):
+        """The design rows of the Paulis ``prepared`` through the prefix, as
+        a (len(prepared), width) array; their images with phase; and their
+        letter codes before each layer and after the last, as a (depth + 1,
+        n, len(prepared)) array.  The Paulis propagate as one column block
+        (:meth:`qcvv.device.CliffordProgram.propagate`).
 
         Each gate-set gate counts the local Pauli it leaves behind, read off
         the frame after its layer; with ``spam``, the first SPAM column, each
         qubit also counts the prepared letter (PREP) and the final one
         (MEAS)."""
-        (image,), codes = self.program.propagate([prepared], history=True)
-        codes = codes[:, :, 0]
-        local = (_DIGIT_OF_CODE[codes[self.layer[:, None] + 1, self.qubits]] * self.place).sum(axis=1)
-        hit = local > 0
-        row = np.bincount(self.first[hit] + local[hit] - 1, minlength=width).astype(float)
+        images, codes = self.program.propagate(prepared, history=True)
+        k, n = len(images), codes.shape[1]
+        # (gate occurrence, column) -> the local Pauli index it leaves behind
+        local = (_DIGIT_OF_CODE[codes[self.layer[:, None] + 1, self.qubits]] * self.place[:, :, None]).sum(axis=1)
+        op, col = np.nonzero(local)
+        index = [col * width + self.first[op] + local[op, col] - 1]
         if spam is not None:
-            n = prepared.n
-            for q in range(n):
-                for col, p in ((spam, prepared), (spam + 3 * n, image)):
-                    letter = p.letter(q)
-                    if letter != "I":
-                        row[col + 3 * q + "XYZ".index(letter)] += 1
-        return row, image, codes
+            for base, letters in ((spam, codes[0]), (spam + 3 * n, codes[-1])):
+                q, col = np.nonzero(letters)
+                index.append(col * width + base + 3 * q + _AXIS_OF_CODE[letters[q, col]])
+        counts = np.bincount(np.concatenate(index), minlength=k * width)
+        return counts.reshape(k, width).astype(float), images, codes
 
 
 def _random_1q_layer(n, gen):

@@ -10,10 +10,12 @@ Three backends cover complementary regimes:
   propagation through Clifford circuits for models whose noise is
   stochastic-Pauli, vectorized over shots (tens of qubits).
 
-Protocols reach the dense and fast backends through two calls that take the
+Protocols reach the dense and fast backends through calls that take the
 backend by name, ``"dense"`` or ``"fast"``, and raise a ValueError for any
 other name: ``sample`` returns a circuit's bit-string counts and
-``parity_mean`` the mean measured +/-1 parity of a Z-type Pauli.
+``parity_mean`` the mean measured +/-1 parity of a Z-type Pauli, and their
+ensemble forms, ``_sample_all`` and ``_parity_all``, do the same for many
+circuits at once.
 
 Noise attaches to gate labels: a model resolves each label into one
 :class:`GateRecord` (ideal unitary, noisy channel, error channel), which all
@@ -65,20 +67,21 @@ The dense loop applies the model's idle channel only when there is one, to
 the qubits the idle mask marks.
 
 One compiled program, :class:`CliffordProgram`, serves every Clifford path.
-It compiles a circuit against a model from its flat form and builds two
-parts, each on first use: the per-layer gate tables, through which Paulis
-propagate with exact phase, and the fast path's draw rows.
-:func:`propagate_pauli` and the ideal outcome run Paulis through the gate
-tables, and ACES (:func:`qcvv.cycles.aces`) compiles each circuit prefix
-once and reads its design rows off the recorded frames.
+It compiles a circuit, or circuits side by side, against a model from its
+flat form and builds two parts, each on first use: the per-layer gate
+tables, through which Paulis propagate with exact phase, and the fast
+path's draw rows.  :func:`propagate_pauli` and the ideal outcome run Paulis
+through the gate tables, and ACES (:func:`qcvv.cycles.aces`) compiles each
+circuit prefix once and reads its design rows off the frames of its Paulis,
+propagated as one column block.
 
 The fast path pays per fault, not per layer.  A parity
-(:func:`pauli_fastpath_signs`) needs no frame at all: a fault flips it iff
-it anticommutes with the measured Pauli pulled back to where the fault
-acts, so a shot's parity is a count over its hits.  BiRB, cycle
-benchmarking and ACES propagate the prepared Pauli through their bodies
-anyway, to choose the readout; that propagation's history is the pull-back,
-so they pass it along and their joined circuits build draw rows only.  A
+(:func:`_fault_parities`) needs no frame at all: a fault flips it iff it
+anticommutes with the measured Pauli pulled back to where the fault acts,
+so a shot's parity is a count over its hits.  BiRB, cycle benchmarking and
+ACES propagate the prepared Pauli through their bodies anyway, to choose
+the readout; that propagation's history is the pull-back, so they pass it
+along and their joined circuits build draw rows only.  A
 sample of all n bits (:func:`pauli_fastpath_sample`) propagates a fault
 frame, which stays the all-identity frame, mapped to itself by every gate,
 until the first layer that draws a fault, so a circuit that draws none
@@ -89,32 +92,40 @@ evolves a stack of circuits of one shape (layer lengths and per-operation
 supports, hence idle qubits), one ``np.matmul`` per operation on the
 circuits' PTMs, gathered from C-ordered tables keyed by gate record; a
 single circuit (:func:`circuit_probabilities`) is a one-item stack.  RB
-decay runs, simultaneous RB, MRB, MCFE, accreditation and state
-tomography's settings hand the circuits of a design, with their seeds, to
-:func:`_sample_ensemble`.  It resolves each circuit's records in circuit
-order, groups the circuits by shape and evolves each group as one stack,
-each item bit for bit the state that the circuit's own call gives.  Each
-superket then goes back through :func:`sample_counts` and
-:func:`circuit_probabilities`, so each circuit draws from its own
-generator, as a call per circuit does, and a run still makes one
-``circuit_probabilities`` call, with its shots, per circuit, which is what
-a tracer that wraps those two names counts.
+decay runs, simultaneous RB, MRB, MCFE, accreditation, state tomography's
+settings and the parity protocols (BiRB, cycle benchmarking, ACES) hand the
+circuits of a design, with their seeds, to :func:`_sample_ensemble`; LGST
+hands its dataset to :func:`_ensemble_states`, which both share.  It
+resolves each circuit's records in circuit order, groups the circuits by
+shape and evolves each group as one stack, each item bit for bit the state
+that the circuit's own call gives.  Each superket then goes back through
+:func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
+draws from its own generator, as a call per circuit does, and a run still
+makes one ``circuit_probabilities`` call, with its shots, per circuit,
+which is what a tracer that wraps those two names counts.
 
 Propagation and fast-path sampling are stacked.  BiRB and cycle
 benchmarking compile the bodies of one depth side by side, as one program
 on a register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
 walk their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
-its own program would give them.  Accreditation, MCFE, MRB and RB decays
-on the fast backend hand their circuits, with their seeds, to
-:func:`_fast_ensemble`, which compiles the circuits of one depth side by
-side, lets each draw its rows from its own generator and propagates one
-fault frame for the stack.  Each circuit's x bits and generator then go
-back through :func:`pauli_fastpath_sample`, which draws the readout flips
-and tallies, so the seeded stream and the per-call circuit count are
-those of one circuit at a time.  A single circuit is a one-item stack on
-its own program.  :func:`_sample_all` is the one ensemble entry point of
-both backends.  :func:`pauli_fastpath_signs` still runs one circuit.
+its own program would give them.  Fast-path sampling compiles the circuits
+of one depth side by side (:func:`_fast_stacks`) and lets each circuit
+draw its rows from its own generator.  Accreditation, MCFE, MRB and RB
+decays hand their circuits, with their seeds, to :func:`_fast_ensemble`,
+which propagates one fault frame per stack; each circuit's x bits and
+generator then go back through :func:`pauli_fastpath_sample`, which draws
+the readout flips and tallies.  BiRB, cycle benchmarking and ACES hand
+their circuits, measured Paulis and pulled-back rows to
+:func:`_parity_all`, whose one parity kernel, :func:`_fault_parities`,
+tallies each stack's hits per circuit; each circuit's parity bits and
+generator then go back through :func:`pauli_fastpath_signs`, which draws
+the readout flips.  Either way the seeded stream and the per-call circuit
+count are those of one circuit at a time, and a single circuit is a
+one-item stack on its own program: :func:`pauli_fastpath_signs` and
+:func:`parity_mean` are one-item calls of the parity kernel.
+:func:`_sample_all` and :func:`_parity_all` are the ensemble entry points
+of both backends.
 
 A :class:`ShotRecord` keeps the circuit it was sampled from and writes the
 circuit's JSON only when ``circuit_id`` is read.
@@ -795,34 +806,43 @@ _ENSEMBLE_BUDGET = 1 << 16
 
 def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
     """:func:`sample_counts` of each circuit with its seed, as a list in
-    circuit order, with the dense states evolved side by side.
+    circuit order, with the dense states evolved side by side
+    (:func:`_ensemble_states`).  Each superket goes through
+    :func:`sample_counts`, which draws from the circuit's own generator, so
+    each record is the one that a call per circuit gives, and each circuit
+    is one ``circuit_probabilities`` call.
+    """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    out = [None] * len(circuits)
+    for i, state in _ensemble_states(model, circuits):
+        out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=state)
+    return out
+
+
+def _ensemble_states(model: GateSetModel, circuits):
+    """Each circuit's index and the superket it leaves, stack by stack, each
+    bit for bit the state of the circuit's own :func:`circuit_probabilities`
+    call.
 
     The circuits' records resolve first, circuit by circuit in order, as
     one call per circuit resolves them.  Circuits of one shape, the same
     layer lengths and per-operation supports and hence the same idle
     qubits, then evolve as one superket stack (:func:`_dense_states`), in
     stacks that ``_ENSEMBLE_BUDGET`` bounds; a circuit alone in its shape is
-    a one-item stack.  Each superket then goes through :func:`sample_counts`,
-    which draws from the circuit's own generator, so each record is the one
-    that a call per circuit gives, and each circuit is one
-    ``circuit_probabilities`` call.
+    a one-item stack.  A stack is evolved only when the previous one's
+    states have all been yielded.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     records = [_dense_records(model, circuit) for circuit in circuits]
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault((tuple(circuit._flat.lengths), tuple(circuit._flat.supports)), []).append(i)
-    out = [None] * len(circuits)
     for members in groups.values():
         arity = max(map(len, circuits[members[0]]._flat.supports), default=0)
         size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            states = _dense_states(model, [circuits[i] for i in chunk], [records[i] for i in chunk])
-            for i, state in zip(chunk, states):
-                out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=state)
-    return out
+            yield from zip(chunk, _dense_states(model, [circuits[i] for i in chunk], [records[i] for i in chunk]))
 
 
 def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segments: int = 16) -> ShotRecord:
@@ -1034,40 +1054,49 @@ def _propagate_faults(program: "CliffordProgram", shots: int, gens) -> np.ndarra
     return frame >> 1
 
 
-def _fault_parities(program: "CliffordProgram", measured: PauliString, pulled_back, shots: int, gen) -> np.ndarray:
-    """Per-shot parity bits (0 or 1) that the faults of :func:`_hit_blocks`
-    flip in the Z-type ``measured``, whose ``pulled_back`` rows (see
-    :func:`pauli_fastpath_signs`) are derived at the first hit when None,
-    from that hit's layer on, so a circuit without a hit builds no gate
-    tables and the layers before the first hit are not walked.
+def _fault_parities(program: "CliffordProgram", measured, pulled_back, shots: int, gens) -> np.ndarray:
+    """Per circuit of a stack (see :func:`_hit_blocks`), each drawing from
+    its generator in ``gens``, the per-shot parity bits (0 or 1) that its
+    faults flip in its Z-type Pauli in ``measured``, as a (k, shots) array.
 
-    A fault flips the parity iff it anticommutes, on its support, with the
+    ``pulled_back`` holds each circuit's rows (see
+    :func:`pauli_fastpath_signs`), or is None: then the stack's rows are
+    derived at the first hit, from that hit's layer on, for the Pauli that
+    measures every circuit's ``measured`` on its own block.  The blocks are
+    disjoint, so each block's rows are its circuit's own, and a stack
+    without a hit builds no gate tables and walks no layer.
+
+    A fault flips a parity iff it anticommutes, on its support, with the
     row of the point where it acts: row t for pre-gate noise at layer t,
     row t + 1 for post-gate noise.  Idle faults sit on qubits that no gate
-    of their layer touches, where the two rows agree.  A shot's parity is
-    its count of flipping hits, mod 2; no frame is propagated.
+    of their layer touches, where the two rows agree.  A hit counts for the
+    circuit whose block holds its support (``qubits[:, 0] // n``), and a
+    shot's parity is its circuit's count of flipping hits, mod 2; no frame
+    is propagated.
     """
-    d = program.draws
+    d, n, k = program.draws, program._model.n, len(gens)
     shift = 0 if program._model.pre_gate_noise else 1
     padded = None
-    flips = np.zeros(shots, dtype=np.intp)
-    for _, _, rows, cols, idx in _hit_blocks(program, shots, [gen]):
+    flips = np.zeros(k * shots, dtype=np.intp)
+    for _, _, rows, cols, idx in _hit_blocks(program, shots, gens):
         if not len(rows):
             continue
         if padded is None:
-            padded = np.zeros((program.depth + 1, program.n + 1), dtype=np.uint8)  # spare column n: the padding
+            padded = np.zeros((program.depth + 1, program.n + 1), dtype=np.uint8)  # spare column: the padding
             if pulled_back is None:
                 # hits come in row order: no later hit reads a row before this layer
                 t0 = int(d.layer[rows[0]])
-                padded[t0:, : program.n] = program._pulled_back(measured, t0)
+                zbits = sum(m.zbits << (i * n) for i, m in enumerate(measured))
+                padded[t0:, : program.n] = program._pulled_back(PauliString(program.n, 0, zbits, 0), t0)
             else:
-                padded[:, : program.n] = pulled_back
+                padded[:, : program.n] = np.hstack(pulled_back)
         fault = d.letters[d.dists[rows], idx]
-        row = padded[(d.layer[rows] + shift)[:, None], d.qubits[rows]]
+        qubits = d.qubits[rows]
+        row = padded[(d.layer[rows] + shift)[:, None], qubits]
         # letter codes x << 1 | z anticommute iff x_f z_r + z_f x_r is odd
-        anti = (((fault >> 1) & row) ^ (fault & (row >> 1))).sum(axis=1) & 1
-        flips += np.bincount(cols[anti == 1], minlength=shots)
-    return flips & 1
+        anti = ((((fault >> 1) & row) ^ (fault & (row >> 1))).sum(axis=1) & 1) == 1
+        flips += np.bincount(qubits[anti, 0] // n * shots + cols[anti], minlength=k * shots)
+    return (flips & 1).reshape(k, shots)
 
 
 def _frame_of(paulis, n: int) -> np.ndarray:
@@ -1109,8 +1138,11 @@ class CliffordProgram:
     ``draws`` holds the fast path's draw rows (:class:`_Draws`).
 
     Compile a circuit once and propagate as many Paulis through it as
-    needed: ACES compiles each prefix once for all of its rows.  This is the
-    one Pauli propagator; :func:`propagate_pauli` goes through it, and
+    needed: ACES compiles each prefix once and propagates all of its rows'
+    Paulis as one column block.  A program of circuits side by side
+    (:meth:`_side_by_side`) serves stacked propagation and the fast path's
+    stacked sampling and parities.  This is the one Pauli propagator;
+    :func:`propagate_pauli` goes through it, and
     :func:`ideal_outcome_bits`, the fast path's ideal outcome and its
     derived pull-back of a measured Pauli run the 2n generators through the
     same tables into the circuit's :class:`~qcvv.cliffords.CliffordTableau`.
@@ -1313,7 +1345,7 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
 
 
 def pauli_fastpath_sample(
-    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None, *, faults=None
+    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None, *, faults=None, program=None
 ) -> ShotRecord:
     """Fault-propagation sampler for definite-outcome Clifford circuits.
 
@@ -1328,11 +1360,15 @@ def pauli_fastpath_sample(
     generator, seeded by ``seed``, that drew them, when the caller
     propagated them already (:func:`_fast_ensemble`); otherwise the circuit
     propagates its faults as a one-item stack (:func:`_propagate_faults`).
-    Either way the generator then draws the readout flips.
+    Either way the generator then draws the readout flips.  ``program`` is
+    the circuit's :class:`CliffordProgram` when the caller compiled it
+    already, say to read its ideal outcome; otherwise the circuit is
+    compiled here when its faults or ideal bits are needed.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    program = CliffordProgram(model, circuit) if faults is None or ideal_bits is None else None
+    if program is None and (faults is None or ideal_bits is None):
+        program = CliffordProgram(model, circuit)
     bits0 = _definite_bits(program) if ideal_bits is None else np.asarray(ideal_bits, dtype=np.uint8)
     if faults is None:
         gen = rng(seed)
@@ -1368,14 +1404,10 @@ def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=
     mirror circuits and traps do; when None, each circuit's are derived.
 
     The derived ideal bits come first, in circuit order, so an indefinite
-    outcome raises before anything is drawn.  Circuits of one depth then
-    run as one stacked program (:meth:`CliffordProgram._side_by_side`), in
-    stacks of at most :func:`_stack_size` circuits whose one layer of
-    draws fits ``_DRAW_BUDGET``; circuits of other depths never share a
-    stack, as a shorter circuit's padded layers would draw idle faults.  A
-    circuit with ``gate_defs`` runs alone, on its own program.  Each stack draws and
-    propagates once (:func:`_propagate_faults`), every circuit from its own
-    generator, then each circuit's x bits and generator go back through
+    outcome raises before anything is drawn.  Each stack of
+    :func:`_fast_stacks` then draws and propagates once
+    (:func:`_propagate_faults`), every circuit from its own generator, then
+    each circuit's x bits and generator go back through
     :func:`pauli_fastpath_sample`, which draws its readout flips.  Each
     record is thus the one a call per circuit gives, and each circuit is
     one ``pauli_fastpath_sample`` call with its shots.  The seeds are
@@ -1387,21 +1419,36 @@ def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=
         bits = [_definite_bits(CliffordProgram(model, c)) for c in circuits]
     else:
         bits = [ideal_bits] * len(circuits)
+    out = [None] * len(circuits)
+    for chunk, program in _fast_stacks(model, circuits, shots):
+        gens = [rng(seeds[i]) for i in chunk]
+        x = _propagate_faults(program, shots, gens).reshape(len(chunk), model.n, shots)
+        for i, xi, gen in zip(chunk, x, gens):
+            out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=(xi, gen))
+    return out
+
+
+def _fast_stacks(model: GateSetModel, circuits, shots: int):
+    """The stacks in which the fast path runs ``circuits`` with ``shots``
+    each: per stack, its circuits' indices and one program.
+
+    Circuits of one depth run as one stacked program
+    (:meth:`CliffordProgram._side_by_side`), in stacks of at most
+    :func:`_stack_size` circuits whose one layer of draws fits
+    ``_DRAW_BUDGET``; circuits of other depths never share a stack, as a
+    shorter circuit's padded layers would draw idle faults.  A circuit with
+    ``gate_defs``, or alone in its stack, runs on its own program.  Stacks
+    are built one at a time, so a caller holds one program at a time."""
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault((circuit.depth, i if circuit.gate_defs else -1), []).append(i)
-    out = [None] * len(circuits)
     for (depth, _), members in groups.items():
         size = max(1, min(_stack_size(model.n, depth), _DRAW_BUDGET // (model.n * shots)))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
             stack = [circuits[i] for i in chunk]
             program = CliffordProgram(model, stack[0]) if len(stack) == 1 else CliffordProgram._side_by_side(model, stack)
-            gens = [rng(seeds[i]) for i in chunk]
-            x = _propagate_faults(program, shots, gens).reshape(len(chunk), model.n, shots)
-            for i, xi, gen in zip(chunk, x, gens):
-                out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=(xi, gen))
-    return out
+            yield chunk, program
 
 
 def pauli_fastpath_signs(
@@ -1412,6 +1459,8 @@ def pauli_fastpath_signs(
     seed,
     ideal_sign: int,
     pulled_back: np.ndarray = None,
+    *,
+    flips=None,
 ) -> np.ndarray:
     """Per-shot +/-1 parity samples of a Z-type Pauli after a Clifford circuit.
 
@@ -1434,11 +1483,36 @@ def pauli_fastpath_signs(
     these rows already (see :func:`qcvv.cliffords._pulled_back_rows`); then
     the circuit is compiled into its draw rows only.  Without them, they
     come from one walk of the 2n generators through the circuit's gate
-    tables, at the first hit: a circuit without one builds none.  The
-    generator is consumed as :func:`pauli_fastpath_sample`
-    consumes it: the fault draws, block by block, then one readout-flip draw
-    per confused measured qubit, in qubit order.
+    tables, at the first hit: a circuit without one builds none.
+
+    ``flips`` is the circuit's per-shot parity bits and the generator,
+    seeded by ``seed``, that drew its faults, when the caller drew them
+    already (:func:`_parity_all`); otherwise the circuit draws them as a
+    one-item stack of :func:`_fault_parities`.  Either way the generator
+    is consumed as :func:`pauli_fastpath_sample` consumes it: the fault
+    draws, block by block, then one readout-flip draw per confused measured
+    qubit, in qubit order.
     """
+    read = _parity_reads(model, circuit, measured, pulled_back)
+    if flips is None:
+        gen = rng(seed)
+        rows = None if pulled_back is None else [pulled_back]
+        flips = _fault_parities(CliffordProgram(model, circuit), [measured], rows, shots, [gen])[0], gen
+    bits, gen = flips
+    signs = np.full(shots, ideal_sign, dtype=np.int8)
+    signs[bits == 1] *= -1
+    for q in read:
+        if q in model.confusion:
+            pflip = model.confusion[q][0, 1]
+            signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)
+    return signs
+
+
+def _parity_reads(model: GateSetModel, circuit: Circuit, measured: PauliString, pulled_back) -> list:
+    """The qubits a fast-path parity reads, after the checks of
+    :func:`pauli_fastpath_signs`: ``measured`` is Z-type, the readout
+    confusion of each qubit it reads is symmetric, and ``pulled_back``, if
+    given, has one row per layer and one after the last."""
     if measured.xbits != 0:
         raise ValueError("measured Pauli must be Z-type")
     read = [q for q in range(model.n) if (measured.zbits >> q) & 1]
@@ -1450,14 +1524,7 @@ def pauli_fastpath_signs(
             )
     if pulled_back is not None and np.shape(pulled_back) != (circuit.depth + 1, model.n):
         raise ValueError(f"pulled_back must have shape {(circuit.depth + 1, model.n)}, not {np.shape(pulled_back)}")
-    gen = rng(seed)
-    signs = np.full(shots, ideal_sign, dtype=np.int8)
-    signs[_fault_parities(CliffordProgram(model, circuit), measured, pulled_back, shots, gen) == 1] *= -1
-    for q in read:
-        if q in model.confusion:
-            pflip = model.confusion[q][0, 1]
-            signs *= np.where(gen.random(shots) < pflip, -1, 1).astype(np.int8)
-    return signs
+    return read
 
 
 # -- protocol-facing calls ---------------------------------------------------------
@@ -1520,15 +1587,53 @@ def parity_mean(
     ValueError.  ``pulled_back``, when given, holds ``measured`` pulled back
     to before each layer and after the last, as (depth + 1, n) letter codes
     ``x << 1 | z``: row t is ``measured`` pulled back to just before layer t
-    and row depth is ``measured`` (see :func:`pauli_fastpath_signs`).
+    and row depth is ``measured`` (see :func:`pauli_fastpath_signs`).  This
+    is a one-item call of :func:`_parity_all`.
     """
+    rows = None if pulled_back is None else [pulled_back]
+    return _parity_all(model, [circuit], [measured], shots, [seed], backend, [ideal_sign], rows)[0]
+
+
+def _parity_all(
+    model: GateSetModel, circuits, measured, shots: int, seeds, backend: str, ideal_signs, pulled_back=None
+):
+    """:func:`parity_mean` of each circuit with its measured Pauli, seed,
+    ideal sign and, unless ``pulled_back`` is None, its pulled-back rows, as
+    a list in circuit order: the one parity entry point of both backends.
+
+    On ``"dense"`` the circuits are one ensemble (:func:`_sample_ensemble`)
+    and each parity is read off its counts (:func:`parity_from_counts`).
+    On ``"fast"`` every circuit is checked first, so a bad ideal sign or an
+    asymmetric confusion raises before anything is drawn.  Each stack of
+    :func:`_fast_stacks` then draws once (:func:`_fault_parities`), every
+    circuit from its own generator, and each circuit's parity bits and
+    generator go back through :func:`pauli_fastpath_signs`, which draws its
+    readout flips.  Each mean is thus the one a call per circuit gives, and
+    each circuit is one ``pauli_fastpath_signs`` call with its shots.  No
+    seed is drawn here, so a protocol draws all its circuits and seeds
+    first and then samples them in one call."""
     _check_backend(backend)
     if backend == "dense":
-        return parity_from_counts(sample_counts(model, circuit, shots, seed), measured)
-    if abs(abs(ideal_sign) - 1) > 1e-9:
-        raise ValueError(f"ideal parity {ideal_sign} is not +1 or -1; the fast path needs an eigenstate")
-    sign = 1 if ideal_sign > 0 else -1
-    return pauli_fastpath_signs(model, circuit, measured, shots, seed, sign, pulled_back).mean()
+        records = _sample_ensemble(model, circuits, shots, seeds)
+        return [parity_from_counts(rec, m) for rec, m in zip(records, measured)]
+    rows = [None] * len(circuits) if pulled_back is None else pulled_back
+    signs = []
+    for circuit, m, sign, r in zip(circuits, measured, ideal_signs, rows):
+        if abs(abs(sign) - 1) > 1e-9:
+            raise ValueError(f"ideal parity {sign} is not +1 or -1; the fast path needs an eigenstate")
+        signs.append(1 if sign > 0 else -1)
+        _parity_reads(model, circuit, m, r)
+    out = [None] * len(circuits)
+    for chunk, program in _fast_stacks(model, circuits, shots):
+        gens = [rng(seeds[i]) for i in chunk]
+        stack_rows = None if pulled_back is None else [rows[i] for i in chunk]
+        bits = _fault_parities(program, [measured[i] for i in chunk], stack_rows, shots, gens)
+        for i, b, gen in zip(chunk, bits, gens):
+            signed = pauli_fastpath_signs(
+                model, circuits[i], measured[i], shots, seeds[i], signs[i], rows[i], flips=(b, gen)
+            )
+            out[i] = signed.mean()
+    return out
 
 
 # -- gauge transformations -------------------------------------------------------

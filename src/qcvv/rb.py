@@ -36,12 +36,12 @@ from .device import (
     Circuit,
     GateSetModel,
     ShotRecord,
+    _parity_all,
     _propagate_side_by_side,
     _sample_all,
     _stack_size,
     ideal_probabilities,
     parity_from_counts,
-    parity_mean,
     sample_counts,
 )
 from .linalg import child_seeds, haar_random_unitary, pauli_matrices, rng
@@ -535,9 +535,11 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     compiling the joined circuit's gate tables.
 
     The bodies of one depth propagate side by side, in stacks of
-    :func:`qcvv.device._stack_size` circuits.  Propagation draws nothing,
-    so each circuit draws its Pauli, eigenstate signs, layers and shot seed
-    in the order of one circuit at a time.
+    :func:`qcvv.device._stack_size` circuits, and each stack's circuits are
+    sampled in one :func:`qcvv.device._parity_all` call.  Neither draws
+    from the design's generator, so each circuit draws its Pauli,
+    eigenstate signs, layers and shot seed in the order of one circuit at a
+    time.
     """
     n = sampler.n
     gen = rng(design.seed)
@@ -554,16 +556,19 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
                     layers.extend(sampler.sample(gen))
                 drawn.append((p, prep, sign, Circuit(n, tuple(layers)), int(gen.integers(2**62))))
             images = _propagate_side_by_side(model, [body for _, _, _, body, _ in drawn], [p for p, *_ in drawn])
-            for (_, prep, sign, body, sub), (current, history) in zip(drawn, images):
+            circuits, measured, signs, rows = [], [], [], []
+            for (_, prep, sign, body, _), (current, history) in zip(drawn, images):
                 sgn = current.sign
                 if abs(sgn.imag) > 1e-9:
                     raise RuntimeError("propagated Pauli has a complex sign")
-                sign *= 1 if sgn.real > 0 else -1
+                signs.append(sign * (1 if sgn.real > 0 else -1))
                 # the rotation layer stays when empty: idle qubits still get noise
-                circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),)))
-                rows = _pulled_back_rows(history, readout=True)
-                measured = readout_pauli(current)
-                values[m].append(sign * parity_mean(model, circ, measured, design.shots, sub, backend, sign, rows))
+                circuits.append(Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),))))
+                rows.append(_pulled_back_rows(history, readout=True))
+                measured.append(readout_pauli(current))
+            subs = [sub for *_, sub in drawn]
+            parities = _parity_all(model, circuits, measured, design.shots, subs, backend, signs, rows)
+            values[m].extend(sign * mean for sign, mean in zip(signs, parities))
     data = DecayDataset(list(design.depths), values, "birb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)
     return {"data": data, "fit": fit, "f": fit.f, "f_err": fit.f_err}

@@ -27,7 +27,15 @@ import scipy.optimize
 
 from .channels import Channel
 from .cliffords import GATE_UNITARIES, readout_layer
-from .device import Circuit, GateSetModel, _sample_ensemble, circuit_probabilities, sample_counts, statevector_run
+from .device import (
+    Circuit,
+    GateSetModel,
+    _ensemble_states,
+    _sample_ensemble,
+    circuit_probabilities,
+    sample_counts,
+    statevector_run,
+)
 from .linalg import (
     NORMALIZED_PAULI,
     Superket,
@@ -442,33 +450,38 @@ def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -
     native preparation is ``1mm^+ gram[:, 0]``, effects are the Gram rows,
     and predicted circuit probabilities exactly reproduce the (noiseless)
     data regardless of SPAM error.
+
+    The dataset's circuits are built first and evolve as dense stacks
+    (:func:`qcvv.device._ensemble_states`); with shots, each circuit draws
+    its counts from its own seed, in the order of one circuit at a time.
     """
     n = model.n
     preps = prep_fiducial_circuits(n)
     meas = meas_setting_circuits(n)
-    seeds = iter(child_seeds(seed, (len(gate_labels) + 2) * len(preps) * len(meas) + 16))
-
-    def measure(circ_layers):
-        circ = Circuit(n, circ_layers)
-        if exact:
-            return circuit_probabilities(model, circ).as_dict()
-        rec = sample_counts(model, circ, shots, next(seeds))
-        return {k: v / shots for k, v in rec.counts.items()}
-
     effect_keys = _effect_table(n)[0]
-
-    def freq_vector(prefix_layers):
-        """Stacked probabilities over every (setting, outcome) effect."""
-        vec = []
-        by_setting = {}
-        for setting, rot in meas:
-            by_setting[setting] = measure(tuple(prefix_layers) + tuple(rot))
-        for setting, bits in effect_keys:
-            vec.append(by_setting[setting].get(bits, 0.0))
-        return np.array(vec)
+    # the dataset, in this order: each prep fiducial alone (the Gram
+    # matrix), then followed by each gate, each measured in every setting
+    prefixes = [tuple(p) for p in preps]
+    for label in gate_labels:
+        prefixes += [tuple(p) + (((label, tuple(range(n))),),) for p in preps]
+    circuits = [Circuit(n, prefix + tuple(rot)) for prefix in prefixes for _, rot in meas]
+    if exact:
+        data = [None] * len(circuits)
+        for i, state in _ensemble_states(model, circuits):
+            data[i] = circuit_probabilities(model, circuits[i], superket=state).as_dict()
+    else:
+        seeds = child_seeds(seed, (len(gate_labels) + 2) * len(preps) * len(meas) + 16)
+        records = _sample_ensemble(model, circuits, shots, seeds[: len(circuits)])
+        data = [{k: v / shots for k, v in rec.counts.items()} for rec in records]
+    # per prefix, its probabilities stacked over every (setting, outcome) effect
+    settings = [setting for setting, _ in meas]
+    columns = []
+    for start in range(0, len(data), len(meas)):
+        by_setting = dict(zip(settings, data[start : start + len(meas)]))
+        columns.append(np.array([by_setting[setting].get(bits, 0.0) for setting, bits in effect_keys]))
 
     # Gram matrix: all effects x all preps with nothing in between
-    gram = np.column_stack([freq_vector(p) for p in preps])
+    gram = np.column_stack(columns[: len(preps)])
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[4**n - 1] < 1e-10:
         raise ValueError("Gram matrix is singular; fiducials not informationally complete")
@@ -476,10 +489,8 @@ def run_lgst(model: GateSetModel, gate_labels, shots=None, seed=0, exact=True) -
     gram_pinv = np.linalg.pinv(gram, rcond=1e-10)
 
     gates = {}
-    for label in gate_labels:
-        gate_layer = (((label, tuple(range(n))),),)
-        pk = np.column_stack([freq_vector(tuple(p) + gate_layer) for p in preps])
-        gates[label] = gram_pinv @ pk
+    for g, label in enumerate(gate_labels, start=1):
+        gates[label] = gram_pinv @ np.column_stack(columns[g * len(preps) : (g + 1) * len(preps)])
     rho_vec = gram_pinv @ gram[:, 0]  # prep fiducial 0 is the empty circuit
     effects = {}
     for row_idx, key in enumerate(effect_keys):

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffords import inverse_layer
-from .device import Circuit, GateSetModel, ideal_outcome_bits, ideal_probabilities, sample, sample_counts
+from .device import (
+    Circuit,
+    CliffordProgram,
+    GateSetModel,
+    ideal_probabilities,
+    pauli_fastpath_sample,
+    sample,
+    sample_counts,
+)
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
 from .paulis import PauliString
@@ -187,15 +195,22 @@ def volumetric_run(
 
 
 def _mirror_polarization(model, circ, shots, seed, backend, target=None):
-    n = model.n
+    """The adjusted success probability of a mirror circuit's samples
+    against ``target``, or against the circuit's ideal outcome when None.
+    The circuit compiles at most once: on the fast backend the program that
+    gives the ideal outcome also samples."""
+    program = CliffordProgram(model, circ) if target is None or backend == "fast" else None
     if target is None:
-        bits = ideal_outcome_bits(model, circ)
+        bits = program._ideal_bits()
         if bits is None:
             raise ValueError("mirror circuit does not have a definite outcome")
-        target = "".join(str(int(b)) for b in bits)
-    bits_arr = np.array([int(b) for b in target], dtype=np.uint8)
-    rec = sample(model, circ, shots, seed, backend, ideal_bits=bits_arr)
-    return adjusted_success_probability(rec.counts, target, n)
+        target = "".join(map(str, bits.tolist()))
+    if backend == "fast":
+        bits = np.array([int(b) for b in target], dtype=np.uint8)
+        rec = pauli_fastpath_sample(model, circ, shots, seed, bits, program=program)
+    else:
+        rec = sample(model, circ, shots, seed, backend)
+    return adjusted_success_probability(rec.counts, target, model.n)
 
 
 def capability_region(grid: dict, threshold: float = 1 / np.e) -> dict:

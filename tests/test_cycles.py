@@ -393,13 +393,133 @@ def test_compiled_aces_rows_match_tableau_conjugation(width, depth, ideal_spam, 
     gate_set = {op for op in ops if len(op[1]) == 2 or gen.random() < 0.3} | {("CZ@absent", (0,))}
     params, first, spam = cy._aces_parameters(gate_set, width, ideal_spam)
     prefix = cy._ACESPrefix(model, layers, first)
+    prepared = []
     for _ in range(4):
         p = PauliString.from_index(int(gen.integers(1, 4**width)), width)
-        p = PauliString(width, p.xbits, p.zbits, p.phase + int(gen.integers(4)))
-        row, image, _ = prefix.row(p, len(params), spam)
+        prepared.append(PauliString(width, p.xbits, p.zbits, p.phase + int(gen.integers(4))))
+    rows, images, _ = prefix.rows(prepared, len(params), spam)
+    for p, row, image in zip(prepared, rows, images):
         expected_row, expected_image = _tableau_aces_row(model, layers, p, gate_set, params)
         assert row.dtype == expected_row.dtype and np.array_equal(row, expected_row)
         assert image == expected_image  # letters and phase exponent
         if not ideal_spam:
             assert np.array_equal(row[spam:], expected_row[spam:])
             assert row[spam:].sum() == p.weight + image.weight
+
+
+def _propagated_aces_row(model, layers, prepared, gate_set, params):
+    """The ACES design row, image and letter-code history of ``prepared``,
+    from ``propagate_pauli`` one layer at a time."""
+    n = model.n
+    col = {p: i for i, p in enumerate(params)}
+    row = np.zeros(len(params))
+    current, history = prepared, [prepared]
+    for layer in layers:
+        current = dv.propagate_pauli(model, dv.Circuit(n, (layer,)), current)
+        history.append(current)
+        for label, qubits in layer:
+            if (label, qubits) in gate_set:
+                local = current.restrict(qubits).hermitian()
+                if local.weight:
+                    row[col[(label, qubits, local.label)]] += 1
+    if ("PREP", (0,), "X") in col:
+        for q in range(n):
+            for kind, p in (("PREP", prepared), ("MEAS", current)):
+                if p.letter(q) != "I":
+                    row[col[(kind, (q,), p.letter(q))]] += 1
+    codes = np.array([[{"I": 0, "Z": 1, "X": 2, "Y": 3}[p.letter(q)] for q in range(n)] for p in history])
+    return row, current, codes
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    depth=st.integers(0, 6),
+    count=st.integers(1, 7),
+    ideal_spam=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_aces_prefix_rows_match_per_pauli_propagation(width, depth, count, ideal_spam, seed):
+    """``_ACESPrefix.rows``, which propagates a prefix's Paulis as one column
+    block, gives each Pauli the design row, image (exact phase) and letter
+    codes that ``propagate_pauli`` gives it alone, layer by layer."""
+    gen = rng(seed)
+    model = dv.ideal_model(width)
+    sampler_gates = ["CNOT", "CZ", f"c2_{int(gen.integers(11520))}"]
+    layers = []
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(width)]
+        layer = []
+        while order:
+            if len(order) > 1 and gen.random() < 0.6:
+                layer.append((sampler_gates[int(gen.integers(3))], (order.pop(), order.pop())))
+            elif gen.random() < 0.8:
+                layer.append((_DRESSINGS[int(gen.integers(len(_DRESSINGS)))], (order.pop(),)))
+            else:
+                order.pop()
+        layers.append(tuple(layer))
+    gate_set = {op for layer in layers for op in layer if len(op[1]) == 2 or gen.random() < 0.5}
+    params, first, spam = cy._aces_parameters(gate_set | {("CZ", (0,))}, width, ideal_spam)
+    prefix = cy._ACESPrefix(model, layers, first)
+    prepared = [
+        PauliString(width, *map(int, gen.integers(2**width, size=2)), int(gen.integers(4))) for _ in range(count)
+    ]
+    rows, images, codes = prefix.rows(prepared, len(params), spam)
+    assert rows.shape == (count, len(params)) and rows.dtype == float
+    assert codes.shape == (depth + 1, width, count)
+    for j, p in enumerate(prepared):
+        row, image, history = _propagated_aces_row(model, layers, p, gate_set, params)
+        assert np.array_equal(rows[j], row)
+        assert images[j] == image
+        assert np.array_equal(codes[:, :, j], history)
+
+
+def _aces_pin_model():
+    def rule(label, arity):
+        if label == "CZ":
+            return ch.stochastic_pauli({"XI": 0.02, "IZ": 0.01, "YY": 0.01})
+        if label == "X90":
+            return ch.stochastic_pauli({"Z": 0.01})
+        return None
+
+    return dv.noisy_model(
+        2,
+        rule,
+        confusion={0: [[0.97, 0.03], [0.03, 0.97]], 1: [[0.95, 0.05], [0.05, 0.95]]},
+        idle=ch.stochastic_pauli({"X": 0.004, "Z": 0.006}),
+        pre_gate_noise=True,
+    )
+
+
+# the seeded fast-backend result of the call below, with unknown SPAM, idle
+# and pre-gate noise and symmetric readout confusion
+ACES_FAST_SPAM_IDLE_PRE = (
+    [
+        0.9829773997980797, 0.9642298343135801, 0.8474643692404489, 1.0204722916381335, 0.8788273146178933,
+        0.8541131604172543, 0.9414287673206896, 0.8073894585579563, 0.9823599145833002, 1.0582406615264168,
+        0.70597314611795, 1.057784329306836, 0.850510354996646, 0.893865347125002, 0.9623975086888261,
+        1.0634830673538194, 1.1522428323459235, 0.9122971982221103, 0.9742879025047032, 1.1066280134497237,
+        0.8841653693958267, 0.9919492619762557, 0.9866675231730089, 1.0939471930902476, 0.8877645595810836,
+        0.9030469111532631, 0.9537662807719518, 0.983525970910265, 0.8850428247662842, 0.9921969485758874,
+    ],
+    [
+        0.08985291207761237, 0.10046819108404853, 0.10538785272149113, 0.0851807280718857, 0.13997221824535294,
+        0.14412472356676526, 0.07836871682090343, 0.09304606461332317, 0.13321947770000148, 0.21631364697476527,
+        0.11973627156858603, 0.11576554521847959, 0.0842141874573847, 0.10136976388613778, 0.03639200022708805,
+        0.1083169479611144, 0.2256334706621462, 0.1492368412032048, 0.06607977936076083, 0.13746700993563518,
+        0.07986321272643195, 0.11388103836732855, 0.07385501003222487, 0.11020352688523917, 0.07631818987489644,
+        0.10689071355957029, 0.05496038505482176, 0.14464700503383152, 0.11110432571074709, 0.06906627699387216,
+    ],
+    0.3695670787082394,
+    28,
+)
+
+
+def test_aces_fast_values_with_unknown_spam_idle_and_pre_gate_noise():
+    layers = [(("CZ", (0, 1)),), (("X90", (0,)),)]
+    res = cy.aces(
+        _aces_pin_model(), layers, n_circuits=4, depth=2, paulis_per_circuit=3, shots=100, seed=24,
+        assume_ideal_spam=False,
+    )
+    got = ([float(v) for v in res.estimates], [float(v) for v in res.stderrs], res.reduced_chi2, res.design_rank)
+    assert got == ACES_FAST_SPAM_IDLE_PRE

@@ -843,7 +843,8 @@ def _family_circuit(family, model, depth, gen):
         params, first, _ = cy._aces_parameters(gate_set, n, True)
         prefix = cy._ACESPrefix(model, layers, first)
         body = prefix.circuit
-        _, current, history = prefix.row(p, len(params), None)
+        _, (current,), codes = prefix.rows([p], len(params), None)
+        history = codes[:, :, 0]
     sign *= 1 if current.sign.real > 0 else -1
     circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (cl.readout_layer(current),)))
     return circ, cl.readout_pauli(current), sign, cl._pulled_back_rows(history, readout=True)
@@ -1642,3 +1643,129 @@ def test_fast_ensemble_raises_on_an_indefinite_outcome_before_drawing(monkeypatc
     monkeypatch.setattr(dv, "_propagate_faults", lambda *args: pytest.fail("drew before checking outcomes"))
     with pytest.raises(ValueError, match="not definite"):
         dv._sample_all(model, circuits, 10, [1, 2], "fast")
+
+
+# -- stacked parities -----------------------------------------------------------------
+
+
+def _three_qubit_model(n, idle, pre, confused):
+    """A model whose ``T3`` gate (CNOT on its first two qubits, H on its
+    third) carries a 3q Pauli channel, every other gate ``_parity_rule``'s
+    1q or 2q one."""
+    u3 = np.kron(cl.GATE_UNITARIES["CNOT"], cl.GATE_UNITARIES["H"])
+    t3 = ch.Channel(ch.stochastic_pauli({"XIZ": 0.03, "ZYI": 0.02, "YYY": 0.02}).ptm @ ch.Channel.from_unitary(u3).ptm)
+    t3.unitary = u3
+    return dv.GateSetModel(
+        n,
+        gates={"T3": (t3, 3)} if n >= 3 else {},
+        noise_rule=_parity_rule,
+        confusion=_symmetric_confusion(n, confused),
+        idle=ch.stochastic_pauli((0.03, 0.01, 0.02)) if idle else None,
+        pre_gate_noise=pre,
+    )
+
+
+def _parity_row(model, gen, depth, defined):
+    """One parity circuit as BiRB, CB and ACES build it: an eigenstate
+    preparation, a body of random layers (each pair followed by a 3q
+    ``T3`` layer on three qubits or more, and by a ``gate_defs`` gate when
+    ``defined``) and the readout of the
+    propagated Pauli, left out when empty, so depths differ; with its
+    measured Pauli, ideal sign and pulled-back rows."""
+    n = model.n
+    sampler = rb.LayerSampler(n, twoq_density=0.8)
+    layers = []
+    for _ in range(depth):
+        layers.extend(sampler.sample(gen))
+        if n >= 3:
+            layers.append((("T3", tuple(int(q) for q in gen.permutation(n)[:3])),))
+    defs = {}
+    if defined:
+        defs = {"u": cl.GATE_UNITARIES["Y"]}
+        layers.append((("u", (n - 1,)),))
+    body = Circuit(n, tuple(layers), defs)
+    p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+    prep, sign = cl.eigenstate_layer(p, gen)
+    (current,), codes = dv.CliffordProgram(model, body).propagate([p], history=True)
+    meas = cl.readout_layer(current)
+    circ = Circuit(n, (prep,)).then(body)
+    circ = circ.then(Circuit(n, (meas,))) if meas else circ
+    rows = cl._pulled_back_rows(codes[:, :, 0], readout=bool(meas))
+    return circ, cl.readout_pauli(current), sign * (1 if current.sign.real > 0 else -1), rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    depth=st.integers(0, 3),
+    count=st.integers(1, 9),
+    idle=st.booleans(),
+    pre=st.booleans(),
+    confused=st.integers(0, 15),
+    shots=st.sampled_from([1, 7, 60]),
+    budgets=st.sampled_from([(None, None), (150, None), (600, 40)]),
+    derive=st.booleans(),
+    defined=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_parity_all_matches_per_circuit_parities(
+    n, depth, count, idle, pre, confused, shots, budgets, derive, defined, seed
+):
+    """``_parity_all`` gives every circuit, sign for sign, the parities of
+    its own ``pauli_fastpath_signs`` call, through one such call with its
+    shots, and the mean of ``parity_mean``: circuits of mixed depths (an
+    empty readout left out), idle and pre-gate noise, 1q, 2q and 3q fault
+    channels, symmetric confusion, rows passed or derived (``pulled_back``
+    None), stacks that span draw blocks or split by ``_DRAW_BUDGET``, and
+    a ``gate_defs`` circuit, which runs alone.  The dense backend gives
+    each circuit ``parity_mean``'s dense value."""
+    gen = rng(seed)
+    model = _three_qubit_model(n, idle, pre, confused)
+    reference = _three_qubit_model(n, idle, pre, confused)
+    # two body depths, so each call mixes depths, as an empty readout also does
+    cases = [_parity_row(model, gen, depth + int(gen.integers(2)), defined and i == count // 2) for i in range(count)]
+    circuits, measured, signs, rows = map(list, zip(*cases))
+    rows = None if derive else rows
+    seeds = [int(s) for s in gen.integers(2**62, size=count)]
+    seen, original = [], dv.pauli_fastpath_signs
+
+    def spy(model, circuit, measured, shots, seed, ideal_sign, pulled_back=None, *, flips=None):
+        out = original(model, circuit, measured, shots, seed, ideal_sign, pulled_back, flips=flips)
+        seen.append((circuit, shots, flips is not None, out))
+        return out
+
+    draw, stack = budgets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dv, "pauli_fastpath_signs", spy)
+        if draw is not None:
+            mp.setattr(dv, "_DRAW_BUDGET", draw)
+        if stack is not None:
+            mp.setattr(dv, "_STACK_BUDGET", stack)
+        means = dv._parity_all(model, circuits, measured, shots, seeds, "fast", signs, rows)
+    assert sorted(map(id, circuits)) == sorted(id(c) for c, *_ in seen)  # one call per circuit
+    assert all(got_shots == shots and stacked for _, got_shots, stacked, _ in seen)
+    got = {id(c): out for c, _, _, out in seen}
+    for i, circuit in enumerate(circuits):
+        pulled_back = None if rows is None else rows[i]
+        expected = dv.pauli_fastpath_signs(reference, circuit, measured[i], shots, seeds[i], signs[i], pulled_back)
+        assert got[id(circuit)].dtype == np.int8 and got[id(circuit)].tobytes() == expected.tobytes()
+        assert means[i] == expected.mean()
+        assert means[i] == dv.parity_mean(
+            reference, circuit, measured[i], shots, seeds[i], "fast", signs[i], pulled_back
+        )
+    dense = dv._parity_all(model, circuits, measured, shots, seeds, "dense", signs, rows)
+    args = zip(circuits, measured, seeds, signs)
+    assert dense == [dv.parity_mean(reference, c, m, shots, s, "dense", g) for c, m, s, g in args]
+
+
+def test_parity_all_checks_every_circuit_before_drawing(monkeypatch):
+    """An asymmetric confusion on a qubit that any circuit reads, or an
+    ideal sign other than +1 or -1, raises before any generator draws."""
+    model = dv.ideal_model(2).with_confusion({1: [[0.95, 0.1], [0.05, 0.9]]})
+    circuits = [Circuit(2, ((("X", (0,)),),)), Circuit(2, ((("X", (1,)),),))]
+    measured = [PauliString(2, 0, 0b01, 0), PauliString(2, 0, 0b10, 0)]
+    monkeypatch.setattr(dv, "rng", lambda seed: pytest.fail("drew before checking every circuit"))
+    with pytest.raises(ValueError, match="asymmetric"):
+        dv._parity_all(model, circuits, measured, 10, [1, 2], "fast", [-1, -1])
+    with pytest.raises(ValueError, match="not \\+1 or -1"):
+        dv._parity_all(dv.ideal_model(2), circuits, measured, 10, [1, 2], "fast", [-1, 0.5])

@@ -8,7 +8,7 @@ from qcvv import device as dv
 from qcvv import metrics as mt
 from qcvv import tomography as tg
 from qcvv.device import Circuit, circuit_probabilities, sample_counts, sample_counts_drifting
-from qcvv.linalg import haar_random_unitary, ket, projector, rng
+from qcvv.linalg import child_seeds, haar_random_unitary, ket, projector, rng
 
 BELL = Circuit(2, ((("H", (0,)),), (("CNOT", (0, 1)),)))
 X90_TARGETS = {l: ch.Channel.from_unitary(dv.GATE_UNITARIES[l]).ptm for l in ("X90", "Y90")}
@@ -398,6 +398,42 @@ def test_lgst_singular_gram_raises():
     )
     with pytest.raises(ValueError):
         tg.run_lgst(model, ["X90"], exact=True)
+
+
+def _lgst_reference(model, gate_labels, shots, seed, exact):
+    """The Gram matrix and gate estimates of run_lgst from one dense call
+    per circuit, with the child seeds taken in circuit order."""
+    n = model.n
+    preps, meas = tg.prep_fiducial_circuits(n), tg.meas_setting_circuits(n)
+    seeds = iter(child_seeds(seed, (len(gate_labels) + 2) * len(preps) * len(meas) + 16))
+
+    def column(prefix):
+        by_setting = {}
+        for setting, rot in meas:
+            circ = Circuit(n, tuple(prefix) + tuple(rot))
+            if exact:
+                by_setting[setting] = circuit_probabilities(model, circ).as_dict()
+            else:
+                rec = sample_counts(model, circ, shots, next(seeds))
+                by_setting[setting] = {k: v / shots for k, v in rec.counts.items()}
+        return np.array([by_setting[setting].get(bits, 0.0) for setting, bits in tg._effect_table(n)[0]])
+
+    gram = np.column_stack([column(p) for p in preps])
+    pinv = np.linalg.pinv(gram, rcond=1e-10)
+    layer = lambda label: (((label, tuple(range(n))),),)  # noqa: E731
+    return gram, {g: pinv @ np.column_stack([column(tuple(p) + layer(g)) for p in preps]) for g in gate_labels}
+
+
+@pytest.mark.parametrize("n, labels", [(1, ["X90", "Y90"]), (2, ["CNOT", "CZ"])])
+@pytest.mark.parametrize("exact", [True, False])
+def test_lgst_dataset_matches_per_circuit_calls(n, labels, exact):
+    """run_lgst's stacked dataset gives, bit for bit, the Gram matrix and
+    gate estimates of one dense call per circuit, exact or sampled."""
+    model = dv.noisy_model(n, lambda lbl, ar: ch.depolarizing(0.02, n=ar), idle=ch.depolarizing(0.01))
+    res = tg.run_lgst(model, labels, shots=None if exact else 300, seed=4, exact=exact)
+    gram, gates = _lgst_reference(model, labels, 300, 4, exact)
+    assert np.array_equal(res.gram, gram)
+    assert all(np.array_equal(res.gates[g], gates[g]) for g in labels)
 
 
 def test_lgst_coherent_error_recovery():

@@ -131,6 +131,23 @@ def test_periodic_vs_randomized_mirror_coherent_signature():
     assert per_grid[(2, 12)].min < rand_grid[(2, 12)].min
 
 
+def test_mirror_circuits_compile_once_each(monkeypatch):
+    """On the fast backend each mirror circuit compiles into one program,
+    which gives its ideal outcome and samples it; the dense backend
+    compiles only the periodic-mirror circuits, for their ideal outcome."""
+    compiled, compile_ = [], dv.CliffordProgram._compile
+    monkeypatch.setattr(dv.CliffordProgram, "_compile", lambda self, *args: compiled.append(1) or compile_(self, *args))
+
+    def builder(w):
+        return dv.noisy_model(w, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
+
+    for family in ("periodic-mirror", "randomized-mirror"):
+        for backend in ("fast", "dense"):
+            compiled.clear()
+            vm.volumetric_run(builder, family, (2, 3), (2, 4), 3, 20, seed=3, backend=backend)
+            assert len(compiled) == (12 if backend == "fast" or family == "periodic-mirror" else 0)
+
+
 def test_capability_region_classes():
     grid = {
         (2, 2): vm.VolumetricCell(2, 2, 0.9, 0.95, 1.0, []),
