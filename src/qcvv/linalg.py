@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 MATRIX_UNITS = "matrix-units"
 NORMALIZED_PAULI = "normalized-pauli"
@@ -224,6 +223,8 @@ def haar_random_state(d: int, seed) -> np.ndarray:
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
@@ -241,6 +242,8 @@ def matrix_log_principal(m: np.ndarray, branch_tol: float = 1e-12) -> np.ndarray
     on_cut = (evals.real < 0) & (np.abs(evals.imag) < branch_tol * np.maximum(1.0, -evals.real))
     if np.any(on_cut):
         raise ValueError("eigenvalue on the negative real axis; principal log branch cut")
+    import scipy.linalg
+
     out = scipy.linalg.logm(m)
     return np.asarray(out, dtype=complex)
 

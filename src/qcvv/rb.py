@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
 from .cliffords import (
     GATE_UNITARIES,
@@ -99,6 +97,8 @@ class FitResult:
     def chi2_pvalue(self) -> float:
         if self.dof <= 0:
             return float("nan")
+        import scipy.special
+
         return float(scipy.special.chdtrc(self.dof, self.chi2))  # the chi-squared survival function
 
 
@@ -135,6 +135,8 @@ def fit_decay(depths, means, stderrs=None, fix_b=None, variance_floor=None) -> F
         fun = lambda m, a, f: a * f**m + fix_b
         p0 = [a0, f0]
         bounds = ([-2.0, 1e-9], [2.0, 1.0])
+    import scipy.optimize
+
     try:
         popt, pcov = scipy.optimize.curve_fit(
             fun, depths, means, p0=p0, sigma=sig, absolute_sigma=True, bounds=bounds, maxfev=20000

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import child_seeds, rng
 
@@ -126,6 +125,8 @@ def _dft_peak_frequency(times, signal):
 
 
 def _curve_fit(fun, times, signal, p0, bounds):
+    import scipy.optimize
+
     try:
         popt, pcov = scipy.optimize.curve_fit(
             fun, times, signal, p0=p0, bounds=bounds, maxfev=20000

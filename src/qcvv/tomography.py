@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .channels import Channel
 from .cliffords import GATE_UNITARIES, readout_layer
@@ -33,7 +31,6 @@ from .device import (
     _ensemble_states,
     _sample_ensemble,
     circuit_probabilities,
-    sample_counts,
     statevector_run,
 )
 from .linalg import (
@@ -177,6 +174,8 @@ def _fit_cptp(preps, effects, counts, j0):
     estimate) with its eigenvalues clipped from below."""
     evals, evecs = np.linalg.eigh((j0 + j0.conj().T) / 2)
     a0 = (evecs * np.sqrt(np.clip(evals, 1e-6 * evals.max(), None))) @ evecs.conj().T
+    import scipy.optimize
+
     res = scipy.optimize.minimize(
         _cptp_nll,
         np.concatenate([a0.real.ravel(), a0.imag.ravel()]),
@@ -332,15 +331,11 @@ def qpt(dataset, n: int, method: str = "mle") -> Channel:
 # -- measurement tomography ----------------------------------------------------------
 
 def qmt_dataset(model: GateSetModel, shots: int, seed):
-    """Apply the native measurement to every preparation fiducial."""
-    n = model.n
-    out = {}
-    preps = prep_fiducial_circuits(n)
-    seeds = child_seeds(seed, len(preps))
-    for i, (prep, s) in enumerate(zip(preps, seeds)):
-        rec = sample_counts(model, Circuit(n, prep), shots, s)
-        out[i] = rec.counts
-    return out
+    """Apply the native measurement to every preparation fiducial, sampled
+    as one dense ensemble; returns {preparation index: counts dict}."""
+    circuits = [Circuit(model.n, prep) for prep in prep_fiducial_circuits(model.n)]
+    records = _sample_ensemble(model, circuits, shots, child_seeds(seed, len(circuits)))
+    return {i: rec.counts for i, rec in enumerate(records)}
 
 
 def qmt(dataset, n: int, method: str = "lstsq"):
@@ -406,23 +401,22 @@ def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed, id
 
     Returns (S_exp, F_tt) with S[y, x] = p(y | prepared x); the fidelity is
     Tr(S_exp^T S_ideal) / 2**n against the ideal unitary's stochastic matrix.
+    The 2**n prepared circuits are sampled as one dense ensemble.
     """
     n = model.n
     d = 2**n
+    circuits = [
+        Circuit(n, (tuple(("X", (q,)) for q in range(n) if (x >> (n - 1 - q)) & 1),)).then(gate_circuit)
+        for x in range(d)
+    ]
     s_exp = np.zeros((d, d))
-    seeds = child_seeds(seed, d)
-    for x in range(d):
-        prep_layer = tuple(("X", (q,)) for q in range(n) if (x >> (n - 1 - q)) & 1)
-        circ = Circuit(n, (prep_layer,)).then(gate_circuit)
-        rec = sample_counts(model, circ, shots, seeds[x])
+    for x, rec in enumerate(_sample_ensemble(model, circuits, shots, child_seeds(seed, d))):
         for bits, c in rec.counts.items():
             s_exp[int(bits, 2), x] = c / shots
     if ideal_unitary is None:
         s_ideal = np.zeros((d, d))
-        for x in range(d):
-            prep_layer = tuple(("X", (q,)) for q in range(n) if (x >> (n - 1 - q)) & 1)
-            amps = statevector_run(Circuit(n, (prep_layer,)).then(gate_circuit), model)
-            s_ideal[:, x] = np.abs(amps) ** 2
+        for x, circ in enumerate(circuits):
+            s_ideal[:, x] = np.abs(statevector_run(circ, model)) ** 2
     else:
         u = np.asarray(ideal_unitary)
         s_ideal = np.abs(u) ** 2
@@ -534,6 +528,9 @@ def gauge_optimize(result: LinearGSTResult, targets: dict, n: int, spam_weight: 
     (gauge matrix M, transformed-gate dict, final cost); probabilities are
     unchanged by construction.
     """
+    import scipy.linalg
+    import scipy.optimize
+
     d2 = 4**n
     labels = sorted(result.gates)
     gbars = [np.asarray(targets[lbl], dtype=float) for lbl in labels]

@@ -11,6 +11,7 @@ from .device import (
     Circuit,
     CliffordProgram,
     GateSetModel,
+    _sample_ensemble,
     ideal_probabilities,
     pauli_fastpath_sample,
     sample,
@@ -64,17 +65,17 @@ def qv_test(model: GateSetModel, width: int, k_circuits: int, shots: int, seed) 
     Heavy sets come from ideal statevector simulation; the pass rule is a
     one-sided 95% normal lower confidence bound on the circuit-averaged
     heavy-output frequency (circuit-to-circuit variance) exceeding 2/3.
+    The circuits are sampled as one dense ensemble.
     """
     circuits = qv_circuits(width, k_circuits, seed)
-    seeds = child_seeds(seed + 1, len(circuits))
-    hs = []
-    for circ, s in zip(circuits, seeds):
+    heavy_sets = []
+    for circ in circuits:
         ideal = ideal_probabilities(circ, model)
         heavy = heavy_outcomes(ideal)
         assert sum(ideal.as_dict()[o] for o in heavy) >= 0.5 - 1e-9
-        rec = sample_counts(model, circ, shots, s)
-        hs.append(sum(c for o, c in rec.counts.items() if o in heavy) / shots)
-    hs = np.asarray(hs)
+        heavy_sets.append(heavy)
+    records = _sample_ensemble(model, circuits, shots, child_seeds(seed + 1, len(circuits)))
+    hs = np.asarray([sum(rec.counts.get(o, 0) for o in heavy) / shots for rec, heavy in zip(records, heavy_sets)])
     hbar = float(hs.mean())
     se = float(hs.std(ddof=1) / np.sqrt(len(hs))) if len(hs) > 1 else 0.5
     lower = hbar - 1.645 * se

@@ -1,7 +1,11 @@
 """Import structure of the package: every intra-package import sits at module
 level and is used, no protocol module reaches into another's private helpers,
-the module import graph has no cycles, and importing the CLI leaves out
-``scipy.stats``, which costs about half a second of cold start."""
+and the module import graph has no cycles.  In a fresh interpreter, importing
+the CLI leaves out ``scipy.stats``, which costs about half a second of cold
+start, and importing every module, or running the protocols that fit
+nothing (accreditation, MCFE, DFE, ACES, sampling on either backend,
+linear state tomography), leaves out ``scipy`` altogether: only the
+functions that call it import it, so the first decay fit loads it."""
 
 import ast
 import os
@@ -103,9 +107,57 @@ def test_module_import_graph_is_acyclic():
             assert cycle_from(name, []) is None
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def _fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = "import qcvv.cli, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    assert _fresh("import qcvv.cli, sys; print('scipy.stats' in sys.modules)") == "False"
+
+
+def test_module_imports_leave_out_scipy():
+    names = ", ".join(f"qcvv.{path.stem}" for path in MODULES if path.stem != "__init__")
+    assert _fresh(f"import sys, {names}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+FIT_FREE_RUNS = """
+import sys
+from qcvv import channels as ch, cycles, device as dv, fidelity, tomography
+model = dv.noisy_model(2, lambda label, arity: ch.depolarizing(0.02, n=arity))
+target = [(("H", (0,)), ("H", (1,))), (("CZ", (0, 1)),), (("S", (0,)), ("H", (1,)))]
+fidelity.accredit(model, target, theta=0.2, alpha=0.9, seed=1)
+fidelity.mcfe(model, target, k_ensemble=4, shots=50, seed=2)
+fidelity.dfe(model, fidelity.ghz_circuit(2), fidelity.ghz_stabilizers(2), 0.5, 0.5, 6)
+cycles.aces(model, [(("CZ", (0, 1)),), (("H", (0,)), ("H", (1,)))], 4, 2, 3, shots=50, seed=3)
+flip = dv.Circuit(2, ((("X", (0,)),), (("CNOT", (0, 1)),)))
+for backend in ("dense", "fast"):
+    dv.sample(model, flip, 50, 4, backend)
+tomography.qst(tomography.qst_dataset(model, flip, 100, 5), 2, method="linear")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_fit_free_runs_leave_out_scipy():
+    assert _fresh(FIT_FREE_RUNS) == "[]"
+
+
+FIRST_FIT = """
+import sys
+from qcvv import rb
+before = "scipy" in sys.modules
+fit = rb.fit_decay([0, 4, 16, 32], [0.97, 0.88, 0.71, 0.60], [0.01, 0.012, 0.015, 0.02])
+print(before, "scipy.optimize" in sys.modules, repr((fit.a, fit.f, fit.b, fit.f_err, fit.chi2, fit.chi2_pvalue)))
+"""
+
+
+def test_first_decay_fit_loads_scipy_and_matches_in_process():
+    from qcvv import rb
+
+    fit = rb.fit_decay([0, 4, 16, 32], [0.97, 0.88, 0.71, 0.60], [0.01, 0.012, 0.015, 0.02])
+    want = repr((fit.a, fit.f, fit.b, fit.f_err, fit.chi2, fit.chi2_pvalue))
+    assert _fresh(FIRST_FIT) == f"False True {want}"

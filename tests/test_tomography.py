@@ -307,6 +307,55 @@ def test_qmt_perfect_and_confused():
     assert mt.readout_fidelity(r) == pytest.approx(0.97, abs=0.005)
 
 
+def _spy_dense_calls(monkeypatch):
+    """Record the (circuit, shots) of every ``sample_counts`` call and the
+    circuit of every ``circuit_probabilities`` call the device makes."""
+    calls, probability_calls = [], []
+    sample_counts_, probabilities_ = dv.sample_counts, dv.circuit_probabilities
+
+    def sample_spy(model, circuit, shots, seed, **kw):
+        calls.append((circuit, shots))
+        return sample_counts_(model, circuit, shots, seed, **kw)
+
+    def probabilities_spy(model, circuit, **kw):
+        probability_calls.append(circuit)
+        return probabilities_(model, circuit, **kw)
+
+    monkeypatch.setattr(dv, "sample_counts", sample_spy)
+    monkeypatch.setattr(dv, "circuit_probabilities", probabilities_spy)
+    return calls, probability_calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qmt_and_truth_table_ensembles_match_per_circuit_sample_counts(monkeypatch, n):
+    """qmt_dataset and truth_table sample their circuits as one dense
+    ensemble and give, count for count, the data of one ``sample_counts``
+    call per circuit with the child seeds in circuit order; each circuit is
+    one ``circuit_probabilities`` call and one ``sample_counts`` call with
+    its shots."""
+    model = dv.noisy_model(n, lambda lbl, ar: ch.depolarizing(0.03, n=ar), idle=ch.depolarizing(0.01))
+    model = model.with_confusion({0: [[0.97, 0.04], [0.03, 0.96]]})
+    gate = Circuit(n, ((("H", (0,)),), (("CNOT", (0, 1)),))) if n == 2 else Circuit(1, ((("X90", (0,)),),))
+    calls, probability_calls = _spy_dense_calls(monkeypatch)
+    ds = tg.qmt_dataset(model, 300, 8)
+    s_exp, f_tt = tg.truth_table(model, gate, 250, 9)
+    preps = [Circuit(n, prep) for prep in tg.prep_fiducial_circuits(n)]
+    tt_circuits = [Circuit(n, (tuple(("X", (q,)) for q in range(n) if (x >> (n - 1 - q)) & 1),)).then(gate) for x in range(2**n)]
+    # a stack at a time, so in shape order, not circuit order
+    assert sorted(map(repr, calls)) == sorted(map(repr, [(c, 300) for c in preps] + [(c, 250) for c in tt_circuits]))
+    assert sorted(map(repr, probability_calls)) == sorted(map(repr, preps + tt_circuits))
+    monkeypatch.undo()
+
+    assert ds == {i: sample_counts(model, c, 300, s).counts for i, (c, s) in enumerate(zip(preps, child_seeds(8, len(preps))))}
+    want = np.zeros((2**n, 2**n))
+    for x, (c, s) in enumerate(zip(tt_circuits, child_seeds(9, 2**n))):
+        for bits, count in sample_counts(model, c, 250, s).counts.items():
+            want[int(bits, 2), x] = count / 250
+    assert np.array_equal(s_exp, want)
+    s_ideal = np.column_stack([np.abs(dv.statevector_run(c, model)) ** 2 for c in tt_circuits])
+    assert f_tt == float(np.trace(want.T @ s_ideal) / 2**n)
+
+
 def test_qmt_rejects_an_unknown_method():
     ds = tg.qmt_dataset(dv.ideal_model(1), shots=100, seed=1)
     with pytest.raises(ValueError, match="unknown method"):

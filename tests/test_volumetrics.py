@@ -7,7 +7,7 @@ from qcvv import channels as ch
 from qcvv import device as dv
 from qcvv import volumetrics as vm
 from qcvv.device import ideal_probabilities
-from qcvv.linalg import rng
+from qcvv.linalg import child_seeds, rng
 from qcvv.metrics import heavy_outcomes
 from qcvv.rb import LayerSampler
 
@@ -52,6 +52,30 @@ def test_qv_depolarized_fails_at_half():
     res = vm.qv_test(model, 2, k_circuits=120, shots=400, seed=7)
     assert not res.passed
     assert res.hbar == pytest.approx(0.5, abs=0.01)
+
+
+def test_qv_test_ensemble_matches_per_circuit_sample_counts(monkeypatch):
+    """qv_test samples its circuits (inline SU(4) gates) as one dense
+    ensemble and gives, bit for bit, the heavy-output frequencies of one
+    ``sample_counts`` call per circuit; each circuit is one
+    ``circuit_probabilities`` call."""
+    model = dv.noisy_model(3, lambda l, a: ch.depolarizing(0.05, n=a), idle=ch.depolarizing(0.01))
+    calls, original = [], dv.circuit_probabilities
+
+    def spy(model, circuit, **kw):
+        calls.append(circuit)
+        return original(model, circuit, **kw)
+
+    monkeypatch.setattr(dv, "circuit_probabilities", spy)
+    res = vm.qv_test(model, 3, k_circuits=6, shots=200, seed=13)
+    monkeypatch.undo()
+    circuits = vm.qv_circuits(3, 6, 13)
+    assert sorted(map(repr, calls)) == sorted(map(repr, circuits))
+    want = []
+    for circ, s in zip(circuits, child_seeds(14, 6)):
+        heavy = heavy_outcomes(ideal_probabilities(circ, model))
+        want.append(sum(c for o, c in dv.sample_counts(model, circ, 200, s).counts.items() if o in heavy) / 200)
+    assert res.per_circuit == want
 
 
 def test_qv_monotone_under_depolarizing():
