@@ -70,22 +70,25 @@ One compiled program, :class:`CliffordProgram`, serves every Clifford path.
 It compiles a circuit, or circuits side by side, against a model from its
 flat form and builds two parts, each on first use: the per-layer gate
 tables, through which Paulis propagate with exact phase, and the fast
-path's draw rows.  :func:`propagate_pauli` and the ideal outcome run Paulis
-through the gate tables, and ACES (:func:`qcvv.cycles.aces`) compiles each
-circuit prefix once and reads its design rows off the frames of its Paulis,
-propagated as one column block.
+path's draw rows.  :func:`propagate_pauli` runs Paulis through the gate
+tables, and ACES (:func:`qcvv.cycles.aces`) compiles each circuit prefix
+once and reads its design rows off the frames of its Paulis, propagated as
+one column block.
 
-The fast path pays per fault, not per layer.  A parity
-(:func:`_fault_parities`) needs no frame at all: a fault flips it iff it
-anticommutes with the measured Pauli pulled back to where the fault acts,
-so a shot's parity is a count over its hits.  BiRB, cycle benchmarking and
-ACES propagate the prepared Pauli through their bodies anyway, to choose
-the readout; that propagation's history is the pull-back, so they pass it
-along and their joined circuits build draw rows only.  A
-sample of all n bits (:func:`pauli_fastpath_sample`) propagates a fault
-frame, which stays the all-identity frame, mapped to itself by every gate,
-until the first layer that draws a fault, so a circuit that draws none
-builds no gate table and conjugates nothing.
+The fast path pays per fault, not per layer, and one kernel,
+:func:`_fault_parities`, turns its hits into bits: a fault flips a measured
+Z-type Pauli iff it anticommutes with that Pauli pulled back to where the
+fault acts, so a shot's bit is a count over its hits, and no fault frame
+is propagated.  BiRB, cycle benchmarking and ACES propagate the prepared
+Pauli through their bodies anyway, to choose the readout; that
+propagation's history is the pull-back, so they pass it along and their
+joined circuits build draw rows only.  Otherwise the kernel tallies each
+hit against the 2n generators of every circuit, walked from the first
+hit's layer, and one GF(2) product per circuit with its final generator
+images gives its n output bits, of which a derived parity is the XOR on
+its read qubits.  A stack that draws no fault builds no gate table and
+conjugates nothing.  The same walk from layer 0 gives each circuit's ideal
+outcome (:func:`ideal_outcome_bits`) without a tableau inverse.
 
 The dense backend has one superket loop, :func:`_dense_states`.  It
 evolves a stack of circuits of one shape (layer lengths and per-operation
@@ -111,19 +114,21 @@ walk their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
 its own program would give them.  Fast-path sampling compiles the circuits
 of one depth side by side (:func:`_fast_stacks`) and lets each circuit
-draw its rows from its own generator.  Accreditation, MCFE, MRB and RB
-decays hand their circuits, with their seeds, to :func:`_fast_ensemble`,
-which propagates one fault frame per stack; each circuit's x bits and
-generator then go back through :func:`pauli_fastpath_sample`, which draws
-the readout flips and tallies.  BiRB, cycle benchmarking and ACES hand
-their circuits, measured Paulis and pulled-back rows to
-:func:`_parity_all`, whose one parity kernel, :func:`_fault_parities`,
-tallies each stack's hits per circuit; each circuit's parity bits and
-generator then go back through :func:`pauli_fastpath_signs`, which draws
-the readout flips.  Either way the seeded stream and the per-call circuit
-count are those of one circuit at a time, and a single circuit is a
-one-item stack on its own program: :func:`pauli_fastpath_signs` and
-:func:`parity_mean` are one-item calls of the parity kernel.
+draw its rows from its own generator.  Accreditation, MCFE, MRB, RB decays
+and volumetric grids hand their circuits, with their seeds, to
+:func:`_fast_ensemble`, which compiles each stack once, derives the
+stack's ideal bits from it when the caller gives none and tallies the
+stack's output bits in one :func:`_fault_parities` call; each circuit's
+bits and generator then go back through :func:`pauli_fastpath_sample`,
+which draws the readout flips and tallies.  BiRB, cycle benchmarking,
+ACES and DFE hand their circuits, measured Paulis and, but for DFE,
+pulled-back rows to :func:`_parity_all`, which tallies each stack with the
+same kernel; each circuit's bits and generator then go back through
+:func:`pauli_fastpath_signs`, which draws the readout flips.  Either way
+the seeded stream and the per-call circuit count are those of one circuit
+at a time, and a single circuit is a one-item stack on its own program:
+:func:`pauli_fastpath_sample`, :func:`pauli_fastpath_signs` and
+:func:`parity_mean` are one-item calls of the kernel.
 :func:`_sample_all` and :func:`_parity_all` are the ensemble entry points
 of both backends.
 
@@ -944,8 +949,7 @@ def _apply_gate_layer(frame: np.ndarray, groups, phase: np.ndarray = None):
             frame[row] = image[index]
 
 
-# Doubles drawn per block of layers in :func:`_hit_blocks`; it also bounds
-# the block's fault frame in :func:`_propagate_faults`, in bytes.
+# Doubles drawn per block of layers in :func:`_hit_blocks`.
 _DRAW_BUDGET = 1 << 18
 
 # Qubit-layer slots, each holding at most one operation, of the circuits
@@ -996,8 +1000,8 @@ def _hit_blocks(program: "CliffordProgram", shots: int, gens):
     rows by block (``qubits[:, 0] // n``) gives each circuit's rows in its
     own order, since within a layer the stacked rows run through the gates
     circuit by circuit, then through the idle qubits in qubit order.  Each
-    block yields its first and last-plus-one layers and its hits' rows
-    (numbered across the stack), columns and fault indices.
+    block yields its hits' rows (numbered across the stack), columns and
+    fault indices.
     """
     width, depth, d = program.n, program.depth, program.draws
     span = max(1, _DRAW_BUDGET // (width * shots))
@@ -1018,85 +1022,70 @@ def _hit_blocks(program: "CliffordProgram", shots: int, gens):
                 draws[order[a:b]] = g.random((b - a, shots))
         rows, cols, idx = _search_hits(draws, d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
         del draws  # freed before the next block's are drawn, so one block's draws are held at a time
-        yield t0, t1, rows + r0, cols, idx
+        yield rows + r0, cols, idx
 
 
-def _propagate_faults(program: "CliffordProgram", shots: int, gens) -> np.ndarray:
-    """Per-shot x bits (width, shots) of the propagated fault frame of a
-    stack of circuits, each drawing from its generator in ``gens`` (see
-    :func:`_hit_blocks`); circuit i's bits are rows ``i * n`` to ``(i + 1)
-    * n - 1``, as its own program gives them.
-
-    Each block of :func:`_hit_blocks` writes the letters of its hits into a
-    (layers, width + 1, shots) fault frame, whose spare row width takes the
-    padded support columns.  Each layer then XORs its faults into the frame
-    before its gates (pre-gate noise) or after them.  Gates map the
-    all-identity frame to itself, so the layers before the first hit are
-    skipped, and a stack without a hit never builds its gate tables.
-    """
-    width, d = program.n, program.draws
-    frame = np.zeros((width, shots), dtype=np.uint8)
-    hit = False
-    for t0, t1, rows, cols, idx in _hit_blocks(program, shots, gens):
-        if not hit:
-            if not len(rows):
-                continue
-            hit = True
-            t0 = int(d.layer[rows[0]])  # hits come in row order, so this is the first hit's layer
-        faults = np.zeros((t1 - t0, width + 1, shots), dtype=np.uint8)
-        faults[(d.layer[rows] - t0)[:, None], d.qubits[rows], cols[:, None]] = d.letters[d.dists[rows], idx]
-        for t in range(t0, t1):
-            if program._model.pre_gate_noise:
-                frame ^= faults[t - t0, :width]
-            _apply_gate_layer(frame, program.gates[t])
-            if not program._model.pre_gate_noise:
-                frame ^= faults[t - t0, :width]
-    return frame >> 1
-
-
-def _fault_parities(program: "CliffordProgram", measured, pulled_back, shots: int, gens) -> np.ndarray:
+def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -> np.ndarray:
     """Per circuit of a stack (see :func:`_hit_blocks`), each drawing from
-    its generator in ``gens``, the per-shot parity bits (0 or 1) that its
-    faults flip in its Z-type Pauli in ``measured``, as a (k, shots) array.
+    its generator in ``gens``, the per-shot bits (0 or 1) that its faults
+    flip, as a (k, columns, shots) uint8 array: the one kernel that turns
+    hits into bits.
 
-    ``pulled_back`` holds each circuit's rows (see
-    :func:`pauli_fastpath_signs`), or is None: then the stack's rows are
-    derived at the first hit, from that hit's layer on, for the Pauli that
-    measures every circuit's ``measured`` on its own block.  The blocks are
-    disjoint, so each block's rows are its circuit's own, and a stack
-    without a hit builds no gate tables and walks no layer.
-
-    A fault flips a parity iff it anticommutes, on its support, with the
-    row of the point where it acts: row t for pre-gate noise at layer t,
+    A fault flips a column's bit iff it anticommutes, on its support, with
+    the column's row where it acts: row t for pre-gate noise at layer t,
     row t + 1 for post-gate noise.  Idle faults sit on qubits that no gate
     of their layer touches, where the two rows agree.  A hit counts for the
-    circuit whose block holds its support (``qubits[:, 0] // n``), and a
-    shot's parity is its circuit's count of flipping hits, mod 2; no frame
-    is propagated.
+    circuit whose block of n = ``model.n`` qubits holds its support
+    (``qubits[:, 0] // n``), and a bit is its circuit's count of flipping
+    hits, mod 2; no frame is propagated, and a stack without a hit builds no
+    gate tables and walks no layer.
+
+    ``pulled_back`` holds each circuit's rows of one Z-type measured Pauli
+    (see :func:`pauli_fastpath_signs`): one column, the measured parity.
+    When None, the columns are the circuit's n output bits.  Then the rows
+    are the 2n generators of every block, walked from the first hit's layer
+    t0 (:meth:`CliffordProgram._generators`).  Output bit j flips iff the
+    faults anticommute with Z_j pulled back, which is, up to phase, the
+    product of the generators that the input Pauli Q_j = U^dag Z_j U selects
+    (U the layers from t0 on).  Conjugation keeps the symplectic form, so
+    Q_j's x bit on qubit q is the form of Z_j with U Z_q U^dag, the x bit on
+    qubit j of that image, and its z bit on q is the same with X_q: one GF(2)
+    product per circuit with the x bits of its final generator images maps
+    its 2n generator parities to its n output bits.
     """
     d, n, k = program.draws, program._model.n, len(gens)
     shift = 0 if program._model.pre_gate_noise else 1
-    padded = None
-    flips = np.zeros(k * shots, dtype=np.intp)
-    for _, _, rows, cols, idx in _hit_blocks(program, shots, gens):
+    codes = None
+    for rows, cols, idx in _hit_blocks(program, shots, gens):
         if not len(rows):
             continue
-        if padded is None:
-            padded = np.zeros((program.depth + 1, program.n + 1), dtype=np.uint8)  # spare column: the padding
+        if codes is None:
+            # row t - t0 of ``codes`` is row t; its spare qubit, all identity, takes the padding
             if pulled_back is None:
                 # hits come in row order: no later hit reads a row before this layer
                 t0 = int(d.layer[rows[0]])
-                zbits = sum(m.zbits << (i * n) for i, m in enumerate(measured))
-                padded[t0:, : program.n] = program._pulled_back(PauliString(program.n, 0, zbits, 0), t0)
+                frame = np.vstack([program._generators(), np.zeros((1, 2 * n), dtype=np.uint8)])
+                codes = program._walk(frame, None, True, t0)
             else:
-                padded[:, : program.n] = np.hstack(pulled_back)
-        fault = d.letters[d.dists[rows], idx]
+                t0, spare = 0, np.zeros((program.depth + 1, 1), dtype=np.uint8)
+                codes = np.hstack([*pulled_back, spare])[:, :, None]
+            columns = codes.shape[2]
+            flips = np.zeros(k * columns * shots, dtype=np.intp)
+        fault = d.letters[d.dists[rows], idx][:, :, None]
         qubits = d.qubits[rows]
-        row = padded[(d.layer[rows] + shift)[:, None], qubits]
+        row = codes[(d.layer[rows] + shift - t0)[:, None], qubits]
         # letter codes x << 1 | z anticommute iff x_f z_r + z_f x_r is odd
-        anti = ((((fault >> 1) & row) ^ (fault & (row >> 1))).sum(axis=1) & 1) == 1
-        flips += np.bincount(qubits[anti, 0] // n * shots + cols[anti], minlength=k * shots)
-    return (flips & 1).reshape(k, shots)
+        hit, column = np.nonzero((((fault >> 1) & row) ^ (fault & (row >> 1))).sum(axis=1) & 1)
+        flips += np.bincount((qubits[hit, 0] // n * columns + column) * shots + cols[hit], minlength=len(flips))
+    if codes is None:
+        return np.zeros((k, n if pulled_back is None else 1, shots), dtype=np.uint8)
+    flips = (flips & 1).reshape(k, columns, shots)
+    if pulled_back is not None:
+        return flips.astype(np.uint8)
+    # X_q is selected by Z_q's image, Z_q by X_q's; the sums are small
+    # integers, which a float32 product gives exactly
+    select = np.roll((codes[-1, :-1] >> 1).reshape(k, n, 2 * n), n, axis=2).astype(np.float32)
+    return ((select @ flips.astype(np.float32)) % 2).astype(np.uint8)
 
 
 def _frame_of(paulis, n: int) -> np.ndarray:
@@ -1142,10 +1131,11 @@ class CliffordProgram:
     Paulis as one column block.  A program of circuits side by side
     (:meth:`_side_by_side`) serves stacked propagation and the fast path's
     stacked sampling and parities.  This is the one Pauli propagator;
-    :func:`propagate_pauli` goes through it, and
-    :func:`ideal_outcome_bits`, the fast path's ideal outcome and its
-    derived pull-back of a measured Pauli run the 2n generators through the
-    same tables into the circuit's :class:`~qcvv.cliffords.CliffordTableau`.
+    :func:`propagate_pauli` goes through it, and one walk of the 2n
+    generators of every block through the same tables
+    (:meth:`_generators`) gives each circuit's ideal outcome
+    (:meth:`_ideal_bits`) and, from the first hit's layer on, the rows
+    against which :func:`_fault_parities` tallies its output bits.
     """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
@@ -1215,10 +1205,12 @@ class CliffordProgram:
     def _walk(self, frame: np.ndarray, phase: np.ndarray, history: bool, start: int = 0):
         """Conjugate an (n, columns) code frame in place by every layer from
         layer ``start`` on, adding the image phase exponents to the (n,
-        columns) ``phase``, each gate's to the row of its first support
-        qubit (see :func:`_apply_gate_layer`).  With ``history``, return the
-        frame before each of those layers and after the last, as a (depth +
-        1 - start, n, columns) uint8 array; else None."""
+        columns) ``phase``, unless it is None, each gate's to the row of its
+        first support qubit (see :func:`_apply_gate_layer`).  With
+        ``history``, return the frame before each of those layers and after
+        the last, as a (depth + 1 - start, n, columns) uint8 array; else
+        None.  Rows past the register's n qubits, which no gate touches,
+        stay as they are."""
         codes = np.empty((self.depth + 1 - start,) + frame.shape, dtype=np.uint8) if history else None
         if history:
             codes[0] = frame
@@ -1239,47 +1231,34 @@ class CliffordProgram:
         images = _paulis_of(frame, np.array([p.phase for p in paulis], dtype=np.int64) + phase.sum(axis=0))
         return (images, codes) if history else images
 
-    def _generators(self, history: bool = False, start: int = 0):
-        """The images U G U^dag of the 2n generators G = X_0..X_{n-1},
-        Z_0..Z_{n-1} under the layers from ``start`` on, which propagate as
-        one frame through the gate tables: their (n, 2n) codes, generator g
-        in column g, and phase exponents; and, with ``history``, the frame's
-        codes of :meth:`_walk`."""
-        n = self.n
+    def _generators(self) -> np.ndarray:
+        """The 2n generators X_0..X_{n-1}, Z_0..Z_{n-1} of every block of
+        n = ``model.n`` qubits as one (width, 2n) code frame, each block's
+        generator g in column g, which :meth:`_walk` conjugates as one.  No
+        gate crosses a block, so each block's images are those its
+        circuit's own program gives."""
+        n = self._model.n
         eye = np.eye(n, dtype=np.uint8)
-        frame = np.hstack([2 * eye, eye])  # letter codes: X_q in column q, Z_q in column n + q
-        phase = np.zeros((n, 2 * n), dtype=np.int64)
-        codes = self._walk(frame, phase, history, start)
-        return frame, phase.sum(axis=0), codes
+        return np.tile(np.hstack([2 * eye, eye]), (self.n // n, 1))  # X_q in column q, Z_q in column n + q
 
-    def _ideal_bits(self):
-        """:func:`ideal_outcome_bits` of the circuit, from the inverse of its
-        :class:`CliffordTableau`."""
-        frame, phase, _ = self._generators()
-        inverse = CliffordTableau(np.vstack([frame >> 1, frame & 1]).T, phase).inverse()
-        if inverse.bits[self.n :, : self.n].any():
-            return None
-        return (inverse.phases[self.n :] // 2).astype(np.uint8)
+    def _ideal_bits(self) -> list:
+        """Per circuit of the program, its ideal outcome bits on |0...0>
+        (see :func:`ideal_outcome_bits`), or None, from one walk of the
+        generators.
 
-    def _pulled_back(self, measured: PauliString, start: int = 0) -> np.ndarray:
-        """Rows ``start`` to depth of the ``pulled_back`` rows of a Z-type
-        ``measured`` (see :func:`pauli_fastpath_signs`), from one walk of the
-        generators through the layers from ``start`` on.
-
-        Row t is ``measured`` pulled back through layers t..depth-1, which
-        is W_t Q W_t^dag for the input Pauli Q = U^dag measured U, U the
-        layers from ``start`` on and W_t those before layer t.  Up to phase,
-        Q is the product of the generators its bits select, so row t is the
-        XOR of those generators' codes before layer t.  Conjugation keeps
-        the symplectic form, so Q's x bit on qubit q is its form with Z_q,
-        which is the form of ``measured`` with U Z_q U^dag: the parity of
-        that image's x bits on the measured qubits; its z bit on q is the
-        same with X_q."""
-        frame, _, codes = self._generators(history=True, start=start)
-        read = [q for q in range(self.n) if (measured.zbits >> q) & 1]
-        form = ((frame[read] >> 1).sum(axis=0) & 1).astype(bool)  # per generator image
-        select = np.roll(form, self.n)  # X_q is selected by Z_q's image, Z_q by X_q's
-        return np.bitwise_xor.reduce(codes[:, :, select], axis=2)
+        The outcome is definite iff every Z_q image is Z-type: |0...0> then
+        goes to the computational state that those images, with their
+        signs, stabilize.  The symplectic form makes the x bits of the X_q
+        images the inverse transpose of the Z_q images' z bits, so Z_j is
+        the product of the Z_q images whose X_q image has an x bit on qubit
+        j, and bit j is the XOR of their sign bits."""
+        n, frame = self._model.n, self._generators()
+        phase = np.zeros(frame.shape, dtype=np.int64)
+        self._walk(frame, phase, history=False)
+        x = (frame >> 1).reshape(-1, n, 2 * n)  # x[i, j, g]: the x bit on qubit j of block i's image of g
+        signs = (phase.reshape(-1, n, 2 * n).sum(axis=1)[:, n:, None] >> 1) & 1  # a block's phase sums its rows
+        bits = ((x[:, :, :n].astype(np.int64) @ signs)[:, :, 0] & 1).astype(np.uint8)
+        return [None if xi[:, n:].any() else b for xi, b in zip(x, bits)]
 
 
 def _propagate_side_by_side(model: GateSetModel, circuits, paulis):
@@ -1309,11 +1288,11 @@ def _stack_size(n: int, depth: int) -> int:
 def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     """Definite ideal outcome bits of a Clifford circuit C on |0...0>, or None.
 
-    The outcome is definite iff every row ``C^dag Z_j C`` of the inverse of
-    the circuit's tableau is Z-type.  |0...0> is then an eigenstate of each,
-    and bit j is 1 where that eigenvalue is -1 (phase exponent 2).
+    The outcome is definite iff every image ``C Z_q C^dag`` is Z-type;
+    bit j is then the XOR of the sign bits of the Z_q images whose X_q
+    image has an x bit on qubit j (:meth:`CliffordProgram._ideal_bits`).
     """
-    return CliffordProgram(model, circuit)._ideal_bits()
+    return CliffordProgram(model, circuit)._ideal_bits()[0]
 
 
 def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> PauliString:
@@ -1345,7 +1324,7 @@ def _noise_dist(err_ptm: np.ndarray, label: str):
 
 
 def pauli_fastpath_sample(
-    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None, *, faults=None, program=None
+    model: GateSetModel, circuit: Circuit, shots: int, seed, ideal_bits=None, *, faults=None
 ) -> ShotRecord:
     """Fault-propagation sampler for definite-outcome Clifford circuits.
 
@@ -1356,25 +1335,25 @@ def pauli_fastpath_sample(
     the ideal outcome (e.g. mirror generators) may pass ``ideal_bits`` to
     skip its derivation.
 
-    ``faults`` is the circuit's (n, shots) fault-frame x bits and the
-    generator, seeded by ``seed``, that drew them, when the caller
-    propagated them already (:func:`_fast_ensemble`); otherwise the circuit
-    propagates its faults as a one-item stack (:func:`_propagate_faults`).
-    Either way the generator then draws the readout flips.  ``program`` is
-    the circuit's :class:`CliffordProgram` when the caller compiled it
-    already, say to read its ideal outcome; otherwise the circuit is
-    compiled here when its faults or ideal bits are needed.
+    ``faults`` is the circuit's (n, shots) output-bit flips and the
+    generator, seeded by ``seed``, that drew them, when the caller drew
+    them already (:func:`_fast_ensemble`), with ``ideal_bits``; otherwise
+    the circuit is compiled here and draws them as a one-item stack of
+    :func:`_fault_parities`.  Either way the generator then draws the
+    readout flips.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if program is None and (faults is None or ideal_bits is None):
-        program = CliffordProgram(model, circuit)
-    bits0 = _definite_bits(program) if ideal_bits is None else np.asarray(ideal_bits, dtype=np.uint8)
     if faults is None:
+        program = CliffordProgram(model, circuit)
+        if ideal_bits is None:
+            ideal_bits = program._ideal_bits()[0]
+            if ideal_bits is None:
+                raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
         gen = rng(seed)
-        faults = _propagate_faults(program, shots, [gen]), gen
+        faults = _fault_parities(program, None, shots, [gen])[0], gen
     x, gen = faults
-    bits = bits0[:, None] ^ x
+    bits = np.asarray(ideal_bits, dtype=np.uint8)[:, None] ^ x
     for q in range(model.n):
         if q in model.confusion:
             c = model.confusion[q]
@@ -1388,41 +1367,38 @@ def pauli_fastpath_sample(
     return ShotRecord(circuit, counts, shots, _seed_value(seed))
 
 
-def _definite_bits(program: "CliffordProgram") -> np.ndarray:
-    """The program's ideal outcome bits (:func:`ideal_outcome_bits`); an
-    outcome that is not definite is a ValueError."""
-    bits = program._ideal_bits()
-    if bits is None:
-        raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
-    return bits
-
-
 def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=None):
     """:func:`pauli_fastpath_sample` of each circuit with its seed, as a list
-    in circuit order, with the fault frames propagated side by side.
+    in circuit order, with the faults drawn and tallied side by side.
     ``ideal_bits`` are the ideal outcome bits that every circuit shares, as
     mirror circuits and traps do; when None, each circuit's are derived.
 
-    The derived ideal bits come first, in circuit order, so an indefinite
-    outcome raises before anything is drawn.  Each stack of
-    :func:`_fast_stacks` then draws and propagates once
-    (:func:`_propagate_faults`), every circuit from its own generator, then
-    each circuit's x bits and generator go back through
-    :func:`pauli_fastpath_sample`, which draws its readout flips.  Each
-    record is thus the one a call per circuit gives, and each circuit is
-    one ``pauli_fastpath_sample`` call with its shots.  The seeds are
-    integers, or one generator per circuit.
+    Without ``ideal_bits``, every stack of :func:`_fast_stacks` derives its
+    circuits' bits first (:meth:`CliffordProgram._ideal_bits`), so an
+    indefinite outcome raises before anything is drawn, and the stacks'
+    programs are kept for the draws: one compile per stack either way.
+    Each stack then draws once (:func:`_fault_parities`), every circuit
+    from its own generator, and each circuit's output-bit flips and
+    generator go back through :func:`pauli_fastpath_sample`, which draws
+    its readout flips.  Each record is thus the one a call per circuit
+    gives, and each circuit is one ``pauli_fastpath_sample`` call with its
+    shots.  The seeds are integers, or one generator per circuit.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
+    stacks = _fast_stacks(model, circuits, shots)
+    bits = [ideal_bits] * len(circuits)
     if ideal_bits is None:
-        bits = [_definite_bits(CliffordProgram(model, c)) for c in circuits]
-    else:
-        bits = [ideal_bits] * len(circuits)
+        stacks = list(stacks)
+        for chunk, program in stacks:
+            for i, b in zip(chunk, program._ideal_bits()):
+                if b is None:
+                    raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
+                bits[i] = b
     out = [None] * len(circuits)
-    for chunk, program in _fast_stacks(model, circuits, shots):
+    for chunk, program in stacks:
         gens = [rng(seeds[i]) for i in chunk]
-        x = _propagate_faults(program, shots, gens).reshape(len(chunk), model.n, shots)
+        x = _fault_parities(program, None, shots, gens)
         for i, xi, gen in zip(chunk, x, gens):
             out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=(xi, gen))
     return out
@@ -1438,7 +1414,8 @@ def _fast_stacks(model: GateSetModel, circuits, shots: int):
     ``_DRAW_BUDGET``; circuits of other depths never share a stack, as a
     shorter circuit's padded layers would draw idle faults.  A circuit with
     ``gate_defs``, or alone in its stack, runs on its own program.  Stacks
-    are built one at a time, so a caller holds one program at a time."""
+    are built one at a time, as they are taken, so a caller that does not
+    keep them holds one program at a time."""
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault((circuit.depth, i if circuit.gate_defs else -1), []).append(i)
@@ -1481,26 +1458,29 @@ def pauli_fastpath_signs(
     Pre-gate noise at layer t reads row t and post-gate noise row t + 1.  A
     caller that has propagated the prepared Pauli through the circuit holds
     these rows already (see :func:`qcvv.cliffords._pulled_back_rows`); then
-    the circuit is compiled into its draw rows only.  Without them, they
-    come from one walk of the 2n generators through the circuit's gate
-    tables, at the first hit: a circuit without one builds none.
+    the circuit is compiled into its draw rows only.  Without them, the
+    parity is the XOR, on the read qubits, of the output-bit flips that
+    :func:`_fault_parities` tallies against the 2n generators, walked
+    through the circuit's gate tables from the first hit: a circuit
+    without one builds none.
 
-    ``flips`` is the circuit's per-shot parity bits and the generator,
-    seeded by ``seed``, that drew its faults, when the caller drew them
-    already (:func:`_parity_all`); otherwise the circuit draws them as a
-    one-item stack of :func:`_fault_parities`.  Either way the generator
-    is consumed as :func:`pauli_fastpath_sample` consumes it: the fault
-    draws, block by block, then one readout-flip draw per confused measured
-    qubit, in qubit order.
+    ``flips`` is the circuit's bits of :func:`_fault_parities` (the parity,
+    or the output bits without ``pulled_back``) and the generator, seeded
+    by ``seed``, that drew its faults, when the caller drew them already
+    (:func:`_parity_all`); otherwise the circuit draws them as a one-item
+    stack.  Either way the generator is consumed as
+    :func:`pauli_fastpath_sample` consumes it: the fault draws, block by
+    block, then one readout-flip draw per confused measured qubit, in qubit
+    order.
     """
     read = _parity_reads(model, circuit, measured, pulled_back)
     if flips is None:
         gen = rng(seed)
         rows = None if pulled_back is None else [pulled_back]
-        flips = _fault_parities(CliffordProgram(model, circuit), [measured], rows, shots, [gen])[0], gen
+        flips = _fault_parities(CliffordProgram(model, circuit), rows, shots, [gen])[0], gen
     bits, gen = flips
     signs = np.full(shots, ideal_sign, dtype=np.int8)
-    signs[bits == 1] *= -1
+    signs[np.bitwise_xor.reduce(bits if pulled_back is not None else bits[read], axis=0) == 1] *= -1
     for q in read:
         if q in model.confusion:
             pflip = model.confusion[q][0, 1]
@@ -1606,8 +1586,8 @@ def _parity_all(
     On ``"fast"`` every circuit is checked first, so a bad ideal sign or an
     asymmetric confusion raises before anything is drawn.  Each stack of
     :func:`_fast_stacks` then draws once (:func:`_fault_parities`), every
-    circuit from its own generator, and each circuit's parity bits and
-    generator go back through :func:`pauli_fastpath_signs`, which draws its
+    circuit from its own generator, and each circuit's bits (its parity, or
+    its output bits without ``pulled_back``) and generator go back through :func:`pauli_fastpath_signs`, which draws its
     readout flips.  Each mean is thus the one a call per circuit gives, and
     each circuit is one ``pauli_fastpath_signs`` call with its shots.  No
     seed is drawn here, so a protocol draws all its circuits and seeds
@@ -1627,7 +1607,7 @@ def _parity_all(
     for chunk, program in _fast_stacks(model, circuits, shots):
         gens = [rng(seeds[i]) for i in chunk]
         stack_rows = None if pulled_back is None else [rows[i] for i in chunk]
-        bits = _fault_parities(program, [measured[i] for i in chunk], stack_rows, shots, gens)
+        bits = _fault_parities(program, stack_rows, shots, gens)
         for i, b, gen in zip(chunk, bits, gens):
             signed = pauli_fastpath_signs(
                 model, circuits[i], measured[i], shots, seeds[i], signs[i], rows[i], flips=(b, gen)

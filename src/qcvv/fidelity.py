@@ -18,7 +18,7 @@ from .cliffords import (
     readout_layer,
     readout_pauli,
 )
-from .device import Circuit, GateSetModel, _apply_stacked, _sample_all, parity_mean
+from .device import Circuit, GateSetModel, _apply_stacked, _parity_all, _sample_all
 from .linalg import pauli_matrices, rng
 from .metrics import convert_metric
 from .paulis import PauliString
@@ -129,19 +129,24 @@ def dfe(
     gen = rng(seed)
     l = int(np.ceil(1 / (epsilon**2 * delta)))
     ks, reps = np.unique(gen.choice(len(probs), size=l, p=probs), return_counts=True)
-    values = []
-    total_shots = 0
-    for k, rep in zip(ks, reps):
+    rows, by_shots = [], {}  # per sampled Pauli: its circuit, measured Pauli, seed and ideal parity
+    for i, (k, rep) in enumerate(zip(ks, reps)):
         p = PauliString.from_index(int(k), n)
         m_k = int(np.ceil(2 * np.log(2 / delta) / (d * chi[k] ** 2 * l * epsilon**2)))
-        m_k = max(m_k, 1) * int(rep)
-        total_shots += m_k
+        by_shots.setdefault(max(m_k, 1) * int(rep), []).append(i)
         meas_layer = readout_layer(p)
         circ = prep_circuit.then(Circuit(n, (meas_layer,))) if meas_layer else prep_circuit
-        measured = readout_pauli(p)
-        sub = int(gen.integers(2**62))
-        mean = float(parity_mean(model, circ, measured, m_k, sub, backend, chi[k] * np.sqrt(d)))
+        rows.append((circ, readout_pauli(p), int(gen.integers(2**62)), chi[k] * np.sqrt(d)))
+    # the Paulis of one shot count are measured as one ensemble
+    means = [None] * len(ks)
+    for m_k, group in by_shots.items():
+        circuits, measured, seeds, signs = zip(*(rows[i] for i in group))
+        for i, mean in zip(group, _parity_all(model, circuits, measured, m_k, seeds, backend, signs)):
+            means[i] = float(mean)
+    values = []
+    for k, rep, mean in zip(ks, reps, means):
         values.extend([(mean / np.sqrt(d)) / chi[k]] * int(rep))
+    total_shots = sum(m_k * len(group) for m_k, group in by_shots.items())
     values = np.asarray(values)
     est = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else epsilon

@@ -40,7 +40,6 @@ from .device import (
     _stack_size,
     ideal_probabilities,
     parity_from_counts,
-    sample_counts,
 )
 from .linalg import child_seeds, haar_random_unitary, pauli_matrices, rng
 from .metrics import convert_metric
@@ -433,14 +432,19 @@ def xrb(model: GateSetModel, design: RBDesign, reference_fit: FitResult = None):
     gen = rng(design.seed)
     settings = _all_settings(n)
     values = {m: [] for m in design.depths}
+    readouts = [readout_layer(PauliString.from_label(setting)) for setting in settings]
     for m in design.depths:
+        circuits, seeds = [], []
         for _ in range(design.circuits_per_depth):
             _, layers = _clifford_sequence(gen, n, m)
+            for readout in readouts:
+                circuits.append(Circuit(n, tuple(layers) + (readout,)))
+                seeds.append(int(gen.integers(2**62)))
+        records = iter(_sample_all(model, circuits, design.shots, seeds, "dense"))
+        for _ in range(design.circuits_per_depth):
             gamma = 0.0
             per_pauli = {}
-            for setting in settings:
-                circ = Circuit(n, tuple(layers) + (readout_layer(PauliString.from_label(setting)),))
-                rec = sample_counts(model, circ, design.shots, int(gen.integers(2**62)))
+            for setting, rec in zip(settings, records):
                 for pidx in range(1, 4**n):
                     p = PauliString.from_index(pidx, n)
                     if not _setting_covers(setting, p):
@@ -695,6 +699,7 @@ def xeb(model: GateSetModel, design: RBDesign, layer_sample, min_depth: int = 0)
     bitstring_probs = {m: [] for m in design.depths}
     for m in design.depths:
         xs, ys = [], []
+        circuits, seeds = [], []
         for _ in range(design.circuits_per_depth):
             layers = []
             defs = {}
@@ -702,9 +707,10 @@ def xeb(model: GateSetModel, design: RBDesign, layer_sample, min_depth: int = 0)
                 layer, dd = layer_sample()
                 layers.append(layer)
                 defs.update(dd)
-            circ = Circuit(n, tuple(layers), defs)
+            circuits.append(Circuit(n, tuple(layers), defs))
+            seeds.append(int(gen.integers(2**62)))
+        for circ, rec in zip(circuits, _sample_all(model, circuits, design.shots, seeds, "dense")):
             ideal = ideal_probabilities(circ, model)
-            rec = sample_counts(model, circ, design.shots, int(gen.integers(2**62)))
             pmap = ideal.as_dict()
             h_pq = d / design.shots * sum(pmap[b] * c for b, c in rec.counts.items()) - 1
             h_pp = d * float(np.sum(ideal.probs**2)) - 1

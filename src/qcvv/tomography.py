@@ -125,6 +125,13 @@ def _check_method(method):
         raise ValueError(f"unknown method {method!r}")
 
 
+def _kron_eye(x, d_out: int):
+    """``np.kron(x, np.eye(d_out))``, as an index scatter."""
+    out = np.zeros((len(x), d_out, len(x), d_out), dtype=x.dtype)
+    out[:, np.arange(d_out), :, np.arange(d_out)] = x
+    return out.reshape(len(x) * d_out, -1)
+
+
 def _cptp_choi(x, d_in: int, d_out: int):
     """The Choi matrix J = (S^-1/2 kron I) A A^dag (S^-1/2 kron I), with
     S = Tr_out(A A^dag) and A the square matrix whose real and imaginary parts
@@ -136,7 +143,7 @@ def _cptp_choi(x, d_in: int, d_out: int):
     b = a @ a.conj().T
     evals, u = np.linalg.eigh(b.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3))
     r = np.sqrt(evals)
-    t = np.kron((u / r) @ u.conj().T, np.eye(d_out))
+    t = _kron_eye((u / r) @ u.conj().T, d_out)
     return t @ b @ t, a, b, t, r, u
 
 
@@ -164,7 +171,7 @@ def _cptp_nll(x, preps, effects, counts):
     k_in = (k + k.conj().T).reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3)
     gamma = -1 / (np.outer(r, r) * np.add.outer(r, r))  # divided differences of s^-1/2
     dk = u @ (gamma * (u.conj().T @ k_in @ u)) @ u.conj().T
-    z = 2 * (t @ g @ t + np.kron(dk, np.eye(d_out))) @ a
+    z = 2 * (t @ g @ t + _kron_eye(dk, d_out)) @ a
     return -float(np.sum(counts * np.log(p))), np.concatenate([z.real.ravel(), z.imag.ravel()])
 
 

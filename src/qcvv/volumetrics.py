@@ -11,11 +11,10 @@ from .device import (
     Circuit,
     CliffordProgram,
     GateSetModel,
+    _sample_all,
     _sample_ensemble,
+    _stack_size,
     ideal_probabilities,
-    pauli_fastpath_sample,
-    sample,
-    sample_counts,
 )
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
@@ -168,50 +167,50 @@ def volumetric_run(
         model = model_builder(w)
         sampler = LayerSampler(w, twoq_density=twoq_density, twoq_gate="CZ")
         for depth in depths:
-            vals = []
-            for _ in range(circuits_per_cell):
-                sub = int(gen.integers(2**62))
-                if family == "randomized-mirror":
-                    m = depth + depth % 2
-                    circ = mirror_circuit(sampler, m, gen)
-                    vals.append(_mirror_polarization(model, circ, shots, sub, backend, target="0" * w))
-                elif family == "periodic-mirror":
-                    m = depth + depth % 2
-                    germ = [sampler.sample(gen)]  # fresh short germ per circuit
-                    circ = periodic_mirror_circuit(sampler, germ, m, gen)
-                    vals.append(_mirror_polarization(model, circ, shots, sub, backend))
-                elif family == "qv-shape":
-                    circ = qv_circuits(w, 1, sub)[0]
-                    ideal = ideal_probabilities(circ, model)
-                    heavy = heavy_outcomes(ideal)
-                    rec = sample_counts(model, circ, shots, sub + 1)
-                    h = sum(c for o, c in rec.counts.items() if o in heavy) / shots
-                    vals.append(2 * h - 1)
-                else:
-                    raise ValueError(f"unknown circuit family {family!r}")
+            vals = _cell_polarizations(model, sampler, family, depth, circuits_per_cell, shots, gen, backend)
             grid[(w, depth)] = VolumetricCell(
                 w, depth, float(np.min(vals)), float(np.mean(vals)), float(np.max(vals)), vals
             )
     return grid
 
 
-def _mirror_polarization(model, circ, shots, seed, backend, target=None):
-    """The adjusted success probability of a mirror circuit's samples
-    against ``target``, or against the circuit's ideal outcome when None.
-    The circuit compiles at most once: on the fast backend the program that
-    gives the ideal outcome also samples."""
-    program = CliffordProgram(model, circ) if target is None or backend == "fast" else None
-    if target is None:
-        bits = program._ideal_bits()
-        if bits is None:
-            raise ValueError("mirror circuit does not have a definite outcome")
-        target = "".join(map(str, bits.tolist()))
-    if backend == "fast":
-        bits = np.array([int(b) for b in target], dtype=np.uint8)
-        rec = pauli_fastpath_sample(model, circ, shots, seed, bits, program=program)
+def _cell_polarizations(model, sampler, family, depth, count, shots, gen, backend):
+    """The polarizations of one grid cell's ``count`` circuits, drawn with
+    their seeds from ``gen`` circuit by circuit, then sampled as one
+    ensemble: mirror circuits on ``backend``, scored by their adjusted
+    success probability against the all-zero outcome (randomized) or their
+    ideal outcome (periodic); qv-shape circuits on the dense backend, scored
+    by their heavy-output polarization ``2 h - 1``."""
+    if family not in ("randomized-mirror", "periodic-mirror", "qv-shape"):
+        raise ValueError(f"unknown circuit family {family!r}")
+    w, m = sampler.n, depth + depth % 2
+    circuits, seeds = [], []
+    for _ in range(count):
+        seeds.append(int(gen.integers(2**62)))
+        if family == "randomized-mirror":
+            circuits.append(mirror_circuit(sampler, m, gen))
+        elif family == "periodic-mirror":
+            germ = [sampler.sample(gen)]  # fresh short germ per circuit
+            circuits.append(periodic_mirror_circuit(sampler, germ, m, gen))
+        else:
+            circuits.append(qv_circuits(w, 1, seeds[-1])[0])
+    if family == "qv-shape":
+        heavy = [heavy_outcomes(ideal_probabilities(circ, model)) for circ in circuits]
+        records = _sample_ensemble(model, circuits, shots, [s + 1 for s in seeds])
+        return [2 * (sum(c for o, c in rec.counts.items() if o in h) / shots) - 1 for rec, h in zip(records, heavy)]
+    if family == "randomized-mirror":
+        targets, bits = ["0" * w] * count, np.zeros(w, dtype=np.uint8)
     else:
-        rec = sample(model, circ, shots, seed, backend)
-    return adjusted_success_probability(rec.counts, target, model.n)
+        # each circuit's ideal outcome, from programs of the cell's circuits
+        # side by side, in stacks of the fast path's size
+        size, bits = _stack_size(w, max(circ.depth for circ in circuits)), None
+        stacks = (CliffordProgram._side_by_side(model, circuits[i : i + size]) for i in range(0, count, size))
+        ideal = [b for program in stacks for b in program._ideal_bits()]
+        if any(b is None for b in ideal):
+            raise ValueError("mirror circuit does not have a definite outcome")
+        targets = ["".join(map(str, b.tolist())) for b in ideal]
+    records = _sample_all(model, circuits, shots, seeds, backend, bits)
+    return [adjusted_success_probability(rec.counts, t, w) for rec, t in zip(records, targets)]
 
 
 def capability_region(grid: dict, threshold: float = 1 / np.e) -> dict:

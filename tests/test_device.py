@@ -372,6 +372,74 @@ def test_ideal_outcome_bits_match_the_statevector_and_gate_the_fast_path():
     assert min(seen.values()) >= 20
 
 
+def _circuit_unitary(model, circuit):
+    """The ideal unitary of a circuit, column i the image of basis state i."""
+    n = circuit.width
+    states = np.eye(2**n, dtype=complex).reshape((2**n,) + (2,) * n)
+    for qubits, g in zip(circuit._flat.supports, circuit._flat.key):
+        label = circuit._flat.keys[g][0]
+        states = dv._apply_stacked(states, model.ideal_unitary(label, circuit.gate_defs), qubits)
+    return states.reshape(2**n, 2**n).T
+
+
+def _tableau_inverse_bits(model, circuit):
+    """The ideal outcome bits from the inverse of the circuit's tableau,
+    built from its unitary: the outcome is definite iff every row
+    ``C^dag Z_j C`` of the inverse is Z-type, and bit j is that row's phase
+    exponent // 2."""
+    n = circuit.width
+    inverse = cl.tableau_from_unitary(_circuit_unitary(model, circuit)).inverse()
+    if inverse.bits[n:, :n].any():
+        return None
+    return (inverse.phases[n:] // 2).astype(np.uint8)
+
+
+def _classical_clifford_circuit(width, depth, gen):
+    """Diagonal and permutation gates only, so every outcome is definite."""
+    names = {1: ["X", "Z", "S", "SDG", "I"], 2: ["CNOT", "CZ", "SWAP"]}
+    layers = []
+    for _ in range(depth):
+        order = [int(q) for q in gen.permutation(width)]
+        layer = []
+        while order:
+            k = 2 if len(order) > 1 and gen.random() < 0.5 else 1
+            layer.append((names[k][int(gen.integers(len(names[k])))], tuple(order.pop() for _ in range(k))))
+        layers.append(tuple(layer))
+    return Circuit(width, tuple(layers))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    families=st.lists(st.sampled_from(["random", "classical", "mirror"]), min_size=1, max_size=4),
+    depth=st.integers(0, 6),
+    seed=st.integers(0, 2**31),
+)
+def test_inverse_free_ideal_bits_match_the_tableau_inverse(width, families, depth, seed):
+    """The ideal bits from one walk of the generators equal those of the
+    inverse tableau, definite or not, for each circuit alone and for the
+    circuits side by side in one stacked program."""
+    gen = rng(seed)
+    model = dv.ideal_model(width)
+    circuits = []
+    for family in families:
+        if family == "random":
+            circuits.append(_random_clifford_circuit(width, depth, gen))
+        elif family == "classical":
+            circuits.append(_classical_clifford_circuit(width, depth, gen))
+        else:
+            circuits.append(rb.mirror_circuit(rb.LayerSampler(width, twoq_density=0.7), 2 * (depth // 2), gen))
+    expected = [_tableau_inverse_bits(model, c) for c in circuits]
+    stacked = dv.CliffordProgram._side_by_side(model, circuits)._ideal_bits()
+    assert len(stacked) == len(circuits)
+    for circuit, want, got in zip(circuits, expected, stacked):
+        alone = dv.ideal_outcome_bits(model, circuit)
+        for bits in (alone, got):
+            assert (bits is None) == (want is None)
+            if want is not None:
+                assert bits.dtype == np.uint8 and np.array_equal(bits, want)
+
+
 def test_fastpath_confusion():
     conf = [[0.99, 0.05], [0.01, 0.95]]
     model = dv.ideal_model(1).with_confusion({0: conf})
@@ -732,8 +800,8 @@ def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
 def propagate_faults_reference(model, circuit, shots, gen):
     """The per-shot x bits (n, shots) of one circuit's propagated fault
     frame, drawn from ``gen`` one layer at a time and pushed through the
-    gates of every layer: the reference that the stacked, hit-driven
-    :func:`dv._propagate_faults` must match bit for bit."""
+    gates of every layer: the reference that the output bits of the
+    stacked, hit-driven :func:`dv._fault_parities` must match bit for bit."""
     compiled = dv.CliffordProgram(model, circuit).draws
     gates = dv.CliffordProgram(model, circuit).gates
     n = model.n
@@ -776,9 +844,10 @@ def test_hit_driven_propagation_matches_every_layer_reference(width, depth, shot
             if budget is not None:  # 1: a block per layer; 150: one or two layers per block at 100 shots
                 mp.setattr(dv, "_DRAW_BUDGET", budget)
             fast_gen, ref_gen = rng(8 * seed + 4 + sub), rng(8 * seed + 4 + sub)
-            got = dv._propagate_faults(dv.CliffordProgram(model, circ), shots, [fast_gen])
+            got = dv._fault_parities(dv.CliffordProgram(model, circ), None, shots, [fast_gen])
         expected = propagate_faults_reference(model, circ, shots, ref_gen)
-        assert got.tobytes() == expected.tobytes()
+        assert got.shape == (1, width, shots) and got.dtype == np.uint8
+        assert got[0].tobytes() == expected.tobytes()
         assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
 
 
@@ -803,6 +872,27 @@ def test_fault_free_samples_build_no_gate_tables(monkeypatch):
     assert not built
     dv.pauli_fastpath_sample(dv.noisy_model(3, rule(0.5)), circ, 5, 3, ideal_bits=bits)
     assert built == [1]
+
+
+def pulled_back_reference(model, circuit, measured):
+    """The ``pulled_back`` rows of a Z-type ``measured`` (see
+    :func:`dv.pauli_fastpath_signs`), from one walk of the generators.
+
+    Row t is ``measured`` pulled back through layers t..depth-1, which is
+    W_t Q W_t^dag for the input Pauli Q = U^dag measured U, U the circuit
+    and W_t its layers before layer t.  Up to phase, Q is the product of
+    the generators its bits select, so row t is the XOR of those
+    generators' codes before layer t.  Conjugation keeps the symplectic
+    form, so Q's x bit on qubit q is its form with Z_q, which is the form of
+    ``measured`` with U Z_q U^dag: the parity of that image's x bits on the
+    measured qubits; its z bit on q is the same with X_q."""
+    n, program = model.n, dv.CliffordProgram(model, circuit)
+    frame = program._generators()
+    codes = program._walk(frame, None, history=True)
+    read = [q for q in range(n) if (measured.zbits >> q) & 1]
+    form = ((frame[read] >> 1).sum(axis=0) & 1).astype(bool)  # per generator image
+    select = np.roll(form, n)  # X_q is selected by Z_q's image, Z_q by X_q's
+    return np.bitwise_xor.reduce(codes[:, :, select], axis=2)
 
 
 def _family_circuit(family, model, depth, gen):
@@ -929,7 +1019,7 @@ def test_fastpath_parities_match_the_propagated_fault_frame(
     )
     circ, measured, sign, pulled_back = _family_circuit(family, model, depth, rng(seed))
     if supplied and pulled_back is None:
-        pulled_back = dv.CliffordProgram(model, circ)._pulled_back(measured)
+        pulled_back = pulled_back_reference(model, circ, measured)
     if not supplied:
         pulled_back = None
     with pytest.MonkeyPatch.context() as mp:
@@ -957,7 +1047,7 @@ def test_protocol_rows_equal_the_derived_pull_back():
             for depth in (0, 1, 3):
                 model = dv.noisy_model(width, _parity_rule)
                 circ, measured, _, rows = _family_circuit(family, model, depth, rng(31 * width + depth))
-                derived = dv.CliffordProgram(model, circ)._pulled_back(measured)
+                derived = pulled_back_reference(model, circ, measured)
                 assert rows.dtype == derived.dtype == np.uint8
                 assert np.array_equal(rows, derived)
 
@@ -1013,7 +1103,7 @@ def test_exact_parity_matches_the_dense_backend(family, width, depth, idle, pre,
     dist = dv.circuit_probabilities(model, circ)
     read = [q for q in range(width) if (measured.zbits >> q) & 1]
     dense = sum(p * (-1) ** sum(int(bits[q]) for q in read) for bits, p in zip(dist.outcomes, dist.probs))
-    derived = dv.CliffordProgram(model, circ)._pulled_back(measured)
+    derived = pulled_back_reference(model, circ, measured)
     for rows in (pulled_back, derived):
         if rows is not None:
             assert abs(_exact_parity(model, circ, measured, sign, rows) - dense) <= 1e-9
@@ -1640,9 +1730,28 @@ def test_fast_ensemble_without_hits_builds_no_gate_tables(monkeypatch):
 def test_fast_ensemble_raises_on_an_indefinite_outcome_before_drawing(monkeypatch):
     model = dv.noisy_model(1, lambda lbl, ar: ch.depolarizing(0.1, n=ar))
     circuits = [Circuit(1, ((("X", (0,)),),)), Circuit(1, ((("H", (0,)),),))]
-    monkeypatch.setattr(dv, "_propagate_faults", lambda *args: pytest.fail("drew before checking outcomes"))
+    monkeypatch.setattr(dv, "_fault_parities", lambda *args: pytest.fail("drew before checking outcomes"))
     with pytest.raises(ValueError, match="not definite"):
         dv._sample_all(model, circuits, 10, [1, 2], "fast")
+
+
+def test_fast_ensemble_compiles_one_program_per_stack(monkeypatch):
+    """A fast-backend ``run_crb`` of 3 depths x 10 1q circuits compiles one
+    program per depth, with the ideal bits derived from the stacks that
+    then draw, and so does an ensemble of mirror circuits of 3 depths that
+    is given its bits."""
+    compiles, compile_ = [], dv.CliffordProgram._compile
+    monkeypatch.setattr(dv.CliffordProgram, "_compile", lambda self, *args: compiles.append(1) or compile_(self, *args))
+    model = dv.noisy_model(1, lambda lbl, ar: ch.depolarizing(0.02, n=ar))
+    design = rb.RBDesign((0,), (0, 2, 4), 10, 50, seed=3)
+    rb.run_crb(model, design, backend="fast")
+    assert len(compiles) == 3
+    compiles.clear()
+    sampler, gen = rb.LayerSampler(2, twoq_density=0.7), rng(4)
+    circuits = [rb.mirror_circuit(sampler, m, gen) for m in (0, 2, 4) for _ in range(10)]
+    two = dv.noisy_model(2, lambda lbl, ar: ch.depolarizing(0.02, n=ar))
+    dv._sample_all(two, circuits, 50, list(range(len(circuits))), "fast", np.zeros(2, dtype=np.uint8))
+    assert len(compiles) == 3
 
 
 # -- stacked parities -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from qcvv import rb
 from qcvv.device import Circuit
 from qcvv.linalg import ket, projector, rng
 from qcvv.metrics import convert_metric, state_fidelity
+from qcvv.paulis import PauliString
 
 
 def pauli_noise_model(n, oneq=(0.003, 0.002, 0.004), twoq=None):
@@ -252,3 +253,46 @@ def test_mcfe_and_accreditation_bracket_each_other():
     mc = fd.mcfe(model, layers, k_ensemble=40, shots=300, seed=25)
     acc = fd.accredit(model, layers, theta=0.1, alpha=0.95, seed=27)
     assert acc.f_lower - acc.theta - 3 * mc.stderr <= mc.f_e <= acc.f_upper + acc.theta + 3 * mc.stderr
+
+
+def _dfe_per_pauli(model, prep, target, epsilon, delta, seed, backend):
+    """DFE with one ``parity_mean`` call per sampled Pauli, its seed drawn
+    as its circuit is built."""
+    n, d = model.n, 2**model.n
+    chi = fd.characteristic_function(target, n)
+    gen = rng(seed)
+    l = int(np.ceil(1 / (epsilon**2 * delta)))
+    ks, reps = np.unique(gen.choice(len(chi), size=l, p=chi**2 / (chi**2).sum()), return_counts=True)
+    values, total = [], 0
+    for k, rep in zip(ks, reps):
+        p = PauliString.from_index(int(k), n)
+        m_k = max(int(np.ceil(2 * np.log(2 / delta) / (d * chi[k] ** 2 * l * epsilon**2))), 1) * int(rep)
+        total += m_k
+        meas = cl.readout_layer(p)
+        circ = prep.then(Circuit(n, (meas,))) if meas else prep
+        sub = int(gen.integers(2**62))
+        mean = float(dv.parity_mean(model, circ, cl.readout_pauli(p), m_k, sub, backend, chi[k] * np.sqrt(d)))
+        values.extend([(mean / np.sqrt(d)) / chi[k]] * int(rep))
+    values = np.asarray(values)
+    return fd.DFEResult(float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size)), epsilon, delta, len(ks), total)
+
+
+@pytest.mark.parametrize("backend", ["dense", "fast"])
+def test_dfe_groups_equal_per_pauli_parity_means(monkeypatch, backend):
+    """DFE measures the sampled Paulis of one shot count as one
+    ``_parity_all`` call; its result is, to the bit, that of one
+    ``parity_mean`` call per Pauli, each seed drawn as its circuit is
+    built."""
+    model = pauli_noise_model(3, twoq={"XZ": 0.03, "ZI": 0.02, "YY": 0.01})
+    args = (model, fd.ghz_circuit(3), fd.ghz_stabilizers(3), 0.25, 0.25, 17)
+    calls = []
+    grouped_all = fd._parity_all
+
+    def spy(model, circuits, *rest):
+        calls.append(len(circuits))
+        return grouped_all(model, circuits, *rest)
+
+    monkeypatch.setattr(fd, "_parity_all", spy)
+    grouped = fd.dfe(*args, backend=backend)
+    assert len(calls) > 1 and max(calls) > 1 and sum(calls) == grouped.sampled_bases
+    assert grouped == _dfe_per_pauli(*args, backend)

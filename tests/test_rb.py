@@ -4,9 +4,11 @@ import pytest
 from qcvv import channels as ch
 from qcvv import device as dv
 from qcvv import rb
+from qcvv.cliffords import readout_layer
 from qcvv.device import circuit_probabilities
 from qcvv.linalg import rng
 from qcvv.metrics import unitarity
+from qcvv.paulis import PauliString
 
 
 def depol_model(n, p, **kw):
@@ -368,3 +370,70 @@ def test_external_dataset_round_trip(tmp_path):
     assert data.meta["variant"] == "crb"
     fit = rb.fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.5)
     assert abs(fit.f - (1 - p)) < 6 * fit.f_err
+
+
+def _xrb_values_per_circuit(model, design):
+    """XRB's per-depth gamma values, each setting's circuit sampled by its
+    own ``sample_counts`` call as its seed is drawn."""
+    n, gen = len(design.qubits), rng(design.seed)
+    values = {m: [] for m in design.depths}
+    for m in design.depths:
+        for _ in range(design.circuits_per_depth):
+            _, layers = rb._clifford_sequence(gen, n, m)
+            per_pauli = {}
+            for setting in rb._all_settings(n):
+                circ = dv.Circuit(n, tuple(layers) + (readout_layer(PauliString.from_label(setting)),))
+                rec = dv.sample_counts(model, circ, design.shots, int(gen.integers(2**62)))
+                for pidx in range(1, 4**n):
+                    p = PauliString.from_index(pidx, n)
+                    if rb._setting_covers(setting, p):
+                        per_pauli.setdefault(pidx, []).append(dv.parity_from_counts(rec, p))
+            gamma = 0.0
+            for means in per_pauli.values():
+                nshots = design.shots * len(means)
+                gamma += (nshots * float(np.mean(means)) ** 2 - 1) / (nshots - 1)
+            values[m].append(gamma / (2**n - 1) * 1.0)
+    return values
+
+
+def _xeb_per_circuit(model, design, layer_sample):
+    """XEB's per-depth F_XEB and empirical distributions, each circuit
+    sampled by its own ``sample_counts`` call as its seed is drawn."""
+    n, gen, d = model.n, rng(design.seed), 2**model.n
+    per_depth, probs = [], {}
+    for m in design.depths:
+        xs, ys = [], []
+        for _ in range(design.circuits_per_depth):
+            layers, defs = [], {}
+            for _ in range(m):
+                layer, dd = layer_sample()
+                layers.append(layer)
+                defs.update(dd)
+            circ = dv.Circuit(n, tuple(layers), defs)
+            ideal = dv.ideal_probabilities(circ, model)
+            rec = dv.sample_counts(model, circ, design.shots, int(gen.integers(2**62)))
+            pmap = ideal.as_dict()
+            ys.append(d / design.shots * sum(pmap[b] * c for b, c in rec.counts.items()) - 1)
+            xs.append(d * float(np.sum(ideal.probs**2)) - 1)
+            emp = np.zeros(d)
+            for b, c in rec.counts.items():
+                emp[int(b, 2)] = c / design.shots
+            probs.setdefault(m, []).append(emp)
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        per_depth.append(float(xs @ ys / (xs @ xs)))
+    return per_depth, probs
+
+
+def test_xrb_and_xeb_ensembles_equal_per_circuit_samples():
+    """XRB and XEB sample each depth's circuits as one dense ensemble; their
+    values are, to the bit, those of one ``sample_counts`` call per circuit,
+    each seed drawn as its circuit is built."""
+    model = depol_model(2, 0.02)
+    xrb_design = rb.RBDesign((0, 1), (0, 2, 4), 3, 50, seed=71)
+    assert rb.xrb(model, xrb_design)["data"].values == _xrb_values_per_circuit(model, xrb_design)
+    xeb_design = rb.RBDesign((0,), (1, 2, 3), 4, 200, seed=73)
+    out = rb.xeb(model, xeb_design, rb.haar_su4_layer_sampler(2, seed=75))
+    per_depth, probs = _xeb_per_circuit(model, xeb_design, rb.haar_su4_layer_sampler(2, seed=75))
+    assert out["per_depth_f_xeb"] == per_depth
+    for m in xeb_design.depths:
+        assert all(np.array_equal(a, b) for a, b in zip(out["bitstring_probs"][m], probs[m], strict=True))

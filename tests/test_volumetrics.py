@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv import device as dv
+from qcvv import rb
 from qcvv import volumetrics as vm
 from qcvv.device import ideal_probabilities
 from qcvv.linalg import child_seeds, rng
@@ -156,20 +157,71 @@ def test_periodic_vs_randomized_mirror_coherent_signature():
 
 
 def test_mirror_circuits_compile_once_each(monkeypatch):
-    """On the fast backend each mirror circuit compiles into one program,
-    which gives its ideal outcome and samples it; the dense backend
-    compiles only the periodic-mirror circuits, for their ideal outcome."""
+    """No mirror circuit compiles more than once.  On the fast backend each
+    grid cell's circuits compile in one program per stack, which samples
+    them; periodic-mirror circuits, whose ideal outcomes differ, also
+    compile once per cell side by side for those outcomes, which is all
+    the dense backend compiles."""
     compiled, compile_ = [], dv.CliffordProgram._compile
     monkeypatch.setattr(dv.CliffordProgram, "_compile", lambda self, *args: compiled.append(1) or compile_(self, *args))
 
     def builder(w):
         return dv.noisy_model(w, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
 
-    for family in ("periodic-mirror", "randomized-mirror"):
-        for backend in ("fast", "dense"):
-            compiled.clear()
-            vm.volumetric_run(builder, family, (2, 3), (2, 4), 3, 20, seed=3, backend=backend)
-            assert len(compiled) == (12 if backend == "fast" or family == "periodic-mirror" else 0)
+    # 4 cells of 3 circuits; the periodic-mirror circuits of a cell differ in
+    # depth when a germ has no 2q layer, so its fast cells take 7 stacks
+    expected = {
+        ("periodic-mirror", "fast"): 4 + 7,
+        ("periodic-mirror", "dense"): 4,
+        ("randomized-mirror", "fast"): 4,
+        ("randomized-mirror", "dense"): 0,
+    }
+    for (family, backend), count in expected.items():
+        compiled.clear()
+        vm.volumetric_run(builder, family, (2, 3), (2, 4), 3, 20, seed=3, backend=backend)
+        assert len(compiled) == count
+
+
+def _cell_values_per_circuit(builder, family, widths, depths, count, shots, seed, backend):
+    """Each grid cell's polarizations with one ``sample`` call per circuit,
+    its seed drawn as it is built."""
+    gen, out = rng(seed), {}
+    for w in widths:
+        model, sampler = builder(w), LayerSampler(w, twoq_density=0.5, twoq_gate="CZ")
+        for depth in depths:
+            out[(w, depth)] = vals = []
+            for _ in range(count):
+                sub = int(gen.integers(2**62))
+                if family == "qv-shape":
+                    circ = vm.qv_circuits(w, 1, sub)[0]
+                    heavy = heavy_outcomes(ideal_probabilities(circ, model))
+                    rec = dv.sample_counts(model, circ, shots, sub + 1)
+                    vals.append(2 * (sum(c for o, c in rec.counts.items() if o in heavy) / shots) - 1)
+                    continue
+                if family == "randomized-mirror":
+                    circ, target = rb.mirror_circuit(sampler, depth + depth % 2, gen), "0" * w
+                else:
+                    germ = [sampler.sample(gen)]
+                    circ = vm.periodic_mirror_circuit(sampler, germ, depth + depth % 2, gen)
+                    target = "".join(map(str, dv.ideal_outcome_bits(model, circ).tolist()))
+                rec = dv.sample(model, circ, shots, sub, backend)
+                vals.append(rb.adjusted_success_probability(rec.counts, target, w))
+    return out
+
+
+@pytest.mark.parametrize("family", ["randomized-mirror", "periodic-mirror", "qv-shape"])
+@pytest.mark.parametrize("backend", ["fast", "dense"])
+def test_volumetric_cells_equal_per_circuit_samples(family, backend):
+    """Each grid cell samples its circuits as one ensemble; its values are,
+    to the bit, those of one ``sample`` call per circuit, each seed drawn
+    as its circuit is built."""
+
+    def builder(w):
+        return dv.noisy_model(w, lambda lbl, ar: ch.depolarizing(0.02, n=ar))
+
+    grid = vm.volumetric_run(builder, family, (2, 3), (2, 4), 3, 40, seed=23, backend=backend)
+    expected = _cell_values_per_circuit(builder, family, (2, 3), (2, 4), 3, 40, 23, backend)
+    assert {key: cell.values for key, cell in grid.items()} == expected
 
 
 def test_capability_region_classes():
