@@ -597,30 +597,78 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
     C = E D E^dag; C and D are compiled into the neighboring 1q layers so
     the ideal action and depth are unchanged.
 
-    The letters of C follow from pushing D's letters through each gate's
-    local conjugation table; C's sign is irrelevant up to global phase."""
+    D is drawn per sublayer, in order, as one base-4 Pauli index; the
+    letters of C follow from pushing D's letters through each gate's local
+    conjugation table (:func:`_dress_elements`); C's sign is irrelevant up
+    to global phase."""
     oneq_layers = list(oneq_layers)
     # only the 1q layers next to a 2q sublayer are dressed; the rest keep their labels
     touched = len(twoq_layers) + 1 if twoq_layers else 0
-    dressed = [_elements(layer, n) for layer in oneq_layers[:touched]]
-    _dress_elements(dressed, twoq_layers, n, gen)
-    oneq_layers[: len(dressed)] = map(oneq_layer, dressed)
+    elements = np.array([_elements(layer, n) for layer in oneq_layers[:touched]], dtype=np.intp).reshape(touched, n)
+    dressings = gen.integers(4**n, size=len(twoq_layers))
+    oneq_layers[:touched] = map(oneq_layer, _dress_elements(elements, twoq_layers, dressings).tolist())
     return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
 
 
-def _dress_elements(elements, twoq_layers, n, gen):
-    """:func:`randomized_compile` on per-qubit element lists, in place:
-    ``elements[i]`` takes D after it and ``elements[i + 1]`` takes C before
-    it, for 2q sublayer i, with the same draws."""
-    for i, twoq in enumerate(twoq_layers):
-        d_codes = pauli_codes(int(gen.integers(4**n)), n)
-        c_codes = list(d_codes)
-        for label, qubits in twoq:
-            for q, c in zip(qubits, conjugate_codes(label, [d_codes[q] for q in qubits])):
-                c_codes[q] = c
-        # D composed after layer i's 1q gates; C composed before layer i+1's
-        elements[i] = _with_pauli(elements[i], d_codes, before=False)
-        elements[i + 1] = _with_pauli(elements[i + 1], c_codes, before=True)
+# the letter code of each base-4 Pauli digit, and the images table of a qubit
+# that no gate of a sublayer touches: it keeps its letter
+_DIGIT_CODES = np.array(_PAULI_DIGIT_CODES)
+_IDLE_IMAGES = np.repeat(np.arange(4, dtype=np.uint8)[:, None], 4, axis=1)
+
+
+def _dress_elements(elements, twoq_layers, dressings):
+    """:func:`randomized_compile` on an array of per-qubit elements, shaped
+    ``(..., len(twoq_layers) + 1, n)``, with its Pauli indices drawn:
+    ``dressings[..., i]`` is the base-4 index of sublayer i's D.  Layer i
+    takes D after it and layer i + 1 takes C before it, as table lookups
+    over every leading index at once.  The group tables are exact, so the
+    elements are those of one sublayer dressed at a time."""
+    n, depth = elements.shape[-1], len(twoq_layers)
+    if not depth:
+        return elements
+    tables = clifford_1q_tables()
+    d = _DIGIT_CODES[(dressings[..., None] >> (2 * np.arange(n - 1, -1, -1))) & 3]  # (..., depth, n) letter codes
+    images, partner = _dressing_images(twoq_layers, n)
+    rows = np.arange(depth)[:, None]
+    c = images[rows, np.arange(n), d, d[..., rows, partner]]
+    pauli = np.array(tables.pauli_index)
+    out = elements.copy()
+    out[..., :depth, :] = tables.compose[out[..., :depth, :], pauli[d]]
+    out[..., 1:, :] = tables.compose[pauli[c], out[..., 1:, :]]
+    return out
+
+
+def _dressing_images(twoq_layers, n):
+    """Per sublayer and qubit q, the letter code that q carries in C, as
+    ``images[i, q, a, b]`` for D's codes a on q and b on ``partner[i, q]``,
+    the other support qubit of q's gate (q itself when q is idle or its
+    gate acts on q alone), from each gate's :func:`_local_images`."""
+    images = np.empty((len(twoq_layers), n, 4, 4), dtype=np.uint8)
+    images[:] = _IDLE_IMAGES
+    partner = np.empty((len(twoq_layers), n), dtype=np.intp)
+    partner[:] = np.arange(n)
+    for i, layer in enumerate(twoq_layers):
+        for label, qubits in layer:
+            for q, other, table in zip(qubits, reversed(qubits), _local_images(label)):
+                images[i, q], partner[i, q] = table, other
+    return images, partner
+
+
+@lru_cache(maxsize=None)
+def _local_images(name: str) -> np.ndarray:
+    """Per support qubit j of the builtin gate ``name`` (one or two qubits),
+    the letter code that j carries in the image of a local Pauli, as
+    ``images[j, a, b]`` for the Pauli's code a on j and b on the other
+    support qubit (a again for a 1-qubit gate)."""
+    codes = np.array(_image_codes(name), dtype=np.uint8)
+    if codes.shape[1] == 1:
+        images = np.repeat(codes[None], 4, axis=2)
+    else:
+        # a pair's local code is a | b << 2 for codes a, b on its qubits 0, 1
+        by_pair = codes.reshape(4, 4, 2)  # [b, a, j]
+        images = np.stack([by_pair[:, :, 0].T, by_pair[:, :, 1]])
+    images.flags.writeable = False  # shared by every caller
+    return images
 
 
 # The three-element axis-cycling set used in the standard 2-qubit

@@ -45,17 +45,27 @@ checks the operations, which keeps layers the generators built normalised
 as they are and normalises any other input first, and ``Circuit.then``
 joins two flat forms instead of walking the operations again.  The arrays
 that the Clifford paths index (padded supports, layer numbers, the
-idle-qubit mask) are built from the flat form on first use, once per
-circuit, so a circuit that is only joined to another, or that the dense
-backend runs on a model without an idle channel, builds none.  A backend
-call resolves one :class:`GateRecord` per key and reads everything else off
-the flat form.
+idle-qubit mask) belong to the flat form's :class:`_Skeleton`, its shape
+without labels, and are built on first use, so a circuit that is only
+joined to another, or that the dense backend runs on a model without an
+idle channel, builds none.  A backend call resolves one :class:`GateRecord`
+per key and reads everything else off the flat form.
+
+The generators whose circuits share one shape build them on one skeleton
+(:meth:`Circuit._on_skeleton`): accreditation builds one per call and CRB
+one per depth.  The first circuit is checked through ``Circuit(width,
+layers)`` and the rest take its skeleton unchecked, so each adds only its
+labels' key numbers, and they share the skeleton's arrays.  Their draws are
+those of a circuit built at a time, in the same order.  Stacking circuits
+of one skeleton side by side tiles its arrays (:meth:`_Flat.side_by_side`),
+and the dense backend groups circuits by skeleton.
 
 The dense backend builds the noisy channels a circuit's records still lack
 in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
 PTMs from the unitaries (:func:`qcvv.channels.unitary_ptms`) and one
 stacked product with the noise PTMs.  A fresh model's ``c2_<i>`` labels and
-a circuit's inline ``gate_defs`` are thus built as one batch per circuit.
+inline ``gate_defs`` are thus built as one batch per call: per circuit for
+:func:`circuit_probabilities`, per ensemble for :func:`_ensemble_states`.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_stacked``: a k-qubit operator acts on every item of a stack of
@@ -163,16 +173,68 @@ from .metrics import ProbDist
 from .paulis import PauliString
 
 
+class _Skeleton:
+    """The shape of a circuit without its labels: its width, each
+    operation's support in circuit order (``supports``) and each layer's
+    operation count (``lengths``).
+
+    Every :class:`_Flat` has one, built from its own lists on first use; the
+    generators of one call build their circuits on one skeleton, checked
+    once (:meth:`Circuit._on_skeleton`), so those circuits share it and its
+    arrays.  Skeletons hash and compare by value, so circuits of one shape
+    that were built apart still group together; built from the arrays
+    alone (:meth:`_Flat.side_by_side`), ``supports`` is None.  Built on first
+    use: ``arrays``, an :class:`_Arrays` without keys (``key`` None), and
+    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
+    touches."""
+
+    def __init__(self, width: int, supports, lengths):
+        self.width, self.supports, self.lengths = width, supports, lengths
+
+    @cached_property
+    def _value(self) -> tuple:
+        return self.width, tuple(self.lengths), tuple(self.supports)
+
+    def __hash__(self):
+        return hash(self._value)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _Skeleton) and self._value == other._value)
+
+    @cached_property
+    def arities(self) -> list:
+        return list(map(len, self.supports))
+
+    @cached_property
+    def arrays(self) -> "_Arrays":
+        arity = np.fromiter(self.arities, dtype=np.intp, count=len(self.supports))
+        levels = int(arity.max(initial=1))
+        supports = np.full((len(self.supports), levels), self.width, dtype=np.intp)
+        # a boolean-mask write fills the supports row by row, in circuit order
+        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
+        layer = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        for a in (arity, supports, layer):
+            a.flags.writeable = False  # shared by every circuit of the skeleton
+        return _Arrays(None, arity, supports, layer)
+
+    @cached_property
+    def idle(self) -> np.ndarray:
+        busy = np.zeros((len(self.lengths), self.width + 1), dtype=bool)
+        busy[self.arrays.layer[:, None], self.arrays.supports] = True
+        return ~busy[:, : self.width]
+
+
 class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     """A circuit's operations in one flat form, independent of any model.
 
     ``keys`` are the distinct ``(label, arity)`` pairs in order of first
     use; ``key`` holds each operation's key number and ``supports`` its
     qubits, in circuit order; ``lengths`` counts each layer's operations,
-    empty layers included.  Built from these on first use: the arrays that
-    the Clifford paths index (``arrays``, an :class:`_Arrays`), and
-    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
-    touches.
+    empty layers included.  Built from these on first use: the circuit's
+    :class:`_Skeleton` (``skeleton``), unless the circuit was built on one;
+    the arrays that the Clifford paths index (``arrays``, an
+    :class:`_Arrays`), the skeleton's with the key numbers added; and
+    ``idle``, the skeleton's idle-qubit mask.
     """
 
     @classmethod
@@ -197,17 +259,22 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         qubits = list(chain.from_iterable(supports))
         if set(map(type, qubits)) - {int}:
             return None
-        # each new (label, arity) pair is numbered by the dict's size at its
-        # first use; the pairs are streamed, not listed, so a wide circuit
-        # leaves the garbage collector no extra objects to track
-        number = {}
-        key = list(map(number.setdefault, zip(labels, map(len, supports)), map(len, repeat(number))))
+        key, keys = _numbered(labels, map(len, supports))
         if qubits and (min(qubits) < 0 or max(qubits) >= width):
             raise ValueError("qubit index out of range")
         # a layer that uses a qubit twice has fewer distinct qubits than uses
         if sum(map(len, map(set, map(chain.from_iterable, map(partial(map, itemgetter(1)), layers))))) < len(qubits):
             raise ValueError("overlapping gate supports within a layer")
-        return cls(width, tuple(number), key, supports, list(map(len, layers)))
+        return cls(width, keys, key, supports, list(map(len, layers)))
+
+    @classmethod
+    def on(cls, skeleton: _Skeleton, labels) -> "_Flat":
+        """The flat form of operations with ``labels``, in circuit order, on
+        ``skeleton``'s supports; nothing is checked."""
+        key, keys = _numbered(labels, skeleton.arities)
+        flat = cls(skeleton.width, keys, key, skeleton.supports, skeleton.lengths)
+        flat.__dict__["skeleton"] = skeleton
+        return flat
 
     @classmethod
     def side_by_side(cls, flats, n: int) -> "_Flat":
@@ -217,32 +284,43 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         ends in empty layers.  The keys are numbered in order of first use
         across the circuits, and the operations run layer by layer, circuit
         by circuit within a layer (a stable sort by layer).  Only ``keys``,
-        ``lengths`` and ``arrays`` are built, in one pass over the
-        circuits' lists, as ``arrays`` builds one circuit's; ``key`` and
-        ``supports`` are None, so the result is never joined."""
+        ``lengths`` and ``arrays`` are built; ``key`` and ``supports`` are
+        None, so the result is never joined.  Circuits that share one
+        skeleton tile its arrays; any others are walked through their
+        lists in one pass, as a skeleton builds one circuit's arrays."""
+        k, width = len(flats), len(flats) * n
         keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
         number = dict(zip(keys, count()))
         # circuit i's key numbers index its own run of ``renumber``, which
         # starts at ``first[i]``
         renumber = np.fromiter(map(number.__getitem__, chain.from_iterable(flat.keys for flat in flats)), dtype=np.intp)
         first = np.cumsum([0] + [len(flat.keys) for flat in flats[:-1]])
-        ops = [len(flat.key) for flat in flats]
-        circuit = np.repeat(np.arange(len(flats)), ops)
+        skeleton = flats[0].skeleton
+        if all(flat.skeleton is skeleton for flat in flats):
+            shape = skeleton.arrays
+            circuit = np.repeat(np.arange(k), len(shape.arity))
+            arity, layer = np.tile(shape.arity, k), np.tile(shape.layer, k)
+            padded = np.tile(shape.supports, (k, 1))
+            padded = np.where(padded < n, padded + (circuit * n)[:, None], width)
+        else:
+            circuit = np.repeat(np.arange(k), [len(flat.key) for flat in flats])
+            supports = list(chain.from_iterable(flat.supports for flat in flats))
+            arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
+            padded = np.full((len(circuit), int(arity.max(initial=1))), width, dtype=np.intp)
+            qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
+            padded[np.arange(padded.shape[1]) < arity[:, None]] = qubits + np.repeat(circuit * n, arity)
+            layer = np.repeat(
+                np.fromiter(chain.from_iterable(map(range, (len(flat.lengths) for flat in flats))), dtype=np.intp),
+                np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
+            )
         local = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
-        supports = list(chain.from_iterable(flat.supports for flat in flats))
-        arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
-        width, levels = len(flats) * n, int(arity.max(initial=1))
-        padded = np.full((len(circuit), levels), width, dtype=np.intp)
-        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
-        padded[np.arange(levels) < arity[:, None]] = qubits + np.repeat(circuit * n, arity)
         depth = max(len(flat.lengths) for flat in flats)
-        layer = np.repeat(
-            np.fromiter(chain.from_iterable(map(range, (len(flat.lengths) for flat in flats))), dtype=np.intp),
-            np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
-        )
         order = np.argsort(layer, kind="stable")
         out = cls(width, keys, None, None, np.bincount(layer, minlength=depth).tolist())
-        out.__dict__["arrays"] = _Arrays(renumber[local + first[circuit]][order], arity[order], padded[order], layer[order])
+        stacked = _Skeleton(width, None, out.lengths)
+        stacked.__dict__["arrays"] = _Arrays(None, arity[order], padded[order], layer[order])
+        out.__dict__["skeleton"] = stacked
+        out.__dict__["arrays"] = stacked.arrays._replace(key=renumber[local + first[circuit]][order])
         return out
 
     def then(self, other: "_Flat") -> "_Flat":
@@ -255,20 +333,26 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         return _Flat(max(self.width, other.width), keys, key, self.supports + other.supports, self.lengths + other.lengths)
 
     @cached_property
-    def arrays(self) -> "_Arrays":
-        arity = np.fromiter(map(len, self.supports), dtype=np.intp, count=len(self.key))
-        levels = int(arity.max(initial=1))
-        supports = np.full((len(self.key), levels), self.width, dtype=np.intp)
-        # a boolean-mask write fills the supports row by row, in circuit order
-        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
-        layer = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        return _Arrays(np.array(self.key, dtype=np.intp), arity, supports, layer)
+    def skeleton(self) -> _Skeleton:
+        return _Skeleton(self.width, self.supports, self.lengths)
 
     @cached_property
+    def arrays(self) -> "_Arrays":
+        return self.skeleton.arrays._replace(key=np.array(self.key, dtype=np.intp))
+
+    @property
     def idle(self) -> np.ndarray:
-        busy = np.zeros((len(self.lengths), self.width + 1), dtype=bool)
-        busy[self.arrays.layer[:, None], self.arrays.supports] = True
-        return ~busy[:, : self.width]
+        return self.skeleton.idle
+
+
+def _numbered(labels, arities):
+    """Each operation's key number and the distinct ``(label, arity)`` keys,
+    each pair numbered by the count of distinct pairs before its first use."""
+    # the pairs are streamed, not listed, so a wide circuit leaves the
+    # garbage collector no extra objects to track
+    number = {}
+    key = list(map(number.setdefault, zip(labels, arities), map(len, repeat(number))))
+    return key, tuple(number)
 
 
 class _Arrays(namedtuple("_Arrays", "key arity supports layer")):
@@ -288,6 +372,13 @@ class Circuit:
     Layers that are already normalised, tuples of ``(str, tuple of int)``
     pairs as the generators build them, are kept as they are; any other
     input has every label and qubit normalised first.
+
+    The generators whose circuits share one shape (accreditation traps, the
+    CRB circuits of one depth) check it once: they build one circuit through
+    this constructor and the rest on its :class:`_Skeleton`
+    (:meth:`_on_skeleton`), which numbers each circuit's labels and checks
+    nothing.  Either way the circuit, its equality, hash, pickle and JSON
+    are the same.
     """
 
     width: int
@@ -301,6 +392,18 @@ class Circuit:
             object.__setattr__(self, "layers", layers)
             flat = _Flat.of(self.width, layers)
         object.__setattr__(self, "_flat", flat)
+
+    @classmethod
+    def _on_skeleton(cls, skeleton: _Skeleton, layers) -> "Circuit":
+        """A circuit of normalised ``layers`` whose supports and layer
+        lengths are ``skeleton``'s, which a checked circuit of the same
+        generator call gave; nothing is checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "width", skeleton.width)
+        object.__setattr__(out, "layers", layers)
+        object.__setattr__(out, "gate_defs", {})
+        object.__setattr__(out, "_flat", _Flat.on(skeleton, map(itemgetter(0), chain.from_iterable(layers))))
+        return out
 
     @property
     def depth(self) -> int:
@@ -401,11 +504,11 @@ class GateRecord:
     Every field past ``ideal`` is built on first use, so the statevector
     backend builds no channel and the dense backend no ``tableau``,
     ``conjugation`` or ``faults``.  The dense backend builds ``noisy`` per
-    circuit, for every record that has none yet, in one stacked pass
-    (:func:`_build_noisy`); read alone, ``noisy`` runs the same pass on its
-    one record.  A ``fixed`` record (a builtin name or a ``c1_<i>`` label of
-    the default factory) takes its ideal channel from the process-wide
-    :func:`_fixed_ideal`.
+    call, one circuit's or one ensemble's, for every record that has none
+    yet, in one stacked pass (:func:`_build_noisy`); read alone, ``noisy``
+    runs the same pass on its one record.  A ``fixed`` record (a builtin
+    name or a ``c1_<i>`` label of the default factory) takes its ideal
+    channel from the process-wide :func:`_fixed_ideal`.
     """
 
     def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool, fixed: bool):
@@ -609,6 +712,11 @@ def _fixed_ideal(label: str) -> Channel:
     return chan
 
 
+# PTM entries that one stacked pass of :func:`_build_noisy` builds at most:
+# 64 two-qubit or 1,024 one-qubit channels
+_NOISY_BUDGET = 1 << 14
+
+
 def _build_noisy(records):
     """Build the noisy channel of each record that has none yet, in one pass.
 
@@ -617,9 +725,11 @@ def _build_noisy(records):
     or :meth:`Channel.from_unitary`.  Per arity, the ideal PTMs of the rest
     come from one stacked :func:`unitary_ptms` call, fixed labels taking
     :func:`_fixed_ideal`'s, and one stacked product composes them with the
-    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise).
-    Each record gets a channel carrying the unitary that
-    :meth:`Channel.compose` gives.
+    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise),
+    in stacks of at most ``_NOISY_BUDGET`` PTM entries, so an ensemble's
+    records take no more memory at a time than a few circuits' do.  Each
+    record gets a channel carrying the unitary that :meth:`Channel.compose`
+    gives.
     """
     groups = {}
     for rec in records:
@@ -631,16 +741,18 @@ def _build_noisy(records):
             rec._noisy = _fixed_ideal(rec.label) if rec._fixed else Channel.from_unitary(rec.ideal)
         else:
             groups.setdefault((rec.arity, rec._pre), []).append(rec)
-    for (_, pre), recs in groups.items():
-        fresh = [rec.ideal for rec in recs if not rec._fixed]
-        fresh = iter(unitary_ptms(np.stack(fresh)) if fresh else ())
-        ideals = np.stack([_fixed_ideal(rec.label).ptm if rec._fixed else next(fresh) for rec in recs])
-        noises = np.stack([rec._noise.ptm for rec in recs])
-        for rec, ptm in zip(recs, ideals @ noises if pre else noises @ ideals):
-            u = rec._noise.unitary
-            if u is not None:
-                u = rec.ideal @ u if pre else u @ rec.ideal
-            rec._noisy = Channel(ptm, u)
+    for (arity, pre), group in groups.items():
+        size = max(1, _NOISY_BUDGET // 16**arity)
+        for recs in (group[start : start + size] for start in range(0, len(group), size)):
+            fresh = [rec.ideal for rec in recs if not rec._fixed]
+            fresh = iter(unitary_ptms(np.stack(fresh)) if fresh else ())
+            ideals = np.stack([_fixed_ideal(rec.label).ptm if rec._fixed else next(fresh) for rec in recs])
+            noises = np.stack([rec._noise.ptm for rec in recs])
+            for rec, ptm in zip(recs, ideals @ noises if pre else noises @ ideals):
+                u = rec._noise.unitary
+                if u is not None:
+                    u = rec.ideal @ u if pre else u @ rec.ideal
+                rec._noisy = Channel(ptm, u)
 
 
 def ideal_model(n: int) -> GateSetModel:
@@ -682,14 +794,19 @@ def _axis_order(ndim: int, qubits: tuple):
     return perm, tuple(int(a) for a in np.argsort(perm))
 
 
-def _dense_records(model: GateSetModel, circuit: Circuit):
-    """The circuit's records, one per key of its flat form, each with its
-    noisy channel built; a circuit the dense backend cannot run raises."""
+def _resolved_records(model: GateSetModel, circuit: Circuit):
+    """The circuit's records, one per key of its flat form, with or without
+    their noisy channels; a circuit the dense backend cannot run raises."""
     if circuit.width != model.n:
         raise ValueError("circuit width does not match the model")
     if model.n > DENSE_WIDTH_CAP:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
-    records = [model.record(label, k, circuit.gate_defs) for label, k in circuit._flat.keys]
+    return [model.record(label, k, circuit.gate_defs) for label, k in circuit._flat.keys]
+
+
+def _dense_records(model: GateSetModel, circuit: Circuit):
+    """The circuit's records, each with its noisy channel built."""
+    records = _resolved_records(model, circuit)
     _build_noisy(records)
     return records
 
@@ -831,19 +948,22 @@ def _ensemble_states(model: GateSetModel, circuits):
     call.
 
     The circuits' records resolve first, circuit by circuit in order, as
-    one call per circuit resolves them.  Circuits of one shape, the same
-    layer lengths and per-operation supports and hence the same idle
-    qubits, then evolve as one superket stack (:func:`_dense_states`), in
-    stacks that ``_ENSEMBLE_BUDGET`` bounds; a circuit alone in its shape is
-    a one-item stack.  A stack is evolved only when the previous one's
-    states have all been yielded.
+    one call per circuit resolves them, and the noisy channels that any of
+    them lacks are then built in one :func:`_build_noisy` pass, bit for bit
+    those of a pass per circuit.  Circuits of one :class:`_Skeleton`, the
+    same layer lengths and per-operation supports and hence the same idle
+    qubits, then evolve as one superket stack
+    (:func:`_dense_states`), in stacks that ``_ENSEMBLE_BUDGET`` bounds; a
+    circuit alone in its shape is a one-item stack.  A stack is evolved
+    only when the previous one's states have all been yielded.
     """
-    records = [_dense_records(model, circuit) for circuit in circuits]
+    records = [_resolved_records(model, circuit) for circuit in circuits]
+    _build_noisy(dict.fromkeys(chain.from_iterable(records)))
     groups = {}
     for i, circuit in enumerate(circuits):
-        groups.setdefault((tuple(circuit._flat.lengths), tuple(circuit._flat.supports)), []).append(i)
-    for members in groups.values():
-        arity = max(map(len, circuits[members[0]]._flat.supports), default=0)
+        groups.setdefault(circuit._flat.skeleton, []).append(i)
+    for skeleton, members in groups.items():
+        arity = max(skeleton.arities, default=0)
         size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]

@@ -10,11 +10,11 @@ import numpy as np
 from .channels import Channel
 from .cliffords import (
     _dress_elements,
+    _elements,
     clifford_1q_tables,
     compose_1q_layers,
     inverse_layer,
     oneq_layer,
-    randomized_compile,
     readout_layer,
     readout_pauli,
 )
@@ -189,17 +189,6 @@ def split_alternating(layers, n):
     return oneq, twoq
 
 
-def _stitch(oneq_elements, twoq_layers, n):
-    """The circuit of full-width 1q layers, given as per-qubit elements,
-    alternating with ``twoq_layers``; the 1q labels are built here, once."""
-    layers = []
-    for i, elements in enumerate(oneq_elements):
-        layers.append(oneq_layer(elements))
-        if i < len(twoq_layers) and twoq_layers[i]:
-            layers.append(tuple(twoq_layers[i]))
-    return Circuit(n, tuple(layers))
-
-
 def mcfe(
     model: GateSetModel,
     target_layers,
@@ -218,32 +207,45 @@ def mcfe(
     3 * ``k_ensemble`` circuits and their shot seeds are drawn first, in
     ensemble order, then sampled as one ensemble
     (:func:`qcvv.device._sample_all`), which draws nothing from ``seed``'s
-    generator.
+    generator.  Per circuit the draws are its L0 elements, the Pauli
+    indices of its randomly compiled halves (forward for M2, then reverse
+    for M1 and M2; see :func:`qcvv.cliffords.randomized_compile`) and its
+    seed; the halves of all circuits are then dressed at once
+    (:func:`qcvv.cliffords._dress_elements`).
     """
     n = model.n
     gen = rng(seed)
     oneq_t, twoq_t = split_alternating([tuple(l) for l in target_layers], n)
-    circuits, seeds, which_of = [], [], []
-    for which in (1, 2, 3):
-        for _ in range(k_ensemble):
-            l0 = oneq_layer(gen.integers(24, size=n).tolist())
-            layers = [l0]
-            if which != 3:
-                fw_one, fw_two = list(oneq_t), list(twoq_t)
-                if which == 2:
-                    fw_one, fw_two = randomized_compile(fw_one, fw_two, n, gen)
-                rv_one = [inverse_layer(u) for u in reversed(oneq_t)]
-                rv_two = [inverse_layer(layer) for layer in reversed(twoq_t)]
-                rv_one, rv_two = randomized_compile(rv_one, rv_two, n, gen)
-                for half_one, half_two in ((fw_one, fw_two), (rv_one, rv_two)):
-                    for i, oq in enumerate(half_one):
-                        layers.append(tuple(oq))
-                        if i < len(half_two) and half_two[i]:
-                            layers.append(tuple(half_two[i]))
-            layers.append(inverse_layer(l0))
-            circuits.append(Circuit(n, tuple(lay for lay in layers if lay)))
-            seeds.append(int(gen.integers(2**62)))
-            which_of.append(which)
+    rv_one = [inverse_layer(u) for u in reversed(oneq_t)]
+    rv_two = [inverse_layer(layer) for layer in reversed(twoq_t)]
+    which_of = [which for which in (1, 2, 3) for _ in range(k_ensemble)]
+    l0s, fw_draws, rv_draws, seeds = [], [], [], []
+    for which in which_of:
+        l0s.append(gen.integers(24, size=n).tolist())
+        if which == 2:
+            fw_draws.append(gen.integers(4**n, size=len(twoq_t)))
+        if which != 3:
+            rv_draws.append(gen.integers(4**n, size=len(twoq_t)))
+        seeds.append(int(gen.integers(2**62)))
+    # a half without a 2q sublayer is not compiled and keeps its labels
+    fw_halves, rv_halves = [oneq_t] * k_ensemble, [rv_one] * (2 * k_ensemble)
+    if twoq_t:
+        fw_halves = _compiled_halves(oneq_t, twoq_t, fw_draws, n)
+        rv_halves = _compiled_halves(rv_one, rv_two, rv_draws, n)
+    fw_halves, rv_halves = iter(fw_halves), iter(rv_halves)
+    inverse = clifford_1q_tables().inverse
+    circuits = []
+    for which, l0 in zip(which_of, l0s):
+        layers = [oneq_layer(l0)]
+        if which != 3:
+            fw_one = next(fw_halves) if which == 2 else oneq_t
+            for half_one, half_two in ((fw_one, twoq_t), (next(rv_halves), rv_two)):
+                for i, oq in enumerate(half_one):
+                    layers.append(tuple(oq))
+                    if i < len(half_two) and half_two[i]:
+                        layers.append(tuple(half_two[i]))
+        layers.append(oneq_layer(inverse[l0].tolist()))
+        circuits.append(Circuit(n, tuple(lay for lay in layers if lay)))
     gammas = {1: [], 2: [], 3: []}
     records = _sample_all(model, circuits, shots, seeds, backend, np.zeros(n, dtype=np.uint8))
     for which, rec in zip(which_of, records):
@@ -256,6 +258,15 @@ def mcfe(
     rel = np.sqrt((errs[0] / g1) ** 2 + (errs[1] / (2 * g2)) ** 2 + (errs[2] / (2 * g3)) ** 2)
     f_e = convert_metric(f, "f", "F_e", 2**n)
     return MCFEResult(float(f), float(f_e), g1, g2, g3, float(abs(f) * rel))
+
+
+def _compiled_halves(oneq_layers, twoq_layers, dressings, n):
+    """Per row of ``dressings``, the 1q layers of ``oneq_layers`` randomly
+    compiled around ``twoq_layers`` with those Pauli indices, as full-width
+    ``c1`` layers, all rows dressed at once."""
+    elements = np.array([_elements(layer, n) for layer in oneq_layers], dtype=np.intp)
+    stacked = np.broadcast_to(elements, (len(dressings),) + elements.shape)
+    return [list(map(oneq_layer, rows)) for rows in _dress_elements(stacked, twoq_layers, np.array(dressings)).tolist()]
 
 
 def circuit_polarization_oracle(model: GateSetModel, layers) -> float:
@@ -301,47 +312,48 @@ def trap_count(theta: float, alpha: float) -> int:
     return int(np.ceil(2 * np.log(2 / (1 - alpha)) / theta**2))
 
 
+# the {I, H, S} choices of a trap round, as :func:`_trap_rounds` numbers them
+_TRAP_GATES = ("I", "H", "S")
+
+
 def _trap_rounds(n, n_rounds, twoq_layers, gen):
-    """Per-round {I, H, S} picks, constrained so every entangling gate sees
-    at least one Z-basis qubit (the trap then acts classically through the
-    CZ layers and ends in a definite computational outcome).
+    """Per-round {I, H, S} picks, as per-qubit indices into
+    ``_TRAP_GATES``, constrained so every entangling gate sees at least one
+    Z-basis qubit (the trap then acts classically through the CZ layers and
+    ends in a definite computational outcome).
 
     Each round's gates reset the single-qubit frame (the previous pick's
     inverse is compiled in), so a qubit is equatorial during round t exactly
     when that round's pick is H.
-    """
+
+    A round is redrawn whole, as n more draws, until it passes.  The draws
+    come in blocks of one pick per round still to fill, and every pick of a
+    block is used, passing or not, so the stream is that of one call per
+    pick."""
+    h = _TRAP_GATES.index("H")
+    pairs = [[qs for _, qs in layer if len(qs) == 2] for layer in twoq_layers[:n_rounds]]
     rounds = []
-    choices = ("I", "H", "S")
-    for t in range(n_rounds):
-        while True:
-            pick = [choices[i] for i in gen.integers(3, size=n).tolist()]
-            ok = True
-            if t < len(twoq_layers):
-                for _, qs in twoq_layers[t]:
-                    if len(qs) == 2 and pick[qs[0]] == "H" and pick[qs[1]] == "H":
-                        ok = False
-                        break
-            if ok:
+    while len(rounds) < n_rounds:
+        for pick in gen.integers(3, size=(n_rounds - len(rounds), n)).tolist():
+            t = len(rounds)
+            if not any(pick[a] == h and pick[b] == h for a, b in (pairs[t] if t < len(pairs) else ())):
                 rounds.append(pick)
-                break
     return rounds
 
 
-def _trap_oneq_elements(n, rounds):
-    """Compose each round's {I,H,S} pick with the inverse of the previous
-    round's accumulated single-qubit action, closing with a full inversion
-    round, so the trap's 1q gates alone compose to the identity per qubit.
-    Each layer comes as its per-qubit elements (see
-    :func:`qcvv.cliffords.clifford_1q_tables`)."""
+def _trap_oneq_elements(rounds):
+    """Compose each round's {I, H, S} pick with the inverse of the previous
+    round's, closing with a full inversion round, so a trap's 1q gates alone
+    compose to the identity per qubit.  ``rounds`` holds the picks of
+    :func:`_trap_rounds`, shaped ``(..., rounds, n)``; the result holds each
+    layer's per-qubit elements (see :func:`qcvv.cliffords.clifford_1q_tables`),
+    shaped ``(..., rounds + 1, n)``, as table lookups over every leading
+    index at once."""
     tables = clifford_1q_tables()
-    products, element, inverse = tables.products, tables.element, tables.inverse_label
-    out = []
-    undo = [tables.identity] * n
-    for pick in rounds:
-        out.append([products[u][element[g]] for u, g in zip(undo, pick)])
-        undo = [element[inverse[g]] for g in pick]
-    out.append(undo)
-    return out
+    picks = np.array([tables.element[g] for g in _TRAP_GATES])[rounds]
+    identity = np.full(picks.shape[:-2] + (1, picks.shape[-1]), tables.identity)
+    undo = np.concatenate([identity, tables.inverse[picks]], axis=-2)
+    return tables.compose[undo, np.concatenate([picks, identity], axis=-2)]
 
 
 def accredit(
@@ -363,7 +375,10 @@ def accredit(
     outcome; the fraction bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2
     N_uns/N_c``.  All traps and their shot seeds are drawn first, trap by
     trap, then sampled as one ensemble (:func:`qcvv.device._sample_all`),
-    which draws nothing from ``seed``'s generator.
+    which draws nothing from ``seed``'s generator.  The traps are built as
+    one ensemble (:func:`_traps`): the draws keep their order, one trap at
+    a time, and the traps share one skeleton, so one trap's shape is
+    checked and the rest are built on it.
     """
     n = model.n
     gen = rng(seed)
@@ -373,21 +388,51 @@ def accredit(
             if len(qs) == 2 and lbl != "CZ":
                 raise ValueError("accreditation traps assume CZ entangling layers")
     n_traps = trap_count(theta, alpha)
-    circuits, seeds = [], []
-    for _ in range(n_traps):
-        circuits.append(_trap_circuit(n, twoq_t, gen))
-        seeds.append(int(gen.integers(2**62)))
+    circuits, seeds = _traps(n, twoq_t, n_traps, gen)
     records = _sample_all(model, circuits, shots_per_trap, seeds, backend, np.zeros(n, dtype=np.uint8))
     n_uns = sum(rec.counts.get("0" * n, 0) < shots_per_trap for rec in records)
     frac = n_uns / n_traps
     return AccreditationResult(max(1 - 2 * frac, 0.0), 1 - frac, n_uns, n_traps, theta, alpha)
 
 
-def _trap_circuit(n, twoq_t, gen) -> Circuit:
-    """A randomly compiled trap over the CZ layers ``twoq_t``.  Its 1q gates
-    compose to the identity and every CZ meets a qubit in |0>, where it acts
-    as the identity, so the trap's ideal outcome is all zeros."""
-    rounds = _trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
-    oneq = _trap_oneq_elements(n, rounds)
-    _dress_elements(oneq, twoq_t, n, gen)
-    return _stitch(oneq, twoq_t, n)
+def _traps(n, twoq_t, n_traps, gen):
+    """``n_traps`` randomly compiled traps over the CZ layers ``twoq_t``,
+    and their shot seeds.  A trap's 1q gates compose to the identity and
+    every CZ meets a qubit in |0>, where it acts as the identity, so each
+    trap's ideal outcome is all zeros.
+
+    The draws are those of one trap at a time, in order: per trap, its
+    rounds' picks (:func:`_trap_rounds`), one dressing index per CZ layer
+    (:func:`qcvv.cliffords.randomized_compile`), then its seed.  Only then
+    are the 1q elements of every trap composed and dressed at once
+    (:func:`_trap_oneq_elements`, :func:`qcvv.cliffords._dress_elements`).
+    Full-width 1q layers alternate with the non-empty CZ layers; the first
+    trap is built and checked as ``Circuit(n, layers)``, and the rest share
+    its skeleton (:meth:`qcvv.device.Circuit._on_skeleton`)."""
+    n_rounds = len(twoq_t) + 1
+    rounds, dressings, seeds = [], [], []
+    for _ in range(n_traps):
+        rounds.append(_trap_rounds(n, n_rounds, twoq_t, gen))
+        dressings.append(gen.integers(4**n, size=len(twoq_t)))
+        seeds.append(int(gen.integers(2**62)))
+    elements = _trap_oneq_elements(np.array(rounds, dtype=np.intp))
+    elements[:, :-1] = _dress_elements(elements[:, :-1], twoq_t, np.array(dressings))
+    # a trap's layers: its 1q layer i (the slot's number), then CZ layer i
+    # unless it is empty
+    slots = []
+    for i in range(n_rounds + 1):
+        slots.append(i)
+        if i < len(twoq_t) and twoq_t[i]:
+            slots.append(twoq_t[i])
+    rows = elements.tolist()
+    first = Circuit(n, _trap_layers(rows[0], slots))
+    # the CZ layers as the first trap's check normalised them
+    slots = [s if type(s) is int else layer for s, layer in zip(slots, first.layers)]
+    skeleton = first._flat.skeleton
+    return [first] + [Circuit._on_skeleton(skeleton, _trap_layers(row, slots)) for row in rows[1:]], seeds
+
+
+def _trap_layers(elements, slots) -> tuple:
+    """A trap's layers: per slot, the full-width 1q layer of the elements
+    the slot numbers, or the slot's own CZ layer."""
+    return tuple([oneq_layer(elements[s]) if type(s) is int else s for s in slots])

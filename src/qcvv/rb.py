@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -163,6 +165,15 @@ def epc(fit: FitResult, d: int, metric: str = "e_F") -> float:
 
 # -- standard (Clifford-group) RB ------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _element_layers(n: int) -> tuple:
+    """Per enumerated n-qubit Clifford k, its full-register layer
+    ``((c<n>_<k>, qubits),)``, built once per width and shared by every
+    sequence."""
+    qubits = tuple(range(n))
+    return tuple(((clifford_label(n, k), qubits),) for k in range(len(enumerate_clifford_group(n))))
+
+
 def _clifford_sequence(gen, n: int, m: int, interleave: str = None):
     """Draw one RB sequence of m + 1 uniformly random n-qubit Cliffords.
 
@@ -170,13 +181,12 @@ def _clifford_sequence(gen, n: int, m: int, interleave: str = None):
     stream as m + 1 scalar draws.  Returns the indices and the sequence's
     full-register layers, with ``interleave`` after every element when given.
     """
-    ks = gen.integers(len(enumerate_clifford_group(n)), size=m + 1)
-    qubits = tuple(range(n))
-    layers = []
-    for k in ks.tolist():
-        layers.append(((clifford_label(n, k), qubits),))
-        if interleave:
-            layers.append(((interleave, qubits),))
+    elements = _element_layers(n)
+    ks = gen.integers(len(elements), size=m + 1)
+    layers = list(map(elements.__getitem__, ks.tolist()))
+    if interleave:
+        inter = ((str(interleave), tuple(range(n))),)
+        layers = [layer for pair in zip(layers, repeat(inter)) for layer in pair]
     return ks, layers
 
 
@@ -191,7 +201,10 @@ def crb_circuits(design: RBDesign, interleave: str = None):
     the index of the final Pauli.  The circuits of one depth are composed
     together, one stacked product per sequence position, and one pass over
     all circuits identifies each closing element (the Pauli times the
-    inverse of the composed sequence).
+    inverse of the composed sequence).  The circuits of one depth share one
+    shape: the first is built and checked as ``Circuit(n, layers)``, and the
+    rest take its skeleton unchecked (:meth:`Circuit._on_skeleton`), each
+    layer taken from one per-width table of element layers.
     """
     n = len(design.qubits)
     if n not in (1, 2):
@@ -217,11 +230,16 @@ def crb_circuits(design: RBDesign, interleave: str = None):
                 u = inter_u @ u
         targets.append(paulis[pidx] @ u.conj().swapaxes(-1, -2))  # the closing elements, up to phase
     closing = clifford_index(n, np.concatenate(targets))
-    full = tuple(range(n))
-    return [
-        (m, Circuit(n, (*layers, ((clifford_label(n, k), full),))), bits)
-        for (m, layers, bits), k in zip(drawn, closing)
-    ]
+    elements, out, skeletons = _element_layers(n), [], {}
+    for (m, layers, bits), k in zip(drawn, closing):
+        layers = (*layers, elements[k])
+        if m in skeletons:
+            circuit = Circuit._on_skeleton(skeletons[m], layers)
+        else:
+            circuit = Circuit(n, layers)
+            skeletons[m] = circuit._flat.skeleton
+        out.append((m, circuit, bits))
+    return out
 
 
 def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "dense") -> DecayDataset:

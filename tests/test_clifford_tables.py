@@ -182,7 +182,7 @@ def test_unknown_labels_still_raise():
     with pytest.raises(KeyError):
         cl.randomized_compile([ident, ident], [(("FOO2Q", (0, 1)),)], n, rng(1))
     with pytest.raises(KeyError):
-        fd._trap_oneq_elements(n, [["I", "FOO"]])
+        fd._traps(n, [(("FOO2Q", (0, 1)),)], 3, rng(1))
 
 
 def test_propagate_pauli_matches_tableau_run():

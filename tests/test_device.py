@@ -906,7 +906,8 @@ def _family_circuit(family, model, depth, gen):
     if family == "mirror":
         return rb.mirror_circuit(sampler, depth, gen), None, None, None
     if family == "trap":
-        return fd._trap_circuit(n, [sampler.sample(gen)[1] for _ in range(depth // 2 + 1)], gen), None, None, None
+        (trap,), _ = fd._traps(n, [sampler.sample(gen)[1] for _ in range(depth // 2 + 1)], 1, gen)
+        return trap, None, None, None
     if family == "dfe":  # a stabilizer state's preparation, then the readout of one of its stabilizers
         body = Circuit(n, tuple(layer for _ in range(depth) for layer in sampler.sample(gen)))
         current = dv.propagate_pauli(model, body, PauliString(n, 0, int(gen.integers(1, 2**n)), 0))
@@ -1634,7 +1635,7 @@ def _fast_ensemble_case(family, n, seed):
     target = [layer for _ in range(int(gen.integers(1, 4))) for layer in sampler.sample(gen)]
     if family == "trap":
         _, twoq = fd.split_alternating(target, n)
-        return [fd._trap_circuit(n, twoq, gen) for _ in range(int(gen.integers(2, 12)))]
+        return fd._traps(n, twoq, int(gen.integers(2, 12)), gen)[0]
     if family == "mirror":
         circuits = [rb.mirror_circuit(sampler, m, gen) for m in (0, 2, 4, 6) for _ in range(int(gen.integers(1, 4)))]
         x = (("u", (n - 1,)),)
@@ -1878,3 +1879,128 @@ def test_parity_all_checks_every_circuit_before_drawing(monkeypatch):
         dv._parity_all(model, circuits, measured, 10, [1, 2], "fast", [-1, -1])
     with pytest.raises(ValueError, match="not \\+1 or -1"):
         dv._parity_all(dv.ideal_model(2), circuits, measured, 10, [1, 2], "fast", [-1, 0.5])
+
+
+# -- circuits built on a shared skeleton ---------------------------------------------
+
+
+@st.composite
+def _skeleton_ensembles(draw):
+    """The circuits of one generator call that share skeletons: the traps of
+    one accreditation call over a random CZ target (width 1 to 5, none to
+    three CZ layers), or the CRB circuits of one call, one skeleton per
+    depth, with or without an interleaved gate."""
+    seed = draw(st.integers(0, 2**31))
+    gen = rng(seed)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        target = [tuple(("H", (q,)) for q in range(n))]
+        if n > 1:
+            sampler = rb.LayerSampler(n, twoq_gate="CZ", twoq_density=0.8)
+            target += [layer for _ in range(draw(st.integers(0, 3))) for layer in sampler.sample(gen)]
+        _, twoq = fd.split_alternating(target, n)
+        return fd._traps(n, twoq, draw(st.integers(1, 8)), gen)[0]
+    n = draw(st.integers(1, 2))
+    depths = tuple(draw(st.lists(st.integers(0, 5), min_size=3, max_size=4, unique=True)))
+    interleave = draw(st.sampled_from([None, "X90" if n == 1 else "CZ"]))
+    design = rb.RBDesign(tuple(range(n)), depths, draw(st.integers(1, 4)), 10, seed)
+    return [circuit for _, circuit, _ in rb.crb_circuits(design, interleave=interleave)]
+
+
+def _assert_arrays_equal(got, expected):
+    for name, a, b in zip(expected._fields, got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_skeleton_ensembles(), st.integers(0, 2**31))
+def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
+    """A circuit built on its generator call's skeleton is the circuit that
+    ``Circuit(width, layers)`` checks and builds: its layers, every flat
+    field, arrays and idle mask, equality, hash, pickle and JSON, and its
+    records on both backends.  A stack of circuits of one skeleton tiles its
+    arrays into the stack that walking the circuits' lists builds."""
+    n = circuits[0].width
+    checked = [Circuit(n, c.layers) for c in circuits]
+    for got, want in zip(circuits, checked):
+        assert got.layers == want.layers and got == want and hash(got) == hash(want)
+        assert got.to_json() == want.to_json() and got.gate_defs == want.gate_defs == {}
+        for field in dv._Flat._fields:
+            assert getattr(got._flat, field) == getattr(want._flat, field), field
+        _assert_arrays_equal(got._flat.arrays, want._flat.arrays)
+        assert np.array_equal(got._flat.idle, want._flat.idle)
+        back = pickle.loads(pickle.dumps(got))
+        assert back == want and back._flat == want._flat and back.to_json() == want.to_json()
+        _assert_arrays_equal(back._flat.arrays, want._flat.arrays)
+    by_skeleton = {}
+    for got, want in zip(circuits, checked):
+        by_skeleton.setdefault(id(got._flat.skeleton), []).append((got, want))
+    assert len(by_skeleton) == len({c.depth for c in circuits})  # one skeleton per shape
+    for pairs in by_skeleton.values():
+        tiled = dv._Flat.side_by_side([got._flat for got, _ in pairs], n)
+        walked = dv._Flat.side_by_side([want._flat for _, want in pairs], n)
+        assert tiled == walked
+        _assert_arrays_equal(tiled.arrays, walked.arrays)
+        assert np.array_equal(tiled.idle, walked.idle)
+    seeds = [int(s) for s in rng(seed).integers(2**62, size=len(circuits))]
+
+    def model():
+        def rule(label, k):
+            return ch.stochastic_pauli((0.02, 0.01, 0.03)) if k == 1 else ch.depolarizing(0.04, n=2)
+
+        return dv.noisy_model(n, rule, idle=ch.stochastic_pauli((0.01, 0.0, 0.02)))
+
+    for backend in ("dense", "fast"):
+        assert dv._sample_all(model(), circuits, 30, seeds, backend) == dv._sample_all(model(), checked, 30, seeds, backend)
+
+
+def test_shared_shapes_are_checked_once(monkeypatch):
+    """One accreditation call checks one trap (328 traps here) and one CRB
+    call one circuit per depth; the rest are built on their skeletons."""
+    checks, of = [], dv._Flat.of
+    monkeypatch.setattr(dv._Flat, "of", classmethod(lambda cls, *args: checks.append(1) or of(*args)))
+    sampler = rb.LayerSampler(3, twoq_gate="CZ", twoq_density=0.6)
+    target = [layer for _ in range(3) for layer in sampler.sample(rng(1313))]
+    result = fd.accredit(dv.ideal_model(3), target, theta=0.15, alpha=0.95, seed=5)
+    assert result.n_traps == 328 and len(checks) <= 1
+    checks.clear()
+    design = rb.RBDesign((0, 1), (0, 2, 4, 8), 10, 10, seed=7)
+    assert len(rb.crb_circuits(design, interleave="CZ")) == 40 and len(checks) <= len(design.depths)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    noise=st.sampled_from(["cptp", "coherent", "mixed"]),
+    pre=st.booleans(),
+    budget=st.sampled_from([None, 3 * 16**2]),
+    seed=st.integers(0, 2**31),
+)
+def test_ensemble_channels_match_per_circuit_channels(noise, pre, budget, seed):
+    """The dense ensemble resolves each circuit's records in circuit order
+    and builds every missing noisy channel in one pass, in stacks that
+    ``_NOISY_BUDGET`` bounds; a fresh model that builds them circuit by
+    circuit gets the same channels, bit for bit, and the same states: 2q
+    CRB circuits, whose ``c2_<i>`` labels each model builds, and circuits
+    whose inline gates share a label."""
+    circuits = [c for _, c, _ in rb.crb_circuits(rb.RBDesign((0, 1), (0, 1, 3), 4, 10, seed))]
+    for i in range(3):
+        defs = {"v": haar_random_unitary(2, seed + i), f"u{i}": haar_random_unitary(4, seed + 10 + i)}
+        circuits.insert(2 * i, Circuit(2, (((f"u{i}", (1, 0)),), (("v", (0,)),), (("c2_7", (0, 1)),)), defs))
+    ensemble, per_circuit = (dv.noisy_model(2, _label_noise(noise), pre_gate_noise=pre) for _ in range(2))
+    resolved, builds = [], []
+    resolve, build = dv._resolved_records, dv._build_noisy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dv, "_resolved_records", lambda *args: resolved.append(resolve(*args)) or resolved[-1])
+        mp.setattr(dv, "_build_noisy", lambda records: builds.append(1) or build(records))
+        if budget is not None:
+            mp.setattr(dv, "_NOISY_BUDGET", budget)
+        states = dict(dv._ensemble_states(ensemble, circuits))
+    assert len(builds) == 1 and len(resolved) == len(circuits)
+    for i, (circuit, got) in enumerate(zip(circuits, resolved)):
+        want = dv._dense_records(per_circuit, circuit)
+        assert [rec.label for rec in got] == [rec.label for rec in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.noisy.ptm, b.noisy.ptm)
+            assert (a.noisy.unitary is None) == (b.noisy.unitary is None)
+            assert a.noisy.unitary is None or np.array_equal(a.noisy.unitary, b.noisy.unitary)
+        assert np.array_equal(states[i], _one_circuit_state(per_circuit, circuit))

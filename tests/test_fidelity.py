@@ -196,43 +196,73 @@ def test_accreditation_rejects_non_cz_entanglers():
 
 
 def _label_built_trap(n, twoq_t, gen):
-    """A trap drawn as :func:`fd._trap_circuit` draws it, with every 1q layer
-    composed and randomly compiled through the label-layer helpers."""
-    rounds = fd._trap_rounds(n, len(twoq_t) + 1, twoq_t, gen)
+    """A trap drawn as :func:`fd._traps` draws one, round by round, each
+    round redrawn until no CZ sees two H picks, with every 1q layer composed
+    through the label-layer helpers and randomly compiled one sublayer at a
+    time: one scalar Pauli draw per CZ layer, its image pushed through each
+    gate's conjugation table."""
+    rounds = []
+    for t in range(len(twoq_t) + 1):
+        while True:
+            pick = [("I", "H", "S")[i] for i in gen.integers(3, size=n).tolist()]
+            ops = twoq_t[t] if t < len(twoq_t) else ()
+            if not any(len(qs) == 2 and pick[qs[0]] == pick[qs[1]] == "H" for _, qs in ops):
+                break
+        rounds.append(pick)
     oneq, undo = [], ()
     for pick in rounds:
         layer = tuple((g, (q,)) for q, g in enumerate(pick))
         oneq.append(cl.compose_1q_layers(undo, layer, n))
         undo = cl.inverse_layer(layer)
     oneq.append(cl.compose_1q_layers(undo, (), n))
-    oneq, twoq = cl.randomized_compile(oneq, [tuple(l) for l in twoq_t], n, gen)
-    return tuple(layer for i, oq in enumerate(oneq) for layer in (oq, twoq[i] if i < len(twoq) else ()) if layer)
+    for i, twoq in enumerate(twoq_t):
+        d = cl.pauli_codes(int(gen.integers(4**n)), n)
+        c = list(d)
+        for label, qubits in twoq:
+            for q, code in zip(qubits, cl.conjugate_codes(label, [d[q] for q in qubits])):
+                c[q] = code
+        oneq[i] = cl.compose_1q_with_pauli(oneq[i], d, n, before=False)
+        oneq[i + 1] = cl.compose_1q_with_pauli(oneq[i + 1], c, n, before=True)
+    return tuple(layer for i, oq in enumerate(oneq) for layer in (oq, twoq_t[i] if i < len(twoq_t) else ()) if layer)
+
+
+def _trap_targets():
+    """(width, CZ layers) of CZ targets and, for widths 2-5, of targets
+    without a CZ layer."""
+    cases = [(3, 3), (4, 2), (5, 3), (2, 2)]
+    out = [(n, fd.split_alternating(random_target_layers(n, depth, seed=17), n)[1]) for n, depth in cases]
+    return out + [(n, fd.split_alternating([tuple(("H", (q,)) for q in range(n))], n)[1]) for n in (2, 3, 4, 5)]
 
 
 def test_accreditation_traps_have_target_shape():
     # width and 2q placement match the target circuit, and the traps built
-    # on per-qubit elements have the labels of the label-built ones
-    for n, depth in ((3, 3), (2, 0), (4, 2)):
-        layers = random_target_layers(n, depth, seed=17) if depth else [tuple(("H", (q,)) for q in range(n))]
-        _, twoq_t = fd.split_alternating([tuple(l) for l in layers], n)
+    # as one ensemble have the layers of label-built ones, each followed by
+    # its seed draw
+    for n, twoq_t in _trap_targets():
         gen, ref = rng(5), rng(5)
-        for _ in range(10):
-            circ = fd._trap_circuit(n, twoq_t, gen)
+        circuits, seeds = fd._traps(n, twoq_t, 10, gen)
+        assert len(circuits) == len(seeds) == 10
+        for circ, seed in zip(circuits, seeds):
             assert circ.width == n
             trap_twoq = [layer for layer in circ.layers if any(len(qs) == 2 for _, qs in layer)]
             assert [tuple(l) for l in trap_twoq] == [tuple(l) for l in twoq_t]
             assert circ.layers == _label_built_trap(n, twoq_t, ref)
+            assert seed == int(ref.integers(2**62))
+        assert gen.random() == ref.random()  # both streams end at the same place
 
 
 def test_accreditation_traps_end_in_all_zeros():
     # accredit scores every trap against the all-zeros outcome
-    for n in (2, 3, 4, 5):
-        for target_seed in (41, 42, 43):
-            _, twoq_t = fd.split_alternating(random_target_layers(n, 1 + target_seed % 3, target_seed), n)
-            gen = rng(100 * n + target_seed)
-            for _ in range(20):
-                bits = dv.ideal_outcome_bits(dv.ideal_model(n), fd._trap_circuit(n, twoq_t, gen))
-                assert bits is not None and not bits.any()
+    targets = [
+        (n, fd.split_alternating(random_target_layers(n, 1 + target_seed % 3, target_seed), n)[1], 100 * n + target_seed)
+        for n in (2, 3, 4, 5)
+        for target_seed in (41, 42, 43)
+    ]
+    targets += [(n, twoq_t, 7 * n) for n, twoq_t in _trap_targets() if not twoq_t]
+    for n, twoq_t, seed in targets:
+        for circ in fd._traps(n, twoq_t, 20, rng(seed))[0]:
+            bits = dv.ideal_outcome_bits(dv.ideal_model(n), circ)
+            assert bits is not None and not bits.any()
 
 
 def test_accreditation_brackets_true_fidelity():

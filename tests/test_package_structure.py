@@ -1,6 +1,7 @@
 """Import structure of the package: every intra-package import sits at module
 level and is used, no protocol module reaches into another's private helpers,
-and the module import graph has no cycles.  In a fresh interpreter, importing
+the module import graph has no cycles, and only the generators build
+circuits on a skeleton, unchecked.  In a fresh interpreter, importing
 the CLI leaves out ``scipy.stats``, which costs about half a second of cold
 start, and importing every module, or running the protocols that fit
 nothing (accreditation, MCFE, DFE, ACES, sampling on either backend,
@@ -80,6 +81,23 @@ def test_no_private_names_from_protocol_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# the generators that build circuits of one shape on one checked skeleton;
+# every other module reads layers from outside (configs, callers, files) and
+# builds its circuits through the checked ``Circuit(width, layers)``
+SKELETON_BUILDERS = {"device", "rb", "fidelity"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_generators_build_circuits_on_a_skeleton(path):
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_on_skeleton"
+    ]
+    assert path.stem in SKELETON_BUILDERS or calls == []
 
 
 def test_module_import_graph_is_acyclic():
