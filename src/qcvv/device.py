@@ -44,9 +44,9 @@ a key number and a support.  ``Circuit`` builds it in the one pass that
 checks the operations, which keeps layers the generators built normalised
 as they are and normalises any other input first, and ``Circuit.then``
 joins two flat forms instead of walking the operations again.  The arrays
-that the Clifford paths index (padded supports, layer numbers, the
-idle-qubit mask) belong to the flat form's :class:`_Skeleton`, its shape
-without labels, and are built on first use, so a circuit that is only
+that the Clifford paths index (padded supports and layer numbers) belong
+to the flat form's :class:`_Skeleton`, its shape without labels.  They and
+the idle-qubit mask are built on first use, so a circuit that is only
 joined to another, or that the dense backend runs on a model without an
 idle channel, builds none.  A backend call resolves one :class:`GateRecord`
 per key and reads everything else off the flat form.
@@ -56,9 +56,8 @@ The generators whose circuits share one shape build them on one skeleton
 one per depth.  The first circuit is checked through ``Circuit(width,
 layers)`` and the rest take its skeleton unchecked, so each adds only its
 labels' key numbers, and they share the skeleton's arrays.  Their draws are
-those of a circuit built at a time, in the same order.  Stacking circuits
-of one skeleton side by side tiles its arrays (:meth:`_Flat.side_by_side`),
-and the dense backend groups circuits by skeleton.
+those of a circuit built at a time, in the same order.  The dense backend
+groups circuits by skeleton.
 
 The dense backend builds the noisy channels a circuit's records still lack
 in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
@@ -182,11 +181,8 @@ class _Skeleton:
     generators of one call build their circuits on one skeleton, checked
     once (:meth:`Circuit._on_skeleton`), so those circuits share it and its
     arrays.  Skeletons hash and compare by value, so circuits of one shape
-    that were built apart still group together; built from the arrays
-    alone (:meth:`_Flat.side_by_side`), ``supports`` is None.  Built on first
-    use: ``arrays``, an :class:`_Arrays` without keys (``key`` None), and
-    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
-    touches."""
+    that were built apart still group together.  Built on first use:
+    ``arrays``, an :class:`_Arrays` without keys (``key`` None)."""
 
     def __init__(self, width: int, supports, lengths):
         self.width, self.supports, self.lengths = width, supports, lengths
@@ -217,12 +213,6 @@ class _Skeleton:
             a.flags.writeable = False  # shared by every circuit of the skeleton
         return _Arrays(None, arity, supports, layer)
 
-    @cached_property
-    def idle(self) -> np.ndarray:
-        busy = np.zeros((len(self.lengths), self.width + 1), dtype=bool)
-        busy[self.arrays.layer[:, None], self.arrays.supports] = True
-        return ~busy[:, : self.width]
-
 
 class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     """A circuit's operations in one flat form, independent of any model.
@@ -234,7 +224,8 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     :class:`_Skeleton` (``skeleton``), unless the circuit was built on one;
     the arrays that the Clifford paths index (``arrays``, an
     :class:`_Arrays`), the skeleton's with the key numbers added; and
-    ``idle``, the skeleton's idle-qubit mask.
+    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
+    touches.
     """
 
     @classmethod
@@ -284,43 +275,32 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         ends in empty layers.  The keys are numbered in order of first use
         across the circuits, and the operations run layer by layer, circuit
         by circuit within a layer (a stable sort by layer).  Only ``keys``,
-        ``lengths`` and ``arrays`` are built; ``key`` and ``supports`` are
-        None, so the result is never joined.  Circuits that share one
-        skeleton tile its arrays; any others are walked through their
-        lists in one pass, as a skeleton builds one circuit's arrays."""
-        k, width = len(flats), len(flats) * n
+        ``lengths`` and ``arrays`` are built, in one pass over the
+        circuits' lists, as a skeleton builds one circuit's arrays; ``key``
+        and ``supports`` are None, so the result is never joined."""
         keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
         number = dict(zip(keys, count()))
         # circuit i's key numbers index its own run of ``renumber``, which
         # starts at ``first[i]``
         renumber = np.fromiter(map(number.__getitem__, chain.from_iterable(flat.keys for flat in flats)), dtype=np.intp)
         first = np.cumsum([0] + [len(flat.keys) for flat in flats[:-1]])
-        skeleton = flats[0].skeleton
-        if all(flat.skeleton is skeleton for flat in flats):
-            shape = skeleton.arrays
-            circuit = np.repeat(np.arange(k), len(shape.arity))
-            arity, layer = np.tile(shape.arity, k), np.tile(shape.layer, k)
-            padded = np.tile(shape.supports, (k, 1))
-            padded = np.where(padded < n, padded + (circuit * n)[:, None], width)
-        else:
-            circuit = np.repeat(np.arange(k), [len(flat.key) for flat in flats])
-            supports = list(chain.from_iterable(flat.supports for flat in flats))
-            arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
-            padded = np.full((len(circuit), int(arity.max(initial=1))), width, dtype=np.intp)
-            qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
-            padded[np.arange(padded.shape[1]) < arity[:, None]] = qubits + np.repeat(circuit * n, arity)
-            layer = np.repeat(
-                np.fromiter(chain.from_iterable(map(range, (len(flat.lengths) for flat in flats))), dtype=np.intp),
-                np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
-            )
+        ops = [len(flat.key) for flat in flats]
+        circuit = np.repeat(np.arange(len(flats)), ops)
         local = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
+        supports = list(chain.from_iterable(flat.supports for flat in flats))
+        arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
+        width, levels = len(flats) * n, int(arity.max(initial=1))
+        padded = np.full((len(circuit), levels), width, dtype=np.intp)
+        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp)
+        padded[np.arange(levels) < arity[:, None]] = qubits + np.repeat(circuit * n, arity)
         depth = max(len(flat.lengths) for flat in flats)
+        layer = np.repeat(
+            np.fromiter(chain.from_iterable(map(range, (len(flat.lengths) for flat in flats))), dtype=np.intp),
+            np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
+        )
         order = np.argsort(layer, kind="stable")
         out = cls(width, keys, None, None, np.bincount(layer, minlength=depth).tolist())
-        stacked = _Skeleton(width, None, out.lengths)
-        stacked.__dict__["arrays"] = _Arrays(None, arity[order], padded[order], layer[order])
-        out.__dict__["skeleton"] = stacked
-        out.__dict__["arrays"] = stacked.arrays._replace(key=renumber[local + first[circuit]][order])
+        out.__dict__["arrays"] = _Arrays(renumber[local + first[circuit]][order], arity[order], padded[order], layer[order])
         return out
 
     def then(self, other: "_Flat") -> "_Flat":
@@ -340,9 +320,11 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     def arrays(self) -> "_Arrays":
         return self.skeleton.arrays._replace(key=np.array(self.key, dtype=np.intp))
 
-    @property
+    @cached_property
     def idle(self) -> np.ndarray:
-        return self.skeleton.idle
+        busy = np.zeros((len(self.lengths), self.width + 1), dtype=bool)
+        busy[self.arrays.layer[:, None], self.arrays.supports] = True
+        return ~busy[:, : self.width]
 
 
 def _numbered(labels, arities):
@@ -713,7 +695,10 @@ def _fixed_ideal(label: str) -> Channel:
 
 
 # PTM entries that one stacked pass of :func:`_build_noisy` builds at most:
-# 64 two-qubit or 1,024 one-qubit channels
+# 64 two-qubit or 1,024 one-qubit channels.  It is smaller than
+# ``_ENSEMBLE_BUDGET`` because each entry of one stacked
+# :func:`qcvv.channels.unitary_ptms` call holds about ten floats of complex
+# temporaries while it is built
 _NOISY_BUDGET = 1 << 14
 
 

@@ -1918,8 +1918,8 @@ def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
     """A circuit built on its generator call's skeleton is the circuit that
     ``Circuit(width, layers)`` checks and builds: its layers, every flat
     field, arrays and idle mask, equality, hash, pickle and JSON, and its
-    records on both backends.  A stack of circuits of one skeleton tiles its
-    arrays into the stack that walking the circuits' lists builds."""
+    records on both backends.  A stack of the circuits of one skeleton is
+    the stack of the checked circuits."""
     n = circuits[0].width
     checked = [Circuit(n, c.layers) for c in circuits]
     for got, want in zip(circuits, checked):
@@ -1937,11 +1937,11 @@ def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
         by_skeleton.setdefault(id(got._flat.skeleton), []).append((got, want))
     assert len(by_skeleton) == len({c.depth for c in circuits})  # one skeleton per shape
     for pairs in by_skeleton.values():
-        tiled = dv._Flat.side_by_side([got._flat for got, _ in pairs], n)
-        walked = dv._Flat.side_by_side([want._flat for _, want in pairs], n)
-        assert tiled == walked
-        _assert_arrays_equal(tiled.arrays, walked.arrays)
-        assert np.array_equal(tiled.idle, walked.idle)
+        stacked = dv._Flat.side_by_side([got._flat for got, _ in pairs], n)
+        checked_stack = dv._Flat.side_by_side([want._flat for _, want in pairs], n)
+        assert stacked == checked_stack
+        _assert_arrays_equal(stacked.arrays, checked_stack.arrays)
+        assert np.array_equal(stacked.idle, checked_stack.idle)
     seeds = [int(s) for s in rng(seed).integers(2**62, size=len(circuits))]
 
     def model():
