@@ -509,21 +509,6 @@ def eigenstate_layer(p: PauliString, gen):
     return tuple(layer), total
 
 
-def _pulled_back_rows(history: np.ndarray, readout: bool) -> np.ndarray:
-    """The ``pulled_back`` rows (see :func:`qcvv.device.pauli_fastpath_signs`)
-    of a circuit that prepares an eigenstate of p by :func:`eigenstate_layer`,
-    runs a body and, with ``readout``, ends in the :func:`readout_layer` of
-    p's image.  ``history`` holds p's letter codes before each body layer
-    and after the last, as a (body depth + 1, n) array, p in row 0.
-
-    The measured Pauli pulled back to before the readout layer is the image,
-    up to sign, and to before body layer t it is row t of ``history``; the
-    preparation acts only on p's support, rotating Z onto each letter, so
-    before it the measured Pauli is ``readout_pauli(p)``."""
-    support = (history != 0).astype(np.uint8)  # per row, its readout_pauli's codes (Z = 1)
-    return np.concatenate([support[:1], history] + ([support[-1:]] if readout else []))
-
-
 def readout_layer(p: PauliString):
     """1q layer rotating each letter of p onto +Z for computational readout."""
     gates = ((measurement_rotation_gate(p.letter(q)), (q,)) for q in range(p.n))

@@ -15,12 +15,15 @@ draw their Paulis, eigenstate signs and shot seeds first, then propagate
 their prepared Paulis as one column block, each with its phase, and read
 each gate-set gate's local letters off the frames after the gate's layer.
 
-Cycle benchmarking and ACES hand the parity sampler
-(:func:`qcvv.device._parity_all`) the history of that propagation as the
-measured Pauli pulled back through the circuit
-(:func:`qcvv.cliffords._pulled_back_rows`): one call per stack of bodies
-or per prefix, in which the fast path draws the rows' faults side by side
-without building gate tables for the joined circuits.
+Cycle benchmarking and ACES build no parity circuits: they draw each
+circuit's preparation, body and shot seed and hand them to
+:mod:`qcvv.device`, which joins the readout, derives the ideal sign and
+samples (:func:`qcvv.device._eigenstate_parities`).  Cycle benchmarking
+hands it a ``draw()`` per circuit (:func:`qcvv.device._eigenstate_stacks`),
+which propagates the bodies side by side; ACES hands it the histories of
+each prefix's column block.  Either way the history is the measured Pauli
+pulled back through the circuit, so the fast path draws the rows' faults
+side by side without building gate tables for the joined circuits.
 """
 
 from __future__ import annotations
@@ -36,13 +39,10 @@ from .cliffords import (
     CliffordTableau,
     _bit_rows,
     _pack,
-    _pulled_back_rows,
     eigenstate_layer,
     inverse_layer,
-    readout_layer,
-    readout_pauli,
 )
-from .device import Circuit, CliffordProgram, _parity_all, _propagate_side_by_side, _stack_size
+from .device import Circuit, CliffordProgram, _eigenstate_parities, _eigenstate_stacks
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -186,11 +186,8 @@ def cycle_benchmark(
     ``A f_P**m``; for a cycle of order j the fitted ``f_P`` estimates the
     geometric mean of the error eigenvalues around P's orbit.
 
-    The bodies of one Pauli and depth propagate side by side, in stacks of
-    :func:`qcvv.device._stack_size` circuits, and each stack's circuits are
-    sampled in one :func:`qcvv.device._parity_all` call; each circuit draws
-    its eigenstate signs, dressings and shot seed in the order of one
-    circuit at a time.
+    Each circuit draws its eigenstate signs, dressings and shot seed in turn
+    and is sampled through :func:`qcvv.device._eigenstate_stacks`.
     """
     n = model.n
     cycle = tuple(cycle)
@@ -200,46 +197,28 @@ def cycle_benchmark(
         if m % order:
             raise ValueError(f"depth {m} is not a multiple of the cycle order {order}")
     gen = rng(seed)
+
+    def draw():  # one circuit of the Pauli p and depth m that the loops below are at
+        prep_layer, sign = eigenstate_layer(p, gen)
+        body = []
+        for _rep in range(m):
+            dressing = tuple(
+                (lab, (q,))
+                for q, lab in enumerate(("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n))
+                if lab != "I"
+            )
+            if dressing:
+                body.append(dressing)
+            body.append(cycle)
+        return p, prep_layer, sign, Circuit(n, tuple(body)), int(gen.integers(2**62))
+
     decays = {}
     for p in paulis:
         p = p if isinstance(p, PauliString) else PauliString.from_label(p)
         means, errs = [], []
         for m in depths:
-            samples = []
-            size = _stack_size(n, 2 * m)  # a dressing and the cycle per repetition
-            for start in range(0, circuits_per_depth, size):
-                drawn = []
-                for _ in range(min(size, circuits_per_depth - start)):
-                    body = []
-                    prep_layer, sign = eigenstate_layer(p, gen)
-                    for _rep in range(m):
-                        dressing = tuple(
-                            (lab, (q,))
-                            for q, lab in enumerate(
-                                ("I", "X", "Y", "Z")[int(i)] for i in gen.integers(4, size=n)
-                            )
-                            if lab != "I"
-                        )
-                        if dressing:
-                            body.append(dressing)
-                        body.append(cycle)
-                    drawn.append((prep_layer, sign, Circuit(n, tuple(body)), int(gen.integers(2**62))))
-                images = _propagate_side_by_side(model, [body for _, _, body, _ in drawn], [p] * len(drawn))
-                circuits, measured, signs, rows = [], [], [], []
-                for (prep_layer, sign, body, _), (current, history) in zip(drawn, images):
-                    sgn = current.sign
-                    if abs(sgn.imag) > 1e-12:
-                        raise RuntimeError("propagated Pauli acquired a complex phase")
-                    signs.append(sign * (1 if sgn.real > 0 else -1))
-                    meas = readout_layer(current)
-                    circ = Circuit(n, (prep_layer,)).then(body)
-                    circuits.append(circ.then(Circuit(n, (meas,))) if meas else circ)
-                    rows.append(_pulled_back_rows(history, readout=bool(meas)))
-                    measured.append(readout_pauli(current))
-                subs = [sub for *_, sub in drawn]
-                parities = _parity_all(model, circuits, measured, shots, subs, backend, signs, rows)
-                samples.extend(sign * mean for sign, mean in zip(signs, parities))
-            arr = np.asarray(samples)
+            # a body holds a dressing and the cycle per repetition
+            arr = np.asarray(_eigenstate_stacks(model, draw, circuits_per_depth, 2 * m, shots, backend))
             means.append(arr.mean())
             errs.append(arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.05)
         decay = PauliDecay(p.label, list(depths), means, errs)
@@ -404,7 +383,7 @@ def aces(
 
     Each prefix's rows draw their Pauli, eigenstate signs and shot seed in
     turn, then propagate as one column block (:meth:`_ACESPrefix.rows`) and
-    are sampled in one :func:`qcvv.device._parity_all` call.
+    are sampled in one :func:`qcvv.device._eigenstate_parities` call.
     """
     n = model.n
     gate_layers = [tuple(layer) for layer in gate_layers]
@@ -418,20 +397,10 @@ def aces(
         # each row draws its Pauli (when ``prepared`` draws it), eigenstate
         # signs and shot seed in turn; propagation draws nothing, so every
         # row of the prefix is drawn first and then propagated as one block
-        drawn = [(p, *eigenstate_layer(p, gen), int(gen.integers(2**62))) for p in prepared]
+        drawn = [(p, *eigenstate_layer(p, gen), prefix.circuit, int(gen.integers(2**62))) for p in prepared]
         design, images, codes = prefix.rows([p for p, *_ in drawn], len(all_params), spam)
-        circuits, measured, signs, pulled_back = [], [], [], []
-        for j, ((_, prep_layer, prep_sign, _), image) in enumerate(zip(drawn, images)):
-            meas = readout_layer(image)
-            circ = Circuit(n, (prep_layer,)).then(prefix.circuit)
-            circuits.append(circ.then(Circuit(n, (meas,))) if meas else circ)
-            pulled_back.append(_pulled_back_rows(codes[:, :, j], readout=bool(meas)))
-            measured.append(readout_pauli(image))
-            signs.append(prep_sign * (1 if image.sign.real > 0 else -1))
-        subs = [sub for *_, sub in drawn]
-        parities = _parity_all(model, circuits, measured, shots, subs, backend, signs, pulled_back)
-        for row, sign, mean in zip(design, signs, parities):
-            est = sign * mean
+        propagated = [(image, codes[:, :, j]) for j, image in enumerate(images)]
+        for row, est in zip(design, _eigenstate_parities(model, drawn, propagated, shots, backend)):
             if est <= 0:
                 warnings.warn("ACES decay estimate <= 0 floored at 1e-6 (data insufficient)")
                 est = 1e-6

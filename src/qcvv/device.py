@@ -90,12 +90,12 @@ Z-type Pauli iff it anticommutes with that Pauli pulled back to where the
 fault acts, so a shot's bit is a count over its hits, and no fault frame
 is propagated.  BiRB, cycle benchmarking and ACES propagate the prepared
 Pauli through their bodies anyway, to choose the readout; that
-propagation's history is the pull-back, so they pass it along and their
-joined circuits build draw rows only.  Otherwise the kernel tallies each
-hit against the 2n generators of every circuit, walked from the first
-hit's layer, and one GF(2) product per circuit with its final generator
-images gives its n output bits, of which a derived parity is the XOR on
-its read qubits.  A stack that draws no fault builds no gate table and
+propagation's history is the pull-back, so :func:`_eigenstate_parities`
+passes it along and their joined circuits build draw rows only.
+Otherwise the kernel tallies each hit against the 2n generators of every
+circuit, walked from the first hit's layer, and one GF(2) product per
+circuit with its final generator images gives its n output bits, of
+which a derived parity is the XOR on its read qubits.  A stack that draws no fault builds no gate table and
 conjugates nothing.  The same walk from layer 0 gives each circuit's ideal
 outcome (:func:`ideal_outcome_bits`) without a tableau inverse.
 
@@ -105,7 +105,7 @@ supports, hence idle qubits), one ``np.matmul`` per operation on the
 circuits' PTMs, gathered from C-ordered tables keyed by gate record; a
 single circuit (:func:`circuit_probabilities`) is a one-item stack.  RB
 decay runs, simultaneous RB, MRB, MCFE, accreditation, state tomography's
-settings and the parity protocols (BiRB, cycle benchmarking, ACES) hand the
+settings and the parity circuits of :func:`_eigenstate_parities` hand the
 circuits of a design, with their seeds, to :func:`_sample_ensemble`; LGST
 hands its dataset to :func:`_ensemble_states`, which both share.  It
 resolves each circuit's records in circuit order, groups the circuits by
@@ -116,10 +116,21 @@ draws from its own generator, as a call per circuit does, and a run still
 makes one ``circuit_probabilities`` call, with its shots, per circuit,
 which is what a tracer that wraps those two names counts.
 
-Propagation and fast-path sampling are stacked.  BiRB and cycle
-benchmarking compile the bodies of one depth side by side, as one program
-on a register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
-walk their k prepared Paulis through it as one column, in stacks that
+BiRB, cycle benchmarking and ACES estimate a Pauli eigenvalue one way,
+and only this module builds their circuits: :func:`_eigenstate_parities`
+takes each circuit's drawn preparation, body and shot seed and its
+prepared Pauli's propagation, joins the readout rotation of the image,
+derives the ideal sign and the pulled-back rows (:func:`_pulled_back_rows`)
+and samples them all in one :func:`_parity_all` call.  ACES calls it per
+prefix, whose rows propagate as one column block; BiRB and cycle
+benchmarking call :func:`_eigenstate_stacks` with a ``draw()`` per
+circuit, which draws a stack of circuits and propagates their bodies side
+by side first.
+
+Propagation and fast-path sampling are stacked.  :func:`_eigenstate_stacks`
+compiles the bodies of one depth side by side, as one program on a
+register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
+walks their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
 its own program would give them.  Fast-path sampling compiles the circuits
 of one depth side by side (:func:`_fast_stacks`) and lets each circuit
@@ -129,17 +140,17 @@ and volumetric grids hand their circuits, with their seeds, to
 stack's ideal bits from it when the caller gives none and tallies the
 stack's output bits in one :func:`_fault_parities` call; each circuit's
 bits and generator then go back through :func:`pauli_fastpath_sample`,
-which draws the readout flips and tallies.  BiRB, cycle benchmarking,
-ACES and DFE hand their circuits, measured Paulis and, but for DFE,
+which draws the readout flips and tallies.  :func:`_eigenstate_parities`
+and DFE hand their circuits, measured Paulis and, but for DFE,
 pulled-back rows to :func:`_parity_all`, which tallies each stack with the
 same kernel; each circuit's bits and generator then go back through
 :func:`pauli_fastpath_signs`, which draws the readout flips.  Either way
 the seeded stream and the per-call circuit count are those of one circuit
 at a time, and a single circuit is a one-item stack on its own program:
-:func:`pauli_fastpath_sample`, :func:`pauli_fastpath_signs` and
-:func:`parity_mean` are one-item calls of the kernel.
-:func:`_sample_all` and :func:`_parity_all` are the ensemble entry points
-of both backends.
+:func:`pauli_fastpath_sample` and :func:`pauli_fastpath_signs` are
+one-item calls of the kernel.  :func:`_sample_all` and :func:`_parity_all`
+are the ensemble entry points of both backends, and :func:`sample` and
+:func:`parity_mean` are their one-item calls.
 
 A :class:`ShotRecord` keeps the circuit it was sampled from and writes the
 circuit's JSON only when ``circuit_id`` is read.
@@ -165,6 +176,8 @@ from .cliffords import (
     clifford_gate_factory,
     conjugation_table,
     pauli_codes,
+    readout_layer,
+    readout_pauli,
     tableau_from_unitary,
 )
 from .linalg import child_seeds, kron_all, rng
@@ -1562,7 +1575,7 @@ def pauli_fastpath_signs(
     depth - 1, to just before layer t, and row depth is ``measured`` itself.
     Pre-gate noise at layer t reads row t and post-gate noise row t + 1.  A
     caller that has propagated the prepared Pauli through the circuit holds
-    these rows already (see :func:`qcvv.cliffords._pulled_back_rows`); then
+    these rows already (see :func:`_pulled_back_rows`); then
     the circuit is compiled into its draw rows only.  Without them, the
     parity is the XOR, on the read qubits, of the output-bit flips that
     :func:`_fault_parities` tallies against the 2n generators, walked
@@ -1623,11 +1636,9 @@ def sample(model: GateSetModel, circuit: Circuit, shots: int, seed, backend: str
     """Bit-string counts of a circuit: :func:`sample_counts` on ``"dense"``,
     :func:`pauli_fastpath_sample` on ``"fast"``, which takes the circuit's
     definite ideal outcome from ``ideal_bits`` when given (the dense
-    backend does not use it)."""
-    _check_backend(backend)
-    if backend == "fast":
-        return pauli_fastpath_sample(model, circuit, shots, seed, ideal_bits=ideal_bits)
-    return sample_counts(model, circuit, shots, seed)
+    backend does not use it).  This is a one-item call of
+    :func:`_sample_all`."""
+    return _sample_all(model, [circuit], shots, [seed], backend, ideal_bits)[0]
 
 
 def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str, ideal_bits=None):
@@ -1718,6 +1729,76 @@ def _parity_all(
                 model, circuits[i], measured[i], shots, seeds[i], signs[i], rows[i], flips=(b, gen)
             )
             out[i] = signed.mean()
+    return out
+
+
+def _pulled_back_rows(history: np.ndarray, readout: bool) -> np.ndarray:
+    """The ``pulled_back`` rows (see :func:`pauli_fastpath_signs`) of a
+    circuit that prepares an eigenstate of p by
+    :func:`qcvv.cliffords.eigenstate_layer`, runs a body and, with
+    ``readout``, ends in the :func:`qcvv.cliffords.readout_layer` of p's
+    image.  ``history`` holds p's letter codes before each body layer and
+    after the last, as a (body depth + 1, n) array, p in row 0.
+
+    The measured Pauli pulled back to before the readout layer is the image,
+    up to sign, and to before body layer t it is row t of ``history``; the
+    preparation acts only on p's support, rotating Z onto each letter, so
+    before it the measured Pauli is ``readout_pauli(p)``."""
+    support = (history != 0).astype(np.uint8)  # per row, its readout_pauli's codes (Z = 1)
+    return np.concatenate([support[:1], history] + ([support[-1:]] if readout else []))
+
+
+def _eigenstate_parities(
+    model: GateSetModel, drawn, propagated, shots: int, backend: str, keep_empty_readout: bool = False
+):
+    """The signed parity means of eigenstate-parity circuits, the estimates
+    of BiRB, cycle benchmarking and ACES, as a list in circuit order.
+
+    ``drawn`` holds per circuit its prepared Pauli p, the preparation layer
+    and sign of :func:`qcvv.cliffords.eigenstate_layer`, its body and its
+    shot seed; ``propagated`` holds per circuit p's image through the body
+    and p's letter codes before each body layer and after the last, as a
+    (body depth + 1, n) array.  Each circuit joins the preparation, the body
+    and the :func:`qcvv.cliffords.readout_layer` of the image, left out when
+    empty unless ``keep_empty_readout`` (BiRB keeps it, so idle qubits still
+    take its noise).  Its ideal sign is the preparation's times the
+    image's, which must be real, and its pulled-back rows come from the
+    history (:func:`_pulled_back_rows`).  The circuits are sampled in one
+    :func:`_parity_all` call, and each mean comes back times its ideal sign.
+    """
+    n = model.n
+    circuits, measured, signs, rows = [], [], [], []
+    for (_, prep, sign, body, _), (image, history) in zip(drawn, propagated):
+        if abs(image.sign.imag) > 1e-9:
+            raise RuntimeError("propagated Pauli has a complex sign")
+        signs.append(sign * (1 if image.sign.real > 0 else -1))
+        readout = readout_layer(image)
+        keep = keep_empty_readout or bool(readout)
+        circuit = Circuit(n, (prep,)).then(body)
+        circuits.append(circuit.then(Circuit(n, (readout,))) if keep else circuit)
+        rows.append(_pulled_back_rows(history, readout=keep))
+        measured.append(readout_pauli(image))
+    seeds = [seed for *_, seed in drawn]
+    parities = _parity_all(model, circuits, measured, shots, seeds, backend, signs, rows)
+    return [sign * mean for sign, mean in zip(signs, parities)]
+
+
+def _eigenstate_stacks(
+    model: GateSetModel, draw, count: int, depth: int, shots: int, backend: str, keep_empty_readout: bool = False
+):
+    """:func:`_eigenstate_parities` of ``count`` circuits whose bodies have at
+    most ``depth`` layers, each drawn by one ``draw()`` call, which returns
+    its ``drawn`` entry.  The circuits go in stacks of :func:`_stack_size`:
+    a stack's circuits are drawn in turn, their bodies propagate side by
+    side (:func:`_propagate_side_by_side`) and they are sampled together.
+    Nothing else draws from the caller's generator, so each circuit's draws
+    keep their order whatever the stack size."""
+    size = _stack_size(model.n, depth)
+    out = []
+    for start in range(0, count, size):
+        drawn = [draw() for _ in range(min(size, count - start))]
+        propagated = _propagate_side_by_side(model, [body for *_, body, _ in drawn], [p for p, *_ in drawn])
+        out.extend(_eigenstate_parities(model, drawn, propagated, shots, backend, keep_empty_readout))
     return out
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .cliffords import (
     GATE_UNITARIES,
-    _pulled_back_rows,
     clifford_1q_tables,
     clifford_index,
     clifford_label,
@@ -30,16 +29,13 @@ from .cliffords import (
     oneq_layer,
     randomized_compile,
     readout_layer,
-    readout_pauli,
 )
 from .device import (
     Circuit,
     GateSetModel,
     ShotRecord,
-    _parity_all,
-    _propagate_side_by_side,
+    _eigenstate_stacks,
     _sample_all,
-    _stack_size,
     ideal_probabilities,
     parity_from_counts,
 )
@@ -558,41 +554,29 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     pulled back through the circuit, which the fast path reads instead of
     compiling the joined circuit's gate tables.
 
-    The bodies of one depth propagate side by side, in stacks of
-    :func:`qcvv.device._stack_size` circuits, and each stack's circuits are
-    sampled in one :func:`qcvv.device._parity_all` call.  Neither draws
-    from the design's generator, so each circuit draws its Pauli,
-    eigenstate signs, layers and shot seed in the order of one circuit at a
-    time.
+    Each circuit draws its Pauli, eigenstate signs, layers and shot seed in
+    turn and is sampled through :func:`qcvv.device._eigenstate_stacks`,
+    which keeps the empty readout layer a Z-type image leaves, so idle
+    qubits still take its noise.
     """
     n = sampler.n
     gen = rng(design.seed)
+
+    def draw():  # one circuit of the depth m that the loop below is at
+        p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+        prep, sign = eigenstate_layer(p, gen)
+        layers = []
+        for _i in range(m):
+            layers.extend(sampler.sample(gen))
+        return p, prep, sign, Circuit(n, tuple(layers)), int(gen.integers(2**62))
+
     values = {m: [] for m in design.depths}
     for m in design.depths:
-        size = _stack_size(n, 2 * m)
-        for start in range(0, design.circuits_per_depth, size):
-            drawn = []
-            for _ in range(min(size, design.circuits_per_depth - start)):
-                p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
-                prep, sign = eigenstate_layer(p, gen)
-                layers = []
-                for _i in range(m):
-                    layers.extend(sampler.sample(gen))
-                drawn.append((p, prep, sign, Circuit(n, tuple(layers)), int(gen.integers(2**62))))
-            images = _propagate_side_by_side(model, [body for _, _, _, body, _ in drawn], [p for p, *_ in drawn])
-            circuits, measured, signs, rows = [], [], [], []
-            for (_, prep, sign, body, _), (current, history) in zip(drawn, images):
-                sgn = current.sign
-                if abs(sgn.imag) > 1e-9:
-                    raise RuntimeError("propagated Pauli has a complex sign")
-                signs.append(sign * (1 if sgn.real > 0 else -1))
-                # the rotation layer stays when empty: idle qubits still get noise
-                circuits.append(Circuit(n, (prep,)).then(body).then(Circuit(n, (readout_layer(current),))))
-                rows.append(_pulled_back_rows(history, readout=True))
-                measured.append(readout_pauli(current))
-            subs = [sub for *_, sub in drawn]
-            parities = _parity_all(model, circuits, measured, design.shots, subs, backend, signs, rows)
-            values[m].extend(sign * mean for sign, mean in zip(signs, parities))
+        # a body holds m composite layers of two sublayers each
+        means = _eigenstate_stacks(
+            model, draw, design.circuits_per_depth, 2 * m, design.shots, backend, keep_empty_readout=True
+        )
+        values[m].extend(means)
     data = DecayDataset(list(design.depths), values, "birb")
     fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=0.0)
     return {"data": data, "fit": fit, "f": fit.f, "f_err": fit.f_err}

@@ -898,7 +898,7 @@ def pulled_back_reference(model, circuit, measured):
 def _family_circuit(family, model, depth, gen):
     """A noisy-model circuit drawn the way one protocol draws it, with the
     Z-type Pauli it measures, that Pauli's ideal sign and the ``pulled_back``
-    rows the protocol passes (:func:`cl._pulled_back_rows`).  The Pauli, the
+    rows the protocol passes (:func:`dv._pulled_back_rows`).  The Pauli, the
     sign and the rows are None for the definite-outcome families (mirror and
     trap); a DFE circuit's rows are None, as DFE passes none."""
     n = model.n
@@ -938,7 +938,7 @@ def _family_circuit(family, model, depth, gen):
         history = codes[:, :, 0]
     sign *= 1 if current.sign.real > 0 else -1
     circ = Circuit(n, (prep,)).then(body).then(Circuit(n, (cl.readout_layer(current),)))
-    return circ, cl.readout_pauli(current), sign, cl._pulled_back_rows(history, readout=True)
+    return circ, cl.readout_pauli(current), sign, dv._pulled_back_rows(history, readout=True)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1800,7 +1800,7 @@ def _parity_row(model, gen, depth, defined):
     meas = cl.readout_layer(current)
     circ = Circuit(n, (prep,)).then(body)
     circ = circ.then(Circuit(n, (meas,))) if meas else circ
-    rows = cl._pulled_back_rows(codes[:, :, 0], readout=bool(meas))
+    rows = dv._pulled_back_rows(codes[:, :, 0], readout=bool(meas))
     return circ, cl.readout_pauli(current), sign * (1 if current.sign.real > 0 else -1), rows
 
 
@@ -1879,6 +1879,96 @@ def test_parity_all_checks_every_circuit_before_drawing(monkeypatch):
         dv._parity_all(model, circuits, measured, 10, [1, 2], "fast", [-1, -1])
     with pytest.raises(ValueError, match="not \\+1 or -1"):
         dv._parity_all(dv.ideal_model(2), circuits, measured, 10, [1, 2], "fast", [-1, 0.5])
+
+
+def test_eigenstate_parities_keep_an_empty_readout_only_when_asked(monkeypatch):
+    """A Z-type image needs no readout rotation.  With
+    ``keep_empty_readout`` the circuit still ends in the empty layer, where
+    idle qubits take noise, and its pulled-back rows gain the row after it;
+    by default it ends with its body."""
+    model = dv.noisy_model(2, _parity_rule, idle=ch.stochastic_pauli((0.03, 0.01, 0.02)))
+    body = Circuit(2, ((("CZ", (0, 1)),), (("Z", (0,)),)))
+    p = PauliString.from_label("ZI")
+    prep, sign = cl.eigenstate_layer(p, rng(3))
+    (image,), history = dv.CliffordProgram(model, body).propagate([p], history=True)
+    assert cl.readout_layer(image) == ()
+    seen, original = [], dv._parity_all
+    monkeypatch.setattr(dv, "_parity_all", lambda *args: seen.append(args) or original(*args))
+    for keep in (True, False):
+        dv._eigenstate_parities(model, [(p, prep, sign, body, 9)], [(image, history[:, :, 0])], 50, "fast", keep)
+    (kept,), (dropped,) = [args[1] for args in seen]
+    (kept_rows,), (dropped_rows,) = [args[7] for args in seen]
+    assert kept.depth == body.depth + 2 and kept.layers[-1] == ()
+    assert dropped.depth == body.depth + 1 and dropped.layers == kept.layers[:-1]
+    assert kept_rows.shape == (body.depth + 3, 2) and dropped_rows.shape == (body.depth + 2, 2)
+    assert (kept_rows[:-1] == dropped_rows).all()
+
+
+@pytest.mark.parametrize("backend", ["fast", "dense"])
+@pytest.mark.parametrize("keep", [True, False])
+def test_eigenstate_parities_match_parity_all_on_hand_built_circuits(backend, keep):
+    """Each signed mean is the ideal sign times the ``_parity_all`` mean of
+    the circuit built by hand: preparation, body, the image's readout
+    rotation (an empty one kept only with ``keep_empty_readout``), the
+    prepared and the image's sign, and the pulled-back rows.  Drawing and
+    propagating a stack at a time (``_eigenstate_stacks``) gives the same
+    means."""
+    model = _three_qubit_model(3, True, False, 0b101)
+    sampler, gen = rb.LayerSampler(3, twoq_density=0.8), rng(11)
+    drawn, propagated = [], []
+    for _ in range(12):  # drawn as BiRB draws them
+        p = PauliString.from_index(int(gen.integers(1, 4**3)), 3)
+        prep, sign = cl.eigenstate_layer(p, gen)
+        body = Circuit(3, tuple(layer for _ in range(2) for layer in sampler.sample(gen)))
+        drawn.append((p, prep, sign, body, int(gen.integers(2**62))))
+        (image,), history = dv.CliffordProgram(model, body).propagate([p], history=True)
+        propagated.append((image, history[:, :, 0]))
+    circuits, measured, signs, rows = [], [], [], []
+    for (_, prep, sign, body, _), (image, history) in zip(drawn, propagated):
+        readout = cl.readout_layer(image)
+        circuit = Circuit(3, (prep,)).then(body)
+        circuits.append(circuit.then(Circuit(3, (readout,))) if readout or keep else circuit)
+        measured.append(cl.readout_pauli(image))
+        signs.append(sign * (1 if image.sign.real > 0 else -1))
+        rows.append(dv._pulled_back_rows(history, readout=bool(readout) or keep))
+    seeds = [seed for *_, seed in drawn]
+    parities = dv._parity_all(model, circuits, measured, 40, seeds, backend, signs, rows)
+    expected = [sign * mean for sign, mean in zip(signs, parities)]
+    assert dv._eigenstate_parities(model, drawn, propagated, 40, backend, keep) == expected
+    order = iter(drawn)
+    assert dv._eigenstate_stacks(model, lambda: next(order), len(drawn), 4, 40, backend, keep) == expected
+
+
+def test_parity_protocols_sample_only_through_eigenstate_parities(monkeypatch):
+    """BiRB, cycle benchmarking and ACES sample each of their circuits
+    through ``_eigenstate_parities``, and nothing else samples."""
+    inside, helped, signed = [0], [], []
+    original, signs = dv._eigenstate_parities, dv.pauli_fastpath_signs
+
+    def helper(model, drawn, *args):
+        inside[0] += 1
+        helped.append(len(drawn))
+        try:
+            return original(model, drawn, *args)
+        finally:
+            inside[0] -= 1
+
+    def spy(*args, **kwargs):
+        assert inside[0] == 1
+        signed.append(1)
+        return signs(*args, **kwargs)
+
+    monkeypatch.setattr(dv, "_eigenstate_parities", helper)
+    monkeypatch.setattr(cy, "_eigenstate_parities", helper)
+    monkeypatch.setattr(dv, "pauli_fastpath_signs", spy)
+    monkeypatch.setattr(dv, "pauli_fastpath_sample", lambda *args, **kwargs: pytest.fail("sampled counts"))
+    model = dv.noisy_model(2, lambda lbl, ar: ch.depolarizing(0.01, n=ar))
+    rb.birb(model, rb.RBDesign((0, 1), (0, 1, 2), 3, 20, seed=5), rb.LayerSampler(2, twoq_density=0.5))
+    cy.cycle_benchmark(model, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
+    layers = [(("CNOT", (0, 1)),), (("H", (0,)), ("S", (1,)))]
+    cy.aces(model, layers, n_circuits=2, depth=2, paulis_per_circuit=4, shots=20, seed=7)
+    # BiRB, CB, then ACES's systematic rows (15 + 3 + 3 local Paulis) and random rows
+    assert sum(helped) == len(signed) == 3 * 3 + 2 * 2 * 3 + (15 + 3 + 3) + 2 * 4
 
 
 # -- circuits built on a shared skeleton ---------------------------------------------

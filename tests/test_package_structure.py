@@ -83,6 +83,18 @@ def test_no_private_names_from_protocol_modules(path):
     assert private == []
 
 
+# what builds, stacks and samples eigenstate-parity circuits; BiRB, cycle
+# benchmarking and ACES reach it only through ``device._eigenstate_parities``
+PARITY_INTERNALS = {"_parity_all", "_propagate_side_by_side", "_stack_size", "_pulled_back_rows"}
+
+
+@pytest.mark.parametrize("name", ["rb", "cycles"])
+def test_parity_protocols_import_no_parity_circuit_internals(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = {alias.name for node, _ in _relative_imports(tree) for alias in node.names}
+    assert imported & PARITY_INTERNALS == set()
+
+
 # the generators that build circuits of one shape on one checked skeleton;
 # every other module reads layers from outside (configs, callers, files) and
 # builds its circuits through the checked ``Circuit(width, layers)``
