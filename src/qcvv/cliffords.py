@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import getitem
 
 import numpy as np
@@ -632,10 +633,22 @@ def _dressing_images(twoq_layers, n):
     images[:] = _IDLE_IMAGES
     partner = np.empty((len(twoq_layers), n), dtype=np.intp)
     partner[:] = np.arange(n)
-    for i, layer in enumerate(twoq_layers):
-        for label, qubits in layer:
-            for q, other, table in zip(qubits, reversed(qubits), _local_images(label)):
-                images[i, q], partner[i, q] = table, other
+    ops = [(i, label, qubits) for i, layer in enumerate(twoq_layers) for label, qubits in layer]
+    if ops:
+        # per support qubit of every gate, in gate order: its sublayer and
+        # qubit, its place j in the support and the end of its gate's run
+        sublayer, labels, supports = zip(*ops)
+        size = np.fromiter(map(len, supports), dtype=np.intp, count=len(ops))
+        end = np.repeat(np.cumsum(size), size)
+        qubits = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=len(end))
+        j = np.arange(len(qubits)) - end + np.repeat(size, size)
+        distinct = list(dict.fromkeys(labels))
+        tables = [_local_images(label) for label in distinct]
+        first = dict(zip(distinct, np.cumsum([0] + [len(t) for t in tables]).tolist()))  # a label's first table
+        table = np.repeat(np.fromiter(map(first.__getitem__, labels), dtype=np.intp, count=len(ops)), size) + j
+        at = (np.repeat(sublayer, size), qubits)
+        images[at] = np.concatenate(tables)[table]
+        partner[at] = qubits[end - 1 - j]  # the support reversed
     return images, partner
 
 

@@ -52,12 +52,16 @@ idle channel, builds none.  A backend call resolves one :class:`GateRecord`
 per key and reads everything else off the flat form.
 
 The generators whose circuits share one shape build them on one skeleton
-(:meth:`Circuit._on_skeleton`): accreditation builds one per call and CRB
-one per depth.  The first circuit is checked through ``Circuit(width,
-layers)`` and the rest take its skeleton unchecked, so each adds only its
-labels' key numbers, and they share the skeleton's arrays.  Their draws are
-those of a circuit built at a time, in the same order.  The dense backend
-groups circuits by skeleton.
+(:meth:`Circuit._on_skeleton`): accreditation builds one per call, CRB one
+per depth and MCFE one per ensemble.  The first circuit is checked through
+``Circuit(width, layers)``, or assembled from checked parts, and the rest
+take its skeleton unchecked, so each adds only its labels' key numbers, and
+they share the skeleton's arrays.  Their draws are those of a circuit built
+at a time, in the same order.  The dense backend groups circuits by
+skeleton.  Circuits that library code assembles from valid parts (BiRB
+bodies, mirror circuits, eigenstate preparations and readouts) are built
+by :meth:`Circuit._assembled`, which numbers the labels and checks nothing;
+:class:`qcvv.rb.LayerSampler` checks its edges once instead.
 
 The dense backend builds the noisy channels a circuit's records still lack
 in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
@@ -263,12 +267,18 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         qubits = list(chain.from_iterable(supports))
         if set(map(type, qubits)) - {int}:
             return None
-        key, keys = _numbered(labels, map(len, supports))
         if qubits and (min(qubits) < 0 or max(qubits) >= width):
             raise ValueError("qubit index out of range")
         # a layer that uses a qubit twice has fewer distinct qubits than uses
         if sum(map(len, map(set, map(chain.from_iterable, map(partial(map, itemgetter(1)), layers))))) < len(qubits):
             raise ValueError("overlapping gate supports within a layer")
+        return cls._built(width, layers, labels, supports)
+
+    @classmethod
+    def _built(cls, width: int, layers, labels, supports) -> "_Flat":
+        """The flat form of normalised ``layers``, given their operations'
+        ``labels`` and ``supports`` in circuit order; nothing is checked."""
+        key, keys = _numbered(labels, map(len, supports))
         return cls(width, keys, key, supports, list(map(len, layers)))
 
     @classmethod
@@ -368,12 +378,18 @@ class Circuit:
     pairs as the generators build them, are kept as they are; any other
     input has every label and qubit normalised first.
 
-    The generators whose circuits share one shape (accreditation traps, the
-    CRB circuits of one depth) check it once: they build one circuit through
-    this constructor and the rest on its :class:`_Skeleton`
-    (:meth:`_on_skeleton`), which numbers each circuit's labels and checks
-    nothing.  Either way the circuit, its equality, hash, pickle and JSON
-    are the same.
+    A circuit is built one of three ways, and the circuit, its flat form,
+    equality, hash, pickle and JSON are the same whichever it takes:
+
+    * ``Circuit(width, layers)`` checks every operation, as above; every
+      layer that comes from outside the library goes through it;
+    * :meth:`_assembled` numbers the labels of normalised layers that
+      library code assembled from valid parts (BiRB bodies, mirror
+      circuits, eigenstate preparations and readouts) and checks nothing;
+    * :meth:`_on_skeleton` builds a circuit on the :class:`_Skeleton` of one
+      of the first two, for generators whose circuits share one shape
+      (accreditation traps, the CRB circuits of one depth, each MCFE
+      ensemble); it numbers the labels and checks nothing.
     """
 
     width: int
@@ -389,15 +405,29 @@ class Circuit:
         object.__setattr__(self, "_flat", flat)
 
     @classmethod
+    def _assembled(cls, width: int, layers) -> "Circuit":
+        """A circuit of normalised ``layers`` that library code assembled
+        from valid parts; nothing is checked, and its flat form is the one
+        the checked constructor builds."""
+        ops = list(chain.from_iterable(layers))
+        flat = _Flat._built(width, layers, list(map(itemgetter(0), ops)), list(map(itemgetter(1), ops)))
+        return cls._unchecked(width, layers, flat)
+
+    @classmethod
     def _on_skeleton(cls, skeleton: _Skeleton, layers) -> "Circuit":
         """A circuit of normalised ``layers`` whose supports and layer
         lengths are ``skeleton``'s, which a checked circuit of the same
         generator call gave; nothing is checked again."""
+        return cls._unchecked(skeleton.width, layers, _Flat.on(skeleton, map(itemgetter(0), chain.from_iterable(layers))))
+
+    @classmethod
+    def _unchecked(cls, width: int, layers, flat: _Flat, gate_defs=None) -> "Circuit":
+        """A circuit with these fields, set as given."""
         out = object.__new__(cls)
-        object.__setattr__(out, "width", skeleton.width)
+        object.__setattr__(out, "width", width)
         object.__setattr__(out, "layers", layers)
-        object.__setattr__(out, "gate_defs", {})
-        object.__setattr__(out, "_flat", _Flat.on(skeleton, map(itemgetter(0), chain.from_iterable(layers))))
+        object.__setattr__(out, "gate_defs", {} if gate_defs is None else gate_defs)
+        object.__setattr__(out, "_flat", flat)
         return out
 
     @property
@@ -410,12 +440,7 @@ class Circuit:
         not checked again, and their flat forms are joined, not rebuilt."""
         defs = dict(self.gate_defs)
         defs.update(other.gate_defs)
-        out = object.__new__(Circuit)
-        object.__setattr__(out, "width", max(self.width, other.width))
-        object.__setattr__(out, "layers", self.layers + other.layers)
-        object.__setattr__(out, "gate_defs", defs)
-        object.__setattr__(out, "_flat", self._flat.then(other._flat))
-        return out
+        return Circuit._unchecked(max(self.width, other.width), self.layers + other.layers, self._flat.then(other._flat), defs)
 
     def to_json(self) -> str:
         # the layers are normalised tuples, which json writes as it writes lists
@@ -1089,7 +1114,9 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     The 4**levels - 1 entries are searched in ``levels`` base-4 levels: each
     level counts how many of three entries, a quarter of the remaining range
     apart, lie at or below the draw, so a hit costs O(levels) whatever its
-    distribution.  Hits come in row-major order, as ``np.nonzero`` gives them.
+    distribution.  Hits come in row-major order of ``draws``, as
+    ``np.nonzero`` gives them; :func:`_hit_blocks` searches rows in an order
+    of its own and maps them back, so its callers get hits in no set order.
     """
     rows, cols = divmod(np.flatnonzero(draws >= identity[:, None]), draws.shape[1])
     if not len(rows):
@@ -1112,35 +1139,36 @@ def _hit_blocks(program: "CliffordProgram", shots: int, gens):
     in blocks of ``_DRAW_BUDGET // (width * shots)`` layers (at least one),
     width the stacked register's; a layer has at most width draw rows, so
     a block draws at most that many doubles.  In each block every circuit
-    draws its own rows from its own generator, in one ``gen.random((rows,
-    shots))`` call, the same stream as one call per layer: each circuit
-    draws what its own program draws.  A stable partition of the stacked
-    rows by block (``qubits[:, 0] // n``) gives each circuit's rows in its
-    own order, since within a layer the stacked rows run through the gates
+    draws its own rows from its own generator, in one ``gen.random`` call,
+    the same stream as one call per layer: each circuit draws what its own
+    program draws.  A stable partition of the stacked rows by block
+    (``qubits[:, 0] // n``), ``order``, gives each circuit's rows in its own
+    order, since within a layer the stacked rows run through the gates
     circuit by circuit, then through the idle qubits in qubit order.  Each
-    block yields its hits' rows (numbered across the stack), columns and
-    fault indices.
+    circuit draws in place, ``gen.random(out=draws[a:b])``, into its own
+    contiguous run of the block's draws, which thus hold the stacked rows
+    ``order``; they are searched against ``identity[order]`` and
+    ``dists[order]``, and each hit's row maps back as ``order[row]``.  Each
+    block yields its hits' rows (numbered across the stack, grouped by
+    circuit, so in no layer order), columns and fault indices; every
+    block's hits lie in later layers than any earlier block's.
     """
     width, depth, d = program.n, program.depth, program.draws
     span = max(1, _DRAW_BUDGET // (width * shots))
-    owner = d.qubits[:, 0] // program._model.n if len(gens) > 1 else None
+    owner = d.qubits[:, 0] // program._model.n
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
         r0, r1 = d.starts[t0], d.starts[t1]
-        if owner is None:
-            draws = gens[0].random((r1 - r0, shots))
-        else:
-            # each circuit's draws go straight to its rows, so the block
-            # holds one array of draws, not a second, permuted copy
-            block = owner[r0:r1]
-            order = np.argsort(block, kind="stable")
-            bounds = np.cumsum(np.bincount(block, minlength=len(gens))).tolist()
-            draws = np.empty((r1 - r0, shots))
-            for g, a, b in zip(gens, [0] + bounds, bounds):
-                draws[order[a:b]] = g.random((b - a, shots))
-        rows, cols, idx = _search_hits(draws, d.identity[r0:r1], d.dists[r0:r1], d.cdfs, d.levels)
+        # row i of ``draws`` is stacked row order[i]: each circuit's rows,
+        # in its own order, form one contiguous run, into which it draws
+        order = np.argsort(owner[r0:r1], kind="stable") + r0
+        bounds = np.cumsum(np.bincount(owner[r0:r1], minlength=len(gens))).tolist()
+        draws = np.empty((r1 - r0, shots))
+        for g, a, b in zip(gens, [0] + bounds, bounds):
+            g.random(out=draws[a:b])
+        rows, cols, idx = _search_hits(draws, d.identity[order], d.dists[order], d.cdfs, d.levels)
         del draws  # freed before the next block's are drawn, so one block's draws are held at a time
-        yield rows + r0, cols, idx
+        yield order[rows], cols, idx
 
 
 def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -> np.ndarray:
@@ -1161,8 +1189,10 @@ def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -
     ``pulled_back`` holds each circuit's rows of one Z-type measured Pauli
     (see :func:`pauli_fastpath_signs`): one column, the measured parity.
     When None, the columns are the circuit's n output bits.  Then the rows
-    are the 2n generators of every block, walked from the first hit's layer
-    t0 (:meth:`CliffordProgram._generators`).  Output bit j flips iff the
+    are the 2n generators of every block, walked from the earliest hit's
+    layer t0 (:meth:`CliffordProgram._generators`): the least layer of the
+    first block's hits, which come grouped by circuit, not by layer, while
+    later blocks hold later layers only.  Output bit j flips iff the
     faults anticommute with Z_j pulled back, which is, up to phase, the
     product of the generators that the input Pauli Q_j = U^dag Z_j U selects
     (U the layers from t0 on).  Conjugation keeps the symplectic form, so
@@ -1180,8 +1210,8 @@ def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -
         if codes is None:
             # row t - t0 of ``codes`` is row t; its spare qubit, all identity, takes the padding
             if pulled_back is None:
-                # hits come in row order: no later hit reads a row before this layer
-                t0 = int(d.layer[rows[0]])
+                # a later block's hits all lie in later layers than this block's
+                t0 = int(d.layer[rows].min())
                 frame = np.vstack([program._generators(), np.zeros((1, 2 * n), dtype=np.uint8)])
                 codes = program._walk(frame, None, True, t0)
             else:
@@ -1774,8 +1804,8 @@ def _eigenstate_parities(
         signs.append(sign * (1 if image.sign.real > 0 else -1))
         readout = readout_layer(image)
         keep = keep_empty_readout or bool(readout)
-        circuit = Circuit(n, (prep,)).then(body)
-        circuits.append(circuit.then(Circuit(n, (readout,))) if keep else circuit)
+        circuit = Circuit._assembled(n, (prep,)).then(body)
+        circuits.append(circuit.then(Circuit._assembled(n, (readout,))) if keep else circuit)
         rows.append(_pulled_back_rows(history, readout=keep))
         measured.append(readout_pauli(image))
     seeds = [seed for *_, seed in drawn]

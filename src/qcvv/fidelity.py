@@ -212,10 +212,17 @@ def mcfe(
     for M1 and M2; see :func:`qcvv.cliffords.randomized_compile`) and its
     seed; the halves of all circuits are then dressed at once
     (:func:`qcvv.cliffords._dress_elements`).
+
+    The target is checked once, as ``Circuit(n, target_layers)``.  Every
+    circuit is assembled from its normalised layers, their inverses and
+    drawn full-width 1q layers, so none is checked again, and the circuits
+    of one ensemble share one shape: its first circuit is built by
+    :meth:`qcvv.device.Circuit._assembled` and the rest on its skeleton
+    (:meth:`qcvv.device.Circuit._on_skeleton`).
     """
     n = model.n
     gen = rng(seed)
-    oneq_t, twoq_t = split_alternating([tuple(l) for l in target_layers], n)
+    oneq_t, twoq_t = split_alternating(Circuit(n, tuple(tuple(l) for l in target_layers)).layers, n)
     rv_one = [inverse_layer(u) for u in reversed(oneq_t)]
     rv_two = [inverse_layer(layer) for layer in reversed(twoq_t)]
     which_of = [which for which in (1, 2, 3) for _ in range(k_ensemble)]
@@ -235,7 +242,7 @@ def mcfe(
     fw_halves, rv_halves = iter(fw_halves), iter(rv_halves)
     inverse = clifford_1q_tables().inverse
     circuits = []
-    for which, l0 in zip(which_of, l0s):
+    for c, (which, l0) in enumerate(zip(which_of, l0s)):
         layers = [oneq_layer(l0)]
         if which != 3:
             fw_one = next(fw_halves) if which == 2 else oneq_t
@@ -245,7 +252,12 @@ def mcfe(
                     if i < len(half_two) and half_two[i]:
                         layers.append(tuple(half_two[i]))
         layers.append(oneq_layer(inverse[l0].tolist()))
-        circuits.append(Circuit(n, tuple(lay for lay in layers if lay)))
+        layers = tuple(lay for lay in layers if lay)
+        if c % k_ensemble:
+            circuits.append(Circuit._on_skeleton(skeleton, layers))
+        else:  # the first circuit of its ensemble gives the ensemble's skeleton
+            circuits.append(Circuit._assembled(n, layers))
+            skeleton = circuits[-1]._flat.skeleton
     gammas = {1: [], 2: [], 3: []}
     records = _sample_all(model, circuits, shots, seeds, backend, np.zeros(n, dtype=np.uint8))
     for which, rec in zip(which_of, records):

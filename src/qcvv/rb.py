@@ -503,14 +503,24 @@ class LayerSampler:
     Cliffords on every qubit, then disjoint two-qubit gates placed on edges
     with the given density.  Each edge's 2q operation is built once, so
     every layer shares it.
+
+    The edges are checked here, once, so the circuits built from samples
+    need no check of their own (:meth:`qcvv.device.Circuit._assembled`):
+    each edge must be two distinct qubits in ``range(n)``, else a
+    ValueError.  ``edges`` becomes a tuple of int pairs and ``twoq_gate``
+    a ``str``.
     """
 
     def __init__(self, n: int, edges=None, twoq_gate: str = "CNOT", twoq_density: float = 0.5):
         self.n = n
-        self.edges = [tuple(map(int, e)) for e in (edges if edges is not None else [(i, i + 1) for i in range(n - 1)])]
-        self.twoq_gate = twoq_gate
+        edges = [(i, i + 1) for i in range(n - 1)] if edges is None else edges
+        self.edges = tuple(tuple(map(int, e)) for e in edges)
+        for e in self.edges:
+            if len(e) != 2 or e[0] == e[1] or not all(0 <= q < n for q in e):
+                raise ValueError(f"edge {e} is not two distinct qubits in range({n})")
+        self.twoq_gate = str(twoq_gate)
         self.twoq_density = twoq_density
-        self._ops = [(twoq_gate, e) for e in self.edges]
+        self._ops = [(self.twoq_gate, e) for e in self.edges]
 
     def sample(self, gen):
         oneq = oneq_layer(gen.integers(24, size=self.n).tolist())
@@ -557,7 +567,9 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
     Each circuit draws its Pauli, eigenstate signs, layers and shot seed in
     turn and is sampled through :func:`qcvv.device._eigenstate_stacks`,
     which keeps the empty readout layer a Z-type image leaves, so idle
-    qubits still take its noise.
+    qubits still take its noise.  A body is assembled from the sampler's
+    layers, which are valid by construction (see :class:`LayerSampler`),
+    without a check (:meth:`qcvv.device.Circuit._assembled`).
     """
     n = sampler.n
     gen = rng(design.seed)
@@ -568,7 +580,7 @@ def birb(model: GateSetModel, design: RBDesign, sampler: LayerSampler, backend="
         layers = []
         for _i in range(m):
             layers.extend(sampler.sample(gen))
-        return p, prep, sign, Circuit(n, tuple(layers)), int(gen.integers(2**62))
+        return p, prep, sign, Circuit._assembled(n, tuple(layers)), int(gen.integers(2**62))
 
     values = {m: [] for m in design.depths}
     for m in design.depths:
@@ -591,7 +603,9 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
     the layer-by-layer inverse; L0 inverse.  Adjacent 1q sublayers are
     merged, and randomized compiling dresses every 2q sublayer with Paulis
     compiled into the neighboring 1q layers, leaving depth unchanged and
-    the ideal action a definite bit string.
+    the ideal action a definite bit string.  Every layer is a sampled
+    layer, its inverse or a full-width 1q layer, so the circuit is
+    assembled without a check (:meth:`qcvv.device.Circuit._assembled`).
     """
     if m % 2:
         raise ValueError("mirror benchmark depth must be even")
@@ -624,7 +638,7 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
         layers.append(oneq)
         if i < len(dressed_twoq):
             layers.append(dressed_twoq[i])
-    return Circuit(n, tuple(layers))
+    return Circuit._assembled(n, tuple(layers))
 
 
 def adjusted_success_probability(counts: dict, target: str, n: int) -> float:

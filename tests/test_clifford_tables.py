@@ -102,6 +102,42 @@ def test_randomized_compile_letters_match_tableau_conjugation(gate):
         assert c_letters == _reference_c_letters(d_index, n, twoq)
 
 
+def _dressing_images_per_gate(twoq_layers, n):
+    """The dressing tables written one gate at a time: the reference that
+    :func:`cl._dressing_images` must equal."""
+    images = np.empty((len(twoq_layers), n, 4, 4), dtype=np.uint8)
+    images[:] = np.repeat(np.arange(4, dtype=np.uint8)[:, None], 4, axis=1)
+    partner = np.empty((len(twoq_layers), n), dtype=np.intp)
+    partner[:] = np.arange(n)
+    for i, layer in enumerate(twoq_layers):
+        for label, qubits in layer:
+            for q, other, table in zip(qubits, reversed(qubits), cl._local_images(label)):
+                images[i, q], partner[i, q] = table, other
+    return images, partner
+
+
+@pytest.mark.parametrize("gate", ["CNOT", "CZ", "ISWAP", "SWAP"])
+def test_dressing_images_match_the_per_gate_tables(gate):
+    """Every sublayer's images and partners, written in one go, equal those
+    written gate by gate: sampled sublayers of one gate (edges in either
+    orientation), empty ones, one with a 1q gate beside the 2q ones and one
+    that mixes the four gates, at widths 1 to 6."""
+    gen = rng(29)
+    for n in range(1, 7):
+        edges = [(q, q + 1) if q % 2 else (q + 1, q) for q in range(n - 1)]
+        sampler = rb.LayerSampler(n, edges=edges, twoq_gate=gate, twoq_density=float(gen.random()))
+        layers = [sampler.sample(gen)[1] for _ in range(int(gen.integers(0, 6)))] + [()]
+        if n >= 3:
+            layers.append((("H", (0,)), (gate, (2, 1))))
+        if n >= 6:
+            layers.append((("ISWAP", (5, 0)), ("CZ", (1, 2)), ("SWAP", (3, 4))))
+        got, want = cl._dressing_images(layers, n), _dressing_images_per_gate(layers, n)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    empty = cl._dressing_images([], 3)
+    assert empty[0].shape == (0, 3, 4, 4) and empty[1].shape == (0, 3)
+
+
 # -- 1q layer algebra against per-qubit unitary products --------------------------
 
 _LETTER_OF_CODE = "IZXY"  # letter codes x << 1 | z, see pauli_codes

@@ -761,7 +761,8 @@ def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
     width = max(len(row) for row in rows)
     draws = np.array([np.concatenate([row, gen.random(width - len(row))]) for row in rows])
     hit_rows, hit_cols, idx = dv._search_hits(draws, compiled.identity, compiled.dists, compiled.cdfs, compiled.levels)
-    # the hits come in row order, as callers rely on
+    # the hits come in row-major order of the draws searched; _hit_blocks
+    # searches its rows grouped by circuit and maps each hit back
     want_rows, want_cols = np.nonzero(draws >= compiled.identity[:, None])
     assert np.array_equal(hit_rows, want_rows) and np.array_equal(hit_cols, want_cols)
     got = np.zeros(draws.shape, dtype=np.intp)
@@ -795,6 +796,33 @@ def test_fault_blocks_leave_seeded_samples_unchanged(monkeypatch, pre):
     for budget in (1, 2**40):  # one layer per block; the whole circuit in one block
         monkeypatch.setattr(dv, "_DRAW_BUDGET", budget)
         assert _fast_outputs(model, circ, shots) == default
+
+
+@pytest.mark.parametrize("budget", [1, None], ids=["one-layer-blocks", "default"])
+def test_stacked_bits_start_from_the_earliest_hit_of_any_circuit(monkeypatch, budget):
+    """Each circuit of a stack draws in place into its own run of a block,
+    so a block's hits come grouped by circuit, not by layer.  Circuit 0 is
+    noiseless in its first three layers, so in one block its hits come
+    first but are not the earliest; the stacked output bits still equal
+    each circuit's one-item stack's."""
+    n, shots, seeds = 2, 50, [11, 12, 13]
+    model = dv.noisy_model(n, lambda label, k: None if label == "Z" else ch.stochastic_pauli((0.1, 0.05, 0.15)))
+    sampler, gen = rb.LayerSampler(n, twoq_density=1.0), rng(29)
+    z = (("Z", (0,)), ("Z", (1,)))
+    circuits = [Circuit(n, (z, z, z) + sampler.sample(gen) + sampler.sample(gen)[:1])]
+    circuits += [Circuit(n, sum((sampler.sample(gen) for _ in range(3)), ())) for _ in range(2)]
+    if budget is not None:
+        monkeypatch.setattr(dv, "_DRAW_BUDGET", budget)
+    program = dv.CliffordProgram._side_by_side(model, circuits)
+    d, blocks = program.draws, list(dv._hit_blocks(program, shots, [rng(s) for s in seeds]))
+    first = next(rows for rows, _, _ in blocks if len(rows))
+    assert d.layer[first].min() == 0
+    if budget is None:  # one block: circuit 0's hits, at layer 3 or later, come first
+        assert d.qubits[first[0], 0] // n == 0 and d.layer[first[0]] >= 3
+    stacked = dv._fault_parities(program, None, shots, [rng(s) for s in seeds])
+    assert stacked.any()
+    for circuit, seed, bits in zip(circuits, seeds, stacked):
+        assert np.array_equal(bits, dv._fault_parities(dv.CliffordProgram(model, circuit), None, shots, [rng(seed)])[0])
 
 
 def propagate_faults_reference(model, circuit, shots, gen):
@@ -1641,15 +1669,7 @@ def _fast_ensemble_case(family, n, seed):
         x = (("u", (n - 1,)),)
         circuits.append(Circuit(n, circuits[-1].layers + (x, x), {"u": cl.GATE_UNITARIES["X"]}))
         return [circuits[i] for i in gen.permutation(len(circuits))]
-
-    def hand(model, circuits, *args):
-        raise _Handed(circuits)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fd, "_sample_all", hand)
-        with pytest.raises(_Handed) as handed:
-            fd.mcfe(dv.ideal_model(n), target, int(gen.integers(1, 4)), 1, seed)
-    return handed.value.args[0]
+    return _mcfe_circuits(n, target, int(gen.integers(1, 4)), seed)
 
 
 def _fast_ensemble_model(n, noise, idle, confusion, pre):
@@ -2002,6 +2022,21 @@ def _assert_arrays_equal(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _assert_built_as_checked(got, want):
+    """``got``, built unchecked, is the circuit ``want`` that ``Circuit(width,
+    layers)`` checked and built: its layers, every flat field, arrays and
+    idle mask, equality, hash, pickle and JSON."""
+    assert got.layers == want.layers and got == want and hash(got) == hash(want)
+    assert got.to_json() == want.to_json() and got.gate_defs == want.gate_defs == {}
+    for field in dv._Flat._fields:
+        assert getattr(got._flat, field) == getattr(want._flat, field), field
+    _assert_arrays_equal(got._flat.arrays, want._flat.arrays)
+    assert np.array_equal(got._flat.idle, want._flat.idle)
+    back = pickle.loads(pickle.dumps(got))
+    assert back == want and back._flat == want._flat and back.to_json() == want.to_json()
+    _assert_arrays_equal(back._flat.arrays, want._flat.arrays)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_skeleton_ensembles(), st.integers(0, 2**31))
 def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
@@ -2013,15 +2048,7 @@ def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
     n = circuits[0].width
     checked = [Circuit(n, c.layers) for c in circuits]
     for got, want in zip(circuits, checked):
-        assert got.layers == want.layers and got == want and hash(got) == hash(want)
-        assert got.to_json() == want.to_json() and got.gate_defs == want.gate_defs == {}
-        for field in dv._Flat._fields:
-            assert getattr(got._flat, field) == getattr(want._flat, field), field
-        _assert_arrays_equal(got._flat.arrays, want._flat.arrays)
-        assert np.array_equal(got._flat.idle, want._flat.idle)
-        back = pickle.loads(pickle.dumps(got))
-        assert back == want and back._flat == want._flat and back.to_json() == want.to_json()
-        _assert_arrays_equal(back._flat.arrays, want._flat.arrays)
+        _assert_built_as_checked(got, want)
     by_skeleton = {}
     for got, want in zip(circuits, checked):
         by_skeleton.setdefault(id(got._flat.skeleton), []).append((got, want))
@@ -2045,8 +2072,9 @@ def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
 
 
 def test_shared_shapes_are_checked_once(monkeypatch):
-    """One accreditation call checks one trap (328 traps here) and one CRB
-    call one circuit per depth; the rest are built on their skeletons."""
+    """One accreditation call checks one trap (328 traps here), one CRB
+    call one circuit per depth and one MCFE call at most one circuit per
+    ensemble; the rest are built on their skeletons."""
     checks, of = [], dv._Flat.of
     monkeypatch.setattr(dv._Flat, "of", classmethod(lambda cls, *args: checks.append(1) or of(*args)))
     sampler = rb.LayerSampler(3, twoq_gate="CZ", twoq_density=0.6)
@@ -2056,6 +2084,85 @@ def test_shared_shapes_are_checked_once(monkeypatch):
     checks.clear()
     design = rb.RBDesign((0, 1), (0, 2, 4, 8), 10, 10, seed=7)
     assert len(rb.crb_circuits(design, interleave="CZ")) == 40 and len(checks) <= len(design.depths)
+    checks.clear()
+    assert len(_mcfe_circuits(3, target, 40, 5)) == 120 and len(checks) <= 3
+
+
+def _mcfe_circuits(n, target, k, seed):
+    """The M1-M3 circuits that one MCFE call hands to ``_sample_all``."""
+
+    def hand(model, circuits, *args):
+        raise _Handed(circuits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fd, "_sample_all", hand)
+        with pytest.raises(_Handed) as handed:
+            fd.mcfe(dv.ideal_model(n), target, k, 1, seed)
+    return handed.value.args[0]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 4), raw=st.booleans(), seed=st.integers(0, 2**31))
+def test_mcfe_ensembles_are_built_as_checked(n, k, raw, seed):
+    """MCFE checks its target once and builds each of its three ensembles
+    on one skeleton; every circuit is the one ``Circuit(n, layers)`` checks
+    and builds, also for a target given as lists of numpy integers."""
+    gen = rng(seed)
+    sampler = rb.LayerSampler(n, twoq_gate="CZ", twoq_density=0.8)
+    target = [layer for _ in range(int(gen.integers(0, 3))) for layer in sampler.sample(gen)]
+    if raw:
+        target = [[(label, list(map(np.int64, qubits))) for label, qubits in layer] for layer in target]
+    circuits = _mcfe_circuits(n, target, k, seed)
+    assert len(circuits) == 3 * k
+    for i in range(3):
+        ensemble = circuits[i * k : (i + 1) * k]
+        assert len({id(c._flat.skeleton) for c in ensemble}) == 1
+        for c in ensemble:
+            _assert_built_as_checked(c, Circuit(n, c.layers))
+
+
+@pytest.mark.parametrize("protocol", ["birb", "mrb"])
+def test_sampled_circuits_are_assembled_unchecked(monkeypatch, protocol):
+    """One BiRB or MRB call builds no body, mirror circuit, preparation or
+    readout through the checked constructor: the sampler checked its edges
+    once, and every circuit is assembled from its layers."""
+    n = 4
+    sampler = rb.LayerSampler(n, edges=[(1, 0), (2, 3), (1, 2)], twoq_density=0.6)
+    model = dv.noisy_model(n, lambda lbl, ar: ch.depolarizing(0.02, n=ar), idle=ch.stochastic_pauli((0.01, 0.0, 0.01)))
+    design = rb.RBDesign(tuple(range(n)), (0, 2, 4), 3, 20, seed=5)
+    checks, of = [], dv._Flat.of
+    monkeypatch.setattr(dv._Flat, "of", classmethod(lambda cls, *args: checks.append(1) or of(*args)))
+    result = getattr(rb, protocol)(model, design, sampler)
+    assert len(result["data"].depths) == 3 and checks == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    gate=st.sampled_from(["CNOT", "CZ", "ISWAP", "SWAP"]),
+    density=st.sampled_from([0.0, 0.5, 1.0]),
+    m=st.sampled_from([0, 2, 6]),
+    custom=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_assembled_circuits_equal_checked_ones(n, gate, density, m, custom, seed):
+    """``Circuit._assembled`` builds the circuit that ``Circuit(n, layers)``
+    checks and builds, on the layers the library assembles: sampled bodies,
+    mirror circuits, eigenstate preparations and readouts, default or custom
+    edges (random pairs in either orientation), depth 0 included."""
+    gen = rng(seed)
+    edges = None
+    if custom:
+        pairs = [(a, b) if gen.random() < 0.5 else (b, a) for a in range(n) for b in range(a + 1, n)]
+        edges = [pairs[i] for i in gen.permutation(len(pairs))[: int(gen.integers(0, len(pairs) + 1))]]
+    sampler = rb.LayerSampler(n, edges=edges, twoq_gate=gate, twoq_density=density)
+    body = tuple(layer for _ in range(m) for layer in sampler.sample(gen))
+    mirror = rb.mirror_circuit(sampler, m, gen).layers
+    p = PauliString.from_index(int(gen.integers(1, 4**n)), n)
+    prep, _ = cl.eigenstate_layer(p, gen)
+    for layers in (body, mirror, (prep,), (cl.readout_layer(p),)):
+        assert dv._Flat.of(n, layers) is not None  # normalised as built, so kept as they are
+        _assert_built_as_checked(Circuit._assembled(n, layers), Circuit(n, layers))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

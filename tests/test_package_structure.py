@@ -95,9 +95,10 @@ def test_parity_protocols_import_no_parity_circuit_internals(name):
     assert imported & PARITY_INTERNALS == set()
 
 
-# the generators that build circuits of one shape on one checked skeleton;
-# every other module reads layers from outside (configs, callers, files) and
-# builds its circuits through the checked ``Circuit(width, layers)``
+# the generators that build circuits of one shape on one checked skeleton,
+# or assemble them unchecked from valid parts; every other module reads
+# layers from outside (configs, callers, files) and builds its circuits
+# through the checked ``Circuit(width, layers)``
 SKELETON_BUILDERS = {"device", "rb", "fidelity"}
 
 
@@ -107,7 +108,7 @@ def test_only_generators_build_circuits_on_a_skeleton(path):
     calls = [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_on_skeleton"
+        if isinstance(node, ast.Attribute) and node.attr in ("_on_skeleton", "_assembled")
     ]
     assert path.stem in SKELETON_BUILDERS or calls == []
 

@@ -230,6 +230,20 @@ def test_xrb_noiseless_unitarity_one():
     assert out["u"] == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("edges", [[(0, 4)], [(1, 1)], [(0, 1, 2)], [(0, 1), (-1, 2)], [(2,)]])
+def test_layer_sampler_rejects_bad_edges_at_construction(edges):
+    with pytest.raises(ValueError):
+        rb.LayerSampler(4, edges=edges)
+
+
+def test_layer_sampler_normalises_its_edges_and_gate():
+    sampler = rb.LayerSampler(4, edges=np.array([[3, 2], [0, 1]]), twoq_gate=np.str_("CZ"))
+    assert sampler.edges == ((3, 2), (0, 1)) and type(sampler.edges) is tuple
+    assert all(type(q) is int for e in sampler.edges for q in e)
+    assert type(sampler.twoq_gate) is str and sampler._ops == [("CZ", (3, 2)), ("CZ", (0, 1))]
+    assert rb.LayerSampler(1).edges == ()
+
+
 def test_layer_sampler_disjoint_and_polarization_oracle():
     sampler = rb.LayerSampler(4, twoq_density=1.0)
     gen = rng(41)
