@@ -44,24 +44,21 @@ a key number and a support.  ``Circuit`` builds it in the one pass that
 checks the operations, which keeps layers the generators built normalised
 as they are and normalises any other input first, and ``Circuit.then``
 joins two flat forms instead of walking the operations again.  The arrays
-that the Clifford paths index (padded supports and layer numbers) belong
-to the flat form's :class:`_Skeleton`, its shape without labels.  They and
-the idle-qubit mask are built on first use, so a circuit that is only
-joined to another, or that the dense backend runs on a model without an
-idle channel, builds none.  A backend call resolves one :class:`GateRecord`
-per key and reads everything else off the flat form.
+that the Clifford paths index (padded supports and layer numbers) and the
+idle-qubit mask are built from the flat form's lists on first use, so a
+circuit that is only joined to another, or that the dense backend runs on
+a model without an idle channel, builds none.  A backend call resolves one
+:class:`GateRecord` per key and reads everything else off the flat form.
 
-The generators whose circuits share one shape build them on one skeleton
-(:meth:`Circuit._on_skeleton`): accreditation builds one per call, CRB one
-per depth and MCFE one per ensemble.  The first circuit is checked through
-``Circuit(width, layers)``, or assembled from checked parts, and the rest
-take its skeleton unchecked, so each adds only its labels' key numbers, and
-they share the skeleton's arrays.  Their draws are those of a circuit built
-at a time, in the same order.  The dense backend groups circuits by
-skeleton.  Circuits that library code assembles from valid parts (BiRB
-bodies, mirror circuits, eigenstate preparations and readouts) are built
-by :meth:`Circuit._assembled`, which numbers the labels and checks nothing;
-:class:`qcvv.rb.LayerSampler` checks its edges once instead.
+Every layer from outside the library goes through ``Circuit(width,
+layers)``.  Circuits that library code assembles from valid parts are
+built by :meth:`Circuit._assembled`, which numbers the labels and checks
+nothing: BiRB bodies and mirror circuits (:class:`qcvv.rb.LayerSampler`
+checks its edges once instead), eigenstate preparations and readouts, CRB
+circuits (element layers of one per-width table), and the MCFE circuits
+and accreditation traps built from a target checked once.  The dense
+backend groups circuits by shape, their layer lengths and per-operation
+supports.
 
 The dense backend builds the noisy channels a circuit's records still lack
 in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
@@ -189,60 +186,16 @@ from .metrics import ProbDist
 from .paulis import PauliString
 
 
-class _Skeleton:
-    """The shape of a circuit without its labels: its width, each
-    operation's support in circuit order (``supports``) and each layer's
-    operation count (``lengths``).
-
-    Every :class:`_Flat` has one, built from its own lists on first use; the
-    generators of one call build their circuits on one skeleton, checked
-    once (:meth:`Circuit._on_skeleton`), so those circuits share it and its
-    arrays.  Skeletons hash and compare by value, so circuits of one shape
-    that were built apart still group together.  Built on first use:
-    ``arrays``, an :class:`_Arrays` without keys (``key`` None)."""
-
-    def __init__(self, width: int, supports, lengths):
-        self.width, self.supports, self.lengths = width, supports, lengths
-
-    @cached_property
-    def _value(self) -> tuple:
-        return self.width, tuple(self.lengths), tuple(self.supports)
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, _Skeleton) and self._value == other._value)
-
-    @cached_property
-    def arities(self) -> list:
-        return list(map(len, self.supports))
-
-    @cached_property
-    def arrays(self) -> "_Arrays":
-        arity = np.fromiter(self.arities, dtype=np.intp, count=len(self.supports))
-        levels = int(arity.max(initial=1))
-        supports = np.full((len(self.supports), levels), self.width, dtype=np.intp)
-        # a boolean-mask write fills the supports row by row, in circuit order
-        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
-        layer = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        for a in (arity, supports, layer):
-            a.flags.writeable = False  # shared by every circuit of the skeleton
-        return _Arrays(None, arity, supports, layer)
-
-
 class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     """A circuit's operations in one flat form, independent of any model.
 
     ``keys`` are the distinct ``(label, arity)`` pairs in order of first
     use; ``key`` holds each operation's key number and ``supports`` its
     qubits, in circuit order; ``lengths`` counts each layer's operations,
-    empty layers included.  Built from these on first use: the circuit's
-    :class:`_Skeleton` (``skeleton``), unless the circuit was built on one;
-    the arrays that the Clifford paths index (``arrays``, an
-    :class:`_Arrays`), the skeleton's with the key numbers added; and
-    ``idle``, the (depth, width) mask of the qubits that no gate of a layer
-    touches.
+    empty layers included.  Built from these on first use: the read-only
+    arrays that the Clifford paths index (``arrays``, an :class:`_Arrays`)
+    and ``idle``, the (depth, width) mask of the qubits that no gate of a
+    layer touches.
     """
 
     @classmethod
@@ -277,18 +230,10 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     @classmethod
     def _built(cls, width: int, layers, labels, supports) -> "_Flat":
         """The flat form of normalised ``layers``, given their operations'
-        ``labels`` and ``supports`` in circuit order; nothing is checked."""
+        ``labels`` (any iterable) and ``supports`` (a list) in circuit
+        order; nothing is checked."""
         key, keys = _numbered(labels, map(len, supports))
         return cls(width, keys, key, supports, list(map(len, layers)))
-
-    @classmethod
-    def on(cls, skeleton: _Skeleton, labels) -> "_Flat":
-        """The flat form of operations with ``labels``, in circuit order, on
-        ``skeleton``'s supports; nothing is checked."""
-        key, keys = _numbered(labels, skeleton.arities)
-        flat = cls(skeleton.width, keys, key, skeleton.supports, skeleton.lengths)
-        flat.__dict__["skeleton"] = skeleton
-        return flat
 
     @classmethod
     def side_by_side(cls, flats, n: int) -> "_Flat":
@@ -299,7 +244,7 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         across the circuits, and the operations run layer by layer, circuit
         by circuit within a layer (a stable sort by layer).  Only ``keys``,
         ``lengths`` and ``arrays`` are built, in one pass over the
-        circuits' lists, as a skeleton builds one circuit's arrays; ``key``
+        circuits' lists, as ``arrays`` is built for one circuit; ``key``
         and ``supports`` are None, so the result is never joined."""
         keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
         number = dict(zip(keys, count()))
@@ -336,12 +281,16 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         return _Flat(max(self.width, other.width), keys, key, self.supports + other.supports, self.lengths + other.lengths)
 
     @cached_property
-    def skeleton(self) -> _Skeleton:
-        return _Skeleton(self.width, self.supports, self.lengths)
-
-    @cached_property
     def arrays(self) -> "_Arrays":
-        return self.skeleton.arrays._replace(key=np.array(self.key, dtype=np.intp))
+        arity = np.fromiter(map(len, self.supports), dtype=np.intp, count=len(self.supports))
+        levels = int(arity.max(initial=1))
+        supports = np.full((len(self.supports), levels), self.width, dtype=np.intp)
+        # a boolean-mask write fills the supports row by row, in circuit order
+        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
+        out = _Arrays(np.array(self.key, dtype=np.intp), arity, supports, np.repeat(np.arange(len(self.lengths)), self.lengths))
+        for a in out:
+            a.flags.writeable = False  # cached with the flat form
+        return out
 
     @cached_property
     def idle(self) -> np.ndarray:
@@ -378,18 +327,16 @@ class Circuit:
     pairs as the generators build them, are kept as they are; any other
     input has every label and qubit normalised first.
 
-    A circuit is built one of three ways, and the circuit, its flat form,
-    equality, hash, pickle and JSON are the same whichever it takes:
+    A circuit is built one of two ways, or joined from two by
+    :meth:`then`, and the circuit, its flat form, equality, hash, pickle and
+    JSON are the same whichever it takes:
 
     * ``Circuit(width, layers)`` checks every operation, as above; every
       layer that comes from outside the library goes through it;
     * :meth:`_assembled` numbers the labels of normalised layers that
-      library code assembled from valid parts (BiRB bodies, mirror
-      circuits, eigenstate preparations and readouts) and checks nothing;
-    * :meth:`_on_skeleton` builds a circuit on the :class:`_Skeleton` of one
-      of the first two, for generators whose circuits share one shape
-      (accreditation traps, the CRB circuits of one depth, each MCFE
-      ensemble); it numbers the labels and checks nothing.
+      library code assembled from valid parts (BiRB bodies, mirror and CRB
+      circuits, eigenstate preparations and readouts, MCFE circuits and
+      accreditation traps) and checks nothing.
     """
 
     width: int
@@ -410,15 +357,8 @@ class Circuit:
         from valid parts; nothing is checked, and its flat form is the one
         the checked constructor builds."""
         ops = list(chain.from_iterable(layers))
-        flat = _Flat._built(width, layers, list(map(itemgetter(0), ops)), list(map(itemgetter(1), ops)))
+        flat = _Flat._built(width, layers, map(itemgetter(0), ops), list(map(itemgetter(1), ops)))
         return cls._unchecked(width, layers, flat)
-
-    @classmethod
-    def _on_skeleton(cls, skeleton: _Skeleton, layers) -> "Circuit":
-        """A circuit of normalised ``layers`` whose supports and layer
-        lengths are ``skeleton``'s, which a checked circuit of the same
-        generator call gave; nothing is checked again."""
-        return cls._unchecked(skeleton.width, layers, _Flat.on(skeleton, map(itemgetter(0), chain.from_iterable(layers))))
 
     @classmethod
     def _unchecked(cls, width: int, layers, flat: _Flat, gate_defs=None) -> "Circuit":
@@ -973,9 +913,9 @@ def _ensemble_states(model: GateSetModel, circuits):
     The circuits' records resolve first, circuit by circuit in order, as
     one call per circuit resolves them, and the noisy channels that any of
     them lacks are then built in one :func:`_build_noisy` pass, bit for bit
-    those of a pass per circuit.  Circuits of one :class:`_Skeleton`, the
-    same layer lengths and per-operation supports and hence the same idle
-    qubits, then evolve as one superket stack
+    those of a pass per circuit.  Circuits of one shape, the same layer
+    lengths and per-operation supports and hence the same idle qubits, then
+    evolve as one superket stack
     (:func:`_dense_states`), in stacks that ``_ENSEMBLE_BUDGET`` bounds; a
     circuit alone in its shape is a one-item stack.  A stack is evolved
     only when the previous one's states have all been yielded.
@@ -984,9 +924,9 @@ def _ensemble_states(model: GateSetModel, circuits):
     _build_noisy(dict.fromkeys(chain.from_iterable(records)))
     groups = {}
     for i, circuit in enumerate(circuits):
-        groups.setdefault(circuit._flat.skeleton, []).append(i)
-    for skeleton, members in groups.items():
-        arity = max(skeleton.arities, default=0)
+        groups.setdefault((tuple(circuit._flat.lengths), tuple(circuit._flat.supports)), []).append(i)
+    for (_, supports), members in groups.items():
+        arity = max(map(len, supports), default=0)
         size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
@@ -1686,10 +1626,10 @@ def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str, 
 
 def parity_from_counts(record: ShotRecord, pauli: PauliString) -> float:
     """Mean +/-1 parity of the bits on ``pauli``'s support over a record's counts."""
-    val = 0.0
+    # qubit q is character q of an n-bit string, so bit n - 1 - q of its value
+    mask, val = int(format(pauli.pattern, f"0{pauli.n}b")[::-1], 2), 0.0
     for bstr, c in record.counts.items():
-        par = sum(int(bstr[q]) for q in range(pauli.n) if (pauli.pattern >> q) & 1) % 2
-        val += c * (1 - 2 * par)
+        val += c * (1 - 2 * (bin(int(bstr, 2) & mask).count("1") & 1))
     return val / record.shots
 
 

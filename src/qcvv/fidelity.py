@@ -215,11 +215,12 @@ def mcfe(
 
     The target is checked once, as ``Circuit(n, target_layers)``.  Every
     circuit is assembled from its normalised layers, their inverses and
-    drawn full-width 1q layers, so none is checked again, and the circuits
-    of one ensemble share one shape: its first circuit is built by
-    :meth:`qcvv.device.Circuit._assembled` and the rest on its skeleton
-    (:meth:`qcvv.device.Circuit._on_skeleton`).
+    drawn full-width 1q layers, so none is checked again
+    (:meth:`qcvv.device.Circuit._assembled`).  ``k_ensemble`` below 2 is a
+    ValueError: the error bar needs two circuits per ensemble.
     """
+    if k_ensemble < 2:
+        raise ValueError("k_ensemble must be at least 2")
     n = model.n
     gen = rng(seed)
     oneq_t, twoq_t = split_alternating(Circuit(n, tuple(tuple(l) for l in target_layers)).layers, n)
@@ -242,7 +243,7 @@ def mcfe(
     fw_halves, rv_halves = iter(fw_halves), iter(rv_halves)
     inverse = clifford_1q_tables().inverse
     circuits = []
-    for c, (which, l0) in enumerate(zip(which_of, l0s)):
+    for which, l0 in zip(which_of, l0s):
         layers = [oneq_layer(l0)]
         if which != 3:
             fw_one = next(fw_halves) if which == 2 else oneq_t
@@ -252,12 +253,7 @@ def mcfe(
                     if i < len(half_two) and half_two[i]:
                         layers.append(tuple(half_two[i]))
         layers.append(oneq_layer(inverse[l0].tolist()))
-        layers = tuple(lay for lay in layers if lay)
-        if c % k_ensemble:
-            circuits.append(Circuit._on_skeleton(skeleton, layers))
-        else:  # the first circuit of its ensemble gives the ensemble's skeleton
-            circuits.append(Circuit._assembled(n, layers))
-            skeleton = circuits[-1]._flat.skeleton
+        circuits.append(Circuit._assembled(n, tuple(lay for lay in layers if lay)))
     gammas = {1: [], 2: [], 3: []}
     records = _sample_all(model, circuits, shots, seeds, backend, np.zeros(n, dtype=np.uint8))
     for which, rec in zip(which_of, records):
@@ -387,14 +383,14 @@ def accredit(
     outcome; the fraction bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2
     N_uns/N_c``.  All traps and their shot seeds are drawn first, trap by
     trap, then sampled as one ensemble (:func:`qcvv.device._sample_all`),
-    which draws nothing from ``seed``'s generator.  The traps are built as
-    one ensemble (:func:`_traps`): the draws keep their order, one trap at
-    a time, and the traps share one skeleton, so one trap's shape is
-    checked and the rest are built on it.
+    which draws nothing from ``seed``'s generator.  The target is checked
+    once, as ``Circuit(n, target_layers)``, and the traps are built as one
+    ensemble (:func:`_traps`): the draws keep their order, one trap at a
+    time.
     """
     n = model.n
     gen = rng(seed)
-    _, twoq_t = split_alternating([tuple(l) for l in target_layers], n)
+    _, twoq_t = split_alternating(Circuit(n, tuple(tuple(l) for l in target_layers)).layers, n)
     for layer in twoq_t:
         for lbl, qs in layer:
             if len(qs) == 2 and lbl != "CZ":
@@ -418,9 +414,9 @@ def _traps(n, twoq_t, n_traps, gen):
     (:func:`qcvv.cliffords.randomized_compile`), then its seed.  Only then
     are the 1q elements of every trap composed and dressed at once
     (:func:`_trap_oneq_elements`, :func:`qcvv.cliffords._dress_elements`).
-    Full-width 1q layers alternate with the non-empty CZ layers; the first
-    trap is built and checked as ``Circuit(n, layers)``, and the rest share
-    its skeleton (:meth:`qcvv.device.Circuit._on_skeleton`)."""
+    Full-width 1q layers alternate with the non-empty CZ layers of the
+    checked target, so every trap is assembled unchecked
+    (:meth:`qcvv.device.Circuit._assembled`)."""
     n_rounds = len(twoq_t) + 1
     rounds, dressings, seeds = [], [], []
     for _ in range(n_traps):
@@ -436,12 +432,7 @@ def _traps(n, twoq_t, n_traps, gen):
         slots.append(i)
         if i < len(twoq_t) and twoq_t[i]:
             slots.append(twoq_t[i])
-    rows = elements.tolist()
-    first = Circuit(n, _trap_layers(rows[0], slots))
-    # the CZ layers as the first trap's check normalised them
-    slots = [s if type(s) is int else layer for s, layer in zip(slots, first.layers)]
-    skeleton = first._flat.skeleton
-    return [first] + [Circuit._on_skeleton(skeleton, _trap_layers(row, slots)) for row in rows[1:]], seeds
+    return [Circuit._assembled(n, _trap_layers(row, slots)) for row in elements.tolist()], seeds
 
 
 def _trap_layers(elements, slots) -> tuple:

@@ -197,10 +197,11 @@ def crb_circuits(design: RBDesign, interleave: str = None):
     the index of the final Pauli.  The circuits of one depth are composed
     together, one stacked product per sequence position, and one pass over
     all circuits identifies each closing element (the Pauli times the
-    inverse of the composed sequence).  The circuits of one depth share one
-    shape: the first is built and checked as ``Circuit(n, layers)``, and the
-    rest take its skeleton unchecked (:meth:`Circuit._on_skeleton`), each
-    layer taken from one per-width table of element layers.
+    inverse of the composed sequence).  Every layer is a full-register
+    element layer of one per-width table or the interleaved gate's, named
+    by ``str(interleave)``, so each circuit is assembled unchecked
+    (:meth:`Circuit._assembled`); a model checks a label's arity when it
+    resolves it.
     """
     n = len(design.qubits)
     if n not in (1, 2):
@@ -226,16 +227,8 @@ def crb_circuits(design: RBDesign, interleave: str = None):
                 u = inter_u @ u
         targets.append(paulis[pidx] @ u.conj().swapaxes(-1, -2))  # the closing elements, up to phase
     closing = clifford_index(n, np.concatenate(targets))
-    elements, out, skeletons = _element_layers(n), [], {}
-    for (m, layers, bits), k in zip(drawn, closing):
-        layers = (*layers, elements[k])
-        if m in skeletons:
-            circuit = Circuit._on_skeleton(skeletons[m], layers)
-        else:
-            circuit = Circuit(n, layers)
-            skeletons[m] = circuit._flat.skeleton
-        out.append((m, circuit, bits))
-    return out
+    elements = _element_layers(n)
+    return [(m, Circuit._assembled(n, (*layers, elements[k])), bits) for (m, layers, bits), k in zip(drawn, closing)]
 
 
 def run_decay(model: GateSetModel, circuits, design: RBDesign, backend: str = "dense") -> DecayDataset:
@@ -643,11 +636,10 @@ def mirror_circuit(sampler: LayerSampler, m: int, gen) -> Circuit:
 
 def adjusted_success_probability(counts: dict, target: str, n: int) -> float:
     """Hamming-weighted success metric from an outcome histogram."""
-    shots = sum(counts.values())
+    shots, mask = sum(counts.values()), int(target, 2)
     hk = np.zeros(n + 1)
     for bstr, c in counts.items():
-        k = sum(1 for a, b in zip(bstr, target) if a != b)
-        hk[k] += c / shots
+        hk[bin(int(bstr, 2) ^ mask).count("1")] += c / shots
     weights = (-0.5) ** np.arange(n + 1)
     return float(4**n / (4**n - 1) * np.dot(weights, hk) - 1 / (4**n - 1))
 

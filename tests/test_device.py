@@ -1646,6 +1646,30 @@ def test_ensemble_keeps_each_circuits_gate_defs(monkeypatch):
     assert len({tuple(sorted(r.counts.items())) for r in records}) == 5
 
 
+def test_one_shape_built_apart_is_one_stack(monkeypatch):
+    """Circuits of one shape share a dense stack however each was built:
+    CRB circuits assembled by two generator calls and checked copies of
+    them, rebuilt from lists, interleaved with circuits of another shape,
+    evolve in one ``_dense_states`` call per shape, each with the records
+    of its own ``sample_counts`` call."""
+    model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.02 * k, n=k), idle=ch.stochastic_pauli((0.01, 0.0, 0.02)))
+    short, long = ([c for d, c, _ in rb.crb_circuits(rb.RBDesign((0, 1), (1, 2, 3), 3, 10, seed=m)) if d == m] for m in (1, 3))
+    checked = [Circuit(2, [[list(op) for op in layer] for layer in c.layers]) for c in short]
+    circuits = [c for trio in zip(short, long, checked) for c in trio]
+    stacks, original = [], dv._dense_states
+
+    def spy(model, circuits, records):
+        stacks.append(len(circuits))
+        return original(model, circuits, records)
+
+    monkeypatch.setattr(dv, "_dense_states", spy)
+    seeds = list(range(len(circuits)))
+    records = dv._sample_ensemble(model, circuits, 200, seeds)
+    assert stacks == [6, 3]
+    monkeypatch.undo()
+    assert records == [dv.sample_counts(model, c, 200, s) for c, s in zip(circuits, seeds)]
+
+
 # -- fast-path ensembles ------------------------------------------------------------
 
 
@@ -1669,7 +1693,7 @@ def _fast_ensemble_case(family, n, seed):
         x = (("u", (n - 1,)),)
         circuits.append(Circuit(n, circuits[-1].layers + (x, x), {"u": cl.GATE_UNITARIES["X"]}))
         return [circuits[i] for i in gen.permutation(len(circuits))]
-    return _mcfe_circuits(n, target, int(gen.integers(1, 4)), seed)
+    return _mcfe_circuits(n, target, int(gen.integers(2, 4)), seed)
 
 
 def _fast_ensemble_model(n, noise, idle, confusion, pre):
@@ -1991,15 +2015,15 @@ def test_parity_protocols_sample_only_through_eigenstate_parities(monkeypatch):
     assert sum(helped) == len(signed) == 3 * 3 + 2 * 2 * 3 + (15 + 3 + 3) + 2 * 4
 
 
-# -- circuits built on a shared skeleton ---------------------------------------------
+# -- circuits the generators assemble unchecked -------------------------------------
 
 
 @st.composite
-def _skeleton_ensembles(draw):
-    """The circuits of one generator call that share skeletons: the traps of
-    one accreditation call over a random CZ target (width 1 to 5, none to
-    three CZ layers), or the CRB circuits of one call, one skeleton per
-    depth, with or without an interleaved gate."""
+def _generated_ensembles(draw):
+    """The circuits of one generator call, of one shape per depth: the traps
+    of one accreditation call over a random CZ target (width 1 to 5, none
+    to three CZ layers), or the CRB circuits of one call, with or without
+    an interleaved gate."""
     seed = draw(st.integers(0, 2**31))
     gen = rng(seed)
     if draw(st.booleans()):
@@ -2038,22 +2062,21 @@ def _assert_built_as_checked(got, want):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(_skeleton_ensembles(), st.integers(0, 2**31))
-def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
-    """A circuit built on its generator call's skeleton is the circuit that
-    ``Circuit(width, layers)`` checks and builds: its layers, every flat
-    field, arrays and idle mask, equality, hash, pickle and JSON, and its
-    records on both backends.  A stack of the circuits of one skeleton is
+@given(_generated_ensembles(), st.integers(0, 2**31))
+def test_generated_circuits_equal_checked_ones(circuits, seed):
+    """A circuit that a generator call assembles unchecked is the circuit
+    that ``Circuit(width, layers)`` checks and builds: its layers, every
+    flat field, arrays and idle mask, equality, hash, pickle and JSON, and
+    its records on both backends.  A stack of the circuits of one shape is
     the stack of the checked circuits."""
     n = circuits[0].width
     checked = [Circuit(n, c.layers) for c in circuits]
     for got, want in zip(circuits, checked):
         _assert_built_as_checked(got, want)
-    by_skeleton = {}
+    by_shape = {}
     for got, want in zip(circuits, checked):
-        by_skeleton.setdefault(id(got._flat.skeleton), []).append((got, want))
-    assert len(by_skeleton) == len({c.depth for c in circuits})  # one skeleton per shape
-    for pairs in by_skeleton.values():
+        by_shape.setdefault((tuple(got._flat.lengths), tuple(got._flat.supports)), []).append((got, want))
+    for pairs in by_shape.values():
         stacked = dv._Flat.side_by_side([got._flat for got, _ in pairs], n)
         checked_stack = dv._Flat.side_by_side([want._flat for _, want in pairs], n)
         assert stacked == checked_stack
@@ -2072,20 +2095,20 @@ def test_skeleton_built_circuits_equal_checked_ones(circuits, seed):
 
 
 def test_shared_shapes_are_checked_once(monkeypatch):
-    """One accreditation call checks one trap (328 traps here), one CRB
-    call one circuit per depth and one MCFE call at most one circuit per
-    ensemble; the rest are built on their skeletons."""
+    """One accreditation call (328 traps here) and one MCFE call check their
+    target once and no circuit of their own, and one CRB call checks
+    nothing; every circuit is assembled."""
     checks, of = [], dv._Flat.of
     monkeypatch.setattr(dv._Flat, "of", classmethod(lambda cls, *args: checks.append(1) or of(*args)))
     sampler = rb.LayerSampler(3, twoq_gate="CZ", twoq_density=0.6)
     target = [layer for _ in range(3) for layer in sampler.sample(rng(1313))]
     result = fd.accredit(dv.ideal_model(3), target, theta=0.15, alpha=0.95, seed=5)
-    assert result.n_traps == 328 and len(checks) <= 1
+    assert result.n_traps == 328 and len(checks) == 1
     checks.clear()
     design = rb.RBDesign((0, 1), (0, 2, 4, 8), 10, 10, seed=7)
-    assert len(rb.crb_circuits(design, interleave="CZ")) == 40 and len(checks) <= len(design.depths)
-    checks.clear()
-    assert len(_mcfe_circuits(3, target, 40, 5)) == 120 and len(checks) <= 3
+    assert len(rb.crb_circuits(design, interleave="CZ")) == 40 and checks == []
+    assert len(rb.crb_circuits(rb.RBDesign((0,), (0, 3, 6), 4, 10, seed=8), interleave="X90")) == 12 and checks == []
+    assert len(_mcfe_circuits(3, target, 40, 5)) == 120 and len(checks) == 1
 
 
 def _mcfe_circuits(n, target, k, seed):
@@ -2102,11 +2125,11 @@ def _mcfe_circuits(n, target, k, seed):
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(n=st.integers(1, 4), k=st.integers(1, 4), raw=st.booleans(), seed=st.integers(0, 2**31))
+@given(n=st.integers(1, 4), k=st.integers(2, 4), raw=st.booleans(), seed=st.integers(0, 2**31))
 def test_mcfe_ensembles_are_built_as_checked(n, k, raw, seed):
-    """MCFE checks its target once and builds each of its three ensembles
-    on one skeleton; every circuit is the one ``Circuit(n, layers)`` checks
-    and builds, also for a target given as lists of numpy integers."""
+    """MCFE checks its target once and assembles its three ensembles; every
+    circuit is the one ``Circuit(n, layers)`` checks and builds, also for a
+    target given as lists of numpy integers."""
     gen = rng(seed)
     sampler = rb.LayerSampler(n, twoq_gate="CZ", twoq_density=0.8)
     target = [layer for _ in range(int(gen.integers(0, 3))) for layer in sampler.sample(gen)]
@@ -2116,7 +2139,6 @@ def test_mcfe_ensembles_are_built_as_checked(n, k, raw, seed):
     assert len(circuits) == 3 * k
     for i in range(3):
         ensemble = circuits[i * k : (i + 1) * k]
-        assert len({id(c._flat.skeleton) for c in ensemble}) == 1
         for c in ensemble:
             _assert_built_as_checked(c, Circuit(n, c.layers))
 

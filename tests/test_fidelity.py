@@ -170,6 +170,13 @@ def test_mcfe_negative_radicand_raises():
         fd.mcfe(model, layers, k_ensemble=5, shots=20, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_mcfe_needs_two_circuits_per_ensemble(k):
+    layers = random_target_layers(3, 2, seed=7)
+    with pytest.raises(ValueError, match="k_ensemble"):
+        fd.mcfe(dv.ideal_model(3), layers, k_ensemble=k, shots=10, seed=5)
+
+
 # -- accreditation ------------------------------------------------------------------
 
 def test_trap_count_formula():
@@ -193,6 +200,23 @@ def test_accreditation_rejects_non_cz_entanglers():
     layers = random_target_layers(n, 2, seed=15, twoq_gate="CNOT")
     with pytest.raises(ValueError):
         fd.accredit(model, layers, theta=0.3, alpha=0.9, seed=3)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((("H", (7,)),), "out of range"),
+        ((("S", (0,)), ("S", (0,))), "overlapping"),
+    ],
+)
+def test_accreditation_checks_its_target(bad, message):
+    """The whole target is checked, as MCFE checks it, its 1q layers too,
+    although the traps replace them."""
+    layers = [bad, (("CZ", (0, 1)),), (("H", (2,)),)]
+    with pytest.raises(ValueError, match=message):
+        fd.accredit(dv.ideal_model(3), layers, theta=0.3, alpha=0.9, seed=3)
+    with pytest.raises(ValueError, match=message):
+        fd.mcfe(dv.ideal_model(3), layers, k_ensemble=4, shots=10, seed=3)
 
 
 def _label_built_trap(n, twoq_t, gen):

@@ -1,7 +1,8 @@
 """Import structure of the package: every intra-package import sits at module
 level and is used, no protocol module reaches into another's private helpers,
-the module import graph has no cycles, and only the generators build
-circuits on a skeleton, unchecked.  In a fresh interpreter, importing
+the module import graph has no cycles, only the generators assemble
+circuits unchecked, and no private name is left that nothing in the package
+reads.  In a fresh interpreter, importing
 the CLI leaves out ``scipy.stats``, which costs about half a second of cold
 start, and importing every module, or running the protocols that fit
 nothing (accreditation, MCFE, DFE, ACES, sampling on either backend,
@@ -95,11 +96,10 @@ def test_parity_protocols_import_no_parity_circuit_internals(name):
     assert imported & PARITY_INTERNALS == set()
 
 
-# the generators that build circuits of one shape on one checked skeleton,
-# or assemble them unchecked from valid parts; every other module reads
-# layers from outside (configs, callers, files) and builds its circuits
-# through the checked ``Circuit(width, layers)``
-SKELETON_BUILDERS = {"device", "rb", "fidelity"}
+# the generators that assemble circuits unchecked from valid parts; every
+# other module reads layers from outside (configs, callers, files) and
+# builds its circuits through the checked ``Circuit(width, layers)``
+ASSEMBLERS = {"device", "rb", "fidelity"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -108,9 +108,44 @@ def test_only_generators_build_circuits_on_a_skeleton(path):
     calls = [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("_on_skeleton", "_assembled")
+        if isinstance(node, ast.Attribute) and node.attr == "_assembled"
     ]
-    assert path.stem in SKELETON_BUILDERS or calls == []
+    assert path.stem in ASSEMBLERS or calls == []
+
+
+def _defined_private_names(tree):
+    """(line, name) of each private name bound at module level or in a
+    class body: functions, classes, and assignment targets."""
+    out = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((node.lineno, node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.extend((node.lineno, t.id) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+
+    visit(tree.body)
+    return [(line, name) for line, name in out if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_orphan_private_names():
+    """Every private module-level or class-level name in the package is read
+    somewhere in it, as a ``Name`` or an ``Attribute``, so a deleted code
+    path leaves no helper behind."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [f"{name}:{line} {defined}" for name, tree in trees.items() for line, defined in _defined_private_names(tree) if defined not in read]
+    assert orphans == []
 
 
 def test_module_import_graph_is_acyclic():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcvv import channels as ch
 from qcvv import device as dv
@@ -302,6 +304,36 @@ def test_adjusted_success_probability_limits():
     # all-qubit full depolarization: uniform h_k gives 0
     counts = {format(i, f"0{n}b"): 1 for i in range(2**n)}
     assert rb.adjusted_success_probability(counts, "000", n) == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def _histograms(draw):
+    """A width, a target string, a Pauli pattern and a histogram over up to
+    12 distinct strings of that width."""
+    n = draw(st.integers(1, 12))
+    strings = st.integers(0, 2**n - 1).map(lambda v: format(v, f"0{n}b"))
+    counts = draw(st.dictionaries(strings, st.integers(1, 1000), min_size=1, max_size=12))
+    return n, draw(strings), draw(st.integers(0, 2**n - 1)), counts
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_histograms())
+def test_popcount_scores_equal_per_character_ones(case):
+    """``adjusted_success_probability`` and ``parity_from_counts`` count bits
+    by integer popcounts; each equals, to the last bit, the per-character
+    formula summed in the same order."""
+    n, target, pattern, counts = case
+    shots = sum(counts.values())
+    hk = np.zeros(n + 1)
+    for bstr, c in counts.items():
+        hk[sum(1 for a, b in zip(bstr, target) if a != b)] += c / shots
+    want = float(4**n / (4**n - 1) * np.dot((-0.5) ** np.arange(n + 1), hk) - 1 / (4**n - 1))
+    assert rb.adjusted_success_probability(counts, target, n) == want
+    val = 0.0
+    for bstr, c in counts.items():
+        val += c * (1 - 2 * (sum(int(bstr[q]) for q in range(n) if (pattern >> q) & 1) % 2))
+    pauli = PauliString(n, 0, pattern)
+    assert dv.parity_from_counts(dv.ShotRecord(None, counts, shots, 0), pauli) == val / shots
 
 
 def test_mrb_closed_loop_and_vs_birb():
