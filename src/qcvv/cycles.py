@@ -10,7 +10,10 @@ of the propagated Pauli onto Z.
 ACES builds no tableau per layer.  It compiles each circuit prefix once into
 a :class:`qcvv.device.CliffordProgram`, the fast path's per-layer gate
 tables: once per gate layer for the systematic rows, and once per random
-circuit for the ``paulis_per_circuit`` rows that share it.  A prefix's rows
+circuit for the ``paulis_per_circuit`` rows that share it.  A systematic
+row prepares the preimage, under its gate layer, of one local Pauli of one
+of the layer's gates; the preimages of a layer come from one batched row
+conjugation by the inverse of the layer's tableau.  A prefix's rows
 draw their Paulis, eigenstate signs and shot seeds first, then propagate
 their prepared Paulis as one column block, each with its phase, and read
 each gate-set gate's local letters off the frames after the gate's layer.
@@ -42,7 +45,7 @@ from .cliffords import (
     eigenstate_layer,
     inverse_layer,
 )
-from .device import Circuit, CliffordProgram, _eigenstate_parities, _eigenstate_stacks
+from .device import Circuit, CliffordProgram, _eigenstate_parities, _eigenstate_stacks, _numbered
 from .linalg import pauli_label, rng
 from .paulis import PauliString, all_paulis
 from .rb import fit_decay
@@ -165,7 +168,7 @@ def cycle_order(cycle_tableau: CliffordTableau, max_order: int = 24) -> int:
 def cycle_tableau(model, cycle_layer) -> CliffordTableau:
     tab = CliffordTableau.identity(model.n)
     for label, qubits in cycle_layer:
-        tab = tab.then(model.record(label, len(qubits)).tableau.embed(model.n, qubits))
+        tab = tab.then(model._entry("tableau", label, len(qubits)).embed(model.n, qubits))
     return tab
 
 
@@ -412,12 +415,9 @@ def aces(
 
     # systematic depth-1 rows: every gate, every local Pauli (via a preimage)
     for layer in gate_layers:
-        inv = cycle_tableau(model, layer).inverse()
-        prepared = [
-            inv.conjugate(PauliString.from_index(idx, len(qubits)).embed(n, qubits)).hermitian()
-            for label, qubits in layer
-            for idx in range(1, 4 ** len(qubits))
-        ]
+        local = [PauliString.from_index(idx, len(qs)).embed(n, qs) for _, qs in layer for idx in range(1, 4 ** len(qs))]
+        bits, _ = cycle_tableau(model, layer).inverse()._conjugate_rows(*_bit_rows(local, n))
+        prepared = [PauliString(n, x, z).hermitian() for x, z in zip(_pack(bits[:, :n]), _pack(bits[:, n:]))]
         add_measurements(_ACESPrefix(model, [layer], first), prepared)
 
     # random mirror-structured circuits with a terminal randomizing layer
@@ -505,12 +505,13 @@ class _ACESPrefix:
         n = model.n
         self.circuit = Circuit(n, tuple(layers))
         self.program = CliffordProgram(model, self.circuit)
-        keys, flat = self.circuit._flat.keys, self.circuit._flat.arrays
+        flat, present = self.circuit._flat.arrays, set(self.circuit._flat.key)
         levels = flat.supports.shape[1]
-        # each gate-set gate present as a (key number, padded support) row,
-        # matched against every operation's row
-        wanted = [(label, qs, col) for (label, qs), col in first.items() if (label, len(qs)) in keys]
-        table = [[keys.index((label, len(qs))), *qs] + [n] * (levels - len(qs)) for label, qs, _ in wanted]
+        # each gate-set gate present as a (key, padded support) row, matched
+        # against every operation's row
+        keys = _numbered([label for label, _ in first], [len(qs) for _, qs in first])
+        wanted = [(key, qs, col) for key, ((_, qs), col) in zip(keys, first.items()) if key in present]
+        table = [[key, *qs] + [n] * (levels - len(qs)) for key, qs, _ in wanted]
         ops = np.column_stack([flat.key, flat.supports])
         op, entry = np.nonzero((ops[:, None] == np.reshape(table, (-1, levels + 1))).all(axis=2))
         self.layer = flat.layer[op]

@@ -17,38 +17,54 @@ other name: ``sample`` returns a circuit's bit-string counts and
 ensemble forms, ``_sample_all`` and ``_parity_all``, do the same for many
 circuits at once.
 
-Noise attaches to gate labels: a model resolves each label into one
-:class:`GateRecord` (ideal unitary, noisy channel, error channel), which all
-three backends read.  Labels resolve in one order: the model's explicit
-``gates``, its ``gate_factory``, the circuit's ``gate_defs``, the builtin
-names.  The error channel of a gate outside ``gates`` is the model's
+Noise attaches to gate labels.  Labels resolve in one order: the model's
+explicit ``gates``, its ``gate_factory``, the circuit's ``gate_defs``, the
+builtin names.  The error channel of a gate outside ``gates`` is the model's
 ``noise_rule`` channel itself, composed as post-gate error by default
 (``G = E Gbar``), pre-gate behind a flag; an explicit gate's is derived from
 its channel and ideal unitary.  Idle qubits in a layer receive the model's
 explicit idle channel (default: identity).  Barriers between layers are hard;
 nothing is ever compiled across them.
 
-The ideal channel of a fixed label, a builtin name or a ``c1_<i>`` label
-that the default factory resolves, is built once per process and shared,
-read-only, by every model (``_fixed_ideal``); a label that ``gates``, a
-custom ``gate_factory`` or a circuit's ``gate_defs`` defines never reads it.
-The 11,520 ``c2_<i>`` labels are built per model, as a process-wide table of
-their PTMs would take about 24 MB.
+Every ``(label, arity)`` pair that a circuit uses is numbered once per
+process, in order of first use, as an integer key (``_KEYS``); only the
+names are kept, never a unitary.  A model compiles what the backends read
+into one table per field (:meth:`GateSetModel._compiled`, ``_FIELDS``): the
+ideal unitary, the error channel, the noisy channel and its PTM, the
+tableau, the fast path's conjugation images and phases, and its fault
+distribution.  A field is built when a backend first reads it, for the
+keys of that call that it lacks, in one pass in first-use order; a table
+is never written, only replaced by a grown one.  The 11,520 ``c2_<i>``
+labels are thus built per model, and only those that its runs use, as a
+process-wide table of their PTMs would take about 24 MB.  Each backend
+gathers its rows by key (:func:`_gathered`), and ``resolve``,
+``ideal_unitary`` and ``error_channel`` read one compiled entry.  A label
+that a circuit's ``gate_defs`` name is built for that call alone, on a copy
+of the model that resolves through them, as two circuits may define one
+label differently and a table keyed by unitaries would grow without bound.
+
+The noisy field builds the channels that a call lacks per arity as one
+stack of ideal PTMs (:func:`qcvv.channels.unitary_ptms`) and one stacked
+product with the noise PTMs (:func:`_noisy_field`).  A fixed label without
+noise, a builtin name or a ``c1_<i>`` label that the default factory
+resolves, takes the ideal channel that is built once per process and
+shared, read-only, by every model (``_fixed_ideal``); a label that
+``gates``, a custom ``gate_factory`` or a circuit's ``gate_defs`` defines
+never reads it.
 
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
 
 Every circuit carries one flat form, which no model enters
-(:class:`_Flat`): its distinct ``(label, arity)`` keys and, per operation,
-a key number and a support.  ``Circuit`` builds it in the one pass that
-checks the operations, which keeps layers the generators built normalised
-as they are and normalises any other input first, and ``Circuit.then``
-joins two flat forms instead of walking the operations again.  The arrays
-that the Clifford paths index (padded supports and layer numbers) and the
-idle-qubit mask are built from the flat form's lists on first use, so a
-circuit that is only joined to another, or that the dense backend runs on
-a model without an idle channel, builds none.  A backend call resolves one
-:class:`GateRecord` per key and reads everything else off the flat form.
+(:class:`_Flat`): per operation its key and its support.  ``Circuit``
+builds it in the one pass that checks the operations, which keeps layers
+the generators built normalised as they are and normalises any other input
+first; ``Circuit.then`` joins two flat forms and ``_Flat.side_by_side``
+stacks several, and neither renumbers a key.  The arrays that the Clifford
+paths index (padded supports and layer numbers) and the idle-qubit mask
+are built from the flat form's lists on first use, so a circuit that is
+only joined to another, or that the dense backend runs on a model without
+an idle channel, builds none.
 
 Every layer from outside the library goes through ``Circuit(width,
 layers)``.  Circuits that library code assembles from valid parts are
@@ -59,13 +75,6 @@ circuits (element layers of one per-width table), and the MCFE circuits
 and accreditation traps built from a target checked once.  The dense
 backend groups circuits by shape, their layer lengths and per-operation
 supports.
-
-The dense backend builds the noisy channels a circuit's records still lack
-in one stacked pass (:func:`_build_noisy`): per arity, one stack of ideal
-PTMs from the unitaries (:func:`qcvv.channels.unitary_ptms`) and one
-stacked product with the noise PTMs.  A fresh model's ``c2_<i>`` labels and
-inline ``gate_defs`` are thus built as one batch per call: per circuit for
-:func:`circuit_probabilities`, per ensemble for :func:`_ensemble_states`.
 
 The dense and statevector backends share one local-operator kernel,
 ``_apply_stacked``: a k-qubit operator acts on every item of a stack of
@@ -103,15 +112,16 @@ outcome (:func:`ideal_outcome_bits`) without a tableau inverse.
 The dense backend has one superket loop, :func:`_dense_states`.  It
 evolves a stack of circuits of one shape (layer lengths and per-operation
 supports, hence idle qubits), one ``np.matmul`` per operation on the
-circuits' PTMs, gathered from C-ordered tables keyed by gate record; a
-single circuit (:func:`circuit_probabilities`) is a one-item stack.  RB
+circuits' PTMs, gathered by row from the noisy field's C-ordered PTM
+stacks; a single circuit (:func:`circuit_probabilities`) is a one-item
+stack.  RB
 decay runs, simultaneous RB, MRB, MCFE, accreditation, state tomography's
 settings and the parity circuits of :func:`_eigenstate_parities` hand the
 circuits of a design, with their seeds, to :func:`_sample_ensemble`; LGST
-hands its dataset to :func:`_ensemble_states`, which both share.  It
-resolves each circuit's records in circuit order, groups the circuits by
-shape and evolves each group as one stack, each item bit for bit the state
-that the circuit's own call gives.  Each superket then goes back through
+hands its dataset to :func:`_ensemble_states`, which both share.  The
+model compiles the keys that the circuits lack first, in one pass; the
+circuits are then grouped by shape and each group evolves as one stack,
+each item bit for bit the state that the circuit's own call gives.  Each superket then goes back through
 :func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
 draws from its own generator, as a call per circuit does, and a run still
 makes one ``circuit_probabilities`` call, with its shots, per circuit,
@@ -159,11 +169,12 @@ circuit's JSON only when ``circuit_id`` is read.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter, namedtuple
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -171,7 +182,6 @@ import numpy as np
 from .channels import Channel, identity_channel, unitary_ptms, walsh_hadamard
 from .cliffords import (
     GATE_UNITARIES,
-    CliffordTableau,
     _pack,
     _unpack,
     clifford_gate_factory,
@@ -186,11 +196,27 @@ from .metrics import ProbDist
 from .paulis import PauliString
 
 
-class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
+# Every (label, arity) pair that a circuit uses, numbered once per process in
+# order of first use: the keys that flat forms and compiled tables hold.  Only
+# the names are kept; ``_PAIRS[key]`` is a key's pair.
+_KEYS = {}
+_PAIRS = []
+
+
+def _numbered(labels, arities) -> list:
+    """Each operation's key, a new ``(label, arity)`` pair taking the next."""
+    # the pairs are streamed, not listed, so a wide circuit leaves the
+    # garbage collector no extra objects to track
+    key = list(map(_KEYS.setdefault, zip(labels, arities), map(len, repeat(_KEYS))))
+    if len(_PAIRS) < len(_KEYS):
+        _PAIRS.extend(islice(_KEYS, len(_PAIRS), None))
+    return key
+
+
+class _Flat(namedtuple("_Flat", "width key supports lengths")):
     """A circuit's operations in one flat form, independent of any model.
 
-    ``keys`` are the distinct ``(label, arity)`` pairs in order of first
-    use; ``key`` holds each operation's key number and ``supports`` its
+    ``key`` holds each operation's key (see ``_KEYS``) and ``supports`` its
     qubits, in circuit order; ``lengths`` counts each layer's operations,
     empty layers included.  Built from these on first use: the read-only
     arrays that the Clifford paths index (``arrays``, an :class:`_Arrays`)
@@ -202,14 +228,9 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
     def of(cls, width: int, layers) -> "_Flat":
         """The flat form of normalised layers, or None when ``layers`` are
         not normalised: a tuple of tuples of ``(str, tuple of int)`` pairs,
-        each of its exact type.  A qubit outside the register or used twice
-        in one layer is a ValueError.
-
-        Each list's types are checked as one set, the outer tuple's before
-        any layer is iterated, so a generator of layers comes back
-        unconsumed and can be normalised."""
-        if type(layers) is not tuple or set(map(type, layers)) - {tuple}:
-            return None
+        each of its exact type, the tuples given.  A qubit outside the
+        register or used twice in one layer is a ValueError.  Each list's
+        types are checked as one set."""
         ops = list(chain.from_iterable(layers))
         if set(map(type, ops)) - {tuple} or set(map(len, ops)) - {2}:
             return None
@@ -232,29 +253,21 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         """The flat form of normalised ``layers``, given their operations'
         ``labels`` (any iterable) and ``supports`` (a list) in circuit
         order; nothing is checked."""
-        key, keys = _numbered(labels, map(len, supports))
-        return cls(width, keys, key, supports, list(map(len, layers)))
+        return cls(width, _numbered(labels, map(len, supports)), supports, list(map(len, layers)))
 
     @classmethod
     def side_by_side(cls, flats, n: int) -> "_Flat":
         """The flat forms of circuits on n qubits each, side by side on one
         register of ``len(flats) * n`` qubits: circuit i acts on qubits
         ``i * n`` to ``(i + 1) * n - 1``, and one shorter than the longest
-        ends in empty layers.  The keys are numbered in order of first use
-        across the circuits, and the operations run layer by layer, circuit
-        by circuit within a layer (a stable sort by layer).  Only ``keys``,
-        ``lengths`` and ``arrays`` are built, in one pass over the
-        circuits' lists, as ``arrays`` is built for one circuit; ``key``
-        and ``supports`` are None, so the result is never joined."""
-        keys = tuple(dict.fromkeys(chain.from_iterable(flat.keys for flat in flats)))
-        number = dict(zip(keys, count()))
-        # circuit i's key numbers index its own run of ``renumber``, which
-        # starts at ``first[i]``
-        renumber = np.fromiter(map(number.__getitem__, chain.from_iterable(flat.keys for flat in flats)), dtype=np.intp)
-        first = np.cumsum([0] + [len(flat.keys) for flat in flats[:-1]])
+        ends in empty layers.  The operations run layer by layer, circuit by
+        circuit within a layer (a stable sort by layer).  Only ``lengths``
+        and ``arrays`` are built, in one pass over the circuits' lists, as
+        ``arrays`` is built for one circuit; ``key`` and ``supports`` are
+        None, so the result is never joined."""
         ops = [len(flat.key) for flat in flats]
         circuit = np.repeat(np.arange(len(flats)), ops)
-        local = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
+        key = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
         supports = list(chain.from_iterable(flat.supports for flat in flats))
         arity = np.fromiter(map(len, supports), dtype=np.intp, count=len(circuit))
         width, levels = len(flats) * n, int(arity.max(initial=1))
@@ -267,18 +280,13 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
             np.fromiter(chain.from_iterable(flat.lengths for flat in flats), dtype=np.intp),
         )
         order = np.argsort(layer, kind="stable")
-        out = cls(width, keys, None, None, np.bincount(layer, minlength=depth).tolist())
-        out.__dict__["arrays"] = _Arrays(renumber[local + first[circuit]][order], arity[order], padded[order], layer[order])
+        out = cls(width, None, None, np.bincount(layer, minlength=depth).tolist())
+        out.__dict__["arrays"] = _Arrays(key[order], arity[order], padded[order], layer[order])
         return out
 
     def then(self, other: "_Flat") -> "_Flat":
-        """``self`` followed by ``other``, on the wider of the two registers;
-        ``other``'s keys are renumbered after ``self``'s."""
-        keys = tuple(dict.fromkeys(self.keys + other.keys))
-        number = dict(zip(keys, count()))
-        renumber = [number[pair] for pair in other.keys]
-        key = self.key + list(map(renumber.__getitem__, other.key))
-        return _Flat(max(self.width, other.width), keys, key, self.supports + other.supports, self.lengths + other.lengths)
+        """``self`` followed by ``other``, on the wider of the two registers."""
+        return _Flat(max(self.width, other.width), self.key + other.key, self.supports + other.supports, self.lengths + other.lengths)
 
     @cached_property
     def arrays(self) -> "_Arrays":
@@ -299,18 +307,8 @@ class _Flat(namedtuple("_Flat", "width keys key supports lengths")):
         return ~busy[:, : self.width]
 
 
-def _numbered(labels, arities):
-    """Each operation's key number and the distinct ``(label, arity)`` keys,
-    each pair numbered by the count of distinct pairs before its first use."""
-    # the pairs are streamed, not listed, so a wide circuit leaves the
-    # garbage collector no extra objects to track
-    number = {}
-    key = list(map(number.setdefault, zip(labels, arities), map(len, repeat(number))))
-    return key, tuple(number)
-
-
 class _Arrays(namedtuple("_Arrays", "key arity supports layer")):
-    """A flat form as arrays, per operation: its key number, its arity, its
+    """A flat form as arrays, per operation: its key, its arity, its
     support padded to ``levels`` columns (the largest arity, at least 1)
     with the spare index ``width``, and its layer."""
 
@@ -324,8 +322,10 @@ class Circuit:
     structure.  Construction builds the circuit's :class:`_Flat` form
     (``_flat``), which every backend reads, and checks every operation.
     Layers that are already normalised, tuples of ``(str, tuple of int)``
-    pairs as the generators build them, are kept as they are; any other
-    input has every label and qubit normalised first.
+    pairs as the generators build them, are kept as they are.  Any other
+    sequence or iterable of layers becomes a tuple of tuples first, and
+    only when a label or qubit is not of its normalised type is every
+    label and qubit normalised.
 
     A circuit is built one of two ways, or joined from two by
     :meth:`then`, and the circuit, its flat form, equality, hash, pickle and
@@ -344,11 +344,14 @@ class Circuit:
     gate_defs: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
-        flat = _Flat.of(self.width, self.layers)
-        if flat is None:  # some container, label or qubit is not of its normalised type
-            layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in self.layers])
-            object.__setattr__(self, "layers", layers)
+        layers = self.layers
+        if type(layers) is not tuple or set(map(type, layers)) - {tuple}:
+            layers = tuple(map(tuple, layers))  # any iterable of layers, each any iterable
+        flat = _Flat.of(self.width, layers)
+        if flat is None:  # some label or qubit is not of its normalised type
+            layers = tuple([tuple([(str(lbl), tuple(map(int, qs))) for lbl, qs in layer]) for layer in layers])
             flat = _Flat.of(self.width, layers)
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "_flat", flat)
 
     @classmethod
@@ -454,80 +457,27 @@ class ShotRecord:
         return cls(**json.loads(text))
 
 
-class GateRecord:
-    """One gate label resolved under a model.
+class _Table(namedtuple("_Table", "row entries")):
+    """One compiled field of a model.  ``entries`` holds, per arity, the
+    field's arrays, each with one entry per compiled key along its first
+    axis; ``row[key]`` is the key's entry in its arity's arrays, or -1, for
+    every key registered when the table was last grown.  A table is never
+    written: the model replaces it with a grown one."""
 
-    ``ideal`` is the target unitary and ``error`` the error channel relative
-    to it: ``noisy = error ideal`` (``ideal error`` with pre-gate noise).  An
-    explicit gate supplies ``noisy`` and derives ``error``; any other gate
-    takes ``error`` from the noise rule (identity when the rule gives None).
-    Every field past ``ideal`` is built on first use, so the statevector
-    backend builds no channel and the dense backend no ``tableau``,
-    ``conjugation`` or ``faults``.  The dense backend builds ``noisy`` per
-    call, one circuit's or one ensemble's, for every record that has none
-    yet, in one stacked pass (:func:`_build_noisy`); read alone, ``noisy``
-    runs the same pass on its one record.  A ``fixed`` record (a builtin
-    name or a ``c1_<i>`` label of the default factory) takes its ideal
-    channel from the process-wide :func:`_fixed_ideal`.
-    """
 
-    def __init__(self, label: str, arity: int, ideal, explicit: Channel, noise_rule, pre_gate_noise: bool, fixed: bool):
-        self.label = label
-        self.arity = arity
-        self._ideal = ideal
-        self._explicit = explicit
-        self._noise_rule = noise_rule
-        self._pre = pre_gate_noise
-        self._fixed = fixed
-        self._noisy = None
 
-    @property
-    def ideal(self) -> np.ndarray:
-        if self._ideal is None:
-            raise KeyError(f"gate {self.label!r} has no known unitary")
-        return self._ideal
-
-    @cached_property
-    def _noise(self) -> Channel:
-        return self._noise_rule(self.label, self.arity) if self._noise_rule else None
-
-    @property
-    def noisy(self) -> Channel:
-        if self._noisy is None:
-            _build_noisy([self])
-        return self._noisy
-
-    @cached_property
-    def error(self) -> Channel:
-        if self._explicit is None:
-            return identity_channel(self.arity) if self._noise is None else self._noise
-        ideal = unitary_ptms(self.ideal[None])[0]  # an explicit record is never fixed
-        noisy = self._explicit.ptm
-        return Channel(ideal.T @ noisy if self._pre else noisy @ ideal.T)
-
-    @cached_property
-    def tableau(self) -> CliffordTableau:
-        return tableau_from_unitary(self.ideal)
-
-    @cached_property
-    def conjugation(self):
-        return conjugation_table(self.tableau)
-
-    @cached_property
-    def faults(self):
-        return _noise_dist(self.error.ptm, self.label)
+def _objects(items) -> np.ndarray:
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class GateSetModel:
     """Native preparation, labeled gate channels, POVM, optional confusion.
 
-    Each label resolves into one :class:`GateRecord`, through one order:
-    ``gates`` (label -> (Channel, arity), explicitly modeled gates), then
-    ``gate_factory`` (label -> unitary or None; default: the
-    enumerated-Clifford ``c1_<i>``/``c2_<i>`` factory), then a circuit's
-    inline ``gate_defs``, then the builtin Clifford names.  The model keeps
-    each record, except for labels that the circuit's ``gate_defs`` name,
-    which are resolved afresh.  Outside ``gates`` the error channel is
+    Each label resolves through one order: ``gates`` (label -> (Channel,
+    arity), explicitly modeled gates), then ``gate_factory`` (label ->
+    unitary or None; default: the enumerated-Clifford ``c1_<i>``/``c2_<i>``
+    factory), then a circuit's inline ``gate_defs``, then the builtin
+    Clifford names.  Outside ``gates`` the error channel is
     ``noise_rule(label, arity)`` itself (identity when it returns None),
     attached to the ideal unitary.  An explicit gate's ideal unitary is its
     channel's ``unitary`` or, failing that, the one the rest of the order
@@ -535,6 +485,11 @@ class GateSetModel:
     maps qubits ``0..n-1`` to readout matrices; any other key is a ValueError.
     A gauged model (:func:`apply_gauge`) resolves only its explicit gates and
     takes no idle channel.
+
+    The model compiles what the backends read into one table per field
+    (:meth:`_compiled`, see ``_FIELDS``), built for the keys that a call
+    uses when it first reads them; a label that a circuit's ``gate_defs``
+    name is built for that call alone (:func:`_gathered`).
     """
 
     def __init__(
@@ -555,7 +510,8 @@ class GateSetModel:
         self.confusion = {}
         self.idle = idle
         self.pre_gate_noise = pre_gate_noise
-        self._records = {}
+        self._defs = None  # the gate_defs that a copy of :meth:`_defined` resolves through
+        self._tables = {}
         self._prep = None if preparation is None else np.asarray(preparation, dtype=float).reshape(-1)
         self._effect_transform = None
         for q, c in (confusion or {}).items():
@@ -567,47 +523,67 @@ class GateSetModel:
             self.confusion[q] = c
 
     # -- resolution --------------------------------------------------------
-    def record(self, label: str, arity: int = None, gate_defs: dict = None) -> GateRecord:
-        """The label's :class:`GateRecord`, checked against ``arity`` when given."""
-        adhoc = bool(gate_defs) and label in gate_defs
-        rec = None if adhoc else self._records.get(label)
-        if rec is None:
-            rec = self._build(label, gate_defs)
-            if not adhoc:
-                self._records[label] = rec
-        if arity is not None and arity != rec.arity:
-            raise ValueError(f"gate {label!r} acts on {rec.arity} qubits, used on {arity}")
-        return rec
+    def _spec(self, label: str, arity: int = None):
+        """The label's unitary (None when unknown), its explicit channel
+        (None outside ``gates``), whether it is fixed (see
+        :func:`_fixed_ideal`) and its arity, checked against ``arity`` when
+        given."""
+        if self._effect_transform is not None and label not in self.gates:
+            raise ValueError(f"a gauged model resolves only its explicit gates, not {label!r}")
+        if label in self.gates:
+            explicit, k = self.gates[label]
+            if explicit.dim != 2**k:
+                raise ValueError(f"gate {label!r} dimension does not match its support")
+            u = self._unitary(label)[0] if explicit.unitary is None else explicit.unitary
+            fixed = False
+        else:
+            explicit, (u, fixed) = None, self._unitary(label)
+            if u is None:
+                raise KeyError(f"unknown gate label {label!r}")
+            k = len(u).bit_length() - 1
+        if arity is not None and arity != k:
+            raise ValueError(f"gate {label!r} acts on {k} qubits, used on {arity}")
+        return (None if u is None else np.asarray(u, dtype=complex)), explicit, fixed, k
 
-    def _unitary(self, label: str, gate_defs):
+    def _unitary(self, label: str):
         """The label's unitary from ``gate_factory``, ``gate_defs`` or the
-        builtin names, in that order, or None; and whether the label is fixed
-        (see :func:`_fixed_ideal`)."""
+        builtin names, in that order, or None; and whether the label is fixed."""
         u = self.gate_factory(label) if self.gate_factory else None
         if u is not None:
             return u, self.gate_factory is clifford_gate_factory and label.startswith("c1_")
-        u = gate_defs.get(label) if gate_defs else None
+        u = self._defs.get(label) if self._defs else None
         if u is not None:
             return u, False
         u = GATE_UNITARIES.get(label)
         return u, u is not None
 
-    def _build(self, label: str, gate_defs) -> GateRecord:
-        explicit, fixed = None, False
-        if self._effect_transform is not None and label not in self.gates:
-            raise ValueError(f"a gauged model resolves only its explicit gates, not {label!r}")
-        if label in self.gates:
-            explicit, arity = self.gates[label]
-            if explicit.dim != 2**arity:
-                raise ValueError(f"gate {label!r} dimension does not match its support")
-            u = self._unitary(label, gate_defs)[0] if explicit.unitary is None else explicit.unitary
-        else:
-            u, fixed = self._unitary(label, gate_defs)
-            if u is None:
-                raise KeyError(f"unknown gate label {label!r}")
-            arity = len(u).bit_length() - 1
-        u = None if u is None else np.asarray(u, dtype=complex)
-        return GateRecord(label, arity, u, explicit, self.noise_rule, self.pre_gate_noise, fixed)
+    def _defined(self, gate_defs, tables: dict = None) -> "GateSetModel":
+        """A copy of this model that resolves labels through ``gate_defs``
+        too, starting from ``tables`` (none by default)."""
+        out = copy.copy(self)
+        out._defs, out._tables = gate_defs, dict(tables or {})
+        return out
+
+    def _compiled(self, field: str, keys) -> _Table:
+        """The table of ``field``, after the keys among ``keys`` that it
+        lacks are built, in one pass, in first-use order (``_FIELDS``)."""
+        table, keys = self._tables.get(field, _Table(np.zeros(0, dtype=np.intp), {})), np.asarray(keys, dtype=np.intp)
+        if len(table.row) == len(_KEYS) and (table.row[keys] >= 0).all():
+            return table
+        row = np.concatenate([table.row, np.full(len(_KEYS) - len(table.row), -1, dtype=np.intp)])
+        entries, groups = dict(table.entries), {}
+        for key in dict.fromkeys(keys[row[keys] < 0].tolist()):
+            groups.setdefault(_PAIRS[key][1], []).append(key)
+        for arity, group in groups.items():
+            built, old = _FIELDS[field](self, group, arity), entries.get(arity)
+            row[group] = np.arange(len(group)) + (0 if old is None else len(old[0]))
+            entries[arity] = built if old is None else tuple(map(np.concatenate, zip(old, built)))
+        table = self._tables[field] = _Table(row, entries)
+        return table
+
+    def _entry(self, field: str, label: str, arity: int, gate_defs: dict = None):
+        """The label's compiled entry of ``field`` (:func:`_firsts`)."""
+        return _firsts(self, field, _numbered([label], [arity]), gate_defs)[0]
 
     @cached_property
     def _idle_faults(self):
@@ -629,14 +605,16 @@ class GateSetModel:
         return rows
 
     def resolve(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
-        return self.record(label, arity, gate_defs).noisy
+        return self._entry("noisy", label, arity, gate_defs)
 
     def ideal_unitary(self, label: str, gate_defs: dict = None) -> np.ndarray:
-        return self.record(label, None, gate_defs).ideal
+        arity = (self._defined(gate_defs) if gate_defs else self)._spec(label)[3]
+        return self._entry("ideal", label, arity, gate_defs)
 
     def error_channel(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
         """The gate's error channel relative to its ideal unitary."""
-        return self.record(label, arity, gate_defs).error
+        error = self._entry("error", label, arity, gate_defs)
+        return identity_channel(arity) if error is None else error
 
     # -- variants ----------------------------------------------------------
     def replace(self, **kwargs) -> "GateSetModel":
@@ -672,50 +650,124 @@ def _fixed_ideal(label: str) -> Channel:
     return chan
 
 
-# PTM entries that one stacked pass of :func:`_build_noisy` builds at most:
-# 64 two-qubit or 1,024 one-qubit channels.  It is smaller than
+def _ideal_field(model: GateSetModel, keys, arity: int):
+    ideal = [model._spec(_PAIRS[key][0], arity)[0] for key in keys]
+    for key, u in zip(keys, ideal):
+        if u is None:
+            raise KeyError(f"gate {_PAIRS[key][0]!r} has no known unitary")
+    return (_objects(ideal),)
+
+
+def _error_field(model: GateSetModel, keys, arity: int):
+    """Per key, its error channel, or None where the noise rule gives none."""
+    out = []
+    for key in keys:
+        explicit = model._spec(_PAIRS[key][0], arity)[1]
+        if explicit is None:
+            out.append(model.noise_rule(_PAIRS[key][0], arity) if model.noise_rule else None)
+        else:
+            ideal = unitary_ptms(_firsts(model, "ideal", [key])[0][None])[0]  # an explicit gate is never fixed
+            out.append(Channel(ideal.T @ explicit.ptm if model.pre_gate_noise else explicit.ptm @ ideal.T))
+    return (_objects(out),)
+
+
+# PTM entries that one stacked product of :func:`_noisy_field` builds at
+# most: 64 two-qubit or 1,024 one-qubit channels.  It is smaller than
 # ``_ENSEMBLE_BUDGET`` because each entry of one stacked
 # :func:`qcvv.channels.unitary_ptms` call holds about ten floats of complex
 # temporaries while it is built
 _NOISY_BUDGET = 1 << 14
 
 
-def _build_noisy(records):
-    """Build the noisy channel of each record that has none yet, in one pass.
+def _noisy_field(model: GateSetModel, keys, arity: int):
+    """Per key, its noisy channel, and its PTM, as one C-ordered stack.
 
-    An explicit record's channel is its own, and a record whose noise rule
-    gives None takes its ideal channel: :func:`_fixed_ideal`'s shared one,
-    or :meth:`Channel.from_unitary`.  Per arity, the ideal PTMs of the rest
-    come from one stacked :func:`unitary_ptms` call, fixed labels taking
-    :func:`_fixed_ideal`'s, and one stacked product composes them with the
-    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise),
-    in stacks of at most ``_NOISY_BUDGET`` PTM entries, so an ensemble's
-    records take no more memory at a time than a few circuits' do.  Each
-    record gets a channel carrying the unitary that :meth:`Channel.compose`
-    gives.
-    """
-    groups = {}
-    for rec in records:
-        if rec._noisy is not None:
-            continue
-        if rec._explicit is not None:
-            rec._noisy = rec._explicit
-        elif rec._noise is None:
-            rec._noisy = _fixed_ideal(rec.label) if rec._fixed else Channel.from_unitary(rec.ideal)
+    An explicit gate's channel is its own, and a gate whose noise rule gives
+    None takes its ideal channel: :func:`_fixed_ideal`'s shared one, or
+    :meth:`Channel.from_unitary`.  The ideal PTMs of the rest come from
+    stacked :func:`unitary_ptms` calls, slice for slice those of
+    :meth:`Channel.from_unitary`, and stacked products compose them with the
+    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise), in
+    stacks of at most ``_NOISY_BUDGET`` PTM entries.  Each channel carries
+    the unitary that :meth:`Channel.compose` gives."""
+    specs, pre = [model._spec(_PAIRS[key][0], arity) for key in keys], model.pre_gate_noise
+    plain = [key for key, (_, explicit, _, _) in zip(keys, specs) if explicit is None]
+    noise = dict(zip(plain, _firsts(model, "error", plain)))
+    chans, todo = [], []
+    for i, (key, (u, explicit, fixed, _)) in enumerate(zip(keys, specs)):
+        if explicit is not None:
+            chans.append(explicit)
+        elif noise[key] is None:
+            chans.append(_fixed_ideal(_PAIRS[key][0]) if fixed else Channel.from_unitary(u))
         else:
-            groups.setdefault((rec.arity, rec._pre), []).append(rec)
-    for (arity, pre), group in groups.items():
-        size = max(1, _NOISY_BUDGET // 16**arity)
-        for recs in (group[start : start + size] for start in range(0, len(group), size)):
-            fresh = [rec.ideal for rec in recs if not rec._fixed]
-            fresh = iter(unitary_ptms(np.stack(fresh)) if fresh else ())
-            ideals = np.stack([_fixed_ideal(rec.label).ptm if rec._fixed else next(fresh) for rec in recs])
-            noises = np.stack([rec._noise.ptm for rec in recs])
-            for rec, ptm in zip(recs, ideals @ noises if pre else noises @ ideals):
-                u = rec._noise.unitary
-                if u is not None:
-                    u = rec.ideal @ u if pre else u @ rec.ideal
-                rec._noisy = Channel(ptm, u)
+            chans.append(None)
+            todo.append(i)
+    size = max(1, _NOISY_BUDGET // 16**arity)
+    for chunk in (todo[start : start + size] for start in range(0, len(todo), size)):
+        ideals = unitary_ptms(np.stack([specs[i][0] for i in chunk]))
+        noises = np.stack([noise[keys[i]].ptm for i in chunk])
+        for i, ptm in zip(chunk, ideals @ noises if pre else noises @ ideals):
+            u, v = specs[i][0], noise[keys[i]].unitary
+            chans[i] = Channel(ptm, None if v is None else u @ v if pre else v @ u)
+    return _objects(chans), np.stack([c.ptm for c in chans])
+
+
+def _tableau_field(model: GateSetModel, keys, arity: int):
+    return (_objects([tableau_from_unitary(u) for u in _firsts(model, "ideal", keys)]),)
+
+
+def _conjugation_field(model: GateSetModel, keys, arity: int):
+    """Per key, the uint8 image table of each support qubit and the phase
+    exponents of :func:`qcvv.cliffords.conjugation_table`, one array each."""
+    tables = [conjugation_table(t) for t in _firsts(model, "tableau", keys)]
+    return tuple(map(np.stack, zip(*[(*images, phases) for images, phases in tables])))
+
+
+def _faults_field(model: GateSetModel, keys, arity: int):
+    """Per key, the fast path's fault distribution of its error channel
+    (:func:`_noise_dist`), or None."""
+    errors = _firsts(model, "error", keys)
+    return (_objects([_noise_dist((identity_channel(arity) if e is None else e).ptm, _PAIRS[key][0]) for key, e in zip(keys, errors)]),)
+
+
+# Each compiled field and its builder, ``build(model, keys, arity)``, which
+# returns per key of one arity its entries, one array per item.  Fields read
+# other fields: ``noisy`` and ``faults`` read ``error``, ``tableau`` and an
+# explicit gate's ``error`` read ``ideal``, and ``conjugation`` reads
+# ``tableau``.
+_FIELDS = {
+    "ideal": _ideal_field, "error": _error_field, "noisy": _noisy_field,
+    "tableau": _tableau_field, "conjugation": _conjugation_field, "faults": _faults_field,
+}
+
+
+def _gathered(model: GateSetModel, field: str, parts):
+    """``field``'s arrays, per arity, for one call, and per part the row of
+    each of its keys in them.
+
+    ``parts`` holds, per circuit or per stack of circuits without
+    ``gate_defs``, its operations' keys and its ``gate_defs``.  The model
+    compiles every key of every part in one pass (:meth:`GateSetModel._compiled`),
+    but for a key whose label the part's ``gate_defs`` name: that is built
+    for the part alone, after the rows built so far, on a copy of the model
+    that resolves through them (:meth:`GateSetModel._defined`)."""
+    parts = [(np.asarray(keys, dtype=np.intp), defs) for keys, defs in parts]
+    own = [np.array([_PAIRS[key][0] in defs for key in keys.tolist()] if defs else [False] * len(keys), dtype=bool) for keys, defs in parts]
+    table = model._compiled(field, np.concatenate([np.zeros(0, dtype=np.intp)] + [keys[~mine] for (keys, _), mine in zip(parts, own)]))
+    rows = []
+    for (keys, defs), mine in zip(parts, own):
+        if mine.any():
+            row = table.row.copy()
+            row[keys[mine]] = -1
+            table = model._defined(defs, {field: _Table(row, table.entries)})._compiled(field, keys[mine])
+        rows.append(table.row[keys])
+    return table.entries, rows
+
+
+def _firsts(model: GateSetModel, field: str, keys, gate_defs: dict = None) -> list:
+    """Per key, its entry of ``field``'s first array (:func:`_gathered`)."""
+    entries, (rows,) = _gathered(model, field, [(keys, gate_defs)])
+    return [entries[_PAIRS[key][1]][0][row] for key, row in zip(keys, rows.tolist())]
 
 
 def ideal_model(n: int) -> GateSetModel:
@@ -757,21 +809,15 @@ def _axis_order(ndim: int, qubits: tuple):
     return perm, tuple(int(a) for a in np.argsort(perm))
 
 
-def _resolved_records(model: GateSetModel, circuit: Circuit):
-    """The circuit's records, one per key of its flat form, with or without
-    their noisy channels; a circuit the dense backend cannot run raises."""
-    if circuit.width != model.n:
+def _dense_rows(model: GateSetModel, circuits):
+    """The noisy entries of ``circuits``, per arity, and per circuit the row
+    of each of its operations in them (:func:`_gathered`); a circuit the
+    dense backend cannot run raises."""
+    if any(circuit.width != model.n for circuit in circuits):
         raise ValueError("circuit width does not match the model")
-    if model.n > DENSE_WIDTH_CAP:
+    if circuits and model.n > DENSE_WIDTH_CAP:
         raise ValueError(f"dense backend capped at width {DENSE_WIDTH_CAP}")
-    return [model.record(label, k, circuit.gate_defs) for label, k in circuit._flat.keys]
-
-
-def _dense_records(model: GateSetModel, circuit: Circuit):
-    """The circuit's records, each with its noisy channel built."""
-    records = _resolved_records(model, circuit)
-    _build_noisy(records)
-    return records
+    return _gathered(model, "noisy", [(circuit._flat.key, circuit.gate_defs) for circuit in circuits])
 
 
 def _idle_qubits(model: GateSetModel, flat: _Flat):
@@ -804,30 +850,24 @@ def _apply_stacked(states: np.ndarray, ops: np.ndarray, qubits) -> np.ndarray:
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _dense_states(model: GateSetModel, circuits, records) -> np.ndarray:
+def _dense_states(model: GateSetModel, circuits, entries, rows) -> np.ndarray:
     """The superkets, shaped ``(k,) + (4,) * n``, that k circuits of one
-    shape (the same layer lengths and per-operation supports) leave, given
-    each circuit's :func:`_dense_records`; one circuit is a one-item stack.
+    shape (the same layer lengths and per-operation supports) leave; one
+    circuit is a one-item stack.  ``entries`` and ``rows`` are the noisy
+    entries and the circuits' rows of :func:`_dense_rows`, so circuits
+    whose ``gate_defs`` give one label different gates keep their own.
 
-    Each record's PTM enters one C-ordered table per arity, keyed by the
-    record, so circuits whose ``gate_defs`` give one label different gates
-    keep their own.  At each operation the circuits' PTMs are gathered from
-    the table into a (k, d, d) stack and applied by :func:`_apply_stacked`;
-    each layer's gates apply in order, then the model's idle channel, if
-    any, on the shape's idle qubits in qubit order."""
-    flat, k = circuits[0]._flat, len(circuits)
-    tables, number = {}, {}
-    for rec in chain.from_iterable(records):
-        if rec not in number:
-            number[rec] = len(tables.setdefault(rec.arity, []))
-            tables[rec.arity].append(rec.noisy.ptm)
-    tables = {arity: np.stack(ptms) for arity, ptms in tables.items()}
-    index = np.array([[number[recs[g]] for g in c._flat.key] for c, recs in zip(circuits, records)], dtype=np.intp)
+    At each operation the circuits' PTMs are gathered from the stack of its
+    arity into a C-ordered (k, d, d) stack and applied by
+    :func:`_apply_stacked`; each layer's gates apply in order, then the
+    model's idle channel, if any, on the shape's idle qubits in qubit
+    order."""
+    flat, k, index = circuits[0]._flat, len(circuits), np.array(rows)
     states = np.repeat(model._superket[None], k, axis=0)
     ops = iter(enumerate(flat.supports))
     for length, idle_qubits in zip(flat.lengths, _idle_qubits(model, flat)):
         for j, qubits in islice(ops, length):
-            states = _apply_stacked(states, tables[len(qubits)][index[:, j]], qubits)
+            states = _apply_stacked(states, entries[len(qubits)][1][index[:, j]], qubits)
         for q in idle_qubits:
             states = _apply_stacked(states, model.idle.ptm, (q,))
     return states
@@ -854,7 +894,7 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np
     already (:func:`_sample_ensemble`); otherwise the circuit evolves as a
     one-item stack (:func:`_dense_states`)."""
     if superket is None:
-        superket = _dense_states(model, [circuit], [_dense_records(model, circuit)])[0]
+        superket = _dense_states(model, [circuit], *_dense_rows(model, [circuit]))[0]
     flat = superket.reshape(-1)
     if model._effect_transform is not None:
         flat = model._effect_transform @ flat
@@ -910,18 +950,16 @@ def _ensemble_states(model: GateSetModel, circuits):
     bit for bit the state of the circuit's own :func:`circuit_probabilities`
     call.
 
-    The circuits' records resolve first, circuit by circuit in order, as
-    one call per circuit resolves them, and the noisy channels that any of
-    them lacks are then built in one :func:`_build_noisy` pass, bit for bit
-    those of a pass per circuit.  Circuits of one shape, the same layer
-    lengths and per-operation supports and hence the same idle qubits, then
-    evolve as one superket stack
-    (:func:`_dense_states`), in stacks that ``_ENSEMBLE_BUDGET`` bounds; a
-    circuit alone in its shape is a one-item stack.  A stack is evolved
-    only when the previous one's states have all been yielded.
+    The model compiles the noisy PTMs that the circuits' keys lack first,
+    in one pass (:func:`_dense_rows`), bit for bit those of a pass per
+    circuit.  Circuits of one shape, the same layer lengths and
+    per-operation supports and hence the same idle qubits, then evolve as
+    one superket stack (:func:`_dense_states`), in stacks that
+    ``_ENSEMBLE_BUDGET`` bounds; a circuit alone in its shape is a one-item
+    stack.  A stack is evolved only when the previous one's states have all
+    been yielded.
     """
-    records = [_resolved_records(model, circuit) for circuit in circuits]
-    _build_noisy(dict.fromkeys(chain.from_iterable(records)))
+    entries, rows = _dense_rows(model, circuits)
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault((tuple(circuit._flat.lengths), tuple(circuit._flat.supports)), []).append(i)
@@ -930,7 +968,7 @@ def _ensemble_states(model: GateSetModel, circuits):
         size = max(1, _ENSEMBLE_BUDGET // max(4**model.n, 16**arity))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            yield from zip(chunk, _dense_states(model, [circuits[i] for i in chunk], [records[i] for i in chunk]))
+            yield from zip(chunk, _dense_states(model, [circuits[i] for i in chunk], entries, [rows[i] for i in chunk]))
 
 
 def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segments: int = 16) -> ShotRecord:
@@ -965,9 +1003,8 @@ def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
         model = GateSetModel(n)
     psi = np.zeros((1,) + (2,) * n, dtype=complex)
     psi.flat[0] = 1.0
-    unitaries = [model.record(label, k, circuit.gate_defs).ideal for label, k in circuit._flat.keys]
-    for qubits, g in zip(circuit._flat.supports, circuit._flat.key):
-        psi = _apply_stacked(psi, unitaries[g], qubits)
+    for qubits, u in zip(circuit._flat.supports, _firsts(model, "ideal", circuit._flat.key, circuit.gate_defs)):
+        psi = _apply_stacked(psi, u, qubits)
     return psi.reshape(-1)
 
 
@@ -986,30 +1023,26 @@ def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
 # gathers each support qubit's new code from that qubit's uint8 image table,
 # the layout of :func:`qcvv.cliffords.conjugation_table`.
 
-def _gate_tables(records, flat: _Flat):
+def _gate_tables(entries, rows, flat: _Flat):
     """Per layer, a circuit's gates grouped by arity k as ``(rows, offsets,
-    images, phases)``, from its flat form and one :class:`GateRecord` per
-    key: k row arrays of the g gates' support qubits, row i holding each
-    gate's support qubit i; each gate's (g, 1) offset into the flat tables
-    of the circuit's distinct k-qubit gates; and those tables, as k uint8
-    image tables, table i holding the new letter code of support qubit i,
-    and the phase exponents.  Gates in one layer act on disjoint qubits, so
-    the order of a layer's groups does not matter."""
+    images, phases)``, from its flat form and, per arity, the compiled
+    conjugation tables of :func:`_conjugation_field` with each operation's
+    row in them (:func:`_gathered`): k row arrays of the g gates' support
+    qubits, row i holding each gate's support qubit i; each gate's (g, 1)
+    offset into the flat tables of the k-qubit gates; and those tables, as
+    k uint8 image tables, table i holding the new letter code of support
+    qubit i, and the phase exponents.  Gates in one layer act on disjoint
+    qubits, so the order of a layer's groups does not matter."""
     layers, arrays = [[] for _ in flat.lengths], flat.arrays
-    local = np.zeros(len(records), dtype=np.intp)  # a record's number among those of its arity
-    for k in sorted({rec.arity for rec in records}):
-        numbers = [g for g, rec in enumerate(records) if rec.arity == k]
-        local[numbers] = np.arange(len(numbers))
-        tables = [records[g].conjugation for g in numbers]
-        images = tuple(np.concatenate([i for i, _ in tables], axis=1))
-        phases = np.concatenate([p for _, p in tables])
+    for k in sorted(entries):
+        *images, phases = (a.reshape(-1) for a in entries[k])
         sel = np.flatnonzero(arrays.arity == k)
-        offsets = (local[arrays.key[sel]] * 4**k)[:, None]
-        rows = list(np.ascontiguousarray(arrays.supports[sel, :k].T))
+        offsets = (rows[sel] * 4**k)[:, None]
+        support = list(np.ascontiguousarray(arrays.supports[sel, :k].T))
         bounds = np.searchsorted(arrays.layer[sel], np.arange(len(layers) + 1)).tolist()
         for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
             if a < b:
-                layers[t].append((tuple([row[a:b] for row in rows]), offsets[a:b], images, phases))
+                layers[t].append((tuple([row[a:b] for row in support]), offsets[a:b], images, phases))
     return layers
 
 
@@ -1208,11 +1241,11 @@ class _Draws(namedtuple("_Draws", "identity dists layer qubits starts levels cdf
 
 
 class CliffordProgram:
-    """A Clifford circuit compiled against a model: the circuit's flat form
-    and one :class:`GateRecord` per distinct gate, from which two parts are
-    each built on first use.  ``gates`` holds per layer the gate groups of
-    :func:`_gate_tables`, through which Paulis propagate with exact phase;
-    ``draws`` holds the fast path's draw rows (:class:`_Draws`).
+    """A Clifford circuit compiled against a model: the circuit's flat form,
+    from which two parts are each built on first use, from the model's
+    compiled tables (:func:`_gathered`).  ``gates`` holds per layer the gate
+    groups of :func:`_gate_tables`, through which Paulis propagate with
+    exact phase; ``draws`` holds the fast path's draw rows (:class:`_Draws`).
 
     Compile a circuit once and propagate as many Paulis through it as
     needed: ACES compiles each prefix once and propagates all of its rows'
@@ -1233,16 +1266,15 @@ class CliffordProgram:
 
     def _compile(self, model: GateSetModel, flat: _Flat, gate_defs):
         self.n, self.depth, self._model, self._flat = flat.width, len(flat.lengths), model, flat
-        self._records = [model.record(label, k, gate_defs) for label, k in flat.keys]
+        self._defs = gate_defs
 
     @classmethod
     def _side_by_side(cls, model: GateSetModel, circuits) -> "CliffordProgram":
         """One program of ``circuits`` side by side (:meth:`_Flat.side_by_side`),
-        on a register of ``len(circuits) * model.n`` qubits.  Its keys resolve
-        through the same ``model.record`` calls as each circuit's own
-        program.  A circuit with ``gate_defs`` is a ValueError: two circuits
-        could define one label differently, and a stack has one record per
-        label."""
+        on a register of ``len(circuits) * model.n`` qubits, whose keys
+        read the same compiled entries as each circuit's own program.  A
+        circuit with ``gate_defs`` is a ValueError: two circuits could define
+        one label differently, and a stack has one entry per key."""
         for circuit in circuits:
             if circuit.width != model.n:
                 raise ValueError("circuit width does not match the model")
@@ -1254,21 +1286,23 @@ class CliffordProgram:
 
     @cached_property
     def gates(self):
-        return _gate_tables(self._records, self._flat)
+        entries, (rows,) = _gathered(self._model, "conjugation", [(self._flat.arrays.key, self._defs)])
+        return _gate_tables(entries, rows, self._flat)
 
     @cached_property
     def draws(self) -> _Draws:
         flat, n, idle_faults = self._flat.arrays, self.n, self._model._idle_faults
+        levels = flat.supports.shape[1]
+        keys, inverse = np.unique(flat.key, return_inverse=True)
         dists, dist_of = [], []
-        for rec in self._records:
-            dist_of.append(-1 if rec.faults is None else len(dists))
-            if rec.faults is not None:
-                dists.append(rec.faults)
-        numbers = np.array(dist_of, dtype=np.intp)[flat.key]
+        for faults in _firsts(self._model, "faults", keys.tolist(), self._defs):
+            dist_of.append(-1 if faults is None else len(dists))
+            if faults is not None:
+                dists.append(faults)
+        numbers = np.array(dist_of, dtype=np.intp)[inverse]
         noisy = numbers >= 0
         layer = flat.layer[noisy]
         numbers, qubits = numbers[noisy], flat.supports[noisy]
-        levels = flat.supports.shape[1]
         if idle_faults is not None:
             idle_layer, idle_qubits = np.nonzero(self._flat.idle)
             idle_supports = np.full((len(idle_qubits), levels), n)

@@ -223,7 +223,7 @@ def mcfe(
         raise ValueError("k_ensemble must be at least 2")
     n = model.n
     gen = rng(seed)
-    oneq_t, twoq_t = split_alternating(Circuit(n, tuple(tuple(l) for l in target_layers)).layers, n)
+    oneq_t, twoq_t = split_alternating(Circuit(n, target_layers).layers, n)
     rv_one = [inverse_layer(u) for u in reversed(oneq_t)]
     rv_two = [inverse_layer(layer) for layer in reversed(twoq_t)]
     which_of = [which for which in (1, 2, 3) for _ in range(k_ensemble)]
@@ -390,7 +390,7 @@ def accredit(
     """
     n = model.n
     gen = rng(seed)
-    _, twoq_t = split_alternating(Circuit(n, tuple(tuple(l) for l in target_layers)).layers, n)
+    _, twoq_t = split_alternating(Circuit(n, target_layers).layers, n)
     for layer in twoq_t:
         for lbl, qs in layer:
             if len(qs) == 2 and lbl != "CZ":

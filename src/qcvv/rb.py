@@ -5,6 +5,19 @@ so ``m = 0`` circuits contain one random gate and its inverse.  All decays
 fit ``p(m) = A f**m + B`` by weighted least squares on per-depth means,
 with a variance floor of ``(0.5 / sqrt(K N))**2`` to avoid zero-weight
 degeneracy at saturated depths.
+
+Every protocol draws its circuits and shot seeds first and samples them as
+one ensemble (:func:`qcvv.device._sample_all`): a decay run, each
+simultaneous-RB stage and each XEB or XRB depth, on the dense backend as
+one superket stack per shape, each circuit's seeded result that of a call
+per circuit.  Binary RB draws each circuit's Pauli, preparation, layers and
+shot seed in turn, assembles its body from the sampler's layers without a
+check, and hands its circuits a stack at a time to
+:func:`qcvv.device._eigenstate_stacks`, which joins the readout and
+propagates the bodies of one depth side by side.  Mirror RB assembles its
+mirror circuits from sampled layers the same way, as :class:`LayerSampler`
+checks its edges once: two distinct qubits in ``range(n)`` each, else a
+ValueError.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import zlib
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_then_equals_the_checked_joined_circuit(a, b):
     assert all(joined.gate_defs[k] is merged[k] for k in merged)
     assert joined.gate_defs["shared"] is b.gate_defs["shared"]
     assert hash(joined) == hash(built)
-    # the joined flat form, b's keys renumbered after a's, is the one the
+    # the joined flat form, a's keys followed by b's, is the one the
     # checked construction builds, and so are its arrays, padded with the
     # joined width, and its idle mask
     assert joined._flat == built._flat
@@ -377,7 +378,7 @@ def _circuit_unitary(model, circuit):
     n = circuit.width
     states = np.eye(2**n, dtype=complex).reshape((2**n,) + (2,) * n)
     for qubits, g in zip(circuit._flat.supports, circuit._flat.key):
-        label = circuit._flat.keys[g][0]
+        label = dv._PAIRS[g][0]
         states = dv._apply_stacked(states, model.ideal_unitary(label, circuit.gate_defs), qubits)
     return states.reshape(2**n, 2**n).T
 
@@ -752,7 +753,7 @@ def test_hit_search_matches_searchsorted(arities, zero_frac, identity, seed):
     circuit = Circuit(q, (tuple(ops),), defs)
     compiled = dv.CliffordProgram(model, circuit).draws
     # one draw row per gate, in gate order
-    cdfs = [model.record(label, len(qubits), defs).faults[0] for label, qubits in ops]
+    cdfs = [model._entry("faults", label, len(qubits), defs)[0] for label, qubits in ops]
     rows = []
     for cdf in cdfs:
         exact = cdf[cdf < 1.0]
@@ -1090,7 +1091,7 @@ def _exact_parity(model, circ, measured, ideal_sign, pulled_back):
     n, shift = model.n, 0 if model.pre_gate_noise else 1
     value = float(ideal_sign)
     for t, layer in enumerate(circ.layers):
-        draws = [(model.record(label, len(qs), circ.gate_defs).faults, qs) for label, qs in layer]
+        draws = [(model._entry("faults", label, len(qs), circ.gate_defs), qs) for label, qs in layer]
         busy = {q for _, qs in layer for q in qs}
         draws += [(model._idle_faults, (q,)) for q in range(n) if q not in busy]
         row = pulled_back[t + shift]
@@ -1236,12 +1237,102 @@ def _general_apply(state, op, qubits):
     return out.reshape(moved.shape).transpose(tuple(int(a) for a in np.argsort(perm)))
 
 
+def _reference_unitary(model, label, gate_defs):
+    """A label's unitary from ``gate_factory``, ``gate_defs`` or the builtin
+    names, in that order, or None; and whether the label is fixed."""
+    u = model.gate_factory(label) if model.gate_factory else None
+    if u is not None:
+        return u, model.gate_factory is cl.clifford_gate_factory and label.startswith("c1_")
+    u = gate_defs.get(label) if gate_defs else None
+    if u is not None:
+        return u, False
+    u = dv.GATE_UNITARIES.get(label)
+    return u, u is not None
+
+
+class ReferenceRecord:
+    """One gate label resolved under a model, field by field, as the
+    backends read it before the model compiled its gates into tables: the
+    reference that the compiled entries are checked against."""
+
+    def __init__(self, model, label, arity, gate_defs):
+        self.label, self.explicit, self.fixed = label, None, False
+        if label in model.gates:
+            self.explicit, self.arity = model.gates[label]
+            u = _reference_unitary(model, label, gate_defs)[0] if self.explicit.unitary is None else self.explicit.unitary
+        else:
+            u, self.fixed = _reference_unitary(model, label, gate_defs)
+            self.arity = len(u).bit_length() - 1
+        assert self.arity == arity
+        self.ideal = None if u is None else np.asarray(u, dtype=complex)
+        self.noise = model.noise_rule(label, arity) if model.noise_rule else None
+        self.pre = pre = model.pre_gate_noise
+        if self.explicit is not None:
+            self.noisy = self.explicit
+        elif self.noise is None:
+            self.noisy = dv._fixed_ideal(label) if self.fixed else ch.Channel.from_unitary(self.ideal)
+        else:
+            noise = self.noise
+            ideal = dv._fixed_ideal(label).ptm if self.fixed else ch.unitary_ptms(self.ideal[None])[0]
+            u = None if noise.unitary is None else self.ideal @ noise.unitary if pre else noise.unitary @ self.ideal
+            self.noisy = ch.Channel(ideal @ noise.ptm if pre else noise.ptm @ ideal, u)
+
+    @property
+    def error(self):
+        if self.explicit is None:
+            return ch.identity_channel(self.arity) if self.noise is None else self.noise
+        ideal = ch.unitary_ptms(self.ideal[None])[0]
+        return ch.Channel(ideal.T @ self.explicit.ptm if self.pre else self.explicit.ptm @ ideal.T)
+
+    @property
+    def tableau(self):
+        return cl.tableau_from_unitary(self.ideal)
+
+    @property
+    def conjugation(self):
+        return cl.conjugation_table(self.tableau)
+
+    @property
+    def faults(self):
+        return dv._noise_dist(self.error.ptm, self.label)
+
+
+def reference_records(model, circuit):
+    """Per distinct key of the circuit, in order of first use, its
+    :class:`ReferenceRecord`."""
+    return {key: ReferenceRecord(model, *dv._PAIRS[key], circuit.gate_defs) for key in dict.fromkeys(circuit._flat.key)}
+
+
+def reference_draws(model, circuit):
+    """The fast path's draw rows of one circuit from its reference records,
+    per row its identity probability, layer, padded support, cdf (padded)
+    and letters (padded), and the first row of every layer."""
+    records, flat, n = reference_records(model, circuit), circuit._flat.arrays, circuit.width
+    levels = flat.supports.shape[1]
+    faults = [records[key].faults for key in flat.key.tolist()]
+    noisy = np.array([f is not None for f in faults], dtype=bool)
+    rows = [(t, qs, f) for t, qs, f, keep in zip(flat.layer.tolist(), flat.supports.tolist(), faults, noisy) if keep]
+    if model.idle is not None:
+        idle = dv._noise_dist(model.idle.ptm, "idle")
+        for t, q in zip(*np.nonzero(circuit._flat.idle)):
+            rows.append((int(t), [int(q)] + [n] * (levels - 1), idle))
+    rows = [rows[i] for i in np.argsort([t for t, _, _ in rows], kind="stable")] if rows else []
+    cdfs, letters = np.full((len(rows), 4**levels - 1), np.inf), np.zeros((len(rows), 4**levels, levels), dtype=np.uint8)
+    for i, (_, _, (cdf, codes)) in enumerate(rows):
+        cdfs[i, : len(cdf) - 1] = cdf[:-1]
+        letters[i, : len(codes), : codes.shape[1]] = codes
+    layer = np.array([t for t, _, _ in rows], dtype=np.intp)
+    qubits = np.array([qs for _, qs, _ in rows], dtype=np.intp).reshape(len(rows), levels)
+    identity = np.array([f[0][0] for _, _, f in rows])
+    return identity, layer, qubits, cdfs, letters, np.searchsorted(layer, np.arange(circuit.depth + 1))
+
+
 def dense_reference_state(model, circuit):
     """The superket, shaped ``(4,) * n``, that a per-operation ``np.dot``
     loop leaves on C-ordered copies of the circuit's PTMs: each layer applies
     its gates in order, then the model's idle channel, if any, on the layer's
     idle qubits.  The dense backend's stacked loop gives these bits."""
-    ptms = [np.ascontiguousarray(rec.noisy.ptm) for rec in dv._dense_records(model, circuit)]
+    ptms = {key: np.ascontiguousarray(rec.noisy.ptm) for key, rec in reference_records(model, circuit).items()}
     key = iter(circuit._flat.key)
     state = np.array(model._superket)
     for layer, idle_qubits in zip(circuit.layers, dv._idle_qubits(model, circuit._flat)):
@@ -1254,7 +1345,7 @@ def dense_reference_state(model, circuit):
 
 def _one_circuit_state(model, circuit):
     """The superket that ``circuit_probabilities`` evolves for one circuit."""
-    return dv._dense_states(model, [circuit], [dv._dense_records(model, circuit)])[0]
+    return dv._dense_states(model, [circuit], *dv._dense_rows(model, [circuit]))[0]
 
 
 def test_full_register_step_matches_the_general_path_bit_for_bit():
@@ -1368,21 +1459,112 @@ def test_stacked_noisy_channels_match_the_per_record_reference(gates, noise, pre
     rule = _label_noise(noise)
     model = dv.noisy_model(3, rule, pre_gate_noise=pre)
     state = _one_circuit_state(model, circuit)
-    assert not set(defs) & set(model._records)  # labels that gate_defs name are not kept
-    records = [model.record(label, k, defs) for label, k in circuit._flat.keys]
-    dv._build_noisy(records)  # builds the inline labels afresh, in their own stacked pass
+    noisy = model._tables["noisy"]
+    assert not any(noisy.row[key] >= 0 for key in circuit._flat.key if dv._PAIRS[key][0] in defs)  # labels that gate_defs name are not kept
+    entries, (rows,) = dv._gathered(model, "noisy", [(circuit._flat.key, defs)])  # builds the inline labels afresh, in their own stacked pass
     reference = {}
-    for rec in records:
-        ideal = ch.Channel.from_kraus([rec.ideal])
-        ideal.unitary = rec.ideal
-        error = rule(rec.label, rec.arity)
+    for key, row in dict(zip(circuit._flat.key, rows.tolist())).items():
+        label, arity = dv._PAIRS[key]
+        noisy, ptm = (a[row] for a in entries[arity])
+        u = model.ideal_unitary(label, defs)
+        ideal = ch.Channel.from_kraus([u])
+        ideal.unitary = u
+        error = rule(label, arity)
         want = ideal if error is None else ideal.compose(error) if pre else error.compose(ideal)
-        assert np.array_equal(rec.noisy.ptm, want.ptm)
-        assert (rec.noisy.unitary is None) == (want.unitary is None)
-        assert want.unitary is None or np.array_equal(rec.noisy.unitary, want.unitary)
-        reference[rec.label] = (want, rec.arity)
+        assert np.array_equal(noisy.ptm, want.ptm) and np.array_equal(ptm, want.ptm)
+        assert (noisy.unitary is None) == (want.unitary is None)
+        assert want.unitary is None or np.array_equal(noisy.unitary, want.unitary)
+        reference[label] = (want, arity)
     # the dense run applied those channels: the references, given as explicit gates, give its bits
     assert np.array_equal(dense_reference_state(GateSetModel(3, gates=reference), circuit), state)
+
+
+_CLIFFORD_GATES = st.one_of(
+    st.integers(0, 11519).map(lambda i: (f"c2_{i}", 2)),
+    st.integers(0, 23).map(lambda i: (f"c1_{i}", 1)),
+    st.sampled_from([("H", 1), ("X90", 1), ("S", 1), ("CNOT", 2), ("CZ", 2), ("ISWAP", 2)]),
+    st.sampled_from([("w1", 1), ("w2", 2), ("X", 1)]),  # inline gate_defs, one shadowing a builtin name
+)
+_INLINE = {"w1": dv.GATE_UNITARIES["S"], "w2": dv.GATE_UNITARIES["CNOT"], "X": dv.GATE_UNITARIES["H"]}
+
+
+def _pauli_rule(label, k):
+    return ch.stochastic_pauli((0.02, 0.01, 0.03)) if k == 1 else ch.stochastic_pauli({"XI": 0.02, "ZY": 0.01})
+
+
+def _clifford_model(n, kind, pre, idle):
+    idle = ch.stochastic_pauli((0.01, 0.0, 0.02)) if idle else None
+    if kind == "explicit":  # CZ explicit with Pauli noise, every other gate by the rule
+        cz = ch.Channel(_pauli_rule("CZ", 2).ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["CZ"]).ptm)
+        cz.unitary = dv.GATE_UNITARIES["CZ"]
+        return GateSetModel(n, gates={"CZ": (cz, 2)}, noise_rule=_pauli_rule, idle=idle, pre_gate_noise=pre)
+    return dv.noisy_model(n, _pauli_rule if kind == "pauli" else None, idle=idle, pre_gate_noise=pre)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    circuits=st.lists(st.lists(st.lists(_CLIFFORD_GATES, max_size=3), max_size=4), min_size=1, max_size=3),
+    kind=st.sampled_from(["ideal", "pauli", "explicit"]),
+    pre=st.booleans(),
+    idle=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_compiled_entries_match_the_per_record_reference(n, circuits, kind, pre, idle, seed):
+    """Random Clifford circuits, run one after another on one model, read
+    from its compiled tables, bit for bit, what per-record resolution
+    (:class:`ReferenceRecord`) gives: the dense state, every gate's
+    conjugation tables, the fast path's draw rows and the statevector."""
+    gen, model = rng(seed), _clifford_model(n, kind, pre, idle)
+    for gates in circuits:
+        layers = []
+        for layer_gates in gates:
+            free, layer = list(gen.permutation(n)), []
+            for label, k in layer_gates:
+                if k <= len(free):
+                    layer.append((label, tuple(int(free.pop()) for _ in range(k))))
+            layers.append(tuple(layer))
+        used = {label for layer in layers for label, _ in layer}
+        circuit = Circuit(n, tuple(layers), {k: v for k, v in _INLINE.items() if k in used})
+        records = reference_records(model, circuit)
+        assert np.array_equal(_one_circuit_state(model, circuit), dense_reference_state(model, circuit))
+        psi = np.zeros((1,) + (2,) * n, dtype=complex)
+        psi.flat[0] = 1.0
+        for qubits, key in zip(circuit._flat.supports, circuit._flat.key):
+            psi = dv._apply_stacked(psi, records[key].ideal, qubits)
+        assert np.array_equal(dv.statevector_run(circuit, model), psi.reshape(-1))
+        program, flat = dv.CliffordProgram(model, circuit), circuit._flat.arrays
+        for t, groups in enumerate(program.gates):
+            ops = np.flatnonzero(flat.layer == t)
+            assert sorted(len(rows) for rows, *_ in groups) == sorted(set(flat.arity[ops].tolist()))
+            for rows, offsets, images, phases in groups:
+                k, sel = len(rows), ops[flat.arity[ops] == len(rows)]
+                assert np.array_equal(np.array(rows).T, flat.supports[sel, :k])
+                for op, offset in zip(sel, offsets[:, 0].tolist()):
+                    want_images, want_phases = records[int(flat.key[op])].conjugation
+                    assert all(np.array_equal(image[offset : offset + 4**k], want) for image, want in zip(images, want_images))
+                    assert np.array_equal(phases[offset : offset + 4**k], want_phases)
+        draws = program.draws
+        identity, layer, qubits, cdfs, letters, starts = reference_draws(model, circuit)
+        assert np.array_equal(draws.identity, identity) and np.array_equal(draws.layer, layer)
+        assert np.array_equal(draws.qubits, qubits) and np.array_equal(draws.starts, starts)
+        assert np.array_equal(draws.cdfs[draws.dists], cdfs) and np.array_equal(draws.letters[draws.dists], letters)
+
+
+def test_run_crb_compiles_each_key_once(monkeypatch):
+    """On a fresh 2q model, one ``run_crb`` builds the noisy PTM of each
+    distinct key of its circuits exactly once, and a second call on the same
+    model builds none."""
+    built, build = [], dv._FIELDS["noisy"]
+    monkeypatch.setitem(dv._FIELDS, "noisy", lambda model, keys, arity: built.extend(keys) or build(model, keys, arity))
+    model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.01, n=k))
+    design = rb.RBDesign((0, 1), (0, 2, 5), 6, 20, seed=17)
+    rb.run_crb(model, design)
+    used = {key for _, circuit, _ in rb.crb_circuits(design) for key in circuit._flat.key}
+    assert len(built) == len(set(built)) == len(used) and set(built) == used
+    built.clear()
+    rb.run_crb(model, design)
+    assert built == []
 
 
 def _depolarized_h_model():
@@ -1614,29 +1796,29 @@ def test_f_ordered_ptm_evolves_as_its_c_ordered_copy():
     ptms = {label: np.ascontiguousarray(ch.random_cptp(4, seed).ptm) for label, seed in zip("ABC", (0, 1, 9))}
     fortran = GateSetModel(2, gates={label: (ch.Channel(np.asfortranarray(p) if label != "C" else p), 2) for label, p in ptms.items()})
     c_ordered = GateSetModel(2, gates={label: (ch.Channel(p), 2) for label, p in ptms.items()})
-    assert not fortran.record("A", 2).noisy.ptm.flags.c_contiguous
+    assert not fortran.resolve("A", 2).ptm.flags.c_contiguous
     for support in ((0, 1), (1, 0)):
         circuits = [Circuit(2, tuple(((str(gen.choice(list(labels))), support),) for _ in range(4))) for labels in ("AC", "C", "C", "BC")]
         for circuit in circuits:
             assert np.array_equal(_one_circuit_state(fortran, circuit), _one_circuit_state(c_ordered, circuit))
-        stacked = dv._dense_states(fortran, circuits, [dv._dense_records(fortran, c) for c in circuits])
-        assert np.array_equal(stacked, dv._dense_states(c_ordered, circuits, [dv._dense_records(c_ordered, c) for c in circuits]))
+        stacked = dv._dense_states(fortran, circuits, *dv._dense_rows(fortran, circuits))
+        assert np.array_equal(stacked, dv._dense_states(c_ordered, circuits, *dv._dense_rows(c_ordered, circuits)))
         _check_ensemble(fortran, c_ordered, circuits, [1, 2, 3, 4])
 
 
 def test_ensemble_keeps_each_circuits_gate_defs(monkeypatch):
     """Circuits of one shape whose ``gate_defs`` give the label ``u``
-    different unitaries share one stack, whose tables are keyed by record,
-    not by label: with one seed, each gets the record of its own
+    different unitaries share one stack, in which each circuit's ``u`` has
+    its own row, not one per label: with one seed, each gets the record of its own
     ``sample_counts`` call, and no two get the same counts."""
     model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.02 * k, n=k))
     layers = ((("u", (0,)), ("H", (1,))), (("CNOT", (0, 1)),), (("u", (1,)),))
     circuits = [Circuit(2, layers, {"u": haar_random_unitary(2, seed)}) for seed in range(5)]
     stacks, original = [], dv._dense_states
 
-    def spy(model, circuits, records):
+    def spy(model, circuits, *rows):
         stacks.append(len(circuits))
-        return original(model, circuits, records)
+        return original(model, circuits, *rows)
 
     monkeypatch.setattr(dv, "_dense_states", spy)
     records = dv._sample_ensemble(model, circuits, 400, [7] * 5)
@@ -1658,9 +1840,9 @@ def test_one_shape_built_apart_is_one_stack(monkeypatch):
     circuits = [c for trio in zip(short, long, checked) for c in trio]
     stacks, original = [], dv._dense_states
 
-    def spy(model, circuits, records):
+    def spy(model, circuits, *rows):
         stacks.append(len(circuits))
-        return original(model, circuits, records)
+        return original(model, circuits, *rows)
 
     monkeypatch.setattr(dv, "_dense_states", spy)
     seeds = list(range(len(circuits)))
@@ -2096,14 +2278,19 @@ def test_generated_circuits_equal_checked_ones(circuits, seed):
 
 def test_shared_shapes_are_checked_once(monkeypatch):
     """One accreditation call (328 traps here) and one MCFE call check their
-    target once and no circuit of their own, and one CRB call checks
-    nothing; every circuit is assembled."""
+    target once and no circuit of their own, also for a target given as
+    lists, and one CRB call checks nothing; every circuit is assembled."""
     checks, of = [], dv._Flat.of
     monkeypatch.setattr(dv._Flat, "of", classmethod(lambda cls, *args: checks.append(1) or of(*args)))
     sampler = rb.LayerSampler(3, twoq_gate="CZ", twoq_density=0.6)
     target = [layer for _ in range(3) for layer in sampler.sample(rng(1313))]
     result = fd.accredit(dv.ideal_model(3), target, theta=0.15, alpha=0.95, seed=5)
     assert result.n_traps == 328 and len(checks) == 1
+    checks.clear()
+    listed = [list(layer) for layer in target]
+    assert fd.accredit(dv.ideal_model(3), listed, theta=0.15, alpha=0.95, seed=5) == result and len(checks) == 1
+    checks.clear()
+    assert len(_mcfe_circuits(3, listed, 4, 5)) == 12 and len(checks) == 1
     checks.clear()
     design = rb.RBDesign((0, 1), (0, 2, 4, 8), 10, 10, seed=7)
     assert len(rb.crb_circuits(design, interleave="CZ")) == 40 and checks == []
@@ -2195,31 +2382,34 @@ def test_assembled_circuits_equal_checked_ones(n, gate, density, m, custom, seed
     seed=st.integers(0, 2**31),
 )
 def test_ensemble_channels_match_per_circuit_channels(noise, pre, budget, seed):
-    """The dense ensemble resolves each circuit's records in circuit order
-    and builds every missing noisy channel in one pass, in stacks that
-    ``_NOISY_BUDGET`` bounds; a fresh model that builds them circuit by
-    circuit gets the same channels, bit for bit, and the same states: 2q
-    CRB circuits, whose ``c2_<i>`` labels each model builds, and circuits
-    whose inline gates share a label."""
+    """The dense ensemble compiles every noisy channel that the model lacks
+    in one pass, in stacks that ``_NOISY_BUDGET`` bounds, and gathers one
+    row per operation of each circuit; a fresh model that compiles them
+    circuit by circuit gets the same channels, bit for bit, and the same
+    states: 2q CRB circuits, whose ``c2_<i>`` labels each model builds, and
+    circuits whose inline gates share a label."""
     circuits = [c for _, c, _ in rb.crb_circuits(rb.RBDesign((0, 1), (0, 1, 3), 4, 10, seed))]
     for i in range(3):
         defs = {"v": haar_random_unitary(2, seed + i), f"u{i}": haar_random_unitary(4, seed + 10 + i)}
         circuits.insert(2 * i, Circuit(2, (((f"u{i}", (1, 0)),), (("v", (0,)),), (("c2_7", (0, 1)),)), defs))
     ensemble, per_circuit = (dv.noisy_model(2, _label_noise(noise), pre_gate_noise=pre) for _ in range(2))
-    resolved, builds = [], []
-    resolve, build = dv._resolved_records, dv._build_noisy
+    gathered, passes = [], []
+    gather, compiled = dv._gathered, GateSetModel._compiled
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dv, "_resolved_records", lambda *args: resolved.append(resolve(*args)) or resolved[-1])
-        mp.setattr(dv, "_build_noisy", lambda records: builds.append(1) or build(records))
+        mp.setattr(dv, "_gathered", lambda model, field, parts: gathered.append((model, field, gather(model, field, parts))) or gathered[-1][2])
+        mp.setattr(GateSetModel, "_compiled", lambda model, *args: passes.append((model, args[0])) or compiled(model, *args))
         if budget is not None:
             mp.setattr(dv, "_NOISY_BUDGET", budget)
         states = dict(dv._ensemble_states(ensemble, circuits))
-    assert len(builds) == 1 and len(resolved) == len(circuits)
-    for i, (circuit, got) in enumerate(zip(circuits, resolved)):
-        want = dv._dense_records(per_circuit, circuit)
-        assert [rec.label for rec in got] == [rec.label for rec in want]
-        for a, b in zip(got, want):
-            assert np.array_equal(a.noisy.ptm, b.noisy.ptm)
-            assert (a.noisy.unitary is None) == (b.noisy.unitary is None)
-            assert a.noisy.unitary is None or np.array_equal(a.noisy.unitary, b.noisy.unitary)
+    gathered = [result for model, field, result in gathered if model is ensemble and field == "noisy"]
+    assert [field for model, field in passes if model is ensemble].count("noisy") == 1 and len(gathered[0][1]) == len(circuits)
+    assert len(gathered) == 1
+    entries, rows = gathered[0]
+    for i, circuit in enumerate(circuits):
+        want, (want_rows,) = dv._gathered(per_circuit, "noisy", [(circuit._flat.key, circuit.gate_defs)])
+        for (_, qubits), row, want_row in zip(chain.from_iterable(circuit.layers), rows[i].tolist(), want_rows.tolist()):
+            a, b = entries[len(qubits)][0][row], want[len(qubits)][0][want_row]
+            assert np.array_equal(a.ptm, b.ptm) and np.array_equal(entries[len(qubits)][1][row], b.ptm)
+            assert (a.unitary is None) == (b.unitary is None)
+            assert a.unitary is None or np.array_equal(a.unitary, b.unitary)
         assert np.array_equal(states[i], _one_circuit_state(per_circuit, circuit))

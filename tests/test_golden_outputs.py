@@ -17,7 +17,7 @@ from qcvv import device as dv
 from qcvv import fidelity as fd
 from qcvv import rb
 from qcvv import volumetrics as vm
-from qcvv.linalg import rng
+from qcvv.linalg import haar_random_unitary, rng
 
 
 def _noise(lbl, ar):
@@ -363,3 +363,69 @@ def test_run_crb_2q_and_interleaved_rb_1q_dense_values():
     res = rb.interleaved_rb(dv.noisy_model(1, _noise), rb.RBDesign((0,), (0, 4, 8), 3, 40, seed=375), "S")
     got = (res["reference_fit"].f, res["interleaved_fit"].f, res["e_F"], res["r"], float(res["stat_err_r"]))
     assert got == IRB_1Q_DENSE
+
+
+# Pins of the paths that resolve gates through a circuit's ``gate_defs``
+# (quantum volume, XEB, a statevector run) and of the tomography datasets
+# and exact LGST, which evolve dense ensembles; values hashed where long.
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _qv_pin():
+    model = dv.noisy_model(3, lambda lbl, ar: ch.depolarizing(0.02, n=ar))
+    res = vm.qv_test(model, 3, 4, 200, seed=380)
+    return res.hbar, res.lower_bound, res.passed, res.per_circuit
+
+
+def _xeb_pin():
+    design = rb.RBDesign((0, 1), (1, 2, 4), 3, 100, seed=381)
+    res = rb.xeb(dv.noisy_model(2, _noise), design, rb.haar_su4_layer_sampler(2, 382))
+    return res["per_depth_f_xeb"], res["f"], res["f_err"]
+
+
+def _qpt_dataset_pin():
+    from qcvv import tomography as tg
+
+    gate = dv.Circuit(2, ((("CNOT", (0, 1)),), (("H", (1,)),)))
+    data = tg.qpt_dataset(dv.noisy_model(2, _noise), gate, 50, seed=383)
+    return hashlib.sha256(repr(sorted((i, sorted(d.items())) for i, d in data.items())).encode()).hexdigest()
+
+
+def _lgst_pin():
+    from qcvv import tomography as tg
+
+    model = dv.noisy_model(1, lambda lbl, ar: ch.depolarizing(0.03))
+    res = tg.run_lgst(model, ["X90", "Y90"], exact=True)
+    return _digest(res.gates["X90"], res.gates["Y90"], res.rho, res.gram), res.gram_condition
+
+
+def _statevector_pin():
+    defs = {"u": haar_random_unitary(4, 384)}
+    circ = dv.Circuit(3, ((("H", (0,)), ("u", (1, 2))), (("CNOT", (0, 2)),), (("u", (2, 0)), ("X90", (1,)))), defs)
+    return _digest(dv.statevector_run(circ, dv.noisy_model(3, _noise)))
+
+
+QV_N3 = (0.84125, 0.7452500611029925, True, [0.725, 1.0, 0.845, 0.795])
+XEB_N2 = ([0.9300829405541141, 1.0508367204287008, 0.7232619055365845], 0.9157113634528695, 0.014899916826615593)
+QPT_DATASET_DIGEST = "325cf57805c7809a3001615cdadfeb5f23fdd1acd29b1c2eaaa6fff094fee2b7"
+LGST_1Q = ("0b0701e8842f7fe7d7c822700e46b7335c2cd120f322ac631e34e5ed6dfc7c36", 5.406315281025969)
+STATEVECTOR_DIGEST = "29f3a4046f0fa33414e4186ed8d658972f1f79c02ba2b71a494bb18192f7ae9b"
+
+
+def test_qv_and_xeb_values_with_gate_defs():
+    assert _qv_pin() == QV_N3
+    assert _xeb_pin() == XEB_N2
+
+
+def test_tomography_dataset_and_exact_lgst_values():
+    assert _qpt_dataset_pin() == QPT_DATASET_DIGEST
+    assert _lgst_pin() == LGST_1Q
+
+
+def test_statevector_amplitudes_byte_identical():
+    assert _statevector_pin() == STATEVECTOR_DIGEST
