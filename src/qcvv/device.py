@@ -41,16 +41,23 @@ gathers its rows by key (:func:`_gathered`), and ``resolve``,
 ``ideal_unitary`` and ``error_channel`` read one compiled entry.  A label
 that a circuit's ``gate_defs`` name is built for that call alone, on a copy
 of the model that resolves through them, as two circuits may define one
-label differently and a table keyed by unitaries would grow without bound.
+label differently and a table keyed by unitaries would grow without bound;
+the circuits of a call that give every label they share one unitary are
+built in one pass, on one copy, after the model's rows.  As keys are
+numbered per process, a circuit pickles as its width, layers and
+``gate_defs`` and numbers its labels again when it is loaded, and a model
+pickles without its compiled tables.
 
-The noisy field builds the channels that a call lacks per arity as one
-stack of ideal PTMs (:func:`qcvv.channels.unitary_ptms`) and one stacked
-product with the noise PTMs (:func:`_noisy_field`).  A fixed label without
-noise, a builtin name or a ``c1_<i>`` label that the default factory
-resolves, takes the ideal channel that is built once per process and
-shared, read-only, by every model (``_fixed_ideal``); a label that
-``gates``, a custom ``gate_factory`` or a circuit's ``gate_defs`` defines
-never reads it.
+The noisy field holds, per arity, one C-ordered stack of PTMs, built for
+the keys that a call lacks as one stack of ideal PTMs
+(:func:`qcvv.channels.unitary_ptms`) and one stacked product with the noise
+PTMs (:func:`_noisy_field`); it keeps no channel, so no PTM is held twice.
+``resolve`` builds a noisy gate's channel on its PTM.  An explicit gate
+resolves to its own channel, and a fixed label without noise, a builtin
+name or a ``c1_<i>`` label that the default factory resolves, to the ideal
+channel that is built once per process and shared, read-only, by every
+model (``_fixed_ideal``); a label that ``gates``, a custom
+``gate_factory`` or a circuit's ``gate_defs`` defines never reads it.
 
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
@@ -355,13 +362,16 @@ class Circuit:
         object.__setattr__(self, "_flat", flat)
 
     @classmethod
-    def _assembled(cls, width: int, layers) -> "Circuit":
+    def _assembled(cls, width: int, layers, gate_defs=None) -> "Circuit":
         """A circuit of normalised ``layers`` that library code assembled
         from valid parts; nothing is checked, and its flat form is the one
         the checked constructor builds."""
         ops = list(chain.from_iterable(layers))
         flat = _Flat._built(width, layers, map(itemgetter(0), ops), list(map(itemgetter(1), ops)))
-        return cls._unchecked(width, layers, flat)
+        return cls._unchecked(width, layers, flat, gate_defs)
+
+    def __reduce__(self):  # keys are numbered per process, so a loaded circuit numbers its labels again
+        return Circuit._assembled, (self.width, self.layers, self.gate_defs)
 
     @classmethod
     def _unchecked(cls, width: int, layers, flat: _Flat, gate_defs=None) -> "Circuit":
@@ -557,12 +567,15 @@ class GateSetModel:
         u = GATE_UNITARIES.get(label)
         return u, u is not None
 
-    def _defined(self, gate_defs, tables: dict = None) -> "GateSetModel":
-        """A copy of this model that resolves labels through ``gate_defs``
-        too, starting from ``tables`` (none by default)."""
+    def _defined(self, gate_defs) -> "GateSetModel":
+        """A copy of this model, with no compiled table, that resolves labels
+        through ``gate_defs`` too."""
         out = copy.copy(self)
-        out._defs, out._tables = gate_defs, dict(tables or {})
+        out._defs = gate_defs
         return out
+
+    def __getstate__(self):  # compiled rows are indexed by this process's keys (``_KEYS``)
+        return {**self.__dict__, "_tables": {}}
 
     def _compiled(self, field: str, keys) -> _Table:
         """The table of ``field``, after the keys among ``keys`` that it
@@ -605,7 +618,18 @@ class GateSetModel:
         return rows
 
     def resolve(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
-        return self._entry("noisy", label, arity, gate_defs)
+        """The gate's noisy channel: an explicit gate's own; without noise, a
+        fixed label's shared ideal channel (:func:`_fixed_ideal`) or
+        :meth:`Channel.from_unitary`'s; else one built on its compiled PTM,
+        with the unitary that :meth:`Channel.compose` gives."""
+        u, explicit, fixed, _ = (self._defined(gate_defs) if gate_defs else self)._spec(label, arity)
+        if explicit is not None:
+            return explicit
+        error = self._entry("error", label, arity, gate_defs)
+        if error is None:
+            return _fixed_ideal(label) if fixed else Channel.from_unitary(u)
+        v = error.unitary
+        return Channel(self._entry("noisy", label, arity, gate_defs), None if v is None else u @ v if self.pre_gate_noise else v @ u)
 
     def ideal_unitary(self, label: str, gate_defs: dict = None) -> np.ndarray:
         arity = (self._defined(gate_defs) if gate_defs else self)._spec(label)[3]
@@ -680,36 +704,25 @@ _NOISY_BUDGET = 1 << 14
 
 
 def _noisy_field(model: GateSetModel, keys, arity: int):
-    """Per key, its noisy channel, and its PTM, as one C-ordered stack.
-
-    An explicit gate's channel is its own, and a gate whose noise rule gives
-    None takes its ideal channel: :func:`_fixed_ideal`'s shared one, or
-    :meth:`Channel.from_unitary`.  The ideal PTMs of the rest come from
-    stacked :func:`unitary_ptms` calls, slice for slice those of
-    :meth:`Channel.from_unitary`, and stacked products compose them with the
-    noise PTMs, ``noise @ ideal`` (``ideal @ noise`` with pre-gate noise), in
-    stacks of at most ``_NOISY_BUDGET`` PTM entries.  Each channel carries
-    the unitary that :meth:`Channel.compose` gives."""
+    """Per key, its noisy PTM, as one C-ordered stack: an explicit gate's
+    own, and for any other gate its ideal PTM, from stacked
+    :func:`unitary_ptms` calls (slice for slice those of
+    :meth:`Channel.from_unitary`), composed with its noise PTM, if any, by
+    stacked products, ``noise @ ideal`` (``ideal @ noise`` with pre-gate
+    noise), in stacks of at most ``_NOISY_BUDGET`` PTM entries.  No channel
+    is kept; :meth:`GateSetModel.resolve` builds one on its PTM."""
     specs, pre = [model._spec(_PAIRS[key][0], arity) for key in keys], model.pre_gate_noise
-    plain = [key for key, (_, explicit, _, _) in zip(keys, specs) if explicit is None]
-    noise = dict(zip(plain, _firsts(model, "error", plain)))
-    chans, todo = [], []
-    for i, (key, (u, explicit, fixed, _)) in enumerate(zip(keys, specs)):
-        if explicit is not None:
-            chans.append(explicit)
-        elif noise[key] is None:
-            chans.append(_fixed_ideal(_PAIRS[key][0]) if fixed else Channel.from_unitary(u))
-        else:
-            chans.append(None)
-            todo.append(i)
+    plain = [i for i, (_, explicit, _, _) in enumerate(specs) if explicit is None]
+    noise = dict(zip(plain, _firsts(model, "error", [keys[i] for i in plain])))
+    ptms = np.stack([np.empty((4**arity, 4**arity)) if explicit is None else explicit.ptm for _, explicit, _, _ in specs])
     size = max(1, _NOISY_BUDGET // 16**arity)
-    for chunk in (todo[start : start + size] for start in range(0, len(todo), size)):
-        ideals = unitary_ptms(np.stack([specs[i][0] for i in chunk]))
-        noises = np.stack([noise[keys[i]].ptm for i in chunk])
-        for i, ptm in zip(chunk, ideals @ noises if pre else noises @ ideals):
-            u, v = specs[i][0], noise[keys[i]].unitary
-            chans[i] = Channel(ptm, None if v is None else u @ v if pre else v @ u)
-    return _objects(chans), np.stack([c.ptm for c in chans])
+    for chunk in (plain[start : start + size] for start in range(0, len(plain), size)):
+        ptms[chunk] = unitary_ptms(np.stack([specs[i][0] for i in chunk]))
+        composed = [i for i in chunk if noise[i] is not None]
+        if composed:
+            noises = np.stack([noise[i].ptm for i in composed])
+            ptms[composed] = ptms[composed] @ noises if pre else noises @ ptms[composed]
+    return (ptms,)
 
 
 def _tableau_field(model: GateSetModel, keys, arity: int):
@@ -748,20 +761,32 @@ def _gathered(model: GateSetModel, field: str, parts):
     ``parts`` holds, per circuit or per stack of circuits without
     ``gate_defs``, its operations' keys and its ``gate_defs``.  The model
     compiles every key of every part in one pass (:meth:`GateSetModel._compiled`),
-    but for a key whose label the part's ``gate_defs`` name: that is built
-    for the part alone, after the rows built so far, on a copy of the model
-    that resolves through them (:meth:`GateSetModel._defined`)."""
+    but for a key whose label the part's ``gate_defs`` name.  Those are
+    built for this call alone, after the model's rows, on a copy of the
+    model that resolves through the ``gate_defs`` (:meth:`GateSetModel._defined`):
+    one copy and one pass for each run of parts that give every label they
+    share the same unitary, so the parts of a QV or XEB ensemble, whose
+    labels differ, take one."""
     parts = [(np.asarray(keys, dtype=np.intp), defs) for keys, defs in parts]
     own = [np.array([_PAIRS[key][0] in defs for key in keys.tolist()] if defs else [False] * len(keys), dtype=bool) for keys, defs in parts]
     table = model._compiled(field, np.concatenate([np.zeros(0, dtype=np.intp)] + [keys[~mine] for (keys, _), mine in zip(parts, own)]))
-    rows = []
-    for (keys, defs), mine in zip(parts, own):
-        if mine.any():
-            row = table.row.copy()
-            row[keys[mine]] = -1
-            table = model._defined(defs, {field: _Table(row, table.entries)})._compiled(field, keys[mine])
-        rows.append(table.row[keys])
-    return table.entries, rows
+    rows, runs = [table.row[keys] for keys, _ in parts], []  # per run, its labels' unitaries and its parts
+    for i, ((keys, defs), mine) in enumerate(zip(parts, own)):
+        used = {_PAIRS[key][0]: defs[_PAIRS[key][0]] for key in keys[mine].tolist()} if defs else None
+        if used and (not runs or any(runs[-1][0].get(label, u) is not u for label, u in used.items())):
+            runs.append(({}, []))
+        if used:
+            runs[-1][0].update(used)
+            runs[-1][1].append(i)
+    entries = {arity: [arrays] for arity, arrays in table.entries.items()}
+    for used, members in runs:
+        built = model._defined(used)._compiled(field, np.concatenate([parts[i][0][own[i]] for i in members]))
+        start = {arity: sum(len(arrays[0]) for arrays in entries.setdefault(arity, [])) for arity in built.entries}
+        for arity, arrays in built.entries.items():
+            entries[arity].append(arrays)
+        for i in members:
+            rows[i][own[i]] = [built.row[key] + start[_PAIRS[key][1]] for key in parts[i][0][own[i]].tolist()]
+    return {arity: arrays[0] if len(arrays) == 1 else tuple(map(np.concatenate, zip(*arrays))) for arity, arrays in entries.items()}, rows
 
 
 def _firsts(model: GateSetModel, field: str, keys, gate_defs: dict = None) -> list:
@@ -867,7 +892,7 @@ def _dense_states(model: GateSetModel, circuits, entries, rows) -> np.ndarray:
     ops = iter(enumerate(flat.supports))
     for length, idle_qubits in zip(flat.lengths, _idle_qubits(model, flat)):
         for j, qubits in islice(ops, length):
-            states = _apply_stacked(states, entries[len(qubits)][1][index[:, j]], qubits)
+            states = _apply_stacked(states, entries[len(qubits)][0][index[:, j]], qubits)
         for q in idle_qubits:
             states = _apply_stacked(states, model.idle.ptm, (q,))
     return states
@@ -1265,8 +1290,7 @@ class CliffordProgram:
         self._compile(model, circuit._flat, circuit.gate_defs)
 
     def _compile(self, model: GateSetModel, flat: _Flat, gate_defs):
-        self.n, self.depth, self._model, self._flat = flat.width, len(flat.lengths), model, flat
-        self._defs = gate_defs
+        self.n, self.depth, self._model, self._flat, self._defs = flat.width, len(flat.lengths), model, flat, gate_defs
 
     @classmethod
     def _side_by_side(cls, model: GateSetModel, circuits) -> "CliffordProgram":

@@ -20,6 +20,7 @@ from qcvv.device import Circuit, GateSetModel, ShotRecord
 from qcvv.linalg import haar_random_unitary, rng
 from qcvv.metrics import tvd
 from qcvv.paulis import PauliString
+from qcvv.volumetrics import qv_circuits
 
 
 def test_circuit_validation_and_json():
@@ -1465,7 +1466,7 @@ def test_stacked_noisy_channels_match_the_per_record_reference(gates, noise, pre
     reference = {}
     for key, row in dict(zip(circuit._flat.key, rows.tolist())).items():
         label, arity = dv._PAIRS[key]
-        noisy, ptm = (a[row] for a in entries[arity])
+        ptm, noisy = entries[arity][0][row], model.resolve(label, arity, defs)
         u = model.ideal_unitary(label, defs)
         ideal = ch.Channel.from_kraus([u])
         ideal.unitary = u
@@ -1826,6 +1827,67 @@ def test_ensemble_keeps_each_circuits_gate_defs(monkeypatch):
     monkeypatch.undo()
     assert records == [dv.sample_counts(model, c, 400, 7) for c in circuits]
     assert len({tuple(sorted(r.counts.items())) for r in records}) == 5
+
+
+def test_ensemble_gate_defs_stay_with_their_circuit():
+    """A circuit whose ``gate_defs`` redefine a builtin name lends that gate
+    to no other circuit of its ensemble: a later circuit that uses the
+    builtin name, or defines it otherwise, evolves under its own gate, and
+    each state and record is that of the circuit's own call."""
+    model = dv.noisy_model(2, lambda label, k: ch.depolarizing(0.02 * k, n=k))
+    layers = ((("X", (0,)), ("H", (1,))), (("CNOT", (0, 1)),), (("X", (1,)),))
+    circuits = [
+        Circuit(2, layers, {"X": dv.GATE_UNITARIES["H"]}),
+        Circuit(2, layers),
+        Circuit(2, layers, {"X": haar_random_unitary(2, 3)}),
+        Circuit(2, layers),
+    ]
+    probs = [dv.circuit_probabilities(model, c).probs for c in circuits]
+    assert not np.allclose(probs[0], probs[1]) and np.array_equal(probs[1], probs[3])
+    for i, state in dv._ensemble_states(model, circuits):
+        assert np.array_equal(dv.circuit_probabilities(model, circuits[i], superket=state).probs, probs[i])
+    assert dv._sample_ensemble(model, circuits, 300, [5] * 4) == [dv.sample_counts(model, c, 300, 5) for c in circuits]
+
+
+def test_distinct_inline_labels_build_in_one_pass(monkeypatch):
+    """The inline gates of a QV ensemble, whose circuits name different
+    labels, are built on one copy of the model, in one noisy pass, and
+    appended to the model's rows once; circuits that give one label
+    different unitaries take a copy each."""
+    model = dv.noisy_model(3, _depolarizing_rule)
+    circuits = qv_circuits(3, 6, 11)
+    copies, defined = [], GateSetModel._defined
+    monkeypatch.setattr(GateSetModel, "_defined", lambda self, defs: copies.append(defs) or defined(self, defs))
+    states = dict(dv._ensemble_states(model, circuits))
+    assert len(copies) == 1 and len(copies[0]) == sum(len(c.gate_defs) for c in circuits)
+    for i, circuit in enumerate(circuits):
+        assert np.array_equal(states[i], _one_circuit_state(dv.noisy_model(3, _depolarizing_rule), circuit))
+    copies.clear()
+    clashing = [Circuit(1, ((("u", (0,)),),), {"u": haar_random_unitary(2, seed)}) for seed in range(3)]
+    dict(dv._ensemble_states(dv.ideal_model(1), clashing))
+    assert len(copies) == 3
+
+
+def _depolarizing_rule(label, k):  # a module-level noise rule, which pickles
+    return ch.depolarizing(0.03 * k, n=k)
+
+
+def test_pickled_circuits_and_models_load_under_another_numbering(monkeypatch):
+    """Keys are numbered per process, in order of first use, so a pickled
+    circuit, a record that holds one and a model with compiled tables load
+    as they were into a registry that numbers their labels otherwise, as
+    another process's would."""
+    model = dv.noisy_model(2, _depolarizing_rule)
+    circuit = Circuit(2, ((("X90", (0,)), ("c1_5", (1,))), (("CZ", (0, 1)),), (("u", (1,)),)), {"u": haar_random_unitary(2, 4)})
+    want = dv.circuit_probabilities(model, circuit).probs
+    blob = pickle.dumps((circuit, ShotRecord(circuit, {"00": 3}, 3, 1), model))
+    monkeypatch.setattr(dv, "_KEYS", {})
+    monkeypatch.setattr(dv, "_PAIRS", [])
+    dv._numbered(["CZ", "u", "c1_5", "c1_0", "X90"], [2, 1, 1, 1, 1])
+    back, record, loaded = pickle.loads(blob)
+    assert [dv._PAIRS[key] for key in back._flat.key] == [(label, len(qs)) for label, qs in chain.from_iterable(circuit.layers)]
+    assert back == circuit and record.circuit_id == circuit.to_json() and loaded._tables == {}
+    assert np.array_equal(dv.circuit_probabilities(loaded, back).probs, want)
 
 
 def test_one_shape_built_apart_is_one_stack(monkeypatch):
@@ -2407,9 +2469,10 @@ def test_ensemble_channels_match_per_circuit_channels(noise, pre, budget, seed):
     entries, rows = gathered[0]
     for i, circuit in enumerate(circuits):
         want, (want_rows,) = dv._gathered(per_circuit, "noisy", [(circuit._flat.key, circuit.gate_defs)])
-        for (_, qubits), row, want_row in zip(chain.from_iterable(circuit.layers), rows[i].tolist(), want_rows.tolist()):
-            a, b = entries[len(qubits)][0][row], want[len(qubits)][0][want_row]
-            assert np.array_equal(a.ptm, b.ptm) and np.array_equal(entries[len(qubits)][1][row], b.ptm)
+        for (label, qubits), row, want_row in zip(chain.from_iterable(circuit.layers), rows[i].tolist(), want_rows.tolist()):
+            (ptms,), (want_ptms,) = entries[len(qubits)], want[len(qubits)]
+            a, b = (m.resolve(label, len(qubits), circuit.gate_defs) for m in (ensemble, per_circuit))
+            assert np.array_equal(a.ptm, b.ptm) and np.array_equal(ptms[row], b.ptm) and np.array_equal(want_ptms[want_row], b.ptm)
             assert (a.unitary is None) == (b.unitary is None)
             assert a.unitary is None or np.array_equal(a.unitary, b.unitary)
         assert np.array_equal(states[i], _one_circuit_state(per_circuit, circuit))
