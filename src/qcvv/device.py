@@ -714,7 +714,10 @@ def _noisy_field(model: GateSetModel, keys, arity: int):
     specs, pre = [model._spec(_PAIRS[key][0], arity) for key in keys], model.pre_gate_noise
     plain = [i for i, (_, explicit, _, _) in enumerate(specs) if explicit is None]
     noise = dict(zip(plain, _firsts(model, "error", [keys[i] for i in plain])))
-    ptms = np.stack([np.empty((4**arity, 4**arity)) if explicit is None else explicit.ptm for _, explicit, _, _ in specs])
+    ptms = np.empty((len(keys), 4**arity, 4**arity))
+    for i, (_, explicit, _, _) in enumerate(specs):
+        if explicit is not None:
+            ptms[i] = explicit.ptm
     size = max(1, _NOISY_BUDGET // 16**arity)
     for chunk in (plain[start : start + size] for start in range(0, len(plain), size)):
         ptms[chunk] = unitary_ptms(np.stack([specs[i][0] for i in chunk]))
