@@ -5,7 +5,8 @@ Three backends cover complementary regimes:
 * ``circuit_probabilities`` / ``sample_counts``: dense propagation of the
   state's normalized-Pauli superket (width <= 6);
 * ``statevector_run``: pure-state amplitudes for unitary circuits
-  (width <= 14), used for ideal XEB/QV probabilities;
+  (width <= 14), used for ideal XEB/QV probabilities, whose designs gather
+  every circuit's unitaries in one pass (``_statevectors``);
 * ``pauli_fastpath_sample`` / ``pauli_fastpath_signs``: stochastic fault
   propagation through Clifford circuits for models whose noise is
   stochastic-Pauli, vectorized over shots (tens of qubits).
@@ -1022,24 +1023,36 @@ def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segment
 
 # -- statevector backend ------------------------------------------------------
 
+def _statevectors(model: GateSetModel, circuits):
+    """Each circuit's :func:`statevector_run` amplitudes, in circuit order;
+    the ideal unitaries of all of them are gathered in one pass
+    (:func:`_gathered`), so the inline gates of a QV or XEB design are
+    resolved on one copy of the model."""
+    if any(circuit.width > STATEVECTOR_WIDTH_CAP for circuit in circuits):
+        raise ValueError(f"statevector backend capped at width {STATEVECTOR_WIDTH_CAP}")
+    entries, rows = _gathered(model, "ideal", [(circuit._flat.key, circuit.gate_defs) for circuit in circuits])
+    for circuit, row in zip(circuits, rows):
+        psi = np.zeros((1,) + (2,) * circuit.width, dtype=complex)
+        psi.flat[0] = 1.0
+        for qubits, r in zip(circuit._flat.supports, row.tolist()):
+            psi = _apply_stacked(psi, entries[len(qubits)][0][r], qubits)
+        yield psi.reshape(-1)
+
+
 def statevector_run(circuit: Circuit, model: GateSetModel = None) -> np.ndarray:
     """Amplitudes of a unitary circuit applied to |0...0>."""
-    n = circuit.width
-    if n > STATEVECTOR_WIDTH_CAP:
-        raise ValueError(f"statevector backend capped at width {STATEVECTOR_WIDTH_CAP}")
-    if model is None:
-        model = GateSetModel(n)
-    psi = np.zeros((1,) + (2,) * n, dtype=complex)
-    psi.flat[0] = 1.0
-    for qubits, u in zip(circuit._flat.supports, _firsts(model, "ideal", circuit._flat.key, circuit.gate_defs)):
-        psi = _apply_stacked(psi, u, qubits)
-    return psi.reshape(-1)
+    return next(_statevectors(GateSetModel(circuit.width) if model is None else model, [circuit]))
+
+
+def _ideal_distributions(model: GateSetModel, circuits):
+    """Each circuit's :func:`ideal_probabilities`, from :func:`_statevectors`."""
+    for circuit, amps in zip(circuits, _statevectors(model, circuits)):
+        p = np.abs(amps) ** 2
+        yield ProbDist(_outcome_labels(circuit.width), p / p.sum())
 
 
 def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):
-    amps = statevector_run(circuit, model)
-    p = np.abs(amps) ** 2
-    return ProbDist(_outcome_labels(circuit.width), p / p.sum())
+    return next(_ideal_distributions(GateSetModel(circuit.width) if model is None else model, [circuit]))
 
 
 # -- stochastic-Pauli fast path ------------------------------------------------

@@ -48,8 +48,8 @@ from .device import (
     GateSetModel,
     ShotRecord,
     _eigenstate_stacks,
+    _ideal_distributions,
     _sample_all,
-    ideal_probabilities,
     parity_from_counts,
 )
 from .linalg import child_seeds, haar_random_unitary, pauli_matrices, rng
@@ -730,8 +730,7 @@ def xeb(model: GateSetModel, design: RBDesign, layer_sample, min_depth: int = 0)
                 defs.update(dd)
             circuits.append(Circuit(n, tuple(layers), defs))
             seeds.append(int(gen.integers(2**62)))
-        for circ, rec in zip(circuits, _sample_all(model, circuits, design.shots, seeds, "dense")):
-            ideal = ideal_probabilities(circ, model)
+        for rec, ideal in zip(_sample_all(model, circuits, design.shots, seeds, "dense"), _ideal_distributions(model, circuits)):
             pmap = ideal.as_dict()
             h_pq = d / design.shots * sum(pmap[b] * c for b, c in rec.counts.items()) - 1
             h_pp = d * float(np.sum(ideal.probs**2)) - 1

@@ -30,8 +30,8 @@ from .device import (
     GateSetModel,
     _ensemble_states,
     _sample_ensemble,
+    _statevectors,
     circuit_probabilities,
-    statevector_run,
 )
 from .linalg import (
     NORMALIZED_PAULI,
@@ -422,8 +422,8 @@ def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed, id
             s_exp[int(bits, 2), x] = c / shots
     if ideal_unitary is None:
         s_ideal = np.zeros((d, d))
-        for x, circ in enumerate(circuits):
-            s_ideal[:, x] = np.abs(statevector_run(circ, model)) ** 2
+        for x, amps in enumerate(_statevectors(model, circuits)):
+            s_ideal[:, x] = np.abs(amps) ** 2
     else:
         u = np.asarray(ideal_unitary)
         s_ideal = np.abs(u) ** 2

@@ -11,10 +11,10 @@ from .device import (
     Circuit,
     CliffordProgram,
     GateSetModel,
+    _ideal_distributions,
     _sample_all,
     _sample_ensemble,
     _stack_size,
-    ideal_probabilities,
 )
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
@@ -68,8 +68,7 @@ def qv_test(model: GateSetModel, width: int, k_circuits: int, shots: int, seed) 
     """
     circuits = qv_circuits(width, k_circuits, seed)
     heavy_sets = []
-    for circ in circuits:
-        ideal = ideal_probabilities(circ, model)
+    for ideal in _ideal_distributions(model, circuits):
         heavy = heavy_outcomes(ideal)
         assert sum(ideal.as_dict()[o] for o in heavy) >= 0.5 - 1e-9
         heavy_sets.append(heavy)
@@ -195,7 +194,7 @@ def _cell_polarizations(model, sampler, family, depth, count, shots, gen, backen
         else:
             circuits.append(qv_circuits(w, 1, seeds[-1])[0])
     if family == "qv-shape":
-        heavy = [heavy_outcomes(ideal_probabilities(circ, model)) for circ in circuits]
+        heavy = [heavy_outcomes(ideal) for ideal in _ideal_distributions(model, circuits)]
         records = _sample_ensemble(model, circuits, shots, [s + 1 for s in seeds])
         return [2 * (sum(c for o, c in rec.counts.items() if o in h) / shots) - 1 for rec, h in zip(records, heavy)]
     if family == "randomized-mirror":

@@ -1852,7 +1852,8 @@ def test_ensemble_gate_defs_stay_with_their_circuit():
 def test_distinct_inline_labels_build_in_one_pass(monkeypatch):
     """The inline gates of a QV ensemble, whose circuits name different
     labels, are built on one copy of the model, in one noisy pass, and
-    appended to the model's rows once; circuits that give one label
+    appended to the model's rows once, and so are their ideal unitaries
+    for the ensemble's statevectors; circuits that give one label
     different unitaries take a copy each."""
     model = dv.noisy_model(3, _depolarizing_rule)
     circuits = qv_circuits(3, 6, 11)
@@ -1862,6 +1863,11 @@ def test_distinct_inline_labels_build_in_one_pass(monkeypatch):
     assert len(copies) == 1 and len(copies[0]) == sum(len(c.gate_defs) for c in circuits)
     for i, circuit in enumerate(circuits):
         assert np.array_equal(states[i], _one_circuit_state(dv.noisy_model(3, _depolarizing_rule), circuit))
+    copies.clear()
+    amplitudes = list(dv._statevectors(model, circuits))  # the ideal unitaries too
+    assert len(copies) == 1
+    for amps, circuit in zip(amplitudes, circuits):
+        assert np.array_equal(amps, dv.statevector_run(circuit, model))
     copies.clear()
     clashing = [Circuit(1, ((("u", (0,)),),), {"u": haar_random_unitary(2, seed)}) for seed in range(3)]
     dict(dv._ensemble_states(dv.ideal_model(1), clashing))
