@@ -31,23 +31,23 @@ Every ``(label, arity)`` pair that a circuit uses is numbered once per
 process, in order of first use, as an integer key (``_KEYS``); only the
 names are kept, never a unitary.  A model compiles what the backends read
 into one table per field (:meth:`GateSetModel._compiled`, ``_FIELDS``): the
-ideal unitary, the error channel, the noisy channel and its PTM, the
-tableau, the fast path's conjugation images and phases, and its fault
-distribution.  A field is built when a backend first reads it, for the
-keys of that call that it lacks, in one pass in first-use order; a table
-is never written, only replaced by a grown one.  The 11,520 ``c2_<i>``
-labels are thus built per model, and only those that its runs use, as a
-process-wide table of their PTMs would take about 24 MB.  Each backend
-gathers its rows by key (:func:`_gathered`), and ``resolve``,
-``ideal_unitary`` and ``error_channel`` read one compiled entry.  A label
-that a circuit's ``gate_defs`` name is built for that call alone, on a copy
-of the model that resolves through them, as two circuits may define one
-label differently and a table keyed by unitaries would grow without bound;
-the circuits of a call that give every label they share one unitary are
-built in one pass, on one copy, after the model's rows.  As keys are
-numbered per process, a circuit pickles as its width, layers and
-``gate_defs`` and numbers its labels again when it is loaded, and a model
-pickles without its compiled tables.
+ideal unitary, the error channel, the noisy PTM, the tableau, the fast
+path's conjugation images and phases, and its fault distribution.  A field
+is built when a backend first reads it, for the keys of that call that it
+lacks, in one pass in first-use order; a table is never written, only
+replaced by a grown one.  The 11,520 ``c2_<i>`` labels are thus built per
+model, and only those that its runs use, as a process-wide table of their
+PTMs would take about 24 MB.  Each backend gathers its rows by key
+(:func:`_gathered`), and ``resolve``, ``ideal_unitary`` and
+``error_channel`` read compiled entries.  A label that a circuit's
+``gate_defs`` name is built for that call alone, on a copy of the model
+that resolves through them, as two circuits may define one label
+differently and a table keyed by unitaries would grow without bound; the
+circuits of a call that give every label they share one unitary are built
+in one pass, on one copy, after the model's rows.  As keys are numbered per
+process, a circuit pickles as its width, layers and ``gate_defs`` and
+numbers its labels again when it is loaded, and a model pickles without its
+compiled tables.
 
 The noisy field holds, per arity, one C-ordered stack of PTMs, built for
 the keys that a call lacks as one stack of ideal PTMs
@@ -1306,7 +1306,8 @@ class CliffordProgram:
         self._compile(model, circuit._flat, circuit.gate_defs)
 
     def _compile(self, model: GateSetModel, flat: _Flat, gate_defs):
-        self.n, self.depth, self._model, self._flat, self._defs = flat.width, len(flat.lengths), model, flat, gate_defs
+        self.n, self.depth, self._model, self._flat = flat.width, len(flat.lengths), model, flat
+        self._defs = gate_defs
 
     @classmethod
     def _side_by_side(cls, model: GateSetModel, circuits) -> "CliffordProgram":
