@@ -354,40 +354,6 @@ def _image_codes(name: str) -> tuple:
     return tuple(zip(*images.tolist()))
 
 
-def conjugate_codes(name: str, codes) -> tuple:
-    """Per-qubit letter codes of the image, up to sign, of the local Pauli
-    with letter codes ``codes`` (one per qubit of the support) under the
-    builtin gate ``name``."""
-    local = 0
-    for j, c in enumerate(codes):
-        local |= c << (2 * j)
-    return _image_codes(name)[local]
-
-
-def tableau_run(layers, p: PauliString) -> PauliString:
-    """Propagate ``p`` through a circuit given as layers of (gate name, qubits).
-
-    Each layer is an iterable of ``(name, qubits)`` pairs with disjoint
-    supports; gates must be Clifford by name.  Cost is polynomial in n and
-    depth.  Returns the conjugated Pauli with its sign.
-    """
-    out = p
-    for layer in layers:
-        for name, qubits in layer:
-            if name not in GATE_UNITARIES:
-                raise ValueError(f"non-Clifford or unknown gate label {name!r}")
-            local = out.restrict(qubits)
-            img = gate_tableau(name).conjugate(local)
-            # splice the image back into the full string
-            x, z = out.xbits, out.zbits
-            for i, q in enumerate(qubits):
-                x = (x & ~(1 << q)) | (((img.xbits >> i) & 1) << q)
-                z = (z & ~(1 << q)) | (((img.zbits >> i) & 1) << q)
-            phase = (out.phase - local.phase + img.phase) % 4
-            out = PauliString(out.n, x, z, phase)
-    return out
-
-
 # -- group enumeration -------------------------------------------------------
 
 @dataclass(frozen=True)

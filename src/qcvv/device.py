@@ -131,7 +131,8 @@ model compiles the keys that the circuits lack first, in one pass; the
 circuits are then grouped by shape and each group evolves as one stack,
 each item bit for bit the state that the circuit's own call gives.  Each superket then goes back through
 :func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
-draws from its own generator, as a call per circuit does, and a run still
+draws its seed's stream, as a call per circuit does, from one generator
+that the ensemble re-keys per circuit, and a run still
 makes one ``circuit_probabilities`` call, with its shots, per circuit,
 which is what a tracer that wraps those two names counts.
 
@@ -199,7 +200,7 @@ from .cliffords import (
     readout_pauli,
     tableau_from_unitary,
 )
-from .linalg import child_seeds, kron_all, rng
+from .linalg import _rekeyed, child_seeds, kron_all, rng
 from .metrics import ProbDist
 from .paulis import PauliString
 
@@ -911,9 +912,10 @@ def _effect_rows(n: int, confusion: dict) -> np.ndarray:
     return out
 
 
-def _outcome_labels(n: int):
+@lru_cache(maxsize=None)
+def _outcome_labels(n: int) -> tuple:
     """The 2**n bit strings of n qubits, in outcome order."""
-    return [format(i, f"0{n}b") for i in range(2**n)]
+    return tuple(format(i, f"0{n}b") for i in range(2**n))
 
 
 def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np.ndarray = None):
@@ -921,7 +923,9 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np
 
     ``superket`` is the state the circuit leaves, when the caller evolved it
     already (:func:`_sample_ensemble`); otherwise the circuit evolves as a
-    one-item stack (:func:`_dense_states`)."""
+    one-item stack (:func:`_dense_states`).  The probabilities must sum to
+    1 within 1e-7, a NaN sum failing too; they are then clipped at 0 and
+    normalised, so the distribution skips :class:`ProbDist`'s re-check."""
     if superket is None:
         superket = _dense_states(model, [circuit], *_dense_rows(model, [circuit]))[0]
     flat = superket.reshape(-1)
@@ -929,11 +933,11 @@ def circuit_probabilities(model: GateSetModel, circuit: Circuit, *, superket: np
         flat = model._effect_transform @ flat
     probs = model._effects @ flat
     total = probs.sum()
-    if abs(total - 1.0) > 1e-7:
+    if not abs(total - 1.0) <= 1e-7:
         raise ValueError(f"distribution normalizes to {total}; model is not TP")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    return ProbDist(_outcome_labels(model.n), probs)
+    return ProbDist._checked(list(_outcome_labels(model.n)), probs)
 
 
 def _seed_value(seed) -> int:
@@ -941,15 +945,21 @@ def _seed_value(seed) -> int:
     return -1 if isinstance(seed, np.random.Generator) else int(seed)
 
 
-def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, *, superket: np.ndarray = None) -> ShotRecord:
-    """Multinomial draw from the dense backend's distribution; ``superket``
-    passes to :func:`circuit_probabilities`."""
+def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, *, superket: tuple = None) -> ShotRecord:
+    """Multinomial draw from the dense backend's distribution, with the
+    generator of ``rng(seed)``.
+
+    ``superket`` is the state the circuit leaves and a generator that
+    draws as ``rng(seed)`` does, when the caller has both already
+    (:func:`_sample_ensemble`, which re-keys one generator per circuit);
+    the state passes to :func:`circuit_probabilities`.  The record stores
+    ``seed`` either way."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    dist = circuit_probabilities(model, circuit, superket=superket)
-    gen = rng(seed)
-    draws = gen.multinomial(shots, dist.probs)
-    counts = {lbl: int(c) for lbl, c in zip(dist.outcomes, draws) if c}
+    state, gen = (None, None) if superket is None else superket
+    dist = circuit_probabilities(model, circuit, superket=state)
+    draws = (rng(seed) if gen is None else gen).multinomial(shots, dist.probs)
+    counts = {lbl: c for lbl, c in zip(dist.outcomes, draws.tolist()) if c}
     return ShotRecord(circuit, counts, shots, _seed_value(seed))
 
 
@@ -962,15 +972,19 @@ def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
     """:func:`sample_counts` of each circuit with its seed, as a list in
     circuit order, with the dense states evolved side by side
     (:func:`_ensemble_states`).  Each superket goes through
-    :func:`sample_counts`, which draws from the circuit's own generator, so
-    each record is the one that a call per circuit gives, and each circuit
-    is one ``circuit_probabilities`` call.
+    :func:`sample_counts` with the generator of its circuit's seed: one
+    generator per call, re-keyed for each integer seed
+    (:func:`qcvv.linalg._rekeyed`), as each draw is used up before the
+    next starts, and a Generator seed as it is.  Each record is thus the
+    one that a call per circuit gives, and each circuit is one
+    ``circuit_probabilities`` call.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
     out = [None] * len(circuits)
+    gen = rng(0)
     for i, state in _ensemble_states(model, circuits):
-        out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=state)
+        out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=(state, _rekeyed(gen, seeds[i])))
     return out
 
 
@@ -1048,7 +1062,7 @@ def _ideal_distributions(model: GateSetModel, circuits):
     """Each circuit's :func:`ideal_probabilities`, from :func:`_statevectors`."""
     for circuit, amps in zip(circuits, _statevectors(model, circuits)):
         p = np.abs(amps) ** 2
-        yield ProbDist(_outcome_labels(circuit.width), p / p.sum())
+        yield ProbDist(list(_outcome_labels(circuit.width)), p / p.sum())
 
 
 def ideal_probabilities(circuit: Circuit, model: GateSetModel = None):

@@ -248,18 +248,52 @@ def matrix_log_principal(m: np.ndarray, branch_tol: float = 1e-12) -> np.ndarray
     return np.asarray(out, dtype=complex)
 
 
+def _philox_key(seed) -> int:
+    """The 64-bit Philox key of an integer seed, two's complement for a
+    negative one."""
+    if seed is None:
+        raise ValueError("an explicit seed is required")
+    return int(seed) & (2**64 - 1)
+
+
 def rng(seed) -> np.random.Generator:
     """The package-wide counter-based generator (Philox), keyed by ``seed``.
 
     Every stochastic operation in the package takes an explicit seed and
     builds its generator here; ``seed`` may also already be a Generator,
-    which is passed through (used internally to chain draws).
+    which is passed through (used internally to chain draws).  A caller
+    that uses one seed's generator up before the next seed's draws starts
+    can re-key one generator instead (:func:`_rekeyed`): same stream, no
+    new bit generator.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if seed is None:
-        raise ValueError("an explicit seed is required")
-    return np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1))))
+    return np.random.Generator(np.random.Philox(key=np.uint64(_philox_key(seed))))
+
+
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rekeyed(gen: np.random.Generator, seed) -> np.random.Generator:
+    """``rng(seed)``'s generator, as ``gen`` re-keyed in place: its Philox
+    state becomes that of a new ``Philox(key=...)`` (counter zero, buffer
+    spent), so the draws that follow are ``rng(seed)``'s whatever ``gen``
+    drew before.  A Generator ``seed`` is returned as it is.  Re-keying
+    leaves no earlier draw of ``gen`` live, so it suits draws that are
+    used up one seed at a time; it skips the OS entropy that building a
+    ``Philox`` gathers and the key then discards.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (_philox_key(seed), 0)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def child_seeds(seed, count: int):

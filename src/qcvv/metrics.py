@@ -36,6 +36,15 @@ class ProbDist:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
 
     @classmethod
+    def _checked(cls, outcomes: list, probs: np.ndarray) -> "ProbDist":
+        """The distribution of a caller that has checked what the
+        constructor checks: a flat float array of finite, nonnegative
+        probabilities summing to 1, one per outcome label."""
+        dist = object.__new__(cls)
+        dist.outcomes, dist.probs = outcomes, probs
+        return dist
+
+    @classmethod
     def from_dict(cls, d) -> "ProbDist":
         items = sorted(d.items())
         return cls([k for k, _ in items], np.array([v for _, v in items]))

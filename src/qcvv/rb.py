@@ -183,6 +183,15 @@ def _element_layers(n: int) -> tuple:
     return tuple(((clifford_label(n, k), qubits),) for k in range(len(enumerate_clifford_group(n))))
 
 
+@lru_cache(maxsize=None)
+def _success_bits(n: int) -> tuple:
+    """Per n-qubit Pauli index p, the outcome that the Pauli's X part
+    flips from all zeros: the bit string a motion-reversal circuit closed
+    by that Pauli returns, qubit 0 first."""
+    xbits = (PauliString.from_index(p, n).xbits for p in range(4**n))
+    return tuple("".join("1" if (x >> q) & 1 else "0" for q in range(n)) for x in xbits)
+
+
 def _clifford_sequence(gen, n: int, m: int, interleave: str = None):
     """Draw one RB sequence of m + 1 uniformly random n-qubit Cliffords.
 
@@ -222,6 +231,7 @@ def crb_circuits(design: RBDesign, interleave: str = None):
     group_us = group_unitaries(n)
     paulis = pauli_matrices(n)
     inter_u = GATE_UNITARIES[interleave] if interleave else None
+    success = _success_bits(n)
     gen = rng(design.seed)
     drawn, targets = [], []
     for m in design.depths:
@@ -231,8 +241,7 @@ def crb_circuits(design: RBDesign, interleave: str = None):
             p = int(gen.integers(4**n))
             seqs.append(ks)
             pidx.append(p)
-            x = PauliString.from_index(p, n).xbits
-            drawn.append((m, layers, "".join("1" if (x >> q) & 1 else "0" for q in range(n))))
+            drawn.append((m, layers, success[p]))
         u = np.broadcast_to(np.eye(2**n, dtype=complex), (len(seqs), 2**n, 2**n))
         for column in np.array(seqs).reshape(-1, m + 1).T:
             u = group_us[column] @ u

@@ -18,11 +18,12 @@ from qcvv.cliffords import (
     clifford_group_1q,
     gate_tableau,
     pauli_codes,
-    tableau_run,
 )
 from qcvv.device import Circuit
 from qcvv.linalg import kron_all, pauli_matrices, rng
 from qcvv.paulis import PauliString, all_paulis
+
+from clifford_reference import tableau_run
 
 ONEQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (2, 2))
 TWOQ_NAMES = sorted(name for name, u in GATE_UNITARIES.items() if u.shape == (4, 4))

@@ -18,7 +18,7 @@ from qcvv import fidelity as fd
 from qcvv import rb
 from qcvv.device import Circuit, GateSetModel, ShotRecord
 from qcvv.linalg import haar_random_unitary, rng
-from qcvv.metrics import tvd
+from qcvv.metrics import ProbDist, tvd
 from qcvv.paulis import PauliString
 from qcvv.volumetrics import qv_circuits
 
@@ -544,6 +544,36 @@ def test_gauge_transformed_model_keeps_parent_probabilities_after_caching():
     assert np.allclose(gauged._superket.reshape(-1), m @ prep.reshape(-1), atol=1e-15)
     assert np.array_equal(model._superket, prep)
     assert np.array_equal(dv.circuit_probabilities(model, circ).probs, p0)
+
+
+def test_nan_ptm_is_reported_as_not_trace_preserving():
+    """A NaN in an explicit gate's PTM makes the outcome sum NaN, which the
+    one normalisation check rejects, on one call and in an ensemble."""
+    ptm = np.eye(4)
+    ptm[3, 0] = np.nan
+    model = GateSetModel(1, gates={"N": (ch.Channel(ptm), 1)})
+    circ = Circuit(1, ((("N", (0,)),),))
+    with pytest.raises(ValueError, match="model is not TP"):
+        dv.circuit_probabilities(model, circ)
+    with pytest.raises(ValueError, match="model is not TP"):
+        dv._sample_ensemble(model, [circ, circ], 10, [1, 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_circuit_probabilities_equal_a_checked_distribution(n):
+    """The dense distribution, built without ProbDist's re-check, is the
+    checked ProbDist of the same probabilities to the byte, and each call
+    owns its outcome list."""
+    model = dv.noisy_model(n, lambda label, k: ch.depolarizing(0.05 * k, n=k), confusion={0: [[0.9, 0.2], [0.1, 0.8]]})
+    circ = _random_clifford_circuit(n, 4, rng(n))
+    dist = dv.circuit_probabilities(model, circ)
+    checked = ProbDist(list(dist.outcomes), dist.probs.copy())
+    assert dist.outcomes == checked.outcomes == [format(i, f"0{n}b") for i in range(2**n)]
+    assert dist.probs.dtype == checked.probs.dtype and dist.probs.shape == checked.probs.shape
+    assert dist.probs.tobytes() == checked.probs.tobytes()
+    dist.outcomes[0] = "mutated"
+    dist.outcomes.append("extra")
+    assert dv.circuit_probabilities(model, circ).outcomes == checked.outcomes
 
 
 def _tensordot_reference(state, op, qubits):
@@ -1765,6 +1795,24 @@ def test_ensemble_sampling_matches_per_circuit_sample_counts(kind, n, noise, idl
         _check_ensemble(model, reference, circuits, seeds)
     finally:
         dv._ENSEMBLE_BUDGET = size
+
+
+def test_ensemble_sampling_takes_integer_and_generator_seeds():
+    """A mixed list of integer and Generator seeds gives each circuit the
+    record of its own ``sample_counts`` call: the ensemble re-keys its one
+    generator for each integer seed, also for stacks that come back out of
+    circuit order, and draws from each Generator seed as it is."""
+    circuits = _ensemble_case("mixed", 2, 9)
+    assert [i for i, _ in dv._ensemble_states(GateSetModel(2), circuits)] != list(range(len(circuits)))
+    model = _ensemble_model("mixed", 2, "depolarizing", True, True, False)
+    ints = [5, -3, 2**63, 0, 2**64 + 9, 7, 2**62]
+
+    def seeds():
+        return [rng(s) if i % 2 else s for i, s in enumerate(ints[: len(circuits)])]
+
+    records = dv._sample_ensemble(model, circuits, 40, seeds())
+    assert records == [dv.sample_counts(model, c, 40, s) for c, s in zip(circuits, seeds())]
+    assert [r.seed for r in records] == [-1 if i % 2 else s for i, s in enumerate(ints[: len(circuits)])]
 
 
 def _check_ensemble(model, reference, circuits, seeds, shots=25):

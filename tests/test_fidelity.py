@@ -219,6 +219,15 @@ def test_accreditation_checks_its_target(bad, message):
         fd.mcfe(dv.ideal_model(3), layers, k_ensemble=4, shots=10, seed=3)
 
 
+def _conjugate_codes(name, codes) -> tuple:
+    """Per-qubit letter codes of the image, up to sign, of the local Pauli
+    with letter codes ``codes`` (one per qubit of the support) under the
+    builtin gate ``name``, read off its conjugation table."""
+    images, _ = cl.conjugation_table(cl.gate_tableau(name))
+    local = sum(c << (2 * j) for j, c in enumerate(codes))
+    return tuple(int(code) for code in images[:, local])
+
+
 def _label_built_trap(n, twoq_t, gen):
     """A trap drawn as :func:`fd._traps` draws one, round by round, each
     round redrawn until no CZ sees two H picks, with every 1q layer composed
@@ -243,7 +252,7 @@ def _label_built_trap(n, twoq_t, gen):
         d = cl.pauli_codes(int(gen.integers(4**n)), n)
         c = list(d)
         for label, qubits in twoq:
-            for q, code in zip(qubits, cl.conjugate_codes(label, [d[q] for q in qubits])):
+            for q, code in zip(qubits, _conjugate_codes(label, [d[q] for q in qubits])):
                 c[q] = code
         oneq[i] = cl.compose_1q_with_pauli(oneq[i], d, n, before=False)
         oneq[i + 1] = cl.compose_1q_with_pauli(oneq[i + 1], c, n, before=True)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcvv import linalg
@@ -207,3 +207,52 @@ def test_array_integer_draw_matches_scalar_draws(seed, steps):
         else:
             assert array_gen.permutation(n).tolist() == scalar_gen.permutation(n).tolist()
     assert array_gen.random() == scalar_gen.random()
+
+
+def _philox_state(gen):
+    """The bit generator's whole state as plain values, for equality."""
+    state = gen.bit_generator.state
+    return (
+        state["bit_generator"],
+        state["state"]["counter"].tolist(),
+        state["state"]["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, -1, -(2**63), 2**63, 2**64 - 1, 2**64, 2**64 + 7]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.tuples(SEEDS, st.integers(0, 7), st.integers(1, 9)), min_size=1, max_size=5))
+@example([(0, 1, 3), (2**63, 3, 1), (-5, 0, 2), (2**64 + 3, 5, 4)])
+def test_rekeyed_generator_draws_the_stream_of_a_new_one(steps):
+    """Re-keying one live generator for seed after seed gives, each time,
+    the state of ``rng(seed)`` and its draws, whatever the previous key
+    left behind: negative seeds, 0, 2**63 and seeds above 2**64 reduce to
+    the key ``rng`` takes, and an odd number of ``integers(3)`` calls
+    leaves a half-used 32-bit word and a partly read buffer."""
+    gen = rng(123)
+    for seed, spent, k in steps:
+        assert linalg._rekeyed(gen, seed) is gen
+        fresh = rng(seed)
+        assert _philox_state(gen) == _philox_state(fresh)
+        draws = [
+            (g.multinomial(50, [0.2, 0.3, 0.5]).tolist(), g.random(3).tolist(), g.integers(3, size=k).tolist())
+            for g in (gen, fresh)
+        ]
+        assert draws[0] == draws[1]
+        for _ in range(spent):
+            gen.integers(3)
+
+
+def test_rekeyed_passes_a_generator_seed_through():
+    gen, seed = rng(1), rng(2)
+    before = _philox_state(gen)
+    assert linalg._rekeyed(gen, seed) is seed
+    assert _philox_state(gen) == before
+    with pytest.raises(ValueError, match="explicit seed"):
+        linalg._rekeyed(gen, None)

@@ -11,11 +11,12 @@ from qcvv.cliffords import (
     group_unitaries,
     random_clifford,
     tableau_from_unitary,
-    tableau_run,
     verify_2design,
 )
 from qcvv.linalg import rng
 from qcvv.paulis import PauliString, all_paulis, pauli_commutes, pauli_multiply
+
+from clifford_reference import tableau_run
 
 
 def test_pauli_product_xz():
