@@ -1,4 +1,5 @@
-"""Clifford tableaux, the 1- and 2-qubit Clifford groups, and Pauli propagation.
+"""Clifford tableaux, the 1- and 2-qubit Clifford groups, and the
+Clifford-layer helpers that the protocols build their circuits from.
 
 A :class:`CliffordTableau` is a (2n, 2n) GF(2) matrix of the generator
 images' x|z bits plus their phase vector (Aaronson and Gottesman).  One
@@ -22,10 +23,15 @@ unitary, as CRB needs for its closing element) come from that pass; the
 group algebra composes unitaries, never tableaux.
 
 The protocols build their circuits from one set of Clifford-layer helpers
-kept here: the Pauli-eigenstate preparation layer, the readout rotation
-onto Z and the Z-type Pauli it leaves, the inverse of a layer, and the 1q
-layer algebra over the ``c1_<i>`` index tables (composition, Pauli frames
-and randomized compiling of two-qubit sublayers).
+kept here: the Pauli-eigenstate preparation layer
+(:func:`eigenstate_layer`), the readout rotation onto Z and the Z-type
+Pauli it leaves (:func:`readout_layer`, :func:`readout_pauli`), the
+inverse of a layer (:func:`inverse_layer`), and the 1q layer algebra over
+the ``c1_<i>`` index tables (:func:`oneq_layer`,
+:func:`compose_1q_layers`, :func:`compose_1q_with_pauli` and
+:func:`randomized_compile` of two-qubit sublayers).  Pauli propagation
+through whole circuits lives in :mod:`qcvv.device`, which reads the
+conjugation tables built here.
 """
 
 from __future__ import annotations

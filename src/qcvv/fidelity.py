@@ -1,5 +1,14 @@
 """Whole-circuit fidelity estimation: direct fidelity estimation, mirror
-circuit fidelity estimation, and circuit output accreditation."""
+circuit fidelity estimation, and circuit output accreditation.
+
+DFE measures the sampled Paulis of one shot count in one
+:func:`qcvv.device._parity_all` call.  MCFE and accreditation check their
+target once and assemble every circuit from it (MCFE needs at least two
+circuits per ensemble); they draw all their circuits and shot seeds first
+and then sample them as one ensemble on either backend.  Trap 1q layers
+are composed and randomly compiled on per-qubit Clifford element indices,
+and each trap's labels are built once.
+"""
 
 from __future__ import annotations
 

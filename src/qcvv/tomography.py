@@ -14,6 +14,11 @@ preparations {|0>, |1>, |+>, |i+>} per qubit and the 3**n Pauli measurement
 settings.  Their 6**n effect matrices and normalized-Pauli superbras are
 built once per width (:func:`_effect_table`) and shared, read-only, by QST,
 QPT, LGST and gauge optimization.
+
+A state's 3**n Pauli settings are sampled as one dense ensemble
+(:func:`qcvv.device._sample_ensemble`), and linear GST builds its
+dataset's circuits first and evolves them as dense stacks
+(:func:`qcvv.device._ensemble_states`).
 """
 
 from __future__ import annotations
