@@ -972,10 +972,10 @@ def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
     """:func:`sample_counts` of each circuit with its seed, as a list in
     circuit order, with the dense states evolved side by side
     (:func:`_ensemble_states`).  Each superket goes through
-    :func:`sample_counts` with the generator of its circuit's seed: one
-    generator per call, re-keyed for each integer seed
-    (:func:`qcvv.linalg._rekeyed`), as each draw is used up before the
-    next starts, and a Generator seed as it is.  Each record is thus the
+    :func:`sample_counts` with its circuit's generator: for an integer
+    seed, the one generator of this call re-keyed to that seed
+    (:func:`qcvv.linalg._rekeyed`), as each circuit's draw ends before the
+    next one's starts; a Generator seed as it is.  Each record is thus the
     one that a call per circuit gives, and each circuit is one
     ``circuit_probabilities`` call.
     """

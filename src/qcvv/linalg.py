@@ -262,9 +262,9 @@ def rng(seed) -> np.random.Generator:
     Every stochastic operation in the package takes an explicit seed and
     builds its generator here; ``seed`` may also already be a Generator,
     which is passed through (used internally to chain draws).  A caller
-    that uses one seed's generator up before the next seed's draws starts
-    can re-key one generator instead (:func:`_rekeyed`): same stream, no
-    new bit generator.
+    that finishes one seed's draws before the next seed's start can re-key
+    one generator instead (:func:`_rekeyed`): the same stream, without a
+    new bit generator per seed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
@@ -279,9 +279,9 @@ def _rekeyed(gen: np.random.Generator, seed) -> np.random.Generator:
     state becomes that of a new ``Philox(key=...)`` (counter zero, buffer
     spent), so the draws that follow are ``rng(seed)``'s whatever ``gen``
     drew before.  A Generator ``seed`` is returned as it is.  Re-keying
-    leaves no earlier draw of ``gen`` live, so it suits draws that are
-    used up one seed at a time; it skips the OS entropy that building a
-    ``Philox`` gathers and the key then discards.
+    abandons the stream ``gen`` was on, so it suits callers that finish
+    one seed's draws before the next seed's start; it skips the OS entropy
+    that building a ``Philox`` gathers and the key then discards.
     """
     if isinstance(seed, np.random.Generator):
         return seed
