@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .cliffords import enumerate_clifford_group
+from .cliffords import group_unitaries
 from .linalg import (
     MATRIX_UNITS,
     NORMALIZED_PAULI,
@@ -564,7 +564,7 @@ def twirl_sampled(channel: Channel, group: str, nsamples: int, seed) -> Channel:
         if n != want:
             raise ValueError("group dimension does not match the channel")
         frames = None
-        elems = enumerate_clifford_group(n)
+        elems = group_unitaries(n)
     else:
         raise ValueError(f"unknown twirling group {group!r}")
     acc = np.zeros_like(channel.ptm)
@@ -572,7 +572,7 @@ def twirl_sampled(channel: Channel, group: str, nsamples: int, seed) -> Channel:
         if frames is not None:
             u = frames[int(gen.integers(len(frames)))]
         else:
-            u = Channel.from_unitary(elems[int(gen.integers(len(elems)))].unitary)
+            u = Channel.from_unitary(elems[int(gen.integers(len(elems)))])
         acc += u.ptm.T @ channel.ptm @ u.ptm  # u.ptm orthogonal: inverse = transpose
     return Channel(acc / nsamples)
 

@@ -11,9 +11,13 @@ The 24-element single-qubit group and the 11,520-element two-qubit group are
 enumerated with a unitary realization and a decomposition into physical
 gates ({X90, Y90} words for one qubit, the standard single-qubit-dressed
 CNOT/iSWAP/SWAP classes for two qubits).  Each two-qubit class is one
-stacked unitary product over the 24 x 24 local pairs.  An element carries
-its tableau key; its :class:`CliffordTableau` is built from the key on first
-use, as the RB paths read only unitaries, words and keys.
+stacked unitary product over the 24 x 24 local pairs.  Each group is
+enumerated once per width into arrays: its unitaries, words, tableau keys
+and the index of each key.  The RB paths, the ``c1_<i>``/``c2_<i>`` gate
+factory and :func:`clifford_index` read those arrays and build no element
+object; :func:`enumerate_clifford_group` builds the
+:class:`CliffordElement` objects, each of which builds its
+:class:`CliffordTableau` from its key on first use.
 
 A Clifford is identified from its unitary in one place: a vectorised pass
 conjugates the generators by a stack of unitaries and matches each image to
@@ -322,21 +326,21 @@ def gate_tableau(name: str) -> CliffordTableau:
     return tableau_from_unitary(GATE_UNITARIES[name])
 
 
-# 2-bit letter codes ``x << 1 | z`` of the base-4 Pauli digits I, X, Y, Z
-_PAULI_DIGIT_CODES = (0, 2, 3, 1)
+# the 2-bit letter code ``x << 1 | z`` of each base-4 Pauli digit I, X, Y, Z,
+# and the digit of each letter code I, Z, X, Y: one encoding, both ways
+_CODE_OF_DIGIT = np.array([0, 2, 3, 1], dtype=np.intp)
+_DIGIT_OF_CODE = np.argsort(_CODE_OF_DIGIT)
 
 
 def pauli_codes(index: int, n: int) -> list:
     """Per-qubit letter codes ``x << 1 | z`` (I=0, Z=1, X=2, Y=3) of the
     n-qubit Pauli with base-4 index ``index``; qubit 0 is the most
     significant digit, as in :meth:`PauliString.from_index`."""
-    return [_PAULI_DIGIT_CODES[(index >> (2 * (n - 1 - q))) & 3] for q in range(n)]
+    return _CODE_OF_DIGIT[[(index >> (2 * (n - 1 - q))) & 3 for q in range(n)]].tolist()
 
 
-@lru_cache(maxsize=None)
 def conjugation_table(tab: CliffordTableau):
-    """(images, phases) of conjugation by a k-qubit tableau, built once per
-    distinct tableau.
+    """(images, phases) of conjugation by a k-qubit tableau.
 
     Local Paulis are coded in ``4**k`` integers: bits ``2i + 1`` and ``2i``
     hold the x and z bits of qubit i of the support.  ``images`` is a
@@ -349,15 +353,7 @@ def conjugation_table(tab: CliffordTableau):
     codes = np.arange(4**k)[:, None]
     rows = np.hstack([codes >> (shifts + 1), codes >> shifts]).astype(np.uint8) & 1
     rows, phases = tab._conjugate_rows(rows, np.zeros(4**k, dtype=np.int64))
-    images = np.ascontiguousarray((rows[:, :k] << 1 | rows[:, k:]).T)
-    images.flags.writeable = phases.flags.writeable = False  # shared by every caller
-    return images, phases
-
-
-@lru_cache(maxsize=None)
-def _image_codes(name: str) -> tuple:
-    images, _ = conjugation_table(gate_tableau(name))
-    return tuple(zip(*images.tolist()))
+    return np.ascontiguousarray((rows[:, :k] << 1 | rows[:, k:]).T), phases
 
 
 # -- group enumeration -------------------------------------------------------
@@ -397,14 +393,13 @@ def _enumerate_1q():
     return np.array([u for _, (u, _) in ordered]), [word for _, (_, word) in ordered], [key for key, _ in ordered]
 
 
-@lru_cache(maxsize=None)
 def clifford_group_1q():
     """The 24 single-qubit Cliffords, each with an {X90, Y90} word.
 
     Elements are canonical up to global phase; the unitary stored is the one
     produced by the recorded word.
     """
-    return _group_elements(1)
+    return enumerate_clifford_group(1)
 
 
 @dataclass(frozen=True)
@@ -568,9 +563,7 @@ def randomized_compile(oneq_layers, twoq_layers, n, gen):
     return [tuple(map(tuple, oneq_layers)), list(twoq_layers)]
 
 
-# the letter code of each base-4 Pauli digit, and the images table of a qubit
-# that no gate of a sublayer touches: it keeps its letter
-_DIGIT_CODES = np.array(_PAULI_DIGIT_CODES)
+# the images table of a qubit that no gate of a sublayer touches: it keeps its letter
 _IDLE_IMAGES = np.repeat(np.arange(4, dtype=np.uint8)[:, None], 4, axis=1)
 
 
@@ -585,7 +578,7 @@ def _dress_elements(elements, twoq_layers, dressings):
     if not depth:
         return elements
     tables = clifford_1q_tables()
-    d = _DIGIT_CODES[(dressings[..., None] >> (2 * np.arange(n - 1, -1, -1))) & 3]  # (..., depth, n) letter codes
+    d = _CODE_OF_DIGIT[(dressings[..., None] >> (2 * np.arange(n - 1, -1, -1))) & 3]  # (..., depth, n) letter codes
     images, partner = _dressing_images(twoq_layers, n)
     rows = np.arange(depth)[:, None]
     c = images[rows, np.arange(n), d, d[..., rows, partner]]
@@ -630,7 +623,7 @@ def _local_images(name: str) -> np.ndarray:
     the letter code that j carries in the image of a local Pauli, as
     ``images[j, a, b]`` for the Pauli's code a on j and b on the other
     support qubit (a again for a 1-qubit gate)."""
-    codes = np.array(_image_codes(name), dtype=np.uint8)
+    codes = conjugation_table(gate_tableau(name))[0].T
     if codes.shape[1] == 1:
         images = np.repeat(codes[None], 4, axis=2)
     else:
@@ -643,7 +636,6 @@ def _local_images(name: str) -> np.ndarray:
 
 # The three-element axis-cycling set used in the standard 2-qubit
 # decomposition: I, A, A**2 with A: X -> Z -> Y -> X (A = S o H as maps).
-@lru_cache(maxsize=None)
 def _axis_cycle_1q():
     a_u = GATE_UNITARIES["S"] @ GATE_UNITARIES["H"]
     words = {
@@ -674,9 +666,9 @@ def _enumerate_2q():
     Each class is one stacked product ``b @ (a @ prefix)`` over the 24 x 24
     local pairs, a on qubit 0 (outer) and b on qubit 1 (inner); the SWAP
     and plain classes alternate element by element."""
-    c1 = [(e.unitary, e.word) for e in clifford_group_1q()]
+    c1, cycle = list(zip(*_enumeration(1)[:2])), _axis_cycle_1q()
     (a0, w0), (a1, w1) = _on_qubit(0, c1), _on_qubit(1, c1)
-    (s0, v0), (s1, v1) = _on_qubit(0, _axis_cycle_1q()), _on_qubit(1, _axis_cycle_1q())
+    (s0, v0), (s1, v1) = _on_qubit(0, cycle), _on_qubit(1, cycle)
     eye = np.eye(4, dtype=complex)
 
     def dressed(prefix, prefix_word):
@@ -696,7 +688,6 @@ def _enumerate_2q():
     return us, words, _tableau_keys(us)
 
 
-@lru_cache(maxsize=None)
 def clifford_group_2q():
     """The 11,520 two-qubit Cliffords via the four-class decomposition.
 
@@ -704,14 +695,14 @@ def clifford_group_2q():
     and (A1 x A2) SWAP, with A from the 24 single-qubit Cliffords and S1 the
     three axis-cycling elements.  Sizes 576 + 5184 + 5184 + 576 = 11520.
     """
-    return _group_elements(2)
+    return enumerate_clifford_group(2)
 
 
 @lru_cache(maxsize=None)
 def _enumeration(n: int):
     """The enumerated n-qubit group as a read-only (K, d, d) stack of
     unitaries, a tuple of words and a tuple of tableau keys, all in element
-    order."""
+    order, and the dict from each key to its element's index."""
     if n == 1:
         us, words, keys = _enumerate_1q()
     elif n == 2:
@@ -719,12 +710,7 @@ def _enumeration(n: int):
     else:
         raise ValueError("only the 1- and 2-qubit groups are enumerated")
     us.flags.writeable = False
-    return us, tuple(words), tuple(keys)
-
-
-def _group_elements(n: int) -> tuple:
-    us, words, keys = _enumeration(n)
-    return tuple(CliffordElement(key, u, word) for key, u, word in zip(keys, us, words))
+    return us, tuple(words), tuple(keys), {key: i for i, key in enumerate(keys)}
 
 
 def group_unitaries(n: int) -> np.ndarray:
@@ -734,25 +720,20 @@ def group_unitaries(n: int) -> np.ndarray:
     return _enumeration(n)[0]
 
 
-@lru_cache(maxsize=None)
-def _group_index(n: int) -> dict:
-    return {e.key: i for i, e in enumerate(enumerate_clifford_group(n))}
-
-
 def clifford_index(n: int, unitaries) -> list:
     """Indices in the enumerated n-qubit group (n = 1, 2) of the elements
     proportional to a stack of Clifford unitaries."""
     us = np.asarray(unitaries, dtype=complex).reshape(-1, 2**n, 2**n)
-    index = _group_index(n)
+    index = _enumeration(n)[3]
     return [index[key] for key in _tableau_keys(us)]
 
 
+@lru_cache(maxsize=None)
 def enumerate_clifford_group(n: int):
-    if n == 1:
-        return clifford_group_1q()
-    if n == 2:
-        return clifford_group_2q()
-    raise ValueError("only the 1- and 2-qubit groups are enumerated")
+    """The enumerated n-qubit group (n = 1, 2) as :class:`CliffordElement`
+    objects in element order, built once per width."""
+    us, words, keys, _ = _enumeration(n)
+    return tuple(CliffordElement(key, u, word) for key, u, word in zip(keys, us, words))
 
 
 def random_clifford(n: int, seed) -> CliffordElement:
@@ -773,23 +754,23 @@ def clifford_gate_factory(label: str):
     try:
         head, idx = label.split("_")
         n = int(head[1:])
-        return enumerate_clifford_group(n)[int(idx)].unitary
+        return _enumeration(n)[0][int(idx)]
     except (ValueError, IndexError):
         return None
 
 
 def average_gate_counts(n: int) -> dict:
     """Mean physical-gate counts per Clifford under this package's decomposition."""
-    group = enumerate_clifford_group(n)
+    words = _enumeration(n)[1]
     total_1q = 0
     total_2q = 0
-    for e in group:
-        for name, qubits in e.word:
+    for word in words:
+        for name, qubits in word:
             if len(qubits) == 2:
                 total_2q += 1
             else:
                 total_1q += 1
-    return {"oneq_per_clifford": total_1q / len(group), "twoq_per_clifford": total_2q / len(group)}
+    return {"oneq_per_clifford": total_1q / len(words), "twoq_per_clifford": total_2q / len(words)}
 
 
 def verify_2design(unitaries) -> float:

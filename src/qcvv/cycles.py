@@ -7,13 +7,19 @@ built from the Clifford-layer helpers of :mod:`qcvv.cliffords`: a random
 Pauli-eigenstate preparation, the benchmarked layers, and a readout rotation
 of the propagated Pauli onto Z.
 
-ACES builds no tableau per layer.  It compiles each circuit prefix once into
-a :class:`qcvv.device.CliffordProgram`, the fast path's per-layer gate
-tables: once per gate layer for the systematic rows, and once per random
-circuit for the ``paulis_per_circuit`` rows that share it.  A systematic
-row prepares the preimage, under its gate layer, of one local Pauli of one
-of the layer's gates; the preimages of a layer come from one batched row
-conjugation by the inverse of the layer's tableau.  A prefix's rows
+Every Clifford that this module composes from gates comes from a
+:class:`qcvv.device.CliffordProgram`, the fast path's per-layer gate
+tables: a layer's tableau is the images of the 2n generators propagated
+through the layer's program (:func:`cycle_tableau`).  The learnability
+analysis, the CB decay oracle and the CER orbits read one map of the images
+of all 4**n Paulis under a cycle, from one batched conjugation.
+
+ACES compiles each circuit prefix once into a program: once per gate layer
+for the systematic rows, and once per random circuit for the
+``paulis_per_circuit`` rows that share it.  A systematic row prepares the
+preimage, under its gate layer, of one local Pauli of one of the layer's
+gates; the preimages of a layer come from one batched row conjugation by
+the inverse of the tableau that the layer's program gives.  A prefix's rows
 draw their Paulis, eigenstate signs and shot seeds first, then propagate
 their prepared Paulis as one column block, each with its phase, and read
 each gate-set gate's local letters off the frames after the gate's layer.
@@ -38,6 +44,8 @@ import numpy as np
 
 from .channels import walsh_hadamard
 from .cliffords import (
+    _CODE_OF_DIGIT,
+    _DIGIT_OF_CODE,
     INVERSE_LABEL,
     CliffordTableau,
     _bit_rows,
@@ -112,14 +120,22 @@ class LearnabilityReport:
 def learnability(cycle: CliffordTableau) -> LearnabilityReport:
     """Classify each Pauli fidelity of a Clifford cycle as SPAM-robustly
     learnable (pattern-preserving) or not."""
-    n = cycle.n
-    paulis = all_paulis(n)
-    images, _ = cycle._conjugate_rows(*_bit_rows(paulis, n))
-    targets = _pack(images[:, :n] | images[:, n:])
+    paulis = all_paulis(cycle.n)
+    targets = [paulis[i].pattern for i in _image_map(cycle).tolist()]
     edges = [(p.index, p.pattern, target) for p, target in zip(paulis, targets)]
     learnable = {p.label: p.pattern == target for p, target in zip(paulis, targets)}
-    graph = PatternTransformGraph(n, edges)
+    graph = PatternTransformGraph(cycle.n, edges)
     return LearnabilityReport(graph, learnable, graph.cycle_space_dim())
+
+
+def _image_map(cycle: CliffordTableau) -> np.ndarray:
+    """Per base-4 index of an n-qubit Pauli, the index of its image under
+    the cycle, sign dropped: all 4**n Paulis in one batched conjugation."""
+    n = cycle.n
+    place = 4 ** np.arange(n - 1, -1, -1)  # qubit 0 the most significant digit
+    codes = _CODE_OF_DIGIT[np.arange(4**n)[:, None] // place % 4].astype(np.uint8)
+    rows, _ = cycle._conjugate_rows(np.hstack([codes >> 1, codes & 1]), np.zeros(4**n, dtype=np.int64))
+    return _DIGIT_OF_CODE[rows[:, :n] << 1 | rows[:, n:]] @ place
 
 
 def relabel_cycle(cycle: CliffordTableau, perm) -> CliffordTableau:
@@ -166,10 +182,16 @@ def cycle_order(cycle_tableau: CliffordTableau, max_order: int = 24) -> int:
 
 
 def cycle_tableau(model, cycle_layer) -> CliffordTableau:
-    tab = CliffordTableau.identity(model.n)
-    for label, qubits in cycle_layer:
-        tab = tab.then(model._entry("tableau", label, len(qubits)).embed(model.n, qubits))
-    return tab
+    """Tableau of one layer, checked as a circuit (:func:`_program_tableau`)."""
+    return _program_tableau(CliffordProgram(model, Circuit(model.n, (tuple(cycle_layer),))))
+
+
+def _program_tableau(program: CliffordProgram) -> CliffordTableau:
+    """Tableau of a compiled circuit: the images of the 2n generators
+    X_0..X_{n-1}, Z_0..Z_{n-1}, propagated through it in one walk."""
+    n = program.n
+    generators = [PauliString(n, 1 << q, 0) for q in range(n)] + [PauliString(n, 0, 1 << q) for q in range(n)]
+    return CliffordTableau(*_bit_rows(program.propagate(generators), n))
 
 
 def cycle_benchmark(
@@ -234,12 +256,15 @@ def cycle_benchmark(
 def cb_decay_oracle(error_eigenvalues: np.ndarray, cycle_tab: CliffordTableau, p: PauliString) -> float:
     """Prediction for f_P: geometric mean of the post-cycle error eigenvalues
     along the orbit of P under the cycle."""
+    if p.n != cycle_tab.n:
+        raise ValueError("qubit count mismatch")
     order = cycle_order(cycle_tab)
+    image = _image_map(cycle_tab).tolist()
     lam = 1.0
-    current = p
+    current = p.index
     for _ in range(order):
-        current = cycle_tab.conjugate(current).hermitian()
-        lam *= float(error_eigenvalues[current.index])
+        current = image[current]
+        lam *= float(error_eigenvalues[current])
     return float(lam ** (1.0 / order))
 
 
@@ -275,11 +300,12 @@ def cer(decay_set: PauliDecaySet, n: int, cycle_tab: CliffordTableau, bodies):
     estimates over the unlearnable orbit.
     """
     report = learnability(cycle_tab)
+    image = _image_map(cycle_tab).tolist()
     group_of = {}
     next_group = [0]
 
     def group_id(full: PauliString) -> int:
-        orbit = frozenset(_orbit(cycle_tab, full))
+        orbit = frozenset(_orbit(image, full.index))
         if orbit not in group_of:
             group_of[orbit] = next_group[0]
             next_group[0] += 1
@@ -312,13 +338,12 @@ def cer(decay_set: PauliDecaySet, n: int, cycle_tab: CliffordTableau, bodies):
     return out
 
 
-def _orbit(cycle_tab: CliffordTableau, p: PauliString):
-    start = p.hermitian().label
-    orbit = [start]
-    current = cycle_tab.conjugate(p).hermitian()
-    while current.label != start:
-        orbit.append(current.label)
-        current = cycle_tab.conjugate(current).hermitian()
+def _orbit(image: list, index: int) -> list:
+    """Pauli indices along the orbit of the Pauli ``index`` under a cycle's
+    image map (:func:`_image_map`), starting at ``index``."""
+    orbit = [index]
+    while (index := image[index]) != orbit[0]:
+        orbit.append(index)
     return orbit
 
 
@@ -413,12 +438,14 @@ def aces(
             p_plus = (shots * (1 + est) / 2 + 1) / (shots + 2)
             variances.append(4 * p_plus * (1 - p_plus) / shots / est**2)
 
-    # systematic depth-1 rows: every gate, every local Pauli (via a preimage)
+    # systematic depth-1 rows: every gate, every local Pauli (via a preimage
+    # under the layer's tableau, read off the row prefix's own program)
     for layer in gate_layers:
+        prefix = _ACESPrefix(model, [layer], first)
         local = [PauliString.from_index(idx, len(qs)).embed(n, qs) for _, qs in layer for idx in range(1, 4 ** len(qs))]
-        bits, _ = cycle_tableau(model, layer).inverse()._conjugate_rows(*_bit_rows(local, n))
+        bits, _ = _program_tableau(prefix.program).inverse()._conjugate_rows(*_bit_rows(local, n))
         prepared = [PauliString(n, x, z).hermitian() for x, z in zip(_pack(bits[:, :n]), _pack(bits[:, n:]))]
-        add_measurements(_ACESPrefix(model, [layer], first), prepared)
+        add_measurements(prefix, prepared)
 
     # random mirror-structured circuits with a terminal randomizing layer
     for circuit_index in range(n_circuits):
@@ -482,8 +509,6 @@ def _aces_parameters(gate_set, n: int, assume_ideal_spam: bool):
     return params, first, spam
 
 
-# letter code ``x << 1 | z`` -> base-4 Pauli digit (I, Z, X, Y -> 0, 3, 1, 2)
-_DIGIT_OF_CODE = np.array([0, 3, 1, 2], dtype=np.intp)
 # letter code -> its SPAM column within a qubit's X, Y, Z (Z, X, Y -> 2, 0, 1)
 _AXIS_OF_CODE = np.array([-1, 2, 0, 1], dtype=np.intp)
 

@@ -31,8 +31,9 @@ Every ``(label, arity)`` pair that a circuit uses is numbered once per
 process, in order of first use, as an integer key (``_KEYS``); only the
 names are kept, never a unitary.  A model compiles what the backends read
 into one table per field (:meth:`GateSetModel._compiled`, ``_FIELDS``): the
-ideal unitary, the error channel, the noisy PTM, the tableau, the fast
-path's conjugation images and phases, and its fault distribution.  A field
+ideal unitary, the error channel, the noisy PTM, the conjugation images and
+phases through which Paulis propagate, and the fast path's fault
+distribution.  A field
 is built when a backend first reads it, for the keys of that call that it
 lacks, in one pass in first-use order; a table is never written, only
 replaced by a grown one.  The 11,520 ``c2_<i>`` labels are thus built per
@@ -192,13 +193,14 @@ from .channels import Channel, identity_channel, unitary_ptms, walsh_hadamard
 from .cliffords import (
     GATE_UNITARIES,
     _pack,
+    _tableau,
+    _tableau_keys,
     _unpack,
     clifford_gate_factory,
     conjugation_table,
     pauli_codes,
     readout_layer,
     readout_pauli,
-    tableau_from_unitary,
 )
 from .linalg import _rekeyed, child_seeds, kron_all, rng
 from .metrics import ProbDist
@@ -730,14 +732,11 @@ def _noisy_field(model: GateSetModel, keys, arity: int):
     return (ptms,)
 
 
-def _tableau_field(model: GateSetModel, keys, arity: int):
-    return (_objects([tableau_from_unitary(u) for u in _firsts(model, "ideal", keys)]),)
-
-
 def _conjugation_field(model: GateSetModel, keys, arity: int):
     """Per key, the uint8 image table of each support qubit and the phase
-    exponents of :func:`qcvv.cliffords.conjugation_table`, one array each."""
-    tables = [conjugation_table(t) for t in _firsts(model, "tableau", keys)]
+    exponents of :func:`qcvv.cliffords.conjugation_table`, one array each,
+    from the tableau keys of all the keys' ideal unitaries in one pass."""
+    tables = [conjugation_table(_tableau(arity, key)) for key in _tableau_keys(np.stack(_firsts(model, "ideal", keys)))]
     return tuple(map(np.stack, zip(*[(*images, phases) for images, phases in tables])))
 
 
@@ -750,12 +749,11 @@ def _faults_field(model: GateSetModel, keys, arity: int):
 
 # Each compiled field and its builder, ``build(model, keys, arity)``, which
 # returns per key of one arity its entries, one array per item.  Fields read
-# other fields: ``noisy`` and ``faults`` read ``error``, ``tableau`` and an
-# explicit gate's ``error`` read ``ideal``, and ``conjugation`` reads
-# ``tableau``.
+# other fields: ``noisy`` and ``faults`` read ``error``, and ``conjugation``
+# and an explicit gate's ``error`` read ``ideal``.
 _FIELDS = {
     "ideal": _ideal_field, "error": _error_field, "noisy": _noisy_field,
-    "tableau": _tableau_field, "conjugation": _conjugation_field, "faults": _faults_field,
+    "conjugation": _conjugation_field, "faults": _faults_field,
 }
 
 
@@ -1306,8 +1304,11 @@ class CliffordProgram:
     needed: ACES compiles each prefix once and propagates all of its rows'
     Paulis as one column block.  A program of circuits side by side
     (:meth:`_side_by_side`) serves stacked propagation and the fast path's
-    stacked sampling and parities.  This is the one Pauli propagator;
-    :func:`propagate_pauli` goes through it, and one walk of the 2n
+    stacked sampling and parities.  This is the one Pauli propagator and
+    the one code that composes gates into a Clifford:
+    :func:`propagate_pauli` goes through it,
+    :func:`qcvv.cycles.cycle_tableau` reads a layer's tableau off the
+    images of the 2n generators, and one walk of the 2n
     generators of every block through the same tables
     (:meth:`_generators`) gives each circuit's ideal outcome
     (:meth:`_ideal_bits`) and, from the first hit's layer on, the rows

@@ -36,7 +36,6 @@ from .cliffords import (
     clifford_label,
     compose_1q_layers,
     eigenstate_layer,
-    enumerate_clifford_group,
     group_unitaries,
     inverse_layer,
     oneq_layer,
@@ -180,7 +179,7 @@ def _element_layers(n: int) -> tuple:
     ``((c<n>_<k>, qubits),)``, built once per width and shared by every
     sequence."""
     qubits = tuple(range(n))
-    return tuple(((clifford_label(n, k), qubits),) for k in range(len(enumerate_clifford_group(n))))
+    return tuple(((clifford_label(n, k), qubits),) for k in range(len(group_unitaries(n))))
 
 
 @lru_cache(maxsize=None)

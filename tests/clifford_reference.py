@@ -1,8 +1,9 @@
-"""Reference Clifford propagation for the tests: one Pauli pushed through
-named gates one tableau conjugation at a time, against which the package's
-table-driven paths are checked."""
+"""Reference Clifford algebra for the tests, against which the package's
+table-driven paths are checked: one Pauli pushed through named gates one
+tableau conjugation at a time, and a layer's tableau composed from each
+gate's embedded tableau."""
 
-from qcvv.cliffords import GATE_UNITARIES, gate_tableau
+from qcvv.cliffords import GATE_UNITARIES, CliffordTableau, gate_tableau, tableau_from_unitary
 from qcvv.paulis import PauliString
 
 
@@ -28,3 +29,13 @@ def tableau_run(layers, p: PauliString) -> PauliString:
             phase = (out.phase - local.phase + img.phase) % 4
             out = PauliString(out.n, x, z, phase)
     return out
+
+
+def layer_tableau(model, layer) -> CliffordTableau:
+    """Tableau of one layer of ``model``: from the identity, each gate's
+    tableau, from its ideal unitary, embedded in the register and applied
+    in turn."""
+    tab = CliffordTableau.identity(model.n)
+    for label, qubits in layer:
+        tab = tab.then(tableau_from_unitary(model.ideal_unitary(label)).embed(model.n, qubits))
+    return tab

@@ -11,6 +11,8 @@ from qcvv.cliffords import CliffordTableau, eigenstate_layer, gate_tableau, read
 from qcvv.linalg import pauli_label, rng
 from qcvv.paulis import PauliString, all_paulis
 
+from clifford_reference import layer_tableau
+
 
 def identity_cycle_model(n, noise):
     c = ch.Channel(noise.ptm)
@@ -112,6 +114,62 @@ def test_cycle_benchmark_cz_cycle_product_oracle():
         oracle = cy.cb_decay_oracle(lam, tab, PauliString.from_label(lab))
         d = ds.decays[lab]
         assert abs(d.f - oracle) <= 3 * max(d.f_err, 1e-4)
+
+
+@pytest.mark.parametrize("name", ["CZ", "CNOT", "SWAP", "ISWAP", "S"])
+def test_orbits_and_oracle_match_single_pauli_conjugation(name):
+    """The batched image map gives every Pauli's orbit, and the CB decay
+    oracle its value, as single-Pauli conjugation does, float for float."""
+    tab = gate_tableau(name)
+    order = cy.cycle_order(tab)
+    lam = rng(11).uniform(0.9, 1.0, 4**tab.n)
+    image = cy._image_map(tab).tolist()
+    for p in all_paulis(tab.n):
+        orbit, current = [p.index], tab.conjugate(p).hermitian()
+        while current.index != p.index:
+            orbit.append(current.index)
+            current = tab.conjugate(current).hermitian()
+        assert cy._orbit(image, p.index) == orbit
+        expected, current = 1.0, p
+        for _ in range(order):
+            current = tab.conjugate(current).hermitian()
+            expected *= float(lam[current.index])
+        assert cy.cb_decay_oracle(lam, tab, p) == float(expected ** (1.0 / order))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(width=st.integers(1, 5), seed=st.integers(0, 2**31))
+def test_cycle_tableau_matches_the_embedded_gate_reference(width, seed):
+    """A layer's tableau from its compiled program equals the product of its
+    gates' embedded tableaux, on random layers of builtin, ``c1_<i>``,
+    ``c2_<i>`` and explicit-gate labels, with idle qubits."""
+    gen = rng(seed)
+    noisy_iswap = ch.Channel(ch.stochastic_pauli({"XZ": 0.01}).ptm @ ch.Channel.from_unitary(dv.GATE_UNITARIES["ISWAP"]).ptm)
+    noisy_iswap.unitary = dv.GATE_UNITARIES["ISWAP"]
+    gates = {"E1": (ch.Channel.from_unitary(dv.GATE_UNITARIES["Y90"]), 1), "E2": (noisy_iswap, 2)}
+    model = dv.GateSetModel(width, gates=gates)
+    oneq = ["I", "H", "S", "SDG", "X90", "Y90M", "Z", "E1", f"c1_{int(gen.integers(24))}"]
+    twoq = ["CNOT", "CZ", "SWAP", "ISWAP", "ISWAPM", "E2", f"c2_{int(gen.integers(11520))}"]
+    layer, order = [], [int(q) for q in gen.permutation(width)]
+    while order:
+        u = gen.random()
+        if u < 0.2:
+            order.pop()  # an idle qubit
+        elif len(order) > 1 and u < 0.6:
+            layer.append((twoq[int(gen.integers(len(twoq)))], (order.pop(), order.pop())))
+        else:
+            layer.append((oneq[int(gen.integers(len(oneq)))], (order.pop(),)))
+    assert cy.cycle_tableau(model, tuple(layer)).key() == layer_tableau(model, layer).key()
+
+
+def test_cycle_tableau_checks_its_layer_as_a_circuit():
+    """An overlapping or out-of-range layer is the ValueError that a circuit
+    of it raises."""
+    model = dv.ideal_model(2)
+    with pytest.raises(ValueError, match="overlapping"):
+        cy.cycle_tableau(model, (("CZ", (0, 1)), ("X", (1,))))
+    with pytest.raises(ValueError, match="out of range"):
+        cy.cycle_tableau(model, (("X", (2,)),))
 
 
 def test_cycle_benchmark_rejects_bad_depths_and_large_order():
@@ -260,7 +318,7 @@ def test_aces_circuit_eigenvalue_is_product_of_gate_eigenvalues():
     from qcvv.linalg import pauli_index
 
     for layer in seq:
-        tab = cy.cycle_tableau(model, layer)
+        tab = layer_tableau(model, layer)
         current = tab.conjugate(current)
         for lbl, qs in layer:
             local = current.restrict(qs).hermitian()
@@ -347,7 +405,7 @@ def _tableau_aces_row(model, layers, prepared, gate_set, params):
     row = np.zeros(len(params))
     current = prepared
     for layer in layers:
-        current = cy.cycle_tableau(model, layer).conjugate(current)
+        current = layer_tableau(model, layer).conjugate(current)
         for label, qubits in layer:
             if (label, qubits) in gate_set:
                 local = current.restrict(qubits).hermitian()

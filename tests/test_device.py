@@ -336,21 +336,6 @@ def test_fastpath_rejects_non_pauli_noise_and_indefinite_outcome():
         dv.pauli_fastpath_sample(clean, Circuit(1, ((("H", (0,)),),)), 10, seed=1)
 
 
-def _random_clifford_circuit(n, depth, gen):
-    """Random layers of builtin 1q and 2q Cliffords on n qubits, no mirror structure."""
-    names = {k: sorted(name for name, u in cl.GATE_UNITARIES.items() if u.shape == (2**k, 2**k)) for k in (1, 2)}
-    layers = []
-    for _ in range(depth):
-        order = [int(q) for q in gen.permutation(n)]
-        layer = []
-        while order:
-            k = 2 if len(order) > 1 and gen.random() < 0.4 else 1
-            support = tuple(order.pop() for _ in range(k))
-            layer.append((names[k][int(gen.integers(len(names[k])))], support))
-        layers.append(tuple(layer))
-    return Circuit(n, tuple(layers))
-
-
 def test_ideal_outcome_bits_match_the_statevector_and_gate_the_fast_path():
     """On random non-mirror circuits, ``ideal_outcome_bits`` is None exactly
     when the ideal output is not a basis state, and is its bit string
@@ -1224,9 +1209,11 @@ def test_side_by_side_refuses_gate_defs_and_other_widths():
 
 def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
     """BiRB and CB build one set of gate tables per stack of bodies
-    (:func:`dv._stack_size` circuits of one depth), an ACES prefix one, and
-    their joined circuits, run through the fast path with the rows the
-    protocol passes, build none.  The stack size changes no result."""
+    (:func:`dv._stack_size` circuits of one depth) and CB one more for its
+    cycle's tableau; an ACES prefix builds one, from which a systematic
+    prefix also reads its layer's tableau.  Their joined circuits, run
+    through the fast path with the rows the protocol passes, build none.
+    The stack size changes no result."""
     built = []
     tables = dv._gate_tables
     monkeypatch.setattr(dv, "_gate_tables", lambda *args: built.append(1) or tables(*args))
@@ -1238,7 +1225,7 @@ def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
     assert len(built) == 3  # one stack per depth
     built.clear()
     cb = cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
-    assert len(built) == 2 * 2  # Paulis x depths
+    assert len(built) == 1 + 2 * 2  # the cycle's tableau, then Paulis x depths
     monkeypatch.setattr(dv, "_STACK_BUDGET", 2 * 3 * 8)
     assert [dv._stack_size(3, 2 * m) for m in (1, 2, 4)] == [8, 4, 2]
     built.clear()
@@ -1249,7 +1236,7 @@ def test_parity_circuits_build_gate_tables_for_their_bodies_only(monkeypatch):
     assert [dv._stack_size(2, 2 * m) for m in (2, 4)] == [4, 2]
     built.clear()
     cb_split = cy.cycle_benchmark(two, (("CZ", (0, 1)),), ["XI", "ZZ"], (2, 4), 3, 20, seed=6)
-    assert len(built) == 2 * (1 + 2)  # per Pauli, depth 4 in two stacks
+    assert len(built) == 1 + 2 * (1 + 2)  # the cycle's tableau, then per Pauli, depth 4 in two stacks
     assert [d.estimates for d in cb_split.decays.values()] == [d.estimates for d in cb.decays.values()]
     built.clear()
     layers = [(("CNOT", (0, 1)),), (("H", (0,)), ("S", (1,)))]

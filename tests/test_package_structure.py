@@ -173,6 +173,35 @@ def test_module_import_graph_is_acyclic():
             assert cycle_from(name, []) is None
 
 
+# the parameter annotations a cache key may have: plain values, hashed and
+# compared by value; an object's hash is the object's to get right, and a
+# cache keyed by it keeps every object it has seen alive
+CACHE_KEY_TYPES = {"int", "str", "tuple", "bytes"}
+
+
+def _is_lru_cache(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return ast.unparse(target) in {"lru_cache", "functools.lru_cache"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_are_keyed_by_plain_values(path):
+    """Every ``functools.lru_cache`` decorates a function whose parameters are
+    all annotated ``int``, ``str``, ``tuple`` or ``bytes``."""
+    tree = ast.parse(path.read_text(), str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_lru_cache, node.decorator_list)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            bad += [
+                f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+                for arg in params
+                if arg.annotation is None or ast.unparse(arg.annotation) not in CACHE_KEY_TYPES
+            ]
+    assert bad == []
+
+
 def _fresh(code):
     """Standard output of ``code`` run in a fresh interpreter."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
@@ -227,3 +256,20 @@ def test_first_decay_fit_loads_scipy_and_matches_in_process():
     fit = rb.fit_decay([0, 4, 16, 32], [0.97, 0.88, 0.71, 0.60], [0.01, 0.012, 0.015, 0.02])
     want = repr((fit.a, fit.f, fit.b, fit.f_err, fit.chi2, fit.chi2_pvalue))
     assert _fresh(FIRST_FIT) == f"False True {want}"
+
+
+DENSE_2Q_CRB = """
+from qcvv import channels as ch, cliffords, device as dv, rb
+built = []
+init = cliffords.CliffordElement.__init__
+cliffords.CliffordElement.__init__ = lambda self, *args: built.append(1) or init(self, *args)
+model = dv.noisy_model(2, lambda label, arity: ch.depolarizing(0.01, n=arity))
+rb.run_crb(model, rb.RBDesign((0, 1), (1, 3, 5), 2, 20, seed=1))
+print(len(built), len(cliffords.group_unitaries(2)))
+"""
+
+
+def test_dense_2q_crb_builds_no_clifford_element():
+    """A two-qubit dense CRB reads the enumerated group's arrays (unitaries,
+    words, keys) and builds none of the 11,520 element objects."""
+    assert _fresh(DENSE_2Q_CRB) == "0 11520"
