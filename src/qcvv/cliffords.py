@@ -737,9 +737,11 @@ def enumerate_clifford_group(n: int):
 
 
 def random_clifford(n: int, seed) -> CliffordElement:
-    """Uniformly random element of the enumerated 1- or 2-qubit group."""
-    group = enumerate_clifford_group(n)
-    return group[int(rng(seed).integers(len(group)))]
+    """Uniformly random element of the enumerated 1- or 2-qubit group, built
+    alone from the group's arrays."""
+    us, words, keys, _ = _enumeration(n)
+    i = int(rng(seed).integers(len(keys)))
+    return CliffordElement(keys[i], us[i], words[i])
 
 
 def clifford_label(n: int, index: int) -> str:

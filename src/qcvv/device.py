@@ -55,11 +55,8 @@ the keys that a call lacks as one stack of ideal PTMs
 (:func:`qcvv.channels.unitary_ptms`) and one stacked product with the noise
 PTMs (:func:`_noisy_field`); it keeps no channel, so no PTM is held twice.
 ``resolve`` builds a noisy gate's channel on its PTM.  An explicit gate
-resolves to its own channel, and a fixed label without noise, a builtin
-name or a ``c1_<i>`` label that the default factory resolves, to the ideal
-channel that is built once per process and shared, read-only, by every
-model (``_fixed_ideal``); a label that ``gates``, a custom
-``gate_factory`` or a circuit's ``gate_defs`` defines never reads it.
+resolves to its own channel, and a gate without noise to the ideal channel
+of its unitary (:meth:`Channel.from_unitary`), built per call.
 
 Readout confusion matrices are column-stochastic, ``C[i, j] = p(read i |
 true j)``, applied after the ideal POVM.
@@ -163,15 +160,23 @@ stack's output bits in one :func:`_fault_parities` call; each circuit's
 bits and generator then go back through :func:`pauli_fastpath_sample`,
 which draws the readout flips and tallies.  :func:`_eigenstate_parities`
 and DFE hand their circuits, measured Paulis and, but for DFE,
-pulled-back rows to :func:`_parity_all`, which tallies each stack with the
-same kernel; each circuit's bits and generator then go back through
+pulled-back rows to :func:`_parity_all`, whose fast half,
+:func:`_fast_signs`, tallies each stack with the same kernel; each
+circuit's bits and generator then go back through
 :func:`pauli_fastpath_signs`, which draws the readout flips.  Either way
 the seeded stream and the per-call circuit count are those of one circuit
-at a time, and a single circuit is a one-item stack on its own program:
-:func:`pauli_fastpath_sample` and :func:`pauli_fastpath_signs` are
-one-item calls of the kernel.  :func:`_sample_all` and :func:`_parity_all`
-are the ensemble entry points of both backends, and :func:`sample` and
-:func:`parity_mean` are their one-item calls.
+at a time.
+
+A single circuit is a one-item stack.  :func:`sample_counts`,
+:func:`pauli_fastpath_sample` and :func:`pauli_fastpath_signs`, called
+without the keyword through which an ensemble hands a circuit back, are
+one-item calls of :func:`_sample_ensemble`, :func:`_fast_ensemble` and
+:func:`_fast_signs`; :func:`ideal_outcome_bits` is one of
+:func:`_ideal_outcomes`.  :func:`_sample_all` and :func:`_parity_all` are
+the ensemble entry points of both backends, and :func:`sample` and
+:func:`parity_mean` are their one-item calls.  A one-item stack compiles
+on its circuit's own flat form, ``gate_defs`` included
+(:meth:`CliffordProgram._side_by_side`).
 
 A :class:`ShotRecord` keeps the circuit it was sampled from and writes the
 circuit's JSON only when ``circuit_id`` is read.
@@ -273,9 +278,9 @@ class _Flat(namedtuple("_Flat", "width key supports lengths")):
         ``i * n`` to ``(i + 1) * n - 1``, and one shorter than the longest
         ends in empty layers.  The operations run layer by layer, circuit by
         circuit within a layer (a stable sort by layer).  Only ``lengths``
-        and ``arrays`` are built, in one pass over the circuits' lists, as
-        ``arrays`` is built for one circuit; ``key`` and ``supports`` are
-        None, so the result is never joined."""
+        and the read-only ``arrays`` are built, in one pass over the
+        circuits' lists; ``key`` and ``supports`` are None, so the result is
+        never joined.  One circuit's own ``arrays`` are those of it alone."""
         ops = [len(flat.key) for flat in flats]
         circuit = np.repeat(np.arange(len(flats)), ops)
         key = np.fromiter(chain.from_iterable(flat.key for flat in flats), dtype=np.intp, count=len(circuit))
@@ -292,7 +297,9 @@ class _Flat(namedtuple("_Flat", "width key supports lengths")):
         )
         order = np.argsort(layer, kind="stable")
         out = cls(width, None, None, np.bincount(layer, minlength=depth).tolist())
-        out.__dict__["arrays"] = _Arrays(key[order], arity[order], padded[order], layer[order])
+        out.__dict__["arrays"] = arrays = _Arrays(key[order], arity[order], padded[order], layer[order])
+        for a in arrays:
+            a.flags.writeable = False  # cached with the flat form
         return out
 
     def then(self, other: "_Flat") -> "_Flat":
@@ -301,15 +308,7 @@ class _Flat(namedtuple("_Flat", "width key supports lengths")):
 
     @cached_property
     def arrays(self) -> "_Arrays":
-        arity = np.fromiter(map(len, self.supports), dtype=np.intp, count=len(self.supports))
-        levels = int(arity.max(initial=1))
-        supports = np.full((len(self.supports), levels), self.width, dtype=np.intp)
-        # a boolean-mask write fills the supports row by row, in circuit order
-        supports[np.arange(levels) < arity[:, None]] = np.fromiter(chain.from_iterable(self.supports), dtype=np.intp)
-        out = _Arrays(np.array(self.key, dtype=np.intp), arity, supports, np.repeat(np.arange(len(self.lengths)), self.lengths))
-        for a in out:
-            a.flags.writeable = False  # cached with the flat form
-        return out
+        return _Flat.side_by_side([self], self.width).arrays
 
     @cached_property
     def idle(self) -> np.ndarray:
@@ -539,37 +538,34 @@ class GateSetModel:
     # -- resolution --------------------------------------------------------
     def _spec(self, label: str, arity: int = None):
         """The label's unitary (None when unknown), its explicit channel
-        (None outside ``gates``), whether it is fixed (see
-        :func:`_fixed_ideal`) and its arity, checked against ``arity`` when
-        given."""
+        (None outside ``gates``) and its arity, checked against ``arity``
+        when given."""
         if self._effect_transform is not None and label not in self.gates:
             raise ValueError(f"a gauged model resolves only its explicit gates, not {label!r}")
         if label in self.gates:
             explicit, k = self.gates[label]
             if explicit.dim != 2**k:
                 raise ValueError(f"gate {label!r} dimension does not match its support")
-            u = self._unitary(label)[0] if explicit.unitary is None else explicit.unitary
-            fixed = False
+            u = self._unitary(label) if explicit.unitary is None else explicit.unitary
         else:
-            explicit, (u, fixed) = None, self._unitary(label)
+            explicit, u = None, self._unitary(label)
             if u is None:
                 raise KeyError(f"unknown gate label {label!r}")
             k = len(u).bit_length() - 1
         if arity is not None and arity != k:
             raise ValueError(f"gate {label!r} acts on {k} qubits, used on {arity}")
-        return (None if u is None else np.asarray(u, dtype=complex)), explicit, fixed, k
+        return (None if u is None else np.asarray(u, dtype=complex)), explicit, k
 
     def _unitary(self, label: str):
         """The label's unitary from ``gate_factory``, ``gate_defs`` or the
-        builtin names, in that order, or None; and whether the label is fixed."""
+        builtin names, in that order, or None."""
         u = self.gate_factory(label) if self.gate_factory else None
         if u is not None:
-            return u, self.gate_factory is clifford_gate_factory and label.startswith("c1_")
+            return u
         u = self._defs.get(label) if self._defs else None
         if u is not None:
-            return u, False
-        u = GATE_UNITARIES.get(label)
-        return u, u is not None
+            return u
+        return GATE_UNITARIES.get(label)
 
     def _defined(self, gate_defs) -> "GateSetModel":
         """A copy of this model, with no compiled table, that resolves labels
@@ -622,21 +618,20 @@ class GateSetModel:
         return rows
 
     def resolve(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
-        """The gate's noisy channel: an explicit gate's own; without noise, a
-        fixed label's shared ideal channel (:func:`_fixed_ideal`) or
+        """The gate's noisy channel: an explicit gate's own; without noise,
         :meth:`Channel.from_unitary`'s; else one built on its compiled PTM,
         with the unitary that :meth:`Channel.compose` gives."""
-        u, explicit, fixed, _ = (self._defined(gate_defs) if gate_defs else self)._spec(label, arity)
+        u, explicit, _ = (self._defined(gate_defs) if gate_defs else self)._spec(label, arity)
         if explicit is not None:
             return explicit
         error = self._entry("error", label, arity, gate_defs)
         if error is None:
-            return _fixed_ideal(label) if fixed else Channel.from_unitary(u)
+            return Channel.from_unitary(u)
         v = error.unitary
         return Channel(self._entry("noisy", label, arity, gate_defs), None if v is None else u @ v if self.pre_gate_noise else v @ u)
 
     def ideal_unitary(self, label: str, gate_defs: dict = None) -> np.ndarray:
-        arity = (self._defined(gate_defs) if gate_defs else self)._spec(label)[3]
+        arity = (self._defined(gate_defs) if gate_defs else self)._spec(label)[2]
         return self._entry("ideal", label, arity, gate_defs)
 
     def error_channel(self, label: str, arity: int, gate_defs: dict = None) -> Channel:
@@ -667,17 +662,6 @@ class GateSetModel:
         return self.replace(confusion=confusion)
 
 
-@lru_cache(maxsize=None)
-def _fixed_ideal(label: str) -> Channel:
-    """The ideal channel of a builtin name or of a ``c1_<i>`` label as the
-    default factory resolves it, built once per process and shared by every
-    model.  Its PTM is read-only, so no model can change it for another."""
-    u = GATE_UNITARIES.get(label)
-    chan = Channel.from_unitary(clifford_gate_factory(label) if u is None else u)
-    chan.ptm.flags.writeable = False
-    return chan
-
-
 def _ideal_field(model: GateSetModel, keys, arity: int):
     ideal = [model._spec(_PAIRS[key][0], arity)[0] for key in keys]
     for key, u in zip(keys, ideal):
@@ -694,7 +678,7 @@ def _error_field(model: GateSetModel, keys, arity: int):
         if explicit is None:
             out.append(model.noise_rule(_PAIRS[key][0], arity) if model.noise_rule else None)
         else:
-            ideal = unitary_ptms(_firsts(model, "ideal", [key])[0][None])[0]  # an explicit gate is never fixed
+            ideal = unitary_ptms(_firsts(model, "ideal", [key])[0][None])[0]
             out.append(Channel(ideal.T @ explicit.ptm if model.pre_gate_noise else explicit.ptm @ ideal.T))
     return (_objects(out),)
 
@@ -716,10 +700,10 @@ def _noisy_field(model: GateSetModel, keys, arity: int):
     noise), in stacks of at most ``_NOISY_BUDGET`` PTM entries.  No channel
     is kept; :meth:`GateSetModel.resolve` builds one on its PTM."""
     specs, pre = [model._spec(_PAIRS[key][0], arity) for key in keys], model.pre_gate_noise
-    plain = [i for i, (_, explicit, _, _) in enumerate(specs) if explicit is None]
+    plain = [i for i, (_, explicit, _) in enumerate(specs) if explicit is None]
     noise = dict(zip(plain, _firsts(model, "error", [keys[i] for i in plain])))
     ptms = np.empty((len(keys), 4**arity, 4**arity))
-    for i, (_, explicit, _, _) in enumerate(specs):
+    for i, (_, explicit, _) in enumerate(specs):
         if explicit is not None:
             ptms[i] = explicit.ptm
     size = max(1, _NOISY_BUDGET // 16**arity)
@@ -945,18 +929,17 @@ def _seed_value(seed) -> int:
 
 def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, *, superket: tuple = None) -> ShotRecord:
     """Multinomial draw from the dense backend's distribution, with the
-    generator of ``rng(seed)``.
+    generator of ``rng(seed)``: a one-item call of :func:`_sample_ensemble`.
 
     ``superket`` is the state the circuit leaves and a generator that
-    draws as ``rng(seed)`` does, when the caller has both already
-    (:func:`_sample_ensemble`, which re-keys one generator per circuit);
-    the state passes to :func:`circuit_probabilities`.  The record stores
-    ``seed`` either way."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    state, gen = (None, None) if superket is None else superket
+    draws as ``rng(seed)`` does, with which the ensemble hands each circuit
+    back here; the state passes to :func:`circuit_probabilities`.  The
+    record stores ``seed``."""
+    if superket is None:
+        return _sample_ensemble(model, [circuit], shots, [seed])[0]
+    state, gen = superket
     dist = circuit_probabilities(model, circuit, superket=state)
-    draws = (rng(seed) if gen is None else gen).multinomial(shots, dist.probs)
+    draws = gen.multinomial(shots, dist.probs)
     counts = {lbl: c for lbl, c in zip(dist.outcomes, draws.tolist()) if c}
     return ShotRecord(circuit, counts, shots, _seed_value(seed))
 
@@ -1316,28 +1299,30 @@ class CliffordProgram:
     """
 
     def __init__(self, model: GateSetModel, circuit: Circuit):
-        if circuit.width != model.n:
-            raise ValueError("circuit width does not match the model")
-        self._compile(model, circuit._flat, circuit.gate_defs)
+        self._compile(model, [circuit])
 
-    def _compile(self, model: GateSetModel, flat: _Flat, gate_defs):
+    def _compile(self, model: GateSetModel, circuits):
+        """Compile ``circuits`` side by side (see :meth:`_side_by_side`)."""
+        if any(circuit.width != model.n for circuit in circuits):
+            raise ValueError("circuit width does not match the model")
+        if len(circuits) > 1 and any(circuit.gate_defs for circuit in circuits):
+            raise ValueError("circuits with gate_defs cannot be stacked")
+        flat = circuits[0]._flat if len(circuits) == 1 else _Flat.side_by_side([circuit._flat for circuit in circuits], model.n)
+        # a stack of two or more has no gate_defs, so the first circuit's are the stack's
         self.n, self.depth, self._model, self._flat = flat.width, len(flat.lengths), model, flat
-        self._defs = gate_defs
+        self._defs = circuits[0].gate_defs
 
     @classmethod
     def _side_by_side(cls, model: GateSetModel, circuits) -> "CliffordProgram":
         """One program of ``circuits`` side by side (:meth:`_Flat.side_by_side`),
         on a register of ``len(circuits) * model.n`` qubits, whose keys
-        read the same compiled entries as each circuit's own program.  A
-        circuit with ``gate_defs`` is a ValueError: two circuits could define
-        one label differently, and a stack has one entry per key."""
-        for circuit in circuits:
-            if circuit.width != model.n:
-                raise ValueError("circuit width does not match the model")
-            if circuit.gate_defs:
-                raise ValueError("circuits with gate_defs cannot be stacked")
+        read the same compiled entries as each circuit's own program.  One
+        circuit is a one-item stack on its own flat form and ``gate_defs``:
+        the program ``CliffordProgram(model, circuit)`` builds.  Two or more
+        with ``gate_defs`` are a ValueError: two circuits could define one
+        label differently, and a stack has one entry per key."""
         program = object.__new__(cls)
-        program._compile(model, _Flat.side_by_side([circuit._flat for circuit in circuits], model.n), None)
+        program._compile(model, circuits)
         return program
 
     @cached_property
@@ -1469,8 +1454,19 @@ def ideal_outcome_bits(model: GateSetModel, circuit: Circuit):
     The outcome is definite iff every image ``C Z_q C^dag`` is Z-type;
     bit j is then the XOR of the sign bits of the Z_q images whose X_q
     image has an x bit on qubit j (:meth:`CliffordProgram._ideal_bits`).
+    This is a one-item call of :func:`_ideal_outcomes`.
     """
-    return CliffordProgram(model, circuit)._ideal_bits()[0]
+    return _ideal_outcomes(model, [circuit])[0]
+
+
+def _ideal_outcomes(model: GateSetModel, circuits) -> list:
+    """:func:`ideal_outcome_bits` of each circuit, as a list in circuit
+    order, from programs of the circuits side by side
+    (:meth:`CliffordProgram._side_by_side`), in stacks of
+    :func:`_stack_size` circuits of the deepest one's depth."""
+    size = _stack_size(model.n, max((circuit.depth for circuit in circuits), default=0))
+    stacks = (CliffordProgram._side_by_side(model, circuits[i : i + size]) for i in range(0, len(circuits), size))
+    return [bits for program in stacks for bits in program._ideal_bits()]
 
 
 def propagate_pauli(model: GateSetModel, circuit: Circuit, p: PauliString) -> PauliString:
@@ -1511,25 +1507,15 @@ def pauli_fastpath_sample(
     computational outcome (mirror/motion-reversal structure).  The marginal
     outcome distribution matches the dense backend's.  Callers that know
     the ideal outcome (e.g. mirror generators) may pass ``ideal_bits`` to
-    skip its derivation.
+    skip its derivation.  This is a one-item call of :func:`_fast_ensemble`.
 
     ``faults`` is the circuit's (n, shots) output-bit flips and the
-    generator, seeded by ``seed``, that drew them, when the caller drew
-    them already (:func:`_fast_ensemble`), with ``ideal_bits``; otherwise
-    the circuit is compiled here and draws them as a one-item stack of
-    :func:`_fault_parities`.  Either way the generator then draws the
-    readout flips.
+    generator, seeded by ``seed``, that drew them, with which the ensemble
+    hands each circuit back here, with ``ideal_bits``; the generator then
+    draws the readout flips.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     if faults is None:
-        program = CliffordProgram(model, circuit)
-        if ideal_bits is None:
-            ideal_bits = program._ideal_bits()[0]
-            if ideal_bits is None:
-                raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
-        gen = rng(seed)
-        faults = _fault_parities(program, None, shots, [gen])[0], gen
+        return _fast_ensemble(model, [circuit], shots, [seed], ideal_bits)[0]
     x, gen = faults
     bits = np.asarray(ideal_bits, dtype=np.uint8)[:, None] ^ x
     for q in range(model.n):
@@ -1591,9 +1577,9 @@ def _fast_stacks(model: GateSetModel, circuits, shots: int):
     :func:`_stack_size` circuits whose one layer of draws fits
     ``_DRAW_BUDGET``; circuits of other depths never share a stack, as a
     shorter circuit's padded layers would draw idle faults.  A circuit with
-    ``gate_defs``, or alone in its stack, runs on its own program.  Stacks
-    are built one at a time, as they are taken, so a caller that does not
-    keep them holds one program at a time."""
+    ``gate_defs`` is a stack of its own.  Stacks are built one at a time, as
+    they are taken, so a caller that does not keep them holds one program
+    at a time."""
     groups = {}
     for i, circuit in enumerate(circuits):
         groups.setdefault((circuit.depth, i if circuit.gate_defs else -1), []).append(i)
@@ -1601,9 +1587,7 @@ def _fast_stacks(model: GateSetModel, circuits, shots: int):
         size = max(1, min(_stack_size(model.n, depth), _DRAW_BUDGET // (model.n * shots)))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            stack = [circuits[i] for i in chunk]
-            program = CliffordProgram(model, stack[0]) if len(stack) == 1 else CliffordProgram._side_by_side(model, stack)
-            yield chunk, program
+            yield chunk, CliffordProgram._side_by_side(model, [circuits[i] for i in chunk])
 
 
 def pauli_fastpath_signs(
@@ -1642,22 +1626,21 @@ def pauli_fastpath_signs(
     through the circuit's gate tables from the first hit: a circuit
     without one builds none.
 
-    ``flips`` is the circuit's bits of :func:`_fault_parities` (the parity,
-    or the output bits without ``pulled_back``) and the generator, seeded
-    by ``seed``, that drew its faults, when the caller drew them already
-    (:func:`_parity_all`); otherwise the circuit draws them as a one-item
-    stack.  Either way the generator is consumed as
+    This is a one-item call of :func:`_fast_signs`, so ``ideal_sign`` must
+    be +1 or -1.  ``flips`` is the circuit's bits of :func:`_fault_parities`
+    (the parity, or the output bits without ``pulled_back``) and the
+    generator, seeded by ``seed``, that drew its faults, with which the
+    ensemble hands each circuit back here.  The generator is consumed as
     :func:`pauli_fastpath_sample` consumes it: the fault draws, block by
     block, then one readout-flip draw per confused measured qubit, in qubit
     order.
     """
-    read = _parity_reads(model, circuit, measured, pulled_back)
     if flips is None:
-        gen = rng(seed)
         rows = None if pulled_back is None else [pulled_back]
-        flips = _fault_parities(CliffordProgram(model, circuit), rows, shots, [gen])[0], gen
+        return _fast_signs(model, [circuit], [measured], shots, [seed], [ideal_sign], rows)[0]
+    read = _parity_reads(model, circuit, measured, pulled_back)
     bits, gen = flips
-    signs = np.full(shots, ideal_sign, dtype=np.int8)
+    signs = np.full(shots, 1 if ideal_sign > 0 else -1, dtype=np.int8)
     signs[np.bitwise_xor.reduce(bits if pulled_back is not None else bits[read], axis=0) == 1] *= -1
     for q in read:
         if q in model.confusion:
@@ -1759,25 +1742,33 @@ def _parity_all(
 
     On ``"dense"`` the circuits are one ensemble (:func:`_sample_ensemble`)
     and each parity is read off its counts (:func:`parity_from_counts`).
-    On ``"fast"`` every circuit is checked first, so a bad ideal sign or an
-    asymmetric confusion raises before anything is drawn.  Each stack of
-    :func:`_fast_stacks` then draws once (:func:`_fault_parities`), every
-    circuit from its own generator, and each circuit's bits (its parity, or
-    its output bits without ``pulled_back``) and generator go back through :func:`pauli_fastpath_signs`, which draws its
-    readout flips.  Each mean is thus the one a call per circuit gives, and
-    each circuit is one ``pauli_fastpath_signs`` call with its shots.  No
-    seed is drawn here, so a protocol draws all its circuits and seeds
-    first and then samples them in one call."""
+    On ``"fast"`` each parity is the mean of the circuit's signs from
+    :func:`_fast_signs`.  No seed is drawn here, so a protocol draws all
+    its circuits and seeds first and then samples them in one call."""
     _check_backend(backend)
     if backend == "dense":
         records = _sample_ensemble(model, circuits, shots, seeds)
         return [parity_from_counts(rec, m) for rec, m in zip(records, measured)]
+    return [signs.mean() for signs in _fast_signs(model, circuits, measured, shots, seeds, ideal_signs, pulled_back)]
+
+
+def _fast_signs(model: GateSetModel, circuits, measured, shots: int, seeds, ideal_signs, pulled_back=None):
+    """:func:`pauli_fastpath_signs` of each circuit with its measured Pauli,
+    seed, ideal sign and, unless ``pulled_back`` is None, its pulled-back
+    rows, as a list of sign arrays in circuit order.
+
+    Every circuit is checked first, so a bad ideal sign or an asymmetric
+    confusion raises before anything is drawn.  Each stack of
+    :func:`_fast_stacks` then draws once (:func:`_fault_parities`), every
+    circuit from its own generator, and each circuit's bits (its parity, or
+    its output bits without ``pulled_back``) and generator go back through
+    :func:`pauli_fastpath_signs`, which draws its readout flips.  Each
+    array is thus the one a call per circuit gives, and each circuit is one
+    ``pauli_fastpath_signs`` call with its shots."""
     rows = [None] * len(circuits) if pulled_back is None else pulled_back
-    signs = []
     for circuit, m, sign, r in zip(circuits, measured, ideal_signs, rows):
         if abs(abs(sign) - 1) > 1e-9:
             raise ValueError(f"ideal parity {sign} is not +1 or -1; the fast path needs an eigenstate")
-        signs.append(1 if sign > 0 else -1)
         _parity_reads(model, circuit, m, r)
     out = [None] * len(circuits)
     for chunk, program in _fast_stacks(model, circuits, shots):
@@ -1785,10 +1776,7 @@ def _parity_all(
         stack_rows = None if pulled_back is None else [rows[i] for i in chunk]
         bits = _fault_parities(program, stack_rows, shots, gens)
         for i, b, gen in zip(chunk, bits, gens):
-            signed = pauli_fastpath_signs(
-                model, circuits[i], measured[i], shots, seeds[i], signs[i], rows[i], flips=(b, gen)
-            )
-            out[i] = signed.mean()
+            out[i] = pauli_fastpath_signs(model, circuits[i], measured[i], shots, seeds[i], ideal_signs[i], rows[i], flips=(b, gen))
     return out
 
 

@@ -379,7 +379,6 @@ def accredit(
     theta: float,
     alpha: float,
     seed,
-    shots_per_trap: int = 1,
     backend: str = "fast",
 ) -> AccreditationResult:
     """Circuit output accreditation: bound the target circuit's F_e with traps.
@@ -388,9 +387,9 @@ def accredit(
     the ``N_c = trap_count(theta, alpha)`` traps keeps the target's width
     and entangling-gate placement, substitutes {I, H, S} draws for the 1q
     gates with inverses compiled into the next round, and is randomly
-    compiled.  A trap is unsuccessful when it misses its ideal all-zeros
-    outcome; the fraction bounds F_e via ``1 - N_uns/N_c >= F_e >= 1 - 2
-    N_uns/N_c``.  All traps and their shot seeds are drawn first, trap by
+    compiled.  Each trap runs one shot and is unsuccessful when it misses
+    its ideal all-zeros outcome; the fraction bounds F_e via ``1 -
+    N_uns/N_c >= F_e >= 1 - 2 N_uns/N_c``.  All traps and their shot seeds are drawn first, trap by
     trap, then sampled as one ensemble (:func:`qcvv.device._sample_all`),
     which draws nothing from ``seed``'s generator.  The target is checked
     once, as ``Circuit(n, target_layers)``, and the traps are built as one
@@ -406,8 +405,8 @@ def accredit(
                 raise ValueError("accreditation traps assume CZ entangling layers")
     n_traps = trap_count(theta, alpha)
     circuits, seeds = _traps(n, twoq_t, n_traps, gen)
-    records = _sample_all(model, circuits, shots_per_trap, seeds, backend, np.zeros(n, dtype=np.uint8))
-    n_uns = sum(rec.counts.get("0" * n, 0) < shots_per_trap for rec in records)
+    records = _sample_all(model, circuits, 1, seeds, backend, np.zeros(n, dtype=np.uint8))
+    n_uns = sum("0" * n not in rec.counts for rec in records)
     frac = n_uns / n_traps
     return AccreditationResult(max(1 - 2 * frac, 0.0), 1 - frac, n_uns, n_traps, theta, alpha)
 

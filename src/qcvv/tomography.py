@@ -408,12 +408,13 @@ def _computational_prep_indices(n):
     return idxs
 
 
-def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed, ideal_unitary=None):
+def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed):
     """Stochastic matrix over computational states plus the truth-table fidelity.
 
     Returns (S_exp, F_tt) with S[y, x] = p(y | prepared x); the fidelity is
-    Tr(S_exp^T S_ideal) / 2**n against the ideal unitary's stochastic matrix.
-    The 2**n prepared circuits are sampled as one dense ensemble.
+    Tr(S_exp^T S_ideal) / 2**n against the ideal stochastic matrix, read
+    off the prepared circuits' statevectors.  The 2**n prepared circuits
+    are sampled as one dense ensemble.
     """
     n = model.n
     d = 2**n
@@ -425,13 +426,9 @@ def truth_table(model: GateSetModel, gate_circuit: Circuit, shots: int, seed, id
     for x, rec in enumerate(_sample_ensemble(model, circuits, shots, child_seeds(seed, d))):
         for bits, c in rec.counts.items():
             s_exp[int(bits, 2), x] = c / shots
-    if ideal_unitary is None:
-        s_ideal = np.zeros((d, d))
-        for x, amps in enumerate(_statevectors(model, circuits)):
-            s_ideal[:, x] = np.abs(amps) ** 2
-    else:
-        u = np.asarray(ideal_unitary)
-        s_ideal = np.abs(u) ** 2
+    s_ideal = np.zeros((d, d))
+    for x, amps in enumerate(_statevectors(model, circuits)):
+        s_ideal[:, x] = np.abs(amps) ** 2
     f_tt = float(np.trace(s_exp.T @ s_ideal) / d)
     return s_exp, f_tt
 

@@ -9,12 +9,11 @@ import numpy as np
 from .cliffords import inverse_layer
 from .device import (
     Circuit,
-    CliffordProgram,
     GateSetModel,
     _ideal_distributions,
+    _ideal_outcomes,
     _sample_all,
     _sample_ensemble,
-    _stack_size,
 )
 from .linalg import child_seeds, haar_random_unitary, rng
 from .metrics import heavy_outcomes
@@ -200,11 +199,7 @@ def _cell_polarizations(model, sampler, family, depth, count, shots, gen, backen
     if family == "randomized-mirror":
         targets, bits = ["0" * w] * count, np.zeros(w, dtype=np.uint8)
     else:
-        # each circuit's ideal outcome, from programs of the cell's circuits
-        # side by side, in stacks of the fast path's size
-        size, bits = _stack_size(w, max(circ.depth for circ in circuits)), None
-        stacks = (CliffordProgram._side_by_side(model, circuits[i : i + size]) for i in range(0, count, size))
-        ideal = [b for program in stacks for b in program._ideal_bits()]
+        ideal, bits = _ideal_outcomes(model, circuits), None
         if any(b is None for b in ideal):
             raise ValueError("mirror circuit does not have a definite outcome")
         targets = ["".join(map(str, b.tolist())) for b in ideal]

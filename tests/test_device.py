@@ -1257,15 +1257,14 @@ def _general_apply(state, op, qubits):
 
 def _reference_unitary(model, label, gate_defs):
     """A label's unitary from ``gate_factory``, ``gate_defs`` or the builtin
-    names, in that order, or None; and whether the label is fixed."""
+    names, in that order, or None."""
     u = model.gate_factory(label) if model.gate_factory else None
     if u is not None:
-        return u, model.gate_factory is cl.clifford_gate_factory and label.startswith("c1_")
+        return u
     u = gate_defs.get(label) if gate_defs else None
     if u is not None:
-        return u, False
-    u = dv.GATE_UNITARIES.get(label)
-    return u, u is not None
+        return u
+    return dv.GATE_UNITARIES.get(label)
 
 
 class ReferenceRecord:
@@ -1274,12 +1273,12 @@ class ReferenceRecord:
     reference that the compiled entries are checked against."""
 
     def __init__(self, model, label, arity, gate_defs):
-        self.label, self.explicit, self.fixed = label, None, False
+        self.label, self.explicit = label, None
         if label in model.gates:
             self.explicit, self.arity = model.gates[label]
-            u = _reference_unitary(model, label, gate_defs)[0] if self.explicit.unitary is None else self.explicit.unitary
+            u = _reference_unitary(model, label, gate_defs) if self.explicit.unitary is None else self.explicit.unitary
         else:
-            u, self.fixed = _reference_unitary(model, label, gate_defs)
+            u = _reference_unitary(model, label, gate_defs)
             self.arity = len(u).bit_length() - 1
         assert self.arity == arity
         self.ideal = None if u is None else np.asarray(u, dtype=complex)
@@ -1288,10 +1287,10 @@ class ReferenceRecord:
         if self.explicit is not None:
             self.noisy = self.explicit
         elif self.noise is None:
-            self.noisy = dv._fixed_ideal(label) if self.fixed else ch.Channel.from_unitary(self.ideal)
+            self.noisy = ch.Channel.from_unitary(self.ideal)
         else:
             noise = self.noise
-            ideal = dv._fixed_ideal(label).ptm if self.fixed else ch.unitary_ptms(self.ideal[None])[0]
+            ideal = ch.unitary_ptms(self.ideal[None])[0]
             u = None if noise.unitary is None else self.ideal @ noise.unitary if pre else noise.unitary @ self.ideal
             self.noisy = ch.Channel(ideal @ noise.ptm if pre else noise.ptm @ ideal, u)
 
@@ -1399,23 +1398,6 @@ def test_layer_step_applies_idle_noise_only_to_idle_qubits():
     assert dv.circuit_probabilities(model, circ).as_dict()["11"] == pytest.approx(0.1, abs=1e-12)
 
 
-def test_fixed_ideal_channels_are_shared_and_read_only():
-    a, b = dv.ideal_model(1), dv.ideal_model(2)
-    for label in ("c1_3", "H", "X90"):
-        assert a.resolve(label, 1) is b.resolve(label, 1) is dv._fixed_ideal(label)
-    assert b.resolve("CNOT", 2) is dv._fixed_ideal("CNOT")
-    shared = a.resolve("c1_3", 1)
-    assert np.array_equal(shared.ptm, ch.Channel.from_unitary(cl.clifford_gate_factory("c1_3")).ptm)
-    with pytest.raises(ValueError):
-        shared.ptm[0, 0] = 2.0
-    # two-qubit group elements are built per model
-    assert dv.ideal_model(2).resolve("c2_5", 2) is not dv.ideal_model(2).resolve("c2_5", 2)
-    # a noisy model composes its noise onto the shared channel and leaves it intact
-    noisy = dv.noisy_model(1, lambda label, arity: ch.depolarizing(0.2))
-    assert not np.array_equal(noisy.resolve("c1_3", 1).ptm, shared.ptm)
-    assert a.resolve("c1_3", 1) is shared
-
-
 def test_fixed_ideal_table_never_serves_a_label_defined_elsewhere():
     h, x = dv.GATE_UNITARIES["H"], dv.GATE_UNITARIES["X"]
     p_h = ch.Channel.from_unitary(h).ptm
@@ -1424,17 +1406,13 @@ def test_fixed_ideal_table_never_serves_a_label_defined_elsewhere():
     explicit = GateSetModel(1, gates={"c1_3": (ch.Channel.from_unitary(h), 1)})
     inline = GateSetModel(1, gate_factory=lambda label: None)
     defs = {"c1_3": h, "X": h}
-    assert not np.array_equal(dv._fixed_ideal("c1_3").ptm, p_h)
+    assert not np.array_equal(dv.ideal_model(1).resolve("c1_3", 1).ptm, p_h)
     for model, gate_defs in ((custom, None), (explicit, None), (inline, defs)):
-        chan = model.resolve("c1_3", 1, gate_defs)
-        assert chan is not dv._fixed_ideal("c1_3")
-        assert np.array_equal(chan.ptm, p_h)
+        assert np.array_equal(model.resolve("c1_3", 1, gate_defs).ptm, p_h)
     # gate_defs shadowing a builtin name
-    assert inline.resolve("X", 1, defs) is not dv._fixed_ideal("X")
     assert np.array_equal(inline.resolve("X", 1, defs).ptm, p_h)
     # a custom factory that leaves a builtin name alone gets the builtin
-    assert custom.resolve("X", 1) is dv._fixed_ideal("X")
-    assert np.array_equal(dv._fixed_ideal("X").ptm, ch.Channel.from_unitary(x).ptm)
+    assert np.array_equal(custom.resolve("X", 1).ptm, ch.Channel.from_unitary(x).ptm)
 
 
 _STACKED_GATES = st.one_of(
@@ -2084,6 +2062,77 @@ def test_fast_ensemble_compiles_one_program_per_stack(monkeypatch):
     assert len(compiles) == 3
 
 
+def _same(a, b):
+    """Equal nested lists and tuples of arrays: each array by dtype, shape
+    and bytes, anything else by ``==``."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_one_item_stack_is_the_circuits_own_program():
+    """``CliffordProgram._side_by_side`` of one circuit gives the gate tables
+    and draw rows of ``CliffordProgram(model, circuit)``, byte for byte,
+    ``gate_defs`` included; two circuits with ``gate_defs`` still raise."""
+    model = dv.noisy_model(3, _parity_rule, idle=ch.stochastic_pauli((0.01, 0.0, 0.02)))
+    plain = _random_clifford_circuit(3, 5, rng(8))
+    defined = Circuit(3, plain.layers + ((("u", (0,)), ("w", (2, 1))),), {"u": cl.GATE_UNITARIES["S"], "w": cl.GATE_UNITARIES["ISWAP"]})
+    for circuit in (plain, defined, Circuit(3, ())):
+        own, stacked = dv.CliffordProgram(model, circuit), dv.CliffordProgram._side_by_side(model, [circuit])
+        assert _same(stacked.gates, own.gates) and _same(stacked.draws, own.draws)
+    with pytest.raises(ValueError, match="gate_defs"):
+        dv.CliffordProgram._side_by_side(model, [defined, defined])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    depth=st.integers(0, 5),
+    defs=st.booleans(),
+    generator=st.booleans(),
+    rows=st.booleans(),
+    shots=st.sampled_from([1, 9, 40]),
+    seed=st.integers(0, 2**31),
+)
+def test_direct_samplers_are_their_one_item_ensembles(n, depth, defs, generator, rows, shots, seed):
+    """A direct ``sample_counts``, ``pauli_fastpath_sample`` or
+    ``pauli_fastpath_signs`` call gives, byte for byte, the record or sign
+    array of its one-item ensemble, and draws as much from a Generator
+    seed: integer and Generator seeds, parities with and without
+    pulled-back rows, and circuits whose ``gate_defs`` define a label."""
+    gen = rng(seed)
+    circuit = _classical_clifford_circuit(n, depth, gen)
+    if defs:
+        circuit = Circuit(n, circuit.layers + ((("u", (0,)),),), {"u": cl.GATE_UNITARIES["X"]})
+    model = dv.noisy_model(n, _parity_rule, confusion=_symmetric_confusion(n, int(gen.integers(2**n))))
+    measured = PauliString(n, 0, int(gen.integers(1, 2**n)), 0)
+    bits = dv.ideal_outcome_bits(model, circuit)
+    sign = (-1) ** int(sum(bits[q] for q in range(n) if (measured.zbits >> q) & 1))
+    back = pulled_back_reference(model, circuit, measured) if rows else None
+    draw = int(gen.integers(2**62))
+    cases = [
+        (
+            lambda s: dv._sample_ensemble(model, [circuit], shots, [s])[0].to_json(),
+            lambda s: dv.sample_counts(model, circuit, shots, s).to_json(),
+        ),
+        (
+            lambda s: dv._fast_ensemble(model, [circuit], shots, [s])[0].to_json(),
+            lambda s: dv.pauli_fastpath_sample(model, circuit, shots, s).to_json(),
+        ),
+        (
+            lambda s: dv._fast_signs(model, [circuit], [measured], shots, [s], [sign], None if back is None else [back])[0],
+            lambda s: dv.pauli_fastpath_signs(model, circuit, measured, shots, s, sign, back),
+        ),
+    ]
+    for ensemble, direct in cases:
+        a, b = (rng(draw), rng(draw)) if generator else (draw, draw)
+        assert _same(direct(b), ensemble(a))
+        if generator:
+            assert b.random(3).tolist() == a.random(3).tolist()
+
+
 # -- stacked parities -----------------------------------------------------------------
 
 
@@ -2199,7 +2248,8 @@ def test_parity_all_matches_per_circuit_parities(
 
 def test_parity_all_checks_every_circuit_before_drawing(monkeypatch):
     """An asymmetric confusion on a qubit that any circuit reads, or an
-    ideal sign other than +1 or -1, raises before any generator draws."""
+    ideal sign other than +1 or -1, raises before any generator draws, also
+    in a direct ``pauli_fastpath_signs`` call."""
     model = dv.ideal_model(2).with_confusion({1: [[0.95, 0.1], [0.05, 0.9]]})
     circuits = [Circuit(2, ((("X", (0,)),),)), Circuit(2, ((("X", (1,)),),))]
     measured = [PauliString(2, 0, 0b01, 0), PauliString(2, 0, 0b10, 0)]
@@ -2208,6 +2258,8 @@ def test_parity_all_checks_every_circuit_before_drawing(monkeypatch):
         dv._parity_all(model, circuits, measured, 10, [1, 2], "fast", [-1, -1])
     with pytest.raises(ValueError, match="not \\+1 or -1"):
         dv._parity_all(dv.ideal_model(2), circuits, measured, 10, [1, 2], "fast", [-1, 0.5])
+    with pytest.raises(ValueError, match="not \\+1 or -1"):
+        dv.pauli_fastpath_signs(dv.ideal_model(2), circuits[0], measured[0], 10, 1, 0.5)
 
 
 def test_eigenstate_parities_keep_an_empty_readout_only_when_asked(monkeypatch):

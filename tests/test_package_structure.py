@@ -96,6 +96,26 @@ def test_parity_protocols_import_no_parity_circuit_internals(name):
     assert imported & PARITY_INTERNALS == set()
 
 
+# the per-circuit samplers, each a one-item call of the ensemble that
+# compiles the circuits and builds their generators
+ONE_ITEM_SAMPLERS = ("sample_counts", "pauli_fastpath_sample", "pauli_fastpath_signs")
+
+
+def test_per_circuit_samplers_and_volumetrics_reuse_the_device_stacks():
+    """No per-circuit sampler builds a ``CliffordProgram`` or calls ``rng``,
+    and ``volumetrics`` imports neither ``CliffordProgram`` nor
+    ``_stack_size``: a single circuit is a one-item stack of the device's
+    ensembles, and a grid cell's ideal outcomes come from its stacked call."""
+    tree = ast.parse((PACKAGE / "device.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ONE_ITEM_SAMPLERS:
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert names & {"CliffordProgram", "rng"} == set(), name
+    tree = ast.parse((PACKAGE / "volumetrics.py").read_text())
+    imported = {alias.name for node, _ in _relative_imports(tree) for alias in node.names}
+    assert imported & {"CliffordProgram", "_stack_size"} == set()
+
+
 # the generators that assemble circuits unchecked from valid parts; every
 # other module reads layers from outside (configs, callers, files) and
 # builds its circuits through the checked ``Circuit(width, layers)``
@@ -273,3 +293,22 @@ def test_dense_2q_crb_builds_no_clifford_element():
     """A two-qubit dense CRB reads the enumerated group's arrays (unitaries,
     words, keys) and builds none of the 11,520 element objects."""
     assert _fresh(DENSE_2Q_CRB) == "0 11520"
+
+
+ONE_RANDOM_CLIFFORD = """
+from qcvv import cliffords
+from qcvv.linalg import rng
+built = []
+init = cliffords.CliffordElement.__init__
+cliffords.CliffordElement.__init__ = lambda self, *args: built.append(1) or init(self, *args)
+element = cliffords.random_clifford(2, 0)
+count = len(built)
+same = cliffords.enumerate_clifford_group(2)[int(rng(0).integers(11520))]
+print(count, element.key == same.key, element.word == same.word, (element.unitary == same.unitary).all())
+"""
+
+
+def test_random_clifford_builds_one_element():
+    """``random_clifford(2, seed)`` builds the one element it draws, the
+    group's element at that index, and none of the other 11,519."""
+    assert _fresh(ONE_RANDOM_CLIFFORD) == "1 True True True"
