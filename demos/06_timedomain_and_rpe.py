@@ -39,7 +39,7 @@ print("\n== Hahn echo and the T2 <= 2 T1 bound ==")
 sig_e = td.synth_echo(times, t2e=160.0, shots=2000, seed=7)
 fit_e = td.fit_echo(times, sig_e)
 print(f"fitted T2E = {fit_e.params['t2e']:.1f} (truth 160)")
-p1, coh = td.bloch_redfield_populations(times, t1=100.0, t2=160.0, detuning=0.0)
+p1, coh = td.bloch_redfield_populations(times, t1=100.0, t2=160.0)
 print("joint generator enforces T2 <= 2 T1:", 160.0 <= 2 * 100.0)
 
 print("\n== robust phase estimation ==")

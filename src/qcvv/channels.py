@@ -124,12 +124,13 @@ def choi_to_chi(choi: np.ndarray) -> np.ndarray:
     return w.conj().T @ np.asarray(choi, dtype=complex) @ w / d**2
 
 
-def choi_to_kraus(choi: np.ndarray, tol: float = 1e-9):
+def choi_to_kraus(choi: np.ndarray):
     """Orthogonal (eigen-)Kraus set from a Choi matrix.
 
-    Eigenvalues are sorted descending; each retained eigenvector's phase is
-    fixed so its first nonzero component is real positive.  Raises on
-    negative eigenvalues beyond ``CP_TOL`` (non-CP map).
+    Eigenvalues are sorted descending and those at or below 1e-9 dropped;
+    each retained eigenvector's phase is fixed so its first nonzero
+    component is real positive.  Raises on negative eigenvalues beyond
+    ``CP_TOL`` (non-CP map).
     """
     choi = np.asarray(choi, dtype=complex)
     evals, evecs = np.linalg.eigh((choi + choi.conj().T) / 2)
@@ -139,7 +140,7 @@ def choi_to_kraus(choi: np.ndarray, tol: float = 1e-9):
     kraus = []
     for idx in order:
         lam = evals[idx]
-        if lam <= tol:
+        if lam <= 1e-9:
             continue
         v = evecs[:, idx]
         nz = np.flatnonzero(np.abs(v) > 1e-12)
@@ -228,11 +229,9 @@ class Channel:
     def to_ptm(self) -> np.ndarray:
         return self.ptm.copy()
 
-    def to_transfer(self, basis: str = MATRIX_UNITS) -> np.ndarray:
-        if basis == NORMALIZED_PAULI:
-            return self.ptm.copy()
-        if basis != MATRIX_UNITS:
-            raise ValueError(f"unknown basis {basis!r}")
+    def to_transfer(self) -> np.ndarray:
+        """Transfer matrix in matrix units; :meth:`to_ptm` gives it in the
+        normalized Pauli basis."""
         if "transfer" not in self._cache:
             self._cache["transfer"] = ptm_to_transfer(self.ptm)
         return self._cache["transfer"].copy()
@@ -264,17 +263,18 @@ class Channel:
         row[0] = 1.0
         return bool(np.allclose(self.ptm[0], row, atol=tol))
 
-    def is_unital(self, tol: float = TP_TOL) -> bool:
+    def is_unital(self) -> bool:
         col = np.zeros(self.dim**2)
         col[0] = 1.0
-        return bool(np.allclose(self.ptm[:, 0], col, atol=tol))
+        return bool(np.allclose(self.ptm[:, 0], col, atol=TP_TOL))
 
-    def is_cp(self, tol: float = CP_TOL) -> bool:
+    def is_cp(self) -> bool:
         evals = np.linalg.eigvalsh(self.to_choi())
-        return bool(evals.min() >= -tol)
+        return bool(evals.min() >= -CP_TOL)
 
-    def is_cptp(self, cp_tol: float = CP_TOL, tp_tol: float = TP_TOL) -> bool:
-        return self.is_cp(cp_tol) and self.is_tp(tp_tol)
+    def is_cptp(self) -> bool:
+        """Completely positive to ``CP_TOL`` and trace preserving to ``TP_TOL``."""
+        return self.is_cp() and self.is_tp()
 
     def compose(self, other: "Channel") -> "Channel":
         """Channel applying ``other`` first, then ``self``."""
@@ -577,29 +577,13 @@ def twirl_sampled(channel: Channel, group: str, nsamples: int, seed) -> Channel:
     return Channel(acc / nsamples)
 
 
-def random_cptp(d: int, seed, target_coherent_fraction: float = None) -> Channel:
+def random_cptp(d: int, seed) -> Channel:
     """Random CPTP channel from a Haar-random Stinespring isometry.
 
-    The environment has dimension d**2.  When ``target_coherent_fraction``
-    is given, the stochastic part is blended toward the identity and
-    composed with a random small unitary so roughly that fraction of the
-    total infidelity is coherent.  The measure is this construction's own;
-    it is a test fixture, not a claim about any canonical ensemble.
+    The environment has dimension d**2.  The measure is this construction's
+    own; it is a test fixture, not a claim about any canonical ensemble.
     """
     if d not in (2, 4):
         raise ValueError("random channels supported at d in {2, 4}")
-    gen = rng(seed)
-    u = linalg.haar_random_unitary(d * d * d, gen)
-    kraus = [u[i * d:(i + 1) * d, :d] for i in range(d * d)]
-    ch = Channel.from_kraus(kraus)
-    if target_coherent_fraction is None:
-        return ch
-    frac = float(np.clip(target_coherent_fraction, 0.0, 1.0))
-    eye = np.eye(d**2)
-    stoch_ptm = eye + (1 - frac) * 0.2 * (ch.ptm - eye)
-    theta = 0.3 * frac
-    herm = linalg.haar_random_unitary(d, gen)
-    herm = (herm + herm.conj().T) / 2
-    herm /= np.linalg.norm(herm, 2)
-    coh = Channel.from_unitary(matrix_exp(-1j * theta * herm))
-    return Channel(coh.ptm @ stoch_ptm)
+    u = linalg.haar_random_unitary(d * d * d, rng(seed))
+    return Channel.from_kraus([u[i * d:(i + 1) * d, :d] for i in range(d * d)])

@@ -57,7 +57,9 @@ def _channel_from_config(spec, pointer):
     raise ConfigError(f"{pointer}/kind", f"unknown channel kind {kind!r}")
 
 
-def build_model(cfg, pointer="/model") -> device.GateSetModel:
+def build_model(cfg) -> device.GateSetModel:
+    """The noisy model a config's ``model`` object describes."""
+    pointer = "/model"
     n = _need(cfg, pointer, "n", int)
     rules = cfg.get("noise", [])
     compiled = []
@@ -83,12 +85,7 @@ def build_model(cfg, pointer="/model") -> device.GateSetModel:
     idle = None
     if "idle" in cfg:
         idle = _channel_from_config(cfg["idle"], f"{pointer}/idle")
-    return device.noisy_model(
-        n,
-        noise_rule if compiled else (lambda l, a: None),
-        confusion=confusion or None,
-        idle=idle,
-    )
+    return device.noisy_model(n, noise_rule, confusion=confusion or None, idle=idle)
 
 
 def _dump_json(path, payload):

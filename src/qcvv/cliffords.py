@@ -309,18 +309,6 @@ def _prep_meas_tables():
     return prep, meas
 
 
-def eigenprep_gate(letter: str, sign: int) -> str:
-    """Palette gate preparing the ``sign`` eigenstate of ``letter`` from |0>."""
-    prep, _ = _prep_meas_tables()
-    return prep[(letter, sign)]
-
-
-def measurement_rotation_gate(letter: str) -> str:
-    """Palette gate rotating ``letter`` to +Z for computational readout."""
-    _, meas = _prep_meas_tables()
-    return meas[letter]
-
-
 @lru_cache(maxsize=None)
 def gate_tableau(name: str) -> CliffordTableau:
     return tableau_from_unitary(GATE_UNITARIES[name])
@@ -463,6 +451,7 @@ def eigenstate_layer(p: PauliString, gen):
     Draws one eigenvalue per non-identity letter; returns (layer, sign), the
     sign being the product of the drawn eigenvalues.
     """
+    prep, _ = _prep_meas_tables()
     layer = []
     total = 1
     for q in range(p.n):
@@ -471,7 +460,7 @@ def eigenstate_layer(p: PauliString, gen):
         if letter != "I":
             s = 1 if gen.random() < 0.5 else -1
             total *= s
-        gate = eigenprep_gate(letter, s)
+        gate = prep[(letter, s)]
         if gate != "I":
             layer.append((gate, (q,)))
     return tuple(layer), total
@@ -479,7 +468,8 @@ def eigenstate_layer(p: PauliString, gen):
 
 def readout_layer(p: PauliString):
     """1q layer rotating each letter of p onto +Z for computational readout."""
-    gates = ((measurement_rotation_gate(p.letter(q)), (q,)) for q in range(p.n))
+    _, meas = _prep_meas_tables()
+    gates = ((meas[p.letter(q)], (q,)) for q in range(p.n))
     return tuple(g for g in gates if g[0] != "I")
 
 

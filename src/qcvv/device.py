@@ -1002,6 +1002,8 @@ def sample_counts_drifting(model_at, circuit: Circuit, shots: int, seed, segment
     is a test harness for rastering and model-violation studies, not a
     physics claim.
     """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
     seeds = child_seeds(seed, segments)
     per = [shots // segments] * segments
     for i in range(shots - sum(per)):
@@ -1404,6 +1406,16 @@ class CliffordProgram:
         eye = np.eye(n, dtype=np.uint8)
         return np.tile(np.hstack([2 * eye, eye]), (self.n // n, 1))  # X_q in column q, Z_q in column n + q
 
+    def _generator_images(self):
+        """The images of every block's 2n generators (:meth:`_generators`)
+        from one walk: their (blocks, n, 2n) letter codes, block i's image
+        of generator g in column g, and their (blocks, 2n) phase exponents,
+        each the sum of its block's phase rows."""
+        n, frame = self._model.n, self._generators()
+        phase = np.zeros(frame.shape, dtype=np.int64)
+        self._walk(frame, phase, history=False)
+        return frame.reshape(-1, n, 2 * n), phase.reshape(-1, n, 2 * n).sum(axis=1)
+
     def _ideal_bits(self) -> list:
         """Per circuit of the program, its ideal outcome bits on |0...0>
         (see :func:`ideal_outcome_bits`), or None, from one walk of the
@@ -1415,13 +1427,34 @@ class CliffordProgram:
         images the inverse transpose of the Z_q images' z bits, so Z_j is
         the product of the Z_q images whose X_q image has an x bit on qubit
         j, and bit j is the XOR of their sign bits."""
-        n, frame = self._model.n, self._generators()
-        phase = np.zeros(frame.shape, dtype=np.int64)
-        self._walk(frame, phase, history=False)
-        x = (frame >> 1).reshape(-1, n, 2 * n)  # x[i, j, g]: the x bit on qubit j of block i's image of g
-        signs = (phase.reshape(-1, n, 2 * n).sum(axis=1)[:, n:, None] >> 1) & 1  # a block's phase sums its rows
+        n, (codes, phases) = self._model.n, self._generator_images()
+        x = codes >> 1  # x[i, j, g]: the x bit on qubit j of block i's image of g
+        signs = (phases[:, n:, None] >> 1) & 1
         bits = ((x[:, :, :n].astype(np.int64) @ signs)[:, :, 0] & 1).astype(np.uint8)
         return [None if xi[:, n:].any() else b for xi, b in zip(x, bits)]
+
+    def _ideal_parities(self, measured) -> list:
+        """Per circuit of the program, the +1 or -1 ideal value on |0...0>
+        of the parity that its Z-type Pauli in ``measured`` reads, or None
+        when the output is not an eigenstate of it, from one walk of the
+        generators.
+
+        The Z_q images S_q stabilize the output, so the parity is definite
+        iff it commutes with every S_q.  It is then, up to sign, the product
+        of the S_q whose X_q image it anticommutes with (the X_q image
+        anticommutes with S_q alone), and its value is that product's sign."""
+        n, out = self._model.n, []
+        for block, block_phase, m in zip(*self._generator_images(), measured):
+            images, parity = _paulis_of(block, block_phase), PauliString(n, 0, m.zbits)
+            if not all(parity.commutes(s) for s in images[n:]):
+                out.append(None)
+                continue
+            product = PauliString.identity(n)
+            for destabilizer, s in zip(images[:n], images[n:]):
+                if not parity.commutes(destabilizer):
+                    product = product * s
+            out.append(1 if product.phase == 0 else -1)
+        return out
 
 
 def _propagate_side_by_side(model: GateSetModel, circuits, paulis):
@@ -1627,10 +1660,14 @@ def pauli_fastpath_signs(
     without one builds none.
 
     This is a one-item call of :func:`_fast_signs`, so ``ideal_sign`` must
-    be +1 or -1.  ``flips`` is the circuit's bits of :func:`_fault_parities`
-    (the parity, or the output bits without ``pulled_back``) and the
-    generator, seeded by ``seed``, that drew its faults, with which the
-    ensemble hands each circuit back here.  The generator is consumed as
+    be +1 or -1 and, without ``pulled_back``, equal to the parity's value on
+    the circuit's noiseless output, which is checked against one walk of
+    the generators; any other value, or an output that is not an
+    eigenstate of ``measured``, raises a ValueError.  ``flips`` is the
+    circuit's bits of :func:`_fault_parities` (the parity, or the output
+    bits without ``pulled_back``) and the generator, seeded by ``seed``,
+    that drew its faults, with which the ensemble hands each circuit back
+    here.  The generator is consumed as
     :func:`pauli_fastpath_sample` consumes it: the fault draws, block by
     block, then one readout-flip draw per confused measured qubit, in qubit
     order.
@@ -1675,13 +1712,11 @@ def _check_backend(backend: str):
         raise ValueError(f"unknown backend {backend!r}; use 'dense' or 'fast'")
 
 
-def sample(model: GateSetModel, circuit: Circuit, shots: int, seed, backend: str, ideal_bits=None) -> ShotRecord:
+def sample(model: GateSetModel, circuit: Circuit, shots: int, seed, backend: str) -> ShotRecord:
     """Bit-string counts of a circuit: :func:`sample_counts` on ``"dense"``,
-    :func:`pauli_fastpath_sample` on ``"fast"``, which takes the circuit's
-    definite ideal outcome from ``ideal_bits`` when given (the dense
-    backend does not use it).  This is a one-item call of
-    :func:`_sample_all`."""
-    return _sample_all(model, [circuit], shots, [seed], backend, ideal_bits)[0]
+    :func:`pauli_fastpath_sample` on ``"fast"``, which derives the circuit's
+    definite ideal outcome.  This is a one-item call of :func:`_sample_all`."""
+    return _sample_all(model, [circuit], shots, [seed], backend)[0]
 
 
 def _sample_all(model: GateSetModel, circuits, shots: int, seeds, backend: str, ideal_bits=None):
@@ -1722,12 +1757,14 @@ def parity_mean(
     backend reads parities off :func:`sample_counts` and uses neither it nor
     ``pulled_back``.  The fast backend (:func:`pauli_fastpath_signs`) starts
     every shot from it, so it must be +1 or -1, as it is when the noiseless
-    output is an eigenstate of ``measured``; any other value raises a
-    ValueError.  ``pulled_back``, when given, holds ``measured`` pulled back
-    to before each layer and after the last, as (depth + 1, n) letter codes
-    ``x << 1 | z``: row t is ``measured`` pulled back to just before layer t
-    and row depth is ``measured`` (see :func:`pauli_fastpath_signs`).  This
-    is a one-item call of :func:`_parity_all`.
+    output is an eigenstate of ``measured``, and without ``pulled_back`` it
+    must be the parity's value there, which the fast backend checks; any
+    other value raises a ValueError.  ``pulled_back``, when given, holds
+    ``measured`` pulled back to before each layer and after the last, as
+    (depth + 1, n) letter codes ``x << 1 | z``: row t is ``measured``
+    pulled back to just before layer t and row depth is ``measured`` (see
+    :func:`pauli_fastpath_signs`).  This is a one-item call of
+    :func:`_parity_all`.
     """
     rows = None if pulled_back is None else [pulled_back]
     return _parity_all(model, [circuit], [measured], shots, [seed], backend, [ideal_sign], rows)[0]
@@ -1758,20 +1795,34 @@ def _fast_signs(model: GateSetModel, circuits, measured, shots: int, seeds, idea
     rows, as a list of sign arrays in circuit order.
 
     Every circuit is checked first, so a bad ideal sign or an asymmetric
-    confusion raises before anything is drawn.  Each stack of
-    :func:`_fast_stacks` then draws once (:func:`_fault_parities`), every
+    confusion raises before anything is drawn.  Without ``pulled_back``,
+    each stack's ideal parities (:meth:`CliffordProgram._ideal_parities`)
+    must equal the ideal signs; with it, the caller derived both from one
+    propagation.  Each stack of :func:`_fast_stacks` then draws once
+    (:func:`_fault_parities`), every
     circuit from its own generator, and each circuit's bits (its parity, or
     its output bits without ``pulled_back``) and generator go back through
     :func:`pauli_fastpath_signs`, which draws its readout flips.  Each
     array is thus the one a call per circuit gives, and each circuit is one
     ``pauli_fastpath_signs`` call with its shots."""
+    if shots <= 0:
+        raise ValueError("shots must be positive")
     rows = [None] * len(circuits) if pulled_back is None else pulled_back
     for circuit, m, sign, r in zip(circuits, measured, ideal_signs, rows):
         if abs(abs(sign) - 1) > 1e-9:
             raise ValueError(f"ideal parity {sign} is not +1 or -1; the fast path needs an eigenstate")
         _parity_reads(model, circuit, m, r)
+    stacks = _fast_stacks(model, circuits, shots)
+    if pulled_back is None:
+        stacks = list(stacks)
+        for chunk, program in stacks:
+            for i, value in zip(chunk, program._ideal_parities([measured[i] for i in chunk])):
+                if value is None:
+                    raise ValueError("the circuit's output is not an eigenstate of the measured Pauli")
+                if abs(value - ideal_signs[i]) > 1e-9:
+                    raise ValueError(f"ideal parity {ideal_signs[i]} does not match the circuit's output, {value}")
     out = [None] * len(circuits)
-    for chunk, program in _fast_stacks(model, circuits, shots):
+    for chunk, program in stacks:
         gens = [rng(seeds[i]) for i in chunk]
         stack_rows = None if pulled_back is None else [rows[i] for i in chunk]
         bits = _fault_parities(program, stack_rows, shots, gens)

@@ -228,18 +228,18 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(m, dtype=complex))
 
 
-def matrix_log_principal(m: np.ndarray, branch_tol: float = 1e-12) -> np.ndarray:
+def matrix_log_principal(m: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm.
 
     Raises ``ValueError`` when an eigenvalue sits on the branch cut (the
     closed negative real axis) or at zero, where the principal log is not
-    defined or not continuous.
+    defined or not continuous; both are judged to a relative 1e-12.
     """
     m = np.asarray(m, dtype=complex)
     evals = np.linalg.eigvals(m)
-    if np.any(np.abs(evals) < branch_tol):
+    if np.any(np.abs(evals) < 1e-12):
         raise ValueError("matrix is singular; principal log undefined")
-    on_cut = (evals.real < 0) & (np.abs(evals.imag) < branch_tol * np.maximum(1.0, -evals.real))
+    on_cut = (evals.real < 0) & (np.abs(evals.imag) < 1e-12 * np.maximum(1.0, -evals.real))
     if np.any(on_cut):
         raise ValueError("eigenvalue on the negative real axis; principal log branch cut")
     import scipy.linalg

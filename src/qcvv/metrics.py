@@ -125,9 +125,9 @@ def heavy_output_prob(p_ideal, samples) -> float:
 
 # -- quantum states -----------------------------------------------------------
 
-def _check_density(rho, tol=1e-8):
+def _check_density(rho):
     rho = np.asarray(rho, dtype=complex)
-    if not np.allclose(rho, rho.conj().T, atol=tol):
+    if not np.allclose(rho, rho.conj().T, atol=1e-8):
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError("state trace differs from 1")
@@ -188,9 +188,9 @@ def entanglement_fidelity(g: Channel, target: Channel = None) -> float:
     return float(np.trace(err) / d2)
 
 
-def _ptm_is_unitary(ch: Channel, tol=1e-9) -> bool:
+def _ptm_is_unitary(ch: Channel) -> bool:
     m = ch.ptm
-    return np.allclose(m @ m.T, np.eye(m.shape[0]), atol=tol)
+    return np.allclose(m @ m.T, np.eye(m.shape[0]), atol=1e-9)
 
 
 def avg_gate_fidelity(g: Channel, target: Channel = None) -> float:

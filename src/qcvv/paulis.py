@@ -43,14 +43,13 @@ class PauliString:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def from_label(cls, label: str, phase: int = 0) -> "PauliString":
+    def from_label(cls, label: str) -> "PauliString":
         """Build from a string like ``"XIZ"``; qubit 0 is the leftmost letter.
 
         A ``Y`` letter denotes the Hermitian Pauli Y, so it contributes a
         bookkeeping factor of ``i`` to the stored phase exponent.
         """
-        x = z = 0
-        k = phase
+        x = z = k = 0
         for q, ch in enumerate(label):
             xq, zq = _LETTER_TO_XZ[ch]
             x |= xq << q
@@ -141,14 +140,6 @@ class PauliString:
             x |= ((self.xbits >> i) & 1) << q
             z |= ((self.zbits >> i) & 1) << q
         return PauliString(n, x, z, self.phase)
-
-
-def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
-    return p.multiply(q)
-
-
-def pauli_commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes(q)
 
 
 def all_paulis(n: int):

@@ -286,8 +286,9 @@ def write_decay_dataset(path, entries):
             )
 
 
-def load_decay_dataset(path, variant: str = "external") -> DecayDataset:
-    """Read a JSON-lines RB dataset into a :class:`DecayDataset`."""
+def load_decay_dataset(path) -> DecayDataset:
+    """Read a JSON-lines RB dataset into a :class:`DecayDataset` of variant
+    ``"external"``."""
     values = {}
     meta = {}
     with open(path) as f:
@@ -297,7 +298,7 @@ def load_decay_dataset(path, variant: str = "external") -> DecayDataset:
             freq = rec.counts.get(payload["success"], 0) / rec.shots
             values.setdefault(payload["depth"], []).append(freq)
             meta.update(payload.get("meta") or {})
-    return DecayDataset(sorted(values), values, variant, meta)
+    return DecayDataset(sorted(values), values, "external", meta)
 
 
 def run_crb(model: GateSetModel, design: RBDesign, backend: str = "dense"):
@@ -331,45 +332,29 @@ def simultaneous_rb(model: GateSetModel, subsets, design: RBDesign, isolated_mod
         sub_design = RBDesign(tuple(sub), design.depths, design.circuits_per_depth, design.shots, gen_seeds[i], "srb")
         per_subset_circuits[sub] = crb_circuits(sub_design)
 
-    results = {}
+    results, embedded = {}, {}
     for i, sub in enumerate(subsets):
         values = {m: [] for m in design.depths}
         seeds = child_seeds(gen_seeds[i] + 7, len(per_subset_circuits[sub]))
-        embedded = [_embed_circuit(circ, n_total, sub) for _, circ, _ in per_subset_circuits[sub]]
-        records = _sample_all(isolated_model, embedded, design.shots, seeds, backend)
+        embedded[sub] = [_embed_circuit(circ, n_total, sub) for _, circ, _ in per_subset_circuits[sub]]
+        records = _sample_all(isolated_model, embedded[sub], design.shots, seeds, backend)
         for (m, _, bits), rec in zip(per_subset_circuits[sub], records):
-            values[m].append(_marginal_success(rec, bits, sub, n_total))
+            values[m].append(_marginal_success(rec, bits, sub))
         data = DecayDataset(list(design.depths), values, "srb-isolated")
         fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=1 / 2 ** len(sub))
         results[sub] = {"isolated": fit, "isolated_data": data}
 
-    # simultaneous: splice the i-th circuit of every subset together
-    counts = {m: min(len([c for c in per_subset_circuits[s] if c[0] == m]) for s in subsets) for m in design.depths}
+    # simultaneous: splice the i-th circuit of every subset together, layer by layer
+    joints = []
+    for pieces in zip(*(embedded[sub] for sub in subsets)):
+        layers = (tuple(op for c in pieces if t < c.depth for op in c.layers[t]) for t in range(max(c.depth for c in pieces)))
+        joints.append(Circuit(n_total, tuple(layers)))
+    records = _sample_all(model, joints, design.shots, child_seeds(gen_seeds[-1], len(joints)), backend)
     sim_values = {sub: {m: [] for m in design.depths} for sub in subsets}
-    seeds = child_seeds(gen_seeds[-1], sum(counts.values()) * design.circuits_per_depth + 64)
-    by_depth = {
-        sub: {m: [c for c in per_subset_circuits[sub] if c[0] == m] for m in design.depths} for sub in subsets
-    }
-    joints, joint_pieces = [], []
-    for m in design.depths:
-        for j in range(counts[m]):
-            pieces = {sub: by_depth[sub][m][j] for sub in subsets}
-            layers = []
-            depth = max(len(p[1].layers) for p in pieces.values())
-            for li in range(depth):
-                layer = []
-                for sub in subsets:
-                    circ = pieces[sub][1]
-                    if li < len(circ.layers):
-                        for lbl, qs in circ.layers[li]:
-                            layer.append((lbl, tuple(sub[q] for q in qs)))
-                layers.append(tuple(layer))
-            joints.append(Circuit(n_total, tuple(layers)))
-            joint_pieces.append((m, pieces))
-    records = _sample_all(model, joints, design.shots, seeds[: len(joints)], backend)
-    for (m, pieces), rec in zip(joint_pieces, records):
+    for j, rec in enumerate(records):
         for sub in subsets:
-            sim_values[sub][m].append(_marginal_success(rec, pieces[sub][2], sub, n_total))
+            m, _, bits = per_subset_circuits[sub][j]
+            sim_values[sub][m].append(_marginal_success(rec, bits, sub))
     for sub in subsets:
         data = DecayDataset(list(design.depths), sim_values[sub], "srb-simultaneous")
         fit = fit_decay(data.depths, data.means(), data.stderrs(), fix_b=1 / 2 ** len(sub))
@@ -389,7 +374,7 @@ def _embed_circuit(circ: Circuit, n_total: int, qubits) -> Circuit:
     return Circuit(n_total, layers, circ.gate_defs)
 
 
-def _marginal_success(rec, bits, sub, n_total) -> float:
+def _marginal_success(rec, bits, sub) -> float:
     hits = 0
     for outcome, c in rec.counts.items():
         if all(outcome[sub[i]] == bits[i] for i in range(len(sub))):

@@ -73,9 +73,10 @@ def synth_echo(times, t2e, shots=None, seed=None):
     return _shot_noise(p1, shots, rng(seed) if shots else None)
 
 
-def bloch_redfield_populations(times, t1, t2, detuning, alpha=1 / np.sqrt(2)):
+def bloch_redfield_populations(times, t1, t2, alpha=1 / np.sqrt(2)):
     """Joint T1/T2 evolution of a superposition with amplitude ``alpha`` on
-    |0>: returns (P1(t), coherence magnitude).  Enforces T2 <= 2 T1."""
+    |0>: returns (P1(t), coherence magnitude), which in the rotating frame
+    do not depend on the detuning.  Enforces T2 <= 2 T1."""
     if t2 > 2 * t1 + 1e-12:
         raise ValueError("T2 cannot exceed 2 T1")
     times = np.asarray(times, dtype=float)
@@ -138,6 +139,24 @@ def _curve_fit(fun, times, signal, p0, bounds):
     return popt, pcov, float(np.sqrt(np.mean(resid**2)))
 
 
+def _best_fit(fun, times, signal, starts, bounds, name):
+    """The least-residual :func:`_curve_fit` of ``fun`` over the initial
+    guesses ``starts``, taken in order, the first of equal residuals kept;
+    a start that does not converge is skipped, and a RuntimeError naming
+    the fit is raised when none converges."""
+    best = None
+    for p0 in starts:
+        try:
+            popt, pcov, rms = _curve_fit(fun, times, signal, p0, bounds)
+        except RuntimeError:
+            continue
+        if best is None or rms < best[2]:
+            best = (popt, pcov, rms)
+    if best is None:
+        raise RuntimeError(f"{name} fit failed at every frequency initialization")
+    return best
+
+
 def fit_t1(times, signal) -> SignalFit:
     times = _check_times(times)
     fun = lambda t, a, t1: a * np.exp(-t / t1)
@@ -162,20 +181,9 @@ def fit_ramsey(times, signal) -> SignalFit:
     w0 = _dft_peak_frequency(times, signal)
     span = times[-1] - times[0]
     fun = lambda t, a, g, w, phi: 0.5 + a * np.exp(-g * t) * np.cos(w * t + phi)
-    best = None
-    for w_try in (w0, 0.5 * w0, 2 * w0):  # grid fallback around the DFT peak
-        try:
-            popt, pcov, rms = _curve_fit(
-                fun, times, signal, [0.5, 1 / span, w_try, 0.0],
-                ([0, 0, 0, -np.pi], [0.6, 50 / span, 20 * max(w0, 1 / span), np.pi]),
-            )
-        except RuntimeError:
-            continue
-        if best is None or rms < best[2]:
-            best = (popt, pcov, rms)
-    if best is None:
-        raise RuntimeError("Ramsey fit failed at every frequency initialization")
-    popt, pcov, rms = best
+    starts = [[0.5, 1 / span, w, 0.0] for w in (w0, 0.5 * w0, 2 * w0)]  # grid fallback around the DFT peak
+    bounds = ([0, 0, 0, -np.pi], [0.6, 50 / span, 20 * max(w0, 1 / span), np.pi])
+    popt, pcov, rms = _best_fit(fun, times, signal, starts, bounds, "Ramsey")
     err = np.sqrt(np.clip(np.diag(pcov), 0, None))
     return SignalFit(
         {"amplitude": popt[0], "gamma2": popt[1], "t2": 1 / popt[1], "frequency": popt[2], "phase": popt[3]},
@@ -189,15 +197,8 @@ def fit_rabi(times, signal) -> SignalFit:
     times = _check_times(times)
     w0 = _dft_peak_frequency(times, signal)
     fun = lambda t, c, w: c * np.sin(w * t / 2) ** 2
-    best = None
-    for w_try in (w0, 0.5 * w0, 2 * w0):
-        try:
-            popt, pcov, rms = _curve_fit(fun, times, signal, [max(signal.max(), 0.1), w_try], ([0, 0], [1.2, np.inf]))
-        except RuntimeError:
-            continue
-        if best is None or rms < best[2]:
-            best = (popt, pcov, rms)
-    popt, pcov, rms = best
+    starts = [[max(signal.max(), 0.1), w] for w in (w0, 0.5 * w0, 2 * w0)]
+    popt, pcov, rms = _best_fit(fun, times, signal, starts, ([0, 0], [1.2, np.inf]), "Rabi")
     err = np.sqrt(np.clip(np.diag(pcov), 0, None))
     return SignalFit(
         {"contrast": popt[0], "effective_frequency": popt[1]},

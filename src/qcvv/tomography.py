@@ -114,10 +114,11 @@ def _effect_table(n: int):
     return keys, mats, bras
 
 
-def gram_rank(effects, tol: float = 1e-8) -> int:
-    """Rank of the stacked effect superbras (Fisher-information surrogate)."""
+def gram_rank(effects) -> int:
+    """Rank of the stacked effect superbras (Fisher-information surrogate),
+    counting singular values above 1e-8."""
     rows = [vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects]
-    return int(np.linalg.matrix_rank(np.array(rows), tol=tol))
+    return int(np.linalg.matrix_rank(np.array(rows), tol=1e-8))
 
 
 # -- the likelihood fit ------------------------------------------------------------
@@ -246,11 +247,12 @@ def qst_dataset(model: GateSetModel, state_circuit: Circuit, shots: int, seed):
     return {setting: rec.counts for (setting, _), rec in zip(settings, records)}
 
 
-def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=None):
+def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None):
     """Reconstruct a density matrix from Pauli-setting counts.
 
     ``dataset`` maps setting labels to counts dicts (see :func:`qst_dataset`);
-    alternatively pass explicit ``effects``/``freqs`` (+ optional counts).
+    alternatively pass explicit ``effects``/``freqs``, which ``mle`` weighs
+    as 1,000 shots per effect.
     ``linear`` (or its alias ``lstsq``) returns the least-squares inversion
     (exact when the design is square); ``mle`` maximizes the likelihood over
     density matrices, as the CPTP fit of a channel from a one-dimensional
@@ -267,7 +269,7 @@ def qst(dataset, n: int, method: str = "mle", effects=None, freqs=None, counts=N
         t = np.array([vectorize(e, NORMALIZED_PAULI).coeffs.real for e in effects])
         sol = _pinv(t, 4**n) @ freqs
         resid = float(np.linalg.norm(t @ sol - freqs))
-        counts = freqs * 1000 if counts is None else np.asarray(counts, dtype=float)
+        counts = freqs * 1000
     rho_lin = unvectorize(Superket(2**n, sol, NORMALIZED_PAULI))
     rho_lin = (rho_lin + rho_lin.conj().T) / 2
     if method != "mle":
@@ -335,7 +337,7 @@ def qpt(dataset, n: int, method: str = "mle") -> Channel:
     vins = np.array([vectorize(rho, NORMALIZED_PAULI).coeffs.real for rho in preps])
     # outs[i] = PTM @ vins[i]
     lin = Channel(np.linalg.solve(vins, np.array(outs)).T)
-    if method != "mle" or (max(resids) <= 1e-9 and lin.is_cptp(cp_tol=1e-9)):
+    if method != "mle" or (max(resids) <= 1e-9 and lin.is_cptp()):
         return lin
     return Channel.from_choi(_fit_cptp(np.array(preps), _effect_table(n)[1], np.array(counts), lin.to_choi()))
 
@@ -519,7 +521,7 @@ def ideal_effect_superbras(n: int):
     return dict(zip(keys, bras.copy()))
 
 
-def gauge_optimize(result: LinearGSTResult, targets: dict, n: int, spam_weight: float = 100.0, maxiter: int = 800):
+def gauge_optimize(result: LinearGSTResult, targets: dict, n: int):
     """Gauge-fix an LGST frame onto target PTMs by weighted Frobenius distance.
 
     Optimizes over invertible M = expm(K) (K real, unconstrained) the cost
@@ -527,14 +529,14 @@ def gauge_optimize(result: LinearGSTResult, targets: dict, n: int, spam_weight: 
         sum_k ||M G_k M^-1 - Gbar_k||_F^2
         + w ( ||M rho - rho_bar||^2 + sum_e ||E_e M^-1 - Ebar_e||^2 ),
 
-    with uniform weight over gates and ``spam_weight`` w on every SPAM
-    surface.  The default w = 100 weights the preparation and effects
-    strongly: they are pinned very precisely by LGST data, and down-weighting
-    them lets the optimizer smear single-gate coherent errors across the
-    gate set (misattributing error generators).  Readout confusion cannot be
-    mimicked by a similarity transform, so SPAM-only error still stays out
-    of the gates at this weight.  Configurable.  Returns
-    (gauge matrix M, transformed-gate dict, final cost); probabilities are
+    with uniform weight over gates and w = 100 on every SPAM surface, by
+    L-BFGS-B in at most 800 iterations.  This w weights the preparation and
+    effects strongly: they are pinned very precisely by LGST data, and
+    down-weighting them lets the optimizer smear single-gate coherent
+    errors across the gate set (misattributing error generators).  Readout
+    confusion cannot be mimicked by a similarity transform, so SPAM-only
+    error still stays out of the gates at this weight.  Returns (gauge
+    matrix M, transformed-gate dict, final cost); probabilities are
     unchanged by construction.
     """
     import scipy.linalg
@@ -564,12 +566,12 @@ def gauge_optimize(result: LinearGSTResult, targets: dict, n: int, spam_weight: 
         c = 0.0
         for g, gbar in zip(gs, gbars):
             c += np.sum((m @ g @ minv - gbar) ** 2)
-        c += spam_weight * np.sum((m @ result.rho - rho_bar) ** 2)
+        c += 100.0 * np.sum((m @ result.rho - rho_bar) ** 2)
         for e, ebar in zip(es, ebars):
-            c += spam_weight * np.sum((e @ minv - ebar) ** 2)
+            c += 100.0 * np.sum((e @ minv - ebar) ** 2)
         return c
 
-    res = scipy.optimize.minimize(cost, np.zeros(d2 * d2), method="L-BFGS-B", options={"maxiter": maxiter})
+    res = scipy.optimize.minimize(cost, np.zeros(d2 * d2), method="L-BFGS-B", options={"maxiter": 800})
     m = build(res.x)
     minv = np.linalg.inv(m)
     fixed = {lbl: m @ result.gates[lbl] @ minv for lbl in labels}
@@ -608,7 +610,7 @@ def lgst_nongauge_params(result: LinearGSTResult) -> int:
 
 # -- model violation ----------------------------------------------------------------
 
-def model_violation(predictions, observations, k: int = None, pseudocount: float = 0.0) -> float:
+def model_violation(predictions, observations, k: int = None) -> float:
     """Wilks-style N_sigma from predicted probabilities and observed counts.
 
     ``predictions`` and ``observations`` are parallel lists of dicts mapping
@@ -617,10 +619,7 @@ def model_violation(predictions, observations, k: int = None, pseudocount: float
     N_max = sum(outcomes - 1), appropriate when the prediction was not fit
     to this data; subtract fitted non-gauge parameters otherwise).
 
-    Zero counts contribute nothing (0 log 0 = 0).  ``pseudocount`` (off by
-    default; 0.5 is the conventional choice) is added to the observed
-    frequencies *inside the log terms only*, regularizing the saturated
-    model when empty outcome cells are expected.
+    Zero counts contribute nothing (0 log 0 = 0).
     """
     log_l = 0.0
     log_l_max = 0.0
@@ -631,14 +630,13 @@ def model_violation(predictions, observations, k: int = None, pseudocount: float
         n_max += len(outcomes) - 1
         for o in outcomes:
             c = counts.get(o, 0)
-            if c == 0 and pseudocount == 0.0:
+            if c == 0:
                 continue  # 0 log 0 = 0
             p = probs.get(o, 0.0)
             if p <= 0:
                 p = 1e-12
-            c_log = c + pseudocount
             log_l += c * np.log(p)
-            log_l_max += c * np.log(c_log / (total + pseudocount * len(outcomes)))
+            log_l_max += c * np.log(c / total)
     if k is None:
         k = n_max
     if k <= 0:

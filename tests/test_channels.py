@@ -216,6 +216,15 @@ def test_error_generator_identity_and_roundtrip():
         assert np.abs(back.ptm - c.ptm).max() < 1e-8
 
 
+def test_error_generator_two_qubit_round_trip():
+    from qcvv.linalg import matrix_exp
+
+    zz = np.kron(Z, Z)
+    c = ch.depolarizing(0.03, n=2).compose(Channel.from_unitary(matrix_exp(-0.05j * zz)))
+    back = ch.from_generator(ch.error_generator(c), n=2)
+    assert np.abs(back.ptm - c.ptm).max() < 1e-12
+
+
 def test_error_generator_coherent_small_angle():
     theta = 0.02
     coeffs = ch.error_generator(ch.coherent("z", theta))
@@ -281,6 +290,16 @@ def test_twirl_sampled_converges():
     t = ch.twirl_sampled(c, "pauli", 4096, seed=7)
     off = t.ptm - np.diag(np.diag(t.ptm))
     assert np.linalg.norm(off) < 0.05
+
+
+@pytest.mark.parametrize("group, d, nsamples", [("clifford-1q", 2, 5000), ("clifford-2q", 4, 2000)])
+def test_clifford_twirl_sampled_converges_to_exact(group, d, nsamples):
+    c = ch.random_cptp(d, seed=31)
+    sampled = ch.twirl_sampled(c, group, nsamples, seed=7)
+    assert np.abs(sampled.ptm - ch.twirl_exact(c, group).ptm).max() < 0.03
+    other = "clifford-2q" if group == "clifford-1q" else "clifford-1q"
+    with pytest.raises(ValueError, match="group dimension"):
+        ch.twirl_sampled(c, other, 10, seed=7)
 
 
 def test_random_cptp_properties():

@@ -143,6 +143,19 @@ def test_tomo_state_and_truth_table(tmp_path):
     payload = json.loads((out / "tomo.json").read_text())
     assert payload["readout_fidelity"] == pytest.approx(1.0, abs=0.01)
 
+    cnot = {"width": 2, "layers": [[["CNOT", [0, 1]]]]}
+    cfg3 = {"model": {"n": 2}, "kind": "truth-table", "circuit": cnot, "shots": 200, "seed": 3}
+    code, out = run_cli(tmp_path, "tomo", cfg3, name="cfg3.json")
+    assert code == 0 and json.loads((out / "tomo.json").read_text())["f_tt"] == 1.0
+
+
+def test_tomo_linear_process(tmp_path):
+    cfg = {"model": {"n": 1}, "kind": "process", "method": "linear", "circuit": {"width": 1, "layers": [[["X", [0]]]]}, "shots": 4000, "seed": 5}
+    code, out = run_cli(tmp_path, "tomo", cfg)
+    assert code == 0
+    ptm = np.array(json.loads((out / "tomo.json").read_text())["ptm"])
+    assert np.abs(ptm - np.diag([1, 1, -1, -1])).max() < 0.1
+
 
 def test_cb_and_cer_pipeline(tmp_path):
     model = {
@@ -186,6 +199,18 @@ def test_timedomain_pipeline(tmp_path):
     payload = json.loads((out / "fit.json").read_text())
     assert payload["params"]["t1"] == pytest.approx(80.0, rel=0.1)
     assert (out / "signal.csv").exists()
+
+
+def test_timedomain_fit_failure_exits_3(tmp_path, monkeypatch):
+    from qcvv import timedomain
+
+    def fail(*args):
+        raise RuntimeError("fit did not converge")
+
+    monkeypatch.setattr(timedomain, "_curve_fit", fail)
+    cfg = {"kind": "rabi", "times": list(np.linspace(0.1, 5, 40)), "params": {"rabi_freq": 1.5}, "shots": 500, "seed": 13}
+    code, _ = run_cli(tmp_path, "timedomain", cfg)
+    assert code == 3
 
 
 def test_rpe_pipeline(tmp_path):

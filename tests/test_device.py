@@ -447,6 +447,44 @@ def test_fastpath_signs_rejects_asymmetric_confusion():
     assert signs.mean() == pytest.approx(-0.94, abs=0.01)
 
 
+def test_fastpath_signs_check_the_ideal_sign_against_the_circuit():
+    """Without pulled_back rows, the ideal sign must be the parity's value
+    on the circuit's output, and that output an eigenstate of the measured
+    Pauli: X(0), H(0), CNOT(0, 1) gives |Phi->, whose ZZ parity is +1 and
+    whose XX parity, read as ZZ after H on both qubits, is -1."""
+    model = dv.ideal_model(2)
+    phi_minus = ((("X", (0,)),), (("H", (0,)),), (("CNOT", (0, 1)),))
+    zz, z0 = PauliString.from_label("ZZ"), PauliString.from_label("ZI")
+    xx = Circuit(2, phi_minus + ((("H", (0,)), ("H", (1,))),))
+    assert dv.pauli_fastpath_signs(model, Circuit(2, phi_minus), zz, 10, 1, 1).tolist() == [1] * 10
+    assert dv.pauli_fastpath_signs(model, xx, zz, 10, 1, -1).tolist() == [-1] * 10
+    cases = ((Circuit(2, phi_minus), zz, -1, "does not match"), (xx, zz, 1, "does not match"), (Circuit(2, phi_minus), z0, 1, "eigenstate"))
+    for circ, measured, sign, message in cases:
+        with pytest.raises(ValueError, match=message):
+            dv.pauli_fastpath_signs(model, circ, measured, 10, 1, sign)
+        with pytest.raises(ValueError, match=message):
+            dv.parity_mean(model, circ, measured, 10, 1, "fast", sign)
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+@pytest.mark.parametrize("backend", ["dense", "fast"])
+def test_samplers_reject_shots_below_one(backend, shots):
+    model, circ = dv.ideal_model(2), Circuit(2, ((("X", (0,)),),))
+    z0 = PauliString.from_label("ZI")
+    calls = [
+        lambda: dv.sample(model, circ, shots, 1, backend),
+        lambda: dv.parity_mean(model, circ, z0, shots, 1, backend, -1),
+        dict(dense=lambda: dv.sample_counts(model, circ, shots, 1), fast=lambda: dv.pauli_fastpath_sample(model, circ, shots, 1))[backend],
+    ]
+    if backend == "fast":
+        calls.append(lambda: dv.pauli_fastpath_signs(model, circ, z0, shots, 1, -1))
+    else:
+        calls.append(lambda: dv.sample_counts_drifting(lambda t: model, circ, shots, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="shots must be positive"):
+            call()
+
+
 def test_propagate_pauli_signs():
     model = dv.ideal_model(2)
     circ = Circuit(2, ((("CNOT", (0, 1)),),))
@@ -906,17 +944,20 @@ def test_fault_free_samples_build_no_gate_tables(monkeypatch):
     def rule(rate):
         return lambda lbl, ar: ch.depolarizing(rate, n=ar)
 
-    # noiseless, then noisy with no fault drawn in 5 shots; a parity
-    # without pulled_back rows derives them only at a hit
-    z0 = PauliString(3, 0, 1, 0)
-    for model in (dv.ideal_model(3), dv.noisy_model(3, rule(1e-12))):
+    # noiseless, then noisy with no fault drawn in 5 shots
+    models = (dv.ideal_model(3), dv.noisy_model(3, rule(1e-12)))
+    for model in models:
         rec = dv.pauli_fastpath_sample(model, circ, 5, 3, ideal_bits=bits)
         assert rec.counts == {"".join(map(str, bits)): 5}
-        sign = -1 if bits[0] else 1
-        assert dv.pauli_fastpath_signs(model, circ, z0, 5, 3, sign).tolist() == [sign] * 5
     assert not built
     dv.pauli_fastpath_sample(dv.noisy_model(3, rule(0.5)), circ, 5, 3, ideal_bits=bits)
     assert built == [1]
+    # a parity without pulled_back rows walks the generators to check its
+    # ideal sign, so it builds the tables; its fault-free shots keep the sign
+    z0 = PauliString(3, 0, 1, 0)
+    sign = -1 if bits[0] else 1
+    for model in models:
+        assert dv.pauli_fastpath_signs(model, circ, z0, 5, 3, sign).tolist() == [sign] * 5
 
 
 def pulled_back_reference(model, circuit, measured):

@@ -96,6 +96,29 @@ def test_dfe_fast_backend_rejects_non_stabilizer_target():
         fd.dfe(dv.ideal_model(1), circ, projector(psi), epsilon=0.2, delta=0.2, seed=3, backend="fast")
 
 
+# X(0), H(0), CNOT(0, 1) prepares |Phi->, stabilized by -XX and ZZ
+PHI_MINUS = Circuit(2, ((("X", (0,)),), (("H", (0,)),), (("CNOT", (0, 1)),)))
+
+
+def test_signed_stabilizer_labels_match_the_dense_characteristic_function():
+    rho = projector((ket("00") - ket("11")) / np.sqrt(2))
+    chi = fd.characteristic_function(["-XX", "ZZ"], 2)
+    assert np.abs(chi - fd.characteristic_function(rho, 2)).max() < 1e-12
+
+
+def test_dfe_fast_backend_checks_the_target_sign_against_the_circuit():
+    """Scored against |Phi+>, |Phi-> has fidelity 0: the dense backend reads
+    about 0, and the fast backend, which starts every shot from the
+    target's sign, raises rather than score it 1.  Against the signed
+    target both score 1."""
+    model = dv.ideal_model(2)
+    assert abs(fd.dfe(model, PHI_MINUS, ["XX", "ZZ"], 0.1, 0.1, 3).estimate) < 0.1
+    with pytest.raises(ValueError, match="does not match"):
+        fd.dfe(model, PHI_MINUS, ["XX", "ZZ"], 0.1, 0.1, 3, backend="fast")
+    for backend in ("dense", "fast"):
+        assert fd.dfe(model, PHI_MINUS, ["-XX", "ZZ"], 0.1, 0.1, 3, backend=backend).estimate == 1.0
+
+
 def test_dfe_stabilizer_basis_count_independent_of_n():
     # flat chi**2 for stabilizer targets: sampled-bases count is set by
     # (epsilon, delta), not n

@@ -127,6 +127,13 @@ def test_partial_trace_composition_commutes():
     assert np.abs(ab - ba).max() < 1e-12
 
 
+def test_partial_trace_keeps_subsystems_in_the_given_order():
+    gen = rng(17)
+    rho_a, rho_b, rho_c = (projector(linalg.haar_random_state(d, gen)) for d in (2, 3, 2))
+    joint = np.kron(np.kron(rho_a, rho_b), rho_c)
+    assert np.abs(partial_trace(joint, [2, 3, 2], [2, 0]) - np.kron(rho_c, rho_a)).max() < 1e-12
+
+
 def test_partial_trace_rejects_bad_dims():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), [2, 3], [0])

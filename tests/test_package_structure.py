@@ -312,3 +312,96 @@ def test_random_clifford_builds_one_element():
     """``random_clifford(2, seed)`` builds the one element it draws, the
     group's element at that index, and none of the other 11,519."""
     assert _fresh(ONE_RANDOM_CLIFFORD) == "1 True True True"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# every tree whose calls may set a package option
+CALLER_TREES = ("src", "tests", "demos", "perfbench")
+# defaulted parameters that no call names, each with what sets it
+UNSET_ALLOWED = {
+    ("device.py", "_assembled", "gate_defs"): "unpickling sets it, through Circuit.__reduce__",
+}
+
+
+def _params(args):
+    return [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every ``def`` and ``lambda`` in the package, but
+    ``self``, ``cls`` and those of dunder methods, whose signatures a
+    protocol fixes, is read by its body."""
+    unread = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if _is_dunder(name):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            unread += [
+                f"{path.name}:{node.lineno} {name}({a.arg})"
+                for a in _params(node.args)
+                if a.arg not in ("self", "cls", *read)
+            ]
+    assert unread == []
+
+
+def _defaulted_params(tree):
+    """(line, function, parameter, index among a call's positional
+    arguments or None) of each defaulted parameter of a non-dunder ``def``;
+    a method's ``self`` or ``cls`` takes no call position."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(child.name):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                static = any(ast.unparse(d) == "staticmethod" for d in child.decorator_list)
+                bound = int(in_class and not static and bool(positional) and positional[0].arg in ("self", "cls"))
+                first = len(positional) - len(args.defaults)
+                out.extend((child.lineno, child.name, a.arg, i - bound) for i, a in enumerate(positional) if i >= first)
+                out.extend((child.lineno, child.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
+def _sets(call, param, index):
+    """Whether ``call`` may set ``param``: by keyword, by position, or
+    through ``*`` or ``**`` unpacking."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_option_has_a_setter():
+    """Every defaulted parameter of a non-dunder ``def`` in the package is
+    set by some call in the source, tests, demos or benchmark: one whose
+    callee, bare or as an attribute, has the function's name, and that
+    passes the parameter by keyword, by position or through unpacking.
+    Calls match by name alone, so the check can miss an unset option but
+    never flags one that a call sets."""
+    calls = {}
+    for path in (p for tree in CALLER_TREES for p in sorted((ROOT / tree).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted = [(path.name, *found) for path in MODULES for found in _defaulted_params(ast.parse(path.read_text(), str(path)))]
+    unset = [
+        f"{module}:{line} {name}({param})"
+        for module, line, name, param, index in defaulted
+        if (module, name, param) not in UNSET_ALLOWED and not any(_sets(c, param, index) for c in calls.get(name, []))
+    ]
+    assert unset == []
+    assert set(UNSET_ALLOWED) <= {(module, name, param) for module, _, name, param, _ in defaulted}

@@ -14,13 +14,13 @@ from qcvv.cliffords import (
     verify_2design,
 )
 from qcvv.linalg import rng
-from qcvv.paulis import PauliString, all_paulis, pauli_commutes, pauli_multiply
+from qcvv.paulis import PauliString, all_paulis
 
 from clifford_reference import tableau_run
 
 
 def test_pauli_product_xz():
-    prod = pauli_multiply(PauliString.from_label("X"), PauliString.from_label("Z"))
+    prod = PauliString.from_label("X").multiply(PauliString.from_label("Z"))
     assert prod.label == "Y" and prod.sign == pytest.approx(-1j)
 
 
@@ -43,9 +43,9 @@ def test_pauli_multiply_associative():
 
 
 def test_commutation():
-    assert pauli_commutes(PauliString.from_label("XI"), PauliString.from_label("XX"))
-    assert not pauli_commutes(PauliString.from_label("XI"), PauliString.from_label("ZI"))
-    assert pauli_commutes(PauliString.from_label("XZ"), PauliString.from_label("ZX"))
+    assert PauliString.from_label("XI").commutes(PauliString.from_label("XX"))
+    assert not PauliString.from_label("XI").commutes(PauliString.from_label("ZI"))
+    assert PauliString.from_label("XZ").commutes(PauliString.from_label("ZX"))
 
 
 def test_commutation_matches_matrix_oracle():
@@ -58,7 +58,7 @@ def test_commutation_matches_matrix_oracle():
 
 def test_size_mismatch():
     with pytest.raises(ValueError):
-        pauli_multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
+        PauliString.from_label("X").multiply(PauliString.from_label("XX"))
 
 
 def test_weight_and_pattern():

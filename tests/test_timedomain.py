@@ -71,16 +71,35 @@ def test_echo_fit():
 
 def test_bloch_redfield_t2_bound():
     with pytest.raises(ValueError):
-        td.bloch_redfield_populations(np.linspace(0, 1, 5), t1=10.0, t2=25.0, detuning=0.0)
+        td.bloch_redfield_populations(np.linspace(0, 1, 5), t1=10.0, t2=25.0)
     times = np.linspace(0, 50, 20)
-    p1, coh = td.bloch_redfield_populations(times, t1=50.0, t2=60.0, detuning=0.0)
+    p1, coh = td.bloch_redfield_populations(times, t1=50.0, t2=60.0)
     # joint fits: T1 from populations, T2 from the coherence envelope
     f1 = td.fit_t1(times[1:], p1[1:] / p1[0])
     ts = np.linspace(1, 120, 60)
-    _, coh2 = td.bloch_redfield_populations(ts, t1=50.0, t2=60.0, detuning=0.0)
+    _, coh2 = td.bloch_redfield_populations(ts, t1=50.0, t2=60.0)
     decay = -np.polyfit(ts, np.log(coh2), 1)[0]
     assert 1 / decay == pytest.approx(60.0, rel=0.02)
     assert 1 / decay <= 2 * 50.0 + 1e-9
+
+
+def test_bloch_redfield_populations_closed_form():
+    times = np.linspace(0, 80, 9)
+    p1, coh = td.bloch_redfield_populations(times, t1=50.0, t2=60.0, alpha=0.6)
+    assert np.allclose(p1, 0.64 * np.exp(-times / 50.0), rtol=1e-14, atol=0)
+    assert np.allclose(coh, 0.48 * np.exp(-times / 60.0), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("fit", [td.fit_rabi, td.fit_ramsey])
+def test_oscillation_fits_raise_when_no_start_converges(monkeypatch, fit):
+    def fail(*args):
+        raise RuntimeError("fit did not converge")
+
+    times = np.linspace(0.1, 5, 40)
+    signal = td.synth_rabi(times, rabi_freq=1.5)
+    monkeypatch.setattr(td, "_curve_fit", fail)
+    with pytest.raises(RuntimeError, match="fit failed at every frequency initialization"):
+        fit(times, signal)
 
 
 def test_fitters_consistent_as_shots_grow():
@@ -156,3 +175,6 @@ def test_signal_csv_round_trip(tmp_path):
     td.write_signal_csv(path, times, sig)
     t2, v2, s2 = td.read_signal_csv(path)
     assert np.allclose(t2, times) and np.allclose(v2, sig) and np.allclose(s2, 0)
+    stderrs = np.sqrt(sig * (1 - sig) / 500)
+    td.write_signal_csv(path, times, sig, stderrs=stderrs)
+    assert np.array_equal(td.read_signal_csv(path)[2], stderrs)

@@ -234,6 +234,9 @@ def test_capability_region_classes():
     assert region == {(2, 2): "all-pass", (2, 4): "mixed", (2, 8): "all-fail"}
     rows = vm.grid_to_rows(grid)
     assert [r["class"] for r in rows] == ["all-pass", "mixed", "all-fail"]
+    for t in (0.05, 0.5, 0.95):
+        region = vm.capability_region(grid, t)
+        assert [r["class"] for r in vm.grid_to_rows(grid, threshold=t)] == [region[key] for key in sorted(grid)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
