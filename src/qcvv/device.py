@@ -129,10 +129,10 @@ model compiles the keys that the circuits lack first, in one pass; the
 circuits are then grouped by shape and each group evolves as one stack,
 each item bit for bit the state that the circuit's own call gives.  Each superket then goes back through
 :func:`sample_counts` and :func:`circuit_probabilities`, so each circuit
-draws its seed's stream, as a call per circuit does, from one generator
-that the ensemble re-keys per circuit, and a run still
-makes one ``circuit_probabilities`` call, with its shots, per circuit,
-which is what a tracer that wraps those two names counts.
+draws its seed's stream, as a call per circuit does, from the one
+generator of the ensemble's :class:`_Streams`, re-keyed per circuit, and
+a run still makes one ``circuit_probabilities`` call, with its shots, per
+circuit, which is what a tracer that wraps those two names counts.
 
 BiRB, cycle benchmarking and ACES estimate a Pauli eigenvalue one way,
 and only this module builds their circuits: :func:`_eigenstate_parities`
@@ -151,21 +151,26 @@ register of k * n qubits (:meth:`CliffordProgram._side_by_side`), and
 walks their k prepared Paulis through it as one column, in stacks that
 ``_STACK_BUDGET`` bounds; each body's image, sign and history come out as
 its own program would give them.  Fast-path sampling compiles the circuits
-of one depth side by side (:func:`_fast_stacks`) and lets each circuit
-draw its rows from its own generator.  Accreditation, MCFE, MRB, RB decays
-and volumetric grids hand their circuits, with their seeds, to
+of one depth side by side (:func:`_fast_stacks`), and every circuit of a
+stack draws its seed's stream from the stack's one generator
+(:class:`_Streams`): re-keyed to the circuit's seed before its first
+block of draws, and, where more draws follow after other circuits have
+drawn, parked as its Philox state and restored for them.
+Accreditation, MCFE, MRB, RB decays and volumetric grids hand their
+circuits, with their seeds, to
 :func:`_fast_ensemble`, which compiles each stack once, derives the
 stack's ideal bits from it when the caller gives none and tallies the
 stack's output bits in one :func:`_fault_parities` call; each circuit's
-bits and generator then go back through :func:`pauli_fastpath_sample`,
-which draws the readout flips and tallies.  :func:`_eigenstate_parities`
-and DFE hand their circuits, measured Paulis and, but for DFE,
-pulled-back rows to :func:`_parity_all`, whose fast half,
-:func:`_fast_signs`, tallies each stack with the same kernel; each
-circuit's bits and generator then go back through
+bits and, when readout flips follow, the generator restored to its
+stream then go back through :func:`pauli_fastpath_sample`, which draws
+the readout flips and tallies.  :func:`_eigenstate_parities` and DFE
+hand their circuits, measured Paulis and, but for DFE, pulled-back rows
+to :func:`_parity_all`, whose fast half, :func:`_fast_signs`, tallies
+each stack with the same kernel; each circuit's bits and, when a read
+qubit is confused, its restored stream then go back through
 :func:`pauli_fastpath_signs`, which draws the readout flips.  Either way
-the seeded stream and the per-call circuit count are those of one circuit
-at a time.
+each circuit draws the stream of ``rng(seed)``, and the per-call circuit
+count is that of one circuit at a time.
 
 A single circuit is a one-item stack.  :func:`sample_counts`,
 :func:`pauli_fastpath_sample` and :func:`pauli_fastpath_signs`, called
@@ -927,6 +932,32 @@ def _seed_value(seed) -> int:
     return -1 if isinstance(seed, np.random.Generator) else int(seed)
 
 
+class _Streams:
+    """The streams of ``seeds`` from one Philox generator.  ``at(j)`` is a
+    generator that draws as ``rng(seeds[j])`` does from where seed j's draws
+    left off: the one generator, re-keyed (:func:`qcvv.linalg._rekeyed`)
+    for seed j's first draw or restored to its parked state for a later
+    one.  ``park(j, last)`` keeps that state, a ``bit_generator.state``
+    read, while other seeds draw; it parks nothing after a ``last`` draw
+    unless ``tail[j]`` says more draws follow (readout flips), and nothing
+    for a Generator seed, which ``at`` returns as it is.
+    """
+
+    def __init__(self, seeds, tail=()):
+        self._seeds, self._tail, self._parked, self._gen = seeds, tail, {}, rng(0)
+
+    def at(self, j: int) -> np.random.Generator:
+        state = self._parked.pop(j, None)
+        if state is None:
+            return _rekeyed(self._gen, self._seeds[j])
+        self._gen.bit_generator.state = state
+        return self._gen
+
+    def park(self, j: int, last: bool):
+        if not isinstance(self._seeds[j], np.random.Generator) and (not last or self._tail[j]):
+            self._parked[j] = self._gen.bit_generator.state
+
+
 def sample_counts(model: GateSetModel, circuit: Circuit, shots: int, seed, *, superket: tuple = None) -> ShotRecord:
     """Multinomial draw from the dense backend's distribution, with the
     generator of ``rng(seed)``: a one-item call of :func:`_sample_ensemble`.
@@ -953,19 +984,18 @@ def _sample_ensemble(model: GateSetModel, circuits, shots: int, seeds):
     """:func:`sample_counts` of each circuit with its seed, as a list in
     circuit order, with the dense states evolved side by side
     (:func:`_ensemble_states`).  Each superket goes through
-    :func:`sample_counts` with its circuit's generator: for an integer
-    seed, the one generator of this call re-keyed to that seed
-    (:func:`qcvv.linalg._rekeyed`), as each circuit's draw ends before the
-    next one's starts; a Generator seed as it is.  Each record is thus the
+    :func:`sample_counts` with its circuit's stream (:class:`_Streams`):
+    for an integer seed, the one generator of this call re-keyed to that
+    seed, as each circuit's draw ends before the next one's starts, so no
+    state is parked; a Generator seed as it is.  Each record is thus the
     one that a call per circuit gives, and each circuit is one
     ``circuit_probabilities`` call.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    out = [None] * len(circuits)
-    gen = rng(0)
+    out, streams = [None] * len(circuits), _Streams(seeds)
     for i, state in _ensemble_states(model, circuits):
-        out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=(state, _rekeyed(gen, seeds[i])))
+        out[i] = sample_counts(model, circuits[i], shots, seeds[i], superket=(state, streams.at(i)))
     return out
 
 
@@ -1141,22 +1171,27 @@ def _search_hits(draws: np.ndarray, identity: np.ndarray, dists: np.ndarray, cdf
     return rows, cols, idx
 
 
-def _hit_blocks(program: "CliffordProgram", shots: int, gens):
+def _hit_blocks(program: "CliffordProgram", shots: int, streams):
     """The hits (see :func:`_search_hits`) of a stack's draws, block by block.
 
-    ``program`` holds ``len(gens)`` circuits of ``program._model.n`` qubits
-    each, side by side (:meth:`CliffordProgram._side_by_side`), all of one
-    depth; one circuit is a one-item stack on its own program.  Layers run
-    in blocks of ``_DRAW_BUDGET // (width * shots)`` layers (at least one),
-    width the stacked register's; a layer has at most width draw rows, so
-    a block draws at most that many doubles.  In each block every circuit
-    draws its own rows from its own generator, in one ``gen.random`` call,
-    the same stream as one call per layer: each circuit draws what its own
-    program draws.  A stable partition of the stacked rows by block
-    (``qubits[:, 0] // n``), ``order``, gives each circuit's rows in its own
-    order, since within a layer the stacked rows run through the gates
-    circuit by circuit, then through the idle qubits in qubit order.  Each
-    circuit draws in place, ``gen.random(out=draws[a:b])``, into its own
+    ``program`` holds k circuits of ``program._model.n`` qubits each, side
+    by side (:meth:`CliffordProgram._side_by_side`), all of one depth; one
+    circuit is a one-item stack on its own program.  ``streams`` is the
+    stack's :class:`_Streams`, circuit j's at ``streams.at(j)``, or a list
+    of k generators, each drawn from as it is.  Layers run in blocks of
+    ``_DRAW_BUDGET // (width * shots)`` layers (at least one), width the
+    stacked register's; a layer has at most width draw rows, so a block
+    draws at most that many doubles.  In each block every circuit draws
+    its own rows from its own stream, in one ``random`` call, the same
+    stream as one call per layer: each circuit draws what its own program
+    draws.  The stack's one generator passes from circuit to circuit, so
+    each circuit's stream is parked after its run of a block, unless the
+    block is the last and no readout flips follow (``park(j, last)``).  A
+    stable partition of the stacked rows by block (``qubits[:, 0] // n``),
+    ``order``, gives each circuit's rows in its own order, since within a
+    layer the stacked rows run through the gates circuit by circuit, then
+    through the idle qubits in qubit order.  Each circuit draws in place,
+    ``streams.at(j).random(out=draws[a:b])``, into its own
     contiguous run of the block's draws, which thus hold the stacked rows
     ``order``; they are searched against ``identity[order]`` and
     ``dists[order]``, and each hit's row maps back as ``order[row]``.  Each
@@ -1164,27 +1199,30 @@ def _hit_blocks(program: "CliffordProgram", shots: int, gens):
     circuit, so in no layer order), columns and fault indices; every
     block's hits lie in later layers than any earlier block's.
     """
-    width, depth, d = program.n, program.depth, program.draws
+    if not isinstance(streams, _Streams):  # a list of generators, each drawn from as it is
+        streams = _Streams(streams)
+    width, depth, d, n = program.n, program.depth, program.draws, program._model.n
     span = max(1, _DRAW_BUDGET // (width * shots))
-    owner = d.qubits[:, 0] // program._model.n
+    owner = d.qubits[:, 0] // n
     for t0 in range(0, depth, span):
         t1 = min(t0 + span, depth)
         r0, r1 = d.starts[t0], d.starts[t1]
         # row i of ``draws`` is stacked row order[i]: each circuit's rows,
         # in its own order, form one contiguous run, into which it draws
         order = np.argsort(owner[r0:r1], kind="stable") + r0
-        bounds = np.cumsum(np.bincount(owner[r0:r1], minlength=len(gens))).tolist()
+        bounds = np.cumsum(np.bincount(owner[r0:r1], minlength=width // n)).tolist()
         draws = np.empty((r1 - r0, shots))
-        for g, a, b in zip(gens, [0] + bounds, bounds):
-            g.random(out=draws[a:b])
+        for j, (a, b) in enumerate(zip([0] + bounds, bounds)):
+            streams.at(j).random(out=draws[a:b])
+            streams.park(j, t1 == depth)
         rows, cols, idx = _search_hits(draws, d.identity[order], d.dists[order], d.cdfs, d.levels)
         del draws  # freed before the next block's are drawn, so one block's draws are held at a time
         yield order[rows], cols, idx
 
 
-def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -> np.ndarray:
-    """Per circuit of a stack (see :func:`_hit_blocks`), each drawing from
-    its generator in ``gens``, the per-shot bits (0 or 1) that its faults
+def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, streams) -> np.ndarray:
+    """Per circuit of a stack (see :func:`_hit_blocks`), each drawing its
+    stream of ``streams``, the per-shot bits (0 or 1) that its faults
     flip, as a (k, columns, shots) uint8 array: the one kernel that turns
     hits into bits.
 
@@ -1212,10 +1250,10 @@ def _fault_parities(program: "CliffordProgram", pulled_back, shots: int, gens) -
     product per circuit with the x bits of its final generator images maps
     its 2n generator parities to its n output bits.
     """
-    d, n, k = program.draws, program._model.n, len(gens)
+    d, n, k = program.draws, program._model.n, program.n // program._model.n
     shift = 0 if program._model.pre_gate_noise else 1
     codes = None
-    for rows, cols, idx in _hit_blocks(program, shots, gens):
+    for rows, cols, idx in _hit_blocks(program, shots, streams):
         if not len(rows):
             continue
         if codes is None:
@@ -1542,10 +1580,12 @@ def pauli_fastpath_sample(
     the ideal outcome (e.g. mirror generators) may pass ``ideal_bits`` to
     skip its derivation.  This is a one-item call of :func:`_fast_ensemble`.
 
-    ``faults`` is the circuit's (n, shots) output-bit flips and the
-    generator, seeded by ``seed``, that drew them, with which the ensemble
-    hands each circuit back here, with ``ideal_bits``; the generator then
-    draws the readout flips.
+    ``faults`` is the circuit's (n, shots) output-bit flips and a generator
+    that continues ``seed``'s stream after the draws of those flips, with
+    which the ensemble hands each circuit back here, with ``ideal_bits``:
+    its stack's one generator, restored to the circuit's parked state, or
+    None when the model confuses no qubit and nothing is drawn.  The
+    generator draws the readout flips.
     """
     if faults is None:
         return _fast_ensemble(model, [circuit], shots, [seed], ideal_bits)[0]
@@ -1575,11 +1615,14 @@ def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=
     indefinite outcome raises before anything is drawn, and the stacks'
     programs are kept for the draws: one compile per stack either way.
     Each stack then draws once (:func:`_fault_parities`), every circuit
-    from its own generator, and each circuit's output-bit flips and
-    generator go back through :func:`pauli_fastpath_sample`, which draws
-    its readout flips.  Each record is thus the one a call per circuit
-    gives, and each circuit is one ``pauli_fastpath_sample`` call with its
-    shots.  The seeds are integers, or one generator per circuit.
+    its seed's stream from the stack's one generator (:class:`_Streams`),
+    re-keyed per circuit and, when the model confuses a qubit, parked
+    after each circuit's last block.  Each circuit's output-bit flips and
+    its restored stream go back through :func:`pauli_fastpath_sample`,
+    which draws its readout flips.  Each record is thus the one a call per
+    circuit gives, and each circuit is one ``pauli_fastpath_sample`` call
+    with its shots.  The seeds are integers or generators, which are drawn
+    from as they are.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -1593,11 +1636,13 @@ def _fast_ensemble(model: GateSetModel, circuits, shots: int, seeds, ideal_bits=
                     raise ValueError("circuit outcome is not definite; use pauli_fastpath_signs")
                 bits[i] = b
     out = [None] * len(circuits)
+    tail = bool(model.confusion)
     for chunk, program in stacks:
-        gens = [rng(seeds[i]) for i in chunk]
-        x = _fault_parities(program, None, shots, gens)
-        for i, xi, gen in zip(chunk, x, gens):
-            out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=(xi, gen))
+        streams = _Streams([seeds[i] for i in chunk], [tail] * len(chunk))
+        x = _fault_parities(program, None, shots, streams)
+        for j, (i, xi) in enumerate(zip(chunk, x)):
+            faults = (xi, streams.at(j) if tail else None)
+            out[i] = pauli_fastpath_sample(model, circuits[i], shots, seeds[i], bits[i], faults=faults)
     return out
 
 
@@ -1665,12 +1710,13 @@ def pauli_fastpath_signs(
     the generators; any other value, or an output that is not an
     eigenstate of ``measured``, raises a ValueError.  ``flips`` is the
     circuit's bits of :func:`_fault_parities` (the parity, or the output
-    bits without ``pulled_back``) and the generator, seeded by ``seed``,
-    that drew its faults, with which the ensemble hands each circuit back
-    here.  The generator is consumed as
-    :func:`pauli_fastpath_sample` consumes it: the fault draws, block by
-    block, then one readout-flip draw per confused measured qubit, in qubit
-    order.
+    bits without ``pulled_back``) and a generator that continues ``seed``'s
+    stream after its fault draws (its stack's one generator, restored to
+    the circuit's parked state), or None when no read qubit is confused,
+    with which the ensemble hands each circuit back here.  The stream is
+    consumed as :func:`pauli_fastpath_sample` consumes it: the fault draws,
+    block by block, then one readout-flip draw per confused measured qubit,
+    in qubit order.
     """
     if flips is None:
         rows = None if pulled_back is None else [pulled_back]
@@ -1799,19 +1845,21 @@ def _fast_signs(model: GateSetModel, circuits, measured, shots: int, seeds, idea
     each stack's ideal parities (:meth:`CliffordProgram._ideal_parities`)
     must equal the ideal signs; with it, the caller derived both from one
     propagation.  Each stack of :func:`_fast_stacks` then draws once
-    (:func:`_fault_parities`), every
-    circuit from its own generator, and each circuit's bits (its parity, or
-    its output bits without ``pulled_back``) and generator go back through
-    :func:`pauli_fastpath_signs`, which draws its readout flips.  Each
-    array is thus the one a call per circuit gives, and each circuit is one
-    ``pauli_fastpath_signs`` call with its shots."""
+    (:func:`_fault_parities`), every circuit its seed's stream from the
+    stack's one generator (:class:`_Streams`), parked after its last block
+    only when a qubit it reads is confused.  Each circuit's bits (its
+    parity, or its output bits without ``pulled_back``) and its restored
+    stream go back through :func:`pauli_fastpath_signs`, which draws its
+    readout flips.  Each array is thus the one a call per circuit gives,
+    and each circuit is one ``pauli_fastpath_signs`` call with its
+    shots."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    rows = [None] * len(circuits) if pulled_back is None else pulled_back
+    rows, tails = [None] * len(circuits) if pulled_back is None else pulled_back, []
     for circuit, m, sign, r in zip(circuits, measured, ideal_signs, rows):
         if abs(abs(sign) - 1) > 1e-9:
             raise ValueError(f"ideal parity {sign} is not +1 or -1; the fast path needs an eigenstate")
-        _parity_reads(model, circuit, m, r)
+        tails.append(any(q in model.confusion for q in _parity_reads(model, circuit, m, r)))
     stacks = _fast_stacks(model, circuits, shots)
     if pulled_back is None:
         stacks = list(stacks)
@@ -1823,11 +1871,12 @@ def _fast_signs(model: GateSetModel, circuits, measured, shots: int, seeds, idea
                     raise ValueError(f"ideal parity {ideal_signs[i]} does not match the circuit's output, {value}")
     out = [None] * len(circuits)
     for chunk, program in stacks:
-        gens = [rng(seeds[i]) for i in chunk]
+        streams = _Streams([seeds[i] for i in chunk], [tails[i] for i in chunk])
         stack_rows = None if pulled_back is None else [rows[i] for i in chunk]
-        bits = _fault_parities(program, stack_rows, shots, gens)
-        for i, b, gen in zip(chunk, bits, gens):
-            out[i] = pauli_fastpath_signs(model, circuits[i], measured[i], shots, seeds[i], ideal_signs[i], rows[i], flips=(b, gen))
+        bits = _fault_parities(program, stack_rows, shots, streams)
+        for j, (i, b) in enumerate(zip(chunk, bits)):
+            flips = (b, streams.at(j) if tails[i] else None)
+            out[i] = pauli_fastpath_signs(model, circuits[i], measured[i], shots, seeds[i], ideal_signs[i], rows[i], flips=flips)
     return out
 
 

@@ -262,9 +262,9 @@ def rng(seed) -> np.random.Generator:
     Every stochastic operation in the package takes an explicit seed and
     builds its generator here; ``seed`` may also already be a Generator,
     which is passed through (used internally to chain draws).  A caller
-    that finishes one seed's draws before the next seed's start can re-key
-    one generator instead (:func:`_rekeyed`): the same stream, without a
-    new bit generator per seed.
+    that draws many seeds' streams can re-key one generator instead
+    (:func:`_rekeyed`), parking a stream's state where its draws pause:
+    the same streams, without a new bit generator per seed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
@@ -279,9 +279,12 @@ def _rekeyed(gen: np.random.Generator, seed) -> np.random.Generator:
     state becomes that of a new ``Philox(key=...)`` (counter zero, buffer
     spent), so the draws that follow are ``rng(seed)``'s whatever ``gen``
     drew before.  A Generator ``seed`` is returned as it is.  Re-keying
-    abandons the stream ``gen`` was on, so it suits callers that finish
-    one seed's draws before the next seed's start; it skips the OS entropy
-    that building a ``Philox`` gathers and the key then discards.
+    abandons the stream ``gen`` was on; a caller that draws several seeds'
+    streams in turn keeps one where it left off by reading
+    ``gen.bit_generator.state`` first (parking it) and resumes it, bit for
+    bit, by writing that state back after other seeds have drawn.  It skips
+    the OS entropy that building a ``Philox`` gathers and the key then
+    discards.
     """
     if isinstance(seed, np.random.Generator):
         return seed

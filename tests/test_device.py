@@ -934,6 +934,117 @@ def test_hit_driven_propagation_matches_every_layer_reference(width, depth, shot
         assert fast_gen.random() == ref_gen.random()  # the same draws were consumed
 
 
+_STREAM_INTS = [5, -3, 2**63, 0, 2**64 + 9, 7, 2**62]
+
+
+def _stream_seeds():
+    """Integer seeds, with a fresh Generator at every odd position."""
+    return [rng(s) if i % 2 else s for i, s in enumerate(_STREAM_INTS)]
+
+
+def _stream_circuits(n):
+    """Five mirror circuits of one depth, an empty circuit and a
+    ``gate_defs`` circuit, which runs as a stack of its own, interleaved."""
+    gen, sampler = rng(37), rb.LayerSampler(n, twoq_density=0.7)
+    mirrors = [rb.mirror_circuit(sampler, 4, gen) for _ in range(5)]
+    x = (("u", (n - 1,)),)
+    defined = Circuit(n, mirrors[0].layers + (x, x), {"u": cl.GATE_UNITARIES["X"]})
+    return mirrors[:3] + [Circuit(n, ()), defined] + mirrors[3:]
+
+
+def _stream_reference(model, circuit, shots, seed):
+    """``circuit``'s output-bit flips, drawn layer by layer from ``rng(seed)``
+    alone (:func:`propagate_faults_reference`), and that generator, which
+    draws the readout flips next."""
+    gen = rng(seed)
+    return propagate_faults_reference(model, circuit, shots, gen), gen
+
+
+def _stream_budget(monkeypatch, budget, n, shots):
+    """Patch ``_DRAW_BUDGET``: 1 gives one-item stacks of one-layer blocks,
+    "stacked" stacks of three circuits of one-layer blocks."""
+    if budget is not None:
+        monkeypatch.setattr(dv, "_DRAW_BUDGET", 3 * n * shots if budget == "stacked" else budget)
+
+
+@pytest.mark.parametrize("budget", [1, "stacked", None], ids=["one-layer-blocks", "stacked-blocks", "default"])
+@pytest.mark.parametrize("confusion", ["none", "symmetric", "asymmetric"])
+def test_fast_ensemble_draws_each_circuits_own_stream(monkeypatch, budget, confusion):
+    """Each circuit of a fast ensemble draws, bit for bit, the stream of its
+    own ``rng(seed)``: its faults layer by layer, then its readout flips,
+    though its stack's one generator serves every circuit in turn and
+    parks a circuit's state between its blocks and before its readout.
+    Integer and Generator seeds mix, and an empty circuit draws its
+    readout flips only."""
+    n, shots = 3, 50
+    model = _fast_ensemble_model(n, "pauli", True, confusion, False)
+    circuits = _stream_circuits(n)
+    _stream_budget(monkeypatch, budget, n, shots)
+    if budget == "stacked":
+        spans = [(len(chunk), program.depth // max(1, dv._DRAW_BUDGET // (program.n * shots))) for chunk, program in dv._fast_stacks(model, circuits, shots)]
+        assert max(spans) >= (3, 2)  # three circuits that draw in two blocks or more
+    records = dv._fast_ensemble(model, circuits, shots, _stream_seeds())
+    for circuit, seed, record in zip(circuits, _stream_seeds(), records):
+        faults = _stream_reference(model, circuit, shots, seed)
+        bits = dv.ideal_outcome_bits(model, circuit)
+        assert record == dv.pauli_fastpath_sample(model, circuit, shots, seed, bits, faults=faults)
+
+
+@pytest.mark.parametrize("budget", [1, "stacked", None], ids=["one-layer-blocks", "stacked-blocks", "default"])
+@pytest.mark.parametrize("confusion", ["none", "symmetric"])
+def test_fast_signs_draw_each_circuits_own_stream(monkeypatch, budget, confusion):
+    """Each circuit's parity signs in ``_fast_signs`` are, bit for bit,
+    those its own ``rng(seed)`` stream gives; symmetric confusion sits on
+    qubits 0 and 2, so in one stack some circuits draw readout flips after
+    a parked state and one that reads qubit 1 alone draws none."""
+    n, shots = 3, 50
+    model = _fast_ensemble_model(n, "pauli", True, confusion, False)
+    circuits = _stream_circuits(n)
+    measured = [PauliString(n, 0, z, 0) for z in (0b101, 0b010, 0b001, 0b110, 0b111, 0b010, 0b100)]
+    signs = []
+    for circuit, m in zip(circuits, measured):
+        bits = dv.ideal_outcome_bits(model, circuit)
+        signs.append(-1 if sum(int(bits[q]) for q in range(n) if m.zbits >> q & 1) % 2 else 1)
+    _stream_budget(monkeypatch, budget, n, shots)
+    got = dv._fast_signs(model, circuits, measured, shots, _stream_seeds(), signs)
+    for circuit, m, sign, seed, out in zip(circuits, measured, signs, _stream_seeds(), got):
+        flips = _stream_reference(model, circuit, shots, seed)
+        assert out.tobytes() == dv.pauli_fastpath_signs(model, circuit, m, shots, seed, sign, flips=flips).tobytes()
+
+
+def test_fast_ensembles_build_one_generator_per_stack(monkeypatch):
+    """Accreditation's 328 one-shot traps and a parity ensemble of 40
+    circuits build one generator per stack, not one per circuit."""
+    def noise(label, arity):
+        return ch.stochastic_pauli((0.003, 0.002, 0.004)) if arity == 1 else ch.stochastic_pauli({"XZ": 0.01, "ZI": 0.008})
+
+    model = dv.noisy_model(3, noise)
+    sampler, gen = rb.LayerSampler(3, twoq_density=0.6, twoq_gate="CZ"), rng(1313)
+    target = [layer for _ in range(3) for layer in sampler.sample(gen)]
+    target.append(tuple((rb.clifford_label(1, int(gen.integers(24))), (q,)) for q in range(3)))
+    mirrors = [rb.mirror_circuit(sampler, m, gen) for m in (2, 4) for _ in range(20)]
+    zz = PauliString(3, 0, 0b101, 0)
+    signs = [1 - 2 * ((int(b[0]) + int(b[2])) % 2) for b in (dv.ideal_outcome_bits(model, c) for c in mirrors)]
+    keyed, built, stacks = [], [], []
+    rng_, philox, fast_stacks = dv.rng, np.random.Philox, dv._fast_stacks
+
+    def spy(*args):
+        for chunk, program in fast_stacks(*args):
+            stacks.append(len(chunk))
+            yield chunk, program
+
+    monkeypatch.setattr(dv, "_fast_stacks", spy)
+    monkeypatch.setattr(dv, "rng", lambda seed: keyed.append(seed) or rng_(seed))
+    fd.accredit(model, target, 0.15, 0.95, seed=37)
+    assert sum(stacks) == fd.trap_count(0.15, 0.95) == 328
+    assert len(keyed) <= len(stacks) < 328
+    stacks.clear()
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: built.append(kwargs) or philox(*args, **kwargs))
+    dv._fast_signs(model, mirrors, [zz] * len(mirrors), 30, list(range(len(mirrors))), signs)
+    assert sum(stacks) == len(mirrors)
+    assert len(built) <= len(stacks) < len(mirrors)
+
+
 def test_fault_free_samples_build_no_gate_tables(monkeypatch):
     circ = rb.mirror_circuit(rb.LayerSampler(3, twoq_density=0.7), 4, rng(2))
     bits = dv.ideal_outcome_bits(dv.ideal_model(3), circ)

@@ -33,6 +33,28 @@ def test_rabi_detuned_effective_frequency():
     assert fit.params["contrast"] < 1.0
 
 
+def test_damped_rabi_matches_its_closed_form():
+    """With ``t2``, P1(t) = c/2 - (c/2) cos(W' t) exp(-t/t2), c = (W/W')^2:
+    zero at t = 0, half the contrast long after t2, the undamped curve as
+    t2 grows without bound, and shot noise around it with a seed."""
+    w, delta, t2 = 1.5, 0.8, 3.0
+    w_eff, times = np.sqrt(w**2 + delta**2), np.linspace(0, 20, 201)
+    contrast = (w / w_eff) ** 2
+    damped = td.synth_rabi(times, rabi_freq=w, detuning=delta, t2=t2)
+    closed = contrast / 2 - contrast / 2 * np.cos(w_eff * times) * np.exp(-times / t2)
+    assert damped == pytest.approx(closed, abs=1e-12)
+    assert damped[0] == 0.0
+    late = td.synth_rabi(np.linspace(200 * t2, 210 * t2, 11), rabi_freq=w, detuning=delta, t2=t2)
+    assert late == pytest.approx(np.full(11, contrast / 2), abs=1e-12)
+    undamped = td.synth_rabi(times, rabi_freq=w, detuning=delta)
+    assert td.synth_rabi(times, rabi_freq=w, detuning=delta, t2=1e12) == pytest.approx(undamped, abs=1e-9)
+    shots = 2000
+    noisy = td.synth_rabi(times, rabi_freq=w, detuning=delta, t2=t2, shots=shots, seed=3)
+    assert np.array_equal(noisy, td.synth_rabi(times, rabi_freq=w, detuning=delta, t2=t2, shots=shots, seed=3))
+    assert np.array_equal(noisy * shots, np.round(noisy * shots))
+    assert np.all(np.abs(noisy - closed) <= 5 * np.sqrt(closed * (1 - closed) / shots) + 1e-12)
+
+
 def test_chevron_locates_detuning():
     times = np.linspace(0.1, 25, 120)
     dets = np.linspace(-3, 3, 21) + 0.4  # true qubit sits at detuning -0.4 in drive frame
